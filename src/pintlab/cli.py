@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .experiments import ValidationError, load_registry, result_to_csv, run_experiment
-from .pool import hardware_parallelism
 
 
 def _out_dir(args) -> Path:
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one experiment and write its CSV")
     run_p.add_argument("experiment")
-    run_p.add_argument("--jobs", type=int, default=hardware_parallelism())
+    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", default="pint-out")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.set_defaults(fn=cmd_run)
@@ -122,12 +121,15 @@ def main(argv=None) -> int:
 
     verify_p = sub.add_parser("verify", help="run experiments and report pass/fail")
     verify_p.add_argument("--filter", default="")
-    verify_p.add_argument("--jobs", type=int, default=hardware_parallelism())
+    verify_p.add_argument("--jobs", type=int, default=1)
     verify_p.add_argument("--out", default="pint-out")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ValidationError as exc:

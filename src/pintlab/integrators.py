@@ -176,18 +176,6 @@ def _newton(sys, c, rhs, t_eval, guess, tol=1e-12, max_iter=50, frozen_jacobian=
     raise ConvergenceError("Newton did not converge")
 
 
-def _solve_shift(sys, a, b, rhs):
-    if isinstance(sys, CompanionSystem):
-        return sys.solve_shift(a, b, rhs)
-    return solve_shifted_banded(sys.A, (a, b), rhs)
-
-
-def _apply_A(sys, u):
-    if isinstance(sys, CompanionSystem):
-        return sys.matvec(u)
-    return sys.A.matvec(u)
-
-
 def _g_columns(sys, ts, like):
     """Source values at per-column times ``ts`` stacked as columns."""
     cols = np.zeros_like(like)
@@ -208,26 +196,25 @@ def _step_linear_block(method, sys, dt, t0s, U):
     if method.name == "exact":
         if has_g:
             raise ValueError("exact exponential propagator needs a homogeneous system")
-        op = sys if isinstance(sys, CompanionSystem) else sys.A
-        return expm_action(op, dt, U)
+        return expm_action(sys, dt, U)
     if method.theta is not None:
         th = method.theta
-        rhs = U + (1.0 - th) * dt * _apply_A(sys, U)
+        rhs = U + (1.0 - th) * dt * sys.matvec(U)
         if has_g:
             rhs = rhs + dt * (
                 (1.0 - th) * _g_columns(sys, t0s, U) + th * _g_columns(sys, t0s + dt, U)
             )
-        return _solve_shift(sys, 1.0, th * dt, rhs)
+        return sys.solve_shift(1.0, th * dt, rhs)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
-    rhs1 = _apply_A(sys, U)
+    rhs1 = sys.matvec(U)
     if has_g:
         rhs1 = rhs1 + _g_columns(sys, t0s + g * dt, U)
-    k1 = _solve_shift(sys, 1.0, g * dt, rhs1)
+    k1 = sys.solve_shift(1.0, g * dt, rhs1)
     y2 = U + dt * a21 * k1
-    rhs2 = _apply_A(sys, y2)
+    rhs2 = sys.matvec(y2)
     if has_g:
         rhs2 = rhs2 + _g_columns(sys, t0s + (a21 + g) * dt, U)
-    k2 = _solve_shift(sys, 1.0, g * dt, rhs2)
+    k2 = sys.solve_shift(1.0, g * dt, rhs2)
     return U + dt * (b1 * k1 + b2 * k2)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import BandedMatrix, solve_shifted_banded
+from .kernels import BandedMatrix, apply_blocks, solve_shifted_banded, solve_shifted_banded_many
 
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
 PULSE_AMPLITUDE = 10.0
@@ -144,6 +144,22 @@ class SemiDiscreteSystem:
         if self.B is None:
             return self.A
         return self.A.add(self.B.scale_columns(2.0 * u))
+
+    # Linear part A, in the operator interface CompanionSystem shares.
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        return self.A.matvec(u)
+
+    def norm_inf(self) -> float:
+        return self.A.norm_inf()
+
+    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
+        """Solve (a*I - b*A) x = rhs."""
+        return solve_shifted_banded(self.A, (a, b), rhs)
+
+    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
+        """Solve (a[j]*I - b[j]*A) x[j] = R[j] for J shifts in one batched call."""
+        return solve_shifted_banded_many(self.A, a, b, R)
 
 
 def _with_source(source, sigma, x):
@@ -276,13 +292,28 @@ class CompanionSystem:
 
     def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
         """Solve (a*I - b*[[0,I],[A,0]]) w = rhs via Schur reduction."""
-        m = self.base.n
-        ru, rv = rhs[:m], rhs[m:]
         if b == 0:
             return rhs / a
-        u = solve_shifted_banded(self.base.A, (a, b * b / a), ru + (b / a) * rv)
-        v = (rv + b * self.base.A.matvec(u)) / a
-        return np.concatenate([u, v], axis=0)
+        return self.solve_shift_many([a], [b], rhs[None])[0]
+
+    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
+        """Solve (a[j]*I - b[j]*[[0,I],[A,0]]) w[j] = R[j] for J shifts: the
+        Schur step for the whole batch is one batched banded solve with
+        shifts (a, b^2/a) followed by one block matvec."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if np.any(b == 0):
+            return np.stack([self.solve_shift(aj, bj, r) for aj, bj, r in zip(a, b, R)])
+        m = self.base.n
+        per_shift = (slice(None),) + (None,) * (R.ndim - 1)
+        a_col, b_col = a[per_shift], b[per_shift]
+        ru, rv = R[:, :m], R[:, m:]
+        # b^2 elementwise, as scalars: numpy's vectorized complex product may
+        # use fused multiply-adds and round differently from one shift alone
+        b_sq = np.array([bj * bj for bj in b])
+        u = solve_shifted_banded_many(self.base.A, a, b_sq / a, ru + (b_col / a_col) * rv)
+        v = (rv + b_col * apply_blocks(self.base.A, u)) / a_col
+        return np.concatenate([u, v], axis=1)
 
     def to_dense(self) -> np.ndarray:
         m = self.base.n

@@ -114,18 +114,6 @@ def geometric_eigenvectors_tr(mesh: GeometricTimeMesh):
     return p, q
 
 
-def _solve_shift_system(sys_like, a, b, rhs):
-    if isinstance(sys_like, CompanionSystem):
-        return sys_like.solve_shift(a, b, rhs)
-    return solve_shifted_banded(sys_like.A, (a, b), rhs)
-
-
-def _apply_system(sys_like, u):
-    if isinstance(sys_like, CompanionSystem):
-        return sys_like.matvec(u)
-    return sys_like.A.matvec(u)
-
-
 def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "backward_euler",
                            v_mode: str = "numeric") -> np.ndarray:
     """Direct time-parallel solve on a geometric mesh.
@@ -150,7 +138,6 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
         lam_exact = 1.0 / dts
         B = be_time_matrix(mesh)
         closed = geometric_eigenvectors_be
-        shift = lambda lam: (lam, 1.0)
     elif integrator == "trapezoidal_second_order":
         if sys.order != "second":
             raise ValueError("trapezoidal_second_order expects a second-order system")
@@ -166,26 +153,17 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
         B = np.linalg.solve(Btilde, B)
         lam_exact = 2.0 / dts
         closed = geometric_eigenvectors_tr
-        shift = lambda lam: (lam, 1.0)
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
 
     if v_mode == "numeric":
         lam, V = np.linalg.eig(B)
         Ua = np.linalg.solve(V, rhs.astype(complex))
-        Ub = np.empty_like(Ua)
-        for n in range(mesh.n_t):
-            a, b = shift(lam[n])
-            Ub[n] = _solve_shift_system(target, a, b, Ua[n])
-        U = (V @ Ub).real
+        U = (V @ target.solve_shift_many(lam, np.ones(mesh.n_t), Ua)).real
     elif v_mode == "closed_form":
         p, q = closed(mesh)
         Ua = toeplitz_lower_apply(q, rhs)
-        Ub = np.empty_like(Ua)
-        for n in range(mesh.n_t):
-            a, b = shift(lam_exact[n])
-            Ub[n] = _solve_shift_system(target, a, b, Ua[n])
-        U = toeplitz_lower_apply(p, Ub)
+        U = toeplitz_lower_apply(p, target.solve_shift_many(lam_exact, np.ones(mesh.n_t), Ua))
     else:
         raise ValueError(f"unknown v_mode {v_mode!r}")
 

@@ -149,6 +149,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     for j in range(n_w):
         IC[j + 1] = expm_action(A, grid.window_length(j), IC[j], tol=plan.expm_tol,
                                 method=plan.expm_method)
+    G_old = IC[1:].copy()  # exp(dT A) IC[j], the sweep's own values; updated in place
     U = _window_solves(plan, target, IC, pmap)
     trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
 
@@ -156,12 +157,10 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
         IC_new = np.empty_like(IC)
         IC_new[0] = target.u0
         for j in range(n_w):
-            dT = grid.window_length(j)
-            g_new = expm_action(A, dT, IC_new[j], tol=plan.expm_tol,
+            g_new = expm_action(A, grid.window_length(j), IC_new[j], tol=plan.expm_tol,
                                 method=plan.expm_method)
-            g_old = expm_action(A, dT, IC[j], tol=plan.expm_tol,
-                                method=plan.expm_method)
-            IC_new[j + 1] = U[j + 1] + g_new - g_old
+            IC_new[j + 1] = U[j + 1] + g_new - G_old[j]
+            G_old[j] = g_new
         IC = IC_new
         U = _window_solves(plan, target, IC, pmap)
         trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
@@ -215,17 +214,20 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
     U[0] = target.u0
     for j in range(n_w):
         U[j + 1] = G(j, U[j])
+    G_old = U[1:].copy()  # G(j, U[j]), the sweep's own values; updated in place
     F = _window_solves(plan, target, U, pmap)
     trace.record(error=np.abs(F - oracle).max(), fine_solves=n_w)
-    U_prev, F_prev = U, F
+    F_prev = F
     for k in range(1, plan.max_iter):
         U_new = np.empty_like(U)
         U_new[0] = target.u0
         for j in range(n_w):
-            U_new[j + 1] = F_prev[j + 1] + G(j, U_new[j]) - G(j, U_prev[j])
+            g_new = G(j, U_new[j])
+            U_new[j + 1] = F_prev[j + 1] + g_new - G_old[j]
+            G_old[j] = g_new
         F_new = _window_solves(plan, target, U_new, pmap)
         trace.record(error=np.abs(F_new - oracle).max(), fine_solves=n_w)
-        U_prev, F_prev = U_new, F_new
+        F_prev = F_new
         if trace.errors[-1] <= plan.tol:
             break
     return F_prev, trace

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrators import Propagator, TimeGrid, propagate, propagate_block, stability
-from .kernels import ConvergenceError, solve_shifted_banded
+from .kernels import ConvergenceError, solve_shifted_banded_many
 from .models import CompanionSystem
 from .paradiag import alpha_circulant_factor
 from .trace import IterationTrace
@@ -62,7 +62,17 @@ def fine_sequential(cfg: PararealConfig, sys) -> np.ndarray:
     return np.stack(out)
 
 
-def _initial_iterate(cfg, target):
+def _coarse_propagator(cfg, target):
+    """G(n, u): the coarse propagator across window n."""
+    def coarse(n, u):
+        t0, t1 = cfg.grid.window(n)
+        return propagate(cfg.coarse, target, t0, t1, u, newton_tol=cfg.newton_tol)
+
+    return coarse
+
+
+def _initial_iterate(cfg, target, coarse):
+    """U^0: random window values, or one sequential sweep of ``coarse``."""
     n_w = cfg.grid.n_windows
     U = np.empty((n_w + 1, target.u0.shape[0]))
     U[0] = target.u0
@@ -70,12 +80,17 @@ def _initial_iterate(cfg, target):
         rng = np.random.default_rng(cfg.seed)
         U[1:] = rng.standard_normal((n_w, target.u0.shape[0]))
         return U
-    u = target.u0.copy()
     for n in range(n_w):
-        t0, t1 = cfg.grid.window(n)
-        u = propagate(cfg.coarse, target, t0, t1, u, newton_tol=cfg.newton_tol)
-        U[n + 1] = u
+        U[n + 1] = coarse(n, U[n])
     return U
+
+
+def _coarse_of_initial(cfg, U, coarse):
+    """G(U^0[n]) on every window n: the cache the correction sweeps start
+    from.  A coarse initial sweep already holds it, G(U^0[n]) = U^0[n+1]."""
+    if cfg.initial_guess == "random":
+        return np.stack([coarse(n, U[n]) for n in range(cfg.grid.n_windows)])
+    return U[1:].copy()
 
 
 def _parallel_fine(cfg, target, U, pmap):
@@ -91,7 +106,9 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
     target = _wrap(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
-    U = _initial_iterate(cfg, target)
+    coarse = _coarse_propagator(cfg, target)
+    U = _initial_iterate(cfg, target, coarse)
+    G_old = _coarse_of_initial(cfg, U, coarse)  # G(U^k[n]), updated in place
     trace = IterationTrace(method="parareal")
     trace.record(error=np.abs(U - oracle).max())
     n_w = cfg.grid.n_windows
@@ -100,12 +117,9 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         for n in range(n_w):
-            t0, t1 = cfg.grid.window(n)
-            g_new = propagate(cfg.coarse, target, t0, t1, U_new[n],
-                              newton_tol=cfg.newton_tol)
-            g_old = propagate(cfg.coarse, target, t0, t1, U[n],
-                              newton_tol=cfg.newton_tol)
-            U_new[n + 1] = F[n] + g_new - g_old
+            g_new = coarse(n, U_new[n])
+            U_new[n + 1] = F[n] + g_new - G_old[n]
+            G_old[n] = g_new
         U = U_new
         if not np.all(np.isfinite(U)):
             raise ConvergenceError("parareal iterate became non-finite")
@@ -122,7 +136,8 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
     target = _wrap(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
-    U = _initial_iterate(cfg, target)
+    coarse = _coarse_propagator(cfg, target)
+    U = _initial_iterate(cfg, target, coarse)
     trace = IterationTrace(method="mgrit_fcf")
     trace.record(error=np.abs(U - oracle).max())
     n_w = cfg.grid.n_windows
@@ -138,11 +153,8 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
             FF = propagate_block(cfg.fine, target, t0s, S[:-1].T.copy(),
                                  newton_tol=cfg.newton_tol, pmap=pmap).T
         for n in range(1, n_w):
-            t0, t1 = cfg.grid.window(n)
-            g_new = propagate(cfg.coarse, target, t0, t1, U_new[n],
-                              newton_tol=cfg.newton_tol)
-            g_old = propagate(cfg.coarse, target, t0, t1, S[n - 1],
-                              newton_tol=cfg.newton_tol)
+            g_new = coarse(n, U_new[n])
+            g_old = coarse(n, S[n - 1])  # G of the F-relaxed state, not of U^k: no cache
             U_new[n + 1] = FF[n - 1] + g_new - g_old
         U = U_new
         if not np.all(np.isfinite(U)):
@@ -225,7 +237,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     dT = cfg.grid.window_length(0)
     alpha = cfg.alpha
     n_w = cfg.grid.n_windows
-    U = _initial_iterate(cfg, target)
+    U = _initial_iterate(cfg, target, _coarse_propagator(cfg, target))
     trace = IterationTrace(method="parareal_diag_cgc")
     trace.record(error=np.abs(U - oracle).max())
 
@@ -243,17 +255,10 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         if g is not None:
             rhs = rhs + dT * g
         if linear:
-            if isinstance(target, CompanionSystem):
-                return target.solve_shift(1.0, dT, rhs)
-            return solve_shifted_banded(target.A, (1.0, dT), rhs)
+            return target.solve_shift(1.0, dT, rhs)
         from .integrators import _newton
 
         return _newton(target, dT, u, t0 + dT, u, tol=cfg.newton_tol)
-
-    def apply_r2_inv_free(u):  # (I - dT A) u for the linear CGC right-hand side
-        if isinstance(target, CompanionSystem):
-            return u - dT * target.matvec(u)
-        return u - dT * target.A.matvec(u)
 
     for k in range(cfg.max_iter):
         # b_{n+1} = F(T_n, T_{n+1}, u~_n) - G(T_n, T_{n+1}, u_n), with the
@@ -267,18 +272,10 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
             B[n] = F[n] - coarse_be(t0, U[n])
 
         if linear:
-            G = np.empty_like(B)
-            for n in range(n_w):
-                G[n] = apply_r2_inv_free(B[n])
+            G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
             G[0] += target.u0
             Ga = fac.to_eigenbasis(G.astype(complex))
-            Gb = np.empty_like(Ga)
-            for n in range(n_w):
-                lam = fac.eigenvalues[n]
-                if isinstance(target, CompanionSystem):
-                    Gb[n] = target.solve_shift(lam, dT, Ga[n])
-                else:
-                    Gb[n] = solve_shifted_banded(target.A, (lam, dT), Ga[n])
+            Gb = target.solve_shift_many(fac.eigenvalues, np.full(n_w, dT), Ga)
             U_inner = fac.from_eigenbasis(Gb).real
         else:
             U_inner = _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U[1:])
@@ -309,9 +306,7 @@ def _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess, max_newton=50):
             A_bar = A_bar.add(J)
         A_bar = A_bar.scaled(1.0 / n_w)
         Ra = fac.to_eigenbasis(resid.astype(complex))
-        Rb = np.empty_like(Ra)
-        for j in range(n_w):
-            Rb[j] = solve_shifted_banded(A_bar, (fac.eigenvalues[j], dT), Ra[j])
+        Rb = solve_shifted_banded_many(A_bar, fac.eigenvalues, np.full(n_w, dT), Ra)
         delta = fac.from_eigenbasis(Rb).real
         U = U + delta
         if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(U).max()):
@@ -362,12 +357,13 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     fac_t = alpha_circulant_factor(ctheta, alpha)
     linear = getattr(target, "linear", True)
 
-    def coarse_star(u_n, t0):
-        """F*_alpha over one window: all-at-once head-tail theta sweep."""
+    def coarse_star(n, u_n):
+        """F*_alpha over window n: all-at-once head-tail theta sweep."""
+        t0, _ = cfg.grid.window(n)
         if linear:
             rhs = np.zeros((J, u_n.shape[0]), dtype=float)
             v0 = (1.0 - alpha) * u_n
-            rhs[0] = v0 + dt * (1.0 - theta) * _A_apply(target, v0)
+            rhs[0] = v0 + dt * (1.0 - theta) * target.matvec(v0)
             if target.source is not None:
                 for j in range(J):
                     ta, tb = t0 + j * dt, t0 + (j + 1) * dt
@@ -375,16 +371,13 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
                         (1 - theta) * target.g(ta) + theta * target.g(tb)
                     )
             Ra = fac_c.to_eigenbasis(rhs.astype(complex))
-            Rb = np.empty_like(Ra)
-            for j in range(J):
-                d1 = fac_c.eigenvalues[j]
-                d2 = fac_t.eigenvalues[j]
-                Rb[j] = _solve_shift_generic(target, d1, dt * d2, Ra[j])
+            Rb = target.solve_shift_many(fac_c.eigenvalues, dt * fac_t.eigenvalues, Ra)
             V = fac_c.from_eigenbasis(Rb).real
             return V[-1]
         return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
 
-    U = _initial_iterate_diag_coarse(cfg, target, coarse_star)
+    U = _initial_iterate(cfg, target, coarse_star)
+    G_old = _coarse_of_initial(cfg, U, coarse_star)  # G(U^k[n]), updated in place
     trace = IterationTrace(method="parareal_diag_coarse")
     trace.record(error=np.abs(U - oracle).max())
     for k in range(cfg.max_iter):
@@ -392,39 +385,14 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         for n in range(n_w):
-            t0, _ = cfg.grid.window(n)
-            U_new[n + 1] = coarse_star(U_new[n], t0) + F[n] - coarse_star(U[n], t0)
+            g_new = coarse_star(n, U_new[n])
+            U_new[n + 1] = g_new + F[n] - G_old[n]
+            G_old[n] = g_new
         U = U_new
         trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
         if trace.errors[-1] <= cfg.tol:
             break
     return U, trace
-
-
-def _initial_iterate_diag_coarse(cfg, target, coarse_star):
-    n_w = cfg.grid.n_windows
-    U = np.empty((n_w + 1, target.u0.shape[0]))
-    U[0] = target.u0
-    if cfg.initial_guess == "random":
-        rng = np.random.default_rng(cfg.seed)
-        U[1:] = rng.standard_normal((n_w, target.u0.shape[0]))
-        return U
-    for n in range(n_w):
-        t0, _ = cfg.grid.window(n)
-        U[n + 1] = coarse_star(U[n], t0)
-    return U
-
-
-def _A_apply(target, u):
-    if isinstance(target, CompanionSystem):
-        return target.matvec(u)
-    return target.A.matvec(u)
-
-
-def _solve_shift_generic(target, a, b, rhs):
-    if isinstance(target, CompanionSystem):
-        return target.solve_shift(a, b, rhs)
-    return solve_shifted_banded(target.A, (a, b), rhs)
 
 
 def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0, max_newton=50):
@@ -452,11 +420,7 @@ def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0, max_newton=50):
             A_bar = A_bar.add(Jm)
         A_bar = A_bar.scaled(1.0 / J)
         Ra = fac_c.to_eigenbasis(resid.astype(complex))
-        Rb = np.empty_like(Ra)
-        for j in range(J):
-            d1 = fac_c.eigenvalues[j]
-            d2 = fac_t.eigenvalues[j]
-            Rb[j] = solve_shifted_banded(A_bar, (d1, dt * d2), Ra[j])
+        Rb = solve_shifted_banded_many(A_bar, fac_c.eigenvalues, dt * fac_t.eigenvalues, Ra)
         delta = fac_c.from_eigenbasis(Rb).real
         V = V + delta
         if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(V).max()):

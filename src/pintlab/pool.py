@@ -7,12 +7,7 @@ assembled by index, so the outcome is independent of the worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-
-
-def hardware_parallelism() -> int:
-    return os.cpu_count() or 1
 
 
 def make_pmap(jobs=None):

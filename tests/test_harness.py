@@ -68,6 +68,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "idc-order-lift" in out and "pass" in out
 
+    def test_jobs_defaults_to_serial(self, tmp_path, monkeypatch, capsys):
+        import pintlab.cli as cli
+
+        seen = []
+        real = cli.run_experiment
+
+        def recording(spec, seed, jobs):
+            seen.append(jobs)
+            return real(spec, seed=seed, jobs=jobs)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        assert main(["run", "idc-order-lift", "--out", str(tmp_path)]) == 0
+        assert main(["verify", "--filter", "idc", "--out", str(tmp_path)]) == 0
+        assert seen == [1, 1]
+
+    @pytest.mark.parametrize("command", [["run", "idc-order-lift"], ["verify"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        code = main(command + ["--out", str(tmp_path), "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())  # rejected before any work
+
     def test_verify_bad_filter(self, tmp_path, capsys):
         code = main(["verify", "--filter", "zzz", "--out", str(tmp_path)])
         assert code == 2

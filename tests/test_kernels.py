@@ -11,6 +11,7 @@ from pintlab.kernels import (
     idft,
     solve_poly_in_matrix,
     solve_shifted_banded,
+    solve_shifted_banded_many,
     toeplitz_lower_apply,
 )
 
@@ -39,6 +40,61 @@ def random_banded(rng, n, periodic=False, dominant=True):
             bulk[-1] += abs(cb)
         diag = np.sign(diag) * (np.abs(diag) + bulk + 1.0)
     return BandedMatrix(diag, lower, upper, ct, cb)
+
+
+class TestSolveShiftedBandedMany:
+    """The stacked solve must reproduce the per-shift loop bit for bit, and
+    each per-shift check must still fire inside a batch."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("complex_shifts", [False, True])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("J", [1, 7])
+    def test_equals_per_shift_loop(self, periodic, complex_shifts, k, J):
+        rng = np.random.default_rng(40)
+        n = 11
+        A = random_banded(rng, n, periodic=periodic)
+        a = 1.0 + rng.random(J)
+        b = 0.3 * rng.standard_normal(J)
+        if complex_shifts:
+            a = a + 1j * rng.standard_normal(J)
+            b = b + 0.1j * rng.standard_normal(J)
+        R = rng.standard_normal((J, n) if k is None else (J, n, k))
+        X = solve_shifted_banded_many(A, a, b, R)
+        loop = np.stack([solve_shifted_banded(A, (a[j], b[j]), R[j]) for j in range(J)])
+        assert X.shape == R.shape
+        assert np.array_equal(X, loop)
+
+    def test_periodic_batch_with_zero_shift(self):
+        # b = 0 drops the periodic corners for that shift only
+        rng = np.random.default_rng(41)
+        A = random_banded(rng, 9, periodic=True)
+        a, b = np.array([1.5, 2.0, 1.2]), np.array([0.2, 0.0, -0.1])
+        R = rng.standard_normal((3, 9))
+        X = solve_shifted_banded_many(A, a, b, R)
+        for j in range(3):
+            assert np.array_equal(X[j], solve_shifted_banded(A, (a[j], b[j]), R[j]))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_one_singular_shift_in_plain_batch_raises(self, bad):
+        # Neumann-closed stencil: (0, 1) leaves the constant null vector
+        n = 8
+        diag = -2.0 * np.ones(n)
+        diag[0] = diag[-1] = -1.0
+        A = BandedMatrix(diag, np.ones(n - 1), np.ones(n - 1))
+        a, b = np.array([1.0, 2.0, 1.5]), np.array([0.1, 0.3, 0.2])
+        a[bad], b[bad] = 0.0, 1.0
+        R = np.tile(np.arange(1.0, n + 1.0), (3, 1))
+        with pytest.raises(SingularSystemError):
+            solve_shifted_banded_many(A, a, b, R)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_one_singular_capacitance_in_periodic_batch_raises(self, bad):
+        A = periodic_laplacian_stencil(6)
+        a, b = np.array([1.0, 2.0, 1.5]), np.array([0.1, 0.3, 0.2])
+        a[bad], b[bad] = 0.0, 1.0
+        with pytest.raises(SingularSystemError, match="capacitance"):
+            solve_shifted_banded_many(A, a, b, np.ones((3, 6)))
 
 
 class TestSolveShiftedBanded:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pintlab.integrators import Propagator, TimeGrid, backward_euler
-from pintlab.kernels import expm_action
+from pintlab.kernels import expm_action, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
     InvalidBoundaryError,
@@ -144,6 +144,26 @@ class TestWave:
         sys = build_wave(8, 1.0 / 8, 1.0, "periodic")
         lam = np.linalg.eigvals(CompanionSystem(sys).to_dense())
         np.testing.assert_allclose(lam.real, 0.0, atol=1e-10)
+
+
+    def test_companion_batched_shifts_match_scalar_schur_step(self):
+        # the batched Schur step must round exactly like the one-shift
+        # formula written out below with scalar (here complex) shifts
+        rng = np.random.default_rng(7)
+        sys = build_wave(12, 1.0 / 12, 1.0, "periodic")
+        comp = CompanionSystem(sys)
+        J, m = 32, sys.n
+        a = 1.0 + rng.random(J) + 1j * rng.standard_normal(J)
+        b = 0.05 * (rng.random(J) + 1j * rng.standard_normal(J))
+        R = rng.standard_normal((J, 2 * m)) + 1j * rng.standard_normal((J, 2 * m))
+        W = comp.solve_shift_many(a, b, R)
+        for j in range(J):
+            aj, bj = a[j], b[j]
+            ru, rv = R[j, :m], R[j, m:]
+            u = solve_shifted_banded(sys.A, (aj, bj * bj / aj), ru + (bj / aj) * rv)
+            v = (rv + bj * sys.A.matvec(u)) / aj
+            assert np.array_equal(W[j], np.concatenate([u, v]))
+            assert np.array_equal(W[j], comp.solve_shift(aj, bj, R[j]))
 
 
 class TestSourcePulse:

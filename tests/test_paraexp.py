@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import pintlab.paraexp as paraexp_module
 from pintlab.integrators import Propagator, TimeGrid, backward_euler, trapezoidal
 from pintlab.kernels import expm_action
 from pintlab.models import SourcePulse, build_burgers, build_heat, build_wave
@@ -213,3 +215,27 @@ class TestNonlinearParaExp:
         _, tr1 = paraexp_nonlinear_iterate(plan, sys)
         _, tr2 = linear_g_parareal(plan, sys)
         assert tr1.errors[0] <= 1e-10 and tr2.errors[0] <= 1e-10
+
+
+class TestCoarseCache:
+    @pytest.mark.parametrize("solver", [paraexp_nonlinear_iterate, linear_g_parareal])
+    def test_n_w_exponentials_per_iteration(self, monkeypatch, solver):
+        # exp(dT A) of the previous iterate is reused: the stitching sweep of
+        # each iteration makes n_w expm_action calls, the initial sweep too
+        nx, n_w = 16, 4
+        sys = build_burgers(nx, 1.0 / nx, 1.0, "periodic")
+        sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+        plan = make_plan(0.5, n_w, 5, method=backward_euler())
+        plan.max_iter = 3
+        plan.tol = 0.0
+        real = paraexp_module.expm_action
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(paraexp_module, "expm_action", counting)
+        _, trace = solver(plan, sys)
+        assert trace.iterations == 3
+        assert len(calls) == n_w * trace.iterations

@@ -9,7 +9,14 @@ from pintlab.integrators import (
     sdirk22,
     trapezoidal,
 )
-from pintlab.models import build_advection_diffusion, build_burgers, build_heat, build_wave
+import pintlab.parareal as parareal_module
+from pintlab.models import (
+    SemiDiscreteSystem,
+    build_advection_diffusion,
+    build_burgers,
+    build_heat,
+    build_wave,
+)
 from pintlab.parareal import (
     PararealConfig,
     fine_sequential,
@@ -334,3 +341,49 @@ class TestDiagCoarse:
                        alpha=1e-3, max_iter=6, tol=1e-10)
         U, trace = parareal_diag_coarse_solve(cfg, sys)
         assert trace.errors[-1] <= 1e-9
+
+
+class TestCoarseCache:
+    """A correction sweep reuses G(U^k[n]) from the sweep before, so each
+    iteration makes exactly n_w coarse solves; the initial coarse sweep (or,
+    for a random guess, one pass over U^0) seeds the cache."""
+
+    @pytest.mark.parametrize("guess", ["coarse", "random"])
+    def test_classic_n_w_coarse_propagations_per_iteration(self, monkeypatch, guess):
+        sys = heat_system(nx=12)
+        n_w = 6
+        cfg = make_cfg(1.0, n_w, 4, max_iter=3, tol=0.0, initial_guess=guess)
+        oracle = fine_sequential(cfg, sys)
+        real = parareal_module.propagate
+        calls = []
+
+        def counting(prop, *args, **kwargs):
+            calls.append(prop is cfg.coarse)
+            return real(prop, *args, **kwargs)
+
+        monkeypatch.setattr(parareal_module, "propagate", counting)
+        _, trace = parareal_solve(cfg, sys, oracle=oracle)
+        assert trace.iterations == 4
+        assert sum(calls) == n_w * trace.iterations
+
+    @pytest.mark.parametrize("guess", ["coarse", "random"])
+    def test_diag_coarse_n_w_coarse_star_calls_per_iteration(self, monkeypatch, guess):
+        # every linear coarse_star call makes one batched shifted solve, and
+        # nothing else in the solver does
+        sys = heat_system(nx=12)
+        n_w = 6
+        cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
+                       coarse_method=trapezoidal(), variant="diag_coarse",
+                       alpha=0.05, max_iter=3, tol=0.0, initial_guess=guess)
+        oracle = fine_sequential(cfg, sys)
+        real = SemiDiscreteSystem.solve_shift_many
+        calls = []
+
+        def counting(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(SemiDiscreteSystem, "solve_shift_many", counting)
+        _, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
+        assert trace.iterations == 4
+        assert len(calls) == n_w * trace.iterations
