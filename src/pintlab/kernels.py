@@ -158,6 +158,44 @@ def _solve_stacked(ab, rhs):
     return x.reshape(rhs.shape)
 
 
+class StackedTridiagonalLU:
+    """LAPACK gttrf factorization of a block-diagonal stack of real
+    tridiagonal ``blocks``, each a ``(lower, diag, upper)`` triple, made
+    once and reused by :meth:`solve` for any number of right-hand sides.
+
+    The blocks are stacked into one band whose coupling entries are zero,
+    so elimination never crosses a block boundary and each block of a
+    solve equals that block factored and solved alone, bit for bit.  A
+    zero pivot raises SingularSystemError naming ``label`` and the block.
+    """
+
+    def __init__(self, blocks, label):
+        zero = np.zeros(1)
+        lower = np.concatenate([np.concatenate((lo, zero)) for lo, _, _ in blocks])[:-1]
+        upper = np.concatenate([np.concatenate((zero, up)) for _, _, up in blocks])[1:]
+        diag = np.concatenate([d for _, d, _ in blocks])
+        self._n = diag.shape[0]
+        if self._n < 3:  # scipy's gt wrappers need 3 rows: pad with identity rows
+            pad = np.zeros(3 - self._n)
+            lower, diag, upper = (np.concatenate((v, pad + z)) for v, z in
+                                  ((lower, 0.0), (diag, 1.0), (upper, 0.0)))
+        gttrf, self._gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        *self._factors, info = gttrf(lower, diag, upper)
+        if info > 0:
+            ends = np.cumsum([len(d) for _, d, _ in blocks])
+            i = int(np.searchsorted(ends, info - 1, side="right"))
+            row = info - 1 - (ends[i] - len(blocks[i][1]))
+            raise SingularSystemError(f"singular {label} {i} (zero pivot in its row {row})")
+
+    def solve(self, rhs):
+        """Solve for ``rhs`` of shape (N,) or (N, k); a contiguous float
+        vector is overwritten with the solution."""
+        if self._n < 3:
+            rhs = np.concatenate((rhs, np.zeros((3 - self._n,) + rhs.shape[1:])))
+            return self._gttrs(*self._factors, rhs)[0][: self._n]
+        return self._gttrs(*self._factors, rhs, overwrite_b=1)[0]
+
+
 def apply_blocks(A: BandedMatrix, X: np.ndarray) -> np.ndarray:
     """A @ X[j] for every block of ``X`` (shape (J, n) or (J, n, k))."""
     return A.matvec(X.swapaxes(0, 1)).swapaxes(0, 1)

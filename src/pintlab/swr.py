@@ -6,8 +6,10 @@ equation uses leapfrog at unit CFL (so the discrete domain of dependence
 matches the physical cone and convergence is finite), including the
 red-black tent-pitching schedule.
 
-All subdomain solves within one sweep exchange previous-iterate traces
-(Jacobi ordering), making them a pure parallel map.
+All subdomain solves within one sweep read only previous-iterate traces
+(Jacobi ordering).  The advection-diffusion subdomains are therefore
+stacked into one tridiagonal system, factored once, with one banded solve
+per time step; the wave subdomains are a pure parallel map.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .kernels import ConvergenceError
+from .kernels import ConvergenceError, StackedTridiagonalLU
 from .trace import IterationTrace
 
 Y_CRITICAL = 1.618386576
@@ -41,6 +42,16 @@ class Decomposition1D:
     subdomains: list
     tc: str = "dirichlet"
     p: float = np.inf
+
+    def __post_init__(self):
+        subs = self.subdomains
+        if not subs:
+            raise ValueError("decomposition has no subdomains")
+        if any(sub.hi <= sub.lo for sub in subs):
+            raise ValueError("every subdomain needs at least 2 nodes")
+        if self.tc == "robin" and any(a.hi - b.lo < 2 for a, b in zip(subs[:-1], subs[1:])):
+            # the one-sided Robin difference reads 3 nodes of each neighbour
+            raise ValueError("Robin transmission needs an overlap of at least 2 cells")
 
     @classmethod
     def uniform(cls, n_nodes: int, n_sub: int, overlap_cells: int,
@@ -119,54 +130,70 @@ def robin_trace(values, j, p, dx, side):
     return d / p - values[:, j]
 
 
-class _AdSubdomainSolver:
-    """Backward-Euler space-time solve on one subdomain with TC rows.
+class _AdSolver:
+    """Backward-Euler space-time solve on a stack of subdomains with TC rows.
 
     The interior stencil discretizes u_t + u_x - nu u_xx = 0; interface
     rows carry either a Dirichlet trace or the Robin operator
     (1/p) du/dn + u with a second-order one-sided difference, matched
-    against the neighbour's previous trace.  The subdomain matrix is
-    LU-factored once and reused for every time step.
+    against the neighbour's previous trace.  ``robin`` gives each
+    subdomain's (left, right) Robin flags; every other boundary row is
+    Dirichlet.  A Robin row's third entry lies outside the tridiagonal
+    band; one row operation against the neighbouring interior row removes
+    it (and is repeated on the right-hand side every step).  All
+    subdomain matrices are stacked into one tridiagonal system, factored
+    once, so each time step of every subdomain is a single banded solve.
     """
 
-    def __init__(self, sub, nu, dx, dt, tc, p, left_physical, right_physical):
-        self.sub = sub
-        self.n = sub.hi - sub.lo + 1
-        self.dx, self.dt, self.nu = dx, dt, nu
-        self.tc, self.p = tc, p
-        n = self.n
-        A = np.zeros((n, n))
+    def __init__(self, subs, nu, dx, dt, p=np.inf, robin=None):
+        self.dt = dt
         adv = 1.0 / (2 * dx)
         dif = nu / dx**2
-        idx = np.arange(1, n - 1)
-        A[idx, idx - 1] = -adv - dif
-        A[idx, idx] = 1.0 / dt + 2 * dif
-        A[idx, idx + 1] = adv - dif
-        if left_physical or tc == "dirichlet":
-            A[0, 0] = 1.0
-        else:
-            A[0, 0] = -1.5 / (p * dx) - 1.0
-            A[0, 1] = 2.0 / (p * dx)
-            A[0, 2] = -0.5 / (p * dx)
-        if right_physical or tc == "dirichlet":
-            A[-1, -1] = 1.0
-        else:
-            A[-1, -1] = 1.5 / (p * dx) + 1.0
-            A[-1, -2] = -2.0 / (p * dx)
-            A[-1, -3] = 0.5 / (p * dx)
-        self.lu = scipy.linalg.lu_factor(A)
+        blocks, nbr, fac = [], [], []
+        sizes = np.array([sub.hi - sub.lo + 1 for sub in subs])
+        self.lo = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self.hi = self.lo + sizes - 1
+        for n, lo, (rob_l, rob_r) in zip(sizes, self.lo, robin or [(False, False)] * len(subs)):
+            lower = np.full(n - 1, -adv - dif)
+            diag = np.full(n, 1.0 / dt + 2 * dif)
+            upper = np.full(n - 1, adv - dif)
+            diag[[0, -1]] = 1.0
+            upper[0] = lower[-1] = 0.0
+            f_l = f_r = 0.0
+            if (rob_l or rob_r) and adv == dif:
+                raise ValueError("Robin rows need a nonzero interior coupling (cell Peclet number 2)")
+            if rob_l:
+                f_l = -0.5 / (p * dx) / upper[1]
+                diag[0] = -1.5 / (p * dx) - 1.0 - f_l * lower[0]
+                upper[0] = 2.0 / (p * dx) - f_l * diag[1]
+            if rob_r:
+                f_r = 0.5 / (p * dx) / lower[-2]
+                diag[-1] = 1.5 / (p * dx) + 1.0 - f_r * upper[-1]
+                lower[-1] = -2.0 / (p * dx) - f_r * diag[-2]
+            blocks.append((lower, diag, upper))
+            nbr.append((lo + 1, lo + n - 2))
+            fac.append((f_l, f_r))
+        self.rows = np.concatenate((self.lo, self.hi))
+        self.nbr = np.array(nbr).T.ravel()
+        self.fac = np.array(fac).T.ravel()
+        self.robin = bool(self.fac.any())
+        self.lu = StackedTridiagonalLU(blocks, label="SWR subdomain system")
 
-    def solve(self, u0, left_data, right_data, n_steps):
-        """March n_steps of BE; boundary data arrays indexed by step."""
-        n = self.n
-        out = np.empty((n_steps + 1, n))
+    def solve(self, u0, data):
+        """March BE from the stacked state u0.  ``data[m]`` holds the
+        boundary-row values at step m: every left row, then every right
+        row."""
+        n_steps = data.shape[0] - 1
+        out = np.empty((n_steps + 1, u0.shape[0]))
         out[0] = u0
-        u = u0.copy()
+        u = u0
         for m in range(1, n_steps + 1):
             rhs = u / self.dt
-            rhs[0] = left_data[m]
-            rhs[-1] = right_data[m]
-            u = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
+            if self.robin:
+                rhs[self.rows] = data[m] - self.fac * rhs[self.nbr]
+            else:
+                rhs[self.rows] = data[m]
+            u = self.lu.solve(rhs)
             out[m] = u
         return out
 
@@ -176,24 +203,23 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     n = int(round(L / dx)) + 1
     x = np.linspace(0.0, L, n)
     n_steps = int(round(T / dt))
-    sub = Subdomain(0, n - 1)
-    solver = _AdSubdomainSolver(sub, nu, dx, dt, "dirichlet", np.inf, True, True)
-    zeros = np.zeros(n_steps + 1)
-    return x, solver.solve(u0_fn(x), zeros, zeros, n_steps)
+    solver = _AdSolver([Subdomain(0, n - 1)], nu, dx, dt)
+    return x, solver.solve(u0_fn(x), np.zeros((n_steps + 1, 2)))
 
 
 def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
-                  u0_fn=None, max_iter: int = 2000, seed: int = 0, pmap=None):
+                  u0_fn=None, max_iter: int = 2000, seed: int = 0):
     """Jacobi Schwarz waveform relaxation for advection-diffusion.
 
     Starts from random interface traces and stops when the maximum
     interface error against the monodomain solution drops below ``tol``.
+    Every subdomain is solved in the same stacked time march, each one
+    reading only its neighbours' previous-iterate traces.
     Returns (global trajectory, trace).
     """
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
-    n_nodes = x.shape[0]
     n_steps = int(round(T / dt))
     subs = dec.subdomains
     n_sub = len(subs)
@@ -202,76 +228,45 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
         trace.record(error=0.0)
         return mono, trace
 
-    solvers = []
-    for i, sub in enumerate(subs):
-        solvers.append(
-            _AdSubdomainSolver(sub, nu, dx, dt, dec.tc, dec.p,
-                               left_physical=(i == 0),
-                               right_physical=(i == n_sub - 1))
-        )
+    rob = dec.tc == "robin"
+    solver = _AdSolver(subs, nu, dx, dt, dec.p,
+                       [(rob and i > 0, rob and i < n_sub - 1) for i in range(n_sub)])
+    lo, hi = solver.lo, solver.hi
+    u0 = np.concatenate([u0_fn(x[sub.lo : sub.hi + 1]) for sub in subs])
 
     rng = np.random.default_rng(seed)
-    # per-subdomain boundary data over all time steps
-    left_data = [np.zeros(n_steps + 1) for _ in subs]
-    right_data = [np.zeros(n_steps + 1) for _ in subs]
-    for i in range(1, n_sub):
-        left_data[i] = rng.standard_normal(n_steps + 1)
-        left_data[i][0] = 0.0
-    for i in range(n_sub - 1):
-        right_data[i] = rng.standard_normal(n_steps + 1)
-        right_data[i][0] = 0.0
+    # boundary-row data over all time steps: left rows, then right rows
+    data = np.zeros((n_steps + 1, 2 * n_sub))
+    data[1:, 1:n_sub] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
+    data[1:, n_sub:-1] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
 
-    locals_ = [None] * n_sub
+    # stacked columns where each neighbour's trace is read: subdomain i+1's
+    # left interface node inside subdomain i, and i's right one inside i+1
+    glo = np.array([sub.lo for sub in subs])
+    ghi = np.array([sub.hi for sub in subs])
+    to_left = lo[:-1] + glo[1:] - glo[:-1]
+    to_right = lo[1:] + ghi[:-1] - glo[1:]
+    nodes = np.concatenate((glo[1:], ghi[:-1]))
     trace = IterationTrace(method="oswr_ad")
-    # interface error is measured where the neighbour reads its trace
-    interfaces = [(i, subs[i + 1].lo) for i in range(n_sub - 1)] + [
-        (i + 1, subs[i].hi) for i in range(n_sub - 1)
-    ]
-    for k in range(max_iter):
-        def run(i):
-            sub = subs[i]
-            return solvers[i].solve(u0_fn(x[sub.lo : sub.hi + 1]),
-                                    left_data[i], right_data[i], n_steps)
-
-        mapper = pmap if pmap is not None else map
-        locals_ = list(mapper(run, range(n_sub)))
-
-        err = 0.0
-        for i, node in interfaces:
-            sol = locals_[i][:, node - subs[i].lo]
-            err = max(err, np.abs(sol - mono[:, node]).max())
+    for _ in range(max_iter):
+        sol = solver.solve(u0, data)
+        err = np.abs(sol[:, np.concatenate((to_left, to_right))] - mono[:, nodes]).max()
         trace.record(error=err)
         if err < tol:
             break
-
         # Jacobi exchange of interface traces
-        new_left = [d.copy() for d in left_data]
-        new_right = [d.copy() for d in right_data]
-        for i in range(n_sub - 1):
-            right_sub, left_sub = subs[i + 1], subs[i]
-            # data for subdomain i's right interface from neighbour i+1
-            node = left_sub.hi
-            j = node - right_sub.lo
-            vals = locals_[i + 1]
-            if dec.tc == "dirichlet":
-                new_right[i] = vals[:, j]
-            else:
-                new_right[i] = robin_trace(vals, j, dec.p, dx, "right")
-            # data for subdomain i+1's left interface from neighbour i
-            node = right_sub.lo
-            j = node - left_sub.lo
-            vals = locals_[i]
-            if dec.tc == "dirichlet":
-                new_left[i + 1] = vals[:, j]
-            else:
-                new_left[i + 1] = robin_trace(vals, j, dec.p, dx, "left")
-        left_data, right_data = new_left, new_right
+        if rob:
+            data[:, 1:n_sub] = robin_trace(sol, to_left, dec.p, dx, "left")
+            data[:, n_sub:-1] = robin_trace(sol, to_right, dec.p, dx, "right")
+        else:
+            data[:, 1:n_sub] = sol[:, to_left]
+            data[:, n_sub:-1] = sol[:, to_right]
     else:
         raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
 
     glob = mono.copy()
-    for i, sub in enumerate(subs):
-        glob[:, sub.lo : sub.hi + 1] = locals_[i]
+    for sub, a, b in zip(subs, lo, hi):
+        glob[:, sub.lo : sub.hi + 1] = sol[:, a : b + 1]
     return glob, trace
 
 

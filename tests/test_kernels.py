@@ -5,6 +5,7 @@ from pintlab.kernels import (
     BandedMatrix,
     ConvergenceError,
     SingularSystemError,
+    StackedTridiagonalLU,
     dft,
     expm_action,
     gmres,
@@ -178,6 +179,30 @@ class TestSolveShiftedBanded:
         A = BandedMatrix(np.array([-2.0]), np.zeros(0), np.zeros(0))
         x = solve_shifted_banded(A, (1.0, 0.5), np.array([3.0]))
         np.testing.assert_allclose(x, [3.0 / 2.0])
+
+
+class TestStackedTridiagonalLU:
+    def test_blocks_equal_single_block_solves(self):
+        # random, not diagonally dominant: gttrf pivots inside the blocks
+        rng = np.random.default_rng(7)
+        sizes = (1, 2, 5, 9)
+        blocks = [(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+                  for n in sizes]
+        rhs = rng.standard_normal(sum(sizes))
+        x = StackedTridiagonalLU(blocks, "block").solve(rhs.copy())
+        off = 0
+        for (lower, diag, upper), n in zip(blocks, sizes):
+            alone = StackedTridiagonalLU([(lower, diag, upper)], "block").solve(rhs[off : off + n].copy())
+            np.testing.assert_array_equal(x[off : off + n], alone)
+            dense = BandedMatrix(diag, lower, upper).to_dense()
+            np.testing.assert_allclose(dense @ alone, rhs[off : off + n], atol=1e-10)
+            off += n
+
+    def test_zero_pivot_names_block(self):
+        blocks = [(np.ones(1), np.full(2, 3.0), np.ones(1)),
+                  (np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))]
+        with pytest.raises(SingularSystemError, match="singular block 1 .*row 1"):
+            StackedTridiagonalLU(blocks, "block")
 
 
 class TestPolySolve:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pintlab.kernels import SingularSystemError
 from pintlab.swr import (
     Decomposition1D,
+    Subdomain,
     TentSchedule,
+    _AdSolver,
     monodomain_solve_wave,
     oswr_solve_ad,
     robin_p_star,
+    robin_trace,
     swr_solve_wave,
     utp_advance,
 )
@@ -74,11 +79,13 @@ class TestOswrAd:
         dec_d = Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
         _, tr_d = oswr_solve_ad(nu, L, T, dx, dt, dec_d, tol=1e-8)
         assert 92 * 0.8 <= tr_d.iterations <= 92 * 1.2
+        assert tr_d.iterations == 96  # pint-out/swr-ad-iterations.csv, seed 0
 
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec_r = Decomposition1D.uniform(n_nodes, 4, 2, tc="robin", p=p_star)
         _, tr_r = oswr_solve_ad(nu, L, T, dx, dt, dec_r, tol=1e-8)
         assert 28 * 0.8 <= tr_r.iterations <= 28 * 1.2
+        assert tr_r.iterations == 32
 
     def test_iterations_nonincreasing_in_nu(self):
         # advection dominance accelerates SWR (Dirichlet TCs isolate the
@@ -100,21 +107,116 @@ class TestOswrAd:
         e = tr.errors
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e[1:-1], e[2:]))
 
-    def test_sweep_order_invariance(self):
-        # Jacobi exchange: subdomain processing order cannot change bits
-        L, T, dt, dx = 4.0, 1.0, 0.02, 0.04
+    def test_stacked_blocks_match_single_subdomain_solves(self):
+        # no elimination crosses a block boundary of the stacked system, so
+        # each block is bit for bit its subdomain solved alone
+        L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
         n_nodes = int(round(L / dx)) + 1
-        dec = Decomposition1D.uniform(n_nodes, 3, 2, tc="dirichlet")
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((int(round(T / dt)) + 1, 6))
+        for rob in (False, True):
+            dec = Decomposition1D.uniform(n_nodes, 3, 2, tc="robin" if rob else "dirichlet", p=2.0)
+            subs = dec.subdomains
+            robin = [(rob and i > 0, rob and i < 2) for i in range(3)]
+            u0 = rng.standard_normal(sum(s.hi - s.lo + 1 for s in subs))
+            stacked = _AdSolver(subs, nu, dx, dt, dec.p, robin)
+            sol = stacked.solve(u0, data)
+            for i, sub in enumerate(subs):
+                a, b = stacked.lo[i], stacked.hi[i] + 1
+                alone = _AdSolver([sub], nu, dx, dt, dec.p, [robin[i]])
+                np.testing.assert_array_equal(sol[:, a:b], alone.solve(u0[a:b], data[:, [i, 3 + i]]))
 
-        def reversed_map(fn, items):
-            items = list(items)
-            out = list(map(fn, reversed(items)))
-            return [out[len(items) - 1 - i] for i in range(len(items))]
+    @pytest.mark.parametrize("tc", ["dirichlet", "robin"])
+    def test_matches_dense_reference(self, tc):
+        L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
+        n_nodes = int(round(L / dx)) + 1
+        p_star, _ = robin_p_star(2 * dx, nu, T, dt)
+        dec = Decomposition1D.uniform(n_nodes, 3, 2, tc=tc, p=p_star)
+        glob, tr = oswr_solve_ad(nu, L, T, dx, dt, dec, tol=1e-8)
+        glob_ref, errors_ref = dense_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8)
+        assert tr.iterations == len(errors_ref)
+        np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(glob, glob_ref, rtol=0, atol=1e-12)
 
-        g1, tr1 = oswr_solve_ad(0.1, L, T, dx, dt, dec, tol=1e-6)
-        g2, tr2 = oswr_solve_ad(0.1, L, T, dx, dt, dec, tol=1e-6, pmap=reversed_map)
-        np.testing.assert_array_equal(g1, g2)
-        assert tr1.errors == tr2.errors
+    def test_no_subdomains_rejected(self):
+        with pytest.raises(ValueError, match="no subdomains"):
+            Decomposition1D.uniform(51, 0, 2)
+
+    def test_robin_two_node_subdomain_rejected(self):
+        with pytest.raises(ValueError, match="Robin .* overlap of at least 2"):
+            Decomposition1D.uniform(6, 5, 1, tc="robin", p=1.0)
+
+    def test_robin_at_cell_peclet_two_rejected(self):
+        # adv = dif zeroes the interior coupling a Robin row is reduced with
+        with pytest.raises(ValueError, match="cell Peclet number 2"):
+            _AdSolver([Subdomain(0, 5)], 0.25, 0.5, 0.1, 1.0, [(True, False)])
+
+    def test_zero_pivot_names_subdomain(self):
+        # nu = -dx/2, dt = dx zeroes the interior diagonal and sub-diagonal,
+        # so every subdomain of more than 2 nodes has a zero pivot in row 1
+        dx = 0.5
+        subs = [Subdomain(0, 1), Subdomain(1, 5)]
+        with pytest.raises(SingularSystemError, match="subdomain system 1 .*row 1"):
+            _AdSolver(subs, -dx / 2, dx, dx)
+
+
+def dense_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
+    """Reference SWR iteration: each subdomain marched alone with a dense LU
+    of its unreduced matrix (Robin rows keep their third entry).  Returns
+    the global trajectory and the interface-error history."""
+    n_nodes = int(round(L / dx)) + 1
+    x = np.linspace(0.0, L, n_nodes)
+    n_steps = int(round(T / dt))
+    u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
+    subs, p, rob = dec.subdomains, dec.p, dec.tc == "robin"
+    c = 1.0 / (p * dx)
+
+    def march(lo, hi, robin_left, robin_right, left, right):
+        n = hi - lo + 1
+        A = np.zeros((n, n))
+        i = np.arange(1, n - 1)
+        A[i, i - 1] = -1.0 / (2 * dx) - nu / dx**2
+        A[i, i] = 1.0 / dt + 2 * nu / dx**2
+        A[i, i + 1] = 1.0 / (2 * dx) - nu / dx**2
+        A[0, 0] = A[-1, -1] = 1.0
+        if robin_left:
+            A[0, :3] = [-1.5 * c - 1.0, 2.0 * c, -0.5 * c]
+        if robin_right:
+            A[-1, -3:] = [0.5 * c, -2.0 * c, 1.5 * c + 1.0]
+        lu = scipy.linalg.lu_factor(A)
+        out = np.empty((n_steps + 1, n))
+        out[0] = u0_fn(x[lo : hi + 1])
+        for m in range(1, n_steps + 1):
+            rhs = out[m - 1] / dt
+            rhs[0], rhs[-1] = left[m], right[m]
+            out[m] = scipy.linalg.lu_solve(lu, rhs)
+        return out
+
+    zeros = np.zeros(n_steps + 1)
+    mono = march(0, n_nodes - 1, False, False, zeros, zeros)
+    rng = np.random.default_rng(seed)
+    left = [zeros] + [rng.standard_normal(n_steps + 1) for _ in subs[1:]]
+    right = [rng.standard_normal(n_steps + 1) for _ in subs[:-1]] + [zeros]
+    errors = []
+    for _ in range(max_iter):
+        sols = [march(s.lo, s.hi, rob and i > 0, rob and i < len(subs) - 1, left[i], right[i])
+                for i, s in enumerate(subs)]
+        pairs = list(zip(subs[:-1], subs[1:], sols[:-1], sols[1:]))
+        errors.append(max(max(np.abs(sa[:, b.lo - a.lo] - mono[:, b.lo]).max(),
+                              np.abs(sb[:, a.hi - b.lo] - mono[:, a.hi]).max())
+                          for a, b, sa, sb in pairs))
+        if errors[-1] < tol:
+            break
+        for i, (a, b, sa, sb) in enumerate(pairs):
+            if rob:
+                left[i + 1] = robin_trace(sa, b.lo - a.lo, p, dx, "left")
+                right[i] = robin_trace(sb, a.hi - b.lo, p, dx, "right")
+            else:
+                left[i + 1], right[i] = sa[:, b.lo - a.lo], sb[:, a.hi - b.lo]
+    glob = mono.copy()
+    for s, sol in zip(subs, sols):
+        glob[:, s.lo : s.hi + 1] = sol
+    return glob, errors
 
 
 def two_domain_overlap(n_nodes, overlap_frac):
