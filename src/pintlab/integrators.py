@@ -118,6 +118,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, n_windows: int, J: int) -> "TimeGrid":
+        for name, value in (("T", T), ("n_windows", n_windows), ("J", J)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         return cls(np.linspace(0.0, T, n_windows + 1), J)
 
     @property

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from .kernels import BandedMatrix, apply_blocks, solve_shifted_banded, solve_shifted_banded_many
 
@@ -37,6 +38,8 @@ def _check_bc(bc, allowed=("dirichlet", "neumann", "periodic")):
 
 def grid_coordinates(nx: int, dx: float, bc: str) -> np.ndarray:
     _check_bc(bc)
+    if not dx > 0:
+        raise ValueError(f"dx must be positive, got {dx}")
     if bc == "dirichlet":
         return dx * np.arange(1, nx + 1)
     return dx * np.arange(nx)
@@ -150,8 +153,15 @@ class SemiDiscreteSystem:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.A.matvec(u)
 
-    def norm_inf(self) -> float:
-        return self.A.norm_inf()
+    def to_sparse(self):
+        return self.A.to_sparse()
+
+    def to_dense(self):
+        return self.A.to_dense()
+
+    @property
+    def expm_key(self):
+        return self.A.expm_key
 
     def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
         """Solve (a*I - b*A) x = rhs."""
@@ -274,8 +284,13 @@ class CompanionSystem:
     def source(self):
         return self.base.source
 
-    def norm_inf(self) -> float:
-        return max(1.0, self.base.A.norm_inf())
+    def to_sparse(self):
+        eye = scipy.sparse.eye_array(self.base.n)
+        return scipy.sparse.block_array([[None, eye], [self.base.A.to_sparse(), None]])
+
+    @property
+    def expm_key(self):
+        return self.base.A, "companion"
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         m = self.base.n

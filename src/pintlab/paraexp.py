@@ -25,8 +25,6 @@ from .trace import IterationTrace
 class ParaExpPlan:
     grid: TimeGrid
     red: Propagator  # integrator for the zero-IC inhomogeneous subproblems
-    expm_tol: float = 1e-12
-    expm_method: str = "auto"
     max_iter: int = 50
     tol: float = 1e-12
     newton_tol: float = 1e-12
@@ -39,23 +37,6 @@ class ParaExpPlan:
 
 def _wrap(sys):
     return CompanionSystem(sys) if getattr(sys, "order", "first") == "second" else sys
-
-
-def _linear_op(target):
-    return target if isinstance(target, CompanionSystem) else target.A
-
-
-def _homogeneous(target):
-    """A view of the system without its source (for the red-free check)."""
-    import copy
-
-    if isinstance(target, CompanionSystem):
-        base = copy.copy(target.base)
-        base.source = None
-        return CompanionSystem(base)
-    out = copy.copy(target)
-    out.source = None
-    return out
 
 
 def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
@@ -77,7 +58,6 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
     grid = plan.grid
     n_w = grid.n_windows
     n = target.u0.shape[0]
-    A = _linear_op(target)
 
     # red: v_n' = A v_n + g on (T_{n-1}, T_n], v_n(T_{n-1}) = 0
     red_ends = np.zeros((n_w, n))
@@ -108,7 +88,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
     out[0] = target.u0
     for j in range(n_w):
         dT = grid.window_length(j)
-        blue = expm_action(A, dT, out[j], tol=plan.expm_tol, method=plan.expm_method)
+        blue = expm_action(target, dT, out[j])
         out[j + 1] = red_ends[j] + blue
     if not dense_output:
         return out
@@ -119,8 +99,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
         t0, _ = grid.window(j)
         for s in range(1, plan.red.steps + 1):
             tau = s * plan.red.dt
-            blue = expm_action(A, tau, out[j], tol=plan.expm_tol,
-                               method=plan.expm_method)
+            blue = expm_action(target, tau, out[j])
             times.append(np.array([t0 + tau]))
             values.append((red_paths[j][s] + blue)[None, :])
     return out, np.concatenate(times), np.concatenate(values, axis=0)
@@ -138,7 +117,6 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     target = _wrap(sys)
     grid = plan.grid
     n_w = grid.n_windows
-    A = _linear_op(target)
     if oracle is None:
         oracle = _fine_oracle(plan, target)
 
@@ -147,8 +125,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     IC = np.empty((n_w + 1, target.u0.shape[0]))
     IC[0] = target.u0
     for j in range(n_w):
-        IC[j + 1] = expm_action(A, grid.window_length(j), IC[j], tol=plan.expm_tol,
-                                method=plan.expm_method)
+        IC[j + 1] = expm_action(target, grid.window_length(j), IC[j])
     G_old = IC[1:].copy()  # exp(dT A) IC[j], the sweep's own values; updated in place
     U = _window_solves(plan, target, IC, pmap)
     trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
@@ -157,8 +134,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
         IC_new = np.empty_like(IC)
         IC_new[0] = target.u0
         for j in range(n_w):
-            g_new = expm_action(A, grid.window_length(j), IC_new[j], tol=plan.expm_tol,
-                                method=plan.expm_method)
+            g_new = expm_action(target, grid.window_length(j), IC_new[j])
             IC_new[j + 1] = U[j + 1] + g_new - G_old[j]
             G_old[j] = g_new
         IC = IC_new
@@ -201,13 +177,11 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
     target = _wrap(sys)
     grid = plan.grid
     n_w = grid.n_windows
-    A = _linear_op(target)
     if oracle is None:
         oracle = _fine_oracle(plan, target)
 
     def G(j, u):
-        return expm_action(A, grid.window_length(j), u, tol=plan.expm_tol,
-                           method=plan.expm_method)
+        return expm_action(target, grid.window_length(j), u)
 
     trace = IterationTrace(method="linear_g_parareal")
     U = np.empty((n_w + 1, target.u0.shape[0]))

@@ -198,8 +198,17 @@ class _AdSolver:
         return out
 
 
+def _check_ad_params(nu, T, dx, dt):
+    if not nu >= 0:
+        raise ValueError(f"nu must be nonnegative, got {nu}")
+    for name, value in (("T", T), ("dx", dx), ("dt", dt)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     """Single-domain discrete solution (the converged-solution oracle)."""
+    _check_ad_params(nu, T, dx, dt)
     n = int(round(L / dx)) + 1
     x = np.linspace(0.0, L, n)
     n_steps = int(round(T / dt))
@@ -217,6 +226,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
     reading only its neighbours' previous-iterate traces.
     Returns (global trajectory, trace).
     """
+    _check_ad_params(nu, T, dx, dt)
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)

@@ -7,10 +7,15 @@ checks of one criterion); C15 re-runs the cross-cutting property checks
 parallel-order determinism) in compact form.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pintlab.experiments import load_registry, run_experiment
+from pintlab.experiments import load_registry, result_to_csv, run_experiment
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "pint-out"
 
 CRITERIA = {
     "C1": ("parareal-rho-ceiling",
@@ -72,6 +77,41 @@ def test_criterion(criterion, results, capsys):
             print(f"      {'ok  ' if ok else 'FAIL'} {name}: {detail}")
     failed = [f"{name}: {detail}" for name, ok, detail in result.checks if not ok]
     assert not failed, f"{criterion} failed checks: {failed}"
+
+
+def golden_mismatches(csv_text, golden_text, rel=1e-8, floor=1e-11):
+    """Cells where ``csv_text`` departs from its golden CSV.  Integer columns
+    (every non-empty golden cell an integer) and text must match exactly;
+    floats to ``rel`` plus an absolute ``floor``, since roundoff-level entries
+    move when a kernel reorders its floating-point operations."""
+    new = [line.split(",") for line in csv_text.splitlines()]
+    old = [line.split(",") for line in golden_text.splitlines()]
+    if new[:1] != old[:1] or len(new) != len(old):
+        return [f"header or row count differs ({len(new)} vs golden {len(old)} lines)"]
+    int_cols = {j for j in range(len(old[0]))
+                if all(re.fullmatch(r"-?\d+", row[j]) for row in old[1:] if row[j])}
+    problems = []
+    for i, (a_row, b_row) in enumerate(zip(new[1:], old[1:]), start=1):
+        if len(a_row) != len(b_row):
+            problems.append(f"row {i}: {len(a_row)} cells vs golden {len(b_row)}")
+            continue
+        for j, (a, b) in enumerate(zip(a_row, b_row)):
+            if a == b:
+                continue
+            try:
+                close = j not in int_cols and abs(float(a) - float(b)) <= rel * abs(float(b)) + floor
+            except ValueError:
+                close = False
+            if not close:
+                problems.append(f"row {i} {old[0][j]}: {a!r} vs golden {b!r}")
+    return problems
+
+
+@pytest.mark.parametrize("exp_id", [exp_id for exp_id, _ in CRITERIA.values()])
+def test_csv_matches_golden(exp_id, results):
+    golden = (GOLDEN_DIR / f"{exp_id}.csv").read_text(encoding="utf-8")
+    problems = golden_mismatches(result_to_csv(results(exp_id)), golden)
+    assert not problems, f"{exp_id} departs from pint-out/{exp_id}.csv: {problems[:5]}"
 
 
 def test_criterion_c15_property_suites(capsys):

@@ -197,6 +197,13 @@ class TestTimeGrid:
         assert times.shape == (13,)
         np.testing.assert_allclose(np.diff(times), 1.0 / 12.0)
 
+    @pytest.mark.parametrize("name, T, n_windows, J", [("n_windows", 1.0, 0, 3),
+                                                       ("J", 1.0, 4, 0), ("T", 0.0, 4, 3),
+                                                       ("T", -1.0, 4, 3)])
+    def test_uniform_rejects_invalid(self, name, T, n_windows, J):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            TimeGrid.uniform(T, n_windows, J)
+
     def test_theta_method_bounds(self):
         with pytest.raises(ValueError):
             theta_method(1.5)

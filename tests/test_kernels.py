@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pintlab import kernels
 from pintlab.kernels import (
+    EXPM_DENSE_MAX,
     BandedMatrix,
-    ConvergenceError,
     SingularSystemError,
     StackedTridiagonalLU,
     dft,
@@ -15,6 +17,7 @@ from pintlab.kernels import (
     solve_shifted_banded_many,
     toeplitz_lower_apply,
 )
+from pintlab.models import CompanionSystem, build_heat, build_wave
 
 
 def periodic_laplacian_stencil(n):
@@ -128,6 +131,14 @@ class TestSolveShiftedBanded:
         A = BandedMatrix(diag, np.ones(n - 1), np.ones(n - 1))
         with pytest.raises(SingularSystemError):
             solve_shifted_banded(A, (0.0, 1.0), np.arange(1.0, n + 1.0))
+
+    def test_shift_at_exact_eigenvalue_raises(self):
+        # Dirichlet stencil, shift at its eigenvalue -2 + 2 cos(pi/9): gtsv
+        # finds no zero pivot and its residual stays small, but |x| ~ 1e16
+        n = 8
+        A = BandedMatrix(-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1))
+        with pytest.raises(SingularSystemError):
+            solve_shifted_banded(A, (-2.0 + 2.0 * np.cos(np.pi / 9), 1.0), np.ones(n))
 
     def test_complex_shift(self):
         A = periodic_laplacian_stencil(8)
@@ -294,21 +305,72 @@ class TestExpmAction:
         split = expm_action(A, 0.3, expm_action(A, 0.4, v))
         np.testing.assert_allclose(both, split, rtol=1e-9, atol=1e-9)
 
-    def test_arnoldi_matches_taylor(self):
-        rng = np.random.default_rng(13)
-        A = random_banded(rng, 40)
-        A = BandedMatrix(-np.abs(A.diag) - 2, A.lower, A.upper)
-        v = rng.standard_normal(40)
-        np.testing.assert_allclose(
-            expm_action(A, 0.4, v, method="arnoldi"),
-            expm_action(A, 0.4, v, method="taylor"),
-            rtol=1e-9, atol=1e-11,
-        )
+    def test_large_operator_matches_dense_expm(self):
+        # above EXPM_DENSE_MAX the action runs expm_multiply on a sparse copy
+        n = EXPM_DENSE_MAX + 88
+        dx = 1.0 / (n + 1)
+        for bc in ("dirichlet", "periodic"):
+            A = build_heat(n, dx, 1.0, bc).A
+            v = np.sin(3 * np.pi * dx * np.arange(1, n + 1)) + 0.1
+            expected = scipy.linalg.expm(2e-5 * A.to_dense()) @ v
+            np.testing.assert_allclose(expm_action(A, 2e-5, v), expected,
+                                       rtol=1e-10, atol=1e-12)
 
-    def test_nonconvergence_raises(self):
-        A = np.diag([-1e4, -1.0])
-        with pytest.raises(ConvergenceError):
-            expm_action(A, 1.0, np.ones(2), max_terms=2)
+    def test_non_finite_exponential_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            expm_action(np.diag([1e4, -1.0]), 1.0, np.ones(2))
+
+    def test_cache_per_live_operator_and_bounded(self):
+        v = np.arange(1.0, 5.0)
+        for k in range(3 * kernels._EXPM_CACHE_SIZE):
+            # each operator is freed before the next one is built, so its
+            # id may be reused; the cached exponential must not be
+            rng = np.random.default_rng(k)
+            A = random_banded(rng, 4, periodic=k % 2 == 1)
+            expected = scipy.linalg.expm(0.3 * A.to_dense()) @ v
+            np.testing.assert_array_equal(expm_action(A, 0.3, v), expected)
+            np.testing.assert_array_equal(expm_action(A, 0.3, v), expected)
+            assert len(kernels._expm_cache) <= kernels._EXPM_CACHE_SIZE
+            del A
+
+    def test_cache_shared_by_threads(self):
+        # more threads than cores, switching often, over more (operator, t)
+        # pairs than the cache holds: every result stays exact, the cache bounded
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(18)
+        ops = [random_banded(rng, 6, periodic=k % 2 == 1) for k in range(4)]
+        ts = [0.1, 0.2, 0.3]
+        v = rng.standard_normal(6)
+        expected = {(i, t): scipy.linalg.expm(t * A.to_dense()) @ v
+                    for i, A in enumerate(ops) for t in ts}
+        keys = sorted(expected)
+
+        def work(seed):
+            for k in np.random.default_rng(seed).permutation(len(keys)):
+                i, t = keys[k]
+                if not np.array_equal(expm_action(ops[i], t, v), expected[i, t]):
+                    return False
+                if len(kernels._expm_cache) > kernels._EXPM_CACHE_SIZE:
+                    return False
+            return True
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(32)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_to_sparse_matches_to_dense(self):
+        rng = np.random.default_rng(17)
+        sys = build_wave(5, 1.0 / 6, 1.0, "periodic")
+        for op in (random_banded(rng, 1), random_banded(rng, 2), random_banded(rng, 6),
+                   random_banded(rng, 6, periodic=True), sys, CompanionSystem(sys)):
+            np.testing.assert_array_equal(op.to_sparse().toarray(), op.to_dense())
 
 
 class TestToeplitzApply:

@@ -185,6 +185,15 @@ class TestSourcePulse:
             SourcePulse(0.0)
 
 
+@pytest.mark.parametrize("build", [build_heat, build_advection_diffusion, build_burgers,
+                                   build_wave])
+@pytest.mark.parametrize("dx", [0.0, -0.1])
+def test_builders_reject_nonpositive_dx(build, dx):
+    # dx = 0 used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="dx must be positive"):
+        build(8, dx, 1.0, "dirichlet")
+
+
 class TestReferenceSolve:
     def test_single_be_step_definition(self):
         nx = 6

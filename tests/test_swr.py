@@ -8,6 +8,7 @@ from pintlab.swr import (
     Subdomain,
     TentSchedule,
     _AdSolver,
+    monodomain_solve_ad,
     monodomain_solve_wave,
     oswr_solve_ad,
     robin_p_star,
@@ -150,6 +151,19 @@ class TestOswrAd:
         # adv = dif zeroes the interior coupling a Robin row is reduced with
         with pytest.raises(ValueError, match="cell Peclet number 2"):
             _AdSolver([Subdomain(0, 5)], 0.25, 0.5, 0.1, 1.0, [(True, False)])
+
+    @pytest.mark.parametrize("solve", ["oswr", "monodomain"])
+    @pytest.mark.parametrize("name, value", [("nu", -0.05), ("T", 0.0), ("dx", 0.0),
+                                             ("dt", -0.01)])
+    def test_invalid_parameter_named(self, solve, name, value):
+        # nu = -dx/2 used to surface as "singular SWR subdomain system 0"
+        args = dict(nu=0.05, L=1.0, T=0.1, dx=0.1, dt=0.01)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            if solve == "oswr":
+                oswr_solve_ad(dec=Decomposition1D.uniform(11, 2, 2), **args)
+            else:
+                monodomain_solve_ad(u0_fn=np.sin, **args)
 
     def test_zero_pivot_names_subdomain(self):
         # nu = -dx/2, dt = dx zeroes the interior diagonal and sub-diagonal,
