@@ -19,10 +19,16 @@ from pathlib import Path
 from .experiments import ValidationError, load_registry, result_to_csv, run_experiment
 
 
+class CliError(Exception):
+    """A usage or environment error reported as one ``error:`` line."""
+
+
 def _out_dir(args) -> Path:
-    out = os.environ.get("PINT_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(os.environ.get("PINT_OUT") or args.out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {str(path)!r}: {exc.strerror}") from exc
     return path
 
 
@@ -41,7 +47,10 @@ def _build_tag() -> str:
 
 def _write_result(result, out_dir: Path):
     csv_path = out_dir / f"{result.spec_id}.csv"
-    csv_path.write_text(result_to_csv(result), encoding="utf-8")
+    try:
+        csv_path.write_text(result_to_csv(result), encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {str(csv_path)!r}: {exc.strerror}") from exc
     return csv_path
 
 
@@ -60,8 +69,9 @@ def cmd_run(args) -> int:
               f"run `pint list` for the catalog", file=sys.stderr)
         return 2
     spec = registry[args.experiment]
+    out_dir = _out_dir(args)
     result = run_experiment(spec, seed=args.seed, jobs=args.jobs)
-    csv_path = _write_result(result, _out_dir(args))
+    csv_path = _write_result(result, out_dir)
     _print_result(spec, result, csv_path)
     return 0 if result.passed else 1
 
@@ -132,7 +142,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

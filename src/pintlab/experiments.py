@@ -10,7 +10,8 @@ a summary, and named pass/fail checks.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -602,15 +603,25 @@ RUNNERS = {
 }
 
 
-def load_registry() -> dict:
-    """Load and validate every experiment spec shipped with the package."""
+def load_registry(root=None) -> dict:
+    """Load and validate every experiment spec in ``root``, a directory of
+    YAML files (default: the specs shipped with the package)."""
     registry = {}
-    root = importlib.resources.files("pintlab").joinpath("configs")
+    root = importlib.resources.files("pintlab").joinpath("configs") if root is None else Path(root)
+    known = {f.name for f in fields(ExperimentSpec)}
     for entry in sorted(root.iterdir(), key=lambda p: p.name):
         if not entry.name.endswith(".yaml"):
             continue
         data = yaml.safe_load(entry.read_text())
-        spec = ExperimentSpec(**data)
+        if not isinstance(data, dict):
+            raise ValidationError(f"{entry.name}: expected a mapping of spec keys")
+        for key in data:
+            if key not in known:
+                raise ValidationError(f"{entry.name}: unknown key {key!r}")
+        try:
+            spec = ExperimentSpec(**data)
+        except TypeError as exc:  # a required key is missing
+            raise ValidationError(f"{entry.name}: {exc}") from exc
         if spec.runner not in RUNNERS:
             raise ValidationError(f"experiment {spec.id!r}: unknown runner {spec.runner!r}")
         for key in ("model", "method"):

@@ -202,7 +202,8 @@ def _step_linear_block(method, sys, dt, t0s, U):
         return expm_action(sys, dt, U)
     if method.theta is not None:
         th = method.theta
-        rhs = U + (1.0 - th) * dt * sys.matvec(U)
+        # backward Euler (theta = 1) has no explicit term: skip its 0*A U
+        rhs = U if th == 1.0 else U + (1.0 - th) * dt * sys.matvec(U)
         if has_g:
             rhs = rhs + dt * (
                 (1.0 - th) * _g_columns(sys, t0s, U) + th * _g_columns(sys, t0s + dt, U)
@@ -256,7 +257,9 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
     Linear systems advance all columns through shared factored solves;
-    nonlinear ones map Newton stepping over columns (`pmap` hook).
+    nonlinear ones map Newton stepping over columns (`pmap` hook).  Except
+    for the exact exponential (one dense product for the whole block), a
+    column's result does not depend on the other columns, bit for bit.
     """
     linear = getattr(sys, "linear", True)
     if linear:

@@ -153,32 +153,10 @@ def identity_banded(n: int) -> BandedMatrix:
     return BandedMatrix(np.ones(n), np.zeros(max(n - 1, 0)), np.zeros(max(n - 1, 0)))
 
 
-def _solve_stacked(ab, rhs):
-    """Solve the J tridiagonal systems held in ``ab`` (shape (3, J, n):
-    super-, main and sub-diagonal rows, LAPACK band layout per system)
-    for ``rhs`` of shape (J, n, k) with one LAPACK call.
-
-    The systems are stacked into one block-diagonal band whose coupling
-    entries are zero, so gtsv performs exactly the per-system elimination
-    and every block equals its own single solve bit for bit.  gtsv is the
-    routine ``scipy.linalg.solve_banded((1, 1), ...)`` runs; calling it
-    directly skips about 20 us of argument handling per call.
-    """
-    J, n = ab.shape[1:]
-    band = ab.reshape(3, J * n)
-    gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), (band, rhs))
-    *_, x, info = gtsv(band[2, :-1], band[1], band[0, 1:], rhs.reshape(J * n, -1))
-    if info != 0:
-        raise SingularSystemError(f"singular banded system (gtsv info {info})")
-    if not np.isfinite(x).all():
-        raise SingularSystemError("non-finite solution from banded solve")
-    return x.reshape(rhs.shape)
-
-
 class StackedTridiagonalLU:
-    """LAPACK gttrf factorization of a block-diagonal stack of real
-    tridiagonal ``blocks``, each a ``(lower, diag, upper)`` triple, made
-    once and reused by :meth:`solve` for any number of right-hand sides.
+    """LAPACK gttrf factorization of a block-diagonal stack of tridiagonal
+    ``blocks``, each a ``(lower, diag, upper)`` triple, made once and
+    reused by :meth:`solve` for any number of right-hand sides.
 
     The blocks are stacked into one band whose coupling entries are zero,
     so elimination never crosses a block boundary and each block of a
@@ -191,6 +169,20 @@ class StackedTridiagonalLU:
         lower = np.concatenate([np.concatenate((lo, zero)) for lo, _, _ in blocks])[:-1]
         upper = np.concatenate([np.concatenate((zero, up)) for _, _, up in blocks])[1:]
         diag = np.concatenate([d for _, d, _ in blocks])
+        self._factor(lower, diag, upper, [len(d) for _, d, _ in blocks], label)
+
+    @classmethod
+    def from_band(cls, ab, label):
+        """Factor J blocks of equal size n held in ``ab`` of shape (3, J, n):
+        super-, main and sub-diagonal rows in LAPACK band layout per block
+        (``ab[0, :, 0]`` and ``ab[2, :, -1]`` are the zero coupling)."""
+        lu = cls.__new__(cls)
+        J, n = ab.shape[1:]
+        band = ab.reshape(3, J * n)
+        lu._factor(band[2, :-1], band[1], band[0, 1:], [n] * J, label)
+        return lu
+
+    def _factor(self, lower, diag, upper, sizes, label):
         self._n = diag.shape[0]
         if self._n < 3:  # scipy's gt wrappers need 3 rows: pad with identity rows
             pad = np.zeros(3 - self._n)
@@ -199,23 +191,50 @@ class StackedTridiagonalLU:
         gttrf, self._gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
         *self._factors, info = gttrf(lower, diag, upper)
         if info > 0:
-            ends = np.cumsum([len(d) for _, d, _ in blocks])
+            ends = np.cumsum(sizes)
             i = int(np.searchsorted(ends, info - 1, side="right"))
-            row = info - 1 - (ends[i] - len(blocks[i][1]))
+            row = info - 1 - (ends[i] - sizes[i])
             raise SingularSystemError(f"singular {label} {i} (zero pivot in its row {row})")
 
-    def solve(self, rhs):
-        """Solve for ``rhs`` of shape (N,) or (N, k); a contiguous float
-        vector is overwritten with the solution."""
+    def solve(self, rhs, overwrite=False):
+        """Solve for ``rhs`` of shape (N,) or (N, k); with ``overwrite`` a
+        contiguous ``rhs`` of the factor's dtype holds the solution after."""
         if self._n < 3:
             rhs = np.concatenate((rhs, np.zeros((3 - self._n,) + rhs.shape[1:])))
             return self._gttrs(*self._factors, rhs)[0][: self._n]
-        return self._gttrs(*self._factors, rhs, overwrite_b=1)[0]
+        return self._gttrs(*self._factors, rhs, overwrite_b=overwrite)[0]
 
 
 def apply_blocks(A: BandedMatrix, X: np.ndarray) -> np.ndarray:
     """A @ X[j] for every block of ``X`` (shape (J, n) or (J, n, k))."""
     return A.matvec(X.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+# Small LRU caches keyed on the identity of a frozen BandedMatrix: each entry
+# holds that matrix, so a freed object's id can never alias a live key.  One
+# lock guards all of them, as the thread-pool pmap can reach every kernel.
+_cache_lock = threading.Lock()
+
+
+def _cached(cache, size, key, owner, build):
+    """The value cached under ``key``, made by ``build()`` on a miss and
+    (re)inserted as the most recently used; the least recently used entry
+    beyond ``size`` is dropped.  If ``build`` raises, nothing is inserted."""
+    with _cache_lock:
+        entry = cache.pop(key, None)
+        if entry is None:
+            entry = (owner, build())
+        cache[key] = entry
+        if len(cache) > size:
+            cache.popitem(last=False)
+    return entry[1]
+
+
+# Factorizations of shifted systems kept by solve_shifted_banded_many: one
+# per (operator, shifts) pair a run is stepping with, and a store of its own,
+# so the one-shot Jacobians of Newton solves never evict exponentials.
+_SHIFT_CACHE_SIZE = 8
+_shift_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
 def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
@@ -231,66 +250,102 @@ def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
 def solve_shifted_banded_many(A: BandedMatrix, a, b, rhs: np.ndarray) -> np.ndarray:
     """Solve (a[j]*I - b[j]*A) x[j] = rhs[j] for J shifts at once.
 
-    ``rhs`` is ``(J, n)`` or ``(J, n, k)``; shifts may be complex.  All J
-    tridiagonal systems go through one stacked LAPACK call (see
-    :func:`_solve_stacked`), so each x[j] is bit for bit the single-shift
-    solve.  Periodic corners are removed by a rank-2 Sherman-Morrison-
-    Woodbury correction, with the J 2x2 capacitance systems solved in one
-    batched call, so the cost stays O(J n).  Every check (finite solution,
-    near-singular residual, capacitance determinant, periodic residual) is
-    applied to each shift separately.
+    ``rhs`` is ``(J, n)`` or ``(J, n, k)``; shifts may be complex.  The J
+    tridiagonal systems are stacked into one band and factored once by
+    LAPACK gttrf (:class:`StackedTridiagonalLU`), so each x[j] is bit for
+    bit the single-shift solve.  Periodic corners are removed by a rank-2
+    Sherman-Morrison-Woodbury correction, with the J 2x2 capacitance
+    systems solved in one batched call, so the cost stays O(J n).
+
+    The factorization, with the Woodbury columns and capacitance matrices,
+    is kept in a small LRU cache keyed on the identity of ``A`` and the
+    exact shifts: the same step size or eigenvalue shifts recur on every
+    time step and iteration, and each repeat costs one gttrs.  A
+    factorization whose solve fails a check leaves the cache.  Every check
+    (finite solution, growth of a near-singular system, capacitance
+    determinant, periodic residual) is applied to each shift separately.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     J, n = rhs.shape[:2]
-    periodic = A.periodic and n > 1 and (b != 0).any()  # corners vanish with b = 0
+    # corners count from n = 3 (as in matvec) and vanish with b = 0
+    periodic = A.periodic and n > 2 and (b != 0).any()
     if periodic and not (b != 0).all():
         return np.stack([solve_shifted_banded_many(A, a[j:j + 1], b[j:j + 1], rhs[j:j + 1])[0]
                          for j in range(J)])
     dtype = np.result_type(A.diag, a, b, rhs)
-    a_col, b_col = a[:, None], b[:, None]
     R = rhs.reshape(J, n, -1)
-    ab = np.zeros((3, J, n), dtype=dtype)
-    ab[1] = a_col - b_col * A.diag.astype(dtype, copy=False)
     if n == 1:
-        d = ab[1]
+        d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
         if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
             raise SingularSystemError("1x1 pivot underflow")
         return (R / d[:, :, None]).reshape(rhs.shape)
+    key = (id(A), dtype.char, a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
+    factor = _cached(_shift_cache, _SHIFT_CACHE_SIZE, key, A,
+                     lambda: _factor_shifted(A, a, b, dtype, periodic))
+    try:
+        return _solve_factored(A, a, b, factor, R).reshape(rhs.shape)
+    except SingularSystemError:
+        with _cache_lock:
+            _shift_cache.pop(key, None)
+        raise
+
+
+def _factor_shifted(A, a, b, dtype, periodic):
+    """(lu, scale, z, cap) for :func:`solve_shifted_banded_many`: the gttrf
+    factors of the J blocks (a[j] I - b[j] A) without corners, the scale
+    max|M_j| of each block and, for periodic ``A``, the Woodbury columns
+    ``z`` and 2x2 capacitance matrices ``cap`` (None otherwise)."""
+    a_col, b_col = a[:, None], b[:, None]
+    J, n = a.shape[0], A.n
+    ab = np.zeros((3, J, n), dtype=dtype)
+    ab[1] = a_col - b_col * A.diag.astype(dtype, copy=False)
     ab[0, :, 1:] = -b_col * A.upper.astype(dtype, copy=False)
     ab[2, :, :-1] = -b_col * A.lower.astype(dtype, copy=False)
     scale = np.maximum(np.abs(ab).max(axis=(0, 2)), 1e-300)
-    rhs_max = np.abs(R).max(axis=(1, 2))
+    lu = StackedTridiagonalLU.from_band(ab, "shifted banded system")
     if not periodic:
-        x = _solve_stacked(ab, R)
+        return lu, scale, None, None
+    # Woodbury: M = M0 + U @ W^T with U = -b*[ct*e0, cb*e_{n-1}], W = [e_{n-1}, e0]
+    cols = np.zeros((J * n, 2), dtype=dtype)
+    cols[::n, 0] = -b * A.corner_top
+    cols[n - 1::n, 1] = -b * A.corner_bottom
+    z = _finite_solution(lu.solve(cols, overwrite=True)).reshape(J, n, 2)
+    cap = np.eye(2, dtype=dtype) + z[:, [-1, 0], :]
+    det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
+    if (np.abs(det) <= PIVOT_RTOL * np.maximum(np.abs(cap).max(axis=(1, 2)), 1.0)).any():
+        raise SingularSystemError("singular periodic correction (capacitance)")
+    return lu, scale, z, cap
+
+
+def _solve_factored(A, a, b, factor, R):
+    """x[j] for R of shape (J, n, k) from a :func:`_factor_shifted` entry."""
+    lu, scale, z, cap = factor
+    J, n, _ = R.shape
+    rhs_max = np.abs(R).max(axis=(1, 2))
+    x = _finite_solution(lu.solve(R.reshape(J * n, -1))).reshape(R.shape)
+    if z is None:
         # near-singular systems pass LAPACK but blow the solution up; a
         # backward-stable solve keeps a small residual even then, so the
         # growth itself is the test: |x| |M| / |rhs| beyond 1/(10 PIVOT_RTOL)
         x_max = np.abs(x).max(axis=(1, 2))
         if (x_max * scale * PIVOT_RTOL > 10.0 * rhs_max + 1e-300).any():
             raise SingularSystemError("near-singular shifted banded system")
-        return x.reshape(rhs.shape)
-
-    # Woodbury: M = M0 + U @ W^T with U = -b*[ct*e0, cb*e_{n-1}], W = [e_{n-1}, e0]
-    k = R.shape[2]
-    block = np.zeros((J, n, k + 2), dtype=dtype)
-    block[:, :, :k] = R
-    block[:, 0, k] = -b * A.corner_top
-    block[:, -1, k + 1] = -b * A.corner_bottom
-    sol = _solve_stacked(ab, block)
-    x0, z = sol[:, :, :k], sol[:, :, k:]
-    cap = np.eye(2, dtype=dtype) + z[:, [-1, 0], :]
-    det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
-    if (np.abs(det) <= PIVOT_RTOL * np.maximum(np.abs(cap).max(axis=(1, 2)), 1.0)).any():
-        raise SingularSystemError("singular periodic correction (capacitance)")
-    x = x0 - z @ np.linalg.solve(cap, x0[:, [-1, 0], :])
+        return x
+    x = x - z @ np.linalg.solve(cap, x[:, [-1, 0], :])
     # Guard against ill-conditioning that slipped past the determinant test.
-    a3, b3 = a_col[:, :, None], b_col[:, :, None]
+    a3, b3 = a[:, None, None], b[:, None, None]
     res = np.abs(a3 * x - b3 * apply_blocks(A, x) - R).max(axis=(1, 2))
     tol = 1e-6 * (rhs_max + scale * np.abs(x).max(axis=(1, 2)) + 1e-300)
     if (res > tol).any():
         raise SingularSystemError("periodic solve residual too large")
-    return x.reshape(rhs.shape)
+    return x
+
+
+def _finite_solution(x):
+    if not np.isfinite(x).all():
+        raise SingularSystemError("non-finite solution from banded solve")
+    return x
 
 
 def solve_poly_in_matrix(A: BandedMatrix, coeffs, rhs: np.ndarray) -> np.ndarray:
@@ -382,7 +437,6 @@ EXPM_DENSE_MAX = 512
 # operator with hundreds of distinct step sizes (geometric time meshes).
 _EXPM_CACHE_SIZE = 8
 _expm_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_expm_lock = threading.Lock()
 
 
 def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
@@ -408,14 +462,9 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     if A.n > EXPM_DENSE_MAX:
         return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))
     band, tag = A.expm_key
-    key = (id(band), tag, t)
-    with _expm_lock:
-        entry = _expm_cache.pop(key, None) or (
-            band, _finite(scipy.linalg.expm(t * A.to_dense())))
-        _expm_cache[key] = entry  # (re)inserted as the most recently used
-        if len(_expm_cache) > _EXPM_CACHE_SIZE:
-            _expm_cache.popitem(last=False)
-    return entry[1] @ v
+    E = _cached(_expm_cache, _EXPM_CACHE_SIZE, (id(band), tag, t), band,
+                lambda: _finite(scipy.linalg.expm(t * A.to_dense())))
+    return E @ v
 
 
 def _finite(x):

@@ -193,25 +193,34 @@ class _AdSolver:
                 rhs[self.rows] = data[m] - self.fac * rhs[self.nbr]
             else:
                 rhs[self.rows] = data[m]
-            u = self.lu.solve(rhs)
+            u = self.lu.solve(rhs, overwrite=True)
             out[m] = u
         return out
 
 
-def _check_ad_params(nu, T, dx, dt):
+def _ad_grid(nu, L, T, dx, dt):
+    """(nodes, time steps) of the space-time grid; ``dx`` must divide L and
+    ``dt`` divide T into whole numbers of steps (to a relative 1e-9)."""
     if not nu >= 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    for name, value in (("T", T), ("dx", dx), ("dt", dt)):
+    for name, value in (("L", L), ("T", T), ("dx", dx), ("dt", dt)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    counts = []
+    for name, span, span_name, h in (("dx", L, "L", dx), ("dt", T, "T", dt)):
+        ratio = span / h
+        count = round(ratio)
+        if abs(ratio - count) > 1e-9 * abs(ratio):
+            raise ValueError(f"{name} = {h} does not divide {span_name} = {span} into "
+                             f"whole steps ({span_name}/{name} = {ratio})")
+        counts.append(int(count))
+    return counts[0] + 1, counts[1]
 
 
 def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     """Single-domain discrete solution (the converged-solution oracle)."""
-    _check_ad_params(nu, T, dx, dt)
-    n = int(round(L / dx)) + 1
+    n, n_steps = _ad_grid(nu, L, T, dx, dt)
     x = np.linspace(0.0, L, n)
-    n_steps = int(round(T / dt))
     solver = _AdSolver([Subdomain(0, n - 1)], nu, dx, dt)
     return x, solver.solve(u0_fn(x), np.zeros((n_steps + 1, 2)))
 
@@ -226,11 +235,11 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
     reading only its neighbours' previous-iterate traces.
     Returns (global trajectory, trace).
     """
-    _check_ad_params(nu, T, dx, dt)
+    _ad_grid(nu, L, T, dx, dt)
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
-    n_steps = int(round(T / dt))
+    n_steps = mono.shape[0] - 1
     subs = dec.subdomains
     n_sub = len(subs)
     if n_sub == 1:

@@ -27,6 +27,21 @@ class TestRegistry:
                               runner="run_does_not_exist")
         assert spec.runner not in RUNNERS
 
+    def test_unknown_yaml_key_named(self, tmp_path):
+        from pintlab.experiments import ValidationError
+
+        spec = "id: x\ndescription: d\ngate: C1\nrunner: run_idc_order_lift\nparms: {}\n"
+        (tmp_path / "typo.yaml").write_text(spec)
+        with pytest.raises(ValidationError, match="^typo.yaml: unknown key 'parms'$"):
+            load_registry(tmp_path)
+
+    def test_missing_yaml_key_named(self, tmp_path):
+        from pintlab.experiments import ValidationError
+
+        (tmp_path / "short.yaml").write_text("id: x\ndescription: d\nrunner: run_idc_order_lift\n")
+        with pytest.raises(ValidationError, match="^short.yaml: .*'gate'"):
+            load_registry(tmp_path)
+
 
 class TestDeterminism:
     def test_same_seed_identical_csv_bytes(self, registry):
@@ -91,6 +106,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())  # rejected before any work
+
+    @pytest.mark.parametrize("command", [["run", "idc-order-lift"], ["verify", "--filter", "idc"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = main(command + ["--out", str(blocker / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and len(err.splitlines()) == 1
+
+    def test_unwritable_csv_exits_2(self, tmp_path, capsys):
+        (tmp_path / "idc-order-lift.csv").mkdir()
+        code = main(["run", "idc-order-lift", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
     def test_verify_bad_filter(self, tmp_path, capsys):
         code = main(["verify", "--filter", "zzz", "--out", str(tmp_path)])

@@ -101,6 +101,193 @@ class TestSolveShiftedBandedMany:
             solve_shifted_banded_many(A, a, b, np.ones((3, 6)))
 
 
+def gtsv_reference(A, a, b, rhs):
+    """Shifted solve with every call factoring afresh: the J blocks stacked
+    into one LAPACK gtsv call, periodic corners by the Woodbury columns
+    solved in the same call.  The cached gttrf/gttrs path must match it
+    bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    J, n = rhs.shape[:2]
+    periodic = A.periodic and n > 2
+    dtype = np.result_type(A.diag, a, b, rhs)
+    a_col, b_col = a[:, None], b[:, None]
+    R = rhs.reshape(J, n, -1)
+    ab = np.zeros((3, J, n), dtype=dtype)
+    ab[1] = a_col - b_col * A.diag.astype(dtype, copy=False)
+    if n == 1:
+        return (R / ab[1][:, :, None]).reshape(rhs.shape)
+    ab[0, :, 1:] = -b_col * A.upper.astype(dtype, copy=False)
+    ab[2, :, :-1] = -b_col * A.lower.astype(dtype, copy=False)
+    k = R.shape[2]
+    block = R
+    if periodic:
+        block = np.zeros((J, n, k + 2), dtype=dtype)
+        block[:, :, :k] = R
+        block[:, 0, k] = -b * A.corner_top
+        block[:, -1, k + 1] = -b * A.corner_bottom
+    band = ab.reshape(3, J * n)
+    gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), (band, block))
+    *_, sol, info = gtsv(band[2, :-1], band[1], band[0, 1:], block.reshape(J * n, -1))
+    assert info == 0
+    sol = sol.reshape(block.shape)
+    if not periodic:
+        return sol.reshape(rhs.shape)
+    x0, z = sol[:, :, :k], sol[:, :, k:]
+    cap = np.eye(2, dtype=dtype) + z[:, [-1, 0], :]
+    return (x0 - z @ np.linalg.solve(cap, x0[:, [-1, 0], :])).reshape(rhs.shape)
+
+
+def pivots(A, a, b):
+    """Whether gttrf of the stacked shifted blocks swaps any rows."""
+    J, n = len(a), A.n
+    ab = np.zeros((3, J, n), dtype=np.result_type(A.diag, a, b))
+    ab[1] = np.asarray(a)[:, None] - np.asarray(b)[:, None] * A.diag
+    ab[0, :, 1:] = -np.asarray(b)[:, None] * A.upper
+    ab[2, :, :-1] = -np.asarray(b)[:, None] * A.lower
+    band = ab.reshape(3, J * n)
+    gttrf, = scipy.linalg.get_lapack_funcs(("gttrf",), (band,))
+    ipiv = gttrf(band[2, :-1], band[1], band[0, 1:])[-2]
+    return bool((ipiv != np.arange(1, J * n + 1)).any())
+
+
+class TestShiftedFactorCache:
+    """solve_shifted_banded_many factors each (operator, shifts) pair once
+    and keeps it in a bounded LRU cache; every call, first or repeated, is
+    bit for bit the gtsv solve and runs every check."""
+
+    @pytest.mark.parametrize("n, periodic", [(1, False), (2, False), (2, True), (3, False),
+                                             (3, True), (11, False), (11, True)])
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("J", [1, 6])
+    @pytest.mark.parametrize("pivoting", [False, True])
+    def test_equals_gtsv_reference(self, n, periodic, k, J, pivoting):
+        rng = np.random.default_rng(100 + n + 7 * J + (k or 0))
+        A = random_banded(rng, n, periodic=periodic, dominant=not pivoting)
+        # a small diagonal makes gttrf swap rows (checked below)
+        small = 0.01 if pivoting else 1.0
+        A = BandedMatrix(small * A.diag, A.lower, A.upper, A.corner_top, A.corner_bottom)
+        for complex_shifts, complex_rhs in [(False, False), (False, True), (True, False)]:
+            a = small * (1.0 + rng.random(J))
+            b = 0.3 * rng.standard_normal(J) + (1.0 if pivoting else 0.0)
+            if complex_shifts:
+                a = a + 1j * rng.standard_normal(J)
+                b = b + 0.1j * rng.standard_normal(J)
+            R = rng.standard_normal((J, n) if k is None else (J, n, k))
+            if complex_rhs:
+                R = R + 1j * rng.standard_normal(R.shape)
+            expected = gtsv_reference(A, a, b, R)
+            for _ in range(2):  # factor, then reuse
+                X = solve_shifted_banded_many(A, a, b, R)
+                assert X.shape == R.shape and X.dtype == expected.dtype
+                assert X.tobytes() == expected.tobytes()
+            for j in range(J):
+                x = solve_shifted_banded(A, (a[j], b[j]), R[j])
+                assert x.tobytes() == X[j].tobytes()
+            if pivoting and not complex_shifts and n >= 3:
+                assert pivots(A, a, b)
+
+    def test_periodic_two_nodes_matches_dense(self):
+        # matvec and to_dense drop corners below n = 3; so does the solve
+        A = BandedMatrix(np.array([-2.0, -3.0]), np.ones(1), np.ones(1), 5.0, 7.0)
+        x = solve_shifted_banded(A, (1.0, 0.5), np.array([1.0, 2.0]))
+        np.testing.assert_allclose((np.eye(2) - 0.5 * A.to_dense()) @ x, [1.0, 2.0], rtol=1e-14)
+
+    def test_factors_once_per_operator_and_shifts(self, monkeypatch):
+        built = []
+        real = kernels._factor_shifted
+        monkeypatch.setattr(kernels, "_factor_shifted",
+                            lambda *args: built.append(1) or real(*args))
+        rng = np.random.default_rng(101)
+        A = random_banded(rng, 9, periodic=True)
+        a, b = 1.0 + rng.random(4), 0.2 * rng.standard_normal(4)
+        for _ in range(5):
+            solve_shifted_banded_many(A, a, b, rng.standard_normal((4, 9)))
+            solve_shifted_banded(A, (a[0], b[0]), rng.standard_normal(9))
+        assert len(built) == 2
+        solve_shifted_banded_many(A, a, b.copy(), rng.standard_normal((4, 9)))
+        assert len(built) == 2  # the key is the shifts' values, not the array
+        solve_shifted_banded_many(A, a, b, rng.standard_normal((4, 9)) + 0j)
+        assert len(built) == 3  # complex data: a complex factorization
+
+    def test_cache_per_live_operator_and_bounded(self):
+        r = np.arange(1.0, 6.0)
+        for k in range(3 * kernels._SHIFT_CACHE_SIZE):
+            # each operator is freed before the next one is built, so its
+            # id may be reused; the cached factorization must not be
+            rng = np.random.default_rng(k)
+            A = random_banded(rng, 5, periodic=k % 2 == 1)
+            expected = gtsv_reference(A, [1.5], [0.4], r[None])[0]
+            for _ in range(2):
+                assert solve_shifted_banded(A, (1.5, 0.4), r).tobytes() == expected.tobytes()
+            assert len(kernels._shift_cache) <= kernels._SHIFT_CACHE_SIZE
+            del A
+
+    def test_failed_factorization_or_solve_leaves_no_entry(self):
+        n = 8
+        dirichlet = BandedMatrix(-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1))
+        cases = [
+            # exact eigenvalue: gttrf finds no zero pivot, the solve blows up
+            (dirichlet, (-2.0 + 2.0 * np.cos(np.pi / 9), 1.0), "near-singular"),
+            # exact zero pivot in gttrf
+            (BandedMatrix(np.ones(n), np.zeros(n - 1), np.zeros(n - 1)), (1.0, 1.0),
+             "zero pivot"),
+            # singular capacitance of the periodic correction
+            (periodic_laplacian_stencil(6), (0.0, 1.0), "capacitance"),
+        ]
+        for A, shift, message in cases:
+            for _ in range(3):
+                with pytest.raises(SingularSystemError, match=message):
+                    solve_shifted_banded(A, shift, np.ones(A.n))
+                assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+
+    @pytest.mark.parametrize("J, k", [(1, None), (1, 1), (3, None), (3, 2)])
+    @pytest.mark.parametrize("n, periodic", [(2, False), (7, False), (7, True)])
+    def test_rhs_not_modified(self, J, k, n, periodic):
+        rng = np.random.default_rng(102)
+        A = random_banded(rng, n, periodic=periodic)
+        a, b = 1.0 + rng.random(J), 0.3 * rng.standard_normal(J)
+        for R in (rng.standard_normal((J, n) if k is None else (J, n, k)),
+                  np.asfortranarray(rng.standard_normal((J, n, 1)))[..., 0]):
+            for data in (R, R + 1j * R):
+                before = data.copy()
+                for _ in range(2):
+                    solve_shifted_banded_many(A, a, b, data)
+                    solve_shifted_banded(A, (a[0], b[0]), data[0])
+                assert data.tobytes() == before.tobytes()
+
+    def test_cache_shared_by_threads(self):
+        # more threads than cores, switching often, over more (operator,
+        # shift) pairs than the cache holds: every result stays exact
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(103)
+        ops = [random_banded(rng, 7, periodic=i % 2 == 1) for i in range(4)]
+        shifts = [(1.0, 0.1), (1.5, -0.2), (2.0 + 0.5j, 0.3)]
+        R = rng.standard_normal((7, 2))
+        expected = {(i, s): gtsv_reference(A, [s[0]], [s[1]], R[None])[0]
+                    for i, A in enumerate(ops) for s in shifts}
+        keys = sorted(expected, key=str)
+
+        def work(seed):
+            for k in np.random.default_rng(seed).permutation(len(keys)):
+                i, s = keys[k]
+                if solve_shifted_banded(ops[i], s, R).tobytes() != expected[i, s].tobytes():
+                    return False
+                if len(kernels._shift_cache) > kernels._SHIFT_CACHE_SIZE:
+                    return False
+            return True
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(32)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestSolveShiftedBanded:
     def test_identity_solve(self):
         rng = np.random.default_rng(0)

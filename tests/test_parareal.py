@@ -6,12 +6,14 @@ from pintlab.integrators import (
     TimeGrid,
     backward_euler,
     exact_exponential,
+    propagate_block,
     sdirk22,
     trapezoidal,
 )
 import pintlab.parareal as parareal_module
 from pintlab.models import (
     SemiDiscreteSystem,
+    SourcePulse,
     build_advection_diffusion,
     build_burgers,
     build_heat,
@@ -343,10 +345,44 @@ class TestDiagCoarse:
         assert trace.errors[-1] <= 1e-9
 
 
+def full_sweeps(cfg, target, coarse, U, iterations):
+    """Parareal iterates with every fine and coarse window solved again in
+    every iteration: the reference the window reuse must match bit for bit."""
+    n_w = cfg.grid.n_windows
+    G_old = np.stack([coarse(n, U[n]) for n in range(n_w)])
+    for _ in range(iterations):
+        F = propagate_block(cfg.fine, target, cfg.grid.boundaries[:-1], U[:-1].T.copy(),
+                            newton_tol=cfg.newton_tol).T
+        U_new = np.empty_like(U)
+        U_new[0] = U[0]
+        for n in range(n_w):
+            g_new = coarse(n, U_new[n])
+            U_new[n + 1] = F[n] + g_new - G_old[n]
+            G_old[n] = g_new
+        U = U_new
+    return U
+
+
+def record_sweep(monkeypatch):
+    """Capture the coarse map and U^0 a solver hands to its correction sweep."""
+    seen = {}
+
+    class Recording(parareal_module._CorrectionSweep):
+        def __init__(self, cfg, target, coarse, U, pmap):
+            seen.update(target=target, coarse=coarse, U0=U.copy())
+            super().__init__(cfg, target, coarse, U, pmap)
+
+    monkeypatch.setattr(parareal_module, "_CorrectionSweep", Recording)
+    return seen
+
+
 class TestCoarseCache:
-    """A correction sweep reuses G(U^k[n]) from the sweep before, so each
-    iteration makes exactly n_w coarse solves; the initial coarse sweep (or,
-    for a random guess, one pass over U^0) seeds the cache."""
+    """A correction sweep reuses G(U^k[n]) from the sweep before and solves
+    a window again only when its start value changed.  Iteration k leaves
+    the first k windows alone: it makes n_w - k coarse solves and fine
+    solves on n_w - k + 1 windows.  The initial coarse sweep (or, for a
+    random guess, one pass over U^0) seeds the coarse cache.  The iterates
+    are bit for bit those of sweeps that solve every window."""
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_classic_n_w_coarse_propagations_per_iteration(self, monkeypatch, guess):
@@ -354,17 +390,26 @@ class TestCoarseCache:
         n_w = 6
         cfg = make_cfg(1.0, n_w, 4, max_iter=3, tol=0.0, initial_guess=guess)
         oracle = fine_sequential(cfg, sys)
-        real = parareal_module.propagate
-        calls = []
+        real, real_block = parareal_module.propagate, parareal_module.propagate_block
+        calls, fine_cols = [], []
 
         def counting(prop, *args, **kwargs):
             calls.append(prop is cfg.coarse)
             return real(prop, *args, **kwargs)
 
+        def counting_block(prop, sys, t0s, U, **kwargs):
+            fine_cols.append(U.shape[1])
+            return real_block(prop, sys, t0s, U, **kwargs)
+
         monkeypatch.setattr(parareal_module, "propagate", counting)
-        _, trace = parareal_solve(cfg, sys, oracle=oracle)
+        monkeypatch.setattr(parareal_module, "propagate_block", counting_block)
+        seen = record_sweep(monkeypatch)
+        U, trace = parareal_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
-        assert sum(calls) == n_w * trace.iterations
+        assert sum(calls) == n_w + (n_w - 1) + (n_w - 2) + (n_w - 3)
+        assert fine_cols == [n_w, n_w - 1, n_w - 2]
+        ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
+        assert U.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_diag_coarse_n_w_coarse_star_calls_per_iteration(self, monkeypatch, guess):
@@ -384,6 +429,44 @@ class TestCoarseCache:
             return real(self, *args)
 
         monkeypatch.setattr(SemiDiscreteSystem, "solve_shift_many", counting)
-        _, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
+        seen = record_sweep(monkeypatch)
+        U, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
-        assert len(calls) == n_w * trace.iterations
+        assert len(calls) == n_w + (n_w - 1) + (n_w - 2) + (n_w - 3)
+        ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
+        assert U.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
+                                       "heat_exact"])
+    def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
+        # nonlinear Newton columns, the companion Schur step, SDIRK stages
+        # and a time-dependent source: the fine solves of a subset of
+        # windows equal the columns of the full block, and reused coarse
+        # values the fresh ones; an exact-exponential fine solver (one dense
+        # product per block) always solves the whole block
+        n_w = 8
+        if model == "heat_exact":
+            sys = heat_system(nx=40)
+            cfg = make_cfg(1.0, n_w, 1, fine_method=exact_exponential(), max_iter=6, tol=0.0,
+                           initial_guess="random")
+        elif model == "heat_source":
+            sys = build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0))
+            cfg = make_cfg(2.0, n_w, 4, fine_method=trapezoidal(), max_iter=6, tol=0.0)
+        elif model == "burgers":
+            sys = build_burgers(16, 1.0 / 16, 0.05, "periodic")
+            sys.u0[:] = np.sin(2 * np.pi * sys.x)
+            cfg = make_cfg(0.4, n_w, 3, max_iter=6, tol=0.0)
+        elif model == "wave":
+            sys = build_wave(12, 1.0 / 13, 1.0, "dirichlet")
+            sys.u0[:] = np.sin(np.pi * sys.x)
+            cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(),
+                           coarse_method=trapezoidal(), max_iter=6, tol=0.0)
+        else:
+            sys = build_advection_diffusion(16, 1.0 / 16, 0.05, "periodic")
+            sys.u0[:] = np.sin(2 * np.pi * sys.x)
+            cfg = make_cfg(1.0, n_w, 5, fine_method=sdirk22(), max_iter=6, tol=0.0,
+                           initial_guess="random")
+        seen = record_sweep(monkeypatch)
+        U, trace = parareal_solve(cfg, sys)
+        ref = full_sweeps(cfg, seen["target"], seen["coarse"], seen["U0"], trace.iterations - 1)
+        assert U.tobytes() == ref.tobytes()

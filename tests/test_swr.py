@@ -154,7 +154,7 @@ class TestOswrAd:
 
     @pytest.mark.parametrize("solve", ["oswr", "monodomain"])
     @pytest.mark.parametrize("name, value", [("nu", -0.05), ("T", 0.0), ("dx", 0.0),
-                                             ("dt", -0.01)])
+                                             ("dt", -0.01), ("L", -1.0)])
     def test_invalid_parameter_named(self, solve, name, value):
         # nu = -dx/2 used to surface as "singular SWR subdomain system 0"
         args = dict(nu=0.05, L=1.0, T=0.1, dx=0.1, dt=0.01)
@@ -164,6 +164,26 @@ class TestOswrAd:
                 oswr_solve_ad(dec=Decomposition1D.uniform(11, 2, 2), **args)
             else:
                 monodomain_solve_ad(u0_fn=np.sin, **args)
+
+    @pytest.mark.parametrize("solve", ["oswr", "monodomain"])
+    @pytest.mark.parametrize("name, value", [("dx", 0.3), ("dx", 0.1000001),
+                                             ("dt", 0.03), ("dt", 0.0100000001)])
+    def test_non_integer_grid_rejected(self, solve, name, value):
+        # dx = 0.3 used to lay 4 nodes 1/3 apart under a 0.3 stencil, and
+        # dt = 0.03 to stop at t = 0.09 instead of T = 0.1; a ratio off by a
+        # relative 1e-8 is rejected too
+        args = dict(nu=0.1, L=1.0, T=0.1, dx=0.1, dt=0.01)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} = {value} does not divide"):
+            if solve == "oswr":
+                oswr_solve_ad(dec=Decomposition1D.uniform(11, 2, 2), **args)
+            else:
+                monodomain_solve_ad(u0_fn=np.sin, **args)
+
+    def test_grid_ratio_within_roundoff_accepted(self):
+        # 8.2 / 0.02 = 409.99999999999994 in floating point (the C9 grid)
+        x, sol = monodomain_solve_ad(0.1, 8.2, 0.05, 0.02, 0.01, np.sin)
+        assert x.shape == (411,) and sol.shape == (6, 411)
 
     def test_zero_pivot_names_subdomain(self):
         # nu = -dx/2, dt = dx zeroes the interior diagonal and sub-diagonal,
