@@ -1,8 +1,8 @@
 """Command line harness.
 
-    pint run <experiment-id> [--jobs N] [--out DIR] [--seed S]
+    pint run <experiment-id> [--out DIR] [--seed S]
     pint list
-    pint verify [--filter STR] [--jobs N] [--out DIR] [--seed S]
+    pint verify [--filter STR] [--out DIR] [--seed S]
 
 Results are written as UTF-8 CSV (one file per experiment) into --out
 (default ./pint-out); the PINT_OUT environment variable overrides --out.
@@ -70,7 +70,7 @@ def cmd_run(args) -> int:
         return 2
     spec = registry[args.experiment]
     out_dir = _out_dir(args)
-    result = run_experiment(spec, seed=args.seed, jobs=args.jobs)
+    result = run_experiment(spec, seed=args.seed)
     csv_path = _write_result(result, out_dir)
     _print_result(spec, result, csv_path)
     return 0 if result.passed else 1
@@ -97,7 +97,7 @@ def cmd_verify(args) -> int:
     failures = 0
     rows = []
     for spec in selected.values():
-        result = run_experiment(spec, seed=args.seed, jobs=args.jobs)
+        result = run_experiment(spec, seed=args.seed)
         _write_result(result, out_dir)
         ok = result.passed
         failures += 0 if ok else 1
@@ -121,7 +121,6 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one experiment and write its CSV")
     run_p.add_argument("experiment")
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", default="pint-out")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.set_defaults(fn=cmd_run)
@@ -131,15 +130,11 @@ def main(argv=None) -> int:
 
     verify_p = sub.add_parser("verify", help="run experiments and report pass/fail")
     verify_p.add_argument("--filter", default="")
-    verify_p.add_argument("--jobs", type=int, default=1)
     verify_p.add_argument("--out", default="pint-out")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ValidationError, CliError) as exc:

@@ -72,13 +72,6 @@ def _contraction_factors(errors, floor=1e-11, skip=2):
     ]
 
 
-MODELS = {
-    "heat": build_heat,
-    "advection_diffusion": build_advection_diffusion,
-    "burgers": build_burgers,
-    "wave": build_wave,
-}
-
 METHODS = {
     "backward_euler": backward_euler,
     "trapezoidal": trapezoidal,
@@ -103,7 +96,7 @@ def _parareal_cfg(T, n_w, J, fine="backward_euler", coarse="backward_euler", **k
 # ---------------------------------------------------------------------------
 
 
-def run_parareal_rho_ceiling(params, seed=0, pmap=None):
+def run_parareal_rho_ceiling(params, seed=0):
     Rg = parareal.stability_function(backward_euler())
     Rf = parareal.stability_function(exact_exponential())
     rho_p = parareal.max_rho_negative_axis(lambda z: parareal.rho_linear(Rg, Rf, 1, z))
@@ -139,7 +132,7 @@ def _finite_termination_system(model):
     return sys
 
 
-def run_parareal_finite_termination(params, seed=0, pmap=None):
+def run_parareal_finite_termination(params, seed=0):
     n_w = int(params.get("windows", 10))
     rows, checks = [], []
     for model in ("heat", "advection_diffusion", "wave"):
@@ -147,12 +140,12 @@ def run_parareal_finite_termination(params, seed=0, pmap=None):
         cfg = _parareal_cfg(1.0, n_w, 4, fine="trapezoidal", max_iter=n_w, tol=0.0)
         oracle = parareal.fine_sequential(cfg, sys)
         scale = max(np.abs(oracle).max(), 1.0)
-        _, tr = parareal.parareal_solve(cfg, sys, oracle=oracle, pmap=pmap)
+        _, tr = parareal.parareal_solve(cfg, sys, oracle=oracle)
         for k, e in enumerate(tr.errors):
             rows.append({"model": model, "method": "parareal", "iter": k, "max_error": e})
         checks.append((f"parareal_{model}_terminates", tr.errors[n_w] <= 1e-10 * scale,
                        f"error after {n_w} iterations = {tr.errors[n_w]:.2e}"))
-        _, trm = parareal.mgrit_fcf_solve(cfg, sys, oracle=oracle, pmap=pmap)
+        _, trm = parareal.mgrit_fcf_solve(cfg, sys, oracle=oracle)
         half = -(-n_w // 2)
         for k, e in enumerate(trm.errors):
             rows.append({"model": model, "method": "mgrit_fcf", "iter": k, "max_error": e})
@@ -161,7 +154,7 @@ def run_parareal_finite_termination(params, seed=0, pmap=None):
     return ExperimentResult("parareal-finite-termination", rows, {}, checks)
 
 
-def run_parareal_heat_contraction(params, seed=0, pmap=None):
+def run_parareal_heat_contraction(params, seed=0):
     nx = int(params.get("nx", 256))
     sys = build_heat(nx, 1.0 / nx, 0.1, "periodic")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
@@ -171,7 +164,7 @@ def run_parareal_heat_contraction(params, seed=0, pmap=None):
         # mode of the spectrum rather than the initial data's single mode
         cfg = _parareal_cfg(4.0, 40, 50, fine=fine, max_iter=14, tol=1e-13,
                             initial_guess="random", seed=seed)
-        _, tr = parareal.parareal_solve(cfg, sys, pmap=pmap)
+        _, tr = parareal.parareal_solve(cfg, sys)
         for k, e in enumerate(tr.errors):
             rows.append({"fine": fine, "iter": k, "max_error": e})
         factors = _contraction_factors(tr.errors)
@@ -182,7 +175,7 @@ def run_parareal_heat_contraction(params, seed=0, pmap=None):
     return ExperimentResult("parareal-heat-contraction", rows, summary, checks)
 
 
-def run_paradiag1_geometric(params, seed=0, pmap=None):
+def run_paradiag1_geometric(params, seed=0):
     nx = 49
     sys = build_heat(nx, 1.0 / 50, 1.0, "dirichlet")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
@@ -213,7 +206,7 @@ def run_paradiag1_geometric(params, seed=0, pmap=None):
     return ExperimentResult("paradiag1-geometric", rows, errs, checks)
 
 
-def run_paradiag1_bvm_wave(params, seed=0, pmap=None):
+def run_paradiag1_bvm_wave(params, seed=0):
     nx = 39
     sys = build_wave(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
@@ -247,7 +240,7 @@ def run_paradiag1_bvm_wave(params, seed=0, pmap=None):
     return ExperimentResult("paradiag1-bvm-wave", rows, {"slope": slope}, checks)
 
 
-def run_paradiag2_contraction(params, seed=0, pmap=None):
+def run_paradiag2_contraction(params, seed=0):
     rows, checks = [], []
     heat = build_heat(12, 1.0 / 13, 1.0, "dirichlet")
     heat.u0[:] = np.sin(np.pi * heat.x)
@@ -280,7 +273,7 @@ def run_paradiag2_contraction(params, seed=0, pmap=None):
     return ExperimentResult("paradiag2-contraction", rows, {}, checks)
 
 
-def run_paradiag2_alpha1_clustering(params, seed=0, pmap=None):
+def run_paradiag2_alpha1_clustering(params, seed=0):
     sys = build_heat(6, 1.0 / 7, 1.0, "dirichlet")
     sys.u0[:] = np.sin(np.pi * sys.x)
     K, P = paradiag.dense_paradiag2_operators(sys, "backward_euler", 1.0, 0.05, 8)
@@ -294,14 +287,14 @@ def run_paradiag2_alpha1_clustering(params, seed=0, pmap=None):
                             {"n_off": n_off}, checks)
 
 
-def run_paraexp_exactness(params, seed=0, pmap=None):
+def run_paraexp_exactness(params, seed=0):
     rows, checks = [], []
     # linear: heat with the four-pulse source
     sys = build_heat(32, 1.0 / 33, 1.0, "dirichlet", source=SourcePulse(200.0))
     grid = TimeGrid.uniform(2.0, 4, 64)
     dT = grid.window_length()
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=dT / 64, steps=64))
-    out = paraexp.paraexp_linear_solve(plan, sys, pmap=pmap)
+    out = paraexp.paraexp_linear_solve(plan, sys)
     seq = paraexp._fine_oracle(plan, sys)
     plan_fine = paraexp.ParaExpPlan(
         grid=grid, red=Propagator(trapezoidal(), dt=dT / 256, steps=256))
@@ -323,8 +316,8 @@ def run_paraexp_exactness(params, seed=0, pmap=None):
                                 red=Propagator(backward_euler(), dt=dTb / 10, steps=10))
     planb.max_iter = n_w
     planb.tol = 0.0
-    U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb, pmap=pmap)
-    U2, tr2 = paraexp.linear_g_parareal(planb, sysb, pmap=pmap)
+    U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb)
+    U2, tr2 = paraexp.linear_g_parareal(planb, sysb)
     bitwise = bool(np.array_equal(U1, U2))
     for k, e in enumerate(tr1.errors):
         rows.append({"check": "nonlinear_error", "iter": k, "max_error": e})
@@ -335,7 +328,7 @@ def run_paraexp_exactness(params, seed=0, pmap=None):
     return ExperimentResult("paraexp-exactness", rows, {}, checks)
 
 
-def run_swr_ad_iterations(params, seed=0, pmap=None):
+def run_swr_ad_iterations(params, seed=0):
     L, T, dt, dx, nu = 8.2, 5.0, 0.01, 0.02, 0.1
     n_nodes = int(round(L / dx)) + 1
     dec_d = swr.Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
@@ -357,7 +350,7 @@ def run_swr_ad_iterations(params, seed=0, pmap=None):
                             checks)
 
 
-def run_swr_wave_utp(params, seed=0, pmap=None):
+def run_swr_wave_utp(params, seed=0):
     c = np.sqrt(0.2)
     dx = 1.0 / 80
     rows, checks = [], []
@@ -365,8 +358,7 @@ def run_swr_wave_utp(params, seed=0, pmap=None):
         overlap_cells = int(round(frac * 80))
         dec = swr.Decomposition1D.uniform(81, 2, overlap_cells, tc="dirichlet")
         k_star = int(np.ceil(T * c / frac)) + 1
-        _, tr = swr.swr_solve_wave(c, 1.0, T, dx, dec, tol=0.0, max_iter=k_star,
-                                   seed=seed, pmap=pmap)
+        _, tr = swr.swr_solve_wave(c, 1.0, T, dx, dec, tol=0.0, max_iter=k_star, seed=seed)
         err = tr.errors[k_star - 1]
         rows.append({"T": T, "overlap": frac, "k_star": k_star, "interface_error": err})
         checks.append((f"wave_finite_T{T}_l{frac}", err < 1e-10,
@@ -393,7 +385,7 @@ def run_swr_wave_utp(params, seed=0, pmap=None):
     return ExperimentResult("swr-wave-utp", rows, {}, checks)
 
 
-def run_idc_order_lift(params, seed=0, pmap=None):
+def run_idc_order_lift(params, seed=0):
     from .kernels import BandedMatrix
     from .models import SemiDiscreteSystem
 
@@ -416,7 +408,7 @@ def run_idc_order_lift(params, seed=0, pmap=None):
     return ExperimentResult("idc-order-lift", rows, {}, checks)
 
 
-def run_pfasst_radau(params, seed=0, pmap=None):
+def run_pfasst_radau(params, seed=0):
     rows, checks = [], []
     sys0 = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
     sys0.u0[:] = np.sin(np.pi * sys0.x)
@@ -479,7 +471,7 @@ def _collocation_reference(sys, dt, n_w, Mf=3):
     return out
 
 
-def run_stmg_suite(params, seed=0, pmap=None):
+def run_stmg_suite(params, seed=0):
     rows, checks = [], []
     dx = 1.0 / 32
     for ratio in (1.0 / np.sqrt(2.0), 2.0, 50.0):
@@ -536,18 +528,18 @@ def run_stmg_suite(params, seed=0, pmap=None):
     return ExperimentResult("stmg-suite", rows, {}, checks)
 
 
-def run_parareal_diag_variants(params, seed=0, pmap=None):
+def run_parareal_diag_variants(params, seed=0):
     rows, checks = [], []
     # diag CGC threshold behaviour on heat
     sys = build_heat(64, 1.0 / 64, 0.1, "periodic")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     cfg_c = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12)
-    _, tr_c = parareal.parareal_solve(cfg_c, sys, pmap=pmap)
+    _, tr_c = parareal.parareal_solve(cfg_c, sys)
     rho = _geo_mean(_contraction_factors(tr_c.errors, floor=1e-10))
     alpha = rho / (1 + rho)
     cfg_d = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12,
                           variant="diag_cgc", alpha=alpha)
-    _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys, pmap=pmap)
+    _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys)
     rho_d = _geo_mean(_contraction_factors(tr_d.errors, floor=1e-10))
     rows.append({"variant": "diag_cgc", "rho_classic": rho, "rho_diag": rho_d,
                  "alpha": alpha})
@@ -559,7 +551,7 @@ def run_parareal_diag_variants(params, seed=0, pmap=None):
     for alpha in (1e-2, 1e-3):
         cfg = _parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
                             max_iter=7, tol=1e-13, variant="diag_coarse", alpha=alpha)
-        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, pmap=pmap)
+        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh)
         factors = _contraction_factors(tr.errors, floor=1e-11, skip=1)
         mean = _geo_mean(factors)
         rows.append({"variant": "diag_coarse_heat", "alpha": alpha, "rate": mean})
@@ -574,7 +566,7 @@ def run_parareal_diag_variants(params, seed=0, pmap=None):
         cfg = _parareal_cfg(n_w / 12.0, n_w, 10, fine="trapezoidal",
                             coarse="trapezoidal", max_iter=10, tol=0.0,
                             variant="diag_coarse", alpha=1e-4)
-        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysw, pmap=pmap)
+        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysw)
         tol = max((cfg.fine.dt) ** 2, (1.0 / nxw) ** 2)
         iters[n_w] = tr.converged_at(tol)
         rows.append({"variant": "diag_coarse_wave", "n_windows": n_w,
@@ -624,23 +616,19 @@ def load_registry(root=None) -> dict:
             raise ValidationError(f"{entry.name}: {exc}") from exc
         if spec.runner not in RUNNERS:
             raise ValidationError(f"experiment {spec.id!r}: unknown runner {spec.runner!r}")
-        for key in ("model", "method"):
-            name = spec.params.get(key)
-            if key == "model" and name is not None and name not in MODELS:
-                raise ValidationError(f"experiment {spec.id!r}: unknown model {name!r}")
-            if key == "method" and name is not None and name not in METHODS:
-                raise ValidationError(f"experiment {spec.id!r}: unknown method {name!r}")
         if spec.id in registry:
             raise ValidationError(f"duplicate experiment id {spec.id!r}")
         registry[spec.id] = spec
     return registry
 
 
-def run_experiment(spec: ExperimentSpec, seed: int = 0, jobs=None) -> ExperimentResult:
-    from .pool import make_pmap
-
-    runner = RUNNERS[spec.runner]
-    return runner(spec.params, seed=seed, pmap=make_pmap(jobs))
+def run_experiment(spec: ExperimentSpec, seed: int = 0, jobs: int = 1) -> ExperimentResult:
+    """Run one experiment in this process.  Experiments always run
+    serially; ``jobs`` stays for callers that pass ``jobs=1``, and any
+    other value is rejected."""
+    if jobs != 1:
+        raise ValueError(f"run_experiment runs serially, so jobs must be 1, got jobs={jobs!r}")
+    return RUNNERS[spec.runner](spec.params, seed=seed)
 
 
 def result_to_csv(result: ExperimentResult) -> str:

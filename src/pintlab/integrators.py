@@ -251,13 +251,12 @@ def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray,
 
 
 def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
-                    newton_tol: float = 1e-12, frozen_jacobian: bool = False,
-                    pmap=None) -> np.ndarray:
+                    newton_tol: float = 1e-12, frozen_jacobian: bool = False) -> np.ndarray:
     """Propagate a block of window states over one window each.
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
     Linear systems advance all columns through shared factored solves;
-    nonlinear ones map Newton stepping over columns (`pmap` hook).  Except
+    nonlinear ones run Newton stepping one column at a time.  Except
     for the exact exponential (one dense product for the whole block), a
     column's result does not depend on the other columns, bit for bit.
     """
@@ -270,15 +269,13 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
                 raise ConvergenceError("propagation produced non-finite values")
         return W
 
-    def run_column(j):
+    cols = []
+    for j in range(U.shape[1]):
         u = U[:, j].copy()
         for s in range(prop.steps):
             u = _step_nonlinear(prop.method, sys, prop.dt, float(t0s[j] + s * prop.dt),
                                 u, newton_tol, frozen_jacobian)
-        return u
-
-    mapper = pmap if pmap is not None else map
-    cols = list(mapper(run_column, range(U.shape[1])))
+        cols.append(u)
     return np.stack(cols, axis=1)
 
 

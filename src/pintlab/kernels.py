@@ -138,20 +138,6 @@ class BandedMatrix:
             None if self.corner_bottom is None else self.corner_bottom * u[0],
         )
 
-    def norm_inf(self) -> float:
-        s = np.abs(self.diag).astype(float)
-        if self.n >= 2:
-            s[:-1] += np.abs(self.upper)
-            s[1:] += np.abs(self.lower)
-        if self.periodic:
-            s[0] += abs(self.corner_top)
-            s[-1] += abs(self.corner_bottom)
-        return float(s.max())
-
-
-def identity_banded(n: int) -> BandedMatrix:
-    return BandedMatrix(np.ones(n), np.zeros(max(n - 1, 0)), np.zeros(max(n - 1, 0)))
-
 
 class StackedTridiagonalLU:
     """LAPACK gttrf factorization of a block-diagonal stack of tridiagonal
@@ -212,7 +198,8 @@ def apply_blocks(A: BandedMatrix, X: np.ndarray) -> np.ndarray:
 
 # Small LRU caches keyed on the identity of a frozen BandedMatrix: each entry
 # holds that matrix, so a freed object's id can never alias a live key.  One
-# lock guards all of them, as the thread-pool pmap can reach every kernel.
+# lock guards all of them, so library callers may share the caches across
+# threads.
 _cache_lock = threading.Lock()
 
 

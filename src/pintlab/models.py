@@ -246,10 +246,10 @@ def rebuild(sys: SemiDiscreteSystem, nx: int, dx: float) -> SemiDiscreteSystem:
     return out
 
 
-def companion_system(sys: SemiDiscreteSystem) -> "CompanionSystem":
-    if sys.order != "second":
-        raise ValueError("companion embedding applies to second-order systems")
-    return CompanionSystem(sys)
+def first_order_form(sys):
+    """``sys`` as a first-order system: the companion embedding of a
+    second-order system, otherwise ``sys`` itself."""
+    return CompanionSystem(sys) if getattr(sys, "order", "first") == "second" else sys
 
 
 @dataclass
@@ -348,7 +348,7 @@ def reference_solve(sys, grid, integrator) -> np.ndarray:
     from .integrators import Propagator, propagate
 
     times = grid.fine_times()
-    target = companion_system(sys) if getattr(sys, "order", "first") == "second" else sys
+    target = first_order_form(sys)
     u = target.u0.copy()
     out = np.empty((times.shape[0], u.shape[0]))
     out[0] = u

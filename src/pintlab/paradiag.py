@@ -579,12 +579,6 @@ class _FirstOrderAllAtOnce:
                 b[n] += dt * ((1 - th) * self.sys.source(t0) + th * self.sys.source(t1))
         return b
 
-    def solve_shifted_block(self, d, rhs):
-        """Solve (r1 - d*r2) x = rhs, a single shifted banded solve."""
-        a = 1.0 - d
-        bcoef = self.dt * (self.theta + d * (1.0 - self.theta))
-        return solve_shifted_banded(self.sys.A, (a, bcoef), rhs)
-
     def sequential_solve(self):
         U = np.empty((self.n_t, self.sys.n))
         b = self.rhs()

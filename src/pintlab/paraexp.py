@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrators import Propagator, TimeGrid, propagate, propagate_block
 from .kernels import expm_action
-from .models import CompanionSystem
+from .models import first_order_form
 from .trace import IterationTrace
 
 
@@ -35,12 +35,7 @@ class ParaExpPlan:
             raise ValueError("red propagator does not span one window")
 
 
-def _wrap(sys):
-    return CompanionSystem(sys) if getattr(sys, "order", "first") == "second" else sys
-
-
-def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
-                         pmap=None):
+def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
     """Superposition solve of a linear system over the window grid.
 
     Red subproblems (zero initial data, with source) run independently per
@@ -52,7 +47,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
     solution at every red step (blue contributions evaluated at the
     interior times as well).
     """
-    target = _wrap(sys)
+    target = first_order_form(sys)
     if not getattr(target, "linear", True):
         raise ValueError("paraexp_linear_solve needs a linear system")
     grid = plan.grid
@@ -63,7 +58,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
     red_ends = np.zeros((n_w, n))
     red_paths = [np.zeros((plan.red.steps + 1, n))] * n_w
     if target.source is not None:
-        def run_red(i):
+        for i in range(n_w):
             t0, t1 = grid.window(i)
             if dense_output:
                 u = np.zeros(n)
@@ -73,14 +68,10 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
                     u = propagate(step, target, t0 + s * plan.red.dt,
                                   t0 + (s + 1) * plan.red.dt, u)
                     path.append(u.copy())
-                return np.stack(path)
-            return propagate(plan.red, target, t0, t1, np.zeros(n))[None, :]
-
-        mapper = pmap if pmap is not None else map
-        reds = list(mapper(run_red, range(n_w)))
-        for i, r in enumerate(reds):
-            red_paths[i] = r
-            red_ends[i] = r[-1]
+                red_paths[i] = np.stack(path)
+            else:
+                red_paths[i] = propagate(plan.red, target, t0, t1, np.zeros(n))[None, :]
+            red_ends[i] = red_paths[i][-1]
 
     # blue: w_j(t) = exp((t - T_{j-1}) A) v_{j-1}(T_{j-1}); at the window
     # endpoints the blue sums telescope, Sum_j w_j(T_n) = exp(dT A) u(T_{n-1})
@@ -105,8 +96,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False,
     return out, np.concatenate(times), np.concatenate(values, axis=0)
 
 
-def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None,
-                              pmap=None):
+def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):
     """Iterative ParaExp for f(u) = A u + B(u) + g.
 
     Per iteration: one sequential pass of exponential stitching assembles
@@ -114,7 +104,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     parallel map over windows.  Window-endpoint iterates coincide with
     Parareal driven by the exact linear coarse propagator.
     """
-    target = _wrap(sys)
+    target = first_order_form(sys)
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:
@@ -127,7 +117,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     for j in range(n_w):
         IC[j + 1] = expm_action(target, grid.window_length(j), IC[j])
     G_old = IC[1:].copy()  # exp(dT A) IC[j], the sweep's own values; updated in place
-    U = _window_solves(plan, target, IC, pmap)
+    U = _window_solves(plan, target, IC)
     trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
 
     for k in range(1, plan.max_iter):
@@ -138,18 +128,18 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
             IC_new[j + 1] = U[j + 1] + g_new - G_old[j]
             G_old[j] = g_new
         IC = IC_new
-        U = _window_solves(plan, target, IC, pmap)
+        U = _window_solves(plan, target, IC)
         trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
         if trace.errors[-1] <= plan.tol:
             break
     return U, trace
 
 
-def _window_solves(plan, target, IC, pmap):
+def _window_solves(plan, target, IC):
     """Parallel nonlinear window solves from the stitched initial values."""
     t0s = plan.grid.boundaries[:-1]
     ends = propagate_block(plan.red, target, t0s, IC[:-1].T.copy(),
-                           newton_tol=plan.newton_tol, pmap=pmap).T
+                           newton_tol=plan.newton_tol).T
     U = np.empty_like(IC)
     U[0] = IC[0]
     U[1:] = ends
@@ -166,15 +156,14 @@ def _fine_oracle(plan, target):
     return np.stack(out)
 
 
-def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None,
-                      pmap=None):
+def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):
     """Parareal with the exact exponential of the linear part as coarse
     solver and the full nonlinear integrator as fine solver.
 
     The arithmetic mirrors :func:`paraexp_nonlinear_iterate` term for term,
     so iterates agree bitwise under identical propagators.
     """
-    target = _wrap(sys)
+    target = first_order_form(sys)
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:
@@ -189,7 +178,7 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
     for j in range(n_w):
         U[j + 1] = G(j, U[j])
     G_old = U[1:].copy()  # G(j, U[j]), the sweep's own values; updated in place
-    F = _window_solves(plan, target, U, pmap)
+    F = _window_solves(plan, target, U)
     trace.record(error=np.abs(F - oracle).max(), fine_solves=n_w)
     F_prev = F
     for k in range(1, plan.max_iter):
@@ -199,7 +188,7 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
             g_new = G(j, U_new[j])
             U_new[j + 1] = F_prev[j + 1] + g_new - G_old[j]
             G_old[j] = g_new
-        F_new = _window_solves(plan, target, U_new, pmap)
+        F_new = _window_solves(plan, target, U_new)
         trace.record(error=np.abs(F_new - oracle).max(), fine_solves=n_w)
         F_prev = F_new
         if trace.errors[-1] <= plan.tol:

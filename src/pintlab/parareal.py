@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrators import Propagator, TimeGrid, propagate, propagate_block, stability
 from .kernels import ConvergenceError, solve_shifted_banded_many
-from .models import CompanionSystem
+from .models import first_order_form
 from .paradiag import alpha_circulant_factor
 from .trace import IterationTrace
 
@@ -45,14 +45,10 @@ class PararealConfig:
             raise ValueError("diag variants need alpha in (0, 1)")
 
 
-def _wrap(sys):
-    return CompanionSystem(sys) if getattr(sys, "order", "first") == "second" else sys
-
-
 def fine_sequential(cfg: PararealConfig, sys) -> np.ndarray:
     """Sequential sweep of the fine propagator: the oracle trajectory at
     window boundaries, shape (n_windows + 1, n)."""
-    target = _wrap(sys)
+    target = first_order_form(sys)
     u = target.u0.copy()
     out = [u.copy()]
     for n in range(cfg.grid.n_windows):
@@ -93,11 +89,11 @@ def _coarse_of_initial(cfg, U, coarse):
     return U[1:].copy()
 
 
-def _parallel_fine(cfg, target, U, pmap):
+def _parallel_fine(cfg, target, U):
     """All fine window solves of one iteration (pure map over windows)."""
     t0s = cfg.grid.boundaries[:-1]
     return propagate_block(cfg.fine, target, t0s, U[:-1].T.copy(),
-                           newton_tol=cfg.newton_tol, pmap=pmap).T
+                           newton_tol=cfg.newton_tol).T
 
 
 class _CorrectionSweep:
@@ -113,8 +109,8 @@ class _CorrectionSweep:
     The coarse cache starts from G(U^0) (see :func:`_coarse_of_initial`).
     """
 
-    def __init__(self, cfg, target, coarse, U, pmap):
-        self.cfg, self.target, self.coarse, self.pmap = cfg, target, coarse, pmap
+    def __init__(self, cfg, target, coarse, U):
+        self.cfg, self.target, self.coarse = cfg, target, coarse
         self.G_in = U[:-1].copy()
         self.G_out = _coarse_of_initial(cfg, U, coarse)
         self.F_in = self.F_out = None
@@ -134,7 +130,7 @@ class _CorrectionSweep:
             t0s = self.cfg.grid.boundaries[:-1][todo]
             self.F_out[todo] = propagate_block(
                 self.cfg.fine, self.target, t0s, starts[todo].T.copy(),
-                newton_tol=self.cfg.newton_tol, pmap=self.pmap).T
+                newton_tol=self.cfg.newton_tol).T
         self.F_in = starts.copy()
         return self.F_out
 
@@ -151,15 +147,14 @@ class _CorrectionSweep:
         return U_new
 
 
-def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None,
-                   pmap=None):
+def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Classic Parareal: coarse correction sweep plus parallel fine solves."""
-    target = _wrap(sys)
+    target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
-    sweep = _CorrectionSweep(cfg, target, coarse, U, pmap)
+    sweep = _CorrectionSweep(cfg, target, coarse, U)
     trace = IterationTrace(method="parareal")
     trace.record(error=np.abs(U - oracle).max())
     for k in range(cfg.max_iter):
@@ -172,11 +167,10 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
     return U, trace
 
 
-def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None,
-                    pmap=None):
+def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Two-level MGRiT with FCF relaxation (overlapping Parareal, two fine
     solves per window per iteration)."""
-    target = _wrap(sys)
+    target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
     coarse = _coarse_propagator(cfg, target)
@@ -186,7 +180,7 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
     n_w = cfg.grid.n_windows
     for k in range(cfg.max_iter):
         # F relaxation: s_n = F(T_{n-1}, T_n, u_{n-1}^k) for n = 1..n_w
-        S = _parallel_fine(cfg, target, U, pmap)
+        S = _parallel_fine(cfg, target, U)
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         U_new[1] = S[0]
@@ -194,7 +188,7 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
         t0s = cfg.grid.boundaries[1:-1]
         if n_w >= 2:
             FF = propagate_block(cfg.fine, target, t0s, S[:-1].T.copy(),
-                                 newton_tol=cfg.newton_tol, pmap=pmap).T
+                                 newton_tol=cfg.newton_tol).T
         for n in range(1, n_w):
             g_new = coarse(n, U_new[n])
             g_old = coarse(n, S[n - 1])  # G of the F-relaxed state, not of U^k: no cache
@@ -264,15 +258,14 @@ def stability_function(method) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None,
-                            pmap=None):
+def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Parareal whose CGC couples head to tail, u_0^{k+1} = alpha*u_{N}^{k+1} + u_0,
     and is solved across all windows at once by circulant diagonalization.
 
     Coarse solver is one backward-Euler step per window; linear systems are
     handled directly, nonlinear ones by the averaged-Jacobian quasi-Newton.
     """
-    target = _wrap(sys)
+    target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
     if cfg.coarse.steps != 1:
@@ -308,7 +301,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         # head value pinned to the true initial condition in the F term
         U_tilde = U.copy()
         U_tilde[0] = target.u0
-        F = _parallel_fine(cfg, target, U_tilde, pmap)
+        F = _parallel_fine(cfg, target, U_tilde)
         B = np.empty((n_w, U.shape[1]))
         for n in range(n_w):
             t0, _ = cfg.grid.window(n)
@@ -370,14 +363,14 @@ def _c_alpha_apply(U, alpha):
 
 
 def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
-                               oracle: Optional[np.ndarray] = None, pmap=None):
+                               oracle: Optional[np.ndarray] = None):
     """Parareal whose coarse solver is the fine theta-method made head-tail
     periodic inside each window and solved at once by diagonalization.
 
     Fine and coarse share the method and step size; alpha -> 0 recovers the
     fine solver itself.
     """
-    target = _wrap(sys)
+    target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
     if cfg.fine.method.theta is None:
@@ -420,7 +413,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
         return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
 
     U = _initial_iterate(cfg, target, coarse_star)
-    sweep = _CorrectionSweep(cfg, target, coarse_star, U, pmap)
+    sweep = _CorrectionSweep(cfg, target, coarse_star, U)
     trace = IterationTrace(method="parareal_diag_coarse")
     trace.record(error=np.abs(U - oracle).max())
     for k in range(cfg.max_iter):

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .integrators import _newton
 from .kernels import ConvergenceError, solve_shifted_banded
 from .models import SemiDiscreteSystem, rebuild
 from .trace import IterationTrace
@@ -336,8 +337,6 @@ class NonlinearAllAtOnce:
 
     def smooth(self, b, U, eta, s, newton_tol=1e-12):
         """Nonlinear block Jacobi: solve dU - dt*theta*f(dU) = eta*res."""
-        from .integrators import _newton
-
         for _ in range(s):
             res = eta * (b - self.apply(U))
             dU = np.empty_like(U)
@@ -347,15 +346,13 @@ class NonlinearAllAtOnce:
                         self.sys.A, (1.0, self.theta * self.dt), res[n]
                     )
                 else:
-                    dU[n] = _newton_homogeneous(self.sys, self.theta * self.dt,
-                                                res[n], newton_tol)
+                    dU[n] = _newton(self.sys, self.theta * self.dt, res[n], 0.0,
+                                    res[n], tol=newton_tol)
             U = U + dU
         return U
 
     def forward_substitution(self, b, newton_tol=1e-12):
         """Sequential exact solve of K(U) = b (Newton per time block)."""
-        from .integrators import _newton
-
         th, dt = self.theta, self.dt
         U = np.empty((self.nt, self.sys.n))
         prev = None
@@ -371,18 +368,6 @@ class NonlinearAllAtOnce:
                                tol=newton_tol)
             prev = U[n]
         return U
-
-
-def _newton_homogeneous(sys, c, rhs, tol, max_iter=50):
-    """Solve y - c*f(y) = rhs for the time-frozen nonlinearity f(., t=0)."""
-    y = rhs.copy()
-    for _ in range(max_iter):
-        res = y - c * sys.f(y, 0.0) - rhs
-        if np.abs(res).max() <= tol * max(1.0, np.abs(y).max()):
-            return y
-        jac = sys.jacobian(y)
-        y = y - solve_shifted_banded(jac, (1.0, c), res)
-    raise ConvergenceError("nonlinear smoother Newton did not converge")
 
 
 def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,

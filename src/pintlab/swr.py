@@ -340,7 +340,7 @@ def monodomain_solve_wave(c, L, T, dx, u0_fn, v0_fn=None, g_fn=None):
 
 def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
                    u0_fn=None, v0_fn=None, g_fn=None, max_iter: int = 200,
-                   seed: int = 0, pmap=None):
+                   seed: int = 0):
     """Dirichlet-trace SWR for the wave equation at unit CFL.
 
     Interface errors vanish exactly once the iteration count exceeds
@@ -366,14 +366,11 @@ def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
     trace = IterationTrace(method="swr_wave")
     locals_ = None
     for k in range(max_iter):
-        def run(i):
-            sub = subs[i]
+        locals_ = []
+        for i, sub in enumerate(subs):
             xl = x[sub.lo : sub.hi + 1]
-            return _leapfrog_solve(c * c / dx**2, u0_fn(xl), v0_all[sub.lo : sub.hi + 1],
-                                   g_fn, xl, dt, n_steps, left_data[i], right_data[i])
-
-        mapper = pmap if pmap is not None else map
-        locals_ = list(mapper(run, range(n_sub)))
+            locals_.append(_leapfrog_solve(c * c / dx**2, u0_fn(xl), v0_all[sub.lo : sub.hi + 1],
+                                           g_fn, xl, dt, n_steps, left_data[i], right_data[i]))
         err = 0.0
         for i in range(n_sub - 1):
             node = subs[i + 1].lo  # read by the right neighbour

@@ -50,12 +50,9 @@ class TestDeterminism:
         r2 = run_experiment(spec, seed=3)
         assert result_to_csv(r1).encode() == result_to_csv(r2).encode()
 
-    def test_jobs_independence(self, registry):
-        spec = registry["swr-wave-utp"]
-        r1 = run_experiment(spec, seed=0, jobs=1)
-        r4 = run_experiment(spec, seed=0, jobs=4)
-        assert result_to_csv(r1).encode() == result_to_csv(r4).encode()
-        assert r1.passed and r4.passed
+    def test_run_experiment_rejects_jobs(self, registry):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(registry["idc-order-lift"], jobs=2)
 
 
 class TestCli:
@@ -65,7 +62,7 @@ class TestCli:
         assert "swr-ad-iterations" in out and "C9" in out
 
     def test_run_writes_csv(self, tmp_path, capsys):
-        code = main(["run", "idc-order-lift", "--out", str(tmp_path), "--jobs", "1"])
+        code = main(["run", "idc-order-lift", "--out", str(tmp_path)])
         assert code == 0
         csv_file = tmp_path / "idc-order-lift.csv"
         assert csv_file.exists()
@@ -78,34 +75,10 @@ class TestCli:
         assert "unknown experiment id" in capsys.readouterr().err
 
     def test_verify_filter(self, tmp_path, capsys):
-        code = main(["verify", "--filter", "idc", "--out", str(tmp_path), "--jobs", "1"])
+        code = main(["verify", "--filter", "idc", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "idc-order-lift" in out and "pass" in out
-
-    def test_jobs_defaults_to_serial(self, tmp_path, monkeypatch, capsys):
-        import pintlab.cli as cli
-
-        seen = []
-        real = cli.run_experiment
-
-        def recording(spec, seed, jobs):
-            seen.append(jobs)
-            return real(spec, seed=seed, jobs=jobs)
-
-        monkeypatch.setattr(cli, "run_experiment", recording)
-        assert main(["run", "idc-order-lift", "--out", str(tmp_path)]) == 0
-        assert main(["verify", "--filter", "idc", "--out", str(tmp_path)]) == 0
-        assert seen == [1, 1]
-
-    @pytest.mark.parametrize("command", [["run", "idc-order-lift"], ["verify"]])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
-        code = main(command + ["--out", str(tmp_path), "--jobs", jobs])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert not list(tmp_path.iterdir())  # rejected before any work
 
     @pytest.mark.parametrize("command", [["run", "idc-order-lift"], ["verify", "--filter", "idc"]])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
@@ -130,8 +103,7 @@ class TestCli:
     def test_env_var_overrides_out(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env-dir"
         monkeypatch.setenv("PINT_OUT", str(override))
-        code = main(["run", "idc-order-lift", "--out", str(tmp_path / "flag-dir"),
-                     "--jobs", "1"])
+        code = main(["run", "idc-order-lift", "--out", str(tmp_path / "flag-dir")])
         assert code == 0
         assert (override / "idc-order-lift.csv").exists()
         assert not (tmp_path / "flag-dir").exists()

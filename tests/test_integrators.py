@@ -140,12 +140,19 @@ class TestPropagate:
         res = u - u_prev - 1e-3 * sys.f(u, 0.01)
         assert np.abs(res).max() <= 1e-10
 
-    def test_block_propagation_column_permutation_bitwise(self):
-        sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
+    @pytest.mark.parametrize("model", ["heat", "burgers"])
+    def test_block_propagation_column_permutation_bitwise(self, model):
+        # a column's result does not depend on the other columns, which makes
+        # running the windows of a block in any order or in parallel exact
+        if model == "heat":
+            sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
+            prop = Propagator(trapezoidal(), dt=0.02, steps=5)
+        else:
+            sys = build_burgers(24, 1.0 / 24, 0.5, "periodic")
+            prop = Propagator(sdirk22(), dt=0.02, steps=5)
         rng = np.random.default_rng(7)
-        U = rng.standard_normal((16, 6))
+        U = rng.standard_normal((sys.n, 6))
         t0s = 0.1 * np.arange(6)
-        prop = Propagator(trapezoidal(), dt=0.02, steps=5)
         out = propagate_block(prop, sys, t0s, U)
         perm = np.array([5, 2, 0, 4, 1, 3])
         out_p = propagate_block(prop, sys, t0s[perm], U[:, perm])

@@ -86,23 +86,6 @@ class TestClassicParareal:
         factors = [b / a for a, b in zip(e[2:-1], e[3:]) if a > 1e-11]
         assert factors and max(factors) <= 0.35
 
-    def test_window_permutation_invariance_nonlinear(self):
-        # fine solves are a pure map over windows: evaluation order must not
-        # change a single bit of the iterates
-        nx = 24
-        sys = build_burgers(nx, 1.0 / nx, 0.5, "periodic")
-        sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
-        cfg = make_cfg(0.5, 6, 4, max_iter=3, tol=0.0)
-
-        def reversed_map(fn, items):
-            items = list(items)
-            out = list(map(fn, reversed(items)))
-            return [out[len(items) - 1 - i] for i in range(len(items))]
-
-        U1, _ = parareal_solve(cfg, sys)
-        U2, _ = parareal_solve(cfg, sys, pmap=reversed_map)
-        np.testing.assert_array_equal(U1, U2)
-
     def test_rho_linear_is_upper_envelope(self):
         # Dahlquist sweep: measured contraction never exceeds max rho_l by
         # more than 5 percent once asymptotic
@@ -368,9 +351,9 @@ def record_sweep(monkeypatch):
     seen = {}
 
     class Recording(parareal_module._CorrectionSweep):
-        def __init__(self, cfg, target, coarse, U, pmap):
+        def __init__(self, cfg, target, coarse, U):
             seen.update(target=target, coarse=coarse, U0=U.copy())
-            super().__init__(cfg, target, coarse, U, pmap)
+            super().__init__(cfg, target, coarse, U)
 
     monkeypatch.setattr(parareal_module, "_CorrectionSweep", Recording)
     return seen
