@@ -23,6 +23,14 @@ class CliError(Exception):
     """A usage or environment error reported as one ``error:`` line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as :class:`CliError` instead of printing the
+    usage line and exiting, so they are reported like every other one."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _out_dir(args) -> Path:
     path = Path(os.environ.get("PINT_OUT") or args.out)
     try:
@@ -114,7 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pint", description="desk-scale parallel-in-time experiment harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -134,8 +142,8 @@ def main(argv=None) -> int:
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.set_defaults(fn=cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (ValidationError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)

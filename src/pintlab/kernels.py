@@ -128,6 +128,10 @@ class BandedMatrix:
             cb,
         )
 
+    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
+        """Solve (a[j]*I - b[j]*A) x[j] = R[j] for J shifts in one batched call."""
+        return solve_shifted_banded_many(self, a, b, R)
+
     def scale_columns(self, u: np.ndarray) -> "BandedMatrix":
         """Return A @ diag(u), still banded."""
         return BandedMatrix(

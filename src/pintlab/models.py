@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .kernels import BandedMatrix, apply_blocks, solve_shifted_banded, solve_shifted_banded_many
+from .kernels import BandedMatrix, apply_blocks, solve_shifted_banded
 
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
 PULSE_AMPLITUDE = 10.0
@@ -169,7 +169,7 @@ class SemiDiscreteSystem:
 
     def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
         """Solve (a[j]*I - b[j]*A) x[j] = R[j] for J shifts in one batched call."""
-        return solve_shifted_banded_many(self.A, a, b, R)
+        return self.A.solve_shift_many(a, b, R)
 
 
 def _with_source(source, sigma, x):
@@ -326,7 +326,7 @@ class CompanionSystem:
         # b^2 elementwise, as scalars: numpy's vectorized complex product may
         # use fused multiply-adds and round differently from one shift alone
         b_sq = np.array([bj * bj for bj in b])
-        u = solve_shifted_banded_many(self.base.A, a, b_sq / a, ru + (b_col / a_col) * rv)
+        u = self.base.A.solve_shift_many(a, b_sq / a, ru + (b_col / a_col) * rv)
         v = (rv + b_col * apply_blocks(self.base.A, u)) / a_col
         return np.concatenate([u, v], axis=1)
 

@@ -114,6 +114,13 @@ def geometric_eigenvectors_tr(mesh: GeometricTimeMesh):
     return p, q
 
 
+def _eig_solve(op, V, a, b, R: np.ndarray) -> np.ndarray:
+    """Solve (B (x) I_op) U = R for a time matrix B = V diag(a/b) V^-1 that
+    was diagonalized numerically: transform to the eigenbasis, one batched
+    shifted solve (a[j]*I - b[j]*op) per eigenvalue, transform back."""
+    return (V @ op.solve_shift_many(a, b, np.linalg.solve(V, R.astype(complex)))).real
+
+
 def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "backward_euler",
                            v_mode: str = "numeric") -> np.ndarray:
     """Direct time-parallel solve on a geometric mesh.
@@ -158,8 +165,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
 
     if v_mode == "numeric":
         lam, V = np.linalg.eig(B)
-        Ua = np.linalg.solve(V, rhs.astype(complex))
-        U = (V @ target.solve_shift_many(lam, np.ones(mesh.n_t), Ua)).real
+        U = _eig_solve(target, V, lam, np.ones(mesh.n_t), rhs)
     elif v_mode == "closed_form":
         p, q = closed(mesh)
         Ua = toeplitz_lower_apply(q, rhs)
@@ -167,10 +173,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
     else:
         raise ValueError(f"unknown v_mode {v_mode!r}")
 
-    out = np.empty((mesh.n_t + 1, target.n))
-    out[0] = u0
-    out[1:] = U
-    return out
+    return np.vstack([u0, U])
 
 
 def sequential_variable_step_solve(sys, mesh: GeometricTimeMesh,
@@ -310,41 +313,28 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
     times = dt * np.arange(1, n_t + 1)
+    rhs = np.zeros((n_t, sys.n))
     if order == "first":
-        rhs = np.zeros((n_t, sys.n))
         rhs[0] = sys.u0 / (2.0 * dt)
         if sys.source is not None:
             for n in range(n_t):
                 rhs[n] += sys.source(times[n])
-        Ua = np.linalg.solve(V, rhs.astype(complex))
-        Ub = np.empty_like(Ua)
-        for n in range(n_t):
-            Ub[n] = solve_shifted_banded(sys.A, (lam[n], 1.0), Ua[n])
-        U = (V @ Ub).real
-        out = np.empty((n_t + 1, sys.n))
-        out[0] = sys.u0
-        out[1:] = U
-        return out
-    if order == "second":
+        shifts = lam
+    elif order == "second":
         if sys.order != "second":
             raise ValueError("order='second' expects a second-order system")
-        rhs = np.zeros((n_t, sys.n))
         rhs[0] = sys.u0_deriv / (2.0 * dt)
         rhs[1] = -sys.u0 / (4.0 * dt**2)
         if sys.source is not None:
             # b = b2 + (B (x) I) b1 with the source entering the velocity rows
             src = np.stack([sys.source(t) for t in times])
             rhs += src
-        Ua = np.linalg.solve(V, rhs.astype(complex))
-        Ub = np.empty_like(Ua)
-        for n in range(n_t):
-            Ub[n] = solve_shifted_banded(sys.A, (lam[n] ** 2, 1.0), Ua[n])
-        U = (V @ Ub).real
-        out = np.empty((n_t + 1, sys.n))
-        out[0] = sys.u0
-        out[1:] = U
-        return out
-    raise ValueError(f"unknown order {order!r}")
+        # squared one shift at a time: numpy's vectorized complex product
+        # may round differently from the scalar one
+        shifts = np.array([l**2 for l in lam])
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return np.vstack([sys.u0, _eig_solve(sys, V, shifts, np.ones(n_t), rhs)])
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +347,24 @@ def _banded_mean(mats):
     for m in mats[1:]:
         out = out.add(m)
     return out.scaled(1.0 / len(mats))
+
+
+QUASI_NEWTON_MAX_ITER = 50
+
+
+def circulant_quasi_newton(sys, residual, fac, b, U, tol: float, name: str) -> np.ndarray:
+    """Quasi-Newton for an alpha-circulant all-at-once system: ``residual(U)``
+    gives (residual rows, states); each step solves with the mean Jacobian
+    A_bar of the states, shifts (fac.eigenvalues[j], b[j]), until the update
+    is at most tol * max(1, |U|).  Raises ConvergenceError naming ``name``."""
+    for _ in range(QUASI_NEWTON_MAX_ITER):
+        resid, states = residual(U)
+        A_bar = _banded_mean([sys.jacobian(s) for s in states])
+        delta = fac.solve(A_bar, fac.eigenvalues, b, resid).real
+        U = U + delta
+        if np.abs(delta).max() <= tol * max(1.0, np.abs(U).max()):
+            return U
+    raise ConvergenceError(f"{name} quasi-Newton did not converge")
 
 
 def banded_frobenius_inner(X: BandedMatrix, Y: BandedMatrix) -> float:
@@ -423,6 +431,8 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
         b = np.zeros((n_t, sys.n))
         b[0] = sys.u0 / (2.0 * dt)
     n_t = B.shape[0]
+    if not nka:
+        lam, V = np.linalg.eig(B)
 
     trace = IterationTrace(method="paradiag1_quasi_newton")
     U = np.tile(sys.u0, (n_t, 1))
@@ -436,29 +446,18 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
             A_k = sys.jacobian(U.mean(axis=0))
         else:
             raise ValueError(f"unknown jac_mode {jac_mode!r}")
+        AU = np.stack([A_k.matvec(U[n]) for n in range(n_t)])
 
         if nka:
             phi = nka_weights(jacobians, A_k) if nka_weights_vec is None else nka_weights_vec
             M = np.linalg.solve(B, np.diag(phi))
             lam, V = np.linalg.eig(M)
             # (I - B^-1 Phi (x) A_k) U+ = B^-1 (b + F(U)) - (B^-1 Phi (x) A_k) U
-            AU = np.stack([A_k.matvec(U[n]) for n in range(n_t)])
             rhs = np.linalg.solve(B, b + F) - M @ AU
-            Ua = np.linalg.solve(V, rhs.astype(complex))
-            Ub = np.empty_like(Ua)
-            for n in range(n_t):
-                Ub[n] = solve_shifted_banded(A_k, (1.0, lam[n]), Ua[n])
-            U_next = (V @ Ub).real
+            U_next = _eig_solve(A_k, V, np.ones(n_t), lam, rhs)
             trace.meta.setdefault("cond_V", []).append(float(np.linalg.cond(V)))
         else:
-            AU = np.stack([A_k.matvec(U[n]) for n in range(n_t)])
-            rhs = b - (AU - F)
-            lam, V = np.linalg.eig(B)
-            Ua = np.linalg.solve(V, rhs.astype(complex))
-            Ub = np.empty_like(Ua)
-            for n in range(n_t):
-                Ub[n] = solve_shifted_banded(A_k, (lam[n], 1.0), Ua[n])
-            U_next = (V @ Ub).real
+            U_next = _eig_solve(A_k, V, lam, np.ones(n_t), b - (AU - F))
 
         update = np.abs(U_next - U).max() / max(np.abs(U_next).max(), 1e-300)
         err = None
@@ -474,10 +473,7 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
         U = U_next
         if update <= tol:
             break
-    out = np.empty((n_t + 1, sys.n))
-    out[0] = sys.u0
-    out[1:] = U
-    return out, trace
+    return np.vstack([sys.u0, U]), trace
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +500,12 @@ class AlphaCirculantFactorization:
         """Apply V = Lambda F* along axis 0."""
         out = idft(y)
         return out / self._lam_scale.reshape(-1, *([1] * (out.ndim - 1)))
+
+    def solve(self, op, a, b, R: np.ndarray) -> np.ndarray:
+        """V diag((a[j]*I - b[j]*op)^-1) V^-1 R: transform to the eigenbasis,
+        one batched shifted solve, transform back (complex result)."""
+        Ra = self.to_eigenbasis(R.astype(complex))
+        return self.from_eigenbasis(op.solve_shift_many(a, b, Ra))
 
     def reconstruct(self) -> np.ndarray:
         V = np.diag(1.0 / self._lam_scale).astype(complex) @ idft(np.eye(self.n))
@@ -598,16 +600,10 @@ class _FirstOrderAllAtOnce:
         return c1, c_b  # columns of I_t and B (shift)
 
     def precond_solve(self, fac_I, fac_B, R):
-        Ra = fac_I.to_eigenbasis(R.astype(complex))
-        d1 = fac_I.eigenvalues
-        d2 = fac_B.eigenvalues
-        Rb = np.empty_like(Ra)
-        for n in range(self.n_t):
-            # d1[n]*r1 - d2[n]*r2 = (d1-d2) I - dt (d1*th + d2*(1-th)) A
-            a = d1[n] - d2[n]
-            bcoef = self.dt * (d1[n] * self.theta + d2[n] * (1.0 - self.theta))
-            Rb[n] = solve_shifted_banded(self.sys.A, (a, bcoef), Ra[n])
-        return fac_I.from_eigenbasis(Rb)
+        # d1*r1 - d2*r2 = (d1-d2) I - dt (d1*th + d2*(1-th)) A
+        d1, d2 = fac_I.eigenvalues, fac_B.eigenvalues
+        bcoef = self.dt * (d1 * self.theta + d2 * (1.0 - self.theta))
+        return fac_I.solve(self.sys, d1 - d2, bcoef, R)
 
 
 @dataclass
@@ -757,10 +753,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    out = np.empty((n_t + 1, n))
-    out[0] = sys.u0
-    out[1:] = U
-    return out, trace
+    return np.vstack([sys.u0, U]), trace
 
 
 def _precond_minus_K_apply(op, fac_a, fac_b, U, alpha):

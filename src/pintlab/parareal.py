@@ -16,9 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrators import Propagator, TimeGrid, propagate, propagate_block, stability
-from .kernels import ConvergenceError, solve_shifted_banded_many
+from .kernels import ConvergenceError
 from .models import first_order_form
-from .paradiag import alpha_circulant_factor
+from .paradiag import alpha_circulant_factor, circulant_quasi_newton
 from .trace import IterationTrace
 
 
@@ -310,9 +310,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         if linear:
             G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
             G[0] += target.u0
-            Ga = fac.to_eigenbasis(G.astype(complex))
-            Gb = target.solve_shift_many(fac.eigenvalues, np.full(n_w, dT), Ga)
-            U_inner = fac.from_eigenbasis(Gb).real
+            U_inner = fac.solve(target, fac.eigenvalues, np.full(n_w, dT), G).real
         else:
             U_inner = _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U[1:])
         U_new = np.empty_like(U)
@@ -325,29 +323,19 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     return U, trace
 
 
-def _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess, max_newton=50):
+def _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess):
     """Solve (C_alpha (x) I) U - dT F(U) = g by the averaged-Jacobian
     quasi-Newton iteration; F rows are f(u_n - b_n)."""
-    n_w, n = B.shape
     g = B.copy()
     g[0] += target.u0
-    U = U_guess.copy()
-    for l in range(max_newton):
+
+    def residual(U):
         shifted = U - B
-        F = np.stack([target.f(shifted[j], 0.0) for j in range(n_w)])
-        resid = g - (_c_alpha_apply(U, cfg.alpha) - dT * F)
-        jacs = [target.jacobian(shifted[j]) for j in range(n_w)]
-        A_bar = jacs[0]
-        for J in jacs[1:]:
-            A_bar = A_bar.add(J)
-        A_bar = A_bar.scaled(1.0 / n_w)
-        Ra = fac.to_eigenbasis(resid.astype(complex))
-        Rb = solve_shifted_banded_many(A_bar, fac.eigenvalues, np.full(n_w, dT), Ra)
-        delta = fac.from_eigenbasis(Rb).real
-        U = U + delta
-        if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(U).max()):
-            return U
-    raise ConvergenceError("diag-CGC quasi-Newton did not converge")
+        F = np.stack([target.f(shifted[j], 0.0) for j in range(B.shape[0])])
+        return g - (_c_alpha_apply(U, cfg.alpha) - dT * F), shifted
+
+    return circulant_quasi_newton(target, residual, fac, np.full(B.shape[0], dT), U_guess,
+                                  cfg.newton_tol, "diag-CGC")
 
 
 def _c_alpha_apply(U, alpha):
@@ -406,10 +394,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
                     rhs[j] = rhs[j] + dt * (
                         (1 - theta) * target.g(ta) + theta * target.g(tb)
                     )
-            Ra = fac_c.to_eigenbasis(rhs.astype(complex))
-            Rb = target.solve_shift_many(fac_c.eigenvalues, dt * fac_t.eigenvalues, Ra)
-            V = fac_c.from_eigenbasis(Rb).real
-            return V[-1]
+            return fac_c.solve(target, fac_c.eigenvalues, dt * fac_t.eigenvalues, rhs)[-1].real
         return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
 
     U = _initial_iterate(cfg, target, coarse_star)
@@ -424,7 +409,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     return U, trace
 
 
-def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0, max_newton=50):
+def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0):
     """Quasi-Newton solve of the head-tail window system for nonlinear f."""
     J = cfg.fine.steps
     dt = cfg.fine.dt
@@ -432,8 +417,8 @@ def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0, max_newton=50):
     alpha = cfg.alpha
     b = np.zeros((J, u_n.shape[0]))
     b[0] = (1.0 - alpha) * u_n
-    V = np.tile(u_n, (J, 1))
-    for l in range(max_newton):
+
+    def residual(V):
         v0 = alpha * V[-1] + (1.0 - alpha) * u_n
         states = np.vstack([v0[None, :], V])
         F = np.empty_like(V)
@@ -441,17 +426,7 @@ def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0, max_newton=50):
             F[j] = theta * target.f(V[j], t0 + (j + 1) * dt) + (1 - theta) * target.f(
                 states[j], t0 + j * dt
             )
-        resid = b - (_c_alpha_apply(V, alpha) - dt * F)
-        jacs = [target.jacobian(V[j]) for j in range(J - 1)]
-        jacs.append(target.jacobian(v0))
-        A_bar = jacs[0]
-        for Jm in jacs[1:]:
-            A_bar = A_bar.add(Jm)
-        A_bar = A_bar.scaled(1.0 / J)
-        Ra = fac_c.to_eigenbasis(resid.astype(complex))
-        Rb = solve_shifted_banded_many(A_bar, fac_c.eigenvalues, dt * fac_t.eigenvalues, Ra)
-        delta = fac_c.from_eigenbasis(Rb).real
-        V = V + delta
-        if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(V).max()):
-            return V
-    raise ConvergenceError("diag-coarse quasi-Newton did not converge")
+        return b - (_c_alpha_apply(V, alpha) - dt * F), [*V[:-1], v0]
+
+    return circulant_quasi_newton(target, residual, fac_c, dt * fac_t.eigenvalues,
+                                  np.tile(u_n, (J, 1)), cfg.newton_tol, "diag-coarse")

@@ -198,23 +198,42 @@ class _AdSolver:
         return out
 
 
-def _ad_grid(nu, L, T, dx, dt):
-    """(nodes, time steps) of the space-time grid; ``dx`` must divide L and
-    ``dt`` divide T into whole numbers of steps (to a relative 1e-9)."""
-    if not nu >= 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    for name, value in (("L", L), ("T", T), ("dx", dx), ("dt", dt)):
+def _check_positive(**values):
+    for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    counts = []
-    for name, span, span_name, h in (("dx", L, "L", dx), ("dt", T, "T", dt)):
-        ratio = span / h
-        count = round(ratio)
-        if abs(ratio - count) > 1e-9 * abs(ratio):
-            raise ValueError(f"{name} = {h} does not divide {span_name} = {span} into "
-                             f"whole steps ({span_name}/{name} = {ratio})")
-        counts.append(int(count))
-    return counts[0] + 1, counts[1]
+
+
+def _whole_steps(name, h, span_name, span):
+    """span / h, which must be a whole number (to a relative 1e-9)."""
+    ratio = span / h
+    count = round(ratio)
+    if abs(ratio - count) > 1e-9 * abs(ratio):
+        raise ValueError(f"{name} = {h} does not divide {span_name} = {span} into "
+                         f"whole steps ({span_name}/{name} = {ratio})")
+    return int(count)
+
+
+def _ad_grid(nu, L, T, dx, dt):
+    """(nodes, time steps) of the space-time grid; ``dx`` must divide L and
+    ``dt`` divide T into whole numbers of steps."""
+    if not nu >= 0:
+        raise ValueError(f"nu must be nonnegative, got {nu}")
+    _check_positive(L=L, T=T, dx=dx, dt=dt)
+    return _whole_steps("dx", dx, "L", L) + 1, _whole_steps("dt", dt, "T", T)
+
+
+def _wave_grid(c, L, T, dx):
+    """(dt, nodes, time steps) of the unit-CFL leapfrog grid, dt = dx/c.
+    ``dx`` must divide L; the run ends at the whole step nearest T, which
+    must be at least the first one."""
+    _check_positive(c=c, L=L, T=T, dx=dx)
+    n = _whole_steps("dx", dx, "L", L) + 1
+    dt = dx / c
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"T = {T} is shorter than half a time step dt = dx/c = {dt}")
+    return dt, n, n_steps
 
 
 def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
@@ -327,10 +346,8 @@ def _leapfrog_solve(A_scaled, u0, v0, g_fn, x_local, dt, n_steps, left_trace, ri
 
 def monodomain_solve_wave(c, L, T, dx, u0_fn, v0_fn=None, g_fn=None):
     """Single-domain leapfrog at unit CFL (dt = dx/c)."""
-    dt = dx / c
-    n = int(round(L / dx)) + 1
+    dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
-    n_steps = int(round(T / dt))
     u0 = u0_fn(x)
     v0 = v0_fn(x) if v0_fn is not None else np.zeros_like(x)
     zeros = np.zeros(n_steps + 1)
@@ -422,10 +439,8 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     """
     if u0_fn is None:
         u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
-    dt = dx / c
-    n = int(round(L / dx)) + 1
+    dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
-    n_steps = int(round(T / dt))
 
     n_red = schedule.n_red
     bounds = np.linspace(0, n - 1, 2 * n_red + 1).round().astype(int)

@@ -74,6 +74,22 @@ class TestCli:
         assert code == 2
         assert "unknown experiment id" in capsys.readouterr().err
 
+    def test_bad_option_value_one_error_line(self, capsys):
+        assert main(["run", "idc-order-lift", "--seed", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: argument --seed: invalid int value: 'abc'\n"
+
+    def test_missing_subcommand_one_error_line(self, capsys):
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "command" in err and len(err.splitlines()) == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pint")
+
     def test_verify_filter(self, tmp_path, capsys):
         code = main(["verify", "--filter", "idc", "--out", str(tmp_path)])
         assert code == 0

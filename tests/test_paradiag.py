@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from pintlab.kernels import SingularSystemError
-from pintlab.models import CompanionSystem, build_burgers, build_heat, build_wave
+import pintlab.paradiag as paradiag_module
+from pintlab.kernels import ConvergenceError, SingularSystemError, solve_shifted_banded
+from pintlab.models import (
+    CompanionSystem,
+    build_advection_diffusion,
+    build_burgers,
+    build_heat,
+    build_wave,
+)
 from pintlab.paradiag import (
     GeometricTimeMesh,
     alpha_circulant_dense,
@@ -10,6 +17,7 @@ from pintlab.paradiag import (
     banded_frobenius_inner,
     be_time_matrix,
     bvm_time_matrix,
+    circulant_quasi_newton,
     dense_paradiag2_operators,
     geometric_eigenvectors_be,
     geometric_eigenvectors_tr,
@@ -508,3 +516,121 @@ class TestBandedFrobenius:
         Y = sys.jacobian(rng.standard_normal(10))
         dense = float(np.sum(X.to_dense() * Y.to_dense()))
         assert banded_frobenius_inner(X, Y) == pytest.approx(dense, rel=1e-13)
+
+
+def per_eigenvalue_eig_solve(op, V, a, b, R):
+    """Reference for the diagonalized solve: one single-shift banded solve
+    per eigenvalue, as the solvers did before the batched call."""
+    A = getattr(op, "A", op)
+    Ra = np.linalg.solve(V, R.astype(complex))
+    Rb = np.empty_like(Ra)
+    for n in range(Ra.shape[0]):
+        Rb[n] = solve_shifted_banded(A, (a[n], b[n]), Ra[n])
+    return (V @ Rb).real
+
+
+def use_per_eigenvalue_solve(monkeypatch):
+    """Swap the batched eigenbasis solve for the per-eigenvalue loop and
+    return the list that counts the calls made through it."""
+    calls = []
+
+    def solve(*args):
+        calls.append(1)
+        return per_eigenvalue_eig_solve(*args)
+
+    monkeypatch.setattr(paradiag_module, "_eig_solve", solve)
+    return calls
+
+
+class TestBatchedSolveBitwise:
+    """The batched eigenbasis solves equal the per-eigenvalue loops bit for bit."""
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_bvm_solve(self, monkeypatch, order):
+        sys = heat_sine(nx=12) if order == "first" else wave_sine(nx=12)
+        batched = paradiag1_bvm_solve(sys, 0.01, 64, order=order)
+        calls = use_per_eigenvalue_solve(monkeypatch)
+        ref = paradiag1_bvm_solve(sys, 0.01, 64, order=order)
+        assert calls == [1]
+        assert batched.tobytes() == ref.tobytes()
+
+    def test_bvm_second_order_shifts_squared_one_at_a_time(self, monkeypatch):
+        # the vectorized lam**2 may round some shifts differently (at
+        # n_t = 64 it can), so each is squared as a scalar, as the loop did
+        lam, _ = np.linalg.eig(bvm_time_matrix(64, 0.01))
+        shifts = []
+        monkeypatch.setattr(paradiag_module, "_eig_solve",
+                            lambda op, V, a, b, R: shifts.append(a)
+                            or per_eigenvalue_eig_solve(op, V, a, b, R))
+        paradiag1_bvm_solve(wave_sine(nx=12), 0.01, 64, order="second")
+        assert shifts[0].tobytes() == np.array([l**2 for l in lam]).tobytes()
+
+    @pytest.mark.parametrize("integrator", ["backward_euler", "trapezoidal"])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_first_order_precond_solve(self, integrator, bc):
+        dx = 1.0 / 17 if bc == "dirichlet" else 1.0 / 16
+        sys = build_advection_diffusion(16, dx, 0.05, bc)
+        n_t, dt = 12, 0.01
+        op = make_all_at_once(sys, integrator, dt, n_t)
+        c_I, c_B = op.first_columns()
+        fac_I, fac_B = alpha_circulant_factor(c_I, 0.05), alpha_circulant_factor(c_B, 0.05)
+        R = np.random.default_rng(3).standard_normal((n_t, sys.n))
+        got = op.precond_solve(fac_I, fac_B, R)
+        # the loop with its shifts formed one scalar at a time
+        Ra = fac_I.to_eigenbasis(R.astype(complex))
+        d1, d2 = fac_I.eigenvalues, fac_B.eigenvalues
+        Rb = np.empty_like(Ra)
+        for n in range(n_t):
+            bcoef = dt * (d1[n] * op.theta + d2[n] * (1.0 - op.theta))
+            Rb[n] = solve_shifted_banded(sys.A, (d1[n] - d2[n], bcoef), Ra[n])
+        ref = fac_I.from_eigenbasis(Rb)
+        assert got.dtype == np.complex128  # GMRES applies it to complex vectors
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("nka", [False, True])
+    @pytest.mark.parametrize("disc", ["bvm", "geometric"])
+    def test_quasi_newton_burgers(self, monkeypatch, nka, disc):
+        nx, n_t, T = 24, 12, 0.4
+        sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")
+        sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+        time_disc = ("bvm", T / n_t, n_t) if disc == "bvm" else GeometricTimeMesh(T, n_t, 0.2)
+        batched, tr = paradiag1_quasi_newton(sys, time_disc, tol=1e-8, nka=nka)
+        calls = use_per_eigenvalue_solve(monkeypatch)
+        ref, tr_ref = paradiag1_quasi_newton(sys, time_disc, tol=1e-8, nka=nka)
+        assert tr.iterations > 1 and len(calls) == tr.iterations
+        assert batched.tobytes() == ref.tobytes()
+        assert np.array(tr.errors).tobytes() == np.array(tr_ref.errors).tobytes()
+
+    def test_quasi_newton_eig_of_B_once_per_call(self, monkeypatch):
+        nx, n_t, T = 24, 12, 0.4
+        sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")
+        sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+        eig = np.linalg.eig
+        calls = []
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
+        _, tr = paradiag1_quasi_newton(sys, ("bvm", T / n_t, n_t), tol=1e-8)
+        assert tr.iterations > 1 and len(calls) == 1
+
+
+class TestCirculantQuasiNewton:
+    def test_nonconvergence_names_caller(self, monkeypatch):
+        sys = build_burgers(16, 1.0 / 16, 0.1, "periodic")
+        sys.u0[:] = np.sin(2 * np.pi * sys.x)
+        n_w, dT = 6, 0.05
+        c1 = np.zeros(n_w)
+        c1[:2] = 1.0, -1.0
+        fac = alpha_circulant_factor(c1, 0.1)
+        g = np.tile(sys.u0, (n_w, 1))
+
+        def residual(U):
+            F = np.stack([sys.f(u, 0.0) for u in U])
+            C_U = U.copy()
+            C_U[1:] -= U[:-1]
+            C_U[0] -= 0.1 * U[-1]
+            return g - (C_U - dT * F), U
+
+        U = circulant_quasi_newton(sys, residual, fac, np.full(n_w, dT), g, 1e-12, "probe")
+        assert np.abs(residual(U)[0]).max() < 1e-10
+        monkeypatch.setattr(paradiag_module, "QUASI_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="^probe quasi-Newton did not converge"):
+            circulant_quasi_newton(sys, residual, fac, np.full(n_w, dT), g, 1e-12, "probe")

@@ -294,6 +294,41 @@ class TestWaveSwr:
         assert abs(counts[0] - 2 * counts[1]) <= 1
 
 
+class TestWaveGrid:
+    @pytest.mark.parametrize("T", [1.0, 0.1])
+    def test_non_dividing_dx_rejected(self, T):
+        # dx = 0.3 used to lay 4 nodes 1/3 apart under a 0.3 stencil and
+        # stop at t = 0.9; with T = 0.1 it raised a raw IndexError
+        with pytest.raises(ValueError, match=r"^dx = 0\.3 does not divide L = 1\.0"):
+            monodomain_solve_wave(1.0, 1.0, T, 0.3, np.sin)
+
+    def test_T_below_one_step_rejected(self):
+        with pytest.raises(ValueError, match=r"^T = 0\.1 is shorter than half a time step"):
+            monodomain_solve_wave(1.0, 1.0, 0.1, 0.25, np.sin)
+
+    @pytest.mark.parametrize("name, value", [("c", 0.0), ("L", -1.0), ("T", 0.0), ("dx", -0.1)])
+    @pytest.mark.parametrize("solve", ["monodomain", "swr", "utp"])
+    def test_invalid_parameter_named(self, solve, name, value):
+        args = dict(c=1.0, L=1.0, T=0.5, dx=0.1)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            if solve == "monodomain":
+                monodomain_solve_wave(u0_fn=np.sin, **args)
+            elif solve == "swr":
+                swr_solve_wave(dec=two_domain_overlap(11, 0.25), **args)
+            else:
+                utp_advance(schedule=TentSchedule(n_red=2), sweeps=1, **args)
+
+    @pytest.mark.parametrize("dx, T", [(1.0 / 80, 2.0), (1.0 / 120, 1.0)])
+    def test_c10_grids_accepted(self, dx, T):
+        # unit CFL with c = sqrt(0.2): T/dt is not whole, the run ends at
+        # the step nearest T
+        c = np.sqrt(0.2)
+        x, dt, sol = monodomain_solve_wave(c, 1.0, T, dx, np.sin)
+        assert x.shape == (round(1.0 / dx) + 1,) and dt == dx / c
+        assert sol.shape == (round(T / dt) + 1, x.shape[0])
+
+
 class TestUtp:
     C = np.sqrt(0.2)
 
