@@ -18,15 +18,17 @@ import yaml
 
 from . import idc, paradiag, paraexp, parareal, stmg, swr
 from .integrators import (
+    METHODS,
     Propagator,
     TimeGrid,
     backward_euler,
     exact_exponential,
-    sdirk22,
     trapezoidal,
 )
-from .kernels import expm_action
+from .kernels import BandedMatrix, expm_action
 from .models import (
+    CompanionSystem,
+    SemiDiscreteSystem,
     SourcePulse,
     build_advection_diffusion,
     build_burgers,
@@ -70,14 +72,6 @@ def _contraction_factors(errors, floor=1e-11, skip=2):
         for a, b in zip(errors[skip:-1], errors[skip + 1 :])
         if a > floor and b > 1e-14
     ]
-
-
-METHODS = {
-    "backward_euler": backward_euler,
-    "trapezoidal": trapezoidal,
-    "sdirk22": sdirk22,
-    "exact": exact_exponential,
-}
 
 
 def _parareal_cfg(T, n_w, J, fine="backward_euler", coarse="backward_euler", **kw):
@@ -210,8 +204,6 @@ def run_paradiag1_bvm_wave(params, seed=0):
     nx = 39
     sys = build_wave(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
-    from .models import CompanionSystem
-
     comp = CompanionSystem(sys)
     T = 0.5
     rows, errs, nts = [], [], [2**k for k in range(4, 9)]
@@ -386,9 +378,6 @@ def run_swr_wave_utp(params, seed=0):
 
 
 def run_idc_order_lift(params, seed=0):
-    from .kernels import BandedMatrix
-    from .models import SemiDiscreteSystem
-
     A = BandedMatrix(np.array([-1.0]), np.zeros(0), np.zeros(0))
     sys = SemiDiscreteSystem(A=A, u0=np.ones(1), dx=1.0, bc="dirichlet",
                              kind="heat", x=np.zeros(1))

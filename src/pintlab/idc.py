@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .integrators import _newton
 from .kernels import solve_shifted_banded
 from .trace import IterationTrace
 
@@ -103,8 +104,6 @@ def _implicit_theta_node(sys, theta, dtm, t_next, rhs, guess):
     if sys.linear:
         extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
         return solve_shifted_banded(sys.A, (1.0, theta * dtm), rhs + extra)
-    from .integrators import _newton
-
     return _newton(sys, theta * dtm, rhs, t_next, guess)
 
 
@@ -244,8 +243,6 @@ def ridc_run(sys, M: int, levels: int, T: float, dt: float) -> np.ndarray:
         if sys.linear:
             rhs = u if sys.source is None else u + dt * sys.source(t_next)
             return solve_shifted_banded(sys.A, (1.0, dt), rhs)
-        from .integrators import _newton
-
         return _newton(sys, dt, u, t_next, u)
 
     level = np.empty((n_steps + 1, sys.n))

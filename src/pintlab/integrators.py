@@ -4,7 +4,9 @@ One-step methods (backward Euler, trapezoidal, theta, SDIRK22, SDIRK23 and
 the exact exponential) step first-order systems; the parametrized
 Numerov-type method steps second-order systems directly.  ``Propagator``
 bundles a method with a step size and step count and is the building block
-every shooting-type method composes.
+every shooting-type method composes.  ``AllAtOnce`` is the space-time
+operator of a theta method, the system that space-time multigrid and
+ParaDiag II both solve.
 """
 
 from __future__ import annotations
@@ -61,6 +63,22 @@ def sdirk23() -> OneStepMethod:
 def exact_exponential() -> OneStepMethod:
     """Propagates linear homogeneous systems with the matrix exponential."""
     return OneStepMethod("exact")
+
+
+METHODS = {
+    "backward_euler": backward_euler,
+    "trapezoidal": trapezoidal,
+    "sdirk22": sdirk22,
+    "exact": exact_exponential,
+}
+
+
+def named_theta(name: str) -> float:
+    """Theta of the one-step method called ``name`` in :data:`METHODS`."""
+    theta = METHODS[name]().theta if name in METHODS else None
+    if theta is None:
+        raise ValueError(f"integrator {name!r} is not a theta method")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -161,18 +179,15 @@ class Propagator:
         return self.dt * self.steps
 
 
-def _newton(sys, c, rhs, t_eval, guess, tol=1e-12, max_iter=50, frozen_jacobian=False):
+def _newton(sys, c, rhs, t_eval, guess, tol=1e-12, max_iter=50):
     """Solve y - c*f(y, t_eval) = rhs by Newton with banded Jacobian solves."""
     y = guess.copy()
-    jac = None
     for _ in range(max_iter):
         res = y - c * sys.f(y, t_eval) - rhs
         nrm = np.abs(res).max()
         if nrm <= tol * max(1.0, np.abs(y).max()):
             return y
-        if jac is None or not frozen_jacobian:
-            jac = sys.jacobian(y)
-        delta = solve_shifted_banded(jac, (1.0, c), res)
+        delta = solve_shifted_banded(sys.jacobian(y), (1.0, c), res)
         y = y - delta
         if not np.all(np.isfinite(y)):
             raise ConvergenceError("Newton iterate became non-finite")
@@ -222,36 +237,32 @@ def _step_linear_block(method, sys, dt, t0s, U):
     return U + dt * (b1 * k1 + b2 * k2)
 
 
-def _step_nonlinear(method, sys, dt, t0, u, newton_tol, frozen_jacobian):
+def _step_nonlinear(method, sys, dt, t0, u, newton_tol):
     if method.theta is not None:
         th = method.theta
         rhs = u + (1.0 - th) * dt * sys.f(u, t0)
-        return _newton(sys, th * dt, rhs, t0 + dt, u, tol=newton_tol,
-                       frozen_jacobian=frozen_jacobian)
+        return _newton(sys, th * dt, rhs, t0 + dt, u, tol=newton_tol)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
     c1, c2 = g, a21 + g
-    y1 = _newton(sys, g * dt, u, t0 + c1 * dt, u, tol=newton_tol,
-                 frozen_jacobian=frozen_jacobian)
+    y1 = _newton(sys, g * dt, u, t0 + c1 * dt, u, tol=newton_tol)
     k1 = sys.f(y1, t0 + c1 * dt)
-    y2 = _newton(sys, g * dt, u + dt * a21 * k1, t0 + c2 * dt, y1,
-                 tol=newton_tol, frozen_jacobian=frozen_jacobian)
+    y2 = _newton(sys, g * dt, u + dt * a21 * k1, t0 + c2 * dt, y1, tol=newton_tol)
     k2 = sys.f(y2, t0 + c2 * dt)
     return u + dt * (b1 * k1 + b2 * k2)
 
 
 def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray,
-              newton_tol: float = 1e-12, frozen_jacobian: bool = False) -> np.ndarray:
+              newton_tol: float = 1e-12) -> np.ndarray:
     """Advance ``u`` from t0 to t1 with ``prop.steps`` steps of ``prop.method``."""
     span = t1 - t0
     if abs(span - prop.span()) > 1e-12 * max(1.0, abs(span)):
         raise ValueError("propagator steps*dt does not cover the window")
-    out = propagate_block(prop, sys, np.array([t0]), u[:, None],
-                          newton_tol=newton_tol, frozen_jacobian=frozen_jacobian)
+    out = propagate_block(prop, sys, np.array([t0]), u[:, None], newton_tol=newton_tol)
     return out[:, 0]
 
 
 def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
-                    newton_tol: float = 1e-12, frozen_jacobian: bool = False) -> np.ndarray:
+                    newton_tol: float = 1e-12) -> np.ndarray:
     """Propagate a block of window states over one window each.
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
@@ -274,9 +285,62 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
         u = U[:, j].copy()
         for s in range(prop.steps):
             u = _step_nonlinear(prop.method, sys, prop.dt, float(t0s[j] + s * prop.dt),
-                                u, newton_tol, frozen_jacobian)
+                                u, newton_tol)
         cols.append(u)
     return np.stack(cols, axis=1)
+
+
+def finite_u0(sys) -> np.ndarray:
+    """``sys.u0``, or a ValueError if it holds NaN or inf."""
+    if not np.all(np.isfinite(sys.u0)):
+        raise ValueError("initial value u0 has non-finite entries")
+    return sys.u0
+
+
+class AllAtOnce:
+    """K = I_t (x) r1 - B_shift (x) r2 for a theta method on u' = A u + g."""
+
+    def __init__(self, sys: SemiDiscreteSystem, theta: float, dt: float, nt: int):
+        self.sys = sys
+        self.theta = theta
+        self.dt = dt
+        self.nt = nt
+
+    def r1(self, u):
+        return u - self.theta * self.dt * self.sys.A.matvec(u)
+
+    def r2(self, u):
+        return u + (1.0 - self.theta) * self.dt * self.sys.A.matvec(u)
+
+    def apply(self, U):
+        out = np.empty_like(U)
+        out[:] = self.r1(U.T).T
+        out[1:] -= self.r2(U[:-1].T).T
+        return out
+
+    def rhs(self):
+        b = np.zeros((self.nt, self.sys.n))
+        b[0] = self.r2(finite_u0(self.sys))
+        if self.sys.source is not None:
+            th = self.theta
+            for n in range(self.nt):
+                b[n] += self.dt * (
+                    (1 - th) * self.sys.source(n * self.dt)
+                    + th * self.sys.source((n + 1) * self.dt)
+                )
+        return b
+
+    def solve_r1(self, rhs):
+        return solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), rhs.T).T
+
+    def forward_substitution(self, b):
+        U = np.empty((self.nt, self.sys.n))
+        prev = None
+        for n in range(self.nt):
+            r = b[n] + (self.r2(prev) if prev is not None else 0.0)
+            prev = solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), r)
+            U[n] = prev
+        return U
 
 
 def numerov_matrices(sys: SemiDiscreteSystem, gamma: float, dt: float):
@@ -318,6 +382,7 @@ def numerov_step(sys: SemiDiscreteSystem, gamma: float, dt: float,
 
 def numerov_bootstrap(sys: SemiDiscreteSystem, dt: float) -> np.ndarray:
     """Second starting value from one trapezoidal step on the companion form."""
+    finite_u0(sys)
     comp = CompanionSystem(sys)
     prop = Propagator(trapezoidal(), dt=dt, steps=1)
     w1 = propagate(prop, comp, 0.0, dt, comp.u0)

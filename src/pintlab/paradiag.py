@@ -37,7 +37,19 @@ from .kernels import (
     solve_shifted_banded,
     toeplitz_lower_apply,
 )
-from .integrators import numerov_bootstrap, numerov_matrices
+from .integrators import (
+    AllAtOnce,
+    Propagator,
+    apply_poly,
+    finite_u0,
+    named_theta,
+    numerov_bootstrap,
+    numerov_matrices,
+    numerov_source,
+    numerov_step,
+    propagate,
+    trapezoidal,
+)
 from .models import CompanionSystem, SemiDiscreteSystem
 from .trace import IterationTrace
 
@@ -389,8 +401,6 @@ def nka_weights_offline(sys_coarse, dt: float, n_t: int) -> np.ndarray:
     evaluates the weights at its states, so the fine quasi-Newton loop can
     reuse a single offline diagonal.
     """
-    from .integrators import Propagator, propagate, trapezoidal
-
     prop = Propagator(trapezoidal(), dt=dt, steps=1)
     u = sys_coarse.u0.copy()
     jacobians = []
@@ -431,8 +441,17 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
         b = np.zeros((n_t, sys.n))
         b[0] = sys.u0 / (2.0 * dt)
     n_t = B.shape[0]
+
+    def nka_eig(phi):
+        M = np.linalg.solve(B, np.diag(phi))
+        lam, V = np.linalg.eig(M)
+        return M, lam, V, float(np.linalg.cond(V))
+
     if not nka:
         lam, V = np.linalg.eig(B)
+    elif nka_weights_vec is not None:
+        # offline weights: M = B^-1 diag(phi) is the same every iteration
+        M, lam, V, cond_V = nka_eig(nka_weights_vec)
 
     trace = IterationTrace(method="paradiag1_quasi_newton")
     U = np.tile(sys.u0, (n_t, 1))
@@ -449,13 +468,12 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
         AU = np.stack([A_k.matvec(U[n]) for n in range(n_t)])
 
         if nka:
-            phi = nka_weights(jacobians, A_k) if nka_weights_vec is None else nka_weights_vec
-            M = np.linalg.solve(B, np.diag(phi))
-            lam, V = np.linalg.eig(M)
+            if nka_weights_vec is None:
+                M, lam, V, cond_V = nka_eig(nka_weights(jacobians, A_k))
             # (I - B^-1 Phi (x) A_k) U+ = B^-1 (b + F(U)) - (B^-1 Phi (x) A_k) U
             rhs = np.linalg.solve(B, b + F) - M @ AU
             U_next = _eig_solve(A_k, V, np.ones(n_t), lam, rhs)
-            trace.meta.setdefault("cond_V", []).append(float(np.linalg.cond(V)))
+            trace.meta.setdefault("cond_V", []).append(cond_V)
         else:
             U_next = _eig_solve(A_k, V, lam, np.ones(n_t), b - (AU - F))
 
@@ -544,58 +562,18 @@ def alpha_circulant_dense(first_column: np.ndarray, alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _theta_of(integrator: str) -> float:
-    return {"backward_euler": 1.0, "trapezoidal": 0.5}[integrator]
-
-
-@dataclass
-class _FirstOrderAllAtOnce:
-    """K = I_t (x) r1 - B (x) r2 for a one-step theta method."""
-
-    sys: SemiDiscreteSystem
-    theta: float
-    dt: float
-    n_t: int
-
-    def r1_apply(self, u):
-        return u - self.theta * self.dt * self.sys.A.matvec(u)
-
-    def r2_apply(self, u):
-        return u + (1.0 - self.theta) * self.dt * self.sys.A.matvec(u)
-
-    def apply(self, U):
-        out = np.empty_like(U)
-        for n in range(self.n_t):
-            out[n] = self.r1_apply(U[n])
-            if n > 0:
-                out[n] -= self.r2_apply(U[n - 1])
-        return out
-
-    def rhs(self):
-        th, dt = self.theta, self.dt
-        b = np.zeros((self.n_t, self.sys.n))
-        b[0] = self.r2_apply(self.sys.u0)
-        if self.sys.source is not None:
-            for n in range(self.n_t):
-                t0, t1 = n * dt, (n + 1) * dt
-                b[n] += dt * ((1 - th) * self.sys.source(t0) + th * self.sys.source(t1))
-        return b
+class _FirstOrderAllAtOnce(AllAtOnce):
+    """The theta-method operator K = I_t (x) r1 - B (x) r2 with its
+    alpha-circulant preconditioner."""
 
     def sequential_solve(self):
-        U = np.empty((self.n_t, self.sys.n))
-        b = self.rhs()
-        prev = None
-        for n in range(self.n_t):
-            r = b[n] + (self.r2_apply(prev) if prev is not None else 0.0)
-            prev = solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), r)
-            U[n] = prev
-        return U
+        return self.forward_substitution(self.rhs())
 
     def first_columns(self):
-        c1 = np.zeros(self.n_t)
+        c1 = np.zeros(self.nt)
         c1[0] = 1.0
-        c_b = np.zeros(self.n_t)
-        if self.n_t > 1:
+        c_b = np.zeros(self.nt)
+        if self.nt > 1:
             c_b[1] = 1.0
         return c1, c_b  # columns of I_t and B (shift)
 
@@ -622,8 +600,6 @@ class _SecondOrderAllAtOnce:
             self.u1 = numerov_bootstrap(self.sys, self.dt)
 
     def _apply_poly(self, coeffs, u):
-        from .integrators import apply_poly
-
         return apply_poly(self.sys.A, coeffs, u)
 
     def apply(self, U):
@@ -637,12 +613,10 @@ class _SecondOrderAllAtOnce:
         return out
 
     def rhs(self):
-        from .integrators import numerov_source
-
         b = np.zeros((self.n_t, self.sys.n))
         b[0] = self._apply_poly(self.r1, self.u1)
         if self.n_t > 1:
-            b[1] = -self._apply_poly(self.r1, self.sys.u0)
+            b[1] = -self._apply_poly(self.r1, finite_u0(self.sys))
             g1 = numerov_source(self.sys, self.dt, self.dt)
             if g1 is not None:
                 b[1] += g1
@@ -675,8 +649,6 @@ class _SecondOrderAllAtOnce:
         return fac_tilde.from_eigenbasis(Rb)
 
     def sequential_solve(self):
-        from .integrators import numerov_step
-
         U = np.empty((self.n_t, self.sys.n))
         U[0] = self.u1
         prev, curr = self.sys.u0, self.u1
@@ -691,7 +663,7 @@ def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0, u1=No
     """Assemble the all-at-once operator for paradiag2_solve and tests."""
     if getattr(sys, "order", "first") == "second":
         return _SecondOrderAllAtOnce(sys, gamma, dt, n_t, u1=u1)
-    return _FirstOrderAllAtOnce(sys, _theta_of(integrator), dt, n_t)
+    return _FirstOrderAllAtOnce(sys, named_theta(integrator), dt, n_t)
 
 
 def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
@@ -760,7 +732,7 @@ def _precond_minus_K_apply(op, fac_a, fac_b, U, alpha):
     """(P_alpha - K) U: only the alpha-corner terms survive."""
     out = np.zeros_like(U)
     if isinstance(op, _FirstOrderAllAtOnce):
-        out[0] = -alpha * op.r2_apply(U[-1])
+        out[0] = -alpha * op.r2(U[-1])
         return out
     # second order: Btilde corners at rows 1,2; B corner from r2 at row 1
     out[0] = alpha * (op._apply_poly(op.r1, U[-2]) - op._apply_poly(op.r2, U[-1]))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import Propagator, TimeGrid, propagate, propagate_block, stability
+from .integrators import Propagator, TimeGrid, _newton, propagate, propagate_block, stability
 from .kernels import ConvergenceError
 from .models import first_order_form
 from .paradiag import alpha_circulant_factor, circulant_quasi_newton
@@ -292,8 +292,6 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
             rhs = rhs + dT * g
         if linear:
             return target.solve_shift(1.0, dT, rhs)
-        from .integrators import _newton
-
         return _newton(target, dT, u, t0 + dT, u, tol=cfg.newton_tol)
 
     for k in range(cfg.max_iter):

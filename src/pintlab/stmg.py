@@ -1,12 +1,13 @@
-"""Two-level space-time multigrid on the all-at-once system.
+"""Space-time multigrid on the all-at-once system.
 
 The smoother is damped block Jacobi in time (one shifted solve per time
 block, a pure parallel map); transfers are full weighting / linear
 interpolation in both directions; the coarse operator is re-discretized at
-doubled steps and solved exactly by forward substitution.  When
-dt/dx^2 < 1/sqrt(2) the cycle coarsens in time only (recorded in the
-trace).  The nonlinear variant runs the same cycle in full-approximation
-form with a nonlinear block smoother.
+doubled steps.  One recursive cycle serves every level count; its coarsest
+level is solved exactly by forward substitution, and the two-level cycle is
+its ``levels=2`` case.  When dt/dx^2 < 1/sqrt(2) a level coarsens in time
+only (recorded in the trace).  The nonlinear variant runs the two-level
+cycle in full-approximation form with a nonlinear block smoother.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import _newton
-from .kernels import ConvergenceError, solve_shifted_banded
-from .models import SemiDiscreteSystem, rebuild
+from .integrators import AllAtOnce, _newton, finite_u0, named_theta
+from .kernels import ConvergenceError
+from .models import rebuild
 from .trace import IterationTrace
 
 SPACE_COARSENING_LIMIT = 1.0 / np.sqrt(2.0)
@@ -90,52 +91,6 @@ def lfa_max_high_frequency(equation: str, eta: float, dt: float, dx: float,
     return worst
 
 
-class AllAtOnce:
-    """K = I_t (x) r1 - B_shift (x) r2 for a theta method on u' = A u + g."""
-
-    def __init__(self, sys: SemiDiscreteSystem, theta: float, dt: float, nt: int):
-        self.sys = sys
-        self.theta = theta
-        self.dt = dt
-        self.nt = nt
-
-    def r1(self, u):
-        return u - self.theta * self.dt * self.sys.A.matvec(u)
-
-    def r2(self, u):
-        return u + (1.0 - self.theta) * self.dt * self.sys.A.matvec(u)
-
-    def apply(self, U):
-        out = np.empty_like(U)
-        out[:] = self.r1(U.T).T
-        out[1:] -= self.r2(U[:-1].T).T
-        return out
-
-    def rhs(self):
-        b = np.zeros((self.nt, self.sys.n))
-        b[0] = self.r2(self.sys.u0)
-        if self.sys.source is not None:
-            th = self.theta
-            for n in range(self.nt):
-                b[n] += self.dt * (
-                    (1 - th) * self.sys.source(n * self.dt)
-                    + th * self.sys.source((n + 1) * self.dt)
-                )
-        return b
-
-    def solve_r1(self, rhs):
-        return solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), rhs.T).T
-
-    def forward_substitution(self, b):
-        U = np.empty((self.nt, self.sys.n))
-        prev = None
-        for n in range(self.nt):
-            r = b[n] + (self.r2(prev) if prev is not None else 0.0)
-            prev = solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), r)
-            U[n] = prev
-        return U
-
-
 def block_jacobi_smooth(op: AllAtOnce, b, U, eta: float, s: int):
     """s damped block-Jacobi steps: (I_t (x) r1) dU = eta (b - K U)."""
     for _ in range(s):
@@ -164,9 +119,10 @@ class TwoLevelOperators:
     coarsen_space: bool
 
 
-def build_two_level(sys, grid: SpaceTimeGrid, theta: float) -> TwoLevelOperators:
+def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperators:
+    """Fine and re-discretized coarse ``op_cls`` operators with the transfers;
+    space is coarsened too when dt/dx^2 >= SPACE_COARSENING_LIMIT."""
     coarsen_space = grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
-    op_f = AllAtOnce(sys, theta, grid.dt, grid.nt)
     nt_c = 2 ** (grid.lt - 1) - 1
     Pt = prolongation_matrix(nt_c)
     if coarsen_space:
@@ -176,9 +132,13 @@ def build_two_level(sys, grid: SpaceTimeGrid, theta: float) -> TwoLevelOperators
     else:
         sys_c = rebuild(sys, grid.nx, grid.dx)
         Px = None
-    op_c = AllAtOnce(sys_c, theta, 2 * grid.dt, nt_c)
-    return TwoLevelOperators(op_f=op_f, op_c=op_c, Px=Px, Pt=Pt,
-                             coarsen_space=coarsen_space)
+    return TwoLevelOperators(op_f=op_cls(sys, theta, grid.dt, grid.nt),
+                             op_c=op_cls(sys_c, theta, 2 * grid.dt, nt_c),
+                             Px=Px, Pt=Pt, coarsen_space=coarsen_space)
+
+
+def build_two_level(sys, grid: SpaceTimeGrid, theta: float) -> TwoLevelOperators:
+    return _two_level(sys, grid, theta, AllAtOnce)
 
 
 def _restrict(ops: TwoLevelOperators, R):
@@ -197,62 +157,20 @@ def _prolong(ops: TwoLevelOperators, E):
     return out
 
 
-def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
-                   integrator: str = "backward_euler", cycles: int = 10,
-                   U0: Optional[np.ndarray] = None,
-                   reference: Optional[np.ndarray] = None):
-    """Two-level V-cycles on the linear all-at-once system.
-
-    Returns (trajectory including the initial row, trace); the trace
-    records errors against ``reference`` (default: the exact forward
-    substitution) and residual norms.
-    """
-    theta = {"backward_euler": 1.0, "trapezoidal": 0.5}[integrator]
-    ops = build_two_level(sys, grid, theta)
-    b = ops.op_f.rhs()
-    U_star = ops.op_f.forward_substitution(b) if reference is None else reference
-    U = np.zeros_like(b) if U0 is None else U0.copy()
-    trace = IterationTrace(method="stmg_two_level")
-    trace.meta["coarsen_space"] = ops.coarsen_space
-    bnorm = max(np.abs(b).max(), 1e-300)
-    trace.record(error=np.abs(U - U_star).max(),
-                 residual=np.abs(b - ops.op_f.apply(U)).max() / bnorm)
-    for _ in range(cycles):
-        U = _cycle_linear(ops, smoother, b, U)
-        if not np.all(np.isfinite(U)):
-            raise ConvergenceError("STMG cycle produced non-finite values")
-        trace.record(error=np.abs(U - U_star).max(),
-                     residual=np.abs(b - ops.op_f.apply(U)).max() / bnorm)
-    out = np.empty((grid.nt + 1, sys.n))
-    out[0] = sys.u0
-    out[1:] = U
-    return out, trace
-
-
-def _cycle_linear(ops, smoother, b, U):
-    U = block_jacobi_smooth(ops.op_f, b, U, smoother.eta, smoother.s1)
-    r = b - ops.op_f.apply(U)
-    r_c = _restrict(ops, r)
-    e_c = ops.op_c.forward_substitution(r_c)
-    U = U + _prolong(ops, e_c)
-    return block_jacobi_smooth(ops.op_f, b, U, smoother.eta, smoother.s2)
-
-
 def build_hierarchy(sys, grid: SpaceTimeGrid, theta: float, levels: int):
-    """Chain of two-level operator pairs for the recursive cycle."""
+    """Chain of two-level operator pairs for the recursive cycle: pair k
+    couples level k and k+1, and only levels 0 .. levels-2 need a grid."""
     if levels < 2:
         raise ValueError("need at least two levels")
-    if levels - 1 > min(grid.lx, grid.lt) - 2:
-        raise ValueError("grid too small for the requested level count")
-    chain = []
-    cur_sys, cur_grid = sys, grid
-    for _ in range(levels - 1):
-        ops = build_two_level(cur_sys, cur_grid, theta)
-        chain.append(ops)
-        lx = cur_grid.lx - 1 if ops.coarsen_space else cur_grid.lx
-        dx = 2 * cur_grid.dx if ops.coarsen_space else cur_grid.dx
-        cur_grid = SpaceTimeGrid(lx=lx, lt=cur_grid.lt - 1, dx=dx, dt=2 * cur_grid.dt)
-        cur_sys = ops.op_c.sys
+    chain = [build_two_level(sys, grid, theta)]
+    for _ in range(levels - 2):
+        ops = chain[-1]
+        lx = grid.lx - 1 if ops.coarsen_space else grid.lx
+        if min(lx, grid.lt - 1) < 2:
+            raise ValueError("grid too small for the requested level count")
+        dx = 2 * grid.dx if ops.coarsen_space else grid.dx
+        grid = SpaceTimeGrid(lx=lx, lt=grid.lt - 1, dx=dx, dt=2 * grid.dt)
+        chain.append(build_two_level(ops.op_c.sys, grid, theta))
     return chain
 
 
@@ -270,6 +188,16 @@ def _cycle_recursive(chain, level, smoother, b, U, gamma_cycle):
     return block_jacobi_smooth(ops.op_f, b, U, smoother.eta, smoother.s2)
 
 
+def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
+                   integrator: str = "backward_euler", cycles: int = 10,
+                   U0: Optional[np.ndarray] = None,
+                   reference: Optional[np.ndarray] = None):
+    """Two-level V-cycles on the linear all-at-once system: the
+    ``levels=2`` case of :func:`stmg_multilevel`."""
+    return stmg_multilevel(sys, grid, smoother, integrator=integrator, cycles=cycles,
+                           levels=2, U0=U0, reference=reference)
+
+
 def stmg_multilevel(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                     integrator: str = "backward_euler", cycles: int = 10,
                     levels: int = 2, gamma_cycle: int = 1,
@@ -277,28 +205,40 @@ def stmg_multilevel(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                     reference: Optional[np.ndarray] = None):
     """Recursive multilevel cycles (V for gamma_cycle=1, W for 2).
 
-    Optional extension of the two-level solver: the coarse problem is
-    itself treated by ``gamma_cycle`` recursive cycles until the last
-    level, which is solved exactly.  Not part of the acceptance gate.
+    The coarse problem is itself treated by ``gamma_cycle`` recursive
+    cycles until the last level, which is solved exactly by forward
+    substitution.  Returns (trajectory including the initial row, trace);
+    the trace records errors against ``reference`` (default: the exact
+    forward substitution) and residual norms.
     """
-    theta = {"backward_euler": 1.0, "trapezoidal": 0.5}[integrator]
+    return _linear_cycles(sys, grid, smoother, named_theta(integrator), cycles,
+                          levels, gamma_cycle, U0, reference)
+
+
+def _linear_cycles(sys, grid, smoother, theta, cycles, levels, gamma_cycle, U0, reference):
+    """The one linear cycle driver; it takes theta itself, so linear FAS
+    (any theta) runs it too.  Two levels keep the two-level trace label."""
     chain = build_hierarchy(sys, grid, theta, levels)
     op_f = chain[0].op_f
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b) if reference is None else reference
     U = np.zeros_like(b) if U0 is None else U0.copy()
-    trace = IterationTrace(method=f"stmg_{levels}level")
-    trace.meta["coarsen_space"] = [ops.coarsen_space for ops in chain]
-    trace.record(error=np.abs(U - U_star).max())
+    if levels == 2:
+        trace = IterationTrace(method="stmg_two_level")
+        trace.meta["coarsen_space"] = chain[0].coarsen_space
+    else:
+        trace = IterationTrace(method=f"stmg_{levels}level")
+        trace.meta["coarsen_space"] = [ops.coarsen_space for ops in chain]
+    bnorm = max(np.abs(b).max(), 1e-300)
+    trace.record(error=np.abs(U - U_star).max(),
+                 residual=np.abs(b - op_f.apply(U)).max() / bnorm)
     for _ in range(cycles):
         U = _cycle_recursive(chain, 0, smoother, b, U, gamma_cycle)
         if not np.all(np.isfinite(U)):
-            raise ConvergenceError("multilevel cycle produced non-finite values")
-        trace.record(error=np.abs(U - U_star).max())
-    out = np.empty((grid.nt + 1, sys.n))
-    out[0] = sys.u0
-    out[1:] = U
-    return out, trace
+            raise ConvergenceError("STMG cycle produced non-finite values")
+        trace.record(error=np.abs(U - U_star).max(),
+                     residual=np.abs(b - op_f.apply(U)).max() / bnorm)
+    return np.vstack([sys.u0, U]), trace
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +272,8 @@ class NonlinearAllAtOnce:
 
     def rhs(self):
         b = np.zeros((self.nt, self.sys.n))
-        b[0] = self.sys.u0 + self.dt * (1 - self.theta) * self.sys.f(self.sys.u0, 0.0)
+        u0 = finite_u0(self.sys)
+        b[0] = u0 + self.dt * (1 - self.theta) * self.sys.f(u0, 0.0)
         return b
 
     def smooth(self, b, U, eta, s, newton_tol=1e-12):
@@ -341,13 +282,8 @@ class NonlinearAllAtOnce:
             res = eta * (b - self.apply(U))
             dU = np.empty_like(U)
             for n in range(self.nt):
-                if self.sys.linear:
-                    dU[n] = solve_shifted_banded(
-                        self.sys.A, (1.0, self.theta * self.dt), res[n]
-                    )
-                else:
-                    dU[n] = _newton(self.sys, self.theta * self.dt, res[n], 0.0,
-                                    res[n], tol=newton_tol)
+                dU[n] = _newton(self.sys, self.theta * self.dt, res[n], 0.0, res[n],
+                                tol=newton_tol)
             U = U + dU
         return U
 
@@ -360,12 +296,8 @@ class NonlinearAllAtOnce:
             r = b[n].copy()
             if prev is not None:
                 r += prev + dt * (1 - th) * self.sys.f(prev, n * self.dt)
-            if self.sys.linear:
-                U[n] = solve_shifted_banded(self.sys.A, (1.0, th * dt), r)
-            else:
-                guess = prev if prev is not None else self.sys.u0
-                U[n] = _newton(self.sys, th * dt, r, (n + 1) * dt, guess,
-                               tol=newton_tol)
+            guess = prev if prev is not None else self.sys.u0
+            U[n] = _newton(self.sys, th * dt, r, (n + 1) * dt, guess, tol=newton_tol)
             prev = U[n]
         return U
 
@@ -382,50 +314,23 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     if sys.linear:
         # FAS is the plain correction scheme for linear operators; run the
         # identical cycle kernel so the iterates agree bit for bit
-        integrator = {1.0: "backward_euler", 0.5: "trapezoidal"}.get(theta)
-        if integrator is None:
-            raise ValueError("linear FAS delegation supports theta in {1, 1/2}")
-        return stmg_two_level(sys, grid, smoother, integrator=integrator,
-                              cycles=cycles, U0=U0, reference=reference)
-    coarsen_space = grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
-    op_f = NonlinearAllAtOnce(sys, theta, grid.dt, grid.nt)
-    nt_c = 2 ** (grid.lt - 1) - 1
-    Pt = prolongation_matrix(nt_c)
-    if coarsen_space:
-        nx_c = 2 ** (grid.lx - 1) - 1
-        sys_c = rebuild(sys, nx_c, 2 * grid.dx)
-        Px = prolongation_matrix(nx_c)
-    else:
-        sys_c = rebuild(sys, grid.nx, grid.dx)
-        Px = None
-    op_c = NonlinearAllAtOnce(sys_c, theta, 2 * grid.dt, nt_c)
-    ops = TwoLevelOperators(op_f=None, op_c=None, Px=Px, Pt=Pt,
-                            coarsen_space=coarsen_space)
-
+        return _linear_cycles(sys, grid, smoother, theta, cycles, levels=2, gamma_cycle=1,
+                              U0=U0, reference=reference)
+    ops = _two_level(sys, grid, theta, NonlinearAllAtOnce)
+    op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b) if reference is None else reference
     U = np.tile(sys.u0, (grid.nt, 1)) if U0 is None else U0.copy()
     trace = IterationTrace(method="stmg_fas")
-    trace.meta["coarsen_space"] = coarsen_space
+    trace.meta["coarsen_space"] = ops.coarsen_space
     trace.record(error=np.abs(U - U_star).max())
     for _ in range(cycles):
         U = op_f.smooth(b, U, smoother.eta, smoother.s1)
-        r = b - op_f.apply(U)
-        r_c = _restrict(ops, r)
-        if sys.linear:
-            # FAS reduces to the plain coarse-grid correction
-            e_c = op_c.forward_substitution(r_c)
-        else:
-            U_c = _restrict(ops, U)
-            rhs_c = r_c + op_c.apply(U_c)
-            U_c_new = op_c.forward_substitution(rhs_c)
-            e_c = U_c_new - U_c
-        U = U + _prolong(ops, e_c)
+        U_c = _restrict(ops, U)
+        rhs_c = _restrict(ops, b - op_f.apply(U)) + op_c.apply(U_c)
+        U = U + _prolong(ops, op_c.forward_substitution(rhs_c) - U_c)
         U = op_f.smooth(b, U, smoother.eta, smoother.s2)
         if not np.all(np.isfinite(U)):
             raise ConvergenceError("FAS cycle produced non-finite values")
         trace.record(error=np.abs(U - U_star).max())
-    out = np.empty((grid.nt + 1, sys.n))
-    out[0] = sys.u0
-    out[1:] = U
-    return out, trace
+    return np.vstack([sys.u0, U]), trace

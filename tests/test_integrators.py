@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pintlab.integrators import (
+    METHODS,
     Propagator,
     TimeGrid,
     backward_euler,
     exact_exponential,
+    named_theta,
     nominal_order,
     numerov_solve,
     numerov_step,
@@ -214,3 +216,18 @@ class TestTimeGrid:
     def test_theta_method_bounds(self):
         with pytest.raises(ValueError):
             theta_method(1.5)
+
+
+class TestNamedTheta:
+    def test_theta_methods(self):
+        assert named_theta("backward_euler") == 1.0
+        assert named_theta("trapezoidal") == 0.5
+
+    @pytest.mark.parametrize("name", ["sdirk22", "exact", "bogus"])
+    def test_rejects_non_theta_names(self, name):
+        with pytest.raises(ValueError, match=f"integrator {name!r} is not a theta method"):
+            named_theta(name)
+
+    def test_table_builds_every_method(self):
+        for name, make in METHODS.items():
+            assert make().name == name

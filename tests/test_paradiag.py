@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pintlab.paradiag as paradiag_module
+from pintlab.integrators import named_theta
 from pintlab.kernels import ConvergenceError, SingularSystemError, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
@@ -634,3 +635,125 @@ class TestCirculantQuasiNewton:
         monkeypatch.setattr(paradiag_module, "QUASI_NEWTON_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="^probe quasi-Newton did not converge"):
             circulant_quasi_newton(sys, residual, fac, np.full(n_w, dT), g, 1e-12, "probe")
+
+
+class _RowByRowAllAtOnce(paradiag_module._FirstOrderAllAtOnce):
+    """Reference: ParaDiag II's own per-row theta operator (apply, rhs and
+    sequential solve), from before it shared the vectorized AllAtOnce."""
+
+    def apply(self, U):
+        out = np.empty_like(U)
+        for n in range(self.nt):
+            out[n] = self.r1(U[n])
+            if n > 0:
+                out[n] -= self.r2(U[n - 1])
+        return out
+
+    def rhs(self):
+        th, dt = self.theta, self.dt
+        b = np.zeros((self.nt, self.sys.n))
+        b[0] = self.r2(self.sys.u0)
+        if self.sys.source is not None:
+            for n in range(self.nt):
+                t0, t1 = n * dt, (n + 1) * dt
+                b[n] += dt * ((1 - th) * self.sys.source(t0) + th * self.sys.source(t1))
+        return b
+
+    def sequential_solve(self):
+        U = np.empty((self.nt, self.sys.n))
+        b = self.rhs()
+        prev = None
+        for n in range(self.nt):
+            r = b[n] + (self.r2(prev) if prev is not None else 0.0)
+            prev = solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), r)
+            U[n] = prev
+        return U
+
+
+def theta_system(bc, source=True):
+    nx = 12
+    dx = 1.0 / (nx + 1) if bc == "dirichlet" else 1.0 / nx
+    src = (lambda x, t: np.cos(3.0 * t) * x) if source else None
+    sys = build_advection_diffusion(nx, dx, 0.05, bc, source=src)
+    sys.u0[:] = np.sin(2 * np.pi * sys.x)
+    return sys
+
+
+@pytest.mark.parametrize("integrator", ["backward_euler", "trapezoidal"])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+class TestSharedThetaOperator:
+    """ParaDiag II's theta operator is integrators.AllAtOnce, bit for bit
+    equal to the per-row operator it replaced."""
+
+    @pytest.mark.parametrize("source", [False, True])
+    def test_matches_per_row_operator(self, bc, integrator, source):
+        sys = theta_system(bc, source)
+        op = make_all_at_once(sys, integrator, 0.02, 10)
+        ref = _RowByRowAllAtOnce(sys, op.theta, 0.02, 10)
+        rng = np.random.default_rng(5)
+        U = rng.standard_normal((10, sys.n))
+        Uc = U + 1j * rng.standard_normal((10, sys.n))
+        assert op.apply(U).tobytes() == ref.apply(U).tobytes()
+        assert op.apply(Uc).tobytes() == ref.apply(Uc).tobytes()
+        assert op.rhs().tobytes() == ref.rhs().tobytes()
+        assert op.sequential_solve().tobytes() == ref.sequential_solve().tobytes()
+
+    @pytest.mark.parametrize("kw", [
+        {"implementation": "increment"},
+        {"implementation": "direct"},
+        {"mode": "gmres"},
+    ], ids=["increment", "direct", "gmres"])
+    def test_paradiag2_iterates_match_per_row_operator(self, monkeypatch, bc, integrator, kw):
+        sys = theta_system(bc)
+        ref_U = make_all_at_once(sys, integrator, 0.02, 10).sequential_solve()
+        args = (sys, integrator, 0.1, 0.02, 10)
+        kw = dict(kw, tol=1e-13, max_iter=15, reference=ref_U)
+        traj, tr = paradiag2_solve(*args, **kw)
+        monkeypatch.setattr(
+            paradiag_module, "make_all_at_once",
+            lambda sys, integrator, dt, n_t, gamma: _RowByRowAllAtOnce(
+                sys, named_theta(integrator), dt, n_t),
+        )
+        traj_ref, tr_ref = paradiag2_solve(*args, **kw)
+        assert tr.iterations > 2
+        assert traj.tobytes() == traj_ref.tobytes()
+        assert (tr.errors, tr.residuals) == (tr_ref.errors, tr_ref.residuals)
+
+
+class TestEntryValidation:
+    def test_unknown_integrator_named(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            paradiag2_solve(heat_sine(nx=8), "bogus", 0.1, 0.02, 8)
+
+    def test_non_theta_integrator_named(self):
+        with pytest.raises(ValueError, match="'sdirk22'"):
+            make_all_at_once(heat_sine(nx=8), "sdirk22", 0.02, 8)
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_non_finite_u0(self, order):
+        sys = heat_sine(nx=8) if order == "first" else wave_sine(nx=8)
+        sys.u0[3] = np.nan
+        integrator = "backward_euler" if order == "first" else "numerov"
+        with pytest.raises(ValueError, match="u0"):
+            paradiag2_solve(sys, integrator, 0.1, 0.02, 8)
+
+
+def test_nka_offline_weights_eig_once(monkeypatch):
+    # M = B^-1 diag(phi) is constant for fixed weights: one eig per call,
+    # and cond(V) is still recorded every iteration
+    from pintlab.paradiag import nka_weights_offline
+
+    nx, n_t, T = 40, 40, 0.7
+    sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")
+    sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+    coarse = build_burgers(10, 1.0 / 10, 0.1, "periodic")
+    coarse.u0[:] = np.sin(2 * np.pi * coarse.x) ** 2
+    phi = nka_weights_offline(coarse, T / n_t, n_t)
+    eig = np.linalg.eig
+    calls = []
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
+    _, tr = paradiag1_quasi_newton(sys, ("bvm", T / n_t, n_t), tol=1e-8,
+                                   nka=True, nka_weights_vec=phi)
+    assert tr.iterations == 7 and len(calls) == 1
+    assert len(tr.meta["cond_V"]) == tr.iterations
+    assert len(set(tr.meta["cond_V"])) == 1

@@ -283,3 +283,66 @@ class TestFas:
                 k for k, e in enumerate(tr.errors) if e <= 1e-6 * e0
             )
         assert counts[0.01] >= 2 * counts[0.1]
+
+
+class TestOneCyclePath:
+    @pytest.mark.parametrize("lx,lt", [(4, 2), (2, 4)])
+    def test_small_grids_two_level_equals_multilevel(self, lx, lt):
+        from pintlab.stmg import stmg_multilevel
+
+        sys, grid = heat_grid(lx=lx, lt=lt, ratio=0.5)
+        sm = SmootherConfig(eta=0.5, s1=2, s2=2)
+        out2, tr2 = stmg_two_level(sys, grid, sm, cycles=4)
+        outm, trm = stmg_multilevel(sys, grid, sm, cycles=4, levels=2)
+        assert out2.tobytes() == outm.tobytes()
+        assert (tr2.errors, tr2.residuals) == (trm.errors, trm.residuals)
+        assert tr2.errors[-1] < tr2.errors[0]
+
+    def test_multilevel_records_residuals(self):
+        from pintlab.stmg import stmg_multilevel
+
+        sys, grid = heat_grid(lx=5, lt=6, ratio=8.0)
+        sm = SmootherConfig(eta=0.5, s1=2, s2=2)
+        _, tr = stmg_multilevel(sys, grid, sm, cycles=6, levels=3, gamma_cycle=2)
+        assert len(tr.residuals) == len(tr.errors) == 7
+        assert tr.residuals[-1] < 1e-2 * tr.residuals[0]
+
+    def test_level_count_limited_by_coarsest_built_grid(self):
+        from pintlab.stmg import build_hierarchy
+
+        # four levels need grids only on levels 0-2 (lt = 4, 3, 2); the
+        # first pair coarsens in time only, so lx stays 5 there
+        sys, grid = heat_grid(lx=5, lt=4, ratio=0.5)
+        chain = build_hierarchy(sys, grid, 1.0, levels=4)
+        assert [ops.coarsen_space for ops in chain] == [False, True, False]
+        assert chain[-1].op_c.nt == 1
+        with pytest.raises(ValueError, match="grid too small"):
+            build_hierarchy(sys, grid, 1.0, levels=5)
+
+    def test_linear_fas_trapezoidal_equals_two_level(self):
+        sys, grid = heat_grid()
+        sm = SmootherConfig(eta=0.5, s1=1, s2=1)
+        out_lin, tr_lin = stmg_two_level(sys, grid, sm, integrator="trapezoidal", cycles=3)
+        out_fas, tr_fas = stmg_fas_nonlinear(sys, grid, sm, cycles=3, theta=0.5)
+        assert out_lin.tobytes() == out_fas.tobytes()
+        assert tr_lin.errors == tr_fas.errors
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize("name", ["sdirk22", "exact", "bogus"])
+    def test_non_theta_integrator_named(self, name):
+        sys, grid = heat_grid()
+        with pytest.raises(ValueError, match=repr(name)):
+            stmg_two_level(sys, grid, SmootherConfig(eta=0.5), integrator=name)
+
+    def test_non_finite_u0_two_level(self):
+        sys, grid = heat_grid()
+        sys.u0[2] = np.inf
+        with pytest.raises(ValueError, match="u0"):
+            stmg_two_level(sys, grid, SmootherConfig(eta=0.5), cycles=2)
+
+    def test_non_finite_u0_fas(self):
+        sys, grid = TestFas().burgers_grid(lx=4, lt=3)
+        sys.u0[2] = np.nan
+        with pytest.raises(ValueError, match="u0"):
+            stmg_fas_nonlinear(sys, grid, SmootherConfig(eta=0.25), cycles=2)
