@@ -523,12 +523,14 @@ def run_parareal_diag_variants(params, seed=0):
     sys = build_heat(64, 1.0 / 64, 0.1, "periodic")
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     cfg_c = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12)
-    _, tr_c = parareal.parareal_solve(cfg_c, sys)
+    # both solvers share the system, grid and fine propagator: one oracle
+    oracle = parareal.fine_sequential(cfg_c, sys)
+    _, tr_c = parareal.parareal_solve(cfg_c, sys, oracle=oracle)
     rho = _geo_mean(_contraction_factors(tr_c.errors, floor=1e-10))
     alpha = rho / (1 + rho)
     cfg_d = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12,
                           variant="diag_cgc", alpha=alpha)
-    _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys)
+    _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys, oracle=oracle)
     rho_d = _geo_mean(_contraction_factors(tr_d.errors, floor=1e-10))
     rows.append({"variant": "diag_cgc", "rho_classic": rho, "rho_diag": rho_d,
                  "alpha": alpha})
@@ -537,10 +539,13 @@ def run_parareal_diag_variants(params, seed=0):
     # diag coarse solver: heat rate = alpha
     sysh = build_heat(50, 1.0 / 51, 0.05, "dirichlet")
     sysh.u0[:] = np.sin(2 * np.pi * sysh.x) ** 2
+    oracle = None  # one for both alphas: the grid and fine propagator do not depend on it
     for alpha in (1e-2, 1e-3):
         cfg = _parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
                             max_iter=7, tol=1e-13, variant="diag_coarse", alpha=alpha)
-        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh)
+        if oracle is None:
+            oracle = parareal.fine_sequential(cfg, sysh)
+        _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, oracle=oracle)
         factors = _contraction_factors(tr.errors, floor=1e-11, skip=1)
         mean = _geo_mean(factors)
         rows.append({"variant": "diag_coarse_heat", "alpha": alpha, "rate": mean})

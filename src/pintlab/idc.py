@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .integrators import _newton
-from .kernels import solve_shifted_banded
+from .integrators import _newton, finite_u0
 from .trace import IterationTrace
 
 
@@ -98,17 +97,39 @@ class SweepState:
     k: int = 0
 
 
-def _implicit_theta_node(sys, theta, dtm, t_next, rhs, guess):
-    if theta == 0.0:
-        return rhs
-    if sys.linear:
-        extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
-        return solve_shifted_banded(sys.A, (1.0, theta * dtm), rhs + extra)
-    return _newton(sys, theta * dtm, rhs, t_next, guess)
+class _ThetaNodes:
+    """The implicit node solves y - theta*dtm*f(y, t_next) = rhs of one
+    system.  For a linear system it keeps the shift plan of each step size
+    dtm, so all sweeps of a run share one factorization per step size."""
+
+    def __init__(self, sys, theta: float):
+        self.sys, self.theta = sys, theta
+        self.plans = {}
+
+    def plan(self, dtm):
+        """The shift plan of (I - theta*dtm*A)."""
+        plan = self.plans.get(dtm)
+        if plan is None:
+            plan = self.plans[dtm] = self.sys.A.shift_plan(1.0, self.theta * dtm)
+        return plan
+
+    def __call__(self, dtm, t_next, rhs, guess):
+        sys, theta = self.sys, self.theta
+        if theta == 0.0:
+            return rhs
+        if sys.linear:
+            extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
+            return self.plan(dtm).solve(rhs + extra)
+        return _newton(sys, theta * dtm, rhs, t_next, guess)
 
 
-def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> SweepState:
-    """One left-to-right correction sweep over the window."""
+def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray,
+              nodes: Optional[_ThetaNodes] = None) -> SweepState:
+    """One left-to-right correction sweep over the window; ``nodes`` (made
+    afresh if not given) carries the node solves' shift plans between
+    sweeps."""
+    if nodes is None:
+        nodes = _ThetaNodes(sys, theta)
     t = state.t_nodes
     M = t.shape[0] - 1
     old = state.values
@@ -123,7 +144,7 @@ def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> Swee
             - dtm * theta * f_old[m + 1]
             + weights[m] @ f_old[1:]
         )
-        new[m + 1] = _implicit_theta_node(sys, theta, dtm, t[m + 1], rhs, old[m + 1])
+        new[m + 1] = nodes(dtm, t[m + 1], rhs, old[m + 1])
     return SweepState(n=state.n, t_nodes=t, values=new, k=state.k + 1)
 
 
@@ -149,6 +170,7 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
     node-0 value always carries the current initial value (with theta = 1
     sweeps node 0 never enters the correction terms).
     """
+    finite_u0(sys)
     boundaries = np.linspace(0.0, T, n_windows + 1)
     history = []  # history[k][n] = node values of window n after sweep k+1
     endpoints = np.full((k_sweeps + 1, n_windows + 1, sys.n), np.nan)
@@ -157,7 +179,7 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
         np.linspace(boundaries[n], boundaries[n + 1], M + 1) for n in range(n_windows)
     ]
     weights = [idc_weights(t) for t in window_nodes]
-    states = [None] * n_windows
+    nodes = _ThetaNodes(sys, theta)
 
     for n in range(n_windows):
         sweeps_here = []
@@ -177,7 +199,7 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
                 state = SweepState(n=n, t_nodes=state.t_nodes,
                                    values=state.values.copy(), k=state.k)
             state.values[0] = ic
-            state = idc_sweep(state, sys, theta, weights[n])
+            state = idc_sweep(state, sys, theta, weights[n], nodes)
             sweeps_here.append(state)
             endpoints[k, n + 1] = state.values[-1]
         if n == 0:
@@ -238,15 +260,16 @@ def ridc_run(sys, M: int, levels: int, T: float, dt: float) -> np.ndarray:
     times = dt * np.arange(n_steps + 1)
     if n_steps + 1 < M:
         raise ValueError("not enough steps for the stencil")
+    nodes = _ThetaNodes(sys, 1.0)
 
     def be_step(u, t_next):
         if sys.linear:
             rhs = u if sys.source is None else u + dt * sys.source(t_next)
-            return solve_shifted_banded(sys.A, (1.0, dt), rhs)
+            return nodes.plan(dt).solve(rhs)
         return _newton(sys, dt, u, t_next, u)
 
     level = np.empty((n_steps + 1, sys.n))
-    level[0] = sys.u0
+    level[0] = finite_u0(sys)
     for j in range(n_steps):
         level[j + 1] = be_step(level[j], times[j + 1])
 
@@ -264,13 +287,13 @@ def ridc_run(sys, M: int, levels: int, T: float, dt: float) -> np.ndarray:
         f_prev = np.stack([sys.f(prev[m], times[m]) for m in range(M)])
         for m in range(M - 1):
             rhs = level[m] - dt * f_prev[m + 1] + wmat[m] @ f_prev[1:]
-            level[m + 1] = _implicit_theta_node(sys, 1.0, dt, times[m + 1], rhs, prev[m + 1])
+            level[m + 1] = nodes(dt, times[m + 1], rhs, prev[m + 1])
         # slide: step j+1 corrected with the trailing M nodes of level l-1
         for j in range(M - 1, n_steps):
             idx = np.arange(j - M + 2, j + 2)
             f_prev_sten = np.stack([sys.f(prev[i], times[i]) for i in idx])
             rhs = level[j] - dt * sys.f(prev[j + 1], times[j + 1]) + w_slide @ f_prev_sten
-            level[j + 1] = _implicit_theta_node(sys, 1.0, dt, times[j + 1], rhs, prev[j + 1])
+            level[j + 1] = nodes(dt, times[j + 1], rhs, prev[j + 1])
     return level
 
 
@@ -362,6 +385,7 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     records the max window-endpoint error per iteration against
     ``reference`` (falling back to the sequential collocation solution).
     """
+    finite_u0(sys)
     ops = build_pfasst_operators(sys, dt, Mf=Mf, Mc=Mc,
                                  identity_transfers=identity_transfers,
                                  sweeper_exact=sweeper_exact)

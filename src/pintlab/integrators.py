@@ -204,11 +204,13 @@ def _g_columns(sys, ts, like):
     return cols
 
 
-def _step_linear_block(method, sys, dt, t0s, U):
+def _step_linear_block(method, sys, plan, dt, t0s, U):
     """One step of ``method`` on the linear system for a block of states.
 
-    ``U`` is (n, k); column j starts at time t0s[j].  The same factored
-    matrix serves every column, so the step is a pure map over columns.
+    ``U`` is (n, k); column j starts at time t0s[j].  ``plan`` is the
+    system's shift plan for the step's implicit solves (see
+    :func:`_step_plan`), so one factorization serves every column and
+    every step, and the step is a pure map over columns.
     """
     has_g = sys.source is not None
     if method.name == "exact":
@@ -223,18 +225,26 @@ def _step_linear_block(method, sys, dt, t0s, U):
             rhs = rhs + dt * (
                 (1.0 - th) * _g_columns(sys, t0s, U) + th * _g_columns(sys, t0s + dt, U)
             )
-        return sys.solve_shift(1.0, th * dt, rhs)
+        return plan.solve(rhs)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
     rhs1 = sys.matvec(U)
     if has_g:
         rhs1 = rhs1 + _g_columns(sys, t0s + g * dt, U)
-    k1 = sys.solve_shift(1.0, g * dt, rhs1)
+    k1 = plan.solve(rhs1)
     y2 = U + dt * a21 * k1
     rhs2 = sys.matvec(y2)
     if has_g:
         rhs2 = rhs2 + _g_columns(sys, t0s + (a21 + g) * dt, U)
-    k2 = sys.solve_shift(1.0, g * dt, rhs2)
+    k2 = plan.solve(rhs2)
     return U + dt * (b1 * k1 + b2 * k2)
+
+
+def _step_plan(method, sys, dt):
+    """The shift plan of one linear step's implicit solves, (I - theta dt A)
+    or (I - gamma dt A); None for the exact exponential."""
+    if method.name == "exact":
+        return None
+    return sys.shift_plan(1.0, (method.theta if method.theta is not None else method.gamma) * dt)
 
 
 def _step_nonlinear(method, sys, dt, t0, u, newton_tol):
@@ -269,14 +279,17 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
     Linear systems advance all columns through shared factored solves;
     nonlinear ones run Newton stepping one column at a time.  Except
     for the exact exponential (one dense product for the whole block), a
-    column's result does not depend on the other columns, bit for bit.
+    column's result does not depend on the other columns, bit for bit, as
+    long as the block is at least two columns wide: a single column of a
+    periodic linear system rounds differently in the Woodbury step.
     """
     linear = getattr(sys, "linear", True)
     if linear:
+        plan = _step_plan(prop.method, sys, prop.dt)
         W = U.copy()
         for s in range(prop.steps):
-            W = _step_linear_block(prop.method, sys, prop.dt, t0s + s * prop.dt, W)
-            if not np.all(np.isfinite(W)):
+            W = _step_linear_block(prop.method, sys, plan, prop.dt, t0s + s * prop.dt, W)
+            if not np.isfinite(W).all():
                 raise ConvergenceError("propagation produced non-finite values")
         return W
 
@@ -291,10 +304,12 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
 
 
 def finite_u0(sys) -> np.ndarray:
-    """``sys.u0``, or a ValueError if it holds NaN or inf."""
-    if not np.all(np.isfinite(sys.u0)):
+    """``sys.u0`` (or ``sys`` itself, given the initial values), or a
+    ValueError if it holds NaN or inf."""
+    u0 = sys.u0 if hasattr(sys, "u0") else np.asarray(sys)
+    if not np.isfinite(u0).all():
         raise ValueError("initial value u0 has non-finite entries")
-    return sys.u0
+    return u0
 
 
 class AllAtOnce:
@@ -305,6 +320,7 @@ class AllAtOnce:
         self.theta = theta
         self.dt = dt
         self.nt = nt
+        self.r1_plan = sys.A.shift_plan(1.0, theta * dt)
 
     def r1(self, u):
         return u - self.theta * self.dt * self.sys.A.matvec(u)
@@ -331,14 +347,14 @@ class AllAtOnce:
         return b
 
     def solve_r1(self, rhs):
-        return solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), rhs.T).T
+        return self.r1_plan.solve(rhs.T).T
 
     def forward_substitution(self, b):
         U = np.empty((self.nt, self.sys.n))
         prev = None
         for n in range(self.nt):
             r = b[n] + (self.r2(prev) if prev is not None else 0.0)
-            prev = solve_shifted_banded(self.sys.A, (1.0, self.theta * self.dt), r)
+            prev = self.r1_plan.solve(r)
             U[n] = prev
         return U
 

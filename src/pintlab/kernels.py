@@ -4,13 +4,21 @@ exponential action, triangular-Toeplitz application, and a small GMRES.
 All solvers accept real or complex data.  Vectors live on axis 0, so every
 routine also accepts an ``(n, k)`` block of right-hand sides and solves the
 k systems in one call.
+
+Shifted tridiagonal systems (a I - b A) x = r have one solve path: a
+:class:`ShiftPlan` from :meth:`BandedMatrix.shift_plan`.  A caller that
+repeats the same shifts (every step of a propagator, every iteration of a
+diagonalized solver) makes the plan once; the plan fetches the cached
+factorization on its first solve and keeps it, so each later solve is one
+gttrs plus the checks.  :func:`solve_shifted_banded` and
+:func:`solve_shifted_banded_many` are one-shot plans.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,6 +54,9 @@ class BandedMatrix:
     upper: np.ndarray
     corner_top: Optional[float] = None
     corner_bottom: Optional[float] = None
+    # (diag, lower, upper, corners or None) shaped to broadcast against data
+    # of each ndim, made by the first matvec of that ndim
+    _bands: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = self.diag.shape[0]
@@ -63,15 +74,31 @@ class BandedMatrix:
         return self.corner_top is not None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A @ v for a vector ``(n,)`` or block of columns ``(n, k)``."""
-        out = self.diag.reshape(-1, *([1] * (v.ndim - 1))) * v
-        if self.n >= 2:
-            out[:-1] += self.upper.reshape(-1, *([1] * (v.ndim - 1))) * v[1:]
-            out[1:] += self.lower.reshape(-1, *([1] * (v.ndim - 1))) * v[:-1]
-        if self.periodic and self.n >= 3:
-            out[0] += self.corner_top * v[-1]
-            out[-1] += self.corner_bottom * v[0]
+        """A @ v along axis 0 of ``v``: a vector ``(n,)``, a block of columns
+        ``(n, k)`` or any ``(n, ...)`` stack.  Each entry sums diagonal,
+        upper, lower and corner terms in that order."""
+        bands = self._bands.get(v.ndim)
+        if bands is None:
+            bands = self._bands.setdefault(v.ndim, self._broadcast_bands(v.ndim))
+        diag, lower, upper, corners = bands
+        out = diag * v
+        if lower is not None:
+            head, tail = out[:-1], out[1:]
+            head += upper * v[1:]
+            tail += lower * v[:-1]
+        if corners is not None:
+            n = v.shape[0]
+            ends = out[::n - 1]  # rows 0 and n-1 += corner * rows n-1 and 0
+            ends += corners * v[::1 - n]
         return out
+
+    def _broadcast_bands(self, ndim):
+        shape = (-1,) + (1,) * (ndim - 1)
+        diag, lower, upper = (x.reshape(shape) for x in (self.diag, self.lower, self.upper))
+        corners = None
+        if self.periodic and self.n >= 3:
+            corners = np.array([self.corner_top, self.corner_bottom]).reshape((2,) + shape[1:])
+        return diag, (lower if self.n >= 2 else None), upper, corners
 
     def __matmul__(self, v):
         return self.matvec(v)
@@ -128,9 +155,10 @@ class BandedMatrix:
             cb,
         )
 
-    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
-        """Solve (a[j]*I - b[j]*A) x[j] = R[j] for J shifts in one batched call."""
-        return solve_shifted_banded_many(self, a, b, R)
+    def shift_plan(self, a, b) -> "ShiftPlan":
+        """Prepared solves with (a*I - b*A), or with (a[j]*I - b[j]*A) for
+        arrays of J shifts; see :class:`ShiftPlan`."""
+        return ShiftPlan(self, a, b)
 
     def scale_columns(self, u: np.ndarray) -> "BandedMatrix":
         """Return A @ diag(u), still banded."""
@@ -221,8 +249,8 @@ def _cached(cache, size, key, owner, build):
     return entry[1]
 
 
-# Factorizations of shifted systems kept by solve_shifted_banded_many: one
-# per (operator, shifts) pair a run is stepping with, and a store of its own,
+# Factorizations of shifted systems fetched by ShiftPlan: one per (operator,
+# shifts, data type) a run is stepping with, and a store of its own,
 # so the one-shot Jacobians of Newton solves never evict exponentials.
 _SHIFT_CACHE_SIZE = 8
 _shift_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -232,61 +260,142 @@ def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*A) x = rhs for scalars ``shift = (a, b)``.
 
     ``rhs`` may be ``(n,)`` or ``(n, k)``; ``a``, ``b`` may be complex.
-    This is the one-shift case of :func:`solve_shifted_banded_many`.
+    A one-shot :class:`ShiftPlan`.
     """
     a, b = shift
-    return solve_shifted_banded_many(A, [a], [b], rhs[None])[0]
+    return ShiftPlan(A, a, b).solve(rhs)
 
 
 def solve_shifted_banded_many(A: BandedMatrix, a, b, rhs: np.ndarray) -> np.ndarray:
     """Solve (a[j]*I - b[j]*A) x[j] = rhs[j] for J shifts at once.
 
-    ``rhs`` is ``(J, n)`` or ``(J, n, k)``; shifts may be complex.  The J
-    tridiagonal systems are stacked into one band and factored once by
-    LAPACK gttrf (:class:`StackedTridiagonalLU`), so each x[j] is bit for
-    bit the single-shift solve.  Periodic corners are removed by a rank-2
+    ``rhs`` is ``(J, n)`` or ``(J, n, k)``; shifts may be complex.  A
+    one-shot :class:`ShiftPlan`; a caller that repeats the shifts should
+    keep ``A.shift_plan(a, b)`` and call its ``solve``.  Each x[j] is bit
+    for bit the single-shift solve.
+    """
+    return ShiftPlan(A, np.atleast_1d(a), np.atleast_1d(b)).solve(rhs)
+
+
+class ShiftPlan:
+    """The shifted systems (a[j]*I - b[j]*A) x[j] = r[j] of one banded
+    operator ``A``, prepared for repeated solves.
+
+    Scalar shifts ``a``, ``b`` make a plan for one system, whose ``solve``
+    takes ``(n,)`` or ``(n, k)``; arrays of J shifts make one for J
+    systems, ``(J, n)`` or ``(J, n, k)``.  The J tridiagonal systems are
+    stacked into one band and factored once by LAPACK gttrf
+    (:class:`StackedTridiagonalLU`), so each x[j] is bit for bit the
+    single-shift solve.  Periodic corners are removed by a rank-2
     Sherman-Morrison-Woodbury correction, with the J 2x2 capacitance
     systems solved in one batched call, so the cost stays O(J n).
 
     The factorization, with the Woodbury columns and capacitance matrices,
-    is kept in a small LRU cache keyed on the identity of ``A`` and the
-    exact shifts: the same step size or eigenvalue shifts recur on every
-    time step and iteration, and each repeat costs one gttrs.  A
-    factorization whose solve fails a check leaves the cache.  Every check
-    (finite solution, growth of a near-singular system, capacitance
-    determinant, periodic residual) is applied to each shift separately.
+    lives in a small LRU cache keyed on the identity of ``A``, the exact
+    shifts and the data type.  The first solve for a data type fetches it
+    from there (or makes it) and the plan keeps it: every later solve is
+    one gttrs plus the checks.  Every check (finite solution, growth of a
+    near-singular system, capacitance determinant, periodic residual) is
+    applied to each shift separately; a solve that fails one evicts its
+    factorization, from the cache and from the plan.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    J, n = rhs.shape[:2]
-    # corners count from n = 3 (as in matvec) and vanish with b = 0
-    periodic = A.periodic and n > 2 and (b != 0).any()
-    if periodic and not (b != 0).all():
-        return np.stack([solve_shifted_banded_many(A, a[j:j + 1], b[j:j + 1], rhs[j:j + 1])[0]
-                         for j in range(J)])
-    dtype = np.result_type(A.diag, a, b, rhs)
-    R = rhs.reshape(J, n, -1)
-    if n == 1:
-        d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
-        if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
-            raise SingularSystemError("1x1 pivot underflow")
-        return (R / d[:, :, None]).reshape(rhs.shape)
-    key = (id(A), dtype.char, a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
-    factor = _cached(_shift_cache, _SHIFT_CACHE_SIZE, key, A,
-                     lambda: _factor_shifted(A, a, b, dtype, periodic))
-    try:
-        return _solve_factored(A, a, b, factor, R).reshape(rhs.shape)
-    except SingularSystemError:
-        with _cache_lock:
-            _shift_cache.pop(key, None)
-        raise
+
+    def __init__(self, A: BandedMatrix, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        self.single = a.ndim == 0 and b.ndim == 0
+        a, b = a.reshape(-1), b.reshape(-1)
+        self.A, self.a, self.b = A, a, b
+        self._dtype = np.result_type(A.diag, a, b)
+        self._key = (a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
+        self._kept = None  # (data type, factorization), read and replaced whole
+        # corners count from n = 3 (as in matvec) and vanish with b = 0
+        self._periodic = A.periodic and A.n > 2 and b.any()
+        self._parts = None
+        if self._periodic and not b.all():
+            self._parts = [ShiftPlan(A, a[j:j + 1], b[j:j + 1]) for j in range(a.shape[0])]
+
+    def solve(self, rhs: np.ndarray, product: bool = False):
+        """x with (a[j]*I - b[j]*A) x[j] = rhs[j]; with ``product`` the pair
+        (x, A @ x), where a periodic ``A`` reuses the product its residual
+        check formed."""
+        R = rhs[None] if self.single else rhs
+        Ax = None
+        if self._parts is not None:
+            x = np.stack([p.solve(R[j:j + 1])[0] for j, p in enumerate(self._parts)])
+        else:
+            dtype = np.result_type(self._dtype, R)
+            kept = self._kept
+            if kept is None or kept[0] != dtype:
+                kept = self._kept = (dtype, self._fetch(dtype))
+            try:
+                x, Ax = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
+            except SingularSystemError:
+                self._kept = None
+                with _cache_lock:
+                    _shift_cache.pop(self._cache_key(dtype), None)
+                raise
+            x = x.reshape(R.shape)
+        if not product:
+            return x[0] if self.single else x
+        Ax = apply_blocks(self.A, x) if Ax is None else Ax.reshape(R.shape)
+        return (x[0], Ax[0]) if self.single else (x, Ax)
+
+    def _cache_key(self, dtype):
+        return (id(self.A), dtype.char) + self._key
+
+    def _fetch(self, dtype):
+        """The factorization for data of ``dtype``: a 1x1 system is its own
+        pivot (not cached); otherwise the :func:`_factor_shifted` entry."""
+        A, a, b = self.A, self.a, self.b
+        if A.n == 1:
+            d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
+            if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
+                raise SingularSystemError("1x1 pivot underflow")
+            return d[:, :, None]
+        return _cached(_shift_cache, _SHIFT_CACHE_SIZE, self._cache_key(dtype), A,
+                       lambda: _factor_shifted(A, a, b, dtype, self._periodic))
+
+    def _solve(self, factor, R):
+        """(x, A @ x or None) for R of shape (J, n, k) with ``factor`` from
+        :meth:`_fetch`; the product comes from the periodic residual check."""
+        if R.shape[1] == 1:
+            return R / factor, None
+        lu, scale, z, cap = factor
+        J, n, _ = R.shape
+        rhs_max = _block_abs_max(R)
+        x = lu.solve(R.reshape(J * n, -1)).reshape(R.shape)
+        # one pass serves both tests: a NaN or inf in x makes x_max so
+        x_max = _block_abs_max(x)
+        if not np.isfinite(x_max).all():
+            raise SingularSystemError("non-finite solution from banded solve")
+        if z is None:
+            # near-singular systems pass LAPACK but blow the solution up; a
+            # backward-stable solve keeps a small residual even then, so the
+            # growth itself is the test: |x| |M| / |rhs| beyond 1/(10 PIVOT_RTOL)
+            if (x_max * scale * PIVOT_RTOL > 10.0 * rhs_max + 1e-300).any():
+                raise SingularSystemError("near-singular shifted banded system")
+            return x, None
+        # rows n-1 and 0 of every block, the Woodbury coupling rows
+        x = x - z @ np.linalg.solve(cap, x[:, ::1 - n])
+        # Guard against ill-conditioning that slipped past the determinant test.
+        Ax = apply_blocks(self.A, x)
+        res = _block_abs_max(self.a[:, None, None] * x - self.b[:, None, None] * Ax - R)
+        tol = 1e-6 * (rhs_max + scale * _block_abs_max(x) + 1e-300)
+        if (res > tol).any():
+            raise SingularSystemError("periodic solve residual too large")
+        return x, Ax
+
+
+def _block_abs_max(X):
+    """max |X[j]| of every block of a (J, n, k) stack."""
+    return np.maximum.reduce(np.abs(X), axis=(1, 2))
 
 
 def _factor_shifted(A, a, b, dtype, periodic):
-    """(lu, scale, z, cap) for :func:`solve_shifted_banded_many`: the gttrf
-    factors of the J blocks (a[j] I - b[j] A) without corners, the scale
-    max|M_j| of each block and, for periodic ``A``, the Woodbury columns
-    ``z`` and 2x2 capacitance matrices ``cap`` (None otherwise)."""
+    """(lu, scale, z, cap) for :class:`ShiftPlan`: the gttrf factors of the
+    J blocks (a[j] I - b[j] A) without corners, the scale max|M_j| of each
+    block and, for periodic ``A``, the Woodbury columns ``z`` and 2x2
+    capacitance matrices ``cap`` (None otherwise)."""
     a_col, b_col = a[:, None], b[:, None]
     J, n = a.shape[0], A.n
     ab = np.zeros((3, J, n), dtype=dtype)
@@ -301,42 +410,15 @@ def _factor_shifted(A, a, b, dtype, periodic):
     cols = np.zeros((J * n, 2), dtype=dtype)
     cols[::n, 0] = -b * A.corner_top
     cols[n - 1::n, 1] = -b * A.corner_bottom
-    z = _finite_solution(lu.solve(cols, overwrite=True)).reshape(J, n, 2)
+    z = lu.solve(cols, overwrite=True)
+    if not np.isfinite(z).all():
+        raise SingularSystemError("non-finite solution from banded solve")
+    z = z.reshape(J, n, 2)
     cap = np.eye(2, dtype=dtype) + z[:, [-1, 0], :]
     det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
     if (np.abs(det) <= PIVOT_RTOL * np.maximum(np.abs(cap).max(axis=(1, 2)), 1.0)).any():
         raise SingularSystemError("singular periodic correction (capacitance)")
     return lu, scale, z, cap
-
-
-def _solve_factored(A, a, b, factor, R):
-    """x[j] for R of shape (J, n, k) from a :func:`_factor_shifted` entry."""
-    lu, scale, z, cap = factor
-    J, n, _ = R.shape
-    rhs_max = np.abs(R).max(axis=(1, 2))
-    x = _finite_solution(lu.solve(R.reshape(J * n, -1))).reshape(R.shape)
-    if z is None:
-        # near-singular systems pass LAPACK but blow the solution up; a
-        # backward-stable solve keeps a small residual even then, so the
-        # growth itself is the test: |x| |M| / |rhs| beyond 1/(10 PIVOT_RTOL)
-        x_max = np.abs(x).max(axis=(1, 2))
-        if (x_max * scale * PIVOT_RTOL > 10.0 * rhs_max + 1e-300).any():
-            raise SingularSystemError("near-singular shifted banded system")
-        return x
-    x = x - z @ np.linalg.solve(cap, x[:, [-1, 0], :])
-    # Guard against ill-conditioning that slipped past the determinant test.
-    a3, b3 = a[:, None, None], b[:, None, None]
-    res = np.abs(a3 * x - b3 * apply_blocks(A, x) - R).max(axis=(1, 2))
-    tol = 1e-6 * (rhs_max + scale * np.abs(x).max(axis=(1, 2)) + 1e-300)
-    if (res > tol).any():
-        raise SingularSystemError("periodic solve residual too large")
-    return x
-
-
-def _finite_solution(x):
-    if not np.isfinite(x).all():
-        raise SingularSystemError("non-finite solution from banded solve")
-    return x
 
 
 def solve_poly_in_matrix(A: BandedMatrix, coeffs, rhs: np.ndarray) -> np.ndarray:

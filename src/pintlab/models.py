@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .kernels import BandedMatrix, apply_blocks, solve_shifted_banded
+from .kernels import BandedMatrix, ShiftPlan
 
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
 PULSE_AMPLITUDE = 10.0
@@ -163,13 +163,13 @@ class SemiDiscreteSystem:
     def expm_key(self):
         return self.A.expm_key
 
-    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
-        """Solve (a*I - b*A) x = rhs."""
-        return solve_shifted_banded(self.A, (a, b), rhs)
+    def shift_plan(self, a, b) -> ShiftPlan:
+        """Prepared solves with (a*I - b*A), or (a[j]*I - b[j]*A) for J shifts."""
+        return self.A.shift_plan(a, b)
 
-    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
-        """Solve (a[j]*I - b[j]*A) x[j] = R[j] for J shifts in one batched call."""
-        return self.A.solve_shift_many(a, b, R)
+    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
+        """Solve (a*I - b*A) x = rhs once."""
+        return self.A.shift_plan(a, b).solve(rhs)
 
 
 def _with_source(source, sigma, x):
@@ -305,30 +305,13 @@ class CompanionSystem:
             out = out + (gv[:, None] if w.ndim == 2 else gv)
         return out
 
-    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
-        """Solve (a*I - b*[[0,I],[A,0]]) w = rhs via Schur reduction."""
-        if b == 0:
-            return rhs / a
-        return self.solve_shift_many([a], [b], rhs[None])[0]
+    def shift_plan(self, a, b) -> "CompanionShiftPlan":
+        """Prepared solves with (a*I - b*[[0,I],[A,0]]), or with J shifts."""
+        return CompanionShiftPlan(self, a, b)
 
-    def solve_shift_many(self, a, b, R: np.ndarray) -> np.ndarray:
-        """Solve (a[j]*I - b[j]*[[0,I],[A,0]]) w[j] = R[j] for J shifts: the
-        Schur step for the whole batch is one batched banded solve with
-        shifts (a, b^2/a) followed by one block matvec."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if np.any(b == 0):
-            return np.stack([self.solve_shift(aj, bj, r) for aj, bj, r in zip(a, b, R)])
-        m = self.base.n
-        per_shift = (slice(None),) + (None,) * (R.ndim - 1)
-        a_col, b_col = a[per_shift], b[per_shift]
-        ru, rv = R[:, :m], R[:, m:]
-        # b^2 elementwise, as scalars: numpy's vectorized complex product may
-        # use fused multiply-adds and round differently from one shift alone
-        b_sq = np.array([bj * bj for bj in b])
-        u = self.base.A.solve_shift_many(a, b_sq / a, ru + (b_col / a_col) * rv)
-        v = (rv + b_col * apply_blocks(self.base.A, u)) / a_col
-        return np.concatenate([u, v], axis=1)
+    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
+        """Solve (a*I - b*[[0,I],[A,0]]) w = rhs once, via Schur reduction."""
+        return CompanionShiftPlan(self, a, b).solve(rhs)
 
     def to_dense(self) -> np.ndarray:
         m = self.base.n
@@ -336,6 +319,48 @@ class CompanionSystem:
         big[:m, m:] = np.eye(m)
         big[m:, :m] = self.base.A.to_dense()
         return big
+
+
+class CompanionShiftPlan:
+    """The shifted systems (a[j]*I - b[j]*[[0,I],[A,0]]) w[j] = r[j] of a
+    :class:`CompanionSystem`, prepared for repeated solves.
+
+    With r = (r_u, r_v), one Schur step gives u from the banded system
+    (a I - (b^2/a) A) u = r_u + (b/a) r_v and then v = (r_v + b A u) / a.
+    The plan holds the :class:`ShiftPlan` of those banded shifts for all J
+    systems at once and the coefficients b/a.  Scalar or array shifts and
+    the right-hand side shapes follow :class:`ShiftPlan`; a shift with
+    b = 0 is the division r / a.
+    """
+
+    def __init__(self, comp: "CompanionSystem", a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        self.single = a.ndim == 0 and b.ndim == 0
+        self.a, self.b = a, b = a.reshape(-1), b.reshape(-1)
+        self.m, self.A = comp.base.n, comp.base.A
+        self._parts = self._banded = None
+        if b.all():
+            # b^2 elementwise, as scalars: numpy's vectorized complex product
+            # may use fused multiply-adds and round differently from one shift alone
+            b_sq = np.array([bj * bj for bj in b])
+            self._banded = self.A.shift_plan(a, b_sq / a)
+            self._b_over_a = b / a
+        elif a.shape[0] > 1:
+            self._parts = [CompanionShiftPlan(comp, aj, bj) for aj, bj in zip(a, b)]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        R = rhs[None] if self.single else rhs
+        per_shift = (slice(None),) + (None,) * (R.ndim - 1)
+        if self._banded is not None:
+            ru, rv = R[:, :self.m], R[:, self.m:]
+            u, Au = self._banded.solve(ru + self._b_over_a[per_shift] * rv, product=True)
+            v = (rv + self.b[per_shift] * Au) / self.a[per_shift]
+            W = np.concatenate([u, v], axis=1)
+        elif self._parts is not None:
+            W = np.stack([p.solve(r) for p, r in zip(self._parts, R)])
+        else:
+            W = R / self.a[per_shift]
+        return W[0] if self.single else W
 
 
 def reference_solve(sys, grid, integrator) -> np.ndarray:

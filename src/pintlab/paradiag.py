@@ -130,7 +130,7 @@ def _eig_solve(op, V, a, b, R: np.ndarray) -> np.ndarray:
     """Solve (B (x) I_op) U = R for a time matrix B = V diag(a/b) V^-1 that
     was diagonalized numerically: transform to the eigenbasis, one batched
     shifted solve (a[j]*I - b[j]*op) per eigenvalue, transform back."""
-    return (V @ op.solve_shift_many(a, b, np.linalg.solve(V, R.astype(complex)))).real
+    return (V @ op.shift_plan(a, b).solve(np.linalg.solve(V, R.astype(complex)))).real
 
 
 def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "backward_euler",
@@ -148,7 +148,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
     times = mesh.times
     if integrator == "backward_euler":
         target = sys
-        u0 = sys.u0
+        u0 = finite_u0(sys)
         rhs = np.zeros((mesh.n_t, target.n))
         rhs[0] = u0 / dts[0]
         if sys.source is not None:
@@ -161,7 +161,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
         if sys.order != "second":
             raise ValueError("trapezoidal_second_order expects a second-order system")
         target = CompanionSystem(sys)
-        u0 = target.u0
+        u0 = finite_u0(target)
         if sys.source is not None:
             raise ValueError("source terms not supported on the trapezoidal path")
         B = be_time_matrix(mesh)
@@ -181,7 +181,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
     elif v_mode == "closed_form":
         p, q = closed(mesh)
         Ua = toeplitz_lower_apply(q, rhs)
-        U = toeplitz_lower_apply(p, target.solve_shift_many(lam_exact, np.ones(mesh.n_t), Ua))
+        U = toeplitz_lower_apply(p, target.shift_plan(lam_exact, np.ones(mesh.n_t)).solve(Ua))
     else:
         raise ValueError(f"unknown v_mode {v_mode!r}")
 
@@ -194,7 +194,7 @@ def sequential_variable_step_solve(sys, mesh: GeometricTimeMesh,
     dts = mesh.dts
     times = mesh.times
     if integrator == "backward_euler":
-        target, u = sys, sys.u0.copy()
+        target, u = sys, finite_u0(sys).copy()
         out = np.empty((mesh.n_t + 1, target.n))
         out[0] = u
         for n, dt in enumerate(dts):
@@ -206,7 +206,7 @@ def sequential_variable_step_solve(sys, mesh: GeometricTimeMesh,
         return out
     if integrator == "trapezoidal_second_order":
         target = CompanionSystem(sys)
-        u = target.u0.copy()
+        u = finite_u0(target).copy()
         out = np.empty((mesh.n_t + 1, target.n))
         out[0] = u
         for n, dt in enumerate(dts):
@@ -269,9 +269,9 @@ def measured_optimal_rho(sys, T: float, n_t: int, rhos) -> float:
     mesh (closed-form eigenvectors, the ones the roundoff bound assumes).
     """
     u_uniform = sys.u0.copy()
-    dt = T / n_t
+    step = sys.shift_plan(1.0, T / n_t)
     for _ in range(n_t):
-        u_uniform = solve_shifted_banded(sys.A, (1.0, dt), u_uniform)
+        u_uniform = step.solve(u_uniform)
     best = None
     for rho in rhos:
         mesh = GeometricTimeMesh(T=T, n_t=n_t, rho=float(rho))
@@ -322,6 +322,7 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
     through the squared time matrix, avoiding the companion doubling.
     Returns the trajectory including the initial row.
     """
+    finite_u0(sys)
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
     times = dt * np.arange(1, n_t + 1)
@@ -372,7 +373,7 @@ def circulant_quasi_newton(sys, residual, fac, b, U, tol: float, name: str) -> n
     for _ in range(QUASI_NEWTON_MAX_ITER):
         resid, states = residual(U)
         A_bar = _banded_mean([sys.jacobian(s) for s in states])
-        delta = fac.solve(A_bar, fac.eigenvalues, b, resid).real
+        delta = fac.solve(A_bar.shift_plan(fac.eigenvalues, b), resid).real
         U = U + delta
         if np.abs(delta).max() <= tol * max(1.0, np.abs(U).max()):
             return U
@@ -425,8 +426,14 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
     Euler) or a tuple ``('bvm', dt, n_t)``.  Each outer iteration performs
     one diagonalized Jacobian solve with the averaged Jacobian A_k; with
     ``nka=True`` the Kronecker factor is diag(phi) (x) A_k instead of
-    I (x) A_k.  Returns (trajectory, trace).
+    I (x) A_k.  Only the Jacobians that A_k or the NKA weights use are
+    built.  Returns (trajectory, trace).
     """
+    finite_u0(sys)
+    if jac_mode not in ("mean_jacobian", "jacobian_of_mean"):
+        raise ValueError(f"unknown jac_mode {jac_mode!r}")
+    # the n_t Jacobians of the iterate feed the mean and the online weights
+    per_point = jac_mode == "mean_jacobian" or (nka and nka_weights_vec is None)
     if isinstance(time_disc, GeometricTimeMesh):
         B = be_time_matrix(time_disc)
         times = time_disc.times[1:]
@@ -458,13 +465,11 @@ def paradiag1_quasi_newton(sys, time_disc, jac_mode: str = "mean_jacobian",
     bad_steps = 0
     for it in range(max_iter):
         F = np.stack([sys.f(U[n], times[n]) for n in range(n_t)])
-        jacobians = [sys.jacobian(U[n]) for n in range(n_t)]
+        jacobians = [sys.jacobian(U[n]) for n in range(n_t)] if per_point else None
         if jac_mode == "mean_jacobian":
             A_k = _banded_mean(jacobians)
-        elif jac_mode == "jacobian_of_mean":
-            A_k = sys.jacobian(U.mean(axis=0))
         else:
-            raise ValueError(f"unknown jac_mode {jac_mode!r}")
+            A_k = sys.jacobian(U.mean(axis=0))
         AU = np.stack([A_k.matvec(U[n]) for n in range(n_t)])
 
         if nka:
@@ -519,11 +524,12 @@ class AlphaCirculantFactorization:
         out = idft(y)
         return out / self._lam_scale.reshape(-1, *([1] * (out.ndim - 1)))
 
-    def solve(self, op, a, b, R: np.ndarray) -> np.ndarray:
-        """V diag((a[j]*I - b[j]*op)^-1) V^-1 R: transform to the eigenbasis,
-        one batched shifted solve, transform back (complex result)."""
+    def solve(self, plan, R: np.ndarray) -> np.ndarray:
+        """V diag((a[j]*I - b[j]*op)^-1) V^-1 R for ``plan = op.shift_plan(a,
+        b)`` over the n eigenvalue shifts: transform to the eigenbasis, one
+        batched shifted solve, transform back (complex result)."""
         Ra = self.to_eigenbasis(R.astype(complex))
-        return self.from_eigenbasis(op.solve_shift_many(a, b, Ra))
+        return self.from_eigenbasis(plan.solve(Ra))
 
     def reconstruct(self) -> np.ndarray:
         V = np.diag(1.0 / self._lam_scale).astype(complex) @ idft(np.eye(self.n))
@@ -581,7 +587,7 @@ class _FirstOrderAllAtOnce(AllAtOnce):
         # d1*r1 - d2*r2 = (d1-d2) I - dt (d1*th + d2*(1-th)) A
         d1, d2 = fac_I.eigenvalues, fac_B.eigenvalues
         bcoef = self.dt * (d1 * self.theta + d2 * (1.0 - self.theta))
-        return fac_I.solve(self.sys, d1 - d2, bcoef, R)
+        return fac_I.solve(self.sys.shift_plan(d1 - d2, bcoef), R)
 
 
 @dataclass

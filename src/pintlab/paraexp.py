@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import Propagator, TimeGrid, propagate, propagate_block
+from .integrators import Propagator, TimeGrid, finite_u0, propagate, propagate_block
 from .kernels import expm_action
 from .models import first_order_form
 from .trace import IterationTrace
@@ -52,7 +52,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
         raise ValueError("paraexp_linear_solve needs a linear system")
     grid = plan.grid
     n_w = grid.n_windows
-    n = target.u0.shape[0]
+    n = finite_u0(target).shape[0]
 
     # red: v_n' = A v_n + g on (T_{n-1}, T_n], v_n(T_{n-1}) = 0
     red_ends = np.zeros((n_w, n))
@@ -105,6 +105,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     Parareal driven by the exact linear coarse propagator.
     """
     target = first_order_form(sys)
+    finite_u0(target)
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:
@@ -147,7 +148,7 @@ def _window_solves(plan, target, IC):
 
 
 def _fine_oracle(plan, target):
-    u = target.u0.copy()
+    u = finite_u0(target).copy()
     out = [u.copy()]
     for j in range(plan.grid.n_windows):
         t0, t1 = plan.grid.window(j)
@@ -164,6 +165,7 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
     so iterates agree bitwise under identical propagators.
     """
     target = first_order_form(sys)
+    finite_u0(target)
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:

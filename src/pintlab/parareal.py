@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import Propagator, TimeGrid, _newton, propagate, propagate_block, stability
+from .integrators import (Propagator, TimeGrid, _newton, finite_u0, propagate, propagate_block,
+                          stability)
 from .kernels import ConvergenceError
 from .models import first_order_form
 from .paradiag import alpha_circulant_factor, circulant_quasi_newton
@@ -49,7 +50,7 @@ def fine_sequential(cfg: PararealConfig, sys) -> np.ndarray:
     """Sequential sweep of the fine propagator: the oracle trajectory at
     window boundaries, shape (n_windows + 1, n)."""
     target = first_order_form(sys)
-    u = target.u0.copy()
+    u = finite_u0(target).copy()
     out = [u.copy()]
     for n in range(cfg.grid.n_windows):
         t0, t1 = cfg.grid.window(n)
@@ -71,7 +72,7 @@ def _initial_iterate(cfg, target, coarse):
     """U^0: random window values, or one sequential sweep of ``coarse``."""
     n_w = cfg.grid.n_windows
     U = np.empty((n_w + 1, target.u0.shape[0]))
-    U[0] = target.u0
+    U[0] = finite_u0(target)
     if cfg.initial_guess == "random":
         rng = np.random.default_rng(cfg.seed)
         U[1:] = rng.standard_normal((n_w, target.u0.shape[0]))
@@ -89,11 +90,45 @@ def _coarse_of_initial(cfg, U, coarse):
     return U[1:].copy()
 
 
-def _parallel_fine(cfg, target, U):
-    """All fine window solves of one iteration (pure map over windows)."""
-    t0s = cfg.grid.boundaries[:-1]
-    return propagate_block(cfg.fine, target, t0s, U[:-1].T.copy(),
-                           newton_tol=cfg.newton_tol).T
+class _FineMap:
+    """The fine solves of windows ``first``, ``first + 1``, ... as one map
+    over their start values (rows), remembering the last start value and
+    result of every window.
+
+    A window whose start value equals the last one bit for bit reuses the
+    result instead of solving again: a column's result does not depend on
+    the other columns of a block at least two wide, bit for bit.  A block
+    of one takes another rounding path in the periodic Woodbury step
+    (np.linalg.solve and matmul with a single right-hand side), so a lone
+    changed window is solved beside its unchanged successor (or
+    predecessor, for the last window).  The dense exponential multiplies
+    the whole block at once and BLAS may round a column differently in a
+    narrower block, so with it every call solves every window.  The
+    returned rows stay valid until the next call.
+    """
+
+    def __init__(self, cfg, target, first=0):
+        self.cfg, self.target = cfg, target
+        self.t0s = cfg.grid.boundaries[first:-1]
+        self.starts = self.results = None
+        self.by_column = cfg.fine.method.name != "exact"
+
+    def __call__(self, starts):
+        if self.results is None or not self.by_column:
+            todo = np.arange(starts.shape[0])
+            self.results = np.empty_like(starts)
+        else:
+            todo = np.flatnonzero([new.tobytes() != old.tobytes()
+                                   for new, old in zip(starts, self.starts)])
+            if todo.size == 1 and starts.shape[0] > 1:
+                n = todo[0]
+                todo = np.sort([n, n + 1 if n + 1 < starts.shape[0] else n - 1])
+        if todo.size:
+            self.results[todo] = propagate_block(
+                self.cfg.fine, self.target, self.t0s[todo], starts[todo].T.copy(),
+                newton_tol=self.cfg.newton_tol).T
+        self.starts = starts.copy()
+        return self.results
 
 
 class _CorrectionSweep:
@@ -102,40 +137,23 @@ class _CorrectionSweep:
     together with the start value it was made from.
 
     A window whose start value equals that one bit for bit reuses the result
-    instead of solving again.  After k iterations the first k window values
-    no longer change (Gander & Vandewalle 2007), and since the same operands
-    recur they stay fixed bit for bit, so iteration k skips k coarse and
-    k - 1 fine solves and returns exactly the iterate of the full sweep.
-    The coarse cache starts from G(U^0) (see :func:`_coarse_of_initial`).
+    instead of solving again (fine solves through :class:`_FineMap`).  After
+    k iterations the first k window values no longer change (Gander &
+    Vandewalle 2007), and since the same operands recur they stay fixed bit
+    for bit, so iteration k skips k coarse and k - 1 fine solves (k - 2
+    when a single window is left) and returns exactly the iterate of the
+    full sweep.  The coarse cache starts from G(U^0) (see
+    :func:`_coarse_of_initial`).
     """
 
     def __init__(self, cfg, target, coarse, U):
-        self.cfg, self.target, self.coarse = cfg, target, coarse
+        self.cfg, self.coarse = cfg, coarse
         self.G_in = U[:-1].copy()
         self.G_out = _coarse_of_initial(cfg, U, coarse)
-        self.F_in = self.F_out = None
-        # the dense exponential multiplies the whole block at once, and BLAS
-        # may round a column differently in a narrower block: solve all
-        self.fine_by_column = cfg.fine.method.name != "exact"
-
-    def _fine(self, starts):
-        n_w = starts.shape[0]
-        if self.F_out is None or not self.fine_by_column:
-            todo = np.arange(n_w)
-            self.F_out = np.empty_like(starts)
-        else:
-            todo = np.flatnonzero([starts[n].tobytes() != self.F_in[n].tobytes()
-                                   for n in range(n_w)])
-        if todo.size:
-            t0s = self.cfg.grid.boundaries[:-1][todo]
-            self.F_out[todo] = propagate_block(
-                self.cfg.fine, self.target, t0s, starts[todo].T.copy(),
-                newton_tol=self.cfg.newton_tol).T
-        self.F_in = starts.copy()
-        return self.F_out
+        self.fine = _FineMap(cfg, target)
 
     def __call__(self, U):
-        F = self._fine(U[:-1])
+        F = self.fine(U[:-1])
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         for n in range(F.shape[0]):
@@ -169,7 +187,9 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
 
 def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Two-level MGRiT with FCF relaxation (overlapping Parareal, two fine
-    solves per window per iteration)."""
+    solves per window per iteration).  Both fine passes reuse the solve of a
+    window whose start value did not change (:class:`_FineMap`): window 0
+    always starts from u0, so its relaxation is solved once."""
     target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg, sys)
@@ -178,17 +198,16 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
     trace = IterationTrace(method="mgrit_fcf")
     trace.record(error=np.abs(U - oracle).max())
     n_w = cfg.grid.n_windows
+    relax, second = _FineMap(cfg, target), _FineMap(cfg, target, first=1)
     for k in range(cfg.max_iter):
         # F relaxation: s_n = F(T_{n-1}, T_n, u_{n-1}^k) for n = 1..n_w
-        S = _parallel_fine(cfg, target, U)
+        S = relax(U[:-1])
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         U_new[1] = S[0]
         # second fine pass from the relaxed states
-        t0s = cfg.grid.boundaries[1:-1]
         if n_w >= 2:
-            FF = propagate_block(cfg.fine, target, t0s, S[:-1].T.copy(),
-                                 newton_tol=cfg.newton_tol).T
+            FF = second(S[:-1])
         for n in range(1, n_w):
             g_new = coarse(n, U_new[n])
             g_old = coarse(n, S[n - 1])  # G of the F-relaxed state, not of U^k: no cache
@@ -264,6 +283,8 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
 
     Coarse solver is one backward-Euler step per window; linear systems are
     handled directly, nonlinear ones by the averaged-Jacobian quasi-Newton.
+    The fine solve of window 0 always starts from u0 and is made once
+    (:class:`_FineMap`).
     """
     target = first_order_form(sys)
     if oracle is None:
@@ -274,6 +295,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     alpha = cfg.alpha
     n_w = cfg.grid.n_windows
     U = _initial_iterate(cfg, target, _coarse_propagator(cfg, target))
+    fine = _FineMap(cfg, target)
     trace = IterationTrace(method="parareal_diag_cgc")
     trace.record(error=np.abs(U - oracle).max())
 
@@ -283,6 +305,9 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         c1[1] = -1.0
     fac = alpha_circulant_factor(c1, alpha)
     linear = getattr(target, "linear", True)
+    if linear:
+        be_plan = target.shift_plan(1.0, dT)
+        cgc_plan = target.shift_plan(fac.eigenvalues, np.full(n_w, dT))
 
     def coarse_be(t0, u):
         # one BE step over a window, source sampled at the right endpoint
@@ -291,15 +316,15 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         if g is not None:
             rhs = rhs + dT * g
         if linear:
-            return target.solve_shift(1.0, dT, rhs)
+            return be_plan.solve(rhs)
         return _newton(target, dT, u, t0 + dT, u, tol=cfg.newton_tol)
 
     for k in range(cfg.max_iter):
         # b_{n+1} = F(T_n, T_{n+1}, u~_n) - G(T_n, T_{n+1}, u_n), with the
         # head value pinned to the true initial condition in the F term
-        U_tilde = U.copy()
+        U_tilde = U[:-1].copy()
         U_tilde[0] = target.u0
-        F = _parallel_fine(cfg, target, U_tilde)
+        F = fine(U_tilde)
         B = np.empty((n_w, U.shape[1]))
         for n in range(n_w):
             t0, _ = cfg.grid.window(n)
@@ -308,7 +333,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         if linear:
             G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
             G[0] += target.u0
-            U_inner = fac.solve(target, fac.eigenvalues, np.full(n_w, dT), G).real
+            U_inner = fac.solve(cgc_plan, G).real
         else:
             U_inner = _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U[1:])
         U_new = np.empty_like(U)
@@ -378,6 +403,8 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
         ctheta[1] = 1.0 - theta
     fac_t = alpha_circulant_factor(ctheta, alpha)
     linear = getattr(target, "linear", True)
+    if linear:
+        star_plan = target.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues)
 
     def coarse_star(n, u_n):
         """F*_alpha over window n: all-at-once head-tail theta sweep."""
@@ -392,7 +419,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
                     rhs[j] = rhs[j] + dt * (
                         (1 - theta) * target.g(ta) + theta * target.g(tb)
                     )
-            return fac_c.solve(target, fac_c.eigenvalues, dt * fac_t.eigenvalues, rhs)[-1].real
+            return fac_c.solve(star_plan, rhs)[-1].real
         return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
 
     U = _initial_iterate(cfg, target, coarse_star)

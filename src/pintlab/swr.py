@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .integrators import finite_u0
 from .kernels import ConvergenceError, StackedTridiagonalLU
 from .trace import IterationTrace
 
@@ -241,7 +242,7 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     n, n_steps = _ad_grid(nu, L, T, dx, dt)
     x = np.linspace(0.0, L, n)
     solver = _AdSolver([Subdomain(0, n - 1)], nu, dx, dt)
-    return x, solver.solve(u0_fn(x), np.zeros((n_steps + 1, 2)))
+    return x, solver.solve(finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
 
 
 def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
@@ -348,7 +349,7 @@ def monodomain_solve_wave(c, L, T, dx, u0_fn, v0_fn=None, g_fn=None):
     """Single-domain leapfrog at unit CFL (dt = dx/c)."""
     dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
-    u0 = u0_fn(x)
+    u0 = finite_u0(u0_fn(x))
     v0 = v0_fn(x) if v0_fn is not None else np.zeros_like(x)
     zeros = np.zeros(n_steps + 1)
     sol = _leapfrog_solve(c * c / dx**2, u0, v0, g_fn, x, dt, n_steps, zeros, zeros)
@@ -453,7 +454,7 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
         U = np.zeros((n_steps + 1, n))
     else:
         U = np.random.default_rng(seed).standard_normal((n_steps + 1, n))
-    U[0] = u0_fn(x)
+    U[0] = finite_u0(u0_fn(x))
     U[:, 0] = 0.0
     U[:, -1] = 0.0
     v0 = np.zeros(n)

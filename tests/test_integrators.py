@@ -231,3 +231,124 @@ class TestNamedTheta:
     def test_table_builds_every_method(self):
         for name, make in METHODS.items():
             assert make().name == name
+
+
+def _nan_heat(nx=8):
+    sys = build_heat(nx, 1.0 / (nx + 1), 0.1, "dirichlet")
+    sys.u0[:] = np.sin(np.pi * sys.x)
+    sys.u0[3] = np.nan
+    return sys
+
+
+def _nan_wave(nx=8):
+    sys = build_wave(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
+    sys.u0[:] = np.sin(np.pi * sys.x)
+    sys.u0[3] = np.nan
+    return sys
+
+
+def _nan_burgers(nx=8):
+    sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")
+    sys.u0[:] = np.sin(2 * np.pi * sys.x)
+    sys.u0[3] = np.nan
+    return sys
+
+
+def _nan_fn(x):
+    out = np.sin(np.pi * x)
+    out[len(out) // 2] = np.nan
+    return out
+
+
+def _parareal_entry(name):
+    from pintlab import parareal
+
+    grid = TimeGrid.uniform(0.4, 4, 2)
+    dT = grid.window_length()
+    variant = {"parareal_diag_cgc_solve": "diag_cgc",
+               "parareal_diag_coarse_solve": "diag_coarse"}.get(name, "classic")
+    cfg = parareal.PararealConfig(grid=grid, fine=Propagator(trapezoidal(), dt=dT / 2, steps=2),
+                                  coarse=Propagator(backward_euler(), dt=dT, steps=1),
+                                  variant=variant, max_iter=2)
+    if name == "fine_sequential":
+        return lambda: parareal.fine_sequential(cfg, _nan_heat())
+    # with the oracle given, the solver's own entry check is the one that fires
+    return lambda: getattr(parareal, name)(cfg, _nan_heat(), oracle=np.zeros((5, 8)))
+
+
+def _paraexp_entry(name):
+    from pintlab import paraexp
+
+    grid = TimeGrid.uniform(0.4, 4, 2)
+    plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=0.05, steps=2))
+    if name == "paraexp_linear_solve":
+        return lambda: paraexp.paraexp_linear_solve(plan, _nan_heat())
+    return lambda: getattr(paraexp, name)(plan, _nan_burgers(), oracle=np.zeros((5, 8)))
+
+
+def _swr_entry(name):
+    from pintlab import swr
+
+    dec = swr.Decomposition1D.uniform(11, 2, 2)
+    return {
+        "monodomain_solve_ad": lambda: swr.monodomain_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, _nan_fn),
+        "oswr_solve_ad": lambda: swr.oswr_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, dec,
+                                                   u0_fn=_nan_fn),
+        "monodomain_solve_wave": lambda: swr.monodomain_solve_wave(1.0, 1.0, 0.5, 0.1, _nan_fn),
+        "swr_solve_wave": lambda: swr.swr_solve_wave(1.0, 1.0, 0.5, 0.1, dec, u0_fn=_nan_fn),
+        "utp_advance": lambda: swr.utp_advance(1.0, 1.0, 0.5, 0.1, swr.TentSchedule(n_red=2), 1,
+                                               u0_fn=_nan_fn),
+    }[name]
+
+
+def _idc_entry(name):
+    from pintlab import idc
+
+    return {
+        "idc_run": lambda: idc.idc_run(_nan_heat(), 0.5, 2, 3, 1),
+        "pidc_run": lambda: idc.pidc_run(_nan_heat(), 0.5, 2, 3, 1),
+        "ridc_run": lambda: idc.ridc_run(_nan_heat(), M=3, levels=2, T=0.5, dt=0.05),
+        "pfasst_two_level": lambda: idc.pfasst_two_level(_nan_heat(), 3, 0.05, k_max=1),
+    }[name]
+
+
+def _paradiag1_entry(name):
+    from pintlab import paradiag
+
+    mesh = paradiag.GeometricTimeMesh(T=0.5, n_t=6, rho=0.1)
+    return {
+        "paradiag1_direct_solve": lambda: paradiag.paradiag1_direct_solve(_nan_heat(), mesh),
+        "paradiag1_direct_solve_second_order": lambda: paradiag.paradiag1_direct_solve(
+            _nan_wave(), mesh, integrator="trapezoidal_second_order"),
+        "sequential_variable_step_solve": lambda: paradiag.sequential_variable_step_solve(
+            _nan_heat(), mesh),
+        "paradiag1_bvm_solve": lambda: paradiag.paradiag1_bvm_solve(_nan_heat(), 0.05, 6),
+        "paradiag1_bvm_solve_second_order": lambda: paradiag.paradiag1_bvm_solve(
+            _nan_wave(), 0.05, 6, order="second"),
+        "paradiag1_quasi_newton": lambda: paradiag.paradiag1_quasi_newton(
+            _nan_burgers(), ("bvm", 0.05, 6)),
+    }[name]
+
+
+NON_FINITE_U0_ENTRIES = (
+    [("parareal", n) for n in ("fine_sequential", "parareal_solve", "mgrit_fcf_solve",
+                               "parareal_diag_cgc_solve", "parareal_diag_coarse_solve")]
+    + [("paraexp", n) for n in ("paraexp_linear_solve", "paraexp_nonlinear_iterate",
+                                "linear_g_parareal")]
+    + [("swr", n) for n in ("monodomain_solve_ad", "oswr_solve_ad", "monodomain_solve_wave",
+                            "swr_solve_wave", "utp_advance")]
+    + [("idc", n) for n in ("idc_run", "pidc_run", "ridc_run", "pfasst_two_level")]
+    + [("paradiag1", n) for n in ("paradiag1_direct_solve", "paradiag1_direct_solve_second_order",
+                                  "sequential_variable_step_solve", "paradiag1_bvm_solve",
+                                  "paradiag1_bvm_solve_second_order", "paradiag1_quasi_newton")]
+)
+
+
+@pytest.mark.parametrize("family, name", NON_FINITE_U0_ENTRIES)
+def test_non_finite_u0_rejected_at_entry(family, name):
+    # a NaN initial value is named on entry, not reported later as a
+    # failed solve somewhere inside the method
+    entry = {"parareal": _parareal_entry, "paraexp": _paraexp_entry, "swr": _swr_entry,
+             "idc": _idc_entry, "paradiag1": _paradiag1_entry}[family](name)
+    with pytest.raises(ValueError, match="initial value u0 has non-finite entries"):
+        entry()

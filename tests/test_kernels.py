@@ -288,6 +288,219 @@ class TestShiftedFactorCache:
             sys.setswitchinterval(old)
 
 
+def companion_reference(comp, a, b, R):
+    """The Schur step of a CompanionSystem shifted solve written out per
+    call: the banded solve from the gtsv reference and a fresh matvec."""
+    m = comp.base.n
+    per_shift = (slice(None),) + (None,) * (R.ndim - 1)
+    a_col, b_col = a[per_shift], b[per_shift]
+    ru, rv = R[:, :m], R[:, m:]
+    b_sq = np.array([bj * bj for bj in b])
+    u = gtsv_reference(comp.base.A, a, b_sq / a, ru + (b_col / a_col) * rv)
+    Au = comp.base.A.matvec(u.swapaxes(0, 1)).swapaxes(0, 1)
+    return np.concatenate([u, (rv + b_col * Au) / a_col], axis=1)
+
+
+class TestShiftPlan:
+    """A plan keeps the factorization it fetched and reuses it for every
+    solve; each solve is bit for bit the batched and the single-shift solve
+    and runs every check."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("complex_shifts", [False, True])
+    @pytest.mark.parametrize("J", [1, 10])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_equals_batched_and_single_solves(self, periodic, complex_shifts, J, k):
+        rng = np.random.default_rng(200 + 10 * J + k)
+        n = 12
+        A = random_banded(rng, n, periodic=periodic)
+        a = 1.0 + rng.random(J)
+        b = 0.3 * rng.standard_normal(J)
+        if complex_shifts:
+            a = a + 1j * rng.standard_normal(J)
+            b = b + 0.1j * rng.standard_normal(J)
+        plan = A.shift_plan(a, b)
+        for rhs_complex in (False, True, False):  # refetch when the data type changes
+            R = rng.standard_normal((J, n, k))
+            if rhs_complex:
+                R = R + 1j * rng.standard_normal(R.shape)
+            expected = gtsv_reference(A, a, b, R)
+            for _ in range(2):
+                assert plan.solve(R).tobytes() == expected.tobytes()
+            assert solve_shifted_banded_many(A, a, b, R).tobytes() == expected.tobytes()
+            for j in range(J):
+                single = A.shift_plan(a[j], b[j])
+                assert single.solve(R[j]).tobytes() == expected[j].tobytes()
+                column = gtsv_reference(A, a[j:j + 1], b[j:j + 1], R[j:j + 1, :, 0])[0]
+                assert single.solve(R[j, :, 0]).tobytes() == column.tobytes()
+
+    def test_kept_factorization_survives_cache_eviction(self):
+        # the plan holds its factorization: other operators flushing the
+        # shared cache change nothing, and the plan makes no new factorization
+        rng = np.random.default_rng(210)
+        A = random_banded(rng, 9, periodic=True)
+        plan = A.shift_plan(1.5, 0.4)
+        r = rng.standard_normal(9)
+        first = plan.solve(r)
+        kept = plan._kept
+        for i in range(2 * kernels._SHIFT_CACHE_SIZE):
+            solve_shifted_banded(random_banded(rng, 9, periodic=True), (1.0, 0.1 * i), r)
+        assert plan.solve(r).tobytes() == first.tobytes()
+        assert plan._kept is kept
+
+    @pytest.mark.parametrize("J", [1, 10])
+    @pytest.mark.parametrize("k", [None, 1, 7])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_companion_equals_schur_reference(self, J, k, bc):
+        rng = np.random.default_rng(220 + J)
+        comp = CompanionSystem(build_wave(8, 1.0 / 9, 1.0, bc))
+        a = 1.0 + rng.random(J) + 1j * rng.standard_normal(J)
+        b = 0.05 * (1.0 + rng.random(J)) + 0.01j * rng.standard_normal(J)
+        R = rng.standard_normal((J, 16) if k is None else (J, 16, k))
+        expected = companion_reference(comp, a, b, R)
+        plan = comp.shift_plan(a, b)
+        for _ in range(2):
+            assert plan.solve(R).tobytes() == expected.tobytes()
+        for j in range(J):
+            single = comp.shift_plan(a[j], b[j])
+            assert single.solve(R[j]).tobytes() == expected[j].tobytes()
+
+    def test_companion_zero_shift_divides(self):
+        comp = CompanionSystem(build_wave(8, 1.0 / 9, 1.0, "periodic"))
+        rng = np.random.default_rng(230)
+        a, b = np.array([2.0, 1.5, 3.0]), np.array([0.1, 0.0, 0.2])
+        R = rng.standard_normal((3, 16))
+        W = comp.shift_plan(a, b).solve(R)
+        assert W[1].tobytes() == (R[1] / a[1]).tobytes()
+        for j in (0, 2):
+            assert W[j].tobytes() == companion_reference(comp, a[j:j + 1], b[j:j + 1],
+                                                         R[j:j + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_product_is_the_matvec(self, periodic):
+        rng = np.random.default_rng(240)
+        A = random_banded(rng, 10, periodic=periodic)
+        R = rng.standard_normal((4, 10, 3))
+        x, Ax = A.shift_plan(1.0 + rng.random(4), 0.2 * rng.standard_normal(4)).solve(
+            R, product=True)
+        assert Ax.tobytes() == A.matvec(x.swapaxes(0, 1)).swapaxes(0, 1).tobytes()
+        x1, Ax1 = A.shift_plan(1.5, 0.3).solve(R[0], product=True)
+        assert Ax1.tobytes() == A.matvec(x1).tobytes()
+
+    def test_non_finite_rhs_raises_and_evicts(self):
+        rng = np.random.default_rng(250)
+        A = random_banded(rng, 9)
+        plan = A.shift_plan(1.5, 0.3)
+        plan.solve(np.ones(9))
+        r = np.ones(9)
+        r[4] = np.nan
+        with pytest.raises(SingularSystemError, match="non-finite solution"):
+            plan.solve(r)
+        assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+        assert plan.solve(np.ones(9)).tobytes() == gtsv_reference(
+            A, [1.5], [0.3], np.ones((1, 9)))[0].tobytes()
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_exact_eigenvalue_raises_near_singular(self, J):
+        n = 8
+        A = BandedMatrix(-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1))
+        a, b = 1.0 + np.arange(J, dtype=float), 0.5 * np.ones(J)
+        a[-1], b[-1] = -2.0 + 2.0 * np.cos(np.pi / 9), 1.0
+        plan = A.shift_plan(a, b)
+        for _ in range(2):
+            with pytest.raises(SingularSystemError, match="near-singular"):
+                plan.solve(np.ones((J, n)))
+            assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+
+    def test_singular_capacitance_raises(self):
+        A = periodic_laplacian_stencil(6)
+        plan = A.shift_plan(np.array([1.0, 0.0]), np.array([0.2, 1.0]))
+        for _ in range(2):
+            with pytest.raises(SingularSystemError, match="capacitance"):
+                plan.solve(np.ones((2, 6)))
+            assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+
+    def test_periodic_residual_check_raises_and_evicts(self):
+        # a Woodbury column spoiled after factoring: the residual check is
+        # the one that notices, and the plan factors afresh afterwards
+        rng = np.random.default_rng(260)
+        A = random_banded(rng, 9, periodic=True)
+        plan = A.shift_plan(1.5, 0.4)
+        r = rng.standard_normal(9)
+        good = plan.solve(r)
+        dtype, (lu, scale, z, cap) = plan._kept
+        plan._kept = (dtype, (lu, scale, 1.5 * z, cap))
+        with pytest.raises(SingularSystemError, match="periodic solve residual"):
+            plan.solve(r)
+        assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+        assert plan.solve(r).tobytes() == good.tobytes()
+
+
+    def test_plan_shared_by_threads(self):
+        # one plan, real and complex data in turn (a refetch each switch),
+        # more threads than cores switching often: every result stays exact
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(270)
+        A = random_banded(rng, 7, periodic=True)
+        a, b = 1.0 + rng.random(3), 0.2 * rng.standard_normal(3)
+        plan = A.shift_plan(a, b)
+        data = [rng.standard_normal((3, 7, 2)), rng.standard_normal((3, 7, 2)) + 1j]
+        expected = [gtsv_reference(A, a, b, R).tobytes() for R in data]
+
+        def work(seed):
+            for i in np.random.default_rng(seed).integers(0, 2, 200):
+                if plan.solve(data[i]).tobytes() != expected[i]:
+                    return False
+            return True
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(16)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(old)
+
+
+def matvec_loop(A, v):
+    """A @ v one row at a time: diagonal, upper, lower, then corner term."""
+    n = A.n
+    out = np.empty(np.broadcast_shapes(v.shape, (n,) + (1,) * (v.ndim - 1)),
+                   dtype=np.result_type(A.diag, v))
+    for i in range(n):
+        row = A.diag[i] * v[i]
+        if i + 1 < n:
+            row = row + A.upper[i] * v[i + 1]
+        if i > 0:
+            row = row + A.lower[i - 1] * v[i - 1]
+        if A.periodic and n >= 3 and i == 0:
+            row = row + A.corner_top * v[n - 1]
+        if A.periodic and n >= 3 and i == n - 1:
+            row = row + A.corner_bottom * v[0]
+        out[i] = row
+    return out
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 2)])
+    def test_equals_row_loop_bitwise(self, n, periodic, shape):
+        rng = np.random.default_rng(300 + n)
+        A = BandedMatrix(rng.standard_normal(n), rng.standard_normal(n - 1),
+                         rng.standard_normal(n - 1),
+                         *((0.7, -1.3) if periodic else ()))
+        for data in (rng.standard_normal((n,) + shape),
+                     rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)):
+            data.flat[0] = -0.0
+            for _ in range(2):  # the broadcast bands are made once per ndim
+                assert A.matvec(data).tobytes() == matvec_loop(A, data).tobytes()
+            assert (A @ data).tobytes() == matvec_loop(A, data).tobytes()
+
+
 class TestSolveShiftedBanded:
     def test_identity_solve(self):
         rng = np.random.default_rng(0)

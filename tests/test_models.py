@@ -156,7 +156,7 @@ class TestWave:
         a = 1.0 + rng.random(J) + 1j * rng.standard_normal(J)
         b = 0.05 * (rng.random(J) + 1j * rng.standard_normal(J))
         R = rng.standard_normal((J, 2 * m)) + 1j * rng.standard_normal((J, 2 * m))
-        W = comp.solve_shift_many(a, b, R)
+        W = comp.shift_plan(a, b).solve(R)
         for j in range(J):
             aj, bj = a[j], b[j]
             ru, rv = R[j, :m], R[j, m:]

@@ -6,6 +6,7 @@ from pintlab.integrators import named_theta
 from pintlab.kernels import ConvergenceError, SingularSystemError, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
+    SemiDiscreteSystem,
     build_advection_diffusion,
     build_burgers,
     build_heat,
@@ -736,6 +737,43 @@ class TestEntryValidation:
         integrator = "backward_euler" if order == "first" else "numerov"
         with pytest.raises(ValueError, match="u0"):
             paradiag2_solve(sys, integrator, 0.1, 0.02, 8)
+
+
+@pytest.mark.parametrize("jac_mode, weights, per_iteration", [
+    ("jacobian_of_mean", "offline", 1),
+    ("jacobian_of_mean", None, 1),
+    ("mean_jacobian", "offline", 40),
+    ("jacobian_of_mean", "online", 41),
+])
+def test_quasi_newton_builds_only_used_jacobians(monkeypatch, jac_mode, weights, per_iteration):
+    # the n_t Jacobians of the iterate are built only for the mean or the
+    # online NKA weights; the Jacobian of the mean is one more per iteration
+    from pintlab.paradiag import nka_weights_offline
+
+    nx, n_t, T = 40, 40, 0.7
+    sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")
+    sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+    phi = None
+    if weights == "offline":
+        coarse = build_burgers(10, 1.0 / 10, 0.1, "periodic")
+        coarse.u0[:] = np.sin(2 * np.pi * coarse.x) ** 2
+        phi = nka_weights_offline(coarse, T / n_t, n_t)
+    real = SemiDiscreteSystem.jacobian
+    calls = []
+    monkeypatch.setattr(SemiDiscreteSystem, "jacobian",
+                        lambda self, u: calls.append(1) or real(self, u))
+    _, tr = paradiag1_quasi_newton(sys, ("bvm", T / n_t, n_t), jac_mode=jac_mode, tol=1e-8,
+                                   nka=weights is not None, nka_weights_vec=phi)
+    assert len(calls) == per_iteration * tr.iterations
+    if weights == "offline" and jac_mode == "jacobian_of_mean":
+        assert tr.iterations == 7  # 287 calls when all n_t were built as well
+
+
+def test_quasi_newton_unknown_jac_mode_rejected_first(monkeypatch):
+    sys = build_burgers(8, 1.0 / 8, 0.1, "periodic")
+    monkeypatch.setattr(SemiDiscreteSystem, "f", lambda *args: pytest.fail("f evaluated"))
+    with pytest.raises(ValueError, match="'bogus'"):
+        paradiag1_quasi_newton(sys, ("bvm", 0.01, 8), jac_mode="bogus")
 
 
 def test_nka_offline_weights_eig_once(monkeypatch):

@@ -12,9 +12,8 @@ from pintlab.integrators import (
 )
 import pintlab.paradiag as paradiag_module
 import pintlab.parareal as parareal_module
-from pintlab.kernels import ConvergenceError, solve_shifted_banded_many
+from pintlab.kernels import ConvergenceError, ShiftPlan, solve_shifted_banded_many
 from pintlab.models import (
-    SemiDiscreteSystem,
     SourcePulse,
     build_advection_diffusion,
     build_burgers,
@@ -398,22 +397,24 @@ class TestCoarseCache:
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_diag_coarse_n_w_coarse_star_calls_per_iteration(self, monkeypatch, guess):
-        # every linear coarse_star call makes one batched shifted solve, and
-        # nothing else in the solver does
+        # every linear coarse_star call makes one batched shifted solve (a
+        # plan solve over the J eigenvalue shifts), and nothing else in the
+        # solver does
         sys = heat_system(nx=12)
         n_w = 6
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
                        coarse_method=trapezoidal(), variant="diag_coarse",
                        alpha=0.05, max_iter=3, tol=0.0, initial_guess=guess)
         oracle = fine_sequential(cfg, sys)
-        real = SemiDiscreteSystem.solve_shift_many
+        real = ShiftPlan.solve
         calls = []
 
-        def counting(self, *args):
-            calls.append(1)
-            return real(self, *args)
+        def counting(self, rhs):
+            if not self.single:
+                calls.append(1)
+            return real(self, rhs)
 
-        monkeypatch.setattr(SemiDiscreteSystem, "solve_shift_many", counting)
+        monkeypatch.setattr(ShiftPlan, "solve", counting)
         seen = record_sweep(monkeypatch)
         U, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
@@ -421,16 +422,66 @@ class TestCoarseCache:
         ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
         assert U.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("solver", [mgrit_fcf_solve, parareal_diag_cgc_solve])
+    @pytest.mark.parametrize("fine", ["trapezoidal", "exact"])
+    def test_window_zero_fine_solve_made_once(self, monkeypatch, solver, fine):
+        # window 0 always starts from u0: MGRiT's F-relaxation and the
+        # diag-CGC fine map solve it in the first iteration only, and skip
+        # any other window whose start value did not change; the iterates
+        # equal those of fine maps that solve every window every time.  The
+        # exact exponential (one dense product per block) solves them all.
+        sys = heat_system(nx=12, bc="periodic")
+        n_w, iterations = 6, 4
+        method = trapezoidal() if fine == "trapezoidal" else exact_exponential()
+        cfg = make_cfg(1.0, n_w, 4 if fine == "trapezoidal" else 1, fine_method=method,
+                       max_iter=iterations, tol=0.0, variant="diag_cgc", alpha=0.1)
+        oracle = fine_sequential(cfg, sys)
+        real_block = parareal_module.propagate_block
+        starts = []
+
+        def counting_block(prop, sys, t0s, U, **kwargs):
+            starts.append(list(t0s))
+            return real_block(prop, sys, t0s, U, **kwargs)
+
+        monkeypatch.setattr(parareal_module, "propagate_block", counting_block)
+        U, trace = solver(cfg, sys, oracle=oracle)
+        solved = [t0 for call in starts for t0 in call]
+        per_iteration = (2 * n_w - 1) if solver is mgrit_fcf_solve else n_w
+        assert trace.fine_solves == (2 * n_w if solver is mgrit_fcf_solve else n_w) * iterations
+        if fine == "exact":
+            assert len(solved) == per_iteration * iterations
+        else:
+            assert solved.count(0.0) == 1
+            assert len(solved) < per_iteration * iterations
+
+        class SolveAll(parareal_module._FineMap):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.by_column = False
+
+        monkeypatch.setattr(parareal_module, "_FineMap", SolveAll)
+        starts.clear()
+        U_ref, trace_ref = solver(cfg, sys, oracle=oracle)
+        assert len([t0 for call in starts for t0 in call]) == per_iteration * iterations
+        assert U.tobytes() == U_ref.tobytes()
+        assert trace.errors == trace_ref.errors
+
     @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
-                                       "heat_exact"])
+                                       "heat_exact", "heat_periodic_one_left"])
     def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
         # nonlinear Newton columns, the companion Schur step, SDIRK stages
         # and a time-dependent source: the fine solves of a subset of
         # windows equal the columns of the full block, and reused coarse
         # values the fresh ones; an exact-exponential fine solver (one dense
-        # product per block) always solves the whole block
+        # product per block) always solves the whole block; the last
+        # iterations of a short periodic run change a single window
         n_w = 8
-        if model == "heat_exact":
+        if model == "heat_periodic_one_left":
+            n_w = 3
+            sys = build_heat(16, 1.0 / 16, 0.1, "periodic")
+            sys.u0[:] = np.sin(2 * np.pi * sys.x) + 0.3 * np.cos(6 * np.pi * sys.x)
+            cfg = make_cfg(1.0, n_w, 4, fine_method=sdirk22(), max_iter=n_w, tol=0.0)
+        elif model == "heat_exact":
             sys = heat_system(nx=40)
             cfg = make_cfg(1.0, n_w, 1, fine_method=exact_exponential(), max_iter=6, tol=0.0,
                            initial_guess="random")
