@@ -132,7 +132,7 @@ def run_parareal_finite_termination(params, seed=0):
     for model in ("heat", "advection_diffusion", "wave"):
         sys = _finite_termination_system(model)
         cfg = _parareal_cfg(1.0, n_w, 4, fine="trapezoidal", max_iter=n_w, tol=0.0)
-        oracle = parareal.fine_sequential(cfg, sys)
+        oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         scale = max(np.abs(oracle).max(), 1.0)
         _, tr = parareal.parareal_solve(cfg, sys, oracle=oracle)
         for k, e in enumerate(tr.errors):
@@ -287,7 +287,7 @@ def run_paraexp_exactness(params, seed=0):
     dT = grid.window_length()
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=dT / 64, steps=64))
     out = paraexp.paraexp_linear_solve(plan, sys)
-    seq = paraexp._fine_oracle(plan, sys)
+    seq = parareal.fine_sequential(grid, plan.red, sys, plan.newton_tol)
     plan_fine = paraexp.ParaExpPlan(
         grid=grid, red=Propagator(trapezoidal(), dt=dT / 256, steps=256))
     ref = paraexp.paraexp_linear_solve(plan_fine, sys)
@@ -524,7 +524,7 @@ def run_parareal_diag_variants(params, seed=0):
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     cfg_c = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12)
     # both solvers share the system, grid and fine propagator: one oracle
-    oracle = parareal.fine_sequential(cfg_c, sys)
+    oracle = parareal.fine_sequential(cfg_c.grid, cfg_c.fine, sys, cfg_c.newton_tol)
     _, tr_c = parareal.parareal_solve(cfg_c, sys, oracle=oracle)
     rho = _geo_mean(_contraction_factors(tr_c.errors, floor=1e-10))
     alpha = rho / (1 + rho)
@@ -544,7 +544,7 @@ def run_parareal_diag_variants(params, seed=0):
         cfg = _parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
                             max_iter=7, tol=1e-13, variant="diag_coarse", alpha=alpha)
         if oracle is None:
-            oracle = parareal.fine_sequential(cfg, sysh)
+            oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sysh, cfg.newton_tol)
         _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, oracle=oracle)
         factors = _contraction_factors(tr.errors, floor=1e-11, skip=1)
         mean = _geo_mean(factors)

@@ -100,7 +100,8 @@ class SweepState:
 class _ThetaNodes:
     """The implicit node solves y - theta*dtm*f(y, t_next) = rhs of one
     system.  For a linear system it keeps the shift plan of each step size
-    dtm, so all sweeps of a run share one factorization per step size."""
+    dtm; the factorizations stay on the operator, so every sweep of a run
+    shares one per step size."""
 
     def __init__(self, sys, theta: float):
         self.sys, self.theta = sys, theta
@@ -123,13 +124,9 @@ class _ThetaNodes:
         return _newton(sys, theta * dtm, rhs, t_next, guess)
 
 
-def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray,
-              nodes: Optional[_ThetaNodes] = None) -> SweepState:
-    """One left-to-right correction sweep over the window; ``nodes`` (made
-    afresh if not given) carries the node solves' shift plans between
-    sweeps."""
-    if nodes is None:
-        nodes = _ThetaNodes(sys, theta)
+def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> SweepState:
+    """One left-to-right correction sweep over the window."""
+    nodes = _ThetaNodes(sys, theta)
     t = state.t_nodes
     M = t.shape[0] - 1
     old = state.values
@@ -179,7 +176,6 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
         np.linspace(boundaries[n], boundaries[n + 1], M + 1) for n in range(n_windows)
     ]
     weights = [idc_weights(t) for t in window_nodes]
-    nodes = _ThetaNodes(sys, theta)
 
     for n in range(n_windows):
         sweeps_here = []
@@ -199,7 +195,7 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
                 state = SweepState(n=n, t_nodes=state.t_nodes,
                                    values=state.values.copy(), k=state.k)
             state.values[0] = ic
-            state = idc_sweep(state, sys, theta, weights[n], nodes)
+            state = idc_sweep(state, sys, theta, weights[n])
             sweeps_here.append(state)
             endpoints[k, n + 1] = state.values[-1]
         if n == 0:

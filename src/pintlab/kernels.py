@@ -8,16 +8,17 @@ k systems in one call.
 Shifted tridiagonal systems (a I - b A) x = r have one solve path: a
 :class:`ShiftPlan` from :meth:`BandedMatrix.shift_plan`.  A caller that
 repeats the same shifts (every step of a propagator, every iteration of a
-diagonalized solver) makes the plan once; the plan fetches the cached
+diagonalized solver) makes the plan once; the plan fetches the
 factorization on its first solve and keeps it, so each later solve is one
-gttrs plus the checks.  :func:`solve_shifted_banded` and
-:func:`solve_shifted_banded_many` are one-shot plans.
+gttrs plus the checks.  Each :class:`BandedMatrix` keeps the data derived
+from it (shifted factorizations, exponentials) on itself, so a plan made
+again for the same operator and shifts finds the factorization there, and
+the data goes when the matrix does.  :func:`solve_shifted_banded` is a
+one-shot plan that keeps nothing.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,6 +58,11 @@ class BandedMatrix:
     # (diag, lower, upper, corners or None) shaped to broadcast against data
     # of each ndim, made by the first matvec of that ndim
     _bands: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # factorizations of shifted systems, filled by the plans of shift_plan,
+    # and exponentials, filled by expm_action; no value refers back to the
+    # matrix, so they are freed with it
+    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _expms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = self.diag.shape[0]
@@ -124,8 +130,8 @@ class BandedMatrix:
 
     @property
     def expm_key(self):
-        """(frozen banded matrix, tag) under which :func:`expm_action`
-        caches this operator's exponentials."""
+        """(banded matrix, tag): :func:`expm_action` keeps this operator's
+        exponentials on that matrix under the tag."""
         return self, None
 
     def scaled(self, c) -> "BandedMatrix":
@@ -157,8 +163,9 @@ class BandedMatrix:
 
     def shift_plan(self, a, b) -> "ShiftPlan":
         """Prepared solves with (a*I - b*A), or with (a[j]*I - b[j]*A) for
-        arrays of J shifts; see :class:`ShiftPlan`."""
-        return ShiftPlan(self, a, b)
+        arrays of J shifts; see :class:`ShiftPlan`.  Its factorizations are
+        kept on this matrix, so every plan for the same shifts shares them."""
+        return ShiftPlan(self, a, b, self._factors)
 
     def scale_columns(self, u: np.ndarray) -> "BandedMatrix":
         """Return A @ diag(u), still banded."""
@@ -228,53 +235,15 @@ def apply_blocks(A: BandedMatrix, X: np.ndarray) -> np.ndarray:
     return A.matvec(X.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-# Small LRU caches keyed on the identity of a frozen BandedMatrix: each entry
-# holds that matrix, so a freed object's id can never alias a live key.  One
-# lock guards all of them, so library callers may share the caches across
-# threads.
-_cache_lock = threading.Lock()
-
-
-def _cached(cache, size, key, owner, build):
-    """The value cached under ``key``, made by ``build()`` on a miss and
-    (re)inserted as the most recently used; the least recently used entry
-    beyond ``size`` is dropped.  If ``build`` raises, nothing is inserted."""
-    with _cache_lock:
-        entry = cache.pop(key, None)
-        if entry is None:
-            entry = (owner, build())
-        cache[key] = entry
-        if len(cache) > size:
-            cache.popitem(last=False)
-    return entry[1]
-
-
-# Factorizations of shifted systems fetched by ShiftPlan: one per (operator,
-# shifts, data type) a run is stepping with, and a store of its own,
-# so the one-shot Jacobians of Newton solves never evict exponentials.
-_SHIFT_CACHE_SIZE = 8
-_shift_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-
 def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*A) x = rhs for scalars ``shift = (a, b)``.
 
     ``rhs`` may be ``(n,)`` or ``(n, k)``; ``a``, ``b`` may be complex.
-    A one-shot :class:`ShiftPlan`.
+    A one-shot :class:`ShiftPlan`: the factorization is made for this
+    solve and kept nowhere.
     """
     a, b = shift
     return ShiftPlan(A, a, b).solve(rhs)
-
-
-def solve_shifted_banded_many(A: BandedMatrix, a, b, rhs: np.ndarray) -> np.ndarray:
-    """Solve (a[j]*I - b[j]*A) x[j] = rhs[j] for J shifts at once.
-
-    ``rhs`` is ``(J, n)`` or ``(J, n, k)``; shifts may be complex.  A
-    one-shot :class:`ShiftPlan`; a caller that repeats the shifts should
-    keep ``A.shift_plan(a, b)`` and call its ``solve``.  Each x[j] is bit
-    for bit the single-shift solve.
-    """
-    return ShiftPlan(A, np.atleast_1d(a), np.atleast_1d(b)).solve(rhs)
 
 
 class ShiftPlan:
@@ -291,28 +260,32 @@ class ShiftPlan:
     systems solved in one batched call, so the cost stays O(J n).
 
     The factorization, with the Woodbury columns and capacitance matrices,
-    lives in a small LRU cache keyed on the identity of ``A``, the exact
-    shifts and the data type.  The first solve for a data type fetches it
-    from there (or makes it) and the plan keeps it: every later solve is
-    one gttrs plus the checks.  Every check (finite solution, growth of a
-    near-singular system, capacitance determinant, periodic residual) is
-    applied to each shift separately; a solve that fails one evicts its
-    factorization, from the cache and from the plan.
+    is kept in ``store`` under its data type and the exact shifts: the
+    operator's own store for a plan from :meth:`BandedMatrix.shift_plan`,
+    a store of the plan's own otherwise (a one-shot plan).  The first
+    solve for a data type fetches it from there (or makes it) and the plan
+    keeps it: every later solve is one gttrs plus the checks.  Every check
+    (finite solution, growth of a near-singular system, capacitance
+    determinant, periodic residual) is applied to each shift separately; a
+    factorization that fails one is dropped from the store and the plan.
+    Two threads that miss together both factor and keep one result.
     """
 
-    def __init__(self, A: BandedMatrix, a, b):
+    def __init__(self, A: BandedMatrix, a, b, store: Optional[dict] = None):
         a, b = np.asarray(a), np.asarray(b)
         self.single = a.ndim == 0 and b.ndim == 0
         a, b = a.reshape(-1), b.reshape(-1)
         self.A, self.a, self.b = A, a, b
         self._dtype = np.result_type(A.diag, a, b)
         self._key = (a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
+        self._store = {} if store is None else store
         self._kept = None  # (data type, factorization), read and replaced whole
         # corners count from n = 3 (as in matvec) and vanish with b = 0
         self._periodic = A.periodic and A.n > 2 and b.any()
         self._parts = None
         if self._periodic and not b.all():
-            self._parts = [ShiftPlan(A, a[j:j + 1], b[j:j + 1]) for j in range(a.shape[0])]
+            self._parts = [ShiftPlan(A, a[j:j + 1], b[j:j + 1], self._store)
+                           for j in range(a.shape[0])]
 
     def solve(self, rhs: np.ndarray, product: bool = False):
         """x with (a[j]*I - b[j]*A) x[j] = rhs[j]; with ``product`` the pair
@@ -331,8 +304,7 @@ class ShiftPlan:
                 x, Ax = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
             except SingularSystemError:
                 self._kept = None
-                with _cache_lock:
-                    _shift_cache.pop(self._cache_key(dtype), None)
+                self._store.pop((dtype.char,) + self._key, None)
                 raise
             x = x.reshape(R.shape)
         if not product:
@@ -340,20 +312,23 @@ class ShiftPlan:
         Ax = apply_blocks(self.A, x) if Ax is None else Ax.reshape(R.shape)
         return (x[0], Ax[0]) if self.single else (x, Ax)
 
-    def _cache_key(self, dtype):
-        return (id(self.A), dtype.char) + self._key
-
     def _fetch(self, dtype):
-        """The factorization for data of ``dtype``: a 1x1 system is its own
-        pivot (not cached); otherwise the :func:`_factor_shifted` entry."""
+        """The factorization for data of ``dtype`` from the store, made and
+        stored on a miss: a 1x1 system is its own pivot, otherwise the
+        :func:`_factor_shifted` tuple.  A failed check stores nothing."""
+        key = (dtype.char,) + self._key
+        factor = self._store.get(key)
+        if factor is not None:
+            return factor
         A, a, b = self.A, self.a, self.b
-        if A.n == 1:
+        if A.n > 1:
+            factor = _factor_shifted(A, a, b, dtype, self._periodic)
+        else:
             d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
             if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
                 raise SingularSystemError("1x1 pivot underflow")
-            return d[:, :, None]
-        return _cached(_shift_cache, _SHIFT_CACHE_SIZE, self._cache_key(dtype), A,
-                       lambda: _factor_shifted(A, a, b, dtype, self._periodic))
+            factor = d[:, :, None]
+        return self._store.setdefault(key, factor)
 
     def _solve(self, factor, R):
         """(x, A @ x or None) for R of shape (J, n, k) with ``factor`` from
@@ -502,14 +477,9 @@ def toeplitz_lower_apply(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# Operators of size n <= EXPM_DENSE_MAX get a dense, cached exp(t*A);
-# larger ones go through expm_multiply on a sparse copy.
+# Operators of size n <= EXPM_DENSE_MAX get a dense exp(t*A), kept on their
+# banded matrix; larger ones go through expm_multiply on a sparse copy.
 EXPM_DENSE_MAX = 512
-# The LRU cache holds this many exponentials: enough for the few (operator,
-# window length) pairs of a ParaExp run, and bounded for runs that step one
-# operator with hundreds of distinct step sizes (geometric time meshes).
-_EXPM_CACHE_SIZE = 8
-_expm_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
 def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
@@ -519,13 +489,13 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     ``to_sparse()`` (BandedMatrix, SemiDiscreteSystem, CompanionSystem) or a
     dense array.
     Up to n = EXPM_DENSE_MAX the dense exponential ``scipy.linalg.expm(t*A)``
-    is applied.  For operators it is kept in a small LRU cache keyed on the
-    identity of their frozen banded matrix, a tag and the exact ``t``, so
-    every call with the same operator and step does the same product; each
-    entry holds its banded matrix, so a freed object's id never aliases.
-    Dense arrays are not cached.  Larger operators use ``expm_multiply``
-    (Al-Mohy & Higham 2011) on a sparse copy.  A non-finite result raises
-    FloatingPointError.
+    is applied.  For operators it is kept on the banded matrix that
+    ``expm_key`` names, under the key's tag and the exact ``t``, so every
+    call with the same operator and step does the same product, and the
+    exponentials are freed with that matrix.  Dense arrays keep nothing.
+    Larger operators use ``expm_multiply`` (Al-Mohy & Higham 2011) on a
+    sparse copy.  A non-finite result raises FloatingPointError and keeps
+    nothing.
     """
     if not hasattr(A, "expm_key"):
         M = np.atleast_2d(np.asarray(A))
@@ -535,8 +505,9 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     if A.n > EXPM_DENSE_MAX:
         return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))
     band, tag = A.expm_key
-    E = _cached(_expm_cache, _EXPM_CACHE_SIZE, (id(band), tag, t), band,
-                lambda: _finite(scipy.linalg.expm(t * A.to_dense())))
+    E = band._expms.get((tag, t))
+    if E is None:
+        E = band._expms.setdefault((tag, t), _finite(scipy.linalg.expm(t * A.to_dense())))
     return E @ v
 
 

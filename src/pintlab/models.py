@@ -167,10 +167,6 @@ class SemiDiscreteSystem:
         """Prepared solves with (a*I - b*A), or (a[j]*I - b[j]*A) for J shifts."""
         return self.A.shift_plan(a, b)
 
-    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
-        """Solve (a*I - b*A) x = rhs once."""
-        return self.A.shift_plan(a, b).solve(rhs)
-
 
 def _with_source(source, sigma, x):
     if source is None:

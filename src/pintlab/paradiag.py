@@ -609,13 +609,11 @@ class _SecondOrderAllAtOnce:
         return apply_poly(self.sys.A, coeffs, u)
 
     def apply(self, U):
-        out = np.empty_like(U)
-        for n in range(self.n_t):
-            out[n] = self._apply_poly(self.r1, U[n])
-            if n >= 1:
-                out[n] -= self._apply_poly(self.r2, U[n - 1])
-            if n >= 2:
-                out[n] += self._apply_poly(self.r1, U[n - 2])
+        # rows r1 U[n] - r2 U[n-1] + r1 U[n-2], each polynomial applied once
+        r1U = self._apply_poly(self.r1, U.T).T
+        out = r1U.copy()
+        out[1:] -= self._apply_poly(self.r2, U[:-1].T).T
+        out[2:] += r1U[:-2]
         return out
 
     def rhs(self):

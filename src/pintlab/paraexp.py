@@ -18,6 +18,7 @@ import numpy as np
 from .integrators import Propagator, TimeGrid, finite_u0, propagate, propagate_block
 from .kernels import expm_action
 from .models import first_order_form
+from .parareal import PararealConfig, fine_sequential, parareal_solve
 from .trace import IterationTrace
 
 
@@ -109,7 +110,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarra
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:
-        oracle = _fine_oracle(plan, target)
+        oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)
 
     trace = IterationTrace(method="paraexp_nonlinear")
     # initial stitching: pure exponential sweep of the linear part
@@ -147,16 +148,6 @@ def _window_solves(plan, target, IC):
     return U
 
 
-def _fine_oracle(plan, target):
-    u = finite_u0(target).copy()
-    out = [u.copy()]
-    for j in range(plan.grid.n_windows):
-        t0, t1 = plan.grid.window(j)
-        u = propagate(plan.red, target, t0, t1, u, newton_tol=plan.newton_tol)
-        out.append(u.copy())
-    return np.stack(out)
-
-
 def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):
     """Parareal with the exact exponential of the linear part as coarse
     solver and the full nonlinear integrator as fine solver.
@@ -169,7 +160,7 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
     grid = plan.grid
     n_w = grid.n_windows
     if oracle is None:
-        oracle = _fine_oracle(plan, target)
+        oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)
 
     def G(j, u):
         return expm_action(target, grid.window_length(j), u)
@@ -207,8 +198,6 @@ def paraexp_vs_parareal_report(sys_factory, nus, plan_factory, coarse_factory,
     ``threshold_factory(sys)`` the truncation-error stopping level.
     Returns {nu: (paraexp_trace, parareal_trace, threshold)}.
     """
-    from .parareal import PararealConfig, parareal_solve
-
     out = {}
     for nu in nus:
         sys = sys_factory(nu)

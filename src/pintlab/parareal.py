@@ -46,15 +46,15 @@ class PararealConfig:
             raise ValueError("diag variants need alpha in (0, 1)")
 
 
-def fine_sequential(cfg: PararealConfig, sys) -> np.ndarray:
-    """Sequential sweep of the fine propagator: the oracle trajectory at
-    window boundaries, shape (n_windows + 1, n)."""
+def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float) -> np.ndarray:
+    """Sequential sweep of ``fine`` across the windows of ``grid``: the
+    oracle trajectory at window boundaries, shape (n_windows + 1, n)."""
     target = first_order_form(sys)
     u = finite_u0(target).copy()
     out = [u.copy()]
-    for n in range(cfg.grid.n_windows):
-        t0, t1 = cfg.grid.window(n)
-        u = propagate(cfg.fine, target, t0, t1, u, newton_tol=cfg.newton_tol)
+    for n in range(grid.n_windows):
+        t0, t1 = grid.window(n)
+        u = propagate(fine, target, t0, t1, u, newton_tol=newton_tol)
         out.append(u.copy())
     return np.stack(out)
 
@@ -169,7 +169,7 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
     """Classic Parareal: coarse correction sweep plus parallel fine solves."""
     target = first_order_form(sys)
     if oracle is None:
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
     sweep = _CorrectionSweep(cfg, target, coarse, U)
@@ -192,7 +192,7 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
     always starts from u0, so its relaxation is solved once."""
     target = first_order_form(sys)
     if oracle is None:
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
     trace = IterationTrace(method="mgrit_fcf")
@@ -288,7 +288,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     """
     target = first_order_form(sys)
     if oracle is None:
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     if cfg.coarse.steps != 1:
         raise ValueError("diag CGC uses one backward-Euler step per window")
     dT = cfg.grid.window_length(0)
@@ -383,7 +383,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     """
     target = first_order_form(sys)
     if oracle is None:
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     if cfg.fine.method.theta is None:
         raise ValueError("diag coarse solver is defined for theta methods")
     theta = cfg.fine.method.theta

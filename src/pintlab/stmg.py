@@ -5,8 +5,9 @@ block, a pure parallel map); transfers are full weighting / linear
 interpolation in both directions; the coarse operator is re-discretized at
 doubled steps.  One recursive cycle serves every level count; its coarsest
 level is solved exactly by forward substitution, and the two-level cycle is
-its ``levels=2`` case.  When dt/dx^2 < 1/sqrt(2) a level coarsens in time
-only (recorded in the trace).  The nonlinear variant runs the two-level
+its ``levels=2`` case.  When dt/dx^2 < 1/sqrt(2), or when the coarse
+spatial grid would have fewer than 3 points, a level coarsens in time only
+(recorded in the trace).  The nonlinear variant runs the two-level
 cycle in full-approximation form with a nonlinear block smoother.
 """
 
@@ -121,12 +122,13 @@ class TwoLevelOperators:
 
 def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperators:
     """Fine and re-discretized coarse ``op_cls`` operators with the transfers;
-    space is coarsened too when dt/dx^2 >= SPACE_COARSENING_LIMIT."""
-    coarsen_space = grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
+    space is coarsened too when dt/dx^2 >= SPACE_COARSENING_LIMIT, unless the
+    coarse spatial grid would have fewer than 3 points."""
+    nx_c = 2 ** (grid.lx - 1) - 1
+    coarsen_space = nx_c >= 3 and grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
     nt_c = 2 ** (grid.lt - 1) - 1
     Pt = prolongation_matrix(nt_c)
     if coarsen_space:
-        nx_c = 2 ** (grid.lx - 1) - 1
         sys_c = rebuild(sys, nx_c, 2 * grid.dx)
         Px = prolongation_matrix(nx_c)
     else:

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from pintlab.cli import main
@@ -132,3 +136,44 @@ class TestCsvFormat:
         value = text.splitlines()[1].split(",")[1]
         assert float(value) == r.summary["parareal"]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+class TestBenchmarkNames:
+    """perfbench/layers.py reports per-layer metrics by function name, and a
+    name that no longer resolves silently reads 0: every pintlab function
+    it names must still be defined where it says."""
+
+    # rows that read 0 by design: the solver thread pool was deleted
+    GONE = {"pool.make_pmap"}
+
+    @staticmethod
+    def reported_functions():
+        """The pintlab names in the literal FUNCTION_FIELDS list and in
+        ORACLE; the per-experiment rows appended to FUNCTION_FIELDS are
+        experiment ids, not functions, and numpy/scipy leaves are skipped."""
+        layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        names = []
+        for node in ast.parse(layers.read_text()).body:
+            if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+                continue
+            value = node.value
+            if node.targets[0].id == "FUNCTION_FIELDS":
+                listed = value.left if isinstance(value, ast.BinOp) else value
+                names += [name for name, _ in ast.literal_eval(listed)]
+            elif node.targets[0].id == "ORACLE":
+                names += sorted(ast.literal_eval(value))
+        return [name for name in names
+                if not name.startswith(("numpy.", "scipy.")) and name not in TestBenchmarkNames.GONE]
+
+    def test_reported_functions_resolve(self):
+        names = self.reported_functions()
+        assert len(names) >= 25 and "parareal.fine_sequential" in names
+        missing = []
+        for name in names:
+            layer, *path = name.split(".")
+            obj = importlib.import_module(f"pintlab.{layer}")
+            for attr in path:
+                obj = getattr(obj, attr, None)
+            if not (callable(obj) and getattr(obj, "__module__", None) == f"pintlab.{layer}"):
+                missing.append(name)
+        assert not missing, f"perfbench/layers.py reports {missing}, not defined in pintlab"

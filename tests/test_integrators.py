@@ -271,7 +271,7 @@ def _parareal_entry(name):
                                   coarse=Propagator(backward_euler(), dt=dT, steps=1),
                                   variant=variant, max_iter=2)
     if name == "fine_sequential":
-        return lambda: parareal.fine_sequential(cfg, _nan_heat())
+        return lambda: parareal.fine_sequential(cfg.grid, cfg.fine, _nan_heat(), cfg.newton_tol)
     # with the oracle given, the solver's own entry check is the one that fires
     return lambda: getattr(parareal, name)(cfg, _nan_heat(), oracle=np.zeros((5, 8)))
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from pintlab import kernels
 from pintlab.kernels import (
     EXPM_DENSE_MAX,
     BandedMatrix,
+    ShiftPlan,
     SingularSystemError,
     StackedTridiagonalLU,
     dft,
@@ -14,7 +18,6 @@ from pintlab.kernels import (
     idft,
     solve_poly_in_matrix,
     solve_shifted_banded,
-    solve_shifted_banded_many,
     toeplitz_lower_apply,
 )
 from pintlab.models import CompanionSystem, build_heat, build_wave
@@ -47,8 +50,8 @@ def random_banded(rng, n, periodic=False, dominant=True):
 
 
 class TestSolveShiftedBandedMany:
-    """The stacked solve must reproduce the per-shift loop bit for bit, and
-    each per-shift check must still fire inside a batch."""
+    """The stacked solve of a J-shift plan must reproduce the per-shift loop
+    bit for bit, and each per-shift check must still fire inside a batch."""
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("complex_shifts", [False, True])
@@ -64,7 +67,7 @@ class TestSolveShiftedBandedMany:
             a = a + 1j * rng.standard_normal(J)
             b = b + 0.1j * rng.standard_normal(J)
         R = rng.standard_normal((J, n) if k is None else (J, n, k))
-        X = solve_shifted_banded_many(A, a, b, R)
+        X = A.shift_plan(a, b).solve(R)
         loop = np.stack([solve_shifted_banded(A, (a[j], b[j]), R[j]) for j in range(J)])
         assert X.shape == R.shape
         assert np.array_equal(X, loop)
@@ -75,7 +78,7 @@ class TestSolveShiftedBandedMany:
         A = random_banded(rng, 9, periodic=True)
         a, b = np.array([1.5, 2.0, 1.2]), np.array([0.2, 0.0, -0.1])
         R = rng.standard_normal((3, 9))
-        X = solve_shifted_banded_many(A, a, b, R)
+        X = A.shift_plan(a, b).solve(R)
         for j in range(3):
             assert np.array_equal(X[j], solve_shifted_banded(A, (a[j], b[j]), R[j]))
 
@@ -90,7 +93,7 @@ class TestSolveShiftedBandedMany:
         a[bad], b[bad] = 0.0, 1.0
         R = np.tile(np.arange(1.0, n + 1.0), (3, 1))
         with pytest.raises(SingularSystemError):
-            solve_shifted_banded_many(A, a, b, R)
+            A.shift_plan(a, b).solve(R)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_one_singular_capacitance_in_periodic_batch_raises(self, bad):
@@ -98,13 +101,13 @@ class TestSolveShiftedBandedMany:
         a, b = np.array([1.0, 2.0, 1.5]), np.array([0.1, 0.3, 0.2])
         a[bad], b[bad] = 0.0, 1.0
         with pytest.raises(SingularSystemError, match="capacitance"):
-            solve_shifted_banded_many(A, a, b, np.ones((3, 6)))
+            A.shift_plan(a, b).solve(np.ones((3, 6)))
 
 
 def gtsv_reference(A, a, b, rhs):
     """Shifted solve with every call factoring afresh: the J blocks stacked
     into one LAPACK gtsv call, periodic corners by the Woodbury columns
-    solved in the same call.  The cached gttrf/gttrs path must match it
+    solved in the same call.  The stored gttrf/gttrs path must match it
     bit for bit."""
     a, b = np.asarray(a), np.asarray(b)
     J, n = rhs.shape[:2]
@@ -151,9 +154,9 @@ def pivots(A, a, b):
 
 
 class TestShiftedFactorCache:
-    """solve_shifted_banded_many factors each (operator, shifts) pair once
-    and keeps it in a bounded LRU cache; every call, first or repeated, is
-    bit for bit the gtsv solve and runs every check."""
+    """Plans from shift_plan factor each (operator, shifts) pair once and
+    keep it on the operator; one-shot solves keep nothing.  Every solve,
+    first or repeated, is bit for bit the gtsv solve and runs every check."""
 
     @pytest.mark.parametrize("n, periodic", [(1, False), (2, False), (2, True), (3, False),
                                              (3, True), (11, False), (11, True)])
@@ -177,7 +180,7 @@ class TestShiftedFactorCache:
                 R = R + 1j * rng.standard_normal(R.shape)
             expected = gtsv_reference(A, a, b, R)
             for _ in range(2):  # factor, then reuse
-                X = solve_shifted_banded_many(A, a, b, R)
+                X = A.shift_plan(a, b).solve(R)
                 assert X.shape == R.shape and X.dtype == expected.dtype
                 assert X.tobytes() == expected.tobytes()
             for j in range(J):
@@ -201,26 +204,55 @@ class TestShiftedFactorCache:
         A = random_banded(rng, 9, periodic=True)
         a, b = 1.0 + rng.random(4), 0.2 * rng.standard_normal(4)
         for _ in range(5):
-            solve_shifted_banded_many(A, a, b, rng.standard_normal((4, 9)))
-            solve_shifted_banded(A, (a[0], b[0]), rng.standard_normal(9))
+            A.shift_plan(a, b).solve(rng.standard_normal((4, 9)))
+            A.shift_plan(a[0], b[0]).solve(rng.standard_normal(9))
         assert len(built) == 2
-        solve_shifted_banded_many(A, a, b.copy(), rng.standard_normal((4, 9)))
+        A.shift_plan(a, b.copy()).solve(rng.standard_normal((4, 9)))
         assert len(built) == 2  # the key is the shifts' values, not the array
-        solve_shifted_banded_many(A, a, b, rng.standard_normal((4, 9)) + 0j)
+        A.shift_plan(a, b).solve(rng.standard_normal((4, 9)) + 0j)
         assert len(built) == 3  # complex data: a complex factorization
+        assert len(A._factors) == 3
+        other = random_banded(rng, 9, periodic=True)
+        other.shift_plan(a, b).solve(rng.standard_normal((4, 9)))
+        assert len(built) == 4 and len(other._factors) == 1  # stores are per operator
 
-    def test_cache_per_live_operator_and_bounded(self):
-        r = np.arange(1.0, 6.0)
-        for k in range(3 * kernels._SHIFT_CACHE_SIZE):
-            # each operator is freed before the next one is built, so its
-            # id may be reused; the cached factorization must not be
-            rng = np.random.default_rng(k)
-            A = random_banded(rng, 5, periodic=k % 2 == 1)
-            expected = gtsv_reference(A, [1.5], [0.4], r[None])[0]
-            for _ in range(2):
-                assert solve_shifted_banded(A, (1.5, 0.4), r).tobytes() == expected.tobytes()
-            assert len(kernels._shift_cache) <= kernels._SHIFT_CACHE_SIZE
-            del A
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_one_shot_solves_keep_nothing(self, periodic, monkeypatch):
+        built = []
+        real = kernels._factor_shifted
+        monkeypatch.setattr(kernels, "_factor_shifted",
+                            lambda *args: built.append(1) or real(*args))
+        rng = np.random.default_rng(104)
+        A = random_banded(rng, 9, periodic=periodic)
+        r = rng.standard_normal(9)
+        expected = A.shift_plan(1.5, 0.4).solve(r)
+        A._factors.clear()
+        for _ in range(2):
+            assert solve_shifted_banded(A, (1.5, 0.4), r).tobytes() == expected.tobytes()
+            assert ShiftPlan(A, 1.5, 0.4).solve(r).tobytes() == expected.tobytes()
+            assert solve_poly_in_matrix(A, (1.5, -0.4), r).tobytes() == expected.tobytes()
+            assert not A._factors
+        assert len(built) == 7  # every one-shot solve factors afresh
+
+    def test_store_freed_with_its_operator(self):
+        # nothing stored refers back to the operator: dropping the last
+        # reference frees its factorizations by reference counting alone
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for n in (6, 1):
+                A = random_banded(np.random.default_rng(105), n, periodic=n > 2)
+                plan = A.shift_plan(np.array([1.5, 2.0]), np.array([0.4, 0.1]))
+                plan.solve(np.ones((2, A.n)))
+                (factor,) = A._factors.values()
+                kept = weakref.ref(factor[0] if isinstance(factor, tuple) else factor)
+                del plan, factor
+                assert kept() is not None
+                del A
+                assert kept() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_failed_factorization_or_solve_leaves_no_entry(self):
         n = 8
@@ -237,8 +269,8 @@ class TestShiftedFactorCache:
         for A, shift, message in cases:
             for _ in range(3):
                 with pytest.raises(SingularSystemError, match=message):
-                    solve_shifted_banded(A, shift, np.ones(A.n))
-                assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+                    A.shift_plan(*shift).solve(np.ones(A.n))
+                assert not A._factors
 
     @pytest.mark.parametrize("J, k", [(1, None), (1, 1), (3, None), (3, 2)])
     @pytest.mark.parametrize("n, periodic", [(2, False), (7, False), (7, True)])
@@ -251,13 +283,14 @@ class TestShiftedFactorCache:
             for data in (R, R + 1j * R):
                 before = data.copy()
                 for _ in range(2):
-                    solve_shifted_banded_many(A, a, b, data)
+                    A.shift_plan(a, b).solve(data)
+                    A.shift_plan(a[0], b[0]).solve(data[0])
                     solve_shifted_banded(A, (a[0], b[0]), data[0])
                 assert data.tobytes() == before.tobytes()
 
     def test_cache_shared_by_threads(self):
-        # more threads than cores, switching often, over more (operator,
-        # shift) pairs than the cache holds: every result stays exact
+        # more threads than cores, switching often, each making plans that
+        # fetch from (or fill) the operators' stores: every result stays exact
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -272,9 +305,7 @@ class TestShiftedFactorCache:
         def work(seed):
             for k in np.random.default_rng(seed).permutation(len(keys)):
                 i, s = keys[k]
-                if solve_shifted_banded(ops[i], s, R).tobytes() != expected[i, s].tobytes():
-                    return False
-                if len(kernels._shift_cache) > kernels._SHIFT_CACHE_SIZE:
+                if ops[i].shift_plan(*s).solve(R).tobytes() != expected[i, s].tobytes():
                     return False
             return True
 
@@ -327,26 +358,29 @@ class TestShiftPlan:
             expected = gtsv_reference(A, a, b, R)
             for _ in range(2):
                 assert plan.solve(R).tobytes() == expected.tobytes()
-            assert solve_shifted_banded_many(A, a, b, R).tobytes() == expected.tobytes()
+            assert ShiftPlan(A, a, b).solve(R).tobytes() == expected.tobytes()  # factored afresh
             for j in range(J):
                 single = A.shift_plan(a[j], b[j])
                 assert single.solve(R[j]).tobytes() == expected[j].tobytes()
                 column = gtsv_reference(A, a[j:j + 1], b[j:j + 1], R[j:j + 1, :, 0])[0]
                 assert single.solve(R[j, :, 0]).tobytes() == column.tobytes()
 
-    def test_kept_factorization_survives_cache_eviction(self):
-        # the plan holds its factorization: other operators flushing the
-        # shared cache change nothing, and the plan makes no new factorization
+    def test_plans_with_equal_shifts_share_one_factorization(self):
+        # a later plan for the same operator and shift values finds the
+        # first plan's factorization on the operator; other operators'
+        # solves and one-shot solves leave it in place
         rng = np.random.default_rng(210)
         A = random_banded(rng, 9, periodic=True)
-        plan = A.shift_plan(1.5, 0.4)
         r = rng.standard_normal(9)
+        plan = A.shift_plan(1.5, 0.4)
         first = plan.solve(r)
-        kept = plan._kept
-        for i in range(2 * kernels._SHIFT_CACHE_SIZE):
-            solve_shifted_banded(random_banded(rng, 9, periodic=True), (1.0, 0.1 * i), r)
-        assert plan.solve(r).tobytes() == first.tobytes()
-        assert plan._kept is kept
+        for i in range(20):
+            random_banded(rng, 9, periodic=True).shift_plan(1.0, 0.1 * i).solve(r)
+            solve_shifted_banded(A, (1.0, 0.1 * i), r)
+        again = A.shift_plan(np.float64(1.5), np.float64(0.4))
+        assert again.solve(r).tobytes() == first.tobytes()
+        (stored,) = A._factors.values()
+        assert again._kept[1] is plan._kept[1] is stored
 
     @pytest.mark.parametrize("J", [1, 10])
     @pytest.mark.parametrize("k", [None, 1, 7])
@@ -396,7 +430,7 @@ class TestShiftPlan:
         r[4] = np.nan
         with pytest.raises(SingularSystemError, match="non-finite solution"):
             plan.solve(r)
-        assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+        assert not A._factors
         assert plan.solve(np.ones(9)).tobytes() == gtsv_reference(
             A, [1.5], [0.3], np.ones((1, 9)))[0].tobytes()
 
@@ -410,7 +444,7 @@ class TestShiftPlan:
         for _ in range(2):
             with pytest.raises(SingularSystemError, match="near-singular"):
                 plan.solve(np.ones((J, n)))
-            assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+            assert not A._factors
 
     def test_singular_capacitance_raises(self):
         A = periodic_laplacian_stencil(6)
@@ -418,7 +452,7 @@ class TestShiftPlan:
         for _ in range(2):
             with pytest.raises(SingularSystemError, match="capacitance"):
                 plan.solve(np.ones((2, 6)))
-            assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+            assert not A._factors
 
     def test_periodic_residual_check_raises_and_evicts(self):
         # a Woodbury column spoiled after factoring: the residual check is
@@ -432,7 +466,7 @@ class TestShiftPlan:
         plan._kept = (dtype, (lu, scale, 1.5 * z, cap))
         with pytest.raises(SingularSystemError, match="periodic solve residual"):
             plan.solve(r)
-        assert all(entry[0] is not A for entry in kernels._shift_cache.values())
+        assert not A._factors
         assert plan.solve(r).tobytes() == good.tobytes()
 
 
@@ -719,23 +753,47 @@ class TestExpmAction:
     def test_non_finite_exponential_raises(self):
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             expm_action(np.diag([1e4, -1.0]), 1.0, np.ones(2))
+        A = BandedMatrix(np.array([1e4, -1.0]), np.zeros(1), np.zeros(1))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            expm_action(A, 1.0, np.ones(2))
+        assert not A._expms
 
-    def test_cache_per_live_operator_and_bounded(self):
-        v = np.arange(1.0, 5.0)
-        for k in range(3 * kernels._EXPM_CACHE_SIZE):
-            # each operator is freed before the next one is built, so its
-            # id may be reused; the cached exponential must not be
-            rng = np.random.default_rng(k)
-            A = random_banded(rng, 4, periodic=k % 2 == 1)
-            expected = scipy.linalg.expm(0.3 * A.to_dense()) @ v
-            np.testing.assert_array_equal(expm_action(A, 0.3, v), expected)
-            np.testing.assert_array_equal(expm_action(A, 0.3, v), expected)
-            assert len(kernels._expm_cache) <= kernels._EXPM_CACHE_SIZE
-            del A
+    def test_exponential_kept_on_its_operator(self, monkeypatch):
+        made = []
+        real = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: made.append(1) or real(M))
+        sys = build_wave(5, 1.0 / 6, 1.0, "periodic")
+        comp = CompanionSystem(sys)
+        v, w = np.arange(1.0, 6.0), np.arange(1.0, 11.0)
+        for _ in range(3):
+            expm_action(sys.A, 0.3, v)
+            expm_action(sys, 0.3, v)  # the same exponential as sys.A's
+            expm_action(comp, 0.3, w)  # tagged apart on the same matrix
+            expm_action(sys.A, np.float64(0.1) + np.float64(0.2), v)  # t != 0.3 exactly
+        assert len(made) == 3
+        assert sorted(sys.A._expms, key=str) == sorted(
+            [(None, 0.3), ("companion", 0.3), (None, 0.1 + 0.2)], key=str)
+        expm_action(sys.A.to_dense(), 0.3, v)  # dense arrays keep nothing
+        assert len(made) == 4
+
+    def test_exponentials_freed_with_their_operator(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sys = build_wave(5, 1.0 / 6, 1.0, "periodic")
+            expm_action(sys, 0.3, np.ones(5))
+            expm_action(CompanionSystem(sys), 0.3, np.ones(10))
+            kept = [weakref.ref(E) for E in sys.A._expms.values()]
+            assert len(kept) == 2 and all(ref() is not None for ref in kept)
+            del sys
+            assert all(ref() is None for ref in kept)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cache_shared_by_threads(self):
-        # more threads than cores, switching often, over more (operator, t)
-        # pairs than the cache holds: every result stays exact, the cache bounded
+        # more threads than cores, switching often, each fetching from (or
+        # filling) the operators' stores: every result stays exact
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -751,8 +809,6 @@ class TestExpmAction:
             for k in np.random.default_rng(seed).permutation(len(keys)):
                 i, t = keys[k]
                 if not np.array_equal(expm_action(ops[i], t, v), expected[i, t]):
-                    return False
-                if len(kernels._expm_cache) > kernels._EXPM_CACHE_SIZE:
                     return False
             return True
 

@@ -721,6 +721,29 @@ class TestSharedThetaOperator:
         assert (tr.errors, tr.residuals) == (tr_ref.errors, tr_ref.residuals)
 
 
+def second_order_apply_by_row(op, U):
+    """Reference: the Numerov all-at-once K U one row at a time,
+    r1 U[n] - r2 U[n-1] + r1 U[n-2], each term applied to its own row."""
+    out = np.empty_like(U)
+    for n in range(op.n_t):
+        out[n] = op._apply_poly(op.r1, U[n])
+        if n >= 1:
+            out[n] -= op._apply_poly(op.r2, U[n - 1])
+        if n >= 2:
+            out[n] += op._apply_poly(op.r1, U[n - 2])
+    return out
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 16])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_second_order_apply_matches_per_row_operator(bc, n_t):
+    op = make_all_at_once(wave_sine(nx=12, bc=bc), "numerov", 0.01, n_t)
+    rng = np.random.default_rng(6)
+    U = rng.standard_normal((n_t, 12))
+    for data in (U, U + 1j * rng.standard_normal(U.shape)):
+        assert op.apply(data).tobytes() == second_order_apply_by_row(op, data).tobytes()
+
+
 class TestEntryValidation:
     def test_unknown_integrator_named(self):
         with pytest.raises(ValueError, match="'bogus'"):

@@ -51,9 +51,9 @@ class TestLinearParaExp:
         out = paraexp_linear_solve(plan, sys)
 
         # sequential oracle with the same red integrator
-        from pintlab.paraexp import _fine_oracle
+        from pintlab.parareal import fine_sequential
 
-        seq = _fine_oracle(plan, sys)
+        seq = fine_sequential(plan.grid, plan.red, sys, plan.newton_tol)
         disc_err_scale = np.abs(seq).max()
         # superposition residual: compare against a 4x finer红 reference
         plan_fine = make_plan(T, n_w, 4 * J)

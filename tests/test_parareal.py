@@ -12,7 +12,7 @@ from pintlab.integrators import (
 )
 import pintlab.paradiag as paradiag_module
 import pintlab.parareal as parareal_module
-from pintlab.kernels import ConvergenceError, ShiftPlan, solve_shifted_banded_many
+from pintlab.kernels import ConvergenceError, ShiftPlan
 from pintlab.models import (
     SourcePulse,
     build_advection_diffusion,
@@ -75,7 +75,7 @@ class TestClassicParareal:
             sys.u0[:] = np.sin(np.pi * sys.x)
         cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=n_w, tol=0.0)
         U, trace = parareal_solve(cfg, sys)
-        scale = max(np.abs(fine_sequential(cfg, sys)).max(), 1.0)
+        scale = max(np.abs(fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)).max(), 1.0)
         assert trace.errors[n_w] <= 1e-10 * scale
 
     def test_heat_contraction_factor(self):
@@ -373,7 +373,7 @@ class TestCoarseCache:
         sys = heat_system(nx=12)
         n_w = 6
         cfg = make_cfg(1.0, n_w, 4, max_iter=3, tol=0.0, initial_guess=guess)
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         real, real_block = parareal_module.propagate, parareal_module.propagate_block
         calls, fine_cols = [], []
 
@@ -405,7 +405,7 @@ class TestCoarseCache:
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
                        coarse_method=trapezoidal(), variant="diag_coarse",
                        alpha=0.05, max_iter=3, tol=0.0, initial_guess=guess)
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         real = ShiftPlan.solve
         calls = []
 
@@ -435,7 +435,7 @@ class TestCoarseCache:
         method = trapezoidal() if fine == "trapezoidal" else exact_exponential()
         cfg = make_cfg(1.0, n_w, 4 if fine == "trapezoidal" else 1, fine_method=method,
                        max_iter=iterations, tol=0.0, variant="diag_cgc", alpha=0.1)
-        oracle = fine_sequential(cfg, sys)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         real_block = parareal_module.propagate_block
         starts = []
 
@@ -531,7 +531,7 @@ def reference_diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess):
         resid = g - (parareal_module._c_alpha_apply(U, cfg.alpha) - dT * F)
         A_bar = _banded_mean_loop([target.jacobian(shifted[j]) for j in range(n_w)])
         Ra = fac.to_eigenbasis(resid.astype(complex))
-        Rb = solve_shifted_banded_many(A_bar, fac.eigenvalues, np.full(n_w, dT), Ra)
+        Rb = A_bar.shift_plan(fac.eigenvalues, np.full(n_w, dT)).solve(Ra)
         delta = fac.from_eigenbasis(Rb).real
         U = U + delta
         if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(U).max()):
@@ -556,7 +556,7 @@ def reference_diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0):
         jacs = [target.jacobian(V[j]) for j in range(J - 1)] + [target.jacobian(v0)]
         A_bar = _banded_mean_loop(jacs)
         Ra = fac_c.to_eigenbasis(resid.astype(complex))
-        Rb = solve_shifted_banded_many(A_bar, fac_c.eigenvalues, dt * fac_t.eigenvalues, Ra)
+        Rb = A_bar.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues).solve(Ra)
         delta = fac_c.from_eigenbasis(Rb).real
         V = V + delta
         if np.abs(delta).max() <= cfg.newton_tol * max(1.0, np.abs(V).max()):

@@ -162,6 +162,16 @@ class TestTransfers:
         ops2 = build_two_level(sys2, grid2, 1.0)
         assert ops2.coarsen_space and ops2.Px is not None
 
+    @pytest.mark.parametrize("lx, coarsen", [(2, False), (3, True)])
+    def test_space_coarsened_only_to_three_points(self, lx, coarsen):
+        # dt = 8 dx^2 asks for space coarsening, but lx = 2 would leave one
+        # coarse point: that level coarsens in time only
+        sys, grid = heat_grid(lx=lx, lt=4, ratio=8.0)
+        assert build_two_level(sys, grid, 1.0).coarsen_space == coarsen
+        out, tr = stmg_two_level(sys, grid, SmootherConfig(eta=0.5), cycles=4)
+        assert tr.meta["coarsen_space"] == coarsen
+        assert np.isfinite(out).all() and tr.errors[-1] < tr.errors[0]
+
 
 class TestTwoLevelCycle:
     def test_zero_rhs_zero_guess_stays_zero(self):
@@ -231,9 +241,13 @@ class TestMultilevel:
     def test_level_count_validation(self):
         from pintlab.stmg import build_hierarchy
 
+        # space stops coarsening at 3 points (lx = 2) and time at lt = 2:
+        # five levels fit, six do not
         sys, grid = heat_grid(lx=4, lt=5)
+        chain = build_hierarchy(sys, grid, 1.0, levels=5)
+        assert [ops.coarsen_space for ops in chain] == [True, True, False, False]
         with pytest.raises(ValueError):
-            build_hierarchy(sys, grid, 1.0, levels=5)
+            build_hierarchy(sys, grid, 1.0, levels=6)
 
 
 class TestFas:
