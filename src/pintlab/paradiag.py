@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .kernels import (
     BandedMatrix,
@@ -233,12 +232,9 @@ def _log_r(x, n_t):
 
 
 def optimal_curvature_point(n_t: int) -> float:
-    """Maximizer of r(x, n_t) = (x/(1+x))^2 (1+x)^(-n_t) over x >= 0."""
-    res = scipy.optimize.minimize_scalar(
-        lambda lx: -_log_r(math.exp(lx), n_t), bounds=(-25.0, 10.0), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return math.exp(res.x)
+    """Maximizer of r(x, n_t) = (x/(1+x))^2 (1+x)^(-n_t) over x >= 0:
+    d/dx log r = 2/x - (2 + n_t)/(1 + x) vanishes at x* = 2/n_t."""
+    return 2.0 / n_t
 
 
 def rho_opt_first_order(n_t: int, T: float, lam_max: float,

@@ -8,8 +8,11 @@ red-black tent-pitching schedule.
 
 All subdomain solves within one sweep read only previous-iterate traces
 (Jacobi ordering).  The advection-diffusion subdomains are therefore
-stacked into one tridiagonal system, factored once, with one banded solve
-per time step; the wave subdomains are a pure parallel map.
+stacked into one tridiagonal system, factored once and marched with one
+banded solve per time step.  That system is linear and time-invariant, so
+one block march gives its free response and the impulse response of every
+interface input, and each sweep is a convolution of the interface data
+with them (by FFT); the wave subdomains are a pure parallel map.
 """
 
 from __future__ import annotations
@@ -180,22 +183,25 @@ class _AdSolver:
         self.robin = bool(self.fac.any())
         self.lu = StackedTridiagonalLU(blocks, label="SWR subdomain system")
 
-    def solve(self, u0, data):
-        """March BE from the stacked state u0.  ``data[m]`` holds the
-        boundary-row values at step m: every left row, then every right
-        row."""
+    def solve(self, u0, data, cols=None):
+        """March BE from the stacked state u0, of shape (N,) or a block
+        (N, k).  ``data[m]`` holds the boundary-row values at step m: every
+        left row, then every right row (with a trailing k axis for a
+        block).  With ``cols``, only those stacked columns are kept."""
         n_steps = data.shape[0] - 1
-        out = np.empty((n_steps + 1, u0.shape[0]))
-        out[0] = u0
+        keep = slice(None) if cols is None else cols
+        fac = self.fac.reshape((-1,) + (1,) * (u0.ndim - 1))
+        out = np.empty((n_steps + 1,) + u0[keep].shape)
+        out[0] = u0[keep]
         u = u0
         for m in range(1, n_steps + 1):
             rhs = u / self.dt
             if self.robin:
-                rhs[self.rows] = data[m] - self.fac * rhs[self.nbr]
+                rhs[self.rows] = data[m] - fac * rhs[self.nbr]
             else:
                 rhs[self.rows] = data[m]
             u = self.lu.solve(rhs, overwrite=True)
-            out[m] = u
+            out[m] = u[keep]
         return out
 
 
@@ -251,8 +257,13 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
 
     Starts from random interface traces and stops when the maximum
     interface error against the monodomain solution drops below ``tol``.
-    Every subdomain is solved in the same stacked time march, each one
-    reading only its neighbours' previous-iterate traces.
+    Every subdomain reads only its neighbours' previous-iterate traces.
+    One march of the stacked subdomain system on 1 + 2(n_sub - 1) columns
+    gives the free response and the response to a unit value at step 1 on
+    each interface row; a sweep's traces are the free response plus the
+    convolution of the interface data with those responses, computed with
+    spectra made once per solve.  After convergence one full march with the
+    last interface data builds the returned trajectory.
     Returns (global trajectory, trace).
     """
     _ad_grid(nu, L, T, dx, dt)
@@ -286,23 +297,44 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
     to_left = lo[:-1] + glo[1:] - glo[:-1]
     to_right = lo[1:] + ghi[:-1] - glo[1:]
     nodes = np.concatenate((glo[1:], ghi[:-1]))
+    # Each sweep's outputs are the free response (u0, zero data) plus the
+    # causal convolution of the interface data with every input's response
+    # to a unit value at step 1.  One block march gives these responses, at
+    # only the columns the error and the exchange read (j, j+-1, j+-2 for
+    # the Robin one-sided difference, kept adjacent since ``cols`` is sorted).
+    span = (0, 1, 2) if rob else (0,)
+    cols = np.unique(np.concatenate([to_left + s for s in span] + [to_right - s for s in span]))
+    at_left, at_right = np.searchsorted(cols, to_left), np.searchsorted(cols, to_right)
+    n_in, n_fft = 2 * n_sub - 2, 2 * n_steps  # inputs: the interface rows data[:, 1:-1]
+    block = np.zeros((u0.shape[0], 1 + n_in))
+    block[:, 0] = u0
+    unit = np.zeros((n_steps + 1, 2 * n_sub, 1 + n_in))
+    unit[1, 1:-1, 1:] = np.eye(n_in)
+    resp = solver.solve(block, unit, cols)
+    free = resp[:, :, 0].copy()
+    spectra = np.fft.rfft(resp[1:, :, 1:], n=n_fft, axis=0)  # (frequency, column, input)
+    del resp
     trace = IterationTrace(method="oswr_ad")
     for _ in range(max_iter):
-        sol = solver.solve(u0, data)
-        err = np.abs(sol[:, np.concatenate((to_left, to_right))] - mono[:, nodes]).max()
+        inputs = np.fft.rfft(data[1:, 1:-1], n=n_fft, axis=0)[:, :, None]
+        sol = free.copy()
+        sol[1:] += np.fft.irfft(spectra @ inputs, n=n_fft, axis=0)[:n_steps, :, 0]
+        err = np.abs(sol[:, np.concatenate((at_left, at_right))] - mono[:, nodes]).max()
         trace.record(error=err)
         if err < tol:
             break
         # Jacobi exchange of interface traces
         if rob:
-            data[:, 1:n_sub] = robin_trace(sol, to_left, dec.p, dx, "left")
-            data[:, n_sub:-1] = robin_trace(sol, to_right, dec.p, dx, "right")
+            data[:, 1:n_sub] = robin_trace(sol, at_left, dec.p, dx, "left")
+            data[:, n_sub:-1] = robin_trace(sol, at_right, dec.p, dx, "right")
         else:
-            data[:, 1:n_sub] = sol[:, to_left]
-            data[:, n_sub:-1] = sol[:, to_right]
+            data[:, 1:n_sub] = sol[:, at_left]
+            data[:, n_sub:-1] = sol[:, at_right]
     else:
         raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
 
+    del spectra
+    sol = solver.solve(u0, data)
     glob = mono.copy()
     for sub, a, b in zip(subs, lo, hi):
         glob[:, sub.lo : sub.hi + 1] = sol[:, a : b + 1]

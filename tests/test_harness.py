@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,19 @@ class TestCsvFormat:
         value = text.splitlines()[1].split(",")[1]
         assert float(value) == r.summary["parareal"]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+class TestImportCost:
+    def test_experiments_import_leaves_out_scipy_optimize(self):
+        # no experiment needs scipy.optimize, and importing it costs about
+        # a quarter of pintlab's set-up time
+        import pintlab
+
+        src = str(Path(pintlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBenchmarkNames:

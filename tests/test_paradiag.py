@@ -171,7 +171,10 @@ class TestRhoOpt:
     def test_curvature_point_matches_analytic(self):
         # maximizer of (x/(1+x))^2 (1+x)^(-n) is x = 2/n
         for n_t in (4, 8, 16):
-            assert optimal_curvature_point(n_t) == pytest.approx(2.0 / n_t, rel=1e-6)
+            x = optimal_curvature_point(n_t)
+            assert x == pytest.approx(2.0 / n_t, rel=1e-6)
+            r = lambda y: (y / (1 + y)) ** 2 * (1 + y) ** (-n_t)
+            assert r(x) > max(r(0.999 * x), r(1.001 * x))
 
     def test_second_order_shape(self):
         # the closed form rises over small N_t (roundoff bound dominated by

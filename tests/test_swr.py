@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pintlab.kernels import SingularSystemError
+from pintlab.kernels import ConvergenceError, SingularSystemError
 from pintlab.swr import (
     Decomposition1D,
     Subdomain,
@@ -193,6 +193,48 @@ class TestOswrAd:
         with pytest.raises(SingularSystemError, match="subdomain system 1 .*row 1"):
             _AdSolver(subs, -dx / 2, dx, dx)
 
+    def test_too_few_sweeps_raise(self):
+        L, T, dt, dx = 4.0, 1.0, 0.02, 0.04
+        dec = Decomposition1D.uniform(int(round(L / dx)) + 1, 3, 2, tc="dirichlet")
+        with pytest.raises(ConvergenceError, match="^OSWR did not reach tol=1e-08 in 3 sweeps"):
+            oswr_solve_ad(0.1, L, T, dx, dt, dec, tol=1e-8, max_iter=3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("tc", ["dirichlet", "robin"])
+    @pytest.mark.parametrize("n_sub", [2, 3, 4])
+    def test_convolution_sweeps_match_march(self, n_sub, tc, seed):
+        # each sweep's traces come from the impulse responses by FFT
+        # convolution; they must follow the sweep that re-marches the system
+        L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
+        p_star, _ = robin_p_star(2 * dx, nu, T, dt)
+        dec = Decomposition1D.uniform(int(round(L / dx)) + 1, n_sub, 2, tc=tc, p=p_star)
+        glob, tr = oswr_solve_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
+        glob_ref, errors_ref = march_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
+        assert tr.iterations == len(errors_ref)
+        np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(glob, glob_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rob", [False, True])
+    def test_block_solve_matches_column_solves(self, rob):
+        # the response march solves a block; each column is bit for bit
+        # its own march, and ``cols`` only selects what is kept
+        L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
+        n_steps = int(round(T / dt))
+        dec = Decomposition1D.uniform(int(round(L / dx)) + 1, 3, 2,
+                                      tc="robin" if rob else "dirichlet", p=2.0)
+        solver = _AdSolver(dec.subdomains, nu, dx, dt, dec.p,
+                           [(rob and i > 0, rob and i < 2) for i in range(3)])
+        n = solver.hi[-1] + 1
+        rng = np.random.default_rng(5)
+        u0 = rng.standard_normal((n, 4))
+        data = rng.standard_normal((n_steps + 1, 6, 4))
+        cols = np.array([0, 7, 33, 34, 35, n - 1])
+        block = solver.solve(u0, data)
+        assert block.shape == (n_steps + 1, n, 4)
+        np.testing.assert_array_equal(solver.solve(u0, data, cols), block[:, cols])
+        for k in range(4):
+            np.testing.assert_array_equal(block[:, :, k], solver.solve(u0[:, k], data[:, :, k]))
+
 
 def dense_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
     """Reference SWR iteration: each subdomain marched alone with a dense LU
@@ -250,6 +292,46 @@ def dense_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
     glob = mono.copy()
     for s, sol in zip(subs, sols):
         glob[:, s.lo : s.hi + 1] = sol
+    return glob, errors
+
+
+def march_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
+    """Reference SWR iteration that re-marches the stacked subdomain system
+    over every time step in each sweep, with the initial guess, error and
+    exchange of ``oswr_solve_ad``.  Returns the global trajectory and the
+    interface-error history."""
+    u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
+    x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
+    n_steps = mono.shape[0] - 1
+    subs, rob = dec.subdomains, dec.tc == "robin"
+    n_sub = len(subs)
+    solver = _AdSolver(subs, nu, dx, dt, dec.p,
+                       [(rob and i > 0, rob and i < n_sub - 1) for i in range(n_sub)])
+    u0 = np.concatenate([u0_fn(x[s.lo : s.hi + 1]) for s in subs])
+    rng = np.random.default_rng(seed)
+    data = np.zeros((n_steps + 1, 2 * n_sub))
+    data[1:, 1:n_sub] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
+    data[1:, n_sub:-1] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
+    glo = np.array([s.lo for s in subs])
+    ghi = np.array([s.hi for s in subs])
+    to_left = solver.lo[:-1] + glo[1:] - glo[:-1]
+    to_right = solver.lo[1:] + ghi[:-1] - glo[1:]
+    nodes = np.concatenate((glo[1:], ghi[:-1]))
+    errors = []
+    for _ in range(max_iter):
+        sol = solver.solve(u0, data)
+        errors.append(np.abs(sol[:, np.concatenate((to_left, to_right))] - mono[:, nodes]).max())
+        if errors[-1] < tol:
+            break
+        if rob:
+            data[:, 1:n_sub] = robin_trace(sol, to_left, dec.p, dx, "left")
+            data[:, n_sub:-1] = robin_trace(sol, to_right, dec.p, dx, "right")
+        else:
+            data[:, 1:n_sub] = sol[:, to_left]
+            data[:, n_sub:-1] = sol[:, to_right]
+    glob = mono.copy()
+    for s, a, b in zip(subs, solver.lo, solver.hi):
+        glob[:, s.lo : s.hi + 1] = sol[:, a : b + 1]
     return glob, errors
 
 
