@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from . import __version__
 from .experiments import ValidationError, load_registry, result_to_csv, run_experiment
 
 
@@ -41,8 +42,6 @@ def _out_dir(args) -> Path:
 
 
 def _build_tag() -> str:
-    from . import __version__
-
     try:
         head = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

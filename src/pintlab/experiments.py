@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import yaml
 
 from . import idc, paradiag, paraexp, parareal, stmg, swr
@@ -65,14 +64,6 @@ class ExperimentResult:
 
 def _geo_mean(xs):
     return float(np.exp(np.mean(np.log(xs))))
-
-
-def _contraction_factors(errors, floor=1e-11, skip=2):
-    return [
-        b / a
-        for a, b in zip(errors[skip:-1], errors[skip + 1 :])
-        if a > floor and b > 1e-14
-    ]
 
 
 def _parareal_cfg(T, n_w, J, fine="backward_euler", coarse="backward_euler", **kw):
@@ -162,7 +153,7 @@ def run_parareal_heat_contraction(params, seed=0):
         _, tr = parareal.parareal_solve(cfg, sys)
         for k, e in enumerate(tr.errors):
             rows.append({"fine": fine, "iter": k, "max_error": e})
-        factors = _contraction_factors(tr.errors)
+        factors = tr.contraction_factors()
         mean = _geo_mean(factors)
         summary[fine] = mean
         checks.append((f"contraction_{fine}_in_band", 0.2 <= mean <= 0.4,
@@ -247,12 +238,12 @@ def run_paradiag2_contraction(params, seed=0):
         ref = op.sequential_solve()
         _, tr = paradiag.paradiag2_solve(heat, "trapezoidal", alpha, 0.02, 16,
                                          reference=ref, tol=1e-13, max_iter=25)
-        f_heat = _contraction_factors(tr.errors, floor=1e-12, skip=1)
+        f_heat = tr.contraction_factors(floor=1e-12, skip=1)
         opw = paradiag.make_all_at_once(wave, "numerov", 0.05, 16)
         refw = opw.sequential_solve()
         _, trw = paradiag.paradiag2_solve(wave, "numerov", alpha, 0.05, 16,
                                           reference=refw, tol=1e-13, max_iter=40)
-        f_wave = _contraction_factors(trw.errors, floor=1e-12, skip=1)
+        f_wave = trw.contraction_factors(floor=1e-12, skip=1)
         worst = max(max(f_heat, default=0.0), max(f_wave, default=0.0))
         rows.append({"alpha": alpha, "worst_contraction": worst, "bound": bound})
         checks.append((f"contraction_alpha_{alpha}", worst <= bound + 0.02,
@@ -423,7 +414,7 @@ def run_pfasst_radau(params, seed=0):
         ("advection_diffusion", build_advection_diffusion, dict(nu=1e-3)),
     ):
         s = builder(nx, 1.0 / 128, bc="dirichlet", source=SourcePulse(1000.0), **kwargs)
-        ref = _collocation_reference(s, dt / 2, 2 * n_w)[::2]
+        ref = idc.collocation_solve(s, dt / 2, 2 * n_w)[::2]
         _, tr = idc.pfasst_two_level(s, n_w, dt, k_max=10, reference=ref)
         results[name] = tr.errors
         for k, e in enumerate(tr.errors):
@@ -436,29 +427,6 @@ def run_pfasst_radau(params, seed=0):
     checks.append(("weak_diffusion_slower", results["advection_diffusion"][10] > line,
                    f"AD error {results['advection_diffusion'][10]:.2e} still above the line"))
     return ExperimentResult("pfasst-radau", rows, {}, checks)
-
-
-def _collocation_reference(sys, dt, n_w, Mf=3):
-    A = sys.A.to_dense()
-    n = A.shape[0]
-    nodes = idc.radau_iia_nodes(Mf)
-    Qf = idc.collocation_matrix(nodes)
-    phi = np.eye(Mf * n) - dt * np.kron(Qf, A)
-    lu = scipy.linalg.lu_factor(phi)
-    chi_small = np.zeros((Mf, Mf))
-    chi_small[:, -1] = 1.0
-    chi = np.kron(chi_small, np.eye(n))
-    out = np.empty((n_w + 1, n))
-    out[0] = sys.u0
-    state = np.tile(sys.u0, Mf)
-    for w in range(n_w):
-        b = np.zeros(Mf * n)
-        if sys.source is not None:
-            g = np.concatenate([sys.source((w + nodes[m]) * dt) for m in range(Mf)])
-            b = np.kron(Qf, np.eye(n)) @ g
-        state = scipy.linalg.lu_solve(lu, chi @ state + dt * b)
-        out[w + 1] = state[-n:]
-    return out
 
 
 def run_stmg_suite(params, seed=0):
@@ -495,7 +463,7 @@ def run_stmg_suite(params, seed=0):
     grid = stmg.SpaceTimeGrid(lx=lx, lt=lt, dx=dxh, dt=8 * dxh**2)
     _, tr = stmg.stmg_two_level(sysh, grid, stmg.SmootherConfig(eta=0.5, s1=4, s2=4),
                                 cycles=10)
-    factors = _contraction_factors(tr.errors, floor=1e-12, skip=3)
+    factors = tr.contraction_factors(floor=1e-12, skip=3)
     worst = max(factors)
     for k, e in enumerate(tr.errors):
         rows.append({"check": "vcycle", "iter": k, "max_error": e})
@@ -527,12 +495,12 @@ def run_parareal_diag_variants(params, seed=0):
     # both solvers share the system, grid and fine propagator: one oracle
     oracle = parareal.fine_sequential(cfg_c.grid, cfg_c.fine, sys, cfg_c.newton_tol)
     _, tr_c = parareal.parareal_solve(cfg_c, sys, oracle=oracle)
-    rho = _geo_mean(_contraction_factors(tr_c.errors, floor=1e-10))
+    rho = _geo_mean(tr_c.contraction_factors(floor=1e-10))
     alpha = rho / (1 + rho)
     cfg_d = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12,
                           variant="diag_cgc", alpha=alpha)
     _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys, oracle=oracle)
-    rho_d = _geo_mean(_contraction_factors(tr_d.errors, floor=1e-10))
+    rho_d = _geo_mean(tr_d.contraction_factors(floor=1e-10))
     rows.append({"variant": "diag_cgc", "rho_classic": rho, "rho_diag": rho_d,
                  "alpha": alpha})
     checks.append(("cgc_matches_classic_rho", abs(rho_d - rho) <= 0.1 * rho,
@@ -547,7 +515,7 @@ def run_parareal_diag_variants(params, seed=0):
         if oracle is None:
             oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sysh, cfg.newton_tol)
         _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, oracle=oracle)
-        factors = _contraction_factors(tr.errors, floor=1e-11, skip=1)
+        factors = tr.contraction_factors(skip=1)
         mean = _geo_mean(factors)
         rows.append({"variant": "diag_coarse_heat", "alpha": alpha, "rate": mean})
         checks.append((f"coarse_rate_alpha_{alpha}", abs(mean - alpha) <= 0.3 * alpha,

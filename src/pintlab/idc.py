@@ -107,20 +107,16 @@ class _ThetaNodes:
         self.sys, self.theta = sys, theta
         self.plans = {}
 
-    def plan(self, dtm):
-        """The shift plan of (I - theta*dtm*A)."""
-        plan = self.plans.get(dtm)
-        if plan is None:
-            plan = self.plans[dtm] = self.sys.A.shift_plan(1.0, self.theta * dtm)
-        return plan
-
     def __call__(self, dtm, t_next, rhs, guess):
         sys, theta = self.sys, self.theta
         if theta == 0.0:
             return rhs
         if sys.linear:
+            plan = self.plans.get(dtm)
+            if plan is None:
+                plan = self.plans[dtm] = sys.A.shift_plan(1.0, theta * dtm)
             extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
-            return self.plan(dtm).solve(rhs + extra)
+            return plan.solve(rhs + extra)
         return _newton(sys, theta * dtm, rhs, t_next, guess)
 
 
@@ -162,14 +158,14 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
 
     Sweep k of window n takes its left-endpoint value from the
     predecessor's sweep-k endpoint when pipelined (or its final endpoint
-    when serialized), starting from the constant whole-window guess; the
+    otherwise), starting from the constant whole-window guess; the
     first sweep then reduces to the plain theta predictor.  The stored
     node-0 value always carries the current initial value (with theta = 1
     sweeps node 0 never enters the correction terms).
     """
     finite_u0(sys)
     boundaries = np.linspace(0.0, T, n_windows + 1)
-    history = []  # history[k][n] = node values of window n after sweep k+1
+    windows = []  # windows[n][k] = node values of window n after sweep k+1
     endpoints = np.full((k_sweeps + 1, n_windows + 1, sys.n), np.nan)
     endpoints[:, 0] = sys.u0
     window_nodes = [
@@ -184,9 +180,9 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
                 ic = sys.u0
             elif pipelined:
                 kk = k if refresh_initial_value else 1
-                ic = history[-1][n - 1][min(kk, k_sweeps) - 1][-1]
+                ic = windows[n - 1][min(kk, k_sweeps) - 1][-1]
             else:
-                ic = history[-1][n - 1][-1][-1]
+                ic = windows[n - 1][-1][-1]
             if k == 1:
                 guess = np.tile(ic, (M + 1, 1))
                 state = SweepState(n=n, t_nodes=window_nodes[n], values=guess, k=0)
@@ -198,10 +194,8 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
             state = idc_sweep(state, sys, theta, weights[n])
             sweeps_here.append(state)
             endpoints[k, n + 1] = state.values[-1]
-        if n == 0:
-            history.append([])
-        history[-1].append([s.values for s in sweeps_here])
-    return window_nodes, history[-1], endpoints
+        windows.append([s.values for s in sweeps_here])
+    return window_nodes, windows, endpoints
 
 
 def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
@@ -215,14 +209,12 @@ def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
 
 
 def pidc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0,
-             refresh_initial_value: bool = True, serialize: bool = False):
+             refresh_initial_value: bool = True):
     """Pipelined IDC: sweep k of a window uses the predecessor's sweep-k
     endpoint; the whole-window guess is fixed to the predecessor's
-    first-sweep endpoint.  ``serialize=True`` degenerates to plain
-    windowed IDC (identical bits)."""
+    first-sweep endpoint."""
     return _run_windowed(sys, T, n_windows, M, k_corrections + 1, theta,
-                         pipelined=not serialize,
-                         refresh_initial_value=refresh_initial_value)
+                         pipelined=True, refresh_initial_value=refresh_initial_value)
 
 
 def window_errors(window_nodes, window_values, reference_fn):
@@ -258,16 +250,10 @@ def ridc_run(sys, M: int, levels: int, T: float, dt: float) -> np.ndarray:
         raise ValueError("not enough steps for the stencil")
     nodes = _ThetaNodes(sys, 1.0)
 
-    def be_step(u, t_next):
-        if sys.linear:
-            rhs = u if sys.source is None else u + dt * sys.source(t_next)
-            return nodes.plan(dt).solve(rhs)
-        return _newton(sys, dt, u, t_next, u)
-
     level = np.empty((n_steps + 1, sys.n))
     level[0] = finite_u0(sys)
     for j in range(n_steps):
-        level[j + 1] = be_step(level[j], times[j + 1])
+        level[j + 1] = nodes(dt, times[j + 1], level[j], level[j])
 
     # constant sliding weights: M uniform nodes, integrate over the last panel
     stencil = dt * np.arange(M)
@@ -310,6 +296,41 @@ def lagrange_transfer(from_nodes: np.ndarray, to_nodes: np.ndarray) -> np.ndarra
     return out
 
 
+def _collocation_sources(sys, dt, n_windows, nodes, Q):
+    """dt-free source terms (Q (x) I) g of every window, rows
+    (n_windows, M*n); zero without a source."""
+    n, M = sys.n, nodes.shape[0]
+    b = np.zeros((n_windows, M * n))
+    if sys.source is not None:
+        QI = np.kron(Q, np.eye(n))
+        for w in range(n_windows):
+            b[w] = QI @ np.concatenate([sys.source((w + tau) * dt) for tau in nodes])
+    return b
+
+
+def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray:
+    """Sequential Radau-IIA collocation with Mf nodes per window of length
+    dt, the fixed point of the PFASST block iteration.
+
+    Each window solves (I - dt Q (x) A) U = (u_start, ..., u_start) + dt b
+    for its node values.  Linear systems only; returns the window
+    endpoints, shape (n_windows + 1, n).
+    """
+    if not sys.linear:
+        raise ValueError("the collocation solve is assembled for linear systems")
+    u0 = finite_u0(sys)
+    n = sys.n
+    nodes = radau_iia_nodes(Mf)
+    Q = collocation_matrix(nodes)
+    lu = scipy.linalg.lu_factor(np.eye(Mf * n) - dt * np.kron(Q, sys.A.to_dense()))
+    b = _collocation_sources(sys, dt, n_windows, nodes, Q)
+    out = np.empty((n_windows + 1, n))
+    out[0] = u0
+    for w in range(n_windows):
+        out[w + 1] = scipy.linalg.lu_solve(lu, np.tile(out[w], Mf) + dt * b[w])[-n:]
+    return out
+
+
 @dataclass
 class PfasstOperators:
     """Dense per-window operators of the two-level block iteration."""
@@ -318,7 +339,6 @@ class PfasstOperators:
     B01: np.ndarray
     B00: np.ndarray
     chi: np.ndarray
-    phi_f_lu: tuple
     nodes_f: np.ndarray
     Qf: np.ndarray
 
@@ -366,9 +386,7 @@ def build_pfasst_operators(sys, dt: float, Mf: int = 3, Mc: int = 2,
     chi_small = np.zeros((Mf, Mf))
     chi_small[:, -1] = 1.0
     chi = np.kron(chi_small, np.eye(n))
-    return PfasstOperators(B10=B10, B01=B01, B00=B00, chi=chi,
-                           phi_f_lu=scipy.linalg.lu_factor(phi_f),
-                           nodes_f=nodes_f, Qf=Qf)
+    return PfasstOperators(B10=B10, B01=B01, B00=B00, chi=chi, nodes_f=nodes_f, Qf=Qf)
 
 
 def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
@@ -379,29 +397,17 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
 
     Linear systems only.  Returns (endpoint trajectory, trace); the trace
     records the max window-endpoint error per iteration against
-    ``reference`` (falling back to the sequential collocation solution).
+    ``reference`` (falling back to :func:`collocation_solve`, the
+    iteration's fixed point).
     """
     finite_u0(sys)
     ops = build_pfasst_operators(sys, dt, Mf=Mf, Mc=Mc,
                                  identity_transfers=identity_transfers,
                                  sweeper_exact=sweeper_exact)
     n = sys.n
-    Mf_nodes = ops.nodes_f
-    bvecs = np.zeros((n_windows, Mf * n))
-    if sys.source is not None:
-        for w in range(n_windows):
-            g = np.concatenate([sys.source((w + Mf_nodes[m]) * dt) for m in range(Mf)])
-            bvecs[w] = np.kron(ops.Qf, np.eye(n)) @ g
-
-    # sequential collocation solution (the iteration's fixed point)
-    U_star = np.empty((n_windows, Mf * n))
-    incoming = np.tile(sys.u0, Mf)
-    for w in range(n_windows):
-        U_star[w] = scipy.linalg.lu_solve(ops.phi_f_lu,
-                                          ops.chi @ incoming + dt * bvecs[w])
-        incoming = U_star[w]
+    bvecs = _collocation_sources(sys, dt, n_windows, ops.nodes_f, ops.Qf)
     if reference is None:
-        reference = np.vstack([sys.u0, U_star[:, -n:]])
+        reference = collocation_solve(sys, dt, n_windows, Mf)
 
     U = np.tile(np.tile(sys.u0, Mf), (n_windows, 1))
     trace = IterationTrace(method="pfasst_two_level")

@@ -358,23 +358,3 @@ class CompanionShiftPlan:
             W = R / self.a[per_shift]
         return W[0] if self.single else W
 
-
-def reference_solve(sys, grid, integrator) -> np.ndarray:
-    """Sequential time stepping over the fine grid of ``grid``.
-
-    Returns the trajectory at every fine step, shape (n_steps+1, n).  This
-    is the oracle iterative methods are measured against.  Second-order
-    systems are stepped through their companion embedding.
-    """
-    from .integrators import Propagator, propagate
-
-    times = grid.fine_times()
-    target = first_order_form(sys)
-    u = target.u0.copy()
-    out = np.empty((times.shape[0], u.shape[0]))
-    out[0] = u
-    for i in range(times.shape[0] - 1):
-        prop = Propagator(integrator, dt=times[i + 1] - times[i], steps=1)
-        u = propagate(prop, target, times[i], times[i + 1], u)
-        out[i + 1] = u
-    return out

@@ -45,7 +45,7 @@ from .integrators import (
     numerov_bootstrap,
     numerov_matrices,
     numerov_source,
-    numerov_step,
+    numerov_solve,
     propagate,
     trapezoidal,
 )
@@ -649,14 +649,7 @@ class _SecondOrderAllAtOnce:
         return fac_tilde.from_eigenbasis(Rb)
 
     def sequential_solve(self):
-        U = np.empty((self.n_t, self.sys.n))
-        U[0] = self.u1
-        prev, curr = self.sys.u0, self.u1
-        for n in range(1, self.n_t):
-            nxt = numerov_step(self.sys, self.gamma, self.dt, prev, curr, t_curr=n * self.dt)
-            U[n] = nxt
-            prev, curr = curr, nxt
-        return U
+        return numerov_solve(self.sys, self.gamma, self.dt, self.n_t, self.u1)[1:]
 
 
 def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0, u1=None):
@@ -667,9 +660,9 @@ def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0, u1=No
 
 
 def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
-                    mode: str = "stationary", order: str = "first",
-                    gamma: float = 1.0 / 120.0, tol: float = 1e-10,
-                    max_iter: Optional[int] = None, implementation: str = "increment",
+                    mode: str = "stationary", gamma: float = 1.0 / 120.0,
+                    tol: float = 1e-10, max_iter: Optional[int] = None,
+                    implementation: str = "increment",
                     reference: Optional[np.ndarray] = None, u_init=None):
     """All-at-once solve with the alpha-circulant preconditioner.
 

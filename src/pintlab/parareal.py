@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import (Propagator, TimeGrid, _newton, finite_u0, propagate, propagate_block,
+from .integrators import (Propagator, TimeGrid, finite_u0, propagate, propagate_block,
                           stability)
 from .kernels import ConvergenceError
 from .models import first_order_form
@@ -35,7 +35,6 @@ class PararealConfig:
     initial_guess: str = "coarse"  # coarse | random
     seed: int = 0
     newton_tol: float = 1e-12
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         dT = self.grid.window_length(0)
@@ -286,15 +285,16 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     The fine solve of window 0 always starts from u0 and is made once
     (:class:`_FineMap`).
     """
+    if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
+        raise ValueError("diag CGC uses one backward-Euler step per window")
     target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
-    if cfg.coarse.steps != 1:
-        raise ValueError("diag CGC uses one backward-Euler step per window")
     dT = cfg.grid.window_length(0)
     alpha = cfg.alpha
     n_w = cfg.grid.n_windows
-    U = _initial_iterate(cfg, target, _coarse_propagator(cfg, target))
+    coarse = _coarse_propagator(cfg, target)
+    U = _initial_iterate(cfg, target, coarse)
     fine = _FineMap(cfg, target)
     trace = IterationTrace(method="parareal_diag_cgc")
     trace.record(error=np.abs(U - oracle).max())
@@ -306,18 +306,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     fac = alpha_circulant_factor(c1, alpha)
     linear = getattr(target, "linear", True)
     if linear:
-        be_plan = target.shift_plan(1.0, dT)
         cgc_plan = target.shift_plan(fac.eigenvalues, np.full(n_w, dT))
-
-    def coarse_be(t0, u):
-        # one BE step over a window, source sampled at the right endpoint
-        rhs = u.copy()
-        g = target.g(t0 + dT) if target.source is not None else None
-        if g is not None:
-            rhs = rhs + dT * g
-        if linear:
-            return be_plan.solve(rhs)
-        return _newton(target, dT, u, t0 + dT, u, tol=cfg.newton_tol)
 
     for k in range(cfg.max_iter):
         # b_{n+1} = F(T_n, T_{n+1}, u~_n) - G(T_n, T_{n+1}, u_n), with the
@@ -325,10 +314,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         U_tilde = U[:-1].copy()
         U_tilde[0] = target.u0
         F = fine(U_tilde)
-        B = np.empty((n_w, U.shape[1]))
-        for n in range(n_w):
-            t0, _ = cfg.grid.window(n)
-            B[n] = F[n] - coarse_be(t0, U[n])
+        B = np.stack([F[n] - coarse(n, U[n]) for n in range(n_w)])
 
         if linear:
             G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n

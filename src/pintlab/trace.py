@@ -37,6 +37,10 @@ class IterationTrace:
                 return k
         return -1
 
-    def contraction_factors(self, use="errors"):
-        seq = self.errors if use == "errors" else self.residuals
-        return [b / a for a, b in zip(seq[:-1], seq[1:]) if a > 0]
+    def contraction_factors(self, floor: float = 1e-11, skip: int = 2) -> list:
+        """Error ratios e_{k+1}/e_k after the first ``skip`` iterations,
+        keeping only pairs above the roundoff floor (e_k > floor and
+        e_{k+1} > 1e-14)."""
+        errs = self.errors
+        return [b / a for a, b in zip(errs[skip:-1], errs[skip + 1:])
+                if a > floor and b > 1e-14]

@@ -9,6 +9,7 @@ import pytest
 
 from pintlab.cli import main
 from pintlab.experiments import load_registry, result_to_csv, run_experiment
+from pintlab.trace import IterationTrace
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,34 @@ class TestImportCost:
         code = "import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestModuleImports:
+    def test_no_function_local_imports(self):
+        # every pintlab module states its dependencies at the top, so the
+        # import graph is what the module headers say
+        import pintlab
+
+        local = []
+        for path in sorted(Path(pintlab.__file__).resolve().parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    local += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert not local, f"imports inside functions: {local}"
+
+
+class TestIterationTrace:
+    def test_contraction_factors_skip_and_floor(self):
+        tr = IterationTrace(method="t")
+        for e in (1.0, 0.5, 0.25, 0.05, 1e-12, 1e-15):
+            tr.record(error=e)
+        # skip=2 drops the first two ratios and floor=1e-11 the last one;
+        # with floor=1e-13 the last one still drops, as 1e-15 < 1e-14
+        assert tr.contraction_factors(floor=1e-11, skip=2) == [0.2, 1e-12 / 0.05]
+        assert tr.contraction_factors(floor=1e-13, skip=4) == []
+        assert tr.contraction_factors(floor=1e-13, skip=0)[:2] == [0.5, 0.5]
 
 
 class TestBenchmarkNames:

@@ -6,6 +6,7 @@ from pintlab.idc import (
     SweepState,
     build_pfasst_operators,
     collocation_matrix,
+    collocation_solve,
     idc_run,
     idc_sweep,
     idc_weights,
@@ -18,14 +19,28 @@ from pintlab.idc import (
     ridc_run,
     window_errors,
 )
+from pintlab.integrators import Propagator, TimeGrid, sdirk23
 from pintlab.kernels import BandedMatrix
-from pintlab.models import SemiDiscreteSystem, SourcePulse, build_advection_diffusion, build_heat
+from pintlab.models import (
+    SemiDiscreteSystem,
+    SourcePulse,
+    build_advection_diffusion,
+    build_burgers,
+    build_heat,
+)
+from pintlab.parareal import fine_sequential
 
 
 def scalar_decay():
     A = BandedMatrix(np.array([-1.0]), np.zeros(0), np.zeros(0))
     return SemiDiscreteSystem(A=A, u0=np.ones(1), dx=1.0, bc="dirichlet",
                               kind="heat", x=np.zeros(1))
+
+
+def sdirk23_trajectory(sys, T, n_steps):
+    """SDIRK23 at every step: fine_sequential on a grid of one step per window."""
+    prop = Propagator(sdirk23(), dt=T / n_steps, steps=1)
+    return fine_sequential(TimeGrid.uniform(T, n_steps, 1), prop, sys, 1e-12)
 
 
 class TestQuadWeights:
@@ -135,16 +150,6 @@ class TestPidc:
         for a, b in zip(vals_i[0], vals_p[0]):
             np.testing.assert_array_equal(a, b)
 
-    def test_serialized_equals_idc_bitwise(self):
-        nx = 16
-        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
-        sys.u0[:] = np.sin(np.pi * sys.x)
-        _, vals_i, _ = idc_run(sys, 0.5, 4, 3, 2)
-        _, vals_p, _ = pidc_run(sys, 0.5, 4, 3, 2, serialize=True)
-        for wi, wp in zip(vals_i, vals_p):
-            for a, b in zip(wi, wp):
-                np.testing.assert_array_equal(a, b)
-
     @pytest.mark.slow
     def test_regular_source_pidc_comparable_to_idc(self):
         # smooth pulse, strong diffusion: after two corrections PIDC's
@@ -152,12 +157,9 @@ class TestPidc:
         nx = 64
         sys = build_advection_diffusion(nx, 1.0 / nx, 1.0, "periodic",
                                         source=SourcePulse(5.0))
-        from pintlab.integrators import TimeGrid, sdirk23
-        from pintlab.models import reference_solve
-
         T, n_w, M = 3.0, 30, 5
         fine_steps = n_w * M * 4
-        ref_traj = reference_solve(sys, TimeGrid.uniform(T, 1, fine_steps), sdirk23())
+        ref_traj = sdirk23_trajectory(sys, T, fine_steps)
         ref_times = np.linspace(0.0, T, fine_steps + 1)
 
         def ref_fn(t):
@@ -210,12 +212,9 @@ class TestRidc:
         nx = 64
         sys = build_advection_diffusion(nx, 1.0 / nx, 1e-3, "periodic",
                                         source=SourcePulse(1000.0))
-        from pintlab.integrators import TimeGrid, sdirk23
-        from pintlab.models import reference_solve
-
         T, dt = 1.0, 1.0 / 100
         fine_steps = 1600
-        ref = reference_solve(sys, TimeGrid.uniform(T, 1, fine_steps), sdirk23())[-1]
+        ref = sdirk23_trajectory(sys, T, fine_steps)[-1]
         errs = []
         for levels in (2, 3):
             traj = ridc_run(sys, M=4, levels=levels, T=T, dt=dt)
@@ -266,6 +265,46 @@ class TestPfasst:
                                        identity_transfers=True, sweeper_exact=True)
         assert trace.errors[1] <= 1e-10
 
+    def test_collocation_solve_satisfies_collocation_equations(self):
+        # each window's endpoint is the last stage of the three-stage
+        # Radau IIA step from the previous endpoint; the stages solve the
+        # collocation equations built from the tabulated Butcher matrix
+        nx, dt, n_w = 15, 0.05, 8
+        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0))
+        sys.u0[:] = np.sin(np.pi * sys.x)
+        ends = collocation_solve(sys, dt, n_w)
+        s = np.sqrt(6.0)
+        c = np.array([(4 - s) / 10, (4 + s) / 10, 1.0])
+        a = np.array([
+            [(88 - 7 * s) / 360, (296 - 169 * s) / 1800, (-2 + 3 * s) / 225],
+            [(296 + 169 * s) / 1800, (88 + 7 * s) / 360, (-2 - 3 * s) / 225],
+            [(16 - s) / 36, (16 + s) / 36, 1 / 9],
+        ])
+        A = sys.A.to_dense()
+        assert ends.shape == (n_w + 1, nx)
+        np.testing.assert_array_equal(ends[0], sys.u0)
+        scale = np.abs(ends).max()
+        for w in range(n_w):
+            g = np.concatenate([sys.source((w + cj) * dt) for cj in c])
+            stages = np.linalg.solve(np.eye(3 * nx) - dt * np.kron(a, A),
+                                     np.tile(ends[w], 3) + dt * np.kron(a, np.eye(nx)) @ g)
+            assert np.abs(stages[-nx:] - ends[w + 1]).max() <= 1e-12 * scale
+
+    def test_default_reference_is_collocation_solve(self):
+        nx, dt, n_w = 15, 0.05, 6
+        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0))
+        sys.u0[:] = np.sin(np.pi * sys.x)
+        _, tr_default = pfasst_two_level(sys, n_w, dt, k_max=4)
+        _, tr_ref = pfasst_two_level(sys, n_w, dt, k_max=4,
+                                     reference=collocation_solve(sys, dt, n_w))
+        assert tr_default.errors == tr_ref.errors
+        assert tr_default.errors[-1] < tr_default.errors[0]
+
+    def test_collocation_solve_rejects_nonlinear(self):
+        sys = build_burgers(8, 1.0 / 8, 0.1, "periodic")
+        with pytest.raises(ValueError, match="linear systems"):
+            collocation_solve(sys, 0.05, 2)
+
     def test_operational_cycle_matches_block_matrices(self):
         # one explicit sweep + coarse correction step reproduces the
         # assembled block-matrix update
@@ -307,7 +346,7 @@ class TestPfasst:
         nx = 127
         sys = build_heat(nx, 1.0 / 128, 1.0, "dirichlet", source=SourcePulse(1000.0))
         dt, n_w = 1.0 / 64, 64
-        ref_half = _sequential_collocation(sys, dt / 2, 2 * n_w)[::2]
+        ref_half = collocation_solve(sys, dt / 2, 2 * n_w)[::2]
         ends, trace = pfasst_two_level(sys, n_w, dt, k_max=10,
                                        reference=ref_half)
         e = trace.errors
@@ -321,37 +360,11 @@ class TestPfasst:
         ad = build_advection_diffusion(nx, 1.0 / 128, 1e-3, "dirichlet",
                                        source=SourcePulse(1000.0))
         dt, n_w, k = 1.0 / 64, 64, 10
-        ref_h = _sequential_collocation(heat, dt / 2, 2 * n_w)[::2]
-        ref_a = _sequential_collocation(ad, dt / 2, 2 * n_w)[::2]
+        ref_h = collocation_solve(heat, dt / 2, 2 * n_w)[::2]
+        ref_a = collocation_solve(ad, dt / 2, 2 * n_w)[::2]
         _, tr_h = pfasst_two_level(heat, n_w, dt, k_max=k, reference=ref_h)
         _, tr_a = pfasst_two_level(ad, n_w, dt, k_max=k, reference=ref_a)
         truncation_line = max(dt**2, (1.0 / 128) ** 2)
         # heat is below the truncation line by k=10; weak diffusion is not
         assert tr_h.errors[k] <= truncation_line < tr_a.errors[k]
 
-
-def _sequential_collocation(sys, dt, n_w, Mf=3):
-    import scipy.linalg
-
-    from pintlab.idc import collocation_matrix, radau_iia_nodes
-
-    A = sys.A.to_dense()
-    n = A.shape[0]
-    nodes = radau_iia_nodes(Mf)
-    Qf = collocation_matrix(nodes)
-    phi = np.eye(Mf * n) - dt * np.kron(Qf, A)
-    lu = scipy.linalg.lu_factor(phi)
-    chi_small = np.zeros((Mf, Mf))
-    chi_small[:, -1] = 1.0
-    chi = np.kron(chi_small, np.eye(n))
-    out = np.empty((n_w + 1, n))
-    out[0] = sys.u0
-    state = np.tile(sys.u0, Mf)
-    for w in range(n_w):
-        b = np.zeros(Mf * n)
-        if sys.source is not None:
-            g = np.concatenate([sys.source((w + nodes[m]) * dt) for m in range(Mf)])
-            b = np.kron(Qf, np.eye(n)) @ g
-        state = scipy.linalg.lu_solve(lu, chi @ state + dt * b)
-        out[w + 1] = state[-n:]
-    return out

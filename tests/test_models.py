@@ -11,8 +11,15 @@ from pintlab.models import (
     build_burgers,
     build_heat,
     build_wave,
-    reference_solve,
 )
+from pintlab.parareal import fine_sequential
+
+
+def sequential(sys, T, n_steps):
+    """Backward Euler at every step: fine_sequential on a grid of one step
+    per window."""
+    prop = Propagator(backward_euler(), dt=T / n_steps, steps=1)
+    return fine_sequential(TimeGrid.uniform(T, n_steps, 1), prop, sys, 1e-12)
 
 
 class TestHeat:
@@ -30,8 +37,7 @@ class TestHeat:
         nx = 16
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = 1.0
-        grid = TimeGrid.uniform(0.1, 1, 40)
-        traj = reference_solve(sys, grid, backward_euler())
+        traj = sequential(sys, 0.1, 40)
         norms = np.abs(traj).max(axis=1)
         assert np.all(np.diff(norms) <= 1e-14)
         assert norms[-1] < norms[0]
@@ -44,8 +50,7 @@ class TestHeat:
         # zero column sums <=> d/dt sum(u) = 0 for the semi-discretization
         col_sums = sys.A.to_dense().sum(axis=0)
         np.testing.assert_allclose(col_sums, 0.0, atol=1e-12)
-        grid = TimeGrid.uniform(1.0, 1, 50)
-        traj = reference_solve(sys, grid, backward_euler())
+        traj = sequential(sys, 1.0, 50)
         assert abs(traj[-1].sum() - traj[0].sum()) <= 1e-12 * abs(traj[0].sum()) + 1e-12
 
     def test_invalid_bc(self):
@@ -66,8 +71,7 @@ class TestAdvectionDiffusion:
 
     def test_zero_data_zero_trajectory(self):
         sys = build_advection_diffusion(8, 1.0 / 8, 0.1, "periodic")
-        grid = TimeGrid.uniform(0.5, 1, 10)
-        traj = reference_solve(sys, grid, backward_euler())
+        traj = sequential(sys, 0.5, 10)
         np.testing.assert_array_equal(traj, 0.0)
 
     def test_row_sums_vanish_periodic(self):
@@ -114,8 +118,7 @@ class TestWave:
         nx = 10
         sys = build_wave(nx, 1.0 / (nx + 1), 0.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
-        grid = TimeGrid.uniform(1.0, 1, 20)
-        traj = reference_solve(sys, grid, backward_euler())
+        traj = sequential(sys, 1.0, 20)
         np.testing.assert_allclose(traj[-1][:nx], sys.u0, atol=1e-12)
 
     def test_trapezoidal_conserves_wave_energy(self):
@@ -199,8 +202,7 @@ class TestReferenceSolve:
         nx = 6
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
-        grid = TimeGrid.uniform(0.01, 1, 1)
-        traj = reference_solve(sys, grid, backward_euler())
+        traj = sequential(sys, 0.01, 1)
         expected = np.linalg.solve(np.eye(nx) - 0.01 * sys.A.to_dense(), sys.u0)
         np.testing.assert_allclose(traj[1], expected, atol=1e-13)
 
@@ -208,9 +210,9 @@ class TestReferenceSolve:
         nx = 8
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
-        ref = reference_solve(sys, TimeGrid.uniform(0.1, 1, 160), backward_euler())[-1]
-        e1 = np.abs(reference_solve(sys, TimeGrid.uniform(0.1, 1, 10), backward_euler())[-1] - ref).max()
-        e2 = np.abs(reference_solve(sys, TimeGrid.uniform(0.1, 1, 20), backward_euler())[-1] - ref).max()
+        ref = sequential(sys, 0.1, 160)[-1]
+        e1 = np.abs(sequential(sys, 0.1, 10)[-1] - ref).max()
+        e2 = np.abs(sequential(sys, 0.1, 20)[-1] - ref).max()
         assert e1 / e2 == pytest.approx(2.0, rel=0.25)
 
     def test_matches_exponential_for_linear_heat(self):
@@ -218,7 +220,7 @@ class TestReferenceSolve:
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
         n_steps = 200
-        traj = reference_solve(sys, TimeGrid.uniform(0.1, 1, n_steps), backward_euler())
+        traj = sequential(sys, 0.1, n_steps)
         exact = expm_action(sys.A, 0.1, sys.u0)
         err = np.abs(traj[-1] - exact).max()
         a_norm = np.linalg.norm(sys.A.to_dense(), np.inf)

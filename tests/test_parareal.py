@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,19 @@ class TestDiagCgc:
             return np.exp(np.mean(np.log(fs)))
 
         assert late_rate(0.5) >= 1.05 * late_rate(0.05)
+
+    @pytest.mark.parametrize("coarse", ["trapezoidal", "two_be_steps"])
+    def test_other_coarse_propagators_rejected(self, coarse):
+        # the all-at-once correction inverts one backward-Euler step per
+        # window; any other coarse propagator would be mixed with it
+        cfg = make_cfg(1.0, 4, 2, variant="diag_cgc", alpha=0.1)
+        dT = cfg.grid.window_length()
+        cfg = dataclasses.replace(cfg, coarse={
+            "trapezoidal": Propagator(trapezoidal(), dt=dT, steps=1),
+            "two_be_steps": Propagator(backward_euler(), dt=dT / 2, steps=2),
+        }[coarse])
+        with pytest.raises(ValueError, match="one backward-Euler step per window"):
+            parareal_diag_cgc_solve(cfg, heat_system(nx=8))
 
     def test_nonlinear_burgers_converges(self):
         nx = 32
