@@ -497,8 +497,7 @@ def run_parareal_diag_variants(params, seed=0):
     _, tr_c = parareal.parareal_solve(cfg_c, sys, oracle=oracle)
     rho = _geo_mean(tr_c.contraction_factors(floor=1e-10))
     alpha = rho / (1 + rho)
-    cfg_d = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12,
-                          variant="diag_cgc", alpha=alpha)
+    cfg_d = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12, alpha=alpha)
     _, tr_d = parareal.parareal_diag_cgc_solve(cfg_d, sys, oracle=oracle)
     rho_d = _geo_mean(tr_d.contraction_factors(floor=1e-10))
     rows.append({"variant": "diag_cgc", "rho_classic": rho, "rho_diag": rho_d,
@@ -511,7 +510,7 @@ def run_parareal_diag_variants(params, seed=0):
     oracle = None  # one for both alphas: the grid and fine propagator do not depend on it
     for alpha in (1e-2, 1e-3):
         cfg = _parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
-                            max_iter=7, tol=1e-13, variant="diag_coarse", alpha=alpha)
+                            max_iter=7, tol=1e-13, alpha=alpha)
         if oracle is None:
             oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sysh, cfg.newton_tol)
         _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, oracle=oracle)
@@ -527,8 +526,7 @@ def run_parareal_diag_variants(params, seed=0):
         sysw = build_wave(nxw, 1.0 / nxw, 1.0, "periodic")
         sysw.u0[:] = np.sin(2 * np.pi * sysw.x) ** 2
         cfg = _parareal_cfg(n_w / 12.0, n_w, 10, fine="trapezoidal",
-                            coarse="trapezoidal", max_iter=10, tol=0.0,
-                            variant="diag_coarse", alpha=1e-4)
+                            coarse="trapezoidal", max_iter=10, tol=0.0, alpha=1e-4)
         _, tr = parareal.parareal_diag_coarse_solve(cfg, sysw)
         tol = max((cfg.fine.dt) ** 2, (1.0 / nxw) ** 2)
         iters[n_w] = tr.converged_at(tol)

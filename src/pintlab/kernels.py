@@ -9,8 +9,10 @@ Shifted tridiagonal systems (a I - b A) x = r have one solve path: a
 :class:`ShiftPlan` from :meth:`BandedMatrix.shift_plan`.  A caller that
 repeats the same shifts (every step of a propagator, every iteration of a
 diagonalized solver) makes the plan once; the plan fetches the
-factorization on its first solve and keeps it, so each later solve is one
-gttrs plus the checks.  Each :class:`BandedMatrix` keeps the data derived
+factorization on its first solve and keeps it.  The conditioning of each
+shifted system is checked once, when it is factored, so each later solve is
+one gttrs (and the periodic Woodbury step) plus a finiteness test on the
+solution.  Each :class:`BandedMatrix` keeps the data derived
 from it (shifted factorizations, exponentials) on itself, so a plan made
 again for the same operator and shifts finds the factorization there, and
 the data goes when the matrix does.  :func:`solve_shifted_banded` is a
@@ -221,6 +223,28 @@ class StackedTridiagonalLU:
             row = info - 1 - (ends[i] - sizes[i])
             raise SingularSystemError(f"singular {label} {i} (zero pivot in its row {row})")
 
+    def block_rcond(self, norms, n):
+        """LAPACK gtcon estimate of 1 / (|M_j|_1 |M_j^-1|_1) for each block
+        M_j, all of size ``n``, given ``norms[j]`` = |M_j|_1: one call per
+        block, on the block's rows of the factors (no pivot crosses a block
+        boundary)."""
+        dl, d, du, du2, ipiv = self._factors
+        gtcon, = scipy.linalg.get_lapack_funcs(("gtcon",), (d,))
+        out = np.empty(len(norms))
+        for j, norm in enumerate(norms):
+            r = j * n
+            if n >= 3:
+                rows, pairs = slice(r, r + n), slice(r, r + n - 1)
+                block = dl[pairs], d[rows], du[pairs], du2[r:r + n - 2], ipiv[rows] - r
+            else:
+                # scipy's gt wrappers need 3 rows: append a row holding
+                # |M_j|_1, which leaves |M_j|_1 and |M_j^-1|_1 as they are
+                zero = np.zeros(1, dtype=d.dtype)
+                block = (np.append(dl[r], zero), np.append(d[r:r + 2], norm),
+                         np.append(du[r], zero), zero, np.append(ipiv[r:r + 2] - r, np.int32(3)))
+            out[j] = gtcon(*block, norm)[0]
+        return out
+
     def solve(self, rhs, overwrite=False):
         """Solve for ``rhs`` of shape (N,) or (N, k); with ``overwrite`` a
         contiguous ``rhs`` of the factor's dtype holds the solution after."""
@@ -264,11 +288,14 @@ class ShiftPlan:
     operator's own store for a plan from :meth:`BandedMatrix.shift_plan`,
     a store of the plan's own otherwise (a one-shot plan).  The first
     solve for a data type fetches it from there (or makes it) and the plan
-    keeps it: every later solve is one gttrs plus the checks.  Every check
-    (finite solution, growth of a near-singular system, capacitance
-    determinant, periodic residual) is applied to each shift separately; a
-    factorization that fails one is dropped from the store and the plan.
-    Two threads that miss together both factor and keep one result.
+    keeps it.  The checks on each shift's system run once, when it is
+    factored (:func:`_factor_shifted`): zero pivot, the gtcon condition
+    estimate, the capacitance determinant and the periodic condition bound,
+    each on that shift's own scale; a failure stores nothing.  Every solve
+    is then one gttrs, the Woodbury step for periodic ``A`` and one
+    finiteness test on the solution, whose failure drops the factorization
+    from the store and the plan.  ``product=True`` adds one matvec.  Two
+    threads that miss together both factor and keep one result.
     """
 
     def __init__(self, A: BandedMatrix, a, b, store: Optional[dict] = None):
@@ -289,10 +316,8 @@ class ShiftPlan:
 
     def solve(self, rhs: np.ndarray, product: bool = False):
         """x with (a[j]*I - b[j]*A) x[j] = rhs[j]; with ``product`` the pair
-        (x, A @ x), where a periodic ``A`` reuses the product its residual
-        check formed."""
+        (x, A @ x)."""
         R = rhs[None] if self.single else rhs
-        Ax = None
         if self._parts is not None:
             x = np.stack([p.solve(R[j:j + 1])[0] for j, p in enumerate(self._parts)])
         else:
@@ -301,7 +326,7 @@ class ShiftPlan:
             if kept is None or kept[0] != dtype:
                 kept = self._kept = (dtype, self._fetch(dtype))
             try:
-                x, Ax = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
+                x = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
             except SingularSystemError:
                 self._kept = None
                 self._store.pop((dtype.char,) + self._key, None)
@@ -309,7 +334,7 @@ class ShiftPlan:
             x = x.reshape(R.shape)
         if not product:
             return x[0] if self.single else x
-        Ax = apply_blocks(self.A, x) if Ax is None else Ax.reshape(R.shape)
+        Ax = apply_blocks(self.A, x)
         return (x[0], Ax[0]) if self.single else (x, Ax)
 
     def _fetch(self, dtype):
@@ -331,56 +356,45 @@ class ShiftPlan:
         return self._store.setdefault(key, factor)
 
     def _solve(self, factor, R):
-        """(x, A @ x or None) for R of shape (J, n, k) with ``factor`` from
-        :meth:`_fetch`; the product comes from the periodic residual check."""
+        """x for R of shape (J, n, k) with ``factor`` from :meth:`_fetch`."""
         if R.shape[1] == 1:
-            return R / factor, None
-        lu, scale, z, cap = factor
+            return R / factor
+        lu, z, cap = factor
         J, n, _ = R.shape
-        rhs_max = _block_abs_max(R)
         x = lu.solve(R.reshape(J * n, -1)).reshape(R.shape)
-        # one pass serves both tests: a NaN or inf in x makes x_max so
-        x_max = _block_abs_max(x)
-        if not np.isfinite(x_max).all():
+        if z is not None:
+            # rows n-1 and 0 of every block, the Woodbury coupling rows
+            x = x - z @ np.linalg.solve(cap, x[:, ::1 - n])
+        if not np.isfinite(x).all():
             raise SingularSystemError("non-finite solution from banded solve")
-        if z is None:
-            # near-singular systems pass LAPACK but blow the solution up; a
-            # backward-stable solve keeps a small residual even then, so the
-            # growth itself is the test: |x| |M| / |rhs| beyond 1/(10 PIVOT_RTOL)
-            if (x_max * scale * PIVOT_RTOL > 10.0 * rhs_max + 1e-300).any():
-                raise SingularSystemError("near-singular shifted banded system")
-            return x, None
-        # rows n-1 and 0 of every block, the Woodbury coupling rows
-        x = x - z @ np.linalg.solve(cap, x[:, ::1 - n])
-        # Guard against ill-conditioning that slipped past the determinant test.
-        Ax = apply_blocks(self.A, x)
-        res = _block_abs_max(self.a[:, None, None] * x - self.b[:, None, None] * Ax - R)
-        tol = 1e-6 * (rhs_max + scale * _block_abs_max(x) + 1e-300)
-        if (res > tol).any():
-            raise SingularSystemError("periodic solve residual too large")
-        return x, Ax
-
-
-def _block_abs_max(X):
-    """max |X[j]| of every block of a (J, n, k) stack."""
-    return np.maximum.reduce(np.abs(X), axis=(1, 2))
+        return x
 
 
 def _factor_shifted(A, a, b, dtype, periodic):
-    """(lu, scale, z, cap) for :class:`ShiftPlan`: the gttrf factors of the
-    J blocks (a[j] I - b[j] A) without corners, the scale max|M_j| of each
-    block and, for periodic ``A``, the Woodbury columns ``z`` and 2x2
-    capacitance matrices ``cap`` (None otherwise)."""
+    """(lu, z, cap) for :class:`ShiftPlan`: the gttrf factors of the J
+    blocks M0_j = (a[j] I - b[j] A) without corners and, for periodic ``A``,
+    the Woodbury columns ``z`` and 2x2 capacitance matrices ``cap`` (None
+    otherwise).
+
+    Each block's conditioning is checked here, once, on its own scale: the
+    LAPACK gtcon estimate of 1 / (|M0_j|_1 |M0_j^-1|_1) below 10 PIVOT_RTOL
+    raises.  With corners, M_j^-1 = (I - z_j cap_j^-1 W^T) M0_j^-1 bounds
+    |M_j^-1|_1 by |M0_j^-1|_1 (1 + |z_j|_1 |cap_j^-1|_1), and the same test
+    on |M_j|_1 times that bound raises a "periodic" error."""
     a_col, b_col = a[:, None], b[:, None]
     J, n = a.shape[0], A.n
     ab = np.zeros((3, J, n), dtype=dtype)
     ab[1] = a_col - b_col * A.diag.astype(dtype, copy=False)
     ab[0, :, 1:] = -b_col * A.upper.astype(dtype, copy=False)
     ab[2, :, :-1] = -b_col * A.lower.astype(dtype, copy=False)
-    scale = np.maximum(np.abs(ab).max(axis=(0, 2)), 1e-300)
     lu = StackedTridiagonalLU.from_band(ab, "shifted banded system")
+    col_norms = np.abs(ab).sum(axis=0)  # (J, n): the column sums of |M0_j|
+    norm = col_norms.max(axis=1)
+    rcond = lu.block_rcond(norm, n)
+    if (rcond < 10.0 * PIVOT_RTOL).any():
+        raise SingularSystemError("near-singular shifted banded system")
     if not periodic:
-        return lu, scale, None, None
+        return lu, None, None
     # Woodbury: M = M0 + U @ W^T with U = -b*[ct*e0, cb*e_{n-1}], W = [e_{n-1}, e0]
     cols = np.zeros((J * n, 2), dtype=dtype)
     cols[::n, 0] = -b * A.corner_top
@@ -391,9 +405,18 @@ def _factor_shifted(A, a, b, dtype, periodic):
     z = z.reshape(J, n, 2)
     cap = np.eye(2, dtype=dtype) + z[:, [-1, 0], :]
     det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
-    if (np.abs(det) <= PIVOT_RTOL * np.maximum(np.abs(cap).max(axis=(1, 2)), 1.0)).any():
+    abs_cap = np.abs(cap)
+    if (np.abs(det) <= PIVOT_RTOL * np.maximum(abs_cap.max(axis=(1, 2)), 1.0)).any():
         raise SingularSystemError("singular periodic correction (capacitance)")
-    return lu, scale, z, cap
+    # |cap^-1|_1 = |adj cap|_1 / |det|, the largest row sum of |cap| over |det|
+    cap_inv_norm = abs_cap.sum(axis=2).max(axis=1) / np.abs(det)
+    inv_bound = (1.0 + np.abs(z).sum(axis=1).max(axis=1) * cap_inv_norm) / (rcond * norm)
+    col_norms[:, 0] += np.abs(b * A.corner_bottom)  # |M_j|_1 adds the corners
+    col_norms[:, -1] += np.abs(b * A.corner_top)
+    if (col_norms.max(axis=1) * inv_bound * (10.0 * PIVOT_RTOL) > 1.0).any():
+        raise SingularSystemError("periodic shifted banded system near-singular "
+                                  "(Woodbury condition bound)")
+    return lu, z, cap
 
 
 def solve_poly_in_matrix(A: BandedMatrix, coeffs, rhs: np.ndarray) -> np.ndarray:

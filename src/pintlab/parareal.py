@@ -30,7 +30,6 @@ class PararealConfig:
     coarse: Propagator
     max_iter: int = 50
     tol: float = 1e-12
-    variant: str = "classic"  # classic | mgrit_fcf | diag_cgc | diag_coarse
     alpha: float = 0.1
     initial_guess: str = "coarse"  # coarse | random
     seed: int = 0
@@ -41,8 +40,6 @@ class PararealConfig:
         for prop, name in ((self.fine, "fine"), (self.coarse, "coarse")):
             if abs(prop.span() - dT) > 1e-12 * max(1.0, dT):
                 raise ValueError(f"{name} propagator does not span one window")
-        if self.variant.startswith("diag") and not 0.0 < self.alpha < 1.0:
-            raise ValueError("diag variants need alpha in (0, 1)")
 
 
 def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float) -> np.ndarray:
@@ -287,6 +284,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     """
     if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
         raise ValueError("diag CGC uses one backward-Euler step per window")
+    _check_alpha(cfg.alpha)
     target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
@@ -347,6 +345,11 @@ def _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess):
                                   cfg.newton_tol, "diag-CGC")
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"diagonalized Parareal needs alpha in (0, 1), got alpha={alpha!r}")
+
+
 def _c_alpha_apply(U, alpha):
     out = U.copy()
     out[1:] -= U[:-1]
@@ -367,11 +370,12 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     Fine and coarse share the method and step size; alpha -> 0 recovers the
     fine solver itself.
     """
+    if cfg.fine.method.theta is None:
+        raise ValueError("diag coarse solver is defined for theta methods")
+    _check_alpha(cfg.alpha)
     target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
-    if cfg.fine.method.theta is None:
-        raise ValueError("diag coarse solver is defined for theta methods")
     theta = cfg.fine.method.theta
     J = cfg.fine.steps
     dt = cfg.fine.dt

@@ -265,11 +265,9 @@ def _parareal_entry(name):
 
     grid = TimeGrid.uniform(0.4, 4, 2)
     dT = grid.window_length()
-    variant = {"parareal_diag_cgc_solve": "diag_cgc",
-               "parareal_diag_coarse_solve": "diag_coarse"}.get(name, "classic")
     cfg = parareal.PararealConfig(grid=grid, fine=Propagator(trapezoidal(), dt=dT / 2, steps=2),
                                   coarse=Propagator(backward_euler(), dt=dT, steps=1),
-                                  variant=variant, max_iter=2)
+                                  max_iter=2)
     if name == "fine_sequential":
         return lambda: parareal.fine_sequential(cfg.grid, cfg.fine, _nan_heat(), cfg.newton_tol)
     # with the oracle given, the solver's own entry check is the one that fires

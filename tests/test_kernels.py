@@ -454,21 +454,86 @@ class TestShiftPlan:
                 plan.solve(np.ones((2, 6)))
             assert not A._factors
 
-    def test_periodic_residual_check_raises_and_evicts(self):
-        # a Woodbury column spoiled after factoring: the residual check is
-        # the one that notices, and the plan factors afresh afterwards
-        rng = np.random.default_rng(260)
-        A = random_banded(rng, 9, periodic=True)
-        plan = A.shift_plan(1.5, 0.4)
-        r = rng.standard_normal(9)
-        good = plan.solve(r)
-        dtype, (lu, scale, z, cap) = plan._kept
-        plan._kept = (dtype, (lu, scale, 1.5 * z, cap))
-        with pytest.raises(SingularSystemError, match="periodic solve residual"):
-            plan.solve(r)
-        assert not A._factors
-        assert plan.solve(r).tobytes() == good.tobytes()
+    def test_ill_conditioned_periodic_raises_and_evicts(self):
+        # periodic Laplacian shifted by a tiny a: the capacitance determinant
+        # passes, but |M| |M^-1| ~ 4e13 exceeds the Woodbury condition bound
+        A = periodic_laplacian_stencil(9)
+        plan = A.shift_plan(1e-13, 1.0)
+        for _ in range(2):
+            with pytest.raises(SingularSystemError, match="^periodic"):
+                plan.solve(np.ones(9))
+            assert not A._factors
+        assert A.shift_plan(1.0, 1.0).solve(np.ones(9)).tobytes() == gtsv_reference(
+            A, [1.0], [1.0], np.ones((1, 9)))[0].tobytes()
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("span", [1e6, 1e8])
+    def test_each_shift_checked_on_its_own_scale(self, periodic, span):
+        # well-conditioned blocks whose norms span 12 or 16 decades; one
+        # scale for all blocks would reject the smallest at 1e8
+        rng = np.random.default_rng(265)
+        A = random_banded(rng, 9, periodic=periodic)
+        a = np.geomspace(1.0 / span, span, 4)
+        b = 0.1 * a
+        R = rng.standard_normal((4, 9))
+        X = A.shift_plan(a, b).solve(R)
+        assert X.tobytes() == gtsv_reference(A, a, b, R).tobytes()
+
+    def test_two_row_blocks_checked_on_their_scale(self):
+        # scipy's gtcon needs 3 rows: a 2x2 block is padded without moving
+        # its condition number, at any scale, alone or in a stack
+        A = BandedMatrix(np.ones(2), np.ones(1), np.ones(1))
+        for a in (np.array([1e-10, 4.0, 1e10]), np.array([3.0])):
+            X = A.shift_plan(a, 0.1 * a).solve(np.ones((len(a), 2)))
+            assert np.isfinite(X).all()
+        A._factors.clear()
+        near = 2.0 + 2.0 ** -50  # A's eigenvalue 2, missed by one ulp
+        for a, b in ((near, 1.0), (np.array([3.0, near]), np.array([1.0, 1.0]))):
+            with pytest.raises(SingularSystemError, match="near-singular"):
+                A.shift_plan(a, b).solve(np.ones(np.shape(a) + (2,)))
+            assert not A._factors
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("J, k", [(1, None), (4, None), (4, 3)])
+    def test_checks_cost_nothing_per_solve(self, periodic, J, k, monkeypatch):
+        # conditioning is checked once, at factor time, with one gtcon call
+        # per shift block; a kept plan's solve is one gttrs and no matvec
+        calls = {"apply_blocks": 0, "gttrf": 0, "gttrs": 0, "gtcon": 0}
+        real_apply, real_get = kernels.apply_blocks, scipy.linalg.get_lapack_funcs
+
+        def apply_blocks(*args):
+            calls["apply_blocks"] += 1
+            return real_apply(*args)
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        def get_lapack_funcs(names, arrays=(), **kwargs):
+            funcs = real_get(names, arrays, **kwargs)
+            return [counted(name, f) if name in calls else f for name, f in zip(names, funcs)]
+
+        monkeypatch.setattr(kernels, "apply_blocks", apply_blocks)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        rng = np.random.default_rng(266)
+        A = random_banded(rng, 10, periodic=periodic)
+        a, b = 1.0 + rng.random(J), 0.3 * rng.standard_normal(J)
+        if J == 1:
+            a, b = a[0], b[0]
+        R = rng.standard_normal(np.shape(a) + (10,) + (() if k is None else (k,)))
+        plan = A.shift_plan(a, b)
+        plan.solve(R)
+        assert calls == {"apply_blocks": 0, "gttrf": 1, "gttrs": 1 + periodic, "gtcon": J}
+        for _ in range(3):
+            plan.solve(R)
+            A.shift_plan(a, b).solve(R)  # a new plan for kept shifts factors nothing
+        assert calls == {"apply_blocks": 0, "gttrf": 1, "gttrs": 7 + periodic, "gtcon": J}
+        plan.solve(R, product=True)
+        assert calls["apply_blocks"] == 1 and calls["gttrf"] == 1 and calls["gtcon"] == J
+        A.shift_plan(a + 1.0, b).solve(R)
+        assert calls["gttrf"] == 2 and calls["gtcon"] == 2 * J
 
     def test_plan_shared_by_threads(self):
         # one plan, real and complex data in turn (a refetch each switch),

@@ -202,7 +202,7 @@ class TestDiagCgc:
         best = None
         for alpha, tol in ((1e-3, None), (1e-8, 1e-7)):
             cfg_d = make_cfg(2.0, 10, 10, fine_method=sdirk22(), max_iter=1, tol=0.0,
-                             variant="diag_cgc", alpha=alpha)
+                             alpha=alpha)
             Ud, _ = parareal_diag_cgc_solve(cfg_d, sys)
             diff = np.abs(Ud - Uc).max()
             if tol is not None:
@@ -216,7 +216,7 @@ class TestDiagCgc:
         cfg_c = make_cfg(4.0, 40, 10, fine_method=sdirk22(), max_iter=10, tol=1e-12)
         _, tr_c = parareal_solve(cfg_c, sys)
         cfg_d = make_cfg(4.0, 40, 10, fine_method=sdirk22(), max_iter=10, tol=1e-12,
-                         variant="diag_cgc", alpha=0.18)
+                         alpha=0.18)
         _, tr_d = parareal_diag_cgc_solve(cfg_d, sys)
 
         def rate(tr):
@@ -238,8 +238,7 @@ class TestDiagCgc:
                                  kind="heat", x=np.zeros(2))
 
         def late_rate(alpha):
-            cfg = make_cfg(2.0, 20, 10, fine_method=sdirk22(), variant="diag_cgc",
-                           alpha=alpha, max_iter=25, tol=1e-13)
+            cfg = make_cfg(2.0, 20, 10, fine_method=sdirk22(), alpha=alpha, max_iter=25, tol=1e-13)
             _, tr = parareal_diag_cgc_solve(cfg, sys)
             e = tr.errors
             fs = [b / a for a, b in zip(e[4:-1], e[5:]) if a > 1e-12 and b > 1e-13]
@@ -251,7 +250,7 @@ class TestDiagCgc:
     def test_other_coarse_propagators_rejected(self, coarse):
         # the all-at-once correction inverts one backward-Euler step per
         # window; any other coarse propagator would be mixed with it
-        cfg = make_cfg(1.0, 4, 2, variant="diag_cgc", alpha=0.1)
+        cfg = make_cfg(1.0, 4, 2, alpha=0.1)
         dT = cfg.grid.window_length()
         cfg = dataclasses.replace(cfg, coarse={
             "trapezoidal": Propagator(trapezoidal(), dt=dT, steps=1),
@@ -264,9 +263,21 @@ class TestDiagCgc:
         nx = 32
         sys = build_burgers(nx, 1.0 / nx, 0.5, "periodic")
         sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
-        cfg = make_cfg(1.0, 8, 5, max_iter=10, tol=1e-10, variant="diag_cgc", alpha=0.1)
+        cfg = make_cfg(1.0, 8, 5, max_iter=10, tol=1e-10, alpha=0.1)
         U, trace = parareal_diag_cgc_solve(cfg, sys)
         assert trace.errors[-1] <= 1e-8
+
+    @pytest.mark.parametrize("solve", [parareal_diag_cgc_solve, parareal_diag_coarse_solve])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    def test_alpha_outside_unit_interval_rejected(self, solve, alpha, monkeypatch):
+        # each diagonalized solver checks alpha itself, before any oracle work
+        def no_oracle(*args):
+            raise AssertionError("oracle computed before alpha was checked")
+
+        monkeypatch.setattr(parareal_module, "fine_sequential", no_oracle)
+        cfg = make_cfg(1.0, 4, 2, fine_method=trapezoidal(), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            solve(cfg, heat_system(nx=8))
 
 
 class TestFiniteTerminationAllVariants:
@@ -274,8 +285,7 @@ class TestFiniteTerminationAllVariants:
         sys = heat_system(nx=12)
         n_w = 6
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
-                       coarse_method=trapezoidal(), variant="diag_coarse",
-                       alpha=0.05, max_iter=n_w, tol=0.0)
+                       coarse_method=trapezoidal(), alpha=0.05, max_iter=n_w, tol=0.0)
         _, tr = parareal_diag_coarse_solve(cfg, sys)
         assert tr.errors[n_w] <= 1e-10 * tr.errors[0]
 
@@ -284,8 +294,7 @@ class TestFiniteTerminationAllVariants:
         # parallel CGC; convergence is linear at the classic rate instead
         sys = heat_system(nx=12)
         n_w = 6
-        cfg = make_cfg(0.5, n_w, 4, fine_method=sdirk22(), variant="diag_cgc",
-                       alpha=0.1, max_iter=3 * n_w, tol=0.0)
+        cfg = make_cfg(0.5, n_w, 4, fine_method=sdirk22(), alpha=0.1, max_iter=3 * n_w, tol=0.0)
         _, tr = parareal_diag_cgc_solve(cfg, sys)
         assert tr.errors[n_w] > 1e-10 * tr.errors[0]  # no finite cutoff
         assert tr.errors[-1] <= 1e-10  # but it converges well past it
@@ -296,8 +305,7 @@ class TestDiagCoarse:
         # alpha -> 0: the head-tail coarse solver IS the fine solver
         sys = heat_system(nx=24)
         cfg = make_cfg(1.0, 8, 10, fine_method=trapezoidal(),
-                       coarse_method=trapezoidal(), variant="diag_coarse",
-                       alpha=1e-10, max_iter=2, tol=0.0)
+                       coarse_method=trapezoidal(), alpha=1e-10, max_iter=2, tol=0.0)
         U, trace = parareal_diag_coarse_solve(cfg, sys)
         # floored by the eps/alpha roundoff of the scaled-Fourier transform
         assert trace.errors[1] <= 1e-6
@@ -309,8 +317,7 @@ class TestDiagCoarse:
         sys = heat_system(nx=50, nu=0.05)
         sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
         cfg = make_cfg(8.0, 96, 10, fine_method=trapezoidal(),
-                       coarse_method=trapezoidal(), variant="diag_coarse",
-                       alpha=alpha, max_iter=7, tol=1e-13)
+                       coarse_method=trapezoidal(), alpha=alpha, max_iter=7, tol=1e-13)
         U, trace = parareal_diag_coarse_solve(cfg, sys)
         e = trace.errors
         factors = [b / a for a, b in zip(e[1:-1], e[2:]) if a > 1e-11 and b > 1e-13]
@@ -324,8 +331,7 @@ class TestDiagCoarse:
         sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
         n_w, alpha = 24, 1e-4
         cfg = make_cfg(2.0, n_w, 10, fine_method=trapezoidal(),
-                       coarse_method=trapezoidal(), variant="diag_coarse",
-                       alpha=alpha, max_iter=6, tol=1e-12)
+                       coarse_method=trapezoidal(), alpha=alpha, max_iter=6, tol=1e-12)
         U, trace = parareal_diag_coarse_solve(cfg, sys)
         rho = 2 * alpha * n_w / (1 + alpha)
         e0 = trace.errors[0]
@@ -338,8 +344,7 @@ class TestDiagCoarse:
         sys = build_burgers(nx, 1.0 / nx, 0.5, "periodic")
         sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
         cfg = make_cfg(0.5, 5, 5, fine_method=backward_euler(),
-                       coarse_method=backward_euler(), variant="diag_coarse",
-                       alpha=1e-3, max_iter=6, tol=1e-10)
+                       coarse_method=backward_euler(), alpha=1e-3, max_iter=6, tol=1e-10)
         U, trace = parareal_diag_coarse_solve(cfg, sys)
         assert trace.errors[-1] <= 1e-9
 
@@ -418,8 +423,8 @@ class TestCoarseCache:
         sys = heat_system(nx=12)
         n_w = 6
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
-                       coarse_method=trapezoidal(), variant="diag_coarse",
-                       alpha=0.05, max_iter=3, tol=0.0, initial_guess=guess)
+                       coarse_method=trapezoidal(), alpha=0.05, max_iter=3, tol=0.0,
+                       initial_guess=guess)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         real = ShiftPlan.solve
         calls = []
@@ -449,7 +454,7 @@ class TestCoarseCache:
         n_w, iterations = 6, 4
         method = trapezoidal() if fine == "trapezoidal" else exact_exponential()
         cfg = make_cfg(1.0, n_w, 4 if fine == "trapezoidal" else 1, fine_method=method,
-                       max_iter=iterations, tol=0.0, variant="diag_cgc", alpha=0.1)
+                       max_iter=iterations, tol=0.0, alpha=0.1)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         real_block = parareal_module.propagate_block
         starts = []
@@ -587,7 +592,7 @@ def burgers_system():
 
 class TestNonlinearDiagQuasiNewtonBitwise:
     def test_diag_cgc_matches_reference_loop(self, monkeypatch):
-        cfg = make_cfg(1.0, 8, 5, max_iter=10, tol=1e-10, variant="diag_cgc", alpha=0.1)
+        cfg = make_cfg(1.0, 8, 5, max_iter=10, tol=1e-10, alpha=0.1)
         U, trace = parareal_diag_cgc_solve(cfg, burgers_system())
         monkeypatch.setattr(parareal_module, "_diag_cgc_quasi_newton",
                             reference_diag_cgc_quasi_newton)
@@ -599,7 +604,7 @@ class TestNonlinearDiagQuasiNewtonBitwise:
     @pytest.mark.parametrize("method", [backward_euler, trapezoidal])
     def test_diag_coarse_matches_reference_loop(self, monkeypatch, method):
         cfg = make_cfg(1.0, 8, 6, fine_method=method(), coarse_method=method(),
-                       variant="diag_coarse", alpha=0.05, max_iter=10, tol=1e-10)
+                       alpha=0.05, max_iter=10, tol=1e-10)
         U, trace = parareal_diag_coarse_solve(cfg, burgers_system())
         monkeypatch.setattr(parareal_module, "_diag_coarse_nonlinear",
                             reference_diag_coarse_nonlinear)
@@ -612,7 +617,7 @@ class TestNonlinearDiagQuasiNewtonBitwise:
                                                ("diag_coarse", "diag-coarse")])
     def test_nonconvergence_names_caller(self, monkeypatch, variant, name):
         monkeypatch.setattr(paradiag_module, "QUASI_NEWTON_MAX_ITER", 1)
-        cfg = make_cfg(1.0, 8, 5, variant=variant, alpha=0.1, max_iter=2)
+        cfg = make_cfg(1.0, 8, 5, alpha=0.1, max_iter=2)
         solve = parareal_diag_cgc_solve if variant == "diag_cgc" else parareal_diag_coarse_solve
         with pytest.raises(ConvergenceError, match=f"^{name} quasi-Newton did not converge"):
             solve(cfg, burgers_system())

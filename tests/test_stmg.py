@@ -40,6 +40,22 @@ class TestLfa:
             worst = lfa_max_high_frequency("heat", 0.5, dt, dx)
             assert worst <= 1.0 / np.sqrt(2.0) + 1e-10
 
+    @pytest.mark.parametrize("equation, nu", [("heat", 1.0), ("ad", 0.3)])
+    @pytest.mark.parametrize("ratio", [1.0 / np.sqrt(2.0), 2.0, 50.0])
+    def test_high_frequency_max_equals_scalar_loop(self, equation, nu, ratio):
+        # the one grid evaluation returns the maximum of the scalar loop
+        # over the same modes, bit for bit
+        dx = 1.0 / 32
+        dt = ratio * dx**2
+        thetas = np.linspace(-np.pi, np.pi, 2 * 96 + 1)
+        worst = 0.0
+        for wt in thetas:
+            for xd in thetas:
+                if abs(wt) > np.pi / 2 or abs(xd) > np.pi / 2:
+                    worst = max(worst, abs(lfa_rho(equation, wt / dt, xd / dx, 0.5, dt, dx, nu)))
+        got = lfa_max_high_frequency(equation, 0.5, dt, dx, nu)
+        assert np.float64(got).tobytes() == np.float64(worst).tobytes()
+
     def test_mode_injection_matches_symbol(self):
         # periodic problem: smoothing one Fourier mode multiplies its
         # amplitude by the symbol, up to the time-boundary rows
