@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .experiments import ValidationError, load_registry, result_to_csv, run_experiment
+from .experiments import load_registry, result_to_csv, run_experiment
 
 
 class CliError(Exception):
@@ -52,8 +52,8 @@ def _build_tag() -> str:
     return f"pintlab-{__version__}" + (f"+{head}" if head else "")
 
 
-def _write_result(result, out_dir: Path):
-    csv_path = out_dir / f"{result.spec_id}.csv"
+def _write_result(spec, result, out_dir: Path):
+    csv_path = out_dir / f"{spec.id}.csv"
     try:
         csv_path.write_text(result_to_csv(result), encoding="utf-8")
     except OSError as exc:
@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
     spec = registry[args.experiment]
     out_dir = _out_dir(args)
     result = run_experiment(spec, seed=args.seed)
-    csv_path = _write_result(result, out_dir)
+    csv_path = _write_result(spec, result, out_dir)
     _print_result(spec, result, csv_path)
     return 0 if result.passed else 1
 
@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
     rows = []
     for spec in selected.values():
         result = run_experiment(spec, seed=args.seed)
-        _write_result(result, out_dir)
+        _write_result(spec, result, out_dir)
         ok = result.passed
         failures += 0 if ok else 1
         rows.append((spec.id, spec.gate, ok))
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ValidationError, CliError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -338,7 +338,6 @@ class PfasstOperators:
     B10: np.ndarray
     B01: np.ndarray
     B00: np.ndarray
-    chi: np.ndarray
     nodes_f: np.ndarray
     Qf: np.ndarray
 
@@ -383,10 +382,7 @@ def build_pfasst_operators(sys, dt: float, Mf: int = 3, Mc: int = 2,
     B10 = bracket @ (If - smoother)
     B01 = Tcf @ phi_c_inv_Tfc
     B00 = bracket @ np.linalg.solve(phi_tilde, If)
-    chi_small = np.zeros((Mf, Mf))
-    chi_small[:, -1] = 1.0
-    chi = np.kron(chi_small, np.eye(n))
-    return PfasstOperators(B10=B10, B01=B01, B00=B00, chi=chi, nodes_f=nodes_f, Qf=Qf)
+    return PfasstOperators(B10=B10, B01=B01, B00=B00, nodes_f=nodes_f, Qf=Qf)
 
 
 def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
@@ -425,8 +421,8 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
             prev_old = u0_state if w == 0 else U[w - 1]
             U_new[w] = (
                 ops.B10 @ U[w]
-                + ops.B01 @ (ops.chi @ prev_new + dt * bvecs[w])
-                + ops.B00 @ (ops.chi @ prev_old + dt * bvecs[w])
+                + ops.B01 @ (np.tile(prev_new[-n:], Mf) + dt * bvecs[w])
+                + ops.B00 @ (np.tile(prev_old[-n:], Mf) + dt * bvecs[w])
             )
             prev_new = U_new[w]
         U = U_new

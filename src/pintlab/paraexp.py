@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .integrators import Propagator, TimeGrid, finite_u0, propagate, propagate_block
-from .kernels import expm_action
+from .kernels import ConvergenceError, SingularSystemError, expm_action
 from .models import first_order_form
 from .parareal import PararealConfig, fine_sequential, parareal_solve
 from .trace import IterationTrace
@@ -207,7 +207,7 @@ def paraexp_vs_parareal_report(sys_factory, nus, plan_factory, coarse_factory,
         tr_exp = None
         try:
             _, tr_exp = paraexp_nonlinear_iterate(plan, sys)
-        except Exception as exc:  # divergence recorded, not fatal
+        except (ConvergenceError, SingularSystemError) as exc:  # divergence, not fatal
             tr_exp = IterationTrace(method="paraexp_nonlinear")
             tr_exp.meta["failed"] = str(exc)
         cfg = PararealConfig(grid=plan.grid, fine=plan.red,
@@ -216,7 +216,7 @@ def paraexp_vs_parareal_report(sys_factory, nus, plan_factory, coarse_factory,
         tr_par = None
         try:
             _, tr_par = parareal_solve(cfg, sys)
-        except Exception as exc:
+        except (ConvergenceError, SingularSystemError) as exc:
             tr_par = IterationTrace(method="parareal")
             tr_par.meta["failed"] = str(exc)
         out[nu] = (tr_exp, tr_par, threshold_factory(sys))

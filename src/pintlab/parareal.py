@@ -161,24 +161,30 @@ class _CorrectionSweep:
         return U_new
 
 
+def _iterate(cfg, target, coarse, oracle, method):
+    """Parareal iterations with the coarse map ``coarse`` from its initial
+    iterate until ``cfg.tol`` or ``cfg.max_iter``; the trace is labelled
+    ``method``."""
+    U = _initial_iterate(cfg, target, coarse)
+    sweep = _CorrectionSweep(cfg, target, coarse, U)
+    trace = IterationTrace(method=method)
+    trace.record(error=np.abs(U - oracle).max())
+    for k in range(cfg.max_iter):
+        U = sweep(U)
+        if not np.all(np.isfinite(U)):
+            raise ConvergenceError(f"{method} iterate became non-finite")
+        trace.record(error=np.abs(U - oracle).max(), fine_solves=cfg.grid.n_windows)
+        if trace.errors[-1] <= cfg.tol:
+            break
+    return U, trace
+
+
 def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Classic Parareal: coarse correction sweep plus parallel fine solves."""
     target = first_order_form(sys)
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
-    coarse = _coarse_propagator(cfg, target)
-    U = _initial_iterate(cfg, target, coarse)
-    sweep = _CorrectionSweep(cfg, target, coarse, U)
-    trace = IterationTrace(method="parareal")
-    trace.record(error=np.abs(U - oracle).max())
-    for k in range(cfg.max_iter):
-        U = sweep(U)
-        if not np.all(np.isfinite(U)):
-            raise ConvergenceError("parareal iterate became non-finite")
-        trace.record(error=np.abs(U - oracle).max(), fine_solves=cfg.grid.n_windows)
-        if trace.errors[-1] <= cfg.tol:
-            break
-    return U, trace
+    return _iterate(cfg, target, _coarse_propagator(cfg, target), oracle, "parareal")
 
 
 def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
@@ -380,7 +386,6 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     J = cfg.fine.steps
     dt = cfg.fine.dt
     alpha = cfg.alpha
-    n_w = cfg.grid.n_windows
 
     c1 = np.zeros(J)
     c1[0] = 1.0
@@ -412,16 +417,7 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
             return fac_c.solve(star_plan, rhs)[-1].real
         return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
 
-    U = _initial_iterate(cfg, target, coarse_star)
-    sweep = _CorrectionSweep(cfg, target, coarse_star, U)
-    trace = IterationTrace(method="parareal_diag_coarse")
-    trace.record(error=np.abs(U - oracle).max())
-    for k in range(cfg.max_iter):
-        U = sweep(U)
-        trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
-        if trace.errors[-1] <= cfg.tol:
-            break
-    return U, trace
+    return _iterate(cfg, target, coarse_star, oracle, "parareal_diag_coarse")
 
 
 def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0):

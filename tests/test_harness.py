@@ -28,27 +28,10 @@ class TestRegistry:
             assert spec.gate.startswith("C")
             assert spec.description
 
-    def test_unknown_runner_rejected(self, registry, tmp_path, monkeypatch):
-        from pintlab.experiments import ExperimentSpec, RUNNERS
-
-        spec = ExperimentSpec(id="bogus", description="x", gate="C1",
-                              runner="run_does_not_exist")
-        assert spec.runner not in RUNNERS
-
-    def test_unknown_yaml_key_named(self, tmp_path):
-        from pintlab.experiments import ValidationError
-
-        spec = "id: x\ndescription: d\ngate: C1\nrunner: run_idc_order_lift\nparms: {}\n"
-        (tmp_path / "typo.yaml").write_text(spec)
-        with pytest.raises(ValidationError, match="^typo.yaml: unknown key 'parms'$"):
-            load_registry(tmp_path)
-
-    def test_missing_yaml_key_named(self, tmp_path):
-        from pintlab.experiments import ValidationError
-
-        (tmp_path / "short.yaml").write_text("id: x\ndescription: d\nrunner: run_idc_order_lift\n")
-        with pytest.raises(ValidationError, match="^short.yaml: .*'gate'"):
-            load_registry(tmp_path)
+    def test_ids_in_sorted_order(self, registry):
+        # `pint list`, `pint verify` and the benchmark's rest-suite follow
+        # the registry's order
+        assert list(registry) == sorted(registry)
 
 
 class TestDeterminism:
@@ -138,19 +121,19 @@ class TestCsvFormat:
         r = run_experiment(registry["parareal-rho-ceiling"], seed=0)
         text = result_to_csv(r)
         value = text.splitlines()[1].split(",")[1]
-        assert float(value) == r.summary["parareal"]
+        assert float(value) == r.rows[0]["value"]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
 
 class TestImportCost:
     def test_experiments_import_leaves_out_scipy_optimize(self):
-        # no experiment needs scipy.optimize, and importing it costs about
-        # a quarter of pintlab's set-up time
+        # no experiment needs scipy.optimize or yaml; importing scipy.optimize
+        # costs about a quarter of pintlab's set-up time
         import pintlab
 
         src = str(Path(pintlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        code = "import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'yaml'))))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 

@@ -281,6 +281,12 @@ def _paraexp_entry(name):
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=0.05, steps=2))
     if name == "paraexp_linear_solve":
         return lambda: paraexp.paraexp_linear_solve(plan, _nan_heat())
+    if name == "paraexp_vs_parareal_report":
+        # the report records only divergence as a failed run
+        return lambda: paraexp.paraexp_vs_parareal_report(
+            lambda nu: _nan_burgers(), (0.1,), lambda sys: plan,
+            lambda grid: Propagator(backward_euler(), dt=grid.window_length(), steps=1),
+            lambda sys: 1e-6, max_iter=2)
     return lambda: getattr(paraexp, name)(plan, _nan_burgers(), oracle=np.zeros((5, 8)))
 
 
@@ -332,7 +338,7 @@ NON_FINITE_U0_ENTRIES = (
     [("parareal", n) for n in ("fine_sequential", "parareal_solve", "mgrit_fcf_solve",
                                "parareal_diag_cgc_solve", "parareal_diag_coarse_solve")]
     + [("paraexp", n) for n in ("paraexp_linear_solve", "paraexp_nonlinear_iterate",
-                                "linear_g_parareal")]
+                                "linear_g_parareal", "paraexp_vs_parareal_report")]
     + [("swr", n) for n in ("monodomain_solve_ad", "oswr_solve_ad", "monodomain_solve_wave",
                             "swr_solve_wave", "utp_advance")]
     + [("idc", n) for n in ("idc_run", "pidc_run", "ridc_run", "pfasst_two_level")]
