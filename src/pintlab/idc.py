@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .integrators import _newton, finite_u0
+from .kernels import apply_blocks
 from .trace import IterationTrace
 
 
@@ -296,16 +296,51 @@ def lagrange_transfer(from_nodes: np.ndarray, to_nodes: np.ndarray) -> np.ndarra
     return out
 
 
+def _check_windows(dt, n_windows):
+    if not dt > 0:  # also rejects NaN
+        raise ValueError(f"need dt > 0, got {dt}")
+    if n_windows < 1:
+        raise ValueError(f"need n_windows >= 1, got {n_windows}")
+
+
 def _collocation_sources(sys, dt, n_windows, nodes, Q):
-    """dt-free source terms (Q (x) I) g of every window, rows
-    (n_windows, M*n); zero without a source."""
-    n, M = sys.n, nodes.shape[0]
-    b = np.zeros((n_windows, M * n))
-    if sys.source is not None:
-        QI = np.kron(Q, np.eye(n))
-        for w in range(n_windows):
-            b[w] = QI @ np.concatenate([sys.source((w + tau) * dt) for tau in nodes])
-    return b
+    """dt-free source terms (Q (x) I) g of every window, node blocks
+    (M, n, n_windows); zero without a source."""
+    if sys.source is None:
+        return np.zeros((nodes.shape[0], sys.n, n_windows))
+    G = np.array([[sys.source((w + tau) * dt) for w in range(n_windows)] for tau in nodes])
+    return _mix_nodes(Q, G.swapaxes(1, 2))
+
+
+def _mix_nodes(P, U):
+    """(P (x) I) U for node blocks U of shape (M, n) or (M, n, k)."""
+    return (P @ U.reshape(P.shape[1], -1)).reshape((P.shape[0],) + U.shape[1:])
+
+
+def _node_solver(sys, Q, dt):
+    """Solver of (I - dt Q (x) A) U = R for node blocks R, (M, n) or
+    (M, n, k): Q = V D V^-1 leaves M shifted solves (I - dt d_m A) y_m =
+    (V^-1 R)_m, one complex shift plan, and U = V Y."""
+    d, V = np.linalg.eig(Q)
+    V_inv = np.linalg.inv(V)
+    plan = sys.shift_plan(np.ones(d.shape[0]), dt * d)
+    return lambda R: _mix_nodes(V, plan.solve(_mix_nodes(V_inv, R))).real
+
+
+def _euler_sweeper(sys, nodes, dt):
+    """Solver of the implicit-Euler sweep (L (x) I - dt diag(delta) (x) A) U
+    = R, L = I - (subdiagonal ones), delta the node spacings: forward
+    substitution with one shift plan per node."""
+    plans = [sys.shift_plan(1.0, dt * delta) for delta in np.diff(nodes, prepend=0.0)]
+
+    def sweep(R):
+        U = np.empty_like(R)
+        prev = 0.0
+        for m, plan in enumerate(plans):
+            U[m] = prev = plan.solve(R[m] + prev)
+        return U
+
+    return sweep
 
 
 def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray:
@@ -313,21 +348,21 @@ def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray
     dt, the fixed point of the PFASST block iteration.
 
     Each window solves (I - dt Q (x) A) U = (u_start, ..., u_start) + dt b
-    for its node values.  Linear systems only; returns the window
-    endpoints, shape (n_windows + 1, n).
+    for its node values (by :func:`_node_solver`).  Linear systems only;
+    returns the window endpoints, shape (n_windows + 1, n).
     """
+    _check_windows(dt, n_windows)
     if not sys.linear:
         raise ValueError("the collocation solve is assembled for linear systems")
     u0 = finite_u0(sys)
-    n = sys.n
     nodes = radau_iia_nodes(Mf)
     Q = collocation_matrix(nodes)
-    lu = scipy.linalg.lu_factor(np.eye(Mf * n) - dt * np.kron(Q, sys.A.to_dense()))
-    b = _collocation_sources(sys, dt, n_windows, nodes, Q)
-    out = np.empty((n_windows + 1, n))
+    solve = _node_solver(sys, Q, dt)
+    b = dt * _collocation_sources(sys, dt, n_windows, nodes, Q)
+    out = np.empty((n_windows + 1, sys.n))
     out[0] = u0
     for w in range(n_windows):
-        out[w + 1] = scipy.linalg.lu_solve(lu, np.tile(out[w], Mf) + dt * b[w])[-n:]
+        out[w + 1] = solve(out[w] + b[:, :, w])[-1]
     return out
 
 
@@ -338,37 +373,35 @@ class PfasstOperators:
     B10: np.ndarray
     B01: np.ndarray
     B00: np.ndarray
-    nodes_f: np.ndarray
-    Qf: np.ndarray
+
+
+def _two_level_setup(sys, Mf, Mc, identity_transfers):
+    """(nodes_f, Qf, Qc, Tcf, Tfc) on Radau IIA nodes; with Mf == Mc, as
+    ``identity_transfers`` needs, the transfers are the identity exactly."""
+    if not sys.linear:
+        raise ValueError("the block iteration is assembled for linear systems")
+    if identity_transfers and Mf != Mc:
+        raise ValueError("identity transfers need Mf == Mc")
+    nodes_f, nodes_c = radau_iia_nodes(Mf), radau_iia_nodes(Mc)
+    return (nodes_f, collocation_matrix(nodes_f), collocation_matrix(nodes_c),
+            lagrange_transfer(nodes_c, nodes_f), lagrange_transfer(nodes_f, nodes_c))
 
 
 def build_pfasst_operators(sys, dt: float, Mf: int = 3, Mc: int = 2,
                            identity_transfers: bool = False,
                            sweeper_exact: bool = False) -> PfasstOperators:
-    """Assemble the block-iteration matrices for a linear system.
+    """Assemble the dense block-iteration matrices for a linear system.
 
     ``identity_transfers`` with Mf == Mc and ``sweeper_exact`` reproduces
     the degenerate exact-solve case (B10 = 0).
     """
-    if not sys.linear:
-        raise ValueError("the block iteration is assembled for linear systems")
+    nodes_f, Qf, Qc, Tcf, Tfc = _two_level_setup(sys, Mf, Mc, identity_transfers)
     A = sys.A.to_dense()
     n = A.shape[0]
-    nodes_f = radau_iia_nodes(Mf)
-    nodes_c = radau_iia_nodes(Mc)
-    Qf = collocation_matrix(nodes_f)
-    Qc = collocation_matrix(nodes_c)
     If = np.eye(Mf * n)
     phi_f = If - dt * np.kron(Qf, A)
     phi_c = np.eye(Mc * n) - dt * np.kron(Qc, A)
-    if identity_transfers:
-        if Mf != Mc:
-            raise ValueError("identity transfers need Mf == Mc")
-        Tcf = np.eye(Mf * n)
-        Tfc = np.eye(Mf * n)
-    else:
-        Tcf = np.kron(lagrange_transfer(nodes_c, nodes_f), np.eye(n))
-        Tfc = np.kron(lagrange_transfer(nodes_f, nodes_c), np.eye(n))
+    Tcf, Tfc = np.kron(Tcf, np.eye(n)), np.kron(Tfc, np.eye(n))
     if sweeper_exact:
         phi_tilde = phi_f.copy()
     else:
@@ -382,7 +415,7 @@ def build_pfasst_operators(sys, dt: float, Mf: int = 3, Mc: int = 2,
     B10 = bracket @ (If - smoother)
     B01 = Tcf @ phi_c_inv_Tfc
     B00 = bracket @ np.linalg.solve(phi_tilde, If)
-    return PfasstOperators(B10=B10, B01=B01, B00=B00, nodes_f=nodes_f, Qf=Qf)
+    return PfasstOperators(B10=B10, B01=B01, B00=B00)
 
 
 def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
@@ -391,41 +424,45 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
                      reference: Optional[np.ndarray] = None):
     """Two-level PFASST block iteration over pipelined windows.
 
+    An iteration is the operational form of U_w <- B10 U_w + B01 rhs_new
+    + B00 rhs_old (:func:`build_pfasst_operators`): the fine sweep
+    S_w = U_w + phi~^-1 (rhs_old - phi_f U_w), on all windows at once, then
+    U_w = S_w + T_cf phi_c^-1 T_fc (rhs_new - phi_f S_w), pipelined, one
+    node solve per window.  No (M n)^2 matrix is formed.
+
     Linear systems only.  Returns (endpoint trajectory, trace); the trace
     records the max window-endpoint error per iteration against
     ``reference`` (falling back to :func:`collocation_solve`, the
     iteration's fixed point).
     """
-    finite_u0(sys)
-    ops = build_pfasst_operators(sys, dt, Mf=Mf, Mc=Mc,
-                                 identity_transfers=identity_transfers,
-                                 sweeper_exact=sweeper_exact)
-    n = sys.n
-    bvecs = _collocation_sources(sys, dt, n_windows, ops.nodes_f, ops.Qf)
+    _check_windows(dt, n_windows)
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got {k_max}")
+    nodes_f, Qf, Qc, Tcf, Tfc = _two_level_setup(sys, Mf, Mc, identity_transfers)
+    u0 = finite_u0(sys)
+    coarse = _node_solver(sys, Qc, dt)
+    sweep = _node_solver(sys, Qf, dt) if sweeper_exact else _euler_sweeper(sys, nodes_f, dt)
+    b = dt * _collocation_sources(sys, dt, n_windows, nodes_f, Qf)
     if reference is None:
         reference = collocation_solve(sys, dt, n_windows, Mf)
 
-    U = np.tile(np.tile(sys.u0, Mf), (n_windows, 1))
+    def phi_f(U):
+        return U - dt * _mix_nodes(Qf, apply_blocks(sys, U))
+
+    def ends(U):
+        return np.vstack([u0, U[-1].T])
+
+    # node blocks (Mf, n, n_windows): U[m, :, w] is node m of window w
+    U = np.broadcast_to(u0[:, None], (Mf, sys.n, n_windows))
     trace = IterationTrace(method="pfasst_two_level")
-    u0_state = np.tile(sys.u0, Mf)
-
-    def endpoint_error(U):
-        ends = np.vstack([sys.u0, U[:, -n:]])
-        return np.abs(ends - reference).max()
-
-    trace.record(error=endpoint_error(U))
-    for k in range(k_max):
-        U_new = np.empty_like(U)
-        prev_new = u0_state
+    trace.record(error=np.abs(ends(U) - reference).max())
+    for _ in range(k_max):
+        starts_old = np.column_stack([u0, U[-1, :, :-1]])
+        U = U + sweep(starts_old + b - phi_f(U))
+        resid = b - phi_f(U)
+        start = u0
         for w in range(n_windows):
-            prev_old = u0_state if w == 0 else U[w - 1]
-            U_new[w] = (
-                ops.B10 @ U[w]
-                + ops.B01 @ (np.tile(prev_new[-n:], Mf) + dt * bvecs[w])
-                + ops.B00 @ (np.tile(prev_old[-n:], Mf) + dt * bvecs[w])
-            )
-            prev_new = U_new[w]
-        U = U_new
-        trace.record(error=endpoint_error(U))
-    ends = np.vstack([sys.u0, U[:, -n:]])
-    return ends, trace
+            U[:, :, w] += Tcf @ coarse(Tfc @ (resid[:, :, w] + start))
+            start = U[-1, :, w]
+        trace.record(error=np.abs(ends(U) - reference).max())
+    return ends(U), trace

@@ -269,10 +269,9 @@ class TestPfasst:
         # each window's endpoint is the last stage of the three-stage
         # Radau IIA step from the previous endpoint; the stages solve the
         # collocation equations built from the tabulated Butcher matrix
+        # (by a dense Kronecker solve), for Dirichlet heat and for periodic
+        # advection-diffusion, whose shifted solves take the Woodbury path
         nx, dt, n_w = 15, 0.05, 8
-        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0))
-        sys.u0[:] = np.sin(np.pi * sys.x)
-        ends = collocation_solve(sys, dt, n_w)
         s = np.sqrt(6.0)
         c = np.array([(4 - s) / 10, (4 + s) / 10, 1.0])
         a = np.array([
@@ -280,15 +279,21 @@ class TestPfasst:
             [(296 + 169 * s) / 1800, (88 + 7 * s) / 360, (-2 - 3 * s) / 225],
             [(16 - s) / 36, (16 + s) / 36, 1 / 9],
         ])
-        A = sys.A.to_dense()
-        assert ends.shape == (n_w + 1, nx)
-        np.testing.assert_array_equal(ends[0], sys.u0)
-        scale = np.abs(ends).max()
-        for w in range(n_w):
-            g = np.concatenate([sys.source((w + cj) * dt) for cj in c])
-            stages = np.linalg.solve(np.eye(3 * nx) - dt * np.kron(a, A),
-                                     np.tile(ends[w], 3) + dt * np.kron(a, np.eye(nx)) @ g)
-            assert np.abs(stages[-nx:] - ends[w + 1]).max() <= 1e-12 * scale
+        for sys in (
+            build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0)),
+            build_advection_diffusion(nx, 1.0 / nx, 0.05, "periodic", source=SourcePulse(100.0)),
+        ):
+            sys.u0[:] = np.sin(np.pi * sys.x)
+            ends = collocation_solve(sys, dt, n_w)
+            A = sys.A.to_dense()
+            assert ends.shape == (n_w + 1, nx)
+            np.testing.assert_array_equal(ends[0], sys.u0)
+            scale = np.abs(ends).max()
+            for w in range(n_w):
+                g = np.concatenate([sys.source((w + cj) * dt) for cj in c])
+                stages = np.linalg.solve(np.eye(3 * nx) - dt * np.kron(a, A),
+                                         np.tile(ends[w], 3) + dt * np.kron(a, np.eye(nx)) @ g)
+                assert np.abs(stages[-nx:] - ends[w + 1]).max() <= 1e-12 * scale
 
     def test_default_reference_is_collocation_solve(self):
         nx, dt, n_w = 15, 0.05, 6
@@ -304,6 +309,83 @@ class TestPfasst:
         sys = build_burgers(8, 1.0 / 8, 0.1, "periodic")
         with pytest.raises(ValueError, match="linear systems"):
             collocation_solve(sys, 0.05, 2)
+
+    @pytest.mark.parametrize("flags", [
+        dict(),
+        dict(Mc=3, identity_transfers=True, sweeper_exact=True),
+        dict(sweeper_exact=True),
+    ])
+    @pytest.mark.parametrize("build", ["heat", "ad_periodic"])
+    def test_iterates_match_dense_block_form(self, flags, build):
+        # k iterations of the matrix-free iteration give the endpoints of
+        # the dense recursion U <- B10 U + B01 rhs_new + B00 rhs_old
+        nx, dt, n_w = 16, 0.05, 5
+        if build == "heat":
+            sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0))
+        else:
+            sys = build_advection_diffusion(nx, 1.0 / nx, 0.05, "periodic",
+                                            source=SourcePulse(100.0))
+        sys.u0[:] = np.sin(np.pi * sys.x)
+        ops = build_pfasst_operators(sys, dt, **flags)
+        QI = np.kron(collocation_matrix(radau_iia_nodes(3)), np.eye(nx))
+        b = [QI @ np.concatenate([sys.source((w + tau) * dt) for tau in radau_iia_nodes(3)])
+             for w in range(n_w)]
+        U = [np.tile(sys.u0, 3)] * n_w
+        for k in range(1, 4):
+            prev_new, U_new = np.tile(sys.u0, 3), []
+            for w in range(n_w):
+                prev_old = np.tile(sys.u0, 3) if w == 0 else U[w - 1]
+                U_new.append(ops.B10 @ U[w]
+                             + ops.B01 @ (np.tile(prev_new[-nx:], 3) + dt * b[w])
+                             + ops.B00 @ (np.tile(prev_old[-nx:], 3) + dt * b[w]))
+                prev_new = U_new[w]
+            U = U_new
+            dense = np.vstack([sys.u0] + [u[-nx:] for u in U])
+            ends, trace = pfasst_two_level(sys, n_w, dt, k_max=k, **flags)
+            assert len(trace.errors) == k + 1
+            assert np.abs(ends - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(dt=0.0), "dt"),
+        (dict(dt=-0.05), "dt"),
+        (dict(dt=float("nan")), "dt"),
+        (dict(n_windows=0), "n_windows"),
+        (dict(k_max=-1), "k_max"),
+    ])
+    def test_pfasst_rejects_bad_parameters(self, kwargs, name):
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        args = dict(n_windows=3, dt=0.05, k_max=1) | kwargs
+        with pytest.raises(ValueError, match=f"need {name} "):
+            pfasst_two_level(sys, **args)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(dt=0.0), "dt"),
+        (dict(dt=-0.05), "dt"),
+        (dict(dt=float("nan")), "dt"),
+        (dict(n_windows=0), "n_windows"),
+    ])
+    def test_collocation_solve_rejects_bad_parameters(self, kwargs, name):
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        args = dict(dt=0.05, n_windows=3) | kwargs
+        with pytest.raises(ValueError, match=f"need {name} "):
+            collocation_solve(sys, **args)
+
+    def test_identity_transfers_need_equal_node_counts(self):
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        with pytest.raises(ValueError, match="Mf == Mc"):
+            pfasst_two_level(sys, 3, 0.05, k_max=1, Mf=3, Mc=2, identity_transfers=True)
+
+    def test_matrix_free(self, monkeypatch):
+        # neither the iteration nor its reference forms a dense operator
+        def no_dense(self):
+            raise AssertionError("dense operator formed")
+
+        monkeypatch.setattr(BandedMatrix, "to_dense", no_dense)
+        sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet", source=SourcePulse(100.0))
+        sys.u0[:] = np.sin(np.pi * sys.x)
+        for flags in (dict(), dict(Mc=3, identity_transfers=True, sweeper_exact=True)):
+            _, trace = pfasst_two_level(sys, 4, 0.05, k_max=2, **flags)
+            assert trace.errors[-1] < trace.errors[0]
 
     def test_operational_cycle_matches_block_matrices(self):
         # one explicit sweep + coarse correction step reproduces the
