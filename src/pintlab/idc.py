@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .integrators import _newton, finite_u0
-from .kernels import apply_blocks
+from .kernels import apply_blocks, dense_of
 from .trace import IterationTrace
 
 
@@ -366,56 +366,41 @@ def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray
     return out
 
 
-@dataclass
-class PfasstOperators:
-    """Dense per-window operators of the two-level block iteration."""
-
-    B10: np.ndarray
-    B01: np.ndarray
-    B00: np.ndarray
-
-
-def _two_level_setup(sys, Mf, Mc, identity_transfers):
-    """(nodes_f, Qf, Qc, Tcf, Tfc) on Radau IIA nodes; with Mf == Mc, as
-    ``identity_transfers`` needs, the transfers are the identity exactly."""
+def _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact):
+    """The block iteration's maps of node blocks (Mf, n) or (Mf, n, k) on
+    Radau IIA nodes: phi_f, the sweeper's phi~^-1 and the coarse correction
+    Tcf phi_c^-1 Tfc (the identity transfers are Mf == Mc)."""
     if not sys.linear:
         raise ValueError("the block iteration is assembled for linear systems")
     if identity_transfers and Mf != Mc:
         raise ValueError("identity transfers need Mf == Mc")
     nodes_f, nodes_c = radau_iia_nodes(Mf), radau_iia_nodes(Mc)
-    return (nodes_f, collocation_matrix(nodes_f), collocation_matrix(nodes_c),
-            lagrange_transfer(nodes_c, nodes_f), lagrange_transfer(nodes_f, nodes_c))
+    Qf = collocation_matrix(nodes_f)
+    Tcf, Tfc = lagrange_transfer(nodes_c, nodes_f), lagrange_transfer(nodes_f, nodes_c)
+    coarse = _node_solver(sys, collocation_matrix(nodes_c), dt)
+    sweep = _node_solver(sys, Qf, dt) if sweeper_exact else _euler_sweeper(sys, nodes_f, dt)
+
+    def phi_f(U):
+        return U - dt * _mix_nodes(Qf, apply_blocks(sys, U))
+
+    def correct(R):
+        return _mix_nodes(Tcf, coarse(_mix_nodes(Tfc, R)))
+
+    return phi_f, sweep, correct
 
 
-def build_pfasst_operators(sys, dt: float, Mf: int = 3, Mc: int = 2,
-                           identity_transfers: bool = False,
-                           sweeper_exact: bool = False) -> PfasstOperators:
-    """Assemble the dense block-iteration matrices for a linear system.
+def dense_pfasst_b10(sys, dt: float, Mf: int = 3, Mc: int = 2, identity_transfers: bool = False,
+                     sweeper_exact: bool = False) -> np.ndarray:
+    """Dense B10: one block iteration on one window with zero right-hand
+    sides, by :func:`kernels.dense_of`.  ``identity_transfers`` with Mf ==
+    Mc and ``sweeper_exact`` is the exact-solve case, B10 = 0."""
+    phi_f, sweep, correct = _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact)
 
-    ``identity_transfers`` with Mf == Mc and ``sweeper_exact`` reproduces
-    the degenerate exact-solve case (B10 = 0).
-    """
-    nodes_f, Qf, Qc, Tcf, Tfc = _two_level_setup(sys, Mf, Mc, identity_transfers)
-    A = sys.A.to_dense()
-    n = A.shape[0]
-    If = np.eye(Mf * n)
-    phi_f = If - dt * np.kron(Qf, A)
-    phi_c = np.eye(Mc * n) - dt * np.kron(Qc, A)
-    Tcf, Tfc = np.kron(Tcf, np.eye(n)), np.kron(Tfc, np.eye(n))
-    if sweeper_exact:
-        phi_tilde = phi_f.copy()
-    else:
-        lower = np.eye(Mf) - np.eye(Mf, k=-1)
-        deltas = np.diff(np.concatenate([[0.0], nodes_f]))
-        phi_tilde = np.kron(lower, np.eye(n)) - dt * np.kron(np.diag(deltas), A)
+    def iteration(U):
+        S = U - sweep(phi_f(U))
+        return S - correct(phi_f(S))
 
-    phi_c_inv_Tfc = np.linalg.solve(phi_c, Tfc)
-    smoother = np.linalg.solve(phi_tilde, phi_f)
-    bracket = If - Tcf @ phi_c_inv_Tfc @ phi_f
-    B10 = bracket @ (If - smoother)
-    B01 = Tcf @ phi_c_inv_Tfc
-    B00 = bracket @ np.linalg.solve(phi_tilde, If)
-    return PfasstOperators(B10=B10, B01=B01, B00=B00)
+    return dense_of(iteration, (Mf, sys.n))
 
 
 def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
@@ -425,10 +410,9 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     """Two-level PFASST block iteration over pipelined windows.
 
     An iteration is the operational form of U_w <- B10 U_w + B01 rhs_new
-    + B00 rhs_old (:func:`build_pfasst_operators`): the fine sweep
-    S_w = U_w + phi~^-1 (rhs_old - phi_f U_w), on all windows at once, then
-    U_w = S_w + T_cf phi_c^-1 T_fc (rhs_new - phi_f S_w), pipelined, one
-    node solve per window.  No (M n)^2 matrix is formed.
+    + B00 rhs_old: the fine sweep S_w = U_w + phi~^-1 (rhs_old - phi_f U_w),
+    on all windows at once, then U_w = S_w + T_cf phi_c^-1 T_fc (rhs_new -
+    phi_f S_w), pipelined, one node solve per window.
 
     Linear systems only.  Returns (endpoint trajectory, trace); the trace
     records the max window-endpoint error per iteration against
@@ -438,16 +422,12 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     _check_windows(dt, n_windows)
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    nodes_f, Qf, Qc, Tcf, Tfc = _two_level_setup(sys, Mf, Mc, identity_transfers)
+    phi_f, sweep, correct = _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact)
     u0 = finite_u0(sys)
-    coarse = _node_solver(sys, Qc, dt)
-    sweep = _node_solver(sys, Qf, dt) if sweeper_exact else _euler_sweeper(sys, nodes_f, dt)
-    b = dt * _collocation_sources(sys, dt, n_windows, nodes_f, Qf)
+    nodes_f = radau_iia_nodes(Mf)
+    b = dt * _collocation_sources(sys, dt, n_windows, nodes_f, collocation_matrix(nodes_f))
     if reference is None:
         reference = collocation_solve(sys, dt, n_windows, Mf)
-
-    def phi_f(U):
-        return U - dt * _mix_nodes(Qf, apply_blocks(sys, U))
 
     def ends(U):
         return np.vstack([u0, U[-1].T])
@@ -462,7 +442,7 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
         resid = b - phi_f(U)
         start = u0
         for w in range(n_windows):
-            U[:, :, w] += Tcf @ coarse(Tfc @ (resid[:, :, w] + start))
+            U[:, :, w] += correct(resid[:, :, w] + start)
             start = U[-1, :, w]
         trace.record(error=np.abs(ends(U) - reference).max())
     return ends(U), trace

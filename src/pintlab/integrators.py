@@ -330,8 +330,8 @@ class AllAtOnce:
 
     def apply(self, U):
         out = np.empty_like(U)
-        out[:] = self.r1(U.T).T
-        out[1:] -= self.r2(U[:-1].T).T
+        out[:] = self.r1(U.swapaxes(0, 1)).swapaxes(0, 1)
+        out[1:] -= self.r2(U[:-1].swapaxes(0, 1)).swapaxes(0, 1)
         return out
 
     def rhs(self):

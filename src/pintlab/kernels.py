@@ -259,6 +259,14 @@ def apply_blocks(A: BandedMatrix, X: np.ndarray) -> np.ndarray:
     return A.matvec(X.swapaxes(0, 1)).swapaxes(0, 1)
 
 
+def dense_of(apply, shape) -> np.ndarray:
+    """Dense (N, N) matrix, N = prod(shape), of the linear map ``apply`` on
+    arrays of ``shape``: one application to the identity block, of shape
+    ``shape + (N,)``, in the C order of ``shape``."""
+    N = int(np.prod(shape))
+    return apply(np.eye(N).reshape(tuple(shape) + (N,))).reshape(N, N)
+
+
 def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*A) x = rhs for scalars ``shift = (a, b)``.
 

@@ -29,6 +29,7 @@ from .kernels import (
     BandedMatrix,
     ConvergenceError,
     SingularSystemError,
+    dense_of,
     dft,
     gmres,
     idft,
@@ -505,10 +506,8 @@ class AlphaCirculantFactorization:
     """Spectral factorization C = V D V^-1 of an alpha-circulant matrix,
     V = Lambda_alpha F* with Lambda_alpha = diag(alpha^(-j/n))."""
 
-    alpha: float
-    n: int
     eigenvalues: np.ndarray
-    _lam_scale: np.ndarray = field(repr=False, default=None)
+    _lam_scale: np.ndarray = field(repr=False)
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """Apply V^-1 = F Lambda^-1 along axis 0."""
@@ -527,10 +526,6 @@ class AlphaCirculantFactorization:
         Ra = self.to_eigenbasis(R.astype(complex))
         return self.from_eigenbasis(plan.solve(Ra))
 
-    def reconstruct(self) -> np.ndarray:
-        V = np.diag(1.0 / self._lam_scale).astype(complex) @ idft(np.eye(self.n))
-        return V @ np.diag(self.eigenvalues) @ np.linalg.inv(V)
-
 
 def alpha_circulant_factor(first_column: np.ndarray, alpha: float) -> AlphaCirculantFactorization:
     """Factor the alpha-circulant matrix with the given first column.
@@ -544,19 +539,7 @@ def alpha_circulant_factor(first_column: np.ndarray, alpha: float) -> AlphaCircu
     n = c1.shape[0]
     lam_scale = alpha ** (np.arange(n) / n)  # Lambda_alpha^{-1} entries
     eig = np.fft.ifft(c1 * lam_scale, norm="forward")
-    return AlphaCirculantFactorization(alpha=alpha, n=n, eigenvalues=eig, _lam_scale=lam_scale)
-
-
-def alpha_circulant_dense(first_column: np.ndarray, alpha: float) -> np.ndarray:
-    """Dense alpha-circulant matrix (wrap-around entries scaled by alpha)."""
-    c1 = np.asarray(first_column, dtype=float)
-    n = c1.shape[0]
-    C = np.zeros((n, n))
-    for j in range(n):
-        col = np.roll(c1, j)
-        col[:j] *= alpha
-        C[:, j] = col
-    return C
+    return AlphaCirculantFactorization(eigenvalues=eig, _lam_scale=lam_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +577,19 @@ class _SecondOrderAllAtOnce:
     gamma: float
     dt: float
     n_t: int
-    u1: np.ndarray = None
 
     def __post_init__(self):
         self.r1, self.r2 = numerov_matrices(self.sys, self.gamma, self.dt)
-        if self.u1 is None:
-            self.u1 = numerov_bootstrap(self.sys, self.dt)
+        self.u1 = numerov_bootstrap(self.sys, self.dt)
 
     def _apply_poly(self, coeffs, u):
         return apply_poly(self.sys.A, coeffs, u)
 
     def apply(self, U):
-        # rows r1 U[n] - r2 U[n-1] + r1 U[n-2], each polynomial applied once
-        r1U = self._apply_poly(self.r1, U.T).T
+        # rows r1 U[n] - r2 U[n-1] + r1 U[n-2] of (n_t, n) or (n_t, n, k)
+        r1U = self._apply_poly(self.r1, U.swapaxes(0, 1)).swapaxes(0, 1)
         out = r1U.copy()
-        out[1:] -= self._apply_poly(self.r2, U[:-1].T).T
+        out[1:] -= self._apply_poly(self.r2, U[:-1].swapaxes(0, 1)).swapaxes(0, 1)
         out[2:] += r1U[:-2]
         return out
 
@@ -636,27 +617,47 @@ class _SecondOrderAllAtOnce:
             c_b[1] = 1.0
         return c_tilde, c_b
 
-    def solve_block(self, d1, d2, rhs):
-        """Solve (d1*r1 - d2*r2) x = rhs (quadratic polynomial in A)."""
-        coeffs = tuple(d1 * a - d2 * b for a, b in zip(self.r1, self.r2))
-        return solve_poly_in_matrix(self.sys.A, coeffs, rhs)
-
     def precond_solve(self, fac_tilde, fac_B, R):
+        # one (d1*r1 - d2*r2) x = rhs, a quadratic in A, per eigenvalue pair
         Ra = fac_tilde.to_eigenbasis(R.astype(complex))
         Rb = np.empty_like(Ra)
-        for n in range(self.n_t):
-            Rb[n] = self.solve_block(fac_tilde.eigenvalues[n], fac_B.eigenvalues[n], Ra[n])
+        for n, (d1, d2) in enumerate(zip(fac_tilde.eigenvalues, fac_B.eigenvalues)):
+            coeffs = tuple(d1 * a - d2 * b for a, b in zip(self.r1, self.r2))
+            Rb[n] = solve_poly_in_matrix(self.sys.A, coeffs, Ra[n])
         return fac_tilde.from_eigenbasis(Rb)
 
     def sequential_solve(self):
         return numerov_solve(self.sys, self.gamma, self.dt, self.n_t, self.u1)[1:]
 
 
-def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0, u1=None):
+def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0):
     """Assemble the all-at-once operator for paradiag2_solve and tests."""
     if getattr(sys, "order", "first") == "second":
-        return _SecondOrderAllAtOnce(sys, gamma, dt, n_t, u1=u1)
+        return _SecondOrderAllAtOnce(sys, gamma, dt, n_t)
     return _FirstOrderAllAtOnce(sys, named_theta(integrator), dt, n_t)
+
+
+def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
+    """(op, b, fac_a, fac_b): the all-at-once operator, its right-hand side
+    and the alpha-circulant factorizations of its two time matrices."""
+    op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
+    b = op.rhs()
+    try:
+        fac_a, fac_b = (alpha_circulant_factor(c, alpha) for c in op.first_columns())
+        op.precond_solve(fac_a, fac_b, b)  # fail fast on singular blocks
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            f"alpha={alpha} preconditioner is singular for this operator") from exc
+    return op, b, fac_a, fac_b
+
+
+def dense_preconditioned_operator(sys, integrator: str, alpha: float, dt: float, n_t: int,
+                                  gamma: float = 1.0 / 120.0) -> np.ndarray:
+    """Dense P_alpha^-1 K from the operator's own ``apply`` and
+    ``precond_solve`` (:func:`kernels.dense_of`), for spectral checks."""
+    op, _, fac_a, fac_b = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
+    return dense_of(lambda X: op.precond_solve(fac_a, fac_b, op.apply(X)).real,
+                    (n_t, sys.n))
 
 
 def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
@@ -672,17 +673,13 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     or the direct form that rebuilds the head-tail right-hand side each
     sweep.  Returns (trajectory including initial row, trace).
     """
-    op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
-    b = op.rhs()
-    cols = op.first_columns()
-    try:
-        fac_a = alpha_circulant_factor(cols[0], alpha)
-        fac_b = alpha_circulant_factor(cols[1], alpha)
-        op.precond_solve(fac_a, fac_b, b)  # fail fast on singular blocks
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"alpha={alpha} preconditioner is singular for this operator"
-        ) from exc
+    if mode not in ("stationary", "gmres"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if implementation not in ("increment", "direct"):
+        raise ValueError(f"unknown implementation {implementation!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"need max_iter >= 0, got {max_iter}")
+    op, b, fac_a, fac_b = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
 
     trace = IterationTrace(method=f"paradiag2_{mode}")
     n = b.shape[1]
@@ -696,7 +693,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
         U = x.reshape(n_t, n).real
         for r in hist:
             trace.record(residual=r)
-    elif mode == "stationary":
+    else:
         U = np.zeros_like(b) if u_init is None else u_init.copy()
         bnorm = max(np.abs(b).max(), 1e-300)
         for _ in range(max_iter):
@@ -704,19 +701,15 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
                 r = b - op.apply(U)
                 U = U + op.precond_solve(fac_a, fac_b, r).real
                 resid = np.abs(r).max()
-            elif implementation == "direct":
+            else:
                 bk = (_precond_minus_K_apply(op, fac_a, fac_b, U, alpha) + b)
                 U = op.precond_solve(fac_a, fac_b, bk).real
                 resid = np.abs(b - op.apply(U)).max()
-            else:
-                raise ValueError(f"unknown implementation {implementation!r}")
             err = None if reference is None else np.abs(U - reference).max()
             trace.record(error=err if err is not None else resid / bnorm,
                          residual=resid / bnorm)
             if resid / bnorm <= tol:
                 break
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     return np.vstack([sys.u0, U]), trace
 
@@ -731,31 +724,3 @@ def _precond_minus_K_apply(op, fac_a, fac_b, U, alpha):
     out[0] = alpha * (op._apply_poly(op.r1, U[-2]) - op._apply_poly(op.r2, U[-1]))
     out[1] = alpha * op._apply_poly(op.r1, U[-1])
     return out
-
-
-def dense_paradiag2_operators(sys, integrator: str, alpha: float, dt: float, n_t: int,
-                              gamma: float = 1.0 / 120.0):
-    """Dense (K, P_alpha) for desk-scale spectral checks."""
-    op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
-    n = sys.n
-    if isinstance(op, _FirstOrderAllAtOnce):
-        A = sys.A.to_dense()
-        r1 = np.eye(n) - op.theta * dt * A
-        r2 = np.eye(n) + (1 - op.theta) * dt * A
-        Bshift = np.eye(n_t, k=-1)
-        K = np.kron(np.eye(n_t), r1) - np.kron(Bshift, r2)
-        C = alpha_circulant_dense(op.first_columns()[1], alpha)
-        P = np.kron(np.eye(n_t), r1) - np.kron(C, r2)
-        return K, P
-    A = sys.A.to_dense()
-    Z = dt**2 * A
-    r1 = np.eye(n) - Z / 12.0 + 10.0 * gamma / 12.0 * (Z @ Z)
-    r2 = 2.0 * np.eye(n) + 10.0 / 12.0 * Z + 20.0 * gamma / 12.0 * (Z @ Z)
-    Btilde = np.eye(n_t) + np.eye(n_t, k=-2)
-    Bshift = np.eye(n_t, k=-1)
-    K = np.kron(Btilde, r1) - np.kron(Bshift, r2)
-    ct, cb = op.first_columns()
-    P = np.kron(alpha_circulant_dense(ct, alpha), r1) - np.kron(
-        alpha_circulant_dense(cb, alpha), r2
-    )
-    return K, P

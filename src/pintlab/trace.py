@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
@@ -13,17 +12,14 @@ class IterationTrace:
     method: str
     errors: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
     fine_solves: int = 0
     meta: dict = field(default_factory=dict)
-    _t0: float = field(default_factory=time.perf_counter, repr=False)
 
     def record(self, error=None, residual=None, fine_solves=0):
         if error is not None:
             self.errors.append(float(error))
         if residual is not None:
             self.residuals.append(float(residual))
-        self.wall_times.append(time.perf_counter() - self._t0)
         self.fine_solves += fine_solves
 
     @property

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -51,6 +52,18 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "swr-ad-iterations" in out and "C9" in out
+
+    def test_list_into_closed_pipe_exits_1_quietly(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out, err = os.fdopen(write_end, "w"), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        try:
+            assert main(["list"]) == 1
+        finally:
+            out.close()  # the unflushed rest goes to devnull
+        assert err.getvalue() == ""
 
     def test_run_writes_csv(self, tmp_path, capsys):
         code = main(["run", "idc-order-lift", "--out", str(tmp_path)])

@@ -4,9 +4,9 @@ import pytest
 from pintlab.idc import (
     QuadratureRule,
     SweepState,
-    build_pfasst_operators,
     collocation_matrix,
     collocation_solve,
+    dense_pfasst_b10,
     idc_run,
     idc_sweep,
     idc_weights,
@@ -41,6 +41,31 @@ def sdirk23_trajectory(sys, T, n_steps):
     """SDIRK23 at every step: fine_sequential on a grid of one step per window."""
     prop = Propagator(sdirk23(), dt=T / n_steps, steps=1)
     return fine_sequential(TimeGrid.uniform(T, n_steps, 1), prop, sys, 1e-12)
+
+
+def dense_block_form(sys, dt, Mf=3, Mc=2, identity_transfers=False, sweeper_exact=False):
+    """Reference: the block iteration's per-window matrices (B10, B01, B00),
+    assembled densely by Kronecker products and dense solves."""
+    nodes_f, nodes_c = radau_iia_nodes(Mf), radau_iia_nodes(Mc)
+    A = sys.A.to_dense()
+    n = A.shape[0]
+    If = np.eye(Mf * n)
+    phi_f = If - dt * np.kron(collocation_matrix(nodes_f), A)
+    phi_c = np.eye(Mc * n) - dt * np.kron(collocation_matrix(nodes_c), A)
+    Tcf = np.kron(lagrange_transfer(nodes_c, nodes_f), np.eye(n))
+    Tfc = np.kron(lagrange_transfer(nodes_f, nodes_c), np.eye(n))
+    if sweeper_exact:
+        phi_tilde = phi_f.copy()
+    else:
+        lower = np.eye(Mf) - np.eye(Mf, k=-1)
+        deltas = np.diff(np.concatenate([[0.0], nodes_f]))
+        phi_tilde = np.kron(lower, np.eye(n)) - dt * np.kron(np.diag(deltas), A)
+    phi_c_inv_Tfc = np.linalg.solve(phi_c, Tfc)
+    bracket = If - Tcf @ phi_c_inv_Tfc @ phi_f
+    B10 = bracket @ (If - np.linalg.solve(phi_tilde, phi_f))
+    B01 = Tcf @ phi_c_inv_Tfc
+    B00 = bracket @ np.linalg.solve(phi_tilde, If)
+    return B10, B01, B00
 
 
 class TestQuadWeights:
@@ -258,9 +283,9 @@ class TestPfasst:
         nx = 16
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
-        ops = build_pfasst_operators(sys, 0.05, Mf=3, Mc=3,
-                                     identity_transfers=True, sweeper_exact=True)
-        assert np.abs(ops.B10).max() <= 1e-10
+        B10 = dense_pfasst_b10(sys, 0.05, Mf=3, Mc=3,
+                               identity_transfers=True, sweeper_exact=True)
+        assert np.abs(B10).max() <= 1e-10
         ends, trace = pfasst_two_level(sys, 6, 0.05, k_max=1, Mf=3, Mc=3,
                                        identity_transfers=True, sweeper_exact=True)
         assert trace.errors[1] <= 1e-10
@@ -318,7 +343,8 @@ class TestPfasst:
     @pytest.mark.parametrize("build", ["heat", "ad_periodic"])
     def test_iterates_match_dense_block_form(self, flags, build):
         # k iterations of the matrix-free iteration give the endpoints of
-        # the dense recursion U <- B10 U + B01 rhs_new + B00 rhs_old
+        # the dense recursion U <- B10 U + B01 rhs_new + B00 rhs_old, and
+        # dense_pfasst_b10 gives its B10
         nx, dt, n_w = 16, 0.05, 5
         if build == "heat":
             sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet", source=SourcePulse(100.0))
@@ -326,7 +352,9 @@ class TestPfasst:
             sys = build_advection_diffusion(nx, 1.0 / nx, 0.05, "periodic",
                                             source=SourcePulse(100.0))
         sys.u0[:] = np.sin(np.pi * sys.x)
-        ops = build_pfasst_operators(sys, dt, **flags)
+        B10, B01, B00 = dense_block_form(sys, dt, **flags)
+        np.testing.assert_allclose(dense_pfasst_b10(sys, dt, **flags), B10,
+                                   rtol=0, atol=1e-12 * max(np.abs(B10).max(), 1.0))
         QI = np.kron(collocation_matrix(radau_iia_nodes(3)), np.eye(nx))
         b = [QI @ np.concatenate([sys.source((w + tau) * dt) for tau in radau_iia_nodes(3)])
              for w in range(n_w)]
@@ -335,9 +363,9 @@ class TestPfasst:
             prev_new, U_new = np.tile(sys.u0, 3), []
             for w in range(n_w):
                 prev_old = np.tile(sys.u0, 3) if w == 0 else U[w - 1]
-                U_new.append(ops.B10 @ U[w]
-                             + ops.B01 @ (np.tile(prev_new[-nx:], 3) + dt * b[w])
-                             + ops.B00 @ (np.tile(prev_old[-nx:], 3) + dt * b[w]))
+                U_new.append(B10 @ U[w]
+                             + B01 @ (np.tile(prev_new[-nx:], 3) + dt * b[w])
+                             + B00 @ (np.tile(prev_old[-nx:], 3) + dt * b[w]))
                 prev_new = U_new[w]
             U = U_new
             dense = np.vstack([sys.u0] + [u[-nx:] for u in U])
@@ -376,7 +404,7 @@ class TestPfasst:
             pfasst_two_level(sys, 3, 0.05, k_max=1, Mf=3, Mc=2, identity_transfers=True)
 
     def test_matrix_free(self, monkeypatch):
-        # neither the iteration nor its reference forms a dense operator
+        # neither the iteration, its reference nor B10 forms a dense operator
         def no_dense(self):
             raise AssertionError("dense operator formed")
 
@@ -386,6 +414,7 @@ class TestPfasst:
         for flags in (dict(), dict(Mc=3, identity_transfers=True, sweeper_exact=True)):
             _, trace = pfasst_two_level(sys, 4, 0.05, k_max=2, **flags)
             assert trace.errors[-1] < trace.errors[0]
+            assert dense_pfasst_b10(sys, 0.05, **flags).shape == (3 * sys.n, 3 * sys.n)
 
     def test_operational_cycle_matches_block_matrices(self):
         # one explicit sweep + coarse correction step reproduces the
@@ -418,8 +447,8 @@ class TestPfasst:
         u_sweep = u_old + np.linalg.solve(phi_t, rhs_old - phi_f @ u_old)
         resid = rhs_new - phi_f @ u_sweep
         u_new = u_sweep + Tcf @ np.linalg.solve(phi_c, Tfc @ resid)
-        ops = build_pfasst_operators(sys, dt)
-        u_mat = ops.B10 @ u_old + ops.B01 @ rhs_new + ops.B00 @ rhs_old
+        B10, B01, B00 = dense_block_form(sys, dt)
+        u_mat = B10 @ u_old + B01 @ rhs_new + B00 @ rhs_old
         np.testing.assert_allclose(u_new, u_mat, atol=1e-10)
 
     def test_heat_monotone_decay_to_discretization_level(self):

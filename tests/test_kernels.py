@@ -12,6 +12,8 @@ from pintlab.kernels import (
     ShiftPlan,
     SingularSystemError,
     StackedTridiagonalLU,
+    apply_blocks,
+    dense_of,
     dft,
     expm_action,
     gmres,
@@ -930,3 +932,14 @@ class TestGmres:
         b = rng.standard_normal(20)
         x, hist = gmres(lambda u: M @ u, b, apply_right_prec=lambda u: np.linalg.solve(P, u))
         np.testing.assert_allclose(M @ x, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_dense_of(periodic):
+    rng = np.random.default_rng(17)
+    A = random_banded(rng, 7, periodic=periodic)
+    # one pass on the identity block equals the loop over unit arrays
+    units = np.eye(3 * 7).reshape(3 * 7, 3, 7)
+    loop = np.column_stack([apply_blocks(A, e).ravel() for e in units])
+    assert dense_of(lambda X: apply_blocks(A, X), (3, 7)).tobytes() == loop.tobytes()
+    np.testing.assert_array_equal(dense_of(A.matvec, (7,)), A.to_dense())

@@ -3,7 +3,7 @@ import pytest
 
 import pintlab.paradiag as paradiag_module
 from pintlab.integrators import named_theta
-from pintlab.kernels import ConvergenceError, SingularSystemError, solve_shifted_banded
+from pintlab.kernels import ConvergenceError, SingularSystemError, dense_of, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
     SemiDiscreteSystem,
@@ -14,13 +14,12 @@ from pintlab.models import (
 )
 from pintlab.paradiag import (
     GeometricTimeMesh,
-    alpha_circulant_dense,
     alpha_circulant_factor,
     banded_frobenius_inner,
     be_time_matrix,
     bvm_time_matrix,
     circulant_quasi_newton,
-    dense_paradiag2_operators,
+    dense_preconditioned_operator,
     geometric_eigenvectors_be,
     geometric_eigenvectors_tr,
     make_all_at_once,
@@ -49,6 +48,50 @@ def wave_sine(nx=20, c2=1.0, bc="dirichlet"):
     sys = build_wave(nx, dx, np.sqrt(c2), bc)
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     return sys
+
+
+def alpha_circulant_dense(first_column, alpha):
+    """Reference: the dense alpha-circulant matrix (wrap-around entries
+    scaled by alpha)."""
+    c1 = np.asarray(first_column, dtype=float)
+    n = c1.shape[0]
+    C = np.zeros((n, n))
+    for j in range(n):
+        col = np.roll(c1, j)
+        col[:j] *= alpha
+        C[:, j] = col
+    return C
+
+
+def circulant_of(fac):
+    """V D V^-1 of an alpha-circulant factorization, by its own transforms."""
+    return dense_of(lambda X: fac.from_eigenbasis(fac.eigenvalues[:, None] * fac.to_eigenbasis(X)),
+                    fac.eigenvalues.shape)
+
+
+def kron_operators(sys, integrator, alpha, dt, n_t, gamma=1.0 / 120.0):
+    """Reference: dense (K, P_alpha) assembled by Kronecker products from
+    the theta pair or the Numerov pair written out in A."""
+    n = sys.n
+    A = sys.A.to_dense()
+    if integrator == "numerov":
+        Z = dt**2 * A
+        r1 = np.eye(n) - Z / 12.0 + 10.0 * gamma / 12.0 * (Z @ Z)
+        r2 = 2.0 * np.eye(n) + 10.0 / 12.0 * Z + 20.0 * gamma / 12.0 * (Z @ Z)
+        c_tilde = np.zeros(n_t)
+        c_tilde[[0, 2]] = 1.0
+    else:
+        theta = named_theta(integrator)
+        r1 = np.eye(n) - theta * dt * A
+        r2 = np.eye(n) + (1 - theta) * dt * A
+        c_tilde = np.eye(n_t)[0]
+    c_b = np.eye(n_t)[1]
+    # alpha = 0 drops the wrap-around: the Toeplitz time matrices of K
+    K = (np.kron(alpha_circulant_dense(c_tilde, 0.0), r1)
+         - np.kron(alpha_circulant_dense(c_b, 0.0), r2))
+    P = (np.kron(alpha_circulant_dense(c_tilde, alpha), r1)
+         - np.kron(alpha_circulant_dense(c_b, alpha), r2))
+    return K, P
 
 
 class TestGeometricMesh:
@@ -352,7 +395,7 @@ class TestAlphaCirculant:
         for alpha in (1.0, 0.3, 0.05):
             fac = alpha_circulant_factor(c, alpha)
             dense = alpha_circulant_dense(c, alpha)
-            np.testing.assert_allclose(fac.reconstruct(), dense, atol=1e-9 / alpha)
+            np.testing.assert_allclose(circulant_of(fac), dense, atol=1e-9 / alpha)
 
     def test_reconstruction_error_grows_like_eps_over_alpha(self):
         rng = np.random.default_rng(5)
@@ -361,7 +404,7 @@ class TestAlphaCirculant:
         for alpha in (1e-1, 1e-3, 1e-5):
             fac = alpha_circulant_factor(c, alpha)
             dense = alpha_circulant_dense(c, alpha)
-            errs.append(np.abs(fac.reconstruct() - dense).max())
+            errs.append(np.abs(circulant_of(fac) - dense).max())
         r1 = errs[1] / errs[0]
         r2 = errs[2] / errs[1]
         # each alpha drop of 100x should scale the error by ~100x (within 10x)
@@ -412,16 +455,30 @@ class TestParaDiag2:
             n_t = 16
             dt = T / n_t
             sys = wave_sine(nx=7)
-            K, P = dense_paradiag2_operators(sys, "numerov", 0.02, dt, n_t)
-            M = np.eye(K.shape[0]) - np.linalg.solve(P, K)
+            PK = dense_preconditioned_operator(sys, "numerov", 0.02, dt, n_t)
+            M = np.eye(PK.shape[0]) - PK
             lam = np.linalg.eigvals(M)
             assert np.abs(lam).max() <= 0.02 / 0.98 + 1e-8
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("integrator", ["backward_euler", "trapezoidal", "numerov"])
+    def test_dense_operators_match_kron_assembly(self, integrator, bc):
+        # dense_of of the solver's own maps against the Kronecker build
+        sys = wave_sine(nx=8, bc=bc) if integrator == "numerov" else heat_sine(nx=8, bc=bc)
+        n_t, dt, alpha = 12, 0.05, 0.1
+        K, P = kron_operators(sys, integrator, alpha, dt, n_t)
+        op = make_all_at_once(sys, integrator, dt, n_t)
+        np.testing.assert_allclose(dense_of(op.apply, (n_t, sys.n)), K,
+                                   rtol=0, atol=1e-14 * np.abs(K).max())
+        PK = np.linalg.solve(P, K)
+        np.testing.assert_allclose(dense_preconditioned_operator(sys, integrator, alpha, dt, n_t),
+                                   PK, rtol=0, atol=1e-12 * np.abs(PK).max())
 
     def test_alpha1_clustering_symmetric_negative_definite(self):
         sys = heat_sine(nx=6)
         n_t, dt = 8, 0.05
-        K, P = dense_paradiag2_operators(sys, "backward_euler", 1.0, dt, n_t)
-        lam = np.linalg.eigvals(np.linalg.solve(P, K))
+        lam = np.linalg.eigvals(
+            dense_preconditioned_operator(sys, "backward_euler", 1.0, dt, n_t))
         n_off = int(np.sum(np.abs(lam - 1.0) > 1e-8))
         assert n_off <= 6
 
@@ -435,13 +492,13 @@ class TestParaDiag2:
         ]
         for integ in ("backward_euler", "trapezoidal"):
             for sys in systems:
-                K, P = dense_paradiag2_operators(sys, integ, alpha, dt, n_t)
-                M = np.eye(K.shape[0]) - np.linalg.solve(P, K)
+                PK = dense_preconditioned_operator(sys, integ, alpha, dt, n_t)
+                M = np.eye(PK.shape[0]) - PK
                 assert np.abs(np.linalg.eigvals(M)).max() <= alpha / (1 - alpha) + 1e-8
         # wave with the Numerov pair
         sysw = wave_sine(nx=8)
-        K, P = dense_paradiag2_operators(sysw, "numerov", alpha, 0.05, n_t)
-        M = np.eye(K.shape[0]) - np.linalg.solve(P, K)
+        PK = dense_preconditioned_operator(sysw, "numerov", alpha, 0.05, n_t)
+        M = np.eye(PK.shape[0]) - PK
         assert np.abs(np.linalg.eigvals(M)).max() <= alpha / (1 - alpha) + 1e-8
 
     def test_increment_vs_direct_roundoff_gap(self):
@@ -763,6 +820,20 @@ class TestEntryValidation:
         integrator = "backward_euler" if order == "first" else "numerov"
         with pytest.raises(ValueError, match="u0"):
             paradiag2_solve(sys, integrator, 0.1, 0.02, 8)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(mode="bogus"), "mode"),
+        (dict(mode="gmres", implementation="bogus"), "implementation"),
+        (dict(implementation="bogus", max_iter=0), "implementation"),
+        (dict(max_iter=-3), "max_iter"),
+    ])
+    def test_bad_solver_parameters_rejected_first(self, monkeypatch, kwargs, name):
+        def no_operator(*args, **kw):
+            raise AssertionError("operator built before the parameters were checked")
+
+        monkeypatch.setattr(paradiag_module, "make_all_at_once", no_operator)
+        with pytest.raises(ValueError, match=name):
+            paradiag2_solve(heat_sine(nx=8), "backward_euler", 0.1, 0.02, 8, **kwargs)
 
 
 @pytest.mark.parametrize("jac_mode, weights, per_iteration", [
