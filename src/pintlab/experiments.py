@@ -204,15 +204,13 @@ def run_paradiag2_contraction(seed=0):
     heat.u0[:] = np.sin(np.pi * heat.x)
     wave = build_wave(8, 1.0 / 9, 1.0, "dirichlet")
     wave.u0[:] = np.sin(2 * np.pi * wave.x)
+    ref = paradiag.make_all_at_once(heat, "trapezoidal", 0.02, 16).sequential_solve()
+    refw = paradiag.make_all_at_once(wave, "numerov", 0.05, 16).sequential_solve()
     for alpha in (0.05, 0.1, 0.2):
         bound = alpha / (1 - alpha)
-        op = paradiag.make_all_at_once(heat, "trapezoidal", 0.02, 16)
-        ref = op.sequential_solve()
         _, tr = paradiag.paradiag2_solve(heat, "trapezoidal", alpha, 0.02, 16,
                                          reference=ref, tol=1e-13, max_iter=25)
         f_heat = tr.contraction_factors(floor=1e-12, skip=1)
-        opw = paradiag.make_all_at_once(wave, "numerov", 0.05, 16)
-        refw = opw.sequential_solve()
         _, trw = paradiag.paradiag2_solve(wave, "numerov", alpha, 0.05, 16,
                                           reference=refw, tol=1e-13, max_iter=40)
         f_wave = trw.contraction_factors(floor=1e-12, skip=1)

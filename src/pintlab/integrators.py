@@ -4,9 +4,10 @@ One-step methods (backward Euler, trapezoidal, theta, SDIRK22, SDIRK23 and
 the exact exponential) step first-order systems; the parametrized
 Numerov-type method steps second-order systems directly.  ``Propagator``
 bundles a method with a step size and step count and is the building block
-every shooting-type method composes.  ``AllAtOnce`` is the space-time
-operator of a theta method, the system that space-time multigrid and
-ParaDiag II both solve.
+every shooting-type method composes.  ``AllAtOnce``, the all-at-once
+operator K = T(c1) (x) r1(tau A) - T(c2) (x) r2(tau A) given by its data,
+is the theta system that space-time multigrid and ParaDiag II both solve;
+``NumerovAllAtOnce`` puts the Numerov pair in the same form.
 """
 
 from __future__ import annotations
@@ -81,20 +82,6 @@ def named_theta(name: str) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class TwoStepSecondOrderMethod:
-    name: str
-    gamma: Optional[float] = None
-
-
-def numerov(gamma: float) -> TwoStepSecondOrderMethod:
-    return TwoStepSecondOrderMethod("numerov", gamma=gamma)
-
-
-def trapezoidal_wave() -> TwoStepSecondOrderMethod:
-    return TwoStepSecondOrderMethod("trapezoidal_wave")
-
-
 def stability(method: OneStepMethod, z):
     """Stability function R(z); accepts scalars or arrays."""
     z = np.asarray(z)
@@ -122,7 +109,6 @@ def nominal_order(method) -> int:
         "theta": 2,
         "sdirk22": 2,
         "sdirk23": 3,
-        "numerov": 4,
     }[method.name]
 
 
@@ -132,7 +118,6 @@ class TimeGrid:
 
     boundaries: np.ndarray
     J: int
-    mu: Optional[float] = None
 
     @classmethod
     def uniform(cls, T: float, n_windows: int, J: int) -> "TimeGrid":
@@ -312,26 +297,51 @@ def finite_u0(sys) -> np.ndarray:
     return u0
 
 
+def _unit_column(nt: int, *rows: int) -> np.ndarray:
+    """First column of an nt x nt time matrix: ones at ``rows`` below nt."""
+    return sum(np.eye(1, nt, r)[0] for r in rows)
+
+
 class AllAtOnce:
-    """K = I_t (x) r1 - B_shift (x) r2 for a theta method on u' = A u + g."""
+    """K = T(c1) (x) r1(tau A) - T(c2) (x) r2(tau A), T(c) the lower Toeplitz
+    time matrix with first column c in ``time_columns`` and r1, r2 the
+    coefficient tuples in tau A of ``polys``.  This class is the theta
+    method on u' = A u + g (c1 = e0, c2 = e1, tau = dt), the system that
+    space-time multigrid and ParaDiag II both solve."""
 
     def __init__(self, sys: SemiDiscreteSystem, theta: float, dt: float, nt: int):
-        self.sys = sys
-        self.theta = theta
-        self.dt = dt
-        self.nt = nt
+        self.sys, self.theta, self.dt, self.nt, self.tau = sys, theta, dt, nt, dt
+        self.time_columns = (_unit_column(nt, 0), _unit_column(nt, 1))
+        self.polys = ((1.0, -theta), (1.0, 1.0 - theta))
         self.r1_plan = sys.A.shift_plan(1.0, theta * dt)
 
+    def poly(self, coeffs, u):
+        """r(tau A) u along axis 0 of ``u``, coefficient j scaled by tau^j."""
+        return apply_poly(self.sys.A, tuple(c * self.tau**j for j, c in enumerate(coeffs)), u)
+
     def r1(self, u):
-        return u - self.theta * self.dt * self.sys.A.matvec(u)
+        return self.poly(self.polys[0], u)
 
     def r2(self, u):
-        return u + (1.0 - self.theta) * self.dt * self.sys.A.matvec(u)
+        return self.poly(self.polys[1], u)
+
+    def lag_terms(self):
+        """(lag, coefficient, polynomial) for each nonzero time-matrix entry,
+        the T(c1) term before the minus-signed T(c2) term at each lag."""
+        return [(lag, sign * col[lag], coeffs)
+                for lag in range(self.nt)
+                for sign, col, coeffs in zip((1.0, -1.0), self.time_columns, self.polys)
+                if col[lag] != 0.0]
+
+    def time_rows_poly(self, coeffs, U):
+        """r(tau A) applied to each time row of a (m, n) or (m, n, k) block."""
+        return self.poly(coeffs, U.swapaxes(0, 1)).swapaxes(0, 1)
 
     def apply(self, U):
-        out = np.empty_like(U)
-        out[:] = self.r1(U.swapaxes(0, 1)).swapaxes(0, 1)
-        out[1:] -= self.r2(U[:-1].swapaxes(0, 1)).swapaxes(0, 1)
+        """K U for (nt, n) or (nt, n, k) blocks, one time lag at a time."""
+        out = np.full_like(U, -0.0)  # -0.0 + x == x bit for bit, zeros included
+        for lag, c, coeffs in self.lag_terms():
+            out[lag:] += c * self.time_rows_poly(coeffs, U[:self.nt - lag])
         return out
 
     def rhs(self):
@@ -357,6 +367,9 @@ class AllAtOnce:
             prev = self.r1_plan.solve(r)
             U[n] = prev
         return U
+
+    def sequential_solve(self):
+        return self.forward_substitution(self.rhs())
 
 
 def numerov_matrices(sys: SemiDiscreteSystem, gamma: float, dt: float):
@@ -416,3 +429,29 @@ def numerov_solve(sys: SemiDiscreteSystem, gamma: float, dt: float, n_steps: int
     for n in range(1, n_steps):
         out[n + 1] = numerov_step(sys, gamma, dt, out[n - 1], out[n], t_curr=n * dt)
     return out
+
+
+class NumerovAllAtOnce(AllAtOnce):
+    """The Numerov pair on u'' = A u + g: K = T(e0 + e2) (x) r1 - T(e1) (x) r2,
+    tau = 1 as :func:`numerov_matrices` carries the powers of dt.  Only its
+    right-hand side and sequential solve differ from the theta operator's."""
+
+    def __init__(self, sys: SemiDiscreteSystem, gamma: float, dt: float, nt: int):
+        self.sys, self.gamma, self.dt, self.nt, self.tau = sys, gamma, dt, nt, 1.0
+        self.time_columns = (_unit_column(nt, 0, 2), _unit_column(nt, 1))
+        self.polys = numerov_matrices(sys, gamma, dt)
+        self.u1 = numerov_bootstrap(sys, dt)
+
+    def rhs(self):
+        b = np.zeros((self.nt, self.sys.n))
+        b[0] = self.r1(self.u1)
+        if self.nt > 1:
+            b[1] = -self.r1(finite_u0(self.sys))
+        for j in range(1, self.nt):
+            g = numerov_source(self.sys, self.dt, j * self.dt)
+            if g is not None:
+                b[j] += g
+        return b
+
+    def sequential_solve(self):
+        return numerov_solve(self.sys, self.gamma, self.dt, self.nt, self.u1)[1:]

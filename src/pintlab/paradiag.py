@@ -7,10 +7,12 @@ Two families:
   value method (BVM) discretization replaces the last step to the same end.
   One transform - block solves - back transform yields the whole trajectory.
 
-* Iterative: the Toeplitz time matrix is approximated by an
-  alpha-circulant one, which diagonalizes in a scaled Fourier basis with
-  condition number 1/alpha.  The approximation drives a stationary
-  iteration or preconditions GMRES.
+* Iterative (ParaDiag II): each Toeplitz time matrix T(c) of the one
+  all-at-once form K = T(c1) (x) r1 - T(c2) (x) r2 (``integrators.AllAtOnce``,
+  theta or Numerov) is approximated by the alpha-circulant C_alpha(c),
+  which diagonalizes in a scaled Fourier basis with condition number
+  1/alpha.  The approximation drives a stationary iteration or
+  preconditions GMRES.
 
 Nonlinear problems use a quasi-Newton outer loop whose Jacobian blocks are
 collapsed to a single averaged matrix (optionally rescaled per time point
@@ -39,18 +41,14 @@ from .kernels import (
 )
 from .integrators import (
     AllAtOnce,
+    NumerovAllAtOnce,
     Propagator,
-    apply_poly,
     finite_u0,
     named_theta,
-    numerov_bootstrap,
-    numerov_matrices,
-    numerov_source,
-    numerov_solve,
     propagate,
     trapezoidal,
 )
-from .models import CompanionSystem, SemiDiscreteSystem
+from .models import CompanionSystem
 from .trace import IterationTrace
 
 MACHINE_EPS = 2.22e-16
@@ -547,117 +545,57 @@ def alpha_circulant_factor(first_column: np.ndarray, alpha: float) -> AlphaCircu
 # ---------------------------------------------------------------------------
 
 
-class _FirstOrderAllAtOnce(AllAtOnce):
-    """The theta-method operator K = I_t (x) r1 - B (x) r2 with its
-    alpha-circulant preconditioner."""
-
-    def sequential_solve(self):
-        return self.forward_substitution(self.rhs())
-
-    def first_columns(self):
-        c1 = np.zeros(self.nt)
-        c1[0] = 1.0
-        c_b = np.zeros(self.nt)
-        if self.nt > 1:
-            c_b[1] = 1.0
-        return c1, c_b  # columns of I_t and B (shift)
-
-    def precond_solve(self, fac_I, fac_B, R):
-        # d1*r1 - d2*r2 = (d1-d2) I - dt (d1*th + d2*(1-th)) A
-        d1, d2 = fac_I.eigenvalues, fac_B.eigenvalues
-        bcoef = self.dt * (d1 * self.theta + d2 * (1.0 - self.theta))
-        return fac_I.solve(self.sys.shift_plan(d1 - d2, bcoef), R)
-
-
-@dataclass
-class _SecondOrderAllAtOnce:
-    """K = Btilde (x) r1 - B (x) r2 for the Numerov pair on u'' = A u + g."""
-
-    sys: SemiDiscreteSystem
-    gamma: float
-    dt: float
-    n_t: int
-
-    def __post_init__(self):
-        self.r1, self.r2 = numerov_matrices(self.sys, self.gamma, self.dt)
-        self.u1 = numerov_bootstrap(self.sys, self.dt)
-
-    def _apply_poly(self, coeffs, u):
-        return apply_poly(self.sys.A, coeffs, u)
-
-    def apply(self, U):
-        # rows r1 U[n] - r2 U[n-1] + r1 U[n-2] of (n_t, n) or (n_t, n, k)
-        r1U = self._apply_poly(self.r1, U.swapaxes(0, 1)).swapaxes(0, 1)
-        out = r1U.copy()
-        out[1:] -= self._apply_poly(self.r2, U[:-1].swapaxes(0, 1)).swapaxes(0, 1)
-        out[2:] += r1U[:-2]
-        return out
-
-    def rhs(self):
-        b = np.zeros((self.n_t, self.sys.n))
-        b[0] = self._apply_poly(self.r1, self.u1)
-        if self.n_t > 1:
-            b[1] = -self._apply_poly(self.r1, finite_u0(self.sys))
-            g1 = numerov_source(self.sys, self.dt, self.dt)
-            if g1 is not None:
-                b[1] += g1
-        for j in range(2, self.n_t):
-            g = numerov_source(self.sys, self.dt, j * self.dt)
-            if g is not None:
-                b[j] += g
-        return b
-
-    def first_columns(self):
-        c_tilde = np.zeros(self.n_t)
-        c_tilde[0] = 1.0
-        if self.n_t > 2:
-            c_tilde[2] = 1.0
-        c_b = np.zeros(self.n_t)
-        if self.n_t > 1:
-            c_b[1] = 1.0
-        return c_tilde, c_b
-
-    def precond_solve(self, fac_tilde, fac_B, R):
-        # one (d1*r1 - d2*r2) x = rhs, a quadratic in A, per eigenvalue pair
-        Ra = fac_tilde.to_eigenbasis(R.astype(complex))
-        Rb = np.empty_like(Ra)
-        for n, (d1, d2) in enumerate(zip(fac_tilde.eigenvalues, fac_B.eigenvalues)):
-            coeffs = tuple(d1 * a - d2 * b for a, b in zip(self.r1, self.r2))
-            Rb[n] = solve_poly_in_matrix(self.sys.A, coeffs, Ra[n])
-        return fac_tilde.from_eigenbasis(Rb)
-
-    def sequential_solve(self):
-        return numerov_solve(self.sys, self.gamma, self.dt, self.n_t, self.u1)[1:]
-
-
 def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0):
     """Assemble the all-at-once operator for paradiag2_solve and tests."""
     if getattr(sys, "order", "first") == "second":
-        return _SecondOrderAllAtOnce(sys, gamma, dt, n_t)
-    return _FirstOrderAllAtOnce(sys, named_theta(integrator), dt, n_t)
+        return NumerovAllAtOnce(sys, gamma, dt, n_t)
+    return AllAtOnce(sys, named_theta(integrator), dt, n_t)
 
 
 def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
-    """(op, b, fac_a, fac_b): the all-at-once operator, its right-hand side
-    and the alpha-circulant factorizations of its two time matrices."""
+    """(op, b, solve, corner): the operator K, its right-hand side,
+    R -> P_alpha^-1 R and U -> (P_alpha - K) U, where P_alpha takes the
+    alpha-circulant C_alpha(c) for each Toeplitz time matrix T(c) of K.
+    Fourier mode n of P_alpha is the block d1[n] r1 - d2[n] r2."""
     op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
     b = op.rhs()
+    fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)
+    d1, d2 = fac.eigenvalues, fac2.eigenvalues
+    # block coefficients of A^j: (d1 r1_j - d2 r2_j) tau^j
+    coeffs = [(d1 * p - d2 * q) * op.tau**j for j, (p, q) in enumerate(zip(*op.polys))]
+    if len(coeffs) == 2:  # linear: one batched shift plan, else a solve per mode
+        block_solve = sys.shift_plan(coeffs[0], -coeffs[1]).solve
+    else:
+        def block_solve(Ra):
+            return np.stack([solve_poly_in_matrix(sys.A, tuple(c[n] for c in coeffs), Ra[n])
+                             for n in range(n_t)])
+
+    def solve(R):
+        return fac.from_eigenbasis(block_solve(fac.to_eigenbasis(R.astype(complex))))
+
     try:
-        fac_a, fac_b = (alpha_circulant_factor(c, alpha) for c in op.first_columns())
-        op.precond_solve(fac_a, fac_b, b)  # fail fast on singular blocks
+        solve(b)  # fail fast on singular blocks
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"alpha={alpha} preconditioner is singular for this operator") from exc
-    return op, b, fac_a, fac_b
+
+    def corner(U):
+        # C_alpha(c) - T(c) holds alpha c[lag] at row i < lag, column i + n_t - lag
+        out = np.full_like(U, -0.0)
+        for lag, c, p in op.lag_terms():
+            if lag:
+                out[:lag] += alpha * c * op.time_rows_poly(p, U[n_t - lag:])
+        return out
+
+    return op, b, solve, corner
 
 
 def dense_preconditioned_operator(sys, integrator: str, alpha: float, dt: float, n_t: int,
                                   gamma: float = 1.0 / 120.0) -> np.ndarray:
-    """Dense P_alpha^-1 K from the operator's own ``apply`` and
-    ``precond_solve`` (:func:`kernels.dense_of`), for spectral checks."""
-    op, _, fac_a, fac_b = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
-    return dense_of(lambda X: op.precond_solve(fac_a, fac_b, op.apply(X)).real,
-                    (n_t, sys.n))
+    """Dense P_alpha^-1 K from the operator's own ``apply`` and the
+    preconditioner solve (:func:`kernels.dense_of`), for spectral checks."""
+    op, _, solve, _ = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
+    return dense_of(lambda X: solve(op.apply(X)).real, (n_t, sys.n))
 
 
 def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
@@ -679,7 +617,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
         raise ValueError(f"unknown implementation {implementation!r}")
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"need max_iter >= 0, got {max_iter}")
-    op, b, fac_a, fac_b = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
+    op, b, solve, corner = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
 
     trace = IterationTrace(method=f"paradiag2_{mode}")
     n = b.shape[1]
@@ -687,7 +625,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
         max_iter = 200 if mode == "gmres" else 100
     if mode == "gmres":
         flat_apply = lambda x: op.apply(x.reshape(n_t, n)).ravel()
-        flat_prec = lambda x: op.precond_solve(fac_a, fac_b, x.reshape(n_t, n)).ravel()
+        flat_prec = lambda x: solve(x.reshape(n_t, n)).ravel()
         x, hist = gmres(flat_apply, b.ravel().astype(complex), apply_right_prec=flat_prec,
                         tol=tol, max_iter=max_iter)
         U = x.reshape(n_t, n).real
@@ -699,11 +637,10 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
         for _ in range(max_iter):
             if implementation == "increment":
                 r = b - op.apply(U)
-                U = U + op.precond_solve(fac_a, fac_b, r).real
+                U = U + solve(r).real
                 resid = np.abs(r).max()
             else:
-                bk = (_precond_minus_K_apply(op, fac_a, fac_b, U, alpha) + b)
-                U = op.precond_solve(fac_a, fac_b, bk).real
+                U = solve(corner(U) + b).real
                 resid = np.abs(b - op.apply(U)).max()
             err = None if reference is None else np.abs(U - reference).max()
             trace.record(error=err if err is not None else resid / bnorm,
@@ -712,15 +649,3 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
                 break
 
     return np.vstack([sys.u0, U]), trace
-
-
-def _precond_minus_K_apply(op, fac_a, fac_b, U, alpha):
-    """(P_alpha - K) U: only the alpha-corner terms survive."""
-    out = np.zeros_like(U)
-    if isinstance(op, _FirstOrderAllAtOnce):
-        out[0] = -alpha * op.r2(U[-1])
-        return out
-    # second order: Btilde corners at rows 1,2; B corner from r2 at row 1
-    out[0] = alpha * (op._apply_poly(op.r1, U[-2]) - op._apply_poly(op.r2, U[-1]))
-    out[1] = alpha * op._apply_poly(op.r1, U[-1])
-    return out

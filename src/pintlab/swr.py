@@ -18,7 +18,6 @@ with them (by FFT); the wave subdomains are a pure parallel map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -454,11 +453,9 @@ def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
 class TentSchedule:
     """Red-black coloring with generous overlap: red subdomains partition
     the domain, black ones span adjacent red halves.  Each sweep advances
-    the active color's time slab by ``slab_height`` (default
-    overlap/(2c))."""
+    the active color's time slab by overlap/(2c)."""
 
     n_red: int
-    slab_height: Optional[float] = None
     residual_detection: bool = False
 
 
@@ -480,7 +477,7 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     red = [Subdomain(bounds[2 * i], bounds[2 * i + 2]) for i in range(n_red)]
     black = [Subdomain(bounds[2 * i + 1], bounds[2 * i + 3]) for i in range(n_red - 1)]
     overlap_width = x[bounds[2]] - x[bounds[1]]
-    slab = schedule.slab_height or overlap_width / (2.0 * c)
+    slab = overlap_width / (2.0 * c)
 
     if seed is None:
         U = np.zeros((n_steps + 1, n))

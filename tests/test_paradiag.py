@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pintlab.paradiag as paradiag_module
-from pintlab.integrators import named_theta
+from pintlab.integrators import AllAtOnce, apply_poly, named_theta, numerov_matrices
 from pintlab.kernels import ConvergenceError, SingularSystemError, dense_of, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
@@ -69,9 +69,10 @@ def circulant_of(fac):
                     fac.eigenvalues.shape)
 
 
-def kron_operators(sys, integrator, alpha, dt, n_t, gamma=1.0 / 120.0):
-    """Reference: dense (K, P_alpha) assembled by Kronecker products from
-    the theta pair or the Numerov pair written out in A."""
+def kron_pair(sys, integrator, dt, n_t, gamma=1.0 / 120.0):
+    """Reference: ((c1, r1), (c2, r2)), the first columns of the two time
+    matrices and the dense r1, r2 of the theta pair or the Numerov pair
+    written out in A."""
     n = sys.n
     A = sys.A.to_dense()
     if integrator == "numerov":
@@ -85,13 +86,20 @@ def kron_operators(sys, integrator, alpha, dt, n_t, gamma=1.0 / 120.0):
         r1 = np.eye(n) - theta * dt * A
         r2 = np.eye(n) + (1 - theta) * dt * A
         c_tilde = np.eye(n_t)[0]
-    c_b = np.eye(n_t)[1]
+    return (c_tilde, r1), (np.eye(n_t)[1], r2)
+
+
+def kron_operators(sys, integrator, alpha, dt, n_t, gamma=1.0 / 120.0):
+    """Reference: dense (K, P_alpha) assembled by Kronecker products from
+    :func:`kron_pair`."""
+    (c_tilde, r1), (c_b, r2) = kron_pair(sys, integrator, dt, n_t, gamma)
+
+    def assemble(a):
+        return (np.kron(alpha_circulant_dense(c_tilde, a), r1)
+                - np.kron(alpha_circulant_dense(c_b, a), r2))
+
     # alpha = 0 drops the wrap-around: the Toeplitz time matrices of K
-    K = (np.kron(alpha_circulant_dense(c_tilde, 0.0), r1)
-         - np.kron(alpha_circulant_dense(c_b, 0.0), r2))
-    P = (np.kron(alpha_circulant_dense(c_tilde, alpha), r1)
-         - np.kron(alpha_circulant_dense(c_b, alpha), r2))
-    return K, P
+    return assemble(0.0), assemble(alpha)
 
 
 class TestGeometricMesh:
@@ -474,6 +482,22 @@ class TestParaDiag2:
         np.testing.assert_allclose(dense_preconditioned_operator(sys, integrator, alpha, dt, n_t),
                                    PK, rtol=0, atol=1e-12 * np.abs(PK).max())
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("integrator", ["backward_euler", "trapezoidal", "numerov"])
+    def test_corner_term_matches_kron(self, integrator, bc):
+        # the direct form's (P_alpha - K) U against
+        # sum of +-(C_alpha(c) - T(c)) (x) r(A) over the pair
+        sys = wave_sine(nx=8, bc=bc) if integrator == "numerov" else heat_sine(nx=8, bc=bc)
+        n_t, dt, alpha = 12, 0.05, 0.1
+        ref = sum(sign * np.kron(alpha_circulant_dense(c, alpha) - alpha_circulant_dense(c, 0.0), r)
+                  for sign, (c, r) in zip((1.0, -1.0), kron_pair(sys, integrator, dt, n_t)))
+        _, _, _, corner = paradiag_module._preconditioned(sys, integrator, alpha, dt, n_t,
+                                                          1.0 / 120.0)
+        U = np.random.default_rng(7).standard_normal((n_t, sys.n))
+        want = (ref @ U.ravel()).reshape(n_t, sys.n)
+        assert np.abs(want[2:]).max() == 0.0 and np.abs(want[:2]).max() > 0.0
+        np.testing.assert_allclose(corner(U), want, rtol=0, atol=1e-13 * np.abs(want).max())
+
     def test_alpha1_clustering_symmetric_negative_definite(self):
         sys = heat_sine(nx=6)
         n_t, dt = 8, 0.05
@@ -633,11 +657,11 @@ class TestBatchedSolveBitwise:
         dx = 1.0 / 17 if bc == "dirichlet" else 1.0 / 16
         sys = build_advection_diffusion(16, dx, 0.05, bc)
         n_t, dt = 12, 0.01
-        op = make_all_at_once(sys, integrator, dt, n_t)
-        c_I, c_B = op.first_columns()
-        fac_I, fac_B = alpha_circulant_factor(c_I, 0.05), alpha_circulant_factor(c_B, 0.05)
+        op, _, precond_solve, _ = paradiag_module._preconditioned(
+            sys, integrator, 0.05, dt, n_t, 1.0 / 120.0)
+        fac_I, fac_B = (alpha_circulant_factor(c, 0.05) for c in op.time_columns)
         R = np.random.default_rng(3).standard_normal((n_t, sys.n))
-        got = op.precond_solve(fac_I, fac_B, R)
+        got = precond_solve(R)
         # the loop with its shifts formed one scalar at a time
         Ra = fac_I.to_eigenbasis(R.astype(complex))
         d1, d2 = fac_I.eigenvalues, fac_B.eigenvalues
@@ -698,9 +722,16 @@ class TestCirculantQuasiNewton:
             circulant_quasi_newton(sys, residual, fac, np.full(n_w, dT), g, 1e-12, "probe")
 
 
-class _RowByRowAllAtOnce(paradiag_module._FirstOrderAllAtOnce):
-    """Reference: ParaDiag II's own per-row theta operator (apply, rhs and
-    sequential solve), from before it shared the vectorized AllAtOnce."""
+class _RowByRowAllAtOnce(AllAtOnce):
+    """Reference: ParaDiag II's own per-row theta operator (r1, r2, apply,
+    rhs and sequential solve), from before it shared the vectorized
+    AllAtOnce."""
+
+    def r1(self, u):
+        return u - self.theta * self.dt * self.sys.A.matvec(u)
+
+    def r2(self, u):
+        return u + (1.0 - self.theta) * self.dt * self.sys.A.matvec(u)
 
     def apply(self, U):
         out = np.empty_like(U)
@@ -784,13 +815,14 @@ class TestSharedThetaOperator:
 def second_order_apply_by_row(op, U):
     """Reference: the Numerov all-at-once K U one row at a time,
     r1 U[n] - r2 U[n-1] + r1 U[n-2], each term applied to its own row."""
+    r1, r2 = numerov_matrices(op.sys, op.gamma, op.dt)
     out = np.empty_like(U)
-    for n in range(op.n_t):
-        out[n] = op._apply_poly(op.r1, U[n])
+    for n in range(op.nt):
+        out[n] = apply_poly(op.sys.A, r1, U[n])
         if n >= 1:
-            out[n] -= op._apply_poly(op.r2, U[n - 1])
+            out[n] -= apply_poly(op.sys.A, r2, U[n - 1])
         if n >= 2:
-            out[n] += op._apply_poly(op.r1, U[n - 2])
+            out[n] += apply_poly(op.sys.A, r1, U[n - 2])
     return out
 
 
