@@ -315,31 +315,25 @@ class ShiftPlan:
         self._key = (a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
         self._store = {} if store is None else store
         self._kept = None  # (data type, factorization), read and replaced whole
-        # corners count from n = 3 (as in matvec) and vanish with b = 0
+        # corners count from n = 3 (as in matvec) and vanish with b = 0; a
+        # shift with b = 0 in a periodic batch gets z = 0 and cap = I
         self._periodic = A.periodic and A.n > 2 and b.any()
-        self._parts = None
-        if self._periodic and not b.all():
-            self._parts = [ShiftPlan(A, a[j:j + 1], b[j:j + 1], self._store)
-                           for j in range(a.shape[0])]
 
     def solve(self, rhs: np.ndarray, product: bool = False):
         """x with (a[j]*I - b[j]*A) x[j] = rhs[j]; with ``product`` the pair
         (x, A @ x)."""
         R = rhs[None] if self.single else rhs
-        if self._parts is not None:
-            x = np.stack([p.solve(R[j:j + 1])[0] for j, p in enumerate(self._parts)])
-        else:
-            dtype = np.result_type(self._dtype, R)
-            kept = self._kept
-            if kept is None or kept[0] != dtype:
-                kept = self._kept = (dtype, self._fetch(dtype))
-            try:
-                x = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
-            except SingularSystemError:
-                self._kept = None
-                self._store.pop((dtype.char,) + self._key, None)
-                raise
-            x = x.reshape(R.shape)
+        dtype = np.result_type(self._dtype, R)
+        kept = self._kept
+        if kept is None or kept[0] != dtype:
+            kept = self._kept = (dtype, self._fetch(dtype))
+        try:
+            x = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
+        except SingularSystemError:
+            self._kept = None
+            self._store.pop((dtype.char,) + self._key, None)
+            raise
+        x = x.reshape(R.shape)
         if not product:
             return x[0] if self.single else x
         Ax = apply_blocks(self.A, x)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .kernels import BandedMatrix, ShiftPlan
+from .kernels import BandedMatrix, ShiftPlan, SingularSystemError
 
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
 PULSE_AMPLITUDE = 10.0
@@ -325,8 +325,9 @@ class CompanionShiftPlan:
     (a I - (b^2/a) A) u = r_u + (b/a) r_v and then v = (r_v + b A u) / a.
     The plan holds the :class:`ShiftPlan` of those banded shifts for all J
     systems at once and the coefficients b/a.  Scalar or array shifts and
-    the right-hand side shapes follow :class:`ShiftPlan`; a shift with
-    b = 0 is the division r / a.
+    the right-hand side shapes follow :class:`ShiftPlan`.  The Schur step
+    divides by a, so a shift with a = 0 makes ``solve`` raise
+    SingularSystemError.
     """
 
     def __init__(self, comp: "CompanionSystem", a, b):
@@ -334,27 +335,22 @@ class CompanionShiftPlan:
         self.single = a.ndim == 0 and b.ndim == 0
         self.a, self.b = a, b = a.reshape(-1), b.reshape(-1)
         self.m, self.A = comp.base.n, comp.base.A
-        self._parts = self._banded = None
-        if b.all():
+        self._banded = None
+        if a.all():
             # b^2 elementwise, as scalars: numpy's vectorized complex product
             # may use fused multiply-adds and round differently from one shift alone
             b_sq = np.array([bj * bj for bj in b])
             self._banded = self.A.shift_plan(a, b_sq / a)
             self._b_over_a = b / a
-        elif a.shape[0] > 1:
-            self._parts = [CompanionShiftPlan(comp, aj, bj) for aj, bj in zip(a, b)]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._banded is None:
+            raise SingularSystemError("companion shift with a = 0: the Schur step divides by a")
         R = rhs[None] if self.single else rhs
         per_shift = (slice(None),) + (None,) * (R.ndim - 1)
-        if self._banded is not None:
-            ru, rv = R[:, :self.m], R[:, self.m:]
-            u, Au = self._banded.solve(ru + self._b_over_a[per_shift] * rv, product=True)
-            v = (rv + self.b[per_shift] * Au) / self.a[per_shift]
-            W = np.concatenate([u, v], axis=1)
-        elif self._parts is not None:
-            W = np.stack([p.solve(r) for p, r in zip(self._parts, R)])
-        else:
-            W = R / self.a[per_shift]
+        ru, rv = R[:, :self.m], R[:, self.m:]
+        u, Au = self._banded.solve(ru + self._b_over_a[per_shift] * rv, product=True)
+        v = (rv + self.b[per_shift] * Au) / self.a[per_shift]
+        W = np.concatenate([u, v], axis=1)
         return W[0] if self.single else W
 

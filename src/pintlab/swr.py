@@ -7,12 +7,15 @@ matches the physical cone and convergence is finite), including the
 red-black tent-pitching schedule.
 
 All subdomain solves within one sweep read only previous-iterate traces
-(Jacobi ordering).  The advection-diffusion subdomains are therefore
-stacked into one tridiagonal system, factored once and marched with one
-banded solve per time step.  That system is linear and time-invariant, so
-one block march gives its free response and the impulse response of every
-interface input, and each sweep is a convolution of the interface data
-with them (by FFT); the wave subdomains are a pure parallel map.
+(Jacobi ordering), so both equations march their subdomains as one stack
+(:class:`_Stack`): the subdomains are laid end to end in one vector whose
+boundary rows take the interface data.  For advection-diffusion the stack
+is one tridiagonal system, factored once and marched with one banded solve
+per time step.  That system is linear and time-invariant, so one block
+march gives its free response and the impulse response of every interface
+input, and each sweep is a convolution of the interface data with them (by
+FFT).  For the wave equation each sweep, and each tent colour, is one
+leapfrog march of the stack.
 """
 
 from __future__ import annotations
@@ -133,7 +136,53 @@ def robin_trace(values, j, p, dx, side):
     return d / p - values[:, j]
 
 
-class _AdSolver:
+class _Stack:
+    """Subdomains laid end to end in one stacked vector.
+
+    Subdomain i holds its global nodes ``subs[i].lo..subs[i].hi`` at the
+    stacked rows ``lo[i]..hi[i]``, and ``index`` is the global node of
+    every row.  ``rows`` lists every left boundary row, then every right
+    one: the order of a march's boundary data ``data[m]``.  ``to_left[i]`` is the
+    row, inside subdomain i, of subdomain i+1's left boundary node (the
+    trace i+1 reads) and ``to_right[i]`` the row, inside i+1, of i's right
+    boundary node; ``nodes`` are their global nodes, to_left's first.
+    Where subdomains overlap the later one owns a node, and :meth:`write`
+    copies each node of the global trajectory from its owner.
+    """
+
+    def __init__(self, subs):
+        glo = np.array([sub.lo for sub in subs], dtype=int)
+        ghi = np.array([sub.hi for sub in subs], dtype=int)
+        sizes = ghi - glo + 1
+        self.hi = np.cumsum(sizes) - 1
+        self.lo = self.hi - sizes + 1
+        self.rows = np.concatenate((self.lo, self.hi))
+        self.to_left = self.lo[:-1] + glo[1:] - glo[:-1]
+        self.to_right = self.lo[1:] + ghi[:-1] - glo[1:]
+        self.nodes = np.concatenate((glo[1:], ghi[:-1]))
+        self.index = np.arange(sizes.sum()) + np.repeat(glo - self.lo, sizes)
+        # subdomain i owns its nodes left of subdomain i+1's first one
+        owned = np.append(np.minimum(glo[1:] - glo[:-1], sizes[:-1]), sizes[-1:])
+        self._runs = list(zip(self.lo, self.lo + owned, glo))
+
+    def random_data(self, n_steps, seed):
+        """Boundary data for steps 0..n_steps: standard normal (from
+        ``seed``) on every interface row after step 0, zero elsewhere."""
+        n_sub = len(self.lo)
+        rng = np.random.default_rng(seed)
+        data = np.zeros((n_steps + 1, 2 * n_sub))
+        data[1:, 1:n_sub] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
+        data[1:, n_sub:-1] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
+        return data
+
+    def write(self, glob, sol):
+        """Copy the owned rows of the stacked trajectory ``sol`` into the
+        first steps of the global trajectory ``glob``."""
+        for a, b, g in self._runs:
+            glob[: sol.shape[0], g : g + b - a] = sol[:, a:b]
+
+
+class _AdSolver(_Stack):
     """Backward-Euler space-time solve on a stack of subdomains with TC rows.
 
     The interior stencil discretizes u_t + u_x - nu u_xx = 0; interface
@@ -149,14 +198,12 @@ class _AdSolver:
     """
 
     def __init__(self, subs, nu, dx, dt, p=np.inf, robin=None):
+        super().__init__(subs)
         self.dt = dt
         adv = 1.0 / (2 * dx)
         dif = nu / dx**2
-        blocks, nbr, fac = [], [], []
-        sizes = np.array([sub.hi - sub.lo + 1 for sub in subs])
-        self.lo = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self.hi = self.lo + sizes - 1
-        for n, lo, (rob_l, rob_r) in zip(sizes, self.lo, robin or [(False, False)] * len(subs)):
+        blocks, fac = [], []
+        for n, (rob_l, rob_r) in zip(self.hi - self.lo + 1, robin or [(False, False)] * len(subs)):
             lower = np.full(n - 1, -adv - dif)
             diag = np.full(n, 1.0 / dt + 2 * dif)
             upper = np.full(n - 1, adv - dif)
@@ -174,10 +221,8 @@ class _AdSolver:
                 diag[-1] = 1.5 / (p * dx) + 1.0 - f_r * upper[-1]
                 lower[-1] = -2.0 / (p * dx) - f_r * diag[-2]
             blocks.append((lower, diag, upper))
-            nbr.append((lo + 1, lo + n - 2))
             fac.append((f_l, f_r))
-        self.rows = np.concatenate((self.lo, self.hi))
-        self.nbr = np.array(nbr).T.ravel()
+        self.nbr = np.concatenate((self.lo + 1, self.hi - 1))
         self.fac = np.array(fac).T.ravel()
         self.robin = bool(self.fac.any())
         self.lu = StackedTridiagonalLU(blocks, label="SWR subdomain system")
@@ -268,7 +313,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
     _ad_grid(nu, L, T, dx, dt)
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
-    x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
+    _, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
     n_steps = mono.shape[0] - 1
     subs = dec.subdomains
     n_sub = len(subs)
@@ -280,22 +325,9 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
     rob = dec.tc == "robin"
     solver = _AdSolver(subs, nu, dx, dt, dec.p,
                        [(rob and i > 0, rob and i < n_sub - 1) for i in range(n_sub)])
-    lo, hi = solver.lo, solver.hi
-    u0 = np.concatenate([u0_fn(x[sub.lo : sub.hi + 1]) for sub in subs])
-
-    rng = np.random.default_rng(seed)
-    # boundary-row data over all time steps: left rows, then right rows
-    data = np.zeros((n_steps + 1, 2 * n_sub))
-    data[1:, 1:n_sub] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
-    data[1:, n_sub:-1] = rng.standard_normal((n_sub - 1, n_steps + 1))[:, 1:].T
-
-    # stacked columns where each neighbour's trace is read: subdomain i+1's
-    # left interface node inside subdomain i, and i's right one inside i+1
-    glo = np.array([sub.lo for sub in subs])
-    ghi = np.array([sub.hi for sub in subs])
-    to_left = lo[:-1] + glo[1:] - glo[:-1]
-    to_right = lo[1:] + ghi[:-1] - glo[1:]
-    nodes = np.concatenate((glo[1:], ghi[:-1]))
+    u0 = mono[0, solver.index]
+    data = solver.random_data(n_steps, seed)
+    to_left, to_right = solver.to_left, solver.to_right
     # Each sweep's outputs are the free response (u0, zero data) plus the
     # causal convolution of the interface data with every input's response
     # to a unit value at step 1.  One block march gives these responses, at
@@ -318,7 +350,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
         inputs = np.fft.rfft(data[1:, 1:-1], n=n_fft, axis=0)[:, :, None]
         sol = free.copy()
         sol[1:] += np.fft.irfft(spectra @ inputs, n=n_fft, axis=0)[:n_steps, :, 0]
-        err = np.abs(sol[:, np.concatenate((at_left, at_right))] - mono[:, nodes]).max()
+        err = np.abs(sol[:, np.concatenate((at_left, at_right))] - mono[:, solver.nodes]).max()
         trace.record(error=err)
         if err < tol:
             break
@@ -333,11 +365,9 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
         raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
 
     del spectra
-    sol = solver.solve(u0, data)
-    glob = mono.copy()
-    for sub, a, b in zip(subs, lo, hi):
-        glob[:, sub.lo : sub.hi + 1] = sol[:, a : b + 1]
-    return glob, trace
+    # the oracle, no longer read, takes the subdomain solution in place
+    solver.write(mono, solver.solve(u0, data))
+    return mono, trace
 
 
 # ---------------------------------------------------------------------------
@@ -345,103 +375,67 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 
-def _leapfrog_solve(A_scaled, u0, v0, g_fn, x_local, dt, n_steps, left_trace, right_trace):
-    """Leapfrog on one subdomain; boundary columns overwritten by traces.
-
-    A_scaled applies c^2 * d_xx in scaled form on the local grid (interior
-    second difference); the Taylor bootstrap keeps second order.
-    """
-    n = u0.shape[0]
-    out = np.empty((n_steps + 1, n))
+def _leapfrog(rows, lam, dt, u0, data):
+    """Leapfrog for u_tt = c^2 u_xx from rest on a stack of subdomains
+    (``lam`` = c^2/dx^2), from the stacked state u0 of shape (N,).
+    ``data[m]`` holds the values of the boundary ``rows`` at step m, as in
+    :meth:`_AdSolver.solve`.  The first step is the second-order Taylor
+    bootstrap.  No interior row reads across a subdomain, so each block of
+    the result is that subdomain marched alone."""
+    n_steps = data.shape[0] - 1
+    out = np.empty((n_steps + 1,) + u0.shape)
     out[0] = u0
-
-    def lap(u):
-        out_ = np.zeros_like(u)
-        out_[1:-1] = A_scaled * (u[:-2] - 2 * u[1:-1] + u[2:])
-        return out_
-
-    g0 = g_fn(x_local, 0.0) if g_fn is not None else 0.0
-    u1 = u0 + dt * v0 + 0.5 * dt * dt * (lap(u0) + g0)
-    u1[0] = left_trace[1]
-    u1[-1] = right_trace[1]
-    out[1] = u1
-    um, uc = u0, u1
-    for m in range(2, n_steps + 1):
-        gm = g_fn(x_local, (m - 1) * dt) if g_fn is not None else 0.0
-        un = 2 * uc - um + dt * dt * (lap(uc) + gm)
-        un[0] = left_trace[m]
-        un[-1] = right_trace[m]
-        um, uc = uc, un
-        out[m] = un
+    lap = np.zeros_like(out[0])
+    for m in range(1, n_steps + 1):
+        uc = out[m - 1]
+        lap[1:-1] = lam * (uc[:-2] - 2 * uc[1:-1] + uc[2:])
+        if m == 1:
+            out[m] = uc + 0.5 * dt * dt * lap
+        else:
+            out[m] = 2 * uc - out[m - 2] + dt * dt * lap
+        out[m, rows] = data[m]
     return out
 
 
-def monodomain_solve_wave(c, L, T, dx, u0_fn, v0_fn=None, g_fn=None):
-    """Single-domain leapfrog at unit CFL (dt = dx/c)."""
+def monodomain_solve_wave(c, L, T, dx, u0_fn):
+    """Single-domain leapfrog at unit CFL (dt = dx/c), from rest."""
     dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
-    u0 = finite_u0(u0_fn(x))
-    v0 = v0_fn(x) if v0_fn is not None else np.zeros_like(x)
-    zeros = np.zeros(n_steps + 1)
-    sol = _leapfrog_solve(c * c / dx**2, u0, v0, g_fn, x, dt, n_steps, zeros, zeros)
+    rows = _Stack([Subdomain(0, n - 1)]).rows
+    sol = _leapfrog(rows, c * c / dx**2, dt, finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
     return x, dt, sol
 
 
 def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
-                   u0_fn=None, v0_fn=None, g_fn=None, max_iter: int = 200,
-                   seed: int = 0):
-    """Dirichlet-trace SWR for the wave equation at unit CFL.
+                   u0_fn=None, max_iter: int = 200, seed: int = 0):
+    """Dirichlet-trace SWR for the wave equation at unit CFL, from rest.
 
     Interface errors vanish exactly once the iteration count exceeds
-    T*c/overlap-width (finite speed of propagation).
+    T*c/overlap-width (finite speed of propagation).  Each sweep is one
+    leapfrog march of the stacked subdomains.
     """
+    if dec.tc != "dirichlet":
+        raise ValueError(f"wave SWR exchanges Dirichlet traces only, got tc={dec.tc!r}")
     if u0_fn is None:
         u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
-    x, dt, mono = monodomain_solve_wave(c, L, T, dx, u0_fn, v0_fn, g_fn)
-    n_steps = mono.shape[0] - 1
-    subs = dec.subdomains
-    n_sub = len(subs)
-    rng = np.random.default_rng(seed)
-    left_data = [np.zeros(n_steps + 1) for _ in subs]
-    right_data = [np.zeros(n_steps + 1) for _ in subs]
-    for i in range(1, n_sub):
-        left_data[i] = rng.standard_normal(n_steps + 1)
-        left_data[i][0] = u0_fn(x[subs[i].lo : subs[i].lo + 1])[0]
-    for i in range(n_sub - 1):
-        right_data[i] = rng.standard_normal(n_steps + 1)
-        right_data[i][0] = u0_fn(x[subs[i].hi : subs[i].hi + 1])[0]
-
-    v0_all = v0_fn(x) if v0_fn is not None else np.zeros_like(x)
+    _, dt, mono = monodomain_solve_wave(c, L, T, dx, u0_fn)
+    stack = _Stack(dec.subdomains)
+    n_sub = len(stack.lo)
+    u0 = mono[0, stack.index]
+    data = stack.random_data(mono.shape[0] - 1, seed)
+    reads = np.concatenate((stack.to_left, stack.to_right))
     trace = IterationTrace(method="swr_wave")
-    locals_ = None
-    for k in range(max_iter):
-        locals_ = []
-        for i, sub in enumerate(subs):
-            xl = x[sub.lo : sub.hi + 1]
-            locals_.append(_leapfrog_solve(c * c / dx**2, u0_fn(xl), v0_all[sub.lo : sub.hi + 1],
-                                           g_fn, xl, dt, n_steps, left_data[i], right_data[i]))
-        err = 0.0
-        for i in range(n_sub - 1):
-            node = subs[i + 1].lo  # read by the right neighbour
-            err = max(err, np.abs(locals_[i][:, node - subs[i].lo] - mono[:, node]).max())
-            node = subs[i].hi  # read by the left neighbour
-            err = max(err, np.abs(locals_[i + 1][:, node - subs[i + 1].lo] - mono[:, node]).max())
+    for _ in range(max_iter):
+        sol = _leapfrog(stack.rows, c * c / dx**2, dt, u0, data)
+        err = np.abs(sol[:, reads] - mono[:, stack.nodes]).max(initial=0.0)
         trace.record(error=err)
         if err < tol:
             break
-        new_left = [d.copy() for d in left_data]
-        new_right = [d.copy() for d in right_data]
-        for i in range(n_sub - 1):
-            node = subs[i].hi
-            new_right[i] = locals_[i + 1][:, node - subs[i + 1].lo]
-            node = subs[i + 1].lo
-            new_left[i + 1] = locals_[i][:, node - subs[i].lo]
-        left_data, right_data = new_left, new_right
+        data[:, 1:n_sub] = sol[:, stack.to_left]
+        data[:, n_sub:-1] = sol[:, stack.to_right]
 
-    glob = mono.copy()
-    for i, sub in enumerate(subs):
-        glob[:, sub.lo : sub.hi + 1] = locals_[i]
-    return glob, trace
+    stack.write(mono, sol)  # the oracle, no longer read, takes the solution
+    return mono, trace
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +468,8 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
 
     n_red = schedule.n_red
     bounds = np.linspace(0, n - 1, 2 * n_red + 1).round().astype(int)
-    red = [Subdomain(bounds[2 * i], bounds[2 * i + 2]) for i in range(n_red)]
-    black = [Subdomain(bounds[2 * i + 1], bounds[2 * i + 3]) for i in range(n_red - 1)]
+    red = _Stack([Subdomain(bounds[2 * i], bounds[2 * i + 2]) for i in range(n_red)])
+    black = _Stack([Subdomain(bounds[2 * i + 1], bounds[2 * i + 3]) for i in range(n_red - 1)])
     overlap_width = x[bounds[2]] - x[bounds[1]]
     slab = overlap_width / (2.0 * c)
 
@@ -486,7 +480,6 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     U[0] = finite_u0(u0_fn(x))
     U[:, 0] = 0.0
     U[:, -1] = 0.0
-    v0 = np.zeros(n)
 
     trace = IterationTrace(method="utp")
     residual_rows = []
@@ -508,13 +501,9 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
         else:
             t_hi = min(T, k * slab)
         m_hi = int(round(t_hi / dt))
-        for sub in color:
-            xl = x[sub.lo : sub.hi + 1]
-            left = U[:, sub.lo].copy()
-            right = U[:, sub.hi].copy()
-            sol = _leapfrog_solve(c * c / dx**2, u0_fn(xl), v0[sub.lo : sub.hi + 1],
-                                  None, xl, dt, m_hi, left, right)
-            U[: m_hi + 1, sub.lo + 1 : sub.hi] = sol[:, 1:-1]
+        # the colour's initial state and boundary traces from the iterate
+        G = U[: m_hi + 1, color.index]
+        color.write(U, _leapfrog(color.rows, c * c / dx**2, dt, G[0], G[:, color.rows]))
         R = residual_field(U)
         # largest time below which the residual is everywhere small
         below = np.where((R < 1e-8).all(axis=1), 1, 0)

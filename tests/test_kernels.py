@@ -412,6 +412,17 @@ class TestShiftPlan:
             assert W[j].tobytes() == companion_reference(comp, a[j:j + 1], b[j:j + 1],
                                                          R[j:j + 1])[0].tobytes()
 
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.0, 1.0), ([2.0, 0.0], [0.1, 0.0])])
+    def test_companion_zero_a_raises(self, a, b):
+        # the Schur step divides by a: (0, 0) used to return inf with a
+        # RuntimeWarning instead of raising like the banded plan below
+        comp = CompanionSystem(build_wave(8, 1.0 / 9, 1.0, "dirichlet"))
+        R = np.ones(np.shape(a) + (16,))
+        with pytest.raises(SingularSystemError, match="a = 0"):
+            comp.shift_plan(a, b).solve(R)
+        with pytest.raises(SingularSystemError):
+            comp.base.A.shift_plan(0.0, 0.0).solve(np.ones(8))
+
     @pytest.mark.parametrize("periodic", [False, True])
     def test_product_is_the_matvec(self, periodic):
         rng = np.random.default_rng(240)

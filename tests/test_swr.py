@@ -8,6 +8,8 @@ from pintlab.swr import (
     Subdomain,
     TentSchedule,
     _AdSolver,
+    _leapfrog,
+    _Stack,
     monodomain_solve_ad,
     monodomain_solve_wave,
     oswr_solve_ad,
@@ -340,8 +342,62 @@ def two_domain_overlap(n_nodes, overlap_frac):
     return Decomposition1D.uniform(n_nodes, 2, overlap_cells, tc="dirichlet")
 
 
+def leapfrog_one_subdomain(A_scaled, u0, v0, dt, n_steps, left_trace, right_trace):
+    """Reference leapfrog on one subdomain, boundary columns overwritten by
+    traces, written as the per-subdomain march (with initial velocity v0
+    and a zero source term) that the stacked march replaced."""
+    n = u0.shape[0]
+    out = np.empty((n_steps + 1, n))
+    out[0] = u0
+
+    def lap(u):
+        out_ = np.zeros_like(u)
+        out_[1:-1] = A_scaled * (u[:-2] - 2 * u[1:-1] + u[2:])
+        return out_
+
+    g = 0.0
+    u1 = u0 + dt * v0 + 0.5 * dt * dt * (lap(u0) + g)
+    u1[0] = left_trace[1]
+    u1[-1] = right_trace[1]
+    out[1] = u1
+    um, uc = u0, u1
+    for m in range(2, n_steps + 1):
+        un = 2 * uc - um + dt * dt * (lap(uc) + g)
+        un[0] = left_trace[m]
+        un[-1] = right_trace[m]
+        um, uc = uc, un
+        out[m] = un
+    return out
+
+
+class TestStackedLeapfrog:
+    @pytest.mark.parametrize("sizes", [(2, 9), (7, 2, 5), (4, 6, 2, 8)])
+    def test_matches_per_subdomain_march(self, sizes):
+        # np.array_equal ignores the sign of zeros, the only bits the
+        # dropped zero velocity and source terms can change
+        rng = np.random.default_rng(len(sizes))
+        lo = np.cumsum((0,) + sizes[:-1]) - np.arange(len(sizes))  # neighbours share a node
+        stack = _Stack([Subdomain(a, a + k - 1) for a, k in zip(lo, sizes)])
+        c, dx, n_steps = np.sqrt(0.2), 1.0 / 80, 30
+        dt, lam = dx / c, c * c / dx**2
+        u0 = rng.standard_normal(sum(sizes))
+        data = rng.standard_normal((n_steps + 1, 2 * len(sizes)))
+        sol = _leapfrog(stack.rows, lam, dt, u0, data)
+        for i, (a, b) in enumerate(zip(stack.lo, stack.hi + 1)):
+            ref = leapfrog_one_subdomain(lam, u0[a:b], np.zeros(b - a), dt, n_steps,
+                                         data[:, i], data[:, len(sizes) + i])
+            assert np.array_equal(sol[:, a:b], ref)
+
+
 class TestWaveSwr:
     C2 = 0.2
+
+    def test_robin_decomposition_rejected(self):
+        # the wave exchange is Dirichlet only; a Robin decomposition used to
+        # run it silently
+        dec = Decomposition1D.uniform(81, 2, 20, tc="robin", p=1.0)
+        with pytest.raises(ValueError, match="tc='robin'"):
+            swr_solve_wave(np.sqrt(self.C2), 1.0, 1.0, 1.0 / 80, dec)
 
     def test_tiny_T_converges_in_one_sweep(self):
         c = np.sqrt(self.C2)
@@ -486,6 +542,18 @@ class TestUtp:
         sched = TentSchedule(n_red=3, residual_detection=True)
         U, tr, rows = utp_advance(self.C, L, T, dx, sched, sweeps=sweeps)
         assert np.abs(U - mono).max() < 1e-8
+
+    def test_single_red_subdomain_records_every_sweep(self):
+        # n_red = 1 has no black subdomain; its sweeps still record a residual
+        U, tr, rows = utp_advance(self.C, 1.0, 0.5, 1.0 / 60, TentSchedule(n_red=1), sweeps=3)
+        assert len(tr.residuals) == 3 and len(tr.meta["tent_height"]) == 3
+
+    def test_slab_shorter_than_half_a_step(self):
+        # the first slab rounds to 0 steps; this used to raise IndexError
+        U, tr, rows = utp_advance(1.0, 1.0, 1.0, 0.25, TentSchedule(n_red=2), sweeps=2)
+        x = np.linspace(0.0, 1.0, 5)
+        assert U.shape == (5, 5) and len(tr.residuals) == 2
+        np.testing.assert_array_equal(U[0, 1:-1], np.sin(2 * np.pi * x[1:-1]) ** 2)
 
     def test_heatmap_rows_format(self):
         sched = TentSchedule(n_red=3)
