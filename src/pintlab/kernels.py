@@ -289,7 +289,7 @@ class ShiftPlan:
     (:class:`StackedTridiagonalLU`), so each x[j] is bit for bit the
     single-shift solve.  Periodic corners are removed by a rank-2
     Sherman-Morrison-Woodbury correction, with the J 2x2 capacitance
-    systems solved in one batched call, so the cost stays O(J n).
+    systems solved in one batched call (one LAPACK gesv for J = 1): O(J n).
 
     The factorization, with the Woodbury columns and capacitance matrices,
     is kept in ``store`` under its data type and the exact shifts: the
@@ -361,22 +361,28 @@ class ShiftPlan:
         """x for R of shape (J, n, k) with ``factor`` from :meth:`_fetch`."""
         if R.shape[1] == 1:
             return R / factor
-        lu, z, cap = factor
+        lu, z, cap, gesv = factor
         J, n, _ = R.shape
         x = lu.solve(R.reshape(J * n, -1)).reshape(R.shape)
         if z is not None:
-            # rows n-1 and 0 of every block, the Woodbury coupling rows
-            x = x - z @ np.linalg.solve(cap, x[:, ::1 - n])
+            w = x[:, ::1 - n]  # rows n-1 and 0 of every block, the Woodbury coupling rows
+            if gesv is None:
+                w = np.linalg.solve(cap, w)
+            else:
+                *_, w, info = gesv(cap[0], w[0])
+                if info:
+                    raise SingularSystemError("singular periodic correction (capacitance)")
+            x = x - z @ w
         if not np.isfinite(x).all():
             raise SingularSystemError("non-finite solution from banded solve")
         return x
 
 
 def _factor_shifted(A, a, b, dtype, periodic):
-    """(lu, z, cap) for :class:`ShiftPlan`: the gttrf factors of the J
+    """(lu, z, cap, gesv) for :class:`ShiftPlan`: the gttrf factors of the J
     blocks M0_j = (a[j] I - b[j] A) without corners and, for periodic ``A``,
-    the Woodbury columns ``z`` and 2x2 capacitance matrices ``cap`` (None
-    otherwise).
+    the Woodbury columns ``z``, 2x2 capacitance matrices ``cap`` and, for
+    J = 1, the LAPACK gesv that solves with ``cap`` (None otherwise).
 
     Each block's conditioning is checked here, once, on its own scale: the
     LAPACK gtcon estimate of 1 / (|M0_j|_1 |M0_j^-1|_1) below 10 PIVOT_RTOL
@@ -396,7 +402,7 @@ def _factor_shifted(A, a, b, dtype, periodic):
     if (rcond < 10.0 * PIVOT_RTOL).any():
         raise SingularSystemError("near-singular shifted banded system")
     if not periodic:
-        return lu, None, None
+        return lu, None, None, None
     # Woodbury: M = M0 + U @ W^T with U = -b*[ct*e0, cb*e_{n-1}], W = [e_{n-1}, e0]
     cols = np.zeros((J * n, 2), dtype=dtype)
     cols[::n, 0] = -b * A.corner_top
@@ -418,7 +424,8 @@ def _factor_shifted(A, a, b, dtype, periodic):
     if (col_norms.max(axis=1) * inv_bound * (10.0 * PIVOT_RTOL) > 1.0).any():
         raise SingularSystemError("periodic shifted banded system near-singular "
                                   "(Woodbury condition bound)")
-    return lu, z, cap
+    gesv = scipy.linalg.get_lapack_funcs(("gesv",), (cap,))[0] if J == 1 else None
+    return lu, z, cap, gesv
 
 
 def solve_poly_in_matrix(A: BandedMatrix, coeffs, rhs: np.ndarray) -> np.ndarray:

@@ -416,6 +416,8 @@ def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
     """
     if dec.tc != "dirichlet":
         raise ValueError(f"wave SWR exchanges Dirichlet traces only, got tc={dec.tc!r}")
+    if max_iter < 1:
+        raise ValueError(f"wave SWR needs max_iter >= 1, got {max_iter}")
     if u0_fn is None:
         u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
     _, dt, mono = monodomain_solve_wave(c, L, T, dx, u0_fn)
@@ -461,6 +463,9 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     residual rows are (x, t, |residual|) samples of the leapfrog stencil
     on the current iterate after every sweep.
     """
+    if schedule.n_red < 1 or sweeps < 0:
+        raise ValueError(f"tent pitching needs n_red >= 1 and sweeps >= 0, "
+                         f"got n_red={schedule.n_red}, sweeps={sweeps}")
     if u0_fn is None:
         u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
     dt, n, n_steps = _wave_grid(c, L, T, dx)

@@ -151,6 +151,30 @@ class TestImportCost:
         assert proc.stdout.strip() == "[]"
 
 
+class TestOpenblasThreadTimeout:
+    # importing pintlab sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so
+    # idle OpenBLAS threads sleep; a value the user set is kept
+    @staticmethod
+    def fresh_import(timeout):
+        import pintlab
+
+        src = str(Path(pintlab.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        code = ("import pintlab, os, sys; "
+                "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    def test_set_when_unset_before_numpy_loads(self):
+        assert self.fresh_import(None) == ["4", "False"]
+
+    def test_user_value_kept(self):
+        assert self.fresh_import("28") == ["28", "False"]
+
+
 class TestModuleImports:
     def test_no_function_local_imports(self):
         # every pintlab module states its dependencies at the top, so the

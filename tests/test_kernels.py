@@ -367,6 +367,24 @@ class TestShiftPlan:
                 column = gtsv_reference(A, a[j:j + 1], b[j:j + 1], R[j:j + 1, :, 0])[0]
                 assert single.solve(R[j, :, 0]).tobytes() == column.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_gesv_matches_numpy_solve(self, dtype):
+        # a one-shift periodic plan solves its 2x2 capacitance system by
+        # LAPACK gesv; numpy and scipy ship their own OpenBLAS builds, so
+        # equal bits are a fact of the installed builds, pinned here
+        rng = np.random.default_rng(230)
+        gesv, = scipy.linalg.get_lapack_funcs(("gesv",), (np.zeros(1, dtype),))
+        for scale in (1e-8, 1e-4, 1e-1, 1.0, 1e2):
+            for k in (1, 2, 7, 40):
+                for _ in range(25):
+                    a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, k))
+                    if dtype is np.complex128:
+                        a, b = a + 1j * rng.standard_normal((2, 2)), b + 1j * rng.standard_normal((2, k))
+                    a = np.eye(2) + scale * a
+                    *_, x, info = gesv(a, b)
+                    assert info == 0
+                    assert x.tobytes() == np.linalg.solve(a[None], b[None])[0].tobytes()
+
     def test_plans_with_equal_shifts_share_one_factorization(self):
         # a later plan for the same operator and shift values finds the
         # first plan's factorization on the operator; other operators'

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pintlab import swr
 from pintlab.kernels import ConvergenceError, SingularSystemError
 from pintlab.swr import (
     Decomposition1D,
@@ -399,6 +400,14 @@ class TestWaveSwr:
         with pytest.raises(ValueError, match="tc='robin'"):
             swr_solve_wave(np.sqrt(self.C2), 1.0, 1.0, 1.0 / 80, dec)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter, monkeypatch):
+        # max_iter=0 used to raise UnboundLocalError after the oracle march
+        monkeypatch.setattr(swr, "_leapfrog", lambda *args: pytest.fail("marched"))
+        dec = two_domain_overlap(81, 0.25)
+        with pytest.raises(ValueError, match=f"max_iter >= 1, got {max_iter}"):
+            swr_solve_wave(np.sqrt(self.C2), 1.0, 1.0, 1.0 / 80, dec, max_iter=max_iter)
+
     def test_tiny_T_converges_in_one_sweep(self):
         c = np.sqrt(self.C2)
         dx = 1.0 / 80
@@ -554,6 +563,14 @@ class TestUtp:
         x = np.linspace(0.0, 1.0, 5)
         assert U.shape == (5, 5) and len(tr.residuals) == 2
         np.testing.assert_array_equal(U[0, 1:-1], np.sin(2 * np.pi * x[1:-1]) ** 2)
+
+    @pytest.mark.parametrize("n_red, sweeps", [(0, 2), (-1, 2), (2, -1)])
+    def test_bad_schedule_rejected(self, n_red, sweeps, monkeypatch):
+        # n_red=0 used to raise IndexError from the subdomain bounds, and
+        # negative sweeps returned the random start unswept
+        monkeypatch.setattr(swr, "_leapfrog", lambda *args: pytest.fail("marched"))
+        with pytest.raises(ValueError, match=f"n_red={n_red}, sweeps={sweeps}"):
+            utp_advance(self.C, 1.0, 0.5, 1.0 / 60, TentSchedule(n_red=n_red), sweeps=sweeps)
 
     def test_heatmap_rows_format(self):
         sched = TentSchedule(n_red=3)
