@@ -308,8 +308,8 @@ def _collocation_sources(sys, dt, n_windows, nodes, Q):
     (M, n, n_windows); zero without a source."""
     if sys.source is None:
         return np.zeros((nodes.shape[0], sys.n, n_windows))
-    G = np.array([[sys.source((w + tau) * dt) for w in range(n_windows)] for tau in nodes])
-    return _mix_nodes(Q, G.swapaxes(1, 2))
+    G = sys.source((np.arange(n_windows) + nodes[:, None]) * dt)  # (n, M, n_windows)
+    return _mix_nodes(Q, G.swapaxes(0, 1))
 
 
 def _mix_nodes(P, U):

@@ -164,29 +164,40 @@ class Propagator:
         return self.dt * self.steps
 
 
-def _newton(sys, c, rhs, t_eval, guess, tol=1e-12, max_iter=50):
-    """Solve y - c*f(y, t_eval) = rhs by Newton with banded Jacobian solves."""
-    y = guess.copy()
+def _newton(sys, c, rhs, ts, guess, tol=1e-12, max_iter=50):
+    """Solve y_j - c*f(y_j, ts[j]) = rhs_j by Newton for every column j of
+    an (n, k) block, all columns in step; ``ts`` may be one time for all.
+    An (n,) vector is one column, and a block of one is solved as one.
+
+    Each iteration evaluates f and the Jacobians once on the active columns,
+    stacks the systems (I - c J_j) into one band with zero coupling and
+    solves them by one factorization (:func:`solve_shifted_banded`), so each
+    column's iterates equal those of its own Newton, bit for bit.  A column
+    that converges is frozen and leaves the active set.  A zero pivot names
+    its block by its place among the active columns; a non-finite iterate,
+    or a column still active after ``max_iter`` iterations, raises
+    ConvergenceError.
+    """
+    if guess.ndim == 2 and guess.shape[1] == 1:
+        return _newton(sys, c, rhs[:, 0], np.ravel(ts)[0], guess[:, 0], tol, max_iter)[:, None]
+    Y = y = guess.copy()
+    width = Y.shape[1:]  # (k,) for a block, () for a vector
+    # the active columns, with their right-hand sides, times and shifts (a, b) = (1, c)
+    cols, r, t, a, b = ((np.arange(width[0]), rhs, np.full(width, ts), np.ones(width),
+                         np.full(width, c)) if width else (slice(None), rhs, ts, 1.0, c))
     for _ in range(max_iter):
-        res = y - c * sys.f(y, t_eval) - rhs
-        nrm = np.abs(res).max()
-        if nrm <= tol * max(1.0, np.abs(y).max()):
-            return y
-        delta = solve_shifted_banded(sys.jacobian(y), (1.0, c), res)
-        y = y - delta
-        if not np.all(np.isfinite(y)):
+        res = y - c * sys.f(y, t) - r
+        done = np.abs(res).max(axis=0) <= tol * np.abs(y).max(axis=0, initial=1.0)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            Y.T[cols] = y.T  # the converged columns keep these values
+            if n_done == done.size:
+                return Y
+            cols, y, r, t, a, b, res = (v[..., ~done] for v in (cols, y, r, t, a, b, res))
+        y = y - solve_shifted_banded(sys.jacobian(y), (a, b), res.T).T
+        if not np.isfinite(y).all():
             raise ConvergenceError("Newton iterate became non-finite")
     raise ConvergenceError("Newton did not converge")
-
-
-def _g_columns(sys, ts, like):
-    """Source values at per-column times ``ts`` stacked as columns."""
-    cols = np.zeros_like(like)
-    for j, t in enumerate(np.atleast_1d(ts)):
-        gv = sys.g(float(t))
-        if gv is not None:
-            cols[:, j] = gv
-    return cols
 
 
 def _step_linear_block(method, sys, plan, dt, t0s, U):
@@ -207,19 +218,17 @@ def _step_linear_block(method, sys, plan, dt, t0s, U):
         # backward Euler (theta = 1) has no explicit term: skip its 0*A U
         rhs = U if th == 1.0 else U + (1.0 - th) * dt * sys.matvec(U)
         if has_g:
-            rhs = rhs + dt * (
-                (1.0 - th) * _g_columns(sys, t0s, U) + th * _g_columns(sys, t0s + dt, U)
-            )
+            rhs = rhs + dt * ((1.0 - th) * sys.g(t0s) + th * sys.g(t0s + dt))
         return plan.solve(rhs)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
     rhs1 = sys.matvec(U)
     if has_g:
-        rhs1 = rhs1 + _g_columns(sys, t0s + g * dt, U)
+        rhs1 = rhs1 + sys.g(t0s + g * dt)
     k1 = plan.solve(rhs1)
     y2 = U + dt * a21 * k1
     rhs2 = sys.matvec(y2)
     if has_g:
-        rhs2 = rhs2 + _g_columns(sys, t0s + (a21 + g) * dt, U)
+        rhs2 = rhs2 + sys.g(t0s + (a21 + g) * dt)
     k2 = plan.solve(rhs2)
     return U + dt * (b1 * k1 + b2 * k2)
 
@@ -232,18 +241,21 @@ def _step_plan(method, sys, dt):
     return sys.shift_plan(1.0, (method.theta if method.theta is not None else method.gamma) * dt)
 
 
-def _step_nonlinear(method, sys, dt, t0, u, newton_tol):
+def _step_nonlinear(method, sys, dt, t0s, U, newton_tol):
+    """One step of ``method`` on the nonlinear system for a block of states
+    ``U`` (n, k), column j from time t0s[j]; each Newton solve takes the
+    whole block."""
     if method.theta is not None:
         th = method.theta
-        rhs = u + (1.0 - th) * dt * sys.f(u, t0)
-        return _newton(sys, th * dt, rhs, t0 + dt, u, tol=newton_tol)
+        rhs = U + (1.0 - th) * dt * sys.f(U, t0s)
+        return _newton(sys, th * dt, rhs, t0s + dt, U, tol=newton_tol)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
-    c1, c2 = g, a21 + g
-    y1 = _newton(sys, g * dt, u, t0 + c1 * dt, u, tol=newton_tol)
-    k1 = sys.f(y1, t0 + c1 * dt)
-    y2 = _newton(sys, g * dt, u + dt * a21 * k1, t0 + c2 * dt, y1, tol=newton_tol)
-    k2 = sys.f(y2, t0 + c2 * dt)
-    return u + dt * (b1 * k1 + b2 * k2)
+    t1, t2 = t0s + g * dt, t0s + (a21 + g) * dt
+    y1 = _newton(sys, g * dt, U, t1, U, tol=newton_tol)
+    k1 = sys.f(y1, t1)
+    y2 = _newton(sys, g * dt, U + dt * a21 * k1, t2, y1, tol=newton_tol)
+    k2 = sys.f(y2, t2)
+    return U + dt * (b1 * k1 + b2 * k2)
 
 
 def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray,
@@ -262,30 +274,23 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
     Linear systems advance all columns through shared factored solves;
-    nonlinear ones run Newton stepping one column at a time.  Except
+    nonlinear ones step all columns together, one batched Newton solve
+    (:func:`_newton`) per stage.  Except
     for the exact exponential (one dense product for the whole block), a
     column's result does not depend on the other columns, bit for bit, as
     long as the block is at least two columns wide: a single column of a
     periodic linear system rounds differently in the Woodbury step.
     """
     linear = getattr(sys, "linear", True)
-    if linear:
-        plan = _step_plan(prop.method, sys, prop.dt)
-        W = U.copy()
-        for s in range(prop.steps):
-            W = _step_linear_block(prop.method, sys, plan, prop.dt, t0s + s * prop.dt, W)
-            if not np.isfinite(W).all():
-                raise ConvergenceError("propagation produced non-finite values")
-        return W
-
-    cols = []
-    for j in range(U.shape[1]):
-        u = U[:, j].copy()
-        for s in range(prop.steps):
-            u = _step_nonlinear(prop.method, sys, prop.dt, float(t0s[j] + s * prop.dt),
-                                u, newton_tol)
-        cols.append(u)
-    return np.stack(cols, axis=1)
+    plan = _step_plan(prop.method, sys, prop.dt) if linear else None
+    W = U
+    for s in range(prop.steps):
+        ts = t0s + s * prop.dt
+        W = (_step_linear_block(prop.method, sys, plan, prop.dt, ts, W) if linear
+             else _step_nonlinear(prop.method, sys, prop.dt, ts, W, newton_tol))
+        if not np.isfinite(W).all():
+            raise ConvergenceError("propagation produced non-finite values")
+    return W
 
 
 def finite_u0(sys) -> np.ndarray:
@@ -348,12 +353,8 @@ class AllAtOnce:
         b = np.zeros((self.nt, self.sys.n))
         b[0] = self.r2(finite_u0(self.sys))
         if self.sys.source is not None:
-            th = self.theta
-            for n in range(self.nt):
-                b[n] += self.dt * (
-                    (1 - th) * self.sys.source(n * self.dt)
-                    + th * self.sys.source((n + 1) * self.dt)
-                )
+            th, t = self.theta, np.arange(self.nt + 1) * self.dt
+            b += self.dt * ((1 - th) * self.sys.source(t[:-1]) + th * self.sys.source(t[1:])).T
         return b
 
     def solve_r1(self, rhs):

@@ -49,7 +49,10 @@ class BandedMatrix:
 
     ``lower``, ``diag``, ``upper`` are the sub-, main and super-diagonal;
     ``corner_top`` is entry ``(0, n-1)`` and ``corner_bottom`` entry
-    ``(n-1, 0)``.  Corners must both be set or both absent.
+    ``(n-1, 0)``.  Corners must both be set or both absent.  Bands with a
+    leading axis of J (corners of shape (J,)) hold a stack of J matrices,
+    which :class:`ShiftPlan` solves with J shifts; the other methods take
+    one matrix.
     """
 
     diag: np.ndarray
@@ -67,15 +70,15 @@ class BandedMatrix:
     _expms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        n = self.diag.shape[0]
-        if n >= 2 and (self.lower.shape[0] != n - 1 or self.upper.shape[0] != n - 1):
+        n = self.n
+        if n >= 2 and (self.lower.shape[-1] != n - 1 or self.upper.shape[-1] != n - 1):
             raise ValueError("band lengths inconsistent with size")
         if (self.corner_top is None) != (self.corner_bottom is None):
             raise ValueError("periodic corners must be given together")
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     @property
     def periodic(self) -> bool:
@@ -145,39 +148,25 @@ class BandedMatrix:
             None if self.corner_bottom is None else c * self.corner_bottom,
         )
 
-    def add(self, other: "BandedMatrix") -> "BandedMatrix":
+    def add(self, other: "BandedMatrix", u=None) -> "BandedMatrix":
+        """self + other, or self + other @ diag(u); a block ``u`` of shape
+        (n, k) gives the stack of the k matrices self + other @ diag(u[:, j])."""
+        d, lo, up, ct, cb = other.diag, other.lower, other.upper, other.corner_top, other.corner_bottom
+        if u is not None:
+            d, lo, up = d * u.T, lo * u[:-1].T, up * u[1:].T
+            ct, cb = (None, None) if ct is None else (ct * u[-1], cb * u[0])
         if self.periodic != other.periodic:
             # mixed case: keep the corners that exist
-            ct = self.corner_top if self.periodic else other.corner_top
-            cb = self.corner_bottom if self.periodic else other.corner_bottom
+            ct, cb = (self.corner_top, self.corner_bottom) if self.periodic else (ct, cb)
         elif self.periodic:
-            ct = self.corner_top + other.corner_top
-            cb = self.corner_bottom + other.corner_bottom
-        else:
-            ct = cb = None
-        return BandedMatrix(
-            self.diag + other.diag,
-            self.lower + other.lower,
-            self.upper + other.upper,
-            ct,
-            cb,
-        )
+            ct, cb = self.corner_top + ct, self.corner_bottom + cb
+        return BandedMatrix(self.diag + d, self.lower + lo, self.upper + up, ct, cb)
 
     def shift_plan(self, a, b) -> "ShiftPlan":
         """Prepared solves with (a*I - b*A), or with (a[j]*I - b[j]*A) for
         arrays of J shifts; see :class:`ShiftPlan`.  Its factorizations are
         kept on this matrix, so every plan for the same shifts shares them."""
         return ShiftPlan(self, a, b, self._factors)
-
-    def scale_columns(self, u: np.ndarray) -> "BandedMatrix":
-        """Return A @ diag(u), still banded."""
-        return BandedMatrix(
-            self.diag * u,
-            self.lower * u[:-1],
-            self.upper * u[1:],
-            None if self.corner_top is None else self.corner_top * u[-1],
-            None if self.corner_bottom is None else self.corner_bottom * u[0],
-        )
 
 
 class StackedTridiagonalLU:
@@ -268,7 +257,9 @@ def dense_of(apply, shape) -> np.ndarray:
 
 
 def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
-    """Solve (a*I - b*A) x = rhs for scalars ``shift = (a, b)``.
+    """Solve (a*I - b*A) x = rhs for scalars ``shift = (a, b)``, or for
+    arrays of J shifts with ``rhs`` of shape ``(J, n)`` (and ``A`` a stack
+    of J matrices or one).
 
     ``rhs`` may be ``(n,)`` or ``(n, k)``; ``a``, ``b`` may be complex.
     A one-shot :class:`ShiftPlan`: the factorization is made for this
@@ -284,7 +275,8 @@ class ShiftPlan:
 
     Scalar shifts ``a``, ``b`` make a plan for one system, whose ``solve``
     takes ``(n,)`` or ``(n, k)``; arrays of J shifts make one for J
-    systems, ``(J, n)`` or ``(J, n, k)``.  The J tridiagonal systems are
+    systems, ``(J, n)`` or ``(J, n, k)``, with one ``A`` or a stack of J
+    (see :class:`BandedMatrix`).  The J tridiagonal systems are
     stacked into one band and factored once by LAPACK gttrf
     (:class:`StackedTridiagonalLU`), so each x[j] is bit for bit the
     single-shift solve.  Periodic corners are removed by a rank-2

@@ -77,7 +77,12 @@ def first_difference_stencil(nx: int, bc: str) -> BandedMatrix:
 @dataclass
 class SourcePulse:
     """Gaussian source firing at four instants at the domain center:
-    g(x,t) = 10 * sum_j exp(-sigma * [(t - t_j)^2 + (x - 0.5)^2])."""
+    g(x,t) = 10 * sum_j exp(-sigma * [(t - t_j)^2 + (x - 0.5)^2]).
+
+    ``t`` is a time or an array of times broadcast against ``x``.  The time
+    term is squared by libm ``pow``, as Python's float ``**`` does and
+    numpy's array ``** 2`` does not, so each entry does not depend on the
+    shape of ``t``, bit for bit."""
 
     sigma: float
     amplitude: float = PULSE_AMPLITUDE
@@ -88,10 +93,11 @@ class SourcePulse:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(x)
-        for tj in self.centers:
-            out += np.exp(-self.sigma * ((t - tj) ** 2 + (x - self.x_center) ** 2))
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
+        space, out = (x - self.x_center) ** 2, 0.0
+        time = np.float_power(np.subtract.outer(t, self.centers), 2)  # t.shape + (4,)
+        for j in range(len(self.centers)):
+            out = out + np.exp(-self.sigma * (time[..., j] + space))
         return self.amplitude * out
 
 
@@ -129,24 +135,27 @@ class SemiDiscreteSystem:
     def linear(self) -> bool:
         return self.B is None
 
-    def g(self, t: float) -> Optional[np.ndarray]:
+    def g(self, t) -> Optional[np.ndarray]:
+        """The source at time ``t``, (n,), or at an array of times, (n,) + t.shape."""
         return None if self.source is None else self.source(t)
 
-    def f(self, u: np.ndarray, t: float) -> np.ndarray:
-        """Right-hand side of the first-order system."""
+    def f(self, u: np.ndarray, t) -> np.ndarray:
+        """Right-hand side of the first-order system for a state (n,) or a
+        block (n, k), at one time or, for a block, one time per column."""
         out = self.A.matvec(u)
         if self.B is not None:
             out += self.B.matvec(u * u)
         if self.source is not None:
             gval = self.source(t)
-            out = out + (gval[:, None] if u.ndim == 2 else gval)
+            out = out + (gval[:, None] if gval.ndim < u.ndim else gval)
         return out
 
     def jacobian(self, u: np.ndarray) -> BandedMatrix:
-        """d f / d u as a banded matrix (A + 2 B diag(u))."""
+        """d f / d u as a banded matrix (A + 2 B diag(u)); for a block u of
+        shape (n, k), the stack of the k column Jacobians."""
         if self.B is None:
             return self.A
-        return self.A.add(self.B.scale_columns(2.0 * u))
+        return self.A.add(self.B, 2.0 * u)
 
     # Linear part A, in the operator interface CompanionSystem shares.
 
@@ -169,12 +178,12 @@ class SemiDiscreteSystem:
 
 
 def _with_source(source, sigma, x):
+    """g(t) = source(x, t) on the grid ``x``, with ``x`` shaped to broadcast
+    against an array of times: g(t) has shape (n,) + t.shape."""
     if source is None:
         return None
-    if callable(source) and not isinstance(source, SourcePulse):
-        return lambda t: source(x, t)
-    pulse = source if isinstance(source, SourcePulse) else SourcePulse(sigma)
-    return lambda t: pulse(x, t)
+    pulse = source if callable(source) else SourcePulse(sigma)
+    return lambda t: pulse(x.reshape(x.shape + (1,) * np.ndim(t)), t)
 
 
 def build_heat(nx: int, dx: float, nu: float, bc: str, source=None) -> SemiDiscreteSystem:
@@ -294,11 +303,11 @@ class CompanionSystem:
         bottom = self.base.A.matvec(w[:m])
         return np.concatenate([top, bottom], axis=0)
 
-    def f(self, w: np.ndarray, t: float) -> np.ndarray:
+    def f(self, w: np.ndarray, t) -> np.ndarray:
         out = self.matvec(w)
         gv = self.g(t)
         if gv is not None:
-            out = out + (gv[:, None] if w.ndim == 2 else gv)
+            out = out + (gv[:, None] if gv.ndim < w.ndim else gv)
         return out
 
     def shift_plan(self, a, b) -> "CompanionShiftPlan":

@@ -150,8 +150,7 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh, integrator: str = "back
         rhs = np.zeros((mesh.n_t, target.n))
         rhs[0] = u0 / dts[0]
         if sys.source is not None:
-            for n in range(mesh.n_t):
-                rhs[n] += sys.source(times[n + 1])
+            rhs += sys.source(times[1:]).T
         lam_exact = 1.0 / dts
         B = be_time_matrix(mesh)
         closed = geometric_eigenvectors_be
@@ -325,8 +324,7 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
     if order == "first":
         rhs[0] = sys.u0 / (2.0 * dt)
         if sys.source is not None:
-            for n in range(n_t):
-                rhs[n] += sys.source(times[n])
+            rhs += sys.source(times).T
         shifts = lam
     elif order == "second":
         if sys.order != "second":
@@ -335,8 +333,7 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
         rhs[1] = -sys.u0 / (4.0 * dt**2)
         if sys.source is not None:
             # b = b2 + (B (x) I) b1 with the source entering the velocity rows
-            src = np.stack([sys.source(t) for t in times])
-            rhs += src
+            rhs += sys.source(times).T
         # squared one shift at a time: numpy's vectorized complex product
         # may round differently from the scalar one
         shifts = np.array([l**2 for l in lam])

@@ -5,6 +5,7 @@ from pintlab.integrators import (
     METHODS,
     Propagator,
     TimeGrid,
+    _newton,
     backward_euler,
     exact_exponential,
     named_theta,
@@ -19,8 +20,10 @@ from pintlab.integrators import (
     theta_method,
     trapezoidal,
 )
-from pintlab.kernels import BandedMatrix
-from pintlab.models import SemiDiscreteSystem, build_burgers, build_heat, build_wave
+from pintlab.kernels import (BandedMatrix, ConvergenceError, SingularSystemError,
+                             solve_shifted_banded)
+from pintlab.models import (SemiDiscreteSystem, SourcePulse, build_burgers, build_heat,
+                            build_wave)
 
 ALL_ONE_STEP = [backward_euler(), trapezoidal(), sdirk22(), sdirk23()]
 
@@ -159,6 +162,166 @@ class TestPropagate:
         perm = np.array([5, 2, 0, 4, 1, 3])
         out_p = propagate_block(prop, sys, t0s[perm], U[:, perm])
         np.testing.assert_array_equal(out_p[:, np.argsort(perm)], out)
+
+
+def newton_reference(sys, c, rhs, t, guess, tol=1e-12, max_iter=50):
+    """The per-column Newton that the batched one replaced: y - c*f(y, t) =
+    rhs for one column, one one-shot shifted solve per iteration."""
+    y = guess.copy()
+    for _ in range(max_iter):
+        res = y - c * sys.f(y, t) - rhs
+        if np.abs(res).max() <= tol * max(1.0, np.abs(y).max()):
+            return y
+        y = y - solve_shifted_banded(sys.jacobian(y), (1.0, c), res)
+        if not np.all(np.isfinite(y)):
+            raise ConvergenceError("Newton iterate became non-finite")
+    raise ConvergenceError("Newton did not converge")
+
+
+def recording_f(sys):
+    """Make ``sys.f`` record a copy of every state it is evaluated on: the
+    Newton iterates, one per iteration."""
+    calls, f = [], sys.f
+
+    def record(u, t):
+        calls.append(np.array(u, copy=True))
+        return f(u, t)
+
+    sys.f = record
+    return calls
+
+
+def burgers(bc, source=False):
+    nx = 31 if bc == "dirichlet" else 32
+    return build_burgers(nx, 1.0 / (nx + 1 if bc == "dirichlet" else nx), 0.05, bc,
+                         source=SourcePulse(50.0) if source else None)
+
+
+class TestBatchedNewton:
+    """The column-batched Newton against the per-column loop above, bit for
+    bit on every iterate of every column."""
+
+    def block(self, sys, k, seed=3):
+        rng = np.random.default_rng(seed)
+        # columns of different sizes take different iteration counts
+        scale = np.array([0.0, 30.0, 1.0, 10.0, 3.0, 1e-3, 0.3])[:k]
+        base = np.sin(2 * np.pi * sys.x)[:, None] + 0.1 * rng.standard_normal((sys.n, k))
+        return scale * base, 0.2 + 0.3 * rng.random(k)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_every_iterate_matches_per_column(self, bc, k):
+        sys, c = burgers(bc, source=True), 3e-2
+        rhs, ts = self.block(sys, k)
+        guess = rhs.copy()
+        if k > 2:  # column 2 starts converged and leaves at the first check
+            guess[:, 2] = newton_reference(sys, c, rhs[:, 2], ts[2], rhs[:, 2])
+        calls = recording_f(sys)
+        ref, ref_iterates = [], []
+        for j in range(k):
+            calls[:] = []
+            ref.append(newton_reference(sys, c, rhs[:, j], ts[j], guess[:, j]))
+            ref_iterates.append(calls[:])
+        calls[:] = []
+        out = _newton(sys, c, rhs, ts, guess)
+        np.testing.assert_array_equal(out, np.stack(ref, axis=1))
+        counts = [len(it) for it in ref_iterates]
+        if k > 1:
+            assert len(set(counts)) == min(k, 5)  # columns leave the active set at different times
+        # iteration i evaluates f once on the columns still active, in order
+        assert len(calls) == max(counts)
+        for i, block in enumerate(calls):
+            active = [j for j in range(k) if counts[j] > i]
+            expected = np.stack([ref_iterates[j][i] for j in active], axis=1)
+            np.testing.assert_array_equal(block.reshape(expected.shape), expected)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_vector_is_block_of_one(self, bc):
+        sys, c = burgers(bc, source=True), 2e-3
+        rhs, ts = self.block(sys, 5)
+        u, t = rhs[:, 4], ts[4]
+        ref = newton_reference(sys, c, u, t, u)
+        np.testing.assert_array_equal(_newton(sys, c, u, t, u), ref)
+        np.testing.assert_array_equal(_newton(sys, c, u[:, None], np.array([t]), u[:, None])[:, 0], ref)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_sdirk22_block_matches_per_column_steps(self, bc):
+        sys = burgers(bc, source=True)
+        prop = Propagator(sdirk22(), dt=0.01, steps=4)
+        U, _ = self.block(sys, 4, seed=11)
+        t0s = np.array([0.0, 0.37, 0.05, 1.3])
+        g, a21, (b1, b2) = prop.method.gamma, prop.method.a21, prop.method.b
+        dt = prop.dt
+        for j in range(U.shape[1]):
+            u = U[:, j].copy()
+            for s in range(prop.steps):
+                t0 = float(t0s[j] + s * dt)
+                y1 = newton_reference(sys, g * dt, u, t0 + g * dt, u)
+                k1 = sys.f(y1, t0 + g * dt)
+                y2 = newton_reference(sys, g * dt, u + dt * a21 * k1, t0 + (a21 + g) * dt, y1)
+                k2 = sys.f(y2, t0 + (a21 + g) * dt)
+                u = u + dt * (b1 * k1 + b2 * k2)
+            np.testing.assert_array_equal(propagate_block(prop, sys, t0s, U)[:, j], u)
+            np.testing.assert_array_equal(
+                propagate(prop, sys, t0s[j], t0s[j] + prop.span(), U[:, j]), u)
+
+
+class TestBatchedNewtonErrors:
+    """A bad column raises what its own Newton raises, at the same
+    iteration, whatever the columns beside it do."""
+
+    @staticmethod
+    def first_error(fn):
+        with pytest.raises(Exception) as info:
+            fn()
+        return type(info.value), str(info.value)
+
+    def test_non_finite_rhs(self):
+        sys, c = burgers("dirichlet"), 2e-3
+        # columns 0 and 2 converge at once (zero residual), column 1 is NaN
+        rhs = np.zeros((sys.n, 3))
+        rhs[5, 1] = np.nan
+        calls = recording_f(sys)
+        expected = self.first_error(lambda: newton_reference(sys, c, rhs[:, 1], 0.0, rhs[:, 1]))
+        assert expected == (SingularSystemError, "non-finite solution from banded solve")
+        calls[:] = []
+        assert self.first_error(lambda: _newton(sys, c, rhs, 0.0, rhs)) == expected
+        assert len(calls) == 1  # no further iteration
+
+    def test_singular_jacobian_names_its_block(self):
+        # u' = u^2: J(y) = 2 diag(y), so I - c J(y) has the pivot 1 - 2 c y[i]
+        # in row i, exactly zero for c = 1/4 and y[i] = 2
+        n = 8
+        zero, one = np.zeros(n), np.ones(n)
+        sys = SemiDiscreteSystem(A=BandedMatrix(zero, zero[1:], zero[1:]), u0=zero, dx=1.0,
+                                 bc="dirichlet", kind="quadratic", x=zero,
+                                 B=BandedMatrix(one, zero[1:], zero[1:]))
+        c = 0.25
+        guess = np.full((n, 4), 0.5)
+        guess[5, 1] = 2.0
+        rhs = guess + 1.0
+        rhs[:, 2:] = guess[:, 2:] - c * sys.f(guess[:, 2:], 0.0)  # converged at once
+        calls = recording_f(sys)
+        kind, msg = self.first_error(lambda: newton_reference(sys, c, rhs[:, 1], 0.0, guess[:, 1]))
+        assert (kind, msg) == (SingularSystemError,
+                               "singular shifted banded system 0 (zero pivot in its row 5)")
+        calls[:] = []
+        assert self.first_error(lambda: _newton(sys, c, rhs, 0.0, guess)) == (
+            kind, msg.replace("system 0", "system 1"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_max_iter(self, max_iter):
+        sys, c = burgers("periodic"), 2e-3
+        rhs = np.zeros((sys.n, 3))
+        rhs[:, 1] = 3.0 * np.sin(2 * np.pi * sys.x)
+        calls = recording_f(sys)
+        expected = self.first_error(
+            lambda: newton_reference(sys, c, rhs[:, 1], 0.0, rhs[:, 1], max_iter=max_iter))
+        assert expected == (ConvergenceError, "Newton did not converge")
+        n_ref, calls[:] = len(calls), []
+        assert self.first_error(lambda: _newton(sys, c, rhs, 0.0, rhs, max_iter=max_iter)) == expected
+        assert len(calls) == n_ref == max_iter
 
 
 class TestNumerov:

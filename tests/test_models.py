@@ -187,6 +187,19 @@ class TestSourcePulse:
         with pytest.raises(ValueError):
             SourcePulse(0.0)
 
+    def test_array_of_times_matches_each_time(self):
+        # one call on an array of times equals one call per time, bit for
+        # bit: the time term is squared as a Python float squares (libm pow),
+        # not as numpy's array square, which rounds a few in 1e3 differently
+        pulse = SourcePulse(100.0)
+        x = np.linspace(0.0, 1.0, 33)
+        ts = np.random.default_rng(0).uniform(0.0, 2.0, (4, 500))
+        each = np.stack([[pulse(x, float(t)) for t in row] for row in ts])
+        np.testing.assert_array_equal(pulse(x[:, None, None], ts), np.moveaxis(each, 2, 0))
+        sys = build_heat(33, 1.0 / 34, 1.0, "dirichlet", source=pulse)
+        each = np.stack([sys.g(t) for t in ts[0]], axis=1)
+        np.testing.assert_array_equal(sys.g(ts[0]), each)
+
 
 @pytest.mark.parametrize("build", [build_heat, build_advection_diffusion, build_burgers,
                                    build_wave])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from pintlab.models import build_burgers, build_heat
+from pintlab.integrators import _newton
+from pintlab.models import SourcePulse, build_burgers, build_heat
 from pintlab.stmg import (
     AllAtOnce,
+    NonlinearAllAtOnce,
     SmootherConfig,
     SpaceTimeGrid,
     block_jacobi_smooth,
@@ -300,6 +302,22 @@ class TestFas:
         e = tr.errors
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e[:-1], e[1:]))
         assert e[-1] <= 1e-6 * e[0]
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_time_rows_batched_bitwise(self, bc):
+        # f_rows is one evaluation and a smoothing step one Newton solve for
+        # all time rows; both equal their per-row loops bit for bit
+        nx, nt = 31, 15
+        dx = 1.0 / (nx + 1 if bc == "dirichlet" else nx)
+        sys = build_burgers(nx, dx, 0.05, bc, source=SourcePulse(50.0))
+        op = NonlinearAllAtOnce(sys, 0.5, 8 * dx**2, nt)
+        U = np.random.default_rng(5).standard_normal((nt, nx))
+        F = np.stack([sys.f(U[n], (n + 1) * op.dt) for n in range(nt)])
+        np.testing.assert_array_equal(op.f_rows(U), F)
+        b = op.rhs()
+        res = 0.25 * (b - op.apply(U))
+        dU = np.stack([_newton(sys, 0.5 * op.dt, res[n], 0.0, res[n]) for n in range(nt)])
+        np.testing.assert_array_equal(op.smooth(b, U, 0.25, 1), U + dU)
 
     def test_small_nu_degrades(self):
         # weaker diffusion more than doubles the cycles needed for 1e-6
