@@ -95,7 +95,7 @@ class SourcePulse:
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         space, out = (x - self.x_center) ** 2, 0.0
-        time = np.float_power(np.subtract.outer(t, self.centers), 2)  # t.shape + (4,)
+        time = np.float_power(np.subtract.outer(t, self.centers), 2)  # t.shape + (centers,)
         for j in range(len(self.centers)):
             out = out + np.exp(-self.sigma * (time[..., j] + space))
         return self.amplitude * out
