@@ -5,7 +5,9 @@
     pint verify [--filter STR] [--out DIR] [--seed S]
 
 Results are written as UTF-8 CSV (one file per experiment) into --out
-(default ./pint-out); the PINT_OUT environment variable overrides --out.
+(default ./pint-run, which git ignores); the PINT_OUT environment variable
+overrides --out.  The tracked golden CSVs live in ./pint-out and are
+rewritten only by an explicit ``--out pint-out``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .experiments import load_registry, result_to_csv, run_experiment
+
+DEFAULT_OUT = "pint-run"  # untracked; the goldens in pint-out/ need an explicit --out
 
 
 class CliError(Exception):
@@ -128,7 +132,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one experiment and write its CSV")
     run_p.add_argument("experiment")
-    run_p.add_argument("--out", default="pint-out")
+    run_p.add_argument("--out", default=DEFAULT_OUT)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.set_defaults(fn=cmd_run)
 
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
 
     verify_p = sub.add_parser("verify", help="run experiments and report pass/fail")
     verify_p.add_argument("--filter", default="")
-    verify_p.add_argument("--out", default="pint-out")
+    verify_p.add_argument("--out", default=DEFAULT_OUT)
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.set_defaults(fn=cmd_verify)
 

@@ -3,9 +3,7 @@
 IDC sweeps raise the order of a theta-method by integrating the residual
 with quadrature built on the window's nodes (the M nodes excluding the
 left endpoint, giving exactness degree M-1 and an order ceiling of M).
-PIDC pipelines windows so sweep k of window n runs beside sweep k+1 of
-window n-1; RIDC slides the quadrature stencil one step at a time; the
-two-level PFASST block iteration couples a backward-Euler sweep on fine
+The two-level PFASST block iteration couples a backward-Euler sweep on fine
 collocation nodes with a coarse-node correction.
 """
 
@@ -72,22 +70,6 @@ def collocation_matrix(nodes: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class QuadratureRule:
-    nodes: np.ndarray  # quadrature nodes (excluding the left endpoint)
-    weights: np.ndarray  # IDC panel weights or collocation matrix
-
-    @classmethod
-    def uniform_idc(cls, M: int) -> "QuadratureRule":
-        window = np.linspace(0.0, 1.0, M + 1)
-        return cls(nodes=window[1:], weights=idc_weights(window))
-
-    @classmethod
-    def radau_iia(cls, M: int) -> "QuadratureRule":
-        nodes = radau_iia_nodes(M)
-        return cls(nodes=nodes, weights=collocation_matrix(nodes))
-
-
-@dataclass
 class SweepState:
     """Node values of one window during correction sweeps."""
 
@@ -141,29 +123,16 @@ def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> Swee
     return SweepState(n=state.n, t_nodes=t, values=new, k=state.k + 1)
 
 
-def pidc_schedule(n_windows: int, k_sweeps: int):
-    """Pipelined stages: at stage s, window n runs sweep s - n + 1."""
-    stages = []
-    for s in range(1, n_windows + k_sweeps):
-        active = [
-            (n, s - n) for n in range(n_windows) if 1 <= s - n <= k_sweeps
-        ]
-        stages.append(active)
-    return stages
+def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
+    """Windowed IDC: a theta predictor plus k_corrections sweeps per window.
+    Each window starts from the constant guess at its predecessor's final
+    endpoint value (u0 for the first), so the predictor sweep reduces to
+    the plain theta method.
 
-
-def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
-                  refresh_initial_value=True):
-    """Shared engine for windowed IDC and PIDC.
-
-    Sweep k of window n takes its left-endpoint value from the
-    predecessor's sweep-k endpoint when pipelined (or its final endpoint
-    otherwise), starting from the constant whole-window guess; the
-    first sweep then reduces to the plain theta predictor.  The stored
-    node-0 value always carries the current initial value (with theta = 1
-    sweeps node 0 never enters the correction terms).
-    """
+    Returns (window node times, per-window per-sweep node values,
+    endpoint array indexed [sweep, boundary])."""
     finite_u0(sys)
+    k_sweeps = k_corrections + 1
     boundaries = np.linspace(0.0, T, n_windows + 1)
     windows = []  # windows[n][k] = node values of window n after sweep k+1
     endpoints = np.full((k_sweeps + 1, n_windows + 1, sys.n), np.nan)
@@ -171,112 +140,18 @@ def _run_windowed(sys, T, n_windows, M, k_sweeps, theta, pipelined,
     window_nodes = [
         np.linspace(boundaries[n], boundaries[n + 1], M + 1) for n in range(n_windows)
     ]
-    weights = [idc_weights(t) for t in window_nodes]
-
+    ic = sys.u0
     for n in range(n_windows):
+        weights = idc_weights(window_nodes[n])
+        state = SweepState(n=n, t_nodes=window_nodes[n], values=np.tile(ic, (M + 1, 1)))
         sweeps_here = []
         for k in range(1, k_sweeps + 1):
-            if n == 0:
-                ic = sys.u0
-            elif pipelined:
-                kk = k if refresh_initial_value else 1
-                ic = windows[n - 1][min(kk, k_sweeps) - 1][-1]
-            else:
-                ic = windows[n - 1][-1][-1]
-            if k == 1:
-                guess = np.tile(ic, (M + 1, 1))
-                state = SweepState(n=n, t_nodes=window_nodes[n], values=guess, k=0)
-            else:
-                state = sweeps_here[-1]
-                state = SweepState(n=n, t_nodes=state.t_nodes,
-                                   values=state.values.copy(), k=state.k)
-            state.values[0] = ic
-            state = idc_sweep(state, sys, theta, weights[n])
-            sweeps_here.append(state)
+            state = idc_sweep(state, sys, theta, weights)
+            sweeps_here.append(state.values)
             endpoints[k, n + 1] = state.values[-1]
-        windows.append([s.values for s in sweeps_here])
+        windows.append(sweeps_here)
+        ic = sweeps_here[-1][-1]
     return window_nodes, windows, endpoints
-
-
-def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
-    """Windowed IDC: predictor plus k_corrections sweeps per window,
-    sequential handoff of the final endpoint value.
-
-    Returns (window node times, per-window per-sweep node values,
-    endpoint array indexed [sweep, boundary])."""
-    return _run_windowed(sys, T, n_windows, M, k_corrections + 1, theta,
-                         pipelined=False)
-
-
-def pidc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0,
-             refresh_initial_value: bool = True):
-    """Pipelined IDC: sweep k of a window uses the predecessor's sweep-k
-    endpoint; the whole-window guess is fixed to the predecessor's
-    first-sweep endpoint."""
-    return _run_windowed(sys, T, n_windows, M, k_corrections + 1, theta,
-                         pipelined=True, refresh_initial_value=refresh_initial_value)
-
-
-def window_errors(window_nodes, window_values, reference_fn):
-    """Max relative error per window per sweep against ``reference_fn(t)``."""
-    n_windows = len(window_nodes)
-    k_sweeps = len(window_values[0])
-    refs = [np.stack([reference_fn(t) for t in tn]) for tn in window_nodes]
-    scale = max(np.abs(np.stack(refs)).max(), 1e-300)
-    out = np.empty((k_sweeps, n_windows))
-    for n in range(n_windows):
-        for k in range(k_sweeps):
-            out[k, n] = np.abs(window_values[n][k] - refs[n]).max() / scale
-    return out
-
-
-# ---------------------------------------------------------------------------
-# revisionist IDC: sliding stencils
-# ---------------------------------------------------------------------------
-
-
-def ridc_run(sys, M: int, levels: int, T: float, dt: float) -> np.ndarray:
-    """Revisionist IDC with backward-Euler predictor and corrections.
-
-    Level 0 is the plain BE trajectory; level l corrects level l-1 with a
-    sliding M-node quadrature stencil (constant weights on the uniform
-    grid).  Returns the level ``levels-1`` trajectory, shape (n_steps+1, n).
-    """
-    if not 1 <= levels <= M:
-        raise ValueError("need 1 <= levels <= M")
-    n_steps = int(round(T / dt))
-    times = dt * np.arange(n_steps + 1)
-    if n_steps + 1 < M:
-        raise ValueError("not enough steps for the stencil")
-    nodes = _ThetaNodes(sys, 1.0)
-
-    level = np.empty((n_steps + 1, sys.n))
-    level[0] = finite_u0(sys)
-    for j in range(n_steps):
-        level[j + 1] = nodes(dt, times[j + 1], level[j], level[j])
-
-    # constant sliding weights: M uniform nodes, integrate over the last panel
-    stencil = dt * np.arange(M)
-    w_slide = quad_weights(stencil, stencil[-2], stencil[-1])
-
-    for l in range(1, levels):
-        prev = level
-        level = np.empty_like(prev)
-        level[0] = sys.u0
-        # startup: one IDC correction sweep over the initial window 0..M-1
-        window = times[:M]
-        wmat = idc_weights(window)
-        f_prev = np.stack([sys.f(prev[m], times[m]) for m in range(M)])
-        for m in range(M - 1):
-            rhs = level[m] - dt * f_prev[m + 1] + wmat[m] @ f_prev[1:]
-            level[m + 1] = nodes(dt, times[m + 1], rhs, prev[m + 1])
-        # slide: step j+1 corrected with the trailing M nodes of level l-1
-        for j in range(M - 1, n_steps):
-            idx = np.arange(j - M + 2, j + 2)
-            f_prev_sten = np.stack([sys.f(prev[i], times[i]) for i in idx])
-            rhs = level[j] - dt * sys.f(prev[j + 1], times[j + 1]) + w_slide @ f_prev_sten
-            level[j + 1] = nodes(dt, times[j + 1], rhs, prev[j + 1])
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Time integrators and the coarse/fine propagator abstraction.
 
-One-step methods (backward Euler, trapezoidal, theta, SDIRK22, SDIRK23 and
-the exact exponential) step first-order systems; the parametrized
+One-step methods (backward Euler, trapezoidal, SDIRK22 and the exact
+exponential) step first-order systems; the parametrized
 Numerov-type method steps second-order systems directly.  ``Propagator``
 bundles a method with a step size and step count and is the building block
 every shooting-type method composes.  ``AllAtOnce``, the all-at-once
@@ -21,7 +21,6 @@ from .kernels import ConvergenceError, expm_action, solve_poly_in_matrix, solve_
 from .models import CompanionSystem, SemiDiscreteSystem
 
 SQRT2 = np.sqrt(2.0)
-SQRT3 = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,9 @@ def trapezoidal() -> OneStepMethod:
     return OneStepMethod("trapezoidal", theta=0.5)
 
 
-def theta_method(theta: float) -> OneStepMethod:
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return OneStepMethod("theta", theta=theta)
-
-
 def sdirk22() -> OneStepMethod:
     g = (2.0 - SQRT2) / 2.0
     return OneStepMethod("sdirk22", gamma=g, a21=1.0 - g, b=(1.0 - g, g))
-
-
-def sdirk23() -> OneStepMethod:
-    g = (3.0 + SQRT3) / 6.0
-    return OneStepMethod("sdirk23", gamma=g, a21=-1.0 / SQRT3, b=(0.5, 0.5))
 
 
 def exact_exponential() -> OneStepMethod:
@@ -102,16 +90,6 @@ def stability(method: OneStepMethod, z):
     return 1.0 + b1 * k1 + b2 * k2
 
 
-def nominal_order(method) -> int:
-    return {
-        "backward_euler": 1,
-        "trapezoidal": 2,
-        "theta": 2,
-        "sdirk22": 2,
-        "sdirk23": 3,
-    }[method.name]
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Window boundaries T_0 < ... < T_{N_t}; each window holds J fine steps."""
@@ -130,22 +108,11 @@ class TimeGrid:
     def n_windows(self) -> int:
         return self.boundaries.shape[0] - 1
 
-    @property
-    def T(self) -> float:
-        return float(self.boundaries[-1])
-
     def window(self, i: int):
         return float(self.boundaries[i]), float(self.boundaries[i + 1])
 
     def window_length(self, i: int = 0) -> float:
         return float(self.boundaries[i + 1] - self.boundaries[i])
-
-    def fine_times(self) -> np.ndarray:
-        chunks = [np.array([self.boundaries[0]])]
-        for i in range(self.n_windows):
-            a, b = self.window(i)
-            chunks.append(np.linspace(a, b, self.J + 1)[1:])
-        return np.concatenate(chunks)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: banded/cyclic solves, DFT, matrix
-exponential action, triangular-Toeplitz application, and a small GMRES.
+"""Shared numerical primitives: banded/cyclic solves, DFT and matrix
+exponential action.
 
 All solvers accept real or complex data.  Vectors live on axis 0, so every
 routine also accepts an ``(n, k)`` block of right-hand sides and solves the
@@ -483,24 +483,6 @@ def idft(v: np.ndarray) -> np.ndarray:
     return np.fft.fft(v, axis=0, norm="ortho")
 
 
-def toeplitz_lower_apply(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the unit-diagonal lower-triangular Toeplitz operator
-    T(a_1, ..., a_m) to ``v`` (axis 0); ``coeffs`` holds a_1..a_m."""
-    coeffs = np.asarray(coeffs)
-    n = v.shape[0]
-    if coeffs.shape[0] > n:
-        raise ValueError("more Toeplitz coefficients than vector entries")
-    first_col = np.zeros(n, dtype=np.result_type(coeffs, v, float))
-    first_col[0] = 1.0
-    first_col[1 : 1 + coeffs.shape[0]] = coeffs
-    if v.ndim == 1:
-        return np.convolve(first_col, v)[:n]
-    out = np.empty((n, v.shape[1]), dtype=np.result_type(first_col, v))
-    for j in range(v.shape[1]):
-        out[:, j] = np.convolve(first_col, v[:, j])[:n]
-    return out
-
-
 # Operators of size n <= EXPM_DENSE_MAX get a dense exp(t*A), kept on their
 # banded matrix; larger ones go through expm_multiply on a sparse copy.
 EXPM_DENSE_MAX = 512
@@ -539,47 +521,3 @@ def _finite(x):
     if not np.isfinite(x).all():
         raise FloatingPointError("matrix exponential is not finite")
     return x
-
-
-def gmres(apply_op, b: np.ndarray, apply_right_prec=None, tol: float = 1e-10,
-          max_iter: int = 200, x0: Optional[np.ndarray] = None):
-    """Restart-free right-preconditioned GMRES.
-
-    Solves op(x) = b by running GMRES on op(prec(y)) and returning
-    x = prec(y).  Returns ``(x, residual_history)``; raises
-    :class:`ConvergenceError` on breakdown before reaching ``tol``.
-    """
-    if apply_right_prec is None:
-        apply_right_prec = lambda u: u
-    b = np.asarray(b)
-    n = b.shape[0]
-    x0 = np.zeros_like(b) if x0 is None else x0
-    r0 = b - apply_op(x0)
-    beta = np.linalg.norm(r0)
-    bnorm = max(np.linalg.norm(b), 1e-300)
-    history = [beta / bnorm]
-    if beta / bnorm <= tol:
-        return x0, history
-    m = min(max_iter, 2 * n)
-    dtype = np.result_type(b, complex if np.iscomplexobj(b) else float)
-    V = np.zeros((n, m + 1), dtype=dtype)
-    H = np.zeros((m + 1, m), dtype=dtype)
-    V[:, 0] = r0 / beta
-    for j in range(m):
-        w = apply_op(apply_right_prec(V[:, j]))
-        for i in range(j + 1):
-            H[i, j] = np.vdot(V[:, i], w)
-            w = w - H[i, j] * V[:, i]
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] > 1e-300:
-            V[:, j + 1] = w / H[j + 1, j]
-        e1 = np.zeros(j + 2, dtype=dtype)
-        e1[0] = beta
-        y, res, *_ = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)
-        rnorm = np.linalg.norm(e1 - H[: j + 2, : j + 1] @ y)
-        history.append(float(rnorm / bnorm))
-        if rnorm / bnorm <= tol:
-            return x0 + apply_right_prec(V[:, : j + 1] @ y), history
-        if H[j + 1, j] <= 1e-300:
-            raise ConvergenceError("GMRES breakdown before tolerance")
-    raise ConvergenceError(f"GMRES did not reach tol={tol} in {m} iterations")

@@ -303,13 +303,6 @@ class CompanionSystem:
         bottom = self.base.A.matvec(w[:m])
         return np.concatenate([top, bottom], axis=0)
 
-    def f(self, w: np.ndarray, t) -> np.ndarray:
-        out = self.matvec(w)
-        gv = self.g(t)
-        if gv is not None:
-            out = out + (gv[:, None] if gv.ndim < w.ndim else gv)
-        return out
-
     def shift_plan(self, a, b) -> "CompanionShiftPlan":
         """Prepared solves with (a*I - b*[[0,I],[A,0]]), or with J shifts."""
         return CompanionShiftPlan(self, a, b)

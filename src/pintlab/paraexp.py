@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .integrators import Propagator, TimeGrid, finite_u0, propagate, propagate_block
-from .kernels import ConvergenceError, SingularSystemError, expm_action
+from .kernels import expm_action
 from .models import first_order_form
-from .parareal import PararealConfig, fine_sequential, parareal_solve
+from .parareal import fine_sequential
 from .trace import IterationTrace
 
 
@@ -187,37 +187,3 @@ def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = Non
         if trace.errors[-1] <= plan.tol:
             break
     return F_prev, trace
-
-
-def paraexp_vs_parareal_report(sys_factory, nus, plan_factory, coarse_factory,
-                               threshold_factory, max_iter: int = 12):
-    """Run iterative ParaExp and standard Parareal across a viscosity sweep.
-
-    ``sys_factory(nu)`` builds the model; ``plan_factory(sys)`` the ParaExp
-    plan; ``coarse_factory(grid)`` the Parareal coarse propagator;
-    ``threshold_factory(sys)`` the truncation-error stopping level.
-    Returns {nu: (paraexp_trace, parareal_trace, threshold)}.
-    """
-    out = {}
-    for nu in nus:
-        sys = sys_factory(nu)
-        plan = plan_factory(sys)
-        plan.max_iter = max_iter
-        plan.tol = threshold_factory(sys)
-        tr_exp = None
-        try:
-            _, tr_exp = paraexp_nonlinear_iterate(plan, sys)
-        except (ConvergenceError, SingularSystemError) as exc:  # divergence, not fatal
-            tr_exp = IterationTrace(method="paraexp_nonlinear")
-            tr_exp.meta["failed"] = str(exc)
-        cfg = PararealConfig(grid=plan.grid, fine=plan.red,
-                             coarse=coarse_factory(plan.grid),
-                             max_iter=max_iter, tol=threshold_factory(sys))
-        tr_par = None
-        try:
-            _, tr_par = parareal_solve(cfg, sys)
-        except (ConvergenceError, SingularSystemError) as exc:
-            tr_par = IterationTrace(method="parareal")
-            tr_par.meta["failed"] = str(exc)
-        out[nu] = (tr_exp, tr_par, threshold_factory(sys))
-    return out

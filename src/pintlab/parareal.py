@@ -19,7 +19,7 @@ from .integrators import (Propagator, TimeGrid, finite_u0, propagate, propagate_
                           stability)
 from .kernels import ConvergenceError
 from .models import first_order_form
-from .paradiag import alpha_circulant_factor, circulant_quasi_newton
+from .paradiag import alpha_circulant_factor
 from .trace import IterationTrace
 
 
@@ -228,16 +228,6 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
 # ---------------------------------------------------------------------------
 
 
-def rho_superlinear(Rg: Callable, Rf: Callable, J: int, z: complex, n_t: int, k: int) -> float:
-    """Superlinear (bounded-interval) convergence factor after k iterations."""
-    diff = abs(Rg(z) - Rf(z / J) ** J) ** k
-    prod = 1.0
-    for j in range(1, k + 1):
-        prod *= n_t - j
-        diff /= j
-    return diff * prod if k <= n_t else 0.0
-
-
 def rho_linear(Rg: Callable, Rf: Callable, J: int, z) -> float:
     """Long-time linear convergence factor |Rg - Rf^J| / (1 - |Rg|)."""
     z = np.asarray(z, dtype=complex)
@@ -283,15 +273,14 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     """Parareal whose CGC couples head to tail, u_0^{k+1} = alpha*u_{N}^{k+1} + u_0,
     and is solved across all windows at once by circulant diagonalization.
 
-    Coarse solver is one backward-Euler step per window; linear systems are
-    handled directly, nonlinear ones by the averaged-Jacobian quasi-Newton.
-    The fine solve of window 0 always starts from u0 and is made once
-    (:class:`_FineMap`).
+    Coarse solver is one backward-Euler step per window, and the system must
+    be linear.  The fine solve of window 0 always starts from u0 and is made
+    once (:class:`_FineMap`).
     """
     if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
         raise ValueError("diag CGC uses one backward-Euler step per window")
     _check_alpha(cfg.alpha)
-    target = first_order_form(sys)
+    target = _linear_target(sys, "diag CGC")
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     dT = cfg.grid.window_length(0)
@@ -308,9 +297,7 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     if n_w > 1:
         c1[1] = -1.0
     fac = alpha_circulant_factor(c1, alpha)
-    linear = getattr(target, "linear", True)
-    if linear:
-        cgc_plan = target.shift_plan(fac.eigenvalues, np.full(n_w, dT))
+    cgc_plan = target.shift_plan(fac.eigenvalues, np.full(n_w, dT))
 
     for k in range(cfg.max_iter):
         # b_{n+1} = F(T_n, T_{n+1}, u~_n) - G(T_n, T_{n+1}, u_n), with the
@@ -320,12 +307,9 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         F = fine(U_tilde)
         B = np.stack([F[n] - coarse(n, U[n]) for n in range(n_w)])
 
-        if linear:
-            G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
-            G[0] += target.u0
-            U_inner = fac.solve(cgc_plan, G).real
-        else:
-            U_inner = _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U[1:])
+        G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
+        G[0] += target.u0
+        U_inner = fac.solve(cgc_plan, G).real
         U_new = np.empty_like(U)
         U_new[0] = alpha * U_inner[-1] + target.u0
         U_new[1:] = U_inner
@@ -336,31 +320,19 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     return U, trace
 
 
-def _diag_cgc_quasi_newton(cfg, target, fac, B, dT, U_guess):
-    """Solve (C_alpha (x) I) U - dT F(U) = g by the averaged-Jacobian
-    quasi-Newton iteration; F rows are f(u_n - b_n)."""
-    g = B.copy()
-    g[0] += target.u0
-
-    def residual(U):
-        shifted = U - B
-        F = np.stack([target.f(shifted[j], 0.0) for j in range(B.shape[0])])
-        return g - (_c_alpha_apply(U, cfg.alpha) - dT * F), shifted
-
-    return circulant_quasi_newton(target, residual, fac, np.full(B.shape[0], dT), U_guess,
-                                  cfg.newton_tol, "diag-CGC")
-
-
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"diagonalized Parareal needs alpha in (0, 1), got alpha={alpha!r}")
 
 
-def _c_alpha_apply(U, alpha):
-    out = U.copy()
-    out[1:] -= U[:-1]
-    out[0] -= alpha * U[-1]
-    return out
+def _linear_target(sys, name):
+    """``sys`` in first-order form; a nonlinear system is rejected, since
+    the diagonalized solvers factor one linear operator for every window."""
+    target = first_order_form(sys)
+    if not target.linear:
+        raise ValueError(f"{name} solves linear systems only, got the nonlinear "
+                         f"{sys.kind!r} system")
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +346,12 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     periodic inside each window and solved at once by diagonalization.
 
     Fine and coarse share the method and step size; alpha -> 0 recovers the
-    fine solver itself.
+    fine solver itself.  The system must be linear.
     """
     if cfg.fine.method.theta is None:
         raise ValueError("diag coarse solver is defined for theta methods")
     _check_alpha(cfg.alpha)
-    target = first_order_form(sys)
+    target = _linear_target(sys, "diag coarse solver")
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     theta = cfg.fine.method.theta
@@ -397,47 +369,20 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     if J > 1:
         ctheta[1] = 1.0 - theta
     fac_t = alpha_circulant_factor(ctheta, alpha)
-    linear = getattr(target, "linear", True)
-    if linear:
-        star_plan = target.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues)
+    star_plan = target.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues)
 
     def coarse_star(n, u_n):
         """F*_alpha over window n: all-at-once head-tail theta sweep."""
         t0, _ = cfg.grid.window(n)
-        if linear:
-            rhs = np.zeros((J, u_n.shape[0]), dtype=float)
-            v0 = (1.0 - alpha) * u_n
-            rhs[0] = v0 + dt * (1.0 - theta) * target.matvec(v0)
-            if target.source is not None:
-                for j in range(J):
-                    ta, tb = t0 + j * dt, t0 + (j + 1) * dt
-                    rhs[j] = rhs[j] + dt * (
-                        (1 - theta) * target.g(ta) + theta * target.g(tb)
-                    )
-            return fac_c.solve(star_plan, rhs)[-1].real
-        return _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0)[-1]
+        rhs = np.zeros((J, u_n.shape[0]), dtype=float)
+        v0 = (1.0 - alpha) * u_n
+        rhs[0] = v0 + dt * (1.0 - theta) * target.matvec(v0)
+        if target.source is not None:
+            for j in range(J):
+                ta, tb = t0 + j * dt, t0 + (j + 1) * dt
+                rhs[j] = rhs[j] + dt * (
+                    (1 - theta) * target.g(ta) + theta * target.g(tb)
+                )
+        return fac_c.solve(star_plan, rhs)[-1].real
 
     return _iterate(cfg, target, coarse_star, oracle, "parareal_diag_coarse")
-
-
-def _diag_coarse_nonlinear(cfg, target, fac_c, fac_t, u_n, t0):
-    """Quasi-Newton solve of the head-tail window system for nonlinear f."""
-    J = cfg.fine.steps
-    dt = cfg.fine.dt
-    theta = cfg.fine.method.theta
-    alpha = cfg.alpha
-    b = np.zeros((J, u_n.shape[0]))
-    b[0] = (1.0 - alpha) * u_n
-
-    def residual(V):
-        v0 = alpha * V[-1] + (1.0 - alpha) * u_n
-        states = np.vstack([v0[None, :], V])
-        F = np.empty_like(V)
-        for j in range(J):
-            F[j] = theta * target.f(V[j], t0 + (j + 1) * dt) + (1 - theta) * target.f(
-                states[j], t0 + j * dt
-            )
-        return b - (_c_alpha_apply(V, alpha) - dt * F), [*V[:-1], v0]
-
-    return circulant_quasi_newton(target, residual, fac_c, dt * fac_t.eigenvalues,
-                                  np.tile(u_n, (J, 1)), cfg.newton_tol, "diag-coarse")

@@ -452,7 +452,6 @@ class TentSchedule:
     the active color's time slab by overlap/(2c)."""
 
     n_red: int
-    residual_detection: bool = False
 
 
 def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
@@ -460,8 +459,8 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     """Red-black SWR on the wave equation with growing time slabs.
 
     Returns (global space-time iterate, trace, residual rows) where the
-    residual rows are (x, t, |residual|) samples of the leapfrog stencil
-    on the current iterate after every sweep.
+    residual rows, shape (k, 3), are (x, t, |residual|) samples of the
+    leapfrog stencil on the final iterate.
     """
     if schedule.n_red < 1 or sweeps < 0:
         raise ValueError(f"tent pitching needs n_red >= 1 and sweeps >= 0, "
@@ -487,40 +486,27 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     U[:, -1] = 0.0
 
     trace = IterationTrace(method="utp")
-    residual_rows = []
+    lam = (c * dt / dx) ** 2
 
     def residual_field(U):
         R = np.zeros_like(U)
-        lam = (c * dt / dx) ** 2
         R[2:, 1:-1] = U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1] - lam * (
             U[1:-1, :-2] - 2 * U[1:-1, 1:-1] + U[1:-1, 2:]
         )
         return np.abs(R)
 
-    certified = 0.0
     for k in range(1, sweeps + 1):
         color = red if k % 2 == 1 else black
-        if schedule.residual_detection and k > 1:
-            # advance one slab past the residual-certified front
-            t_hi = min(T, certified + 2.0 * slab)
-        else:
-            t_hi = min(T, k * slab)
-        m_hi = int(round(t_hi / dt))
+        m_hi = int(round(min(T, k * slab) / dt))
         # the colour's initial state and boundary traces from the iterate
         G = U[: m_hi + 1, color.index]
         color.write(U, _leapfrog(color.rows, c * c / dx**2, dt, G[0], G[:, color.rows]))
-        R = residual_field(U)
-        # largest time below which the residual is everywhere small
-        below = np.where((R < 1e-8).all(axis=1), 1, 0)
-        tent_time = 0.0
-        for m in range(2, n_steps + 1):
-            if not below[m]:
-                break
-            tent_time = m * dt
-        certified = tent_time
-        trace.record(residual=R.max())
-        trace.meta.setdefault("tent_height", []).append(tent_time)
-        for m in range(0, n_steps + 1, max(1, n_steps // 32)):
-            for j in range(0, n, max(1, n // 32)):
-                residual_rows.append((x[j], m * dt, R[m, j]))
-    return U, trace, residual_rows
+        trace.record(residual=residual_field(U).max())
+    # heat map: every (n_steps // 32)-th time row and (n // 32)-th node
+    m = np.arange(0, n_steps + 1, max(1, n_steps // 32))
+    j = np.arange(0, n, max(1, n // 32))
+    rows = np.empty((m.size, j.size, 3))
+    rows[..., 0] = x[j]
+    rows[..., 1] = (m * dt)[:, None]
+    rows[..., 2] = residual_field(U)[np.ix_(m, j)]
+    return U, trace, rows.reshape(-1, 3)

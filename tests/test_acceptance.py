@@ -4,15 +4,21 @@ one pass/fail line.
 Criteria C1-C14 are the registered experiments (each bundles the bound
 checks of one criterion); C15 re-runs the cross-cutting property checks
 (kernel round trips, quadrature exactness, fixed points, order slopes,
-parallel-order determinism) in compact form.
+parallel-order determinism) in compact form.  A reachability guard checks
+that the 14 experiments enter every public function of the package.
 """
 
+import importlib
+import inspect
+import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pintlab
 from pintlab.experiments import load_registry, result_to_csv, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "pint-out"
@@ -55,12 +61,26 @@ def registry():
 
 
 @pytest.fixture(scope="module")
-def results(registry):
+def entered():
+    """The code objects entered while ``results`` runs the experiments."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def results(registry, entered):
     cache = {}
+
+    def record_call(frame, event, arg):
+        entered.add(frame.f_code)  # returns None: call events only, no line tracing
 
     def get(exp_id):
         if exp_id not in cache:
-            cache[exp_id] = run_experiment(registry[exp_id], seed=0)
+            previous = sys.gettrace()
+            sys.settrace(record_call)
+            try:
+                cache[exp_id] = run_experiment(registry[exp_id], seed=0)
+            finally:
+                sys.settrace(previous)
         return cache[exp_id]
 
     return get
@@ -112,6 +132,49 @@ def test_csv_matches_golden(exp_id, results):
     golden = (GOLDEN_DIR / f"{exp_id}.csv").read_text(encoding="utf-8")
     problems = golden_mismatches(result_to_csv(results(exp_id)), golden)
     assert not problems, f"{exp_id} departs from pint-out/{exp_id}.csv: {problems[:5]}"
+
+
+# Public functions no experiment enters, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "experiments.load_registry": "harness: the registry fixture calls it before the runs",
+    "experiments.result_to_csv": "harness: test_csv_matches_golden formats the results",
+    "experiments.ExperimentResult.passed": "harness: read by the CLI and perfbench",
+    "kernels.BandedMatrix.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
+    "models.SemiDiscreteSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
+    "models.CompanionSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
+    "models.CompanionSystem.g": "the source of a wave system; no experiment's wave has one",
+    "models.CompanionSystem.solve_shift": "one-shot companion solve; perfbench reports its calls",
+    "stmg.SpaceTimeGrid.nx": "time-only coarsening; every C13 grid also coarsens in space",
+}
+
+
+def public_functions():
+    """{name: code object} of the public functions of every pintlab module
+    but ``cli``, and of the public methods and properties of its classes."""
+    found = {}
+    for info in pkgutil.iter_modules(pintlab.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"pintlab.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found[f"{info.name}.{name}" + (f".{attr}" if attr else "")] = fn.__code__
+    return found
+
+
+def test_experiments_reach_every_public_function(results, entered):
+    for exp_id, _ in CRITERIA.values():
+        results(exp_id)
+    unreached = {name for name, code in public_functions().items() if code not in entered}
+    extra = sorted(unreached - UNREACHED_ALLOWED.keys())
+    assert not extra, f"no experiment reaches {extra}: delete them, or allow-list them with a reason"
+    stale = sorted(UNREACHED_ALLOWED.keys() - unreached)
+    assert not stale, f"allow-listed, but reached or gone: {stale}"
 
 
 def test_criterion_c15_property_suites(capsys):

@@ -128,6 +128,19 @@ class TestCli:
         assert (override / "idc-order-lift.csv").exists()
         assert not (tmp_path / "flag-dir").exists()
 
+    @pytest.mark.parametrize("command", [["run", "idc-order-lift"], ["verify", "--filter", "idc"]])
+    def test_default_out_leaves_goldens_untouched(self, tmp_path, monkeypatch, capsys, command):
+        # the tracked goldens in pint-out/ are written only by --out pint-out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PINT_OUT", raising=False)
+        golden = tmp_path / "pint-out" / "idc-order-lift.csv"
+        golden.parent.mkdir()
+        golden.write_text("golden\n", encoding="utf-8")
+        assert main(command) == 0
+        assert golden.read_text(encoding="utf-8") == "golden\n"
+        assert list(golden.parent.iterdir()) == [golden]
+        assert (tmp_path / "pint-run" / "idc-order-lift.csv").exists()
+
 
 class TestCsvFormat:
     def test_float_precision_17_digits(self, registry):
@@ -208,8 +221,8 @@ class TestBenchmarkNames:
     name that no longer resolves silently reads 0: every pintlab function
     it names must still be defined where it says."""
 
-    # rows that read 0 by design: the solver thread pool was deleted
-    GONE = {"pool.make_pmap"}
+    # rows that read 0 by design: the solver thread pool and GMRES were deleted
+    GONE = {"pool.make_pmap", "kernels.gmres"}
 
     @staticmethod
     def reported_functions():

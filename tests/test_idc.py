@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pintlab.idc import (
-    QuadratureRule,
     SweepState,
     collocation_matrix,
     collocation_solve,
@@ -12,14 +11,9 @@ from pintlab.idc import (
     idc_weights,
     lagrange_transfer,
     pfasst_two_level,
-    pidc_run,
-    pidc_schedule,
     quad_weights,
     radau_iia_nodes,
-    ridc_run,
-    window_errors,
 )
-from pintlab.integrators import Propagator, TimeGrid, sdirk23
 from pintlab.kernels import BandedMatrix
 from pintlab.models import (
     SemiDiscreteSystem,
@@ -28,19 +22,12 @@ from pintlab.models import (
     build_burgers,
     build_heat,
 )
-from pintlab.parareal import fine_sequential
 
 
 def scalar_decay():
     A = BandedMatrix(np.array([-1.0]), np.zeros(0), np.zeros(0))
     return SemiDiscreteSystem(A=A, u0=np.ones(1), dx=1.0, bc="dirichlet",
                               kind="heat", x=np.zeros(1))
-
-
-def sdirk23_trajectory(sys, T, n_steps):
-    """SDIRK23 at every step: fine_sequential on a grid of one step per window."""
-    prop = Propagator(sdirk23(), dt=T / n_steps, steps=1)
-    return fine_sequential(TimeGrid.uniform(T, n_steps, 1), prop, sys, 1e-12)
 
 
 def dense_block_form(sys, dt, Mf=3, Mc=2, identity_transfers=False, sweeper_exact=False):
@@ -98,14 +85,14 @@ class TestQuadWeights:
 
 class TestQuadratureRule:
     def test_uniform_rule_row_sums(self):
-        rule = QuadratureRule.uniform_idc(4)
-        assert rule.nodes.shape == (4,)
-        np.testing.assert_allclose(rule.weights.sum(axis=1), 0.25, atol=1e-13)
+        weights = idc_weights(np.linspace(0.0, 1.0, 5))
+        assert weights.shape == (4, 4)
+        np.testing.assert_allclose(weights.sum(axis=1), 0.25, atol=1e-13)
 
     def test_radau_rule_integrates_constants(self):
-        rule = QuadratureRule.radau_iia(3)
+        nodes = radau_iia_nodes(3)
         # collocation row m integrates 1 over [0, tau_m]
-        np.testing.assert_allclose(rule.weights @ np.ones(3), rule.nodes, atol=1e-13)
+        np.testing.assert_allclose(collocation_matrix(nodes) @ np.ones(3), nodes, atol=1e-13)
 
 
 class TestIdcSweep:
@@ -159,97 +146,6 @@ class TestIdcSweep:
         state = SweepState(n=0, t_nodes=t, values=vals.copy())
         out = idc_sweep(state, sys, 1.0, idc_weights(t))
         assert np.abs(out.values - vals).max() < 1e-12
-
-
-class TestPidc:
-    def test_schedule_steady_state_active_count(self):
-        stages = pidc_schedule(10, 4)
-        counts = [len(s) for s in stages]
-        assert max(counts) == 4
-        assert counts.count(4) == 10 - 4 + 1
-
-    def test_single_window_equals_idc_bitwise(self):
-        sys = scalar_decay()
-        _, vals_i, _ = idc_run(sys, 0.5, 1, 4, 3)
-        _, vals_p, _ = pidc_run(sys, 0.5, 1, 4, 3)
-        for a, b in zip(vals_i[0], vals_p[0]):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.slow
-    def test_regular_source_pidc_comparable_to_idc(self):
-        # smooth pulse, strong diffusion: after two corrections PIDC's
-        # worst window error is within 10x of IDC's
-        nx = 64
-        sys = build_advection_diffusion(nx, 1.0 / nx, 1.0, "periodic",
-                                        source=SourcePulse(5.0))
-        T, n_w, M = 3.0, 30, 5
-        fine_steps = n_w * M * 4
-        ref_traj = sdirk23_trajectory(sys, T, fine_steps)
-        ref_times = np.linspace(0.0, T, fine_steps + 1)
-
-        def ref_fn(t):
-            return ref_traj[int(round(t / T * fine_steps))]
-
-        nodes_i, vals_i, _ = idc_run(sys, T, n_w, M, 2)
-        nodes_p, vals_p, _ = pidc_run(sys, T, n_w, M, 2)
-        err_i = window_errors(nodes_i, vals_i, ref_fn)
-        err_p = window_errors(nodes_p, vals_p, ref_fn)
-        assert err_p[2].max() <= 10 * err_i[2].max()
-
-
-    def test_frozen_initial_value_flag(self):
-        # the ultra-literal variant keeps handing sweep-1 endpoints to every
-        # later sweep; it stays well-defined but differs from the refreshed one
-        nx = 8
-        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
-        sys.u0[:] = np.sin(np.pi * sys.x)
-        _, vals_r, _ = pidc_run(sys, 0.5, 4, 3, 2, refresh_initial_value=True)
-        _, vals_f, _ = pidc_run(sys, 0.5, 4, 3, 2, refresh_initial_value=False)
-        assert not np.allclose(vals_r[2][-1], vals_f[2][-1], atol=1e-14)
-
-
-class TestRidc:
-    def test_levels_one_is_backward_euler(self):
-        nx = 12
-        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
-        sys.u0[:] = np.sin(np.pi * sys.x)
-        traj = ridc_run(sys, M=4, levels=1, T=0.5, dt=0.05)
-        from pintlab.integrators import Propagator, backward_euler, propagate
-
-        u = sys.u0.copy()
-        for j in range(10):
-            u = propagate(Propagator(backward_euler(), dt=0.05, steps=1), sys,
-                          j * 0.05, (j + 1) * 0.05, u)
-        np.testing.assert_allclose(traj[-1], u, atol=1e-13)
-
-    def test_level2_second_order(self):
-        sys = scalar_decay()
-        errs, dts = [], [0.1, 0.05, 0.025]
-        for dt in dts:
-            traj = ridc_run(sys, M=4, levels=2, T=1.0, dt=dt)
-            errs.append(abs(traj[-1, 0] - np.exp(-1.0)))
-        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.2)
-
-    def test_low_regularity_source_stalls(self):
-        # delta-like pulse with weak diffusion: the second correction level
-        # improves the error by less than 2x
-        nx = 64
-        sys = build_advection_diffusion(nx, 1.0 / nx, 1e-3, "periodic",
-                                        source=SourcePulse(1000.0))
-        T, dt = 1.0, 1.0 / 100
-        fine_steps = 1600
-        ref = sdirk23_trajectory(sys, T, fine_steps)[-1]
-        errs = []
-        for levels in (2, 3):
-            traj = ridc_run(sys, M=4, levels=levels, T=T, dt=dt)
-            errs.append(np.abs(traj[-1] - ref).max())
-        assert errs[1] > errs[0] / 2.0
-
-    def test_levels_bounds(self):
-        sys = scalar_decay()
-        with pytest.raises(ValueError):
-            ridc_run(sys, M=3, levels=4, T=1.0, dt=0.1)
 
 
 class TestPfasst:

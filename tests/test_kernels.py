@@ -16,11 +16,9 @@ from pintlab.kernels import (
     dense_of,
     dft,
     expm_action,
-    gmres,
     idft,
     solve_poly_in_matrix,
     solve_shifted_banded,
-    toeplitz_lower_apply,
 )
 from pintlab.models import CompanionSystem, build_heat, build_wave
 
@@ -923,44 +921,6 @@ class TestExpmAction:
         for op in (random_banded(rng, 1), random_banded(rng, 2), random_banded(rng, 6),
                    random_banded(rng, 6, periodic=True), sys, CompanionSystem(sys)):
             np.testing.assert_array_equal(op.to_sparse().toarray(), op.to_dense())
-
-
-class TestToeplitzApply:
-    def test_zero_coeffs_identity(self):
-        v = np.arange(5.0)
-        np.testing.assert_array_equal(toeplitz_lower_apply(np.zeros(3), v), v)
-
-    def test_ones_propagate(self):
-        v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(toeplitz_lower_apply(np.array([1.0, 1.0]), v), [1, 1, 1])
-
-    def test_matches_dense(self):
-        rng = np.random.default_rng(14)
-        n = 16
-        coeffs = rng.standard_normal(n - 1)
-        v = rng.standard_normal(n)
-        T = np.eye(n)
-        for k, a in enumerate(coeffs, start=1):
-            T += a * np.eye(n, k=-k)
-        np.testing.assert_allclose(toeplitz_lower_apply(coeffs, v), T @ v, atol=1e-13)
-
-
-class TestGmres:
-    def test_solves_small_system(self):
-        rng = np.random.default_rng(15)
-        M = rng.standard_normal((12, 12)) + 12 * np.eye(12)
-        b = rng.standard_normal(12)
-        x, hist = gmres(lambda u: M @ u, b, tol=1e-12)
-        np.testing.assert_allclose(M @ x, b, atol=1e-9)
-        assert hist[-1] <= 1e-12
-
-    def test_right_preconditioning(self):
-        rng = np.random.default_rng(16)
-        M = rng.standard_normal((20, 20)) + 20 * np.eye(20)
-        P = np.diag(np.diag(M))
-        b = rng.standard_normal(20)
-        x, hist = gmres(lambda u: M @ u, b, apply_right_prec=lambda u: np.linalg.solve(P, u))
-        np.testing.assert_allclose(M @ x, b, atol=1e-8)
 
 
 @pytest.mark.parametrize("periodic", [False, True])

@@ -10,7 +10,6 @@ from pintlab.paraexp import (
     linear_g_parareal,
     paraexp_linear_solve,
     paraexp_nonlinear_iterate,
-    paraexp_vs_parareal_report,
 )
 
 
@@ -179,32 +178,6 @@ class TestNonlinearParaExp:
         U2, tr2 = linear_g_parareal(plan, sys)
         np.testing.assert_array_equal(U1, U2)
         assert tr1.errors == tr2.errors
-
-    def test_viscosity_sweep_report(self):
-        def sys_factory(nu):
-            return self.burgers(nu=nu, nx=100)
-
-        def plan_factory(sys):
-            return make_plan(2.0, 50, 10, method=backward_euler())
-
-        def coarse_factory(grid):
-            return Propagator(backward_euler(), dt=grid.window_length(), steps=1)
-
-        def threshold(sys):
-            return max(2.0 / (50 * 10), sys.dx**2)
-
-        report = paraexp_vs_parareal_report(sys_factory, (1.0, 0.02), plan_factory,
-                                            coarse_factory, threshold, max_iter=10)
-        tr_exp, tr_par, thr = report[1.0]
-        # strongly diffusive: ParaExp reaches the truncation threshold at
-        # least as fast as Parareal
-        k_exp = tr_exp.converged_at(thr)
-        k_par = tr_par.converged_at(thr)
-        assert k_exp >= 0 and (k_par < 0 or k_exp <= k_par)
-
-        tr_exp, tr_par, thr = report[0.02]
-        # weak diffusion: iterative ParaExp diverges (error grows >= 10x)
-        assert max(tr_exp.errors) >= 10 * tr_exp.errors[0] or "failed" in tr_exp.meta
 
     def test_zero_nonlinearity_both_one_iteration(self):
         from pintlab.integrators import exact_exponential
