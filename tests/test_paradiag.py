@@ -147,19 +147,16 @@ class TestParaDiag1Direct:
         scale = np.abs(seq).max()
         assert np.abs(direct - seq).max() <= 1e-8 * scale
 
-    def test_matches_sequential_small_mesh(self):
+    @pytest.mark.parametrize("v_mode", ["numeric", "closed_form"])
+    def test_both_v_modes(self, v_mode):
+        # numeric: the solver's own eigendecomposition; closed_form: the
+        # closed-form eigenvectors the measured optimum below uses
+        solve = paradiag1_direct_solve if v_mode == "numeric" else closed_form_direct_solve
         sys = heat_sine(nx=10)
         mesh = GeometricTimeMesh(T=0.1, n_t=6, rho=0.4)
-        direct = paradiag1_direct_solve(sys, mesh)
+        direct = solve(sys, mesh)
         seq = sequential_variable_step_solve(sys, mesh)
         assert np.abs(direct - seq).max() <= 1e-8 * np.abs(seq).max()
-
-    def test_closed_form_reference_matches_sequential(self):
-        # the closed-form eigenvectors the measured optimum below uses
-        sys = heat_sine(nx=10)
-        mesh = GeometricTimeMesh(T=0.1, n_t=6, rho=0.4)
-        seq = sequential_variable_step_solve(sys, mesh)
-        assert np.abs(closed_form_direct_solve(sys, mesh) - seq).max() <= 1e-8 * np.abs(seq).max()
 
     def test_roundoff_envelope_all_models(self):
         # diagonalized trajectory stays within ~100*eps*cond(V) of sequential
@@ -656,10 +653,13 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="u0"):
             paradiag2_solve(sys, integrator, 0.1, 0.02, 8)
 
-    def test_negative_max_iter_rejected_first(self, monkeypatch):
+    @pytest.mark.parametrize("kwargs, name", [
+        pytest.param(dict(max_iter=-3), "max_iter", id="kwargs3-max_iter"),
+    ])
+    def test_bad_solver_parameters_rejected_first(self, monkeypatch, kwargs, name):
         def no_operator(*args, **kw):
             raise AssertionError("operator built before the parameters were checked")
 
         monkeypatch.setattr(paradiag_module, "make_all_at_once", no_operator)
-        with pytest.raises(ValueError, match="max_iter"):
-            paradiag2_solve(heat_sine(nx=8), "backward_euler", 0.1, 0.02, 8, max_iter=-3)
+        with pytest.raises(ValueError, match=name):
+            paradiag2_solve(heat_sine(nx=8), "backward_euler", 0.1, 0.02, 8, **kwargs)
