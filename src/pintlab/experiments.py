@@ -51,7 +51,7 @@ def _geo_mean(xs):
 
 
 def _parareal_cfg(T, n_w, J, fine="backward_euler", coarse="backward_euler", **kw):
-    grid = TimeGrid.uniform(T, n_w, J)
+    grid = TimeGrid.uniform(T, n_w)
     dT = grid.window_length()
     return parareal.PararealConfig(
         grid=grid,
@@ -246,7 +246,7 @@ def run_paraexp_exactness(seed=0):
     rows, checks = [], []
     # linear: heat with the four-pulse source
     sys = build_heat(32, 1.0 / 33, 1.0, "dirichlet", source=SourcePulse(200.0))
-    grid = TimeGrid.uniform(2.0, 4, 64)
+    grid = TimeGrid.uniform(2.0, 4)
     dT = grid.window_length()
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=dT / 64, steps=64))
     out = paraexp.paraexp_linear_solve(plan, sys)
@@ -265,7 +265,7 @@ def run_paraexp_exactness(seed=0):
     sysb = build_burgers(nb, 1.0 / nb, 1.0, "periodic")
     sysb.u0[:] = np.sin(2 * np.pi * sysb.x) ** 2
     n_w = 5
-    gridb = TimeGrid.uniform(1.0, n_w, 10)
+    gridb = TimeGrid.uniform(1.0, n_w)
     dTb = gridb.window_length()
     planb = paraexp.ParaExpPlan(grid=gridb,
                                 red=Propagator(backward_euler(), dt=dTb / 10, steps=10))

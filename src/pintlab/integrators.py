@@ -92,17 +92,16 @@ def stability(method: OneStepMethod, z):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Window boundaries T_0 < ... < T_{N_t}; each window holds J fine steps."""
+    """Window boundaries T_0 < ... < T_{N_t}."""
 
     boundaries: np.ndarray
-    J: int
 
     @classmethod
-    def uniform(cls, T: float, n_windows: int, J: int) -> "TimeGrid":
-        for name, value in (("T", T), ("n_windows", n_windows), ("J", J)):
+    def uniform(cls, T: float, n_windows: int) -> "TimeGrid":
+        for name, value in (("T", T), ("n_windows", n_windows)):
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        return cls(np.linspace(0.0, T, n_windows + 1), J)
+        return cls(np.linspace(0.0, T, n_windows + 1))
 
     @property
     def n_windows(self) -> int:

@@ -346,12 +346,18 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     periodic inside each window and solved at once by diagonalization.
 
     Fine and coarse share the method and step size; alpha -> 0 recovers the
-    fine solver itself.  The system must be linear.
+    fine solver itself.  The system must be linear and have no source term,
+    so the coarse map is one n x n matrix M, the same on every window: it is
+    formed once, by the all-at-once head-tail solve of each identity column,
+    and each coarse call is the matvec M u.
     """
     if cfg.fine.method.theta is None:
         raise ValueError("diag coarse solver is defined for theta methods")
     _check_alpha(cfg.alpha)
     target = _linear_target(sys, "diag coarse solver")
+    if target.source is not None:
+        raise ValueError("diag coarse solver takes systems without a source term: "
+                         "its coarse map is one matrix for every window")
     if oracle is None:
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     theta = cfg.fine.method.theta
@@ -359,30 +365,19 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     dt = cfg.fine.dt
     alpha = cfg.alpha
 
-    c1 = np.zeros(J)
-    c1[0] = 1.0
-    if J > 1:
-        c1[1] = -1.0
-    fac_c = alpha_circulant_factor(c1, alpha)
-    ctheta = np.zeros(J)
-    ctheta[0] = theta
-    if J > 1:
-        ctheta[1] = 1.0 - theta
-    fac_t = alpha_circulant_factor(ctheta, alpha)
+    e0, e1 = np.eye(J, 2).T  # the first two unit vectors in time (e1 = 0 if J = 1)
+    fac_c = alpha_circulant_factor(e0 - e1, alpha)
+    fac_t = alpha_circulant_factor(theta * e0 + (1.0 - theta) * e1, alpha)
     star_plan = target.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues)
 
-    def coarse_star(n, u_n):
-        """F*_alpha over window n: all-at-once head-tail theta sweep."""
-        t0, _ = cfg.grid.window(n)
-        rhs = np.zeros((J, u_n.shape[0]), dtype=float)
-        v0 = (1.0 - alpha) * u_n
+    def head_tail(u):
+        """F*_alpha(u): the all-at-once head-tail theta sweep over one window."""
+        rhs = np.zeros((J, u.shape[0]))
+        v0 = (1.0 - alpha) * u
         rhs[0] = v0 + dt * (1.0 - theta) * target.matvec(v0)
-        if target.source is not None:
-            for j in range(J):
-                ta, tb = t0 + j * dt, t0 + (j + 1) * dt
-                rhs[j] = rhs[j] + dt * (
-                    (1 - theta) * target.g(ta) + theta * target.g(tb)
-                )
         return fac_c.solve(star_plan, rhs)[-1].real
 
-    return _iterate(cfg, target, coarse_star, oracle, "parareal_diag_coarse")
+    # one column per solve, as in a single coarse call: wider blocks raised
+    # C14's peak memory (by 0.24 MiB at 4 columns, 2.4 MiB at all n at once)
+    M = np.stack([head_tail(e) for e in np.eye(target.n)], axis=1)
+    return _iterate(cfg, target, lambda n, u: M @ u, oracle, "parareal_diag_coarse")

@@ -142,7 +142,7 @@ UNREACHED_ALLOWED = {
     "kernels.BandedMatrix.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.SemiDiscreteSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.CompanionSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
-    "models.CompanionSystem.g": "the source of a wave system; no experiment's wave has one",
+    "models.CompanionSystem.g": "a wave source, read by the fine steps; no experiment's wave has one",
     "models.CompanionSystem.solve_shift": "one-shot companion solve; perfbench reports its calls",
     "stmg.SpaceTimeGrid.nx": "time-only coarsening; every C13 grid also coarsens in space",
 }
@@ -261,7 +261,7 @@ def test_criterion_c15_property_suites(capsys):
     # the other windows of its block, so window order cannot change a bit
     nxp = 24
     sysp = build_burgers(nxp, 1.0 / nxp, 0.5, "periodic")
-    gridp = TimeGrid.uniform(0.5, 6, 4)
+    gridp = TimeGrid.uniform(0.5, 6)
     dT = gridp.window_length()
     fine = Propagator(sdirk22(), dt=dT / 4, steps=4)
     t0s = gridp.boundaries[:-1]

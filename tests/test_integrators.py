@@ -353,12 +353,11 @@ class TestNumerov:
 
 
 class TestTimeGrid:
-    @pytest.mark.parametrize("name, T, n_windows, J", [("n_windows", 1.0, 0, 3),
-                                                       ("J", 1.0, 4, 0), ("T", 0.0, 4, 3),
-                                                       ("T", -1.0, 4, 3)])
-    def test_uniform_rejects_invalid(self, name, T, n_windows, J):
+    @pytest.mark.parametrize("name, T, n_windows", [("n_windows", 1.0, 0), ("T", 0.0, 4),
+                                                    ("T", -1.0, 4)])
+    def test_uniform_rejects_invalid(self, name, T, n_windows):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
-            TimeGrid.uniform(T, n_windows, J)
+            TimeGrid.uniform(T, n_windows)
 
 
 class TestNamedTheta:
@@ -406,7 +405,7 @@ def _nan_fn(x):
 def _parareal_entry(name):
     from pintlab import parareal
 
-    grid = TimeGrid.uniform(0.4, 4, 2)
+    grid = TimeGrid.uniform(0.4, 4)
     dT = grid.window_length()
     cfg = parareal.PararealConfig(grid=grid, fine=Propagator(trapezoidal(), dt=dT / 2, steps=2),
                                   coarse=Propagator(backward_euler(), dt=dT, steps=1),
@@ -420,7 +419,7 @@ def _parareal_entry(name):
 def _paraexp_entry(name):
     from pintlab import paraexp
 
-    grid = TimeGrid.uniform(0.4, 4, 2)
+    grid = TimeGrid.uniform(0.4, 4)
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=0.05, steps=2))
     if name == "paraexp_linear_solve":
         return lambda: paraexp.paraexp_linear_solve(plan, _nan_heat())

@@ -19,7 +19,7 @@ def sequential(sys, T, n_steps):
     """Backward Euler at every step: fine_sequential on a grid of one step
     per window."""
     prop = Propagator(backward_euler(), dt=T / n_steps, steps=1)
-    return fine_sequential(TimeGrid.uniform(T, n_steps, 1), prop, sys, 1e-12)
+    return fine_sequential(TimeGrid.uniform(T, n_steps), prop, sys, 1e-12)
 
 
 class TestHeat:

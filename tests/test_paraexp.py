@@ -19,7 +19,7 @@ def heat_with_pulse(nx=32, nu=1.0, sigma=200.0):
 
 
 def make_plan(T, n_w, J, method=None):
-    grid = TimeGrid.uniform(T, n_w, J)
+    grid = TimeGrid.uniform(T, n_w)
     dT = grid.window_length()
     red = Propagator(method or trapezoidal(), dt=dT / J, steps=J)
     return ParaExpPlan(grid=grid, red=red)

@@ -13,6 +13,7 @@ from pintlab.integrators import (
     trapezoidal,
 )
 import pintlab.parareal as parareal_module
+from pintlab import experiments
 from pintlab.kernels import ShiftPlan
 from pintlab.models import (
     SourcePulse,
@@ -20,7 +21,9 @@ from pintlab.models import (
     build_burgers,
     build_heat,
     build_wave,
+    first_order_form,
 )
+from pintlab.paradiag import alpha_circulant_factor
 from pintlab.parareal import (
     PararealConfig,
     fine_sequential,
@@ -45,7 +48,7 @@ def heat_system(nx=32, nu=0.1, bc="dirichlet", mode=1):
 
 
 def make_cfg(T, n_w, J, fine_method=None, coarse_method=None, **kw):
-    grid = TimeGrid.uniform(T, n_w, J)
+    grid = TimeGrid.uniform(T, n_w)
     dT = grid.window_length()
     fine = Propagator(fine_method or backward_euler(), dt=dT / J, steps=J)
     coarse = Propagator(coarse_method or backward_euler(), dt=dT, steps=1)
@@ -55,7 +58,7 @@ def make_cfg(T, n_w, J, fine_method=None, coarse_method=None, **kw):
 class TestClassicParareal:
     def test_g_equals_f_converges_first_iteration(self):
         sys = heat_system()
-        grid = TimeGrid.uniform(1.0, 8, 1)
+        grid = TimeGrid.uniform(1.0, 8)
         dT = grid.window_length()
         prop = Propagator(backward_euler(), dt=dT, steps=1)
         cfg = PararealConfig(grid=grid, fine=prop, coarse=prop, max_iter=3)
@@ -156,7 +159,7 @@ class TestRhoPredictors:
 class TestMgrit:
     def test_g_equals_f_converges_first_iteration(self):
         sys = heat_system()
-        grid = TimeGrid.uniform(1.0, 8, 1)
+        grid = TimeGrid.uniform(1.0, 8)
         dT = grid.window_length()
         prop = Propagator(backward_euler(), dt=dT, steps=1)
         cfg = PararealConfig(grid=grid, fine=prop, coarse=prop, max_iter=3)
@@ -299,7 +302,97 @@ class TestFiniteTerminationAllVariants:
         assert tr.errors[-1] <= 1e-10  # but it converges well past it
 
 
+def head_tail_reference(cfg, target):
+    """The coarse map of :func:`parareal_diag_coarse_solve` as one all-at-once
+    head-tail theta solve per call (DFT in time, J shifted solves, inverse
+    DFT): the reference for the matrix the solver forms once."""
+    theta, J, dt, alpha = cfg.fine.method.theta, cfg.fine.steps, cfg.fine.dt, cfg.alpha
+    c1 = np.zeros(J)
+    c1[0] = 1.0
+    if J > 1:
+        c1[1] = -1.0
+    fac_c = alpha_circulant_factor(c1, alpha)
+    ctheta = np.zeros(J)
+    ctheta[0] = theta
+    if J > 1:
+        ctheta[1] = 1.0 - theta
+    fac_t = alpha_circulant_factor(ctheta, alpha)
+    star_plan = target.shift_plan(fac_c.eigenvalues, dt * fac_t.eigenvalues)
+
+    def coarse_star(n, u_n):
+        rhs = np.zeros((J, u_n.shape[0]))
+        v0 = (1.0 - alpha) * u_n
+        rhs[0] = v0 + dt * (1.0 - theta) * target.matvec(v0)
+        return fac_c.solve(star_plan, rhs)[-1].real
+
+    return coarse_star
+
+
+def c14_heat(alpha):
+    """C14's diag-coarse heat system and configuration."""
+    sys = build_heat(50, 1.0 / 51, 0.05, "dirichlet")
+    sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+    cfg = experiments._parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
+                                    max_iter=7, tol=1e-13, alpha=alpha)
+    return sys, cfg
+
+
 class TestDiagCoarse:
+    @pytest.mark.parametrize("model, alpha", [("heat", 1e-2), ("heat", 1e-3), ("wave", 1e-4)])
+    def test_coarse_matrix_matches_per_call_solve(self, monkeypatch, model, alpha):
+        # C14's systems and alphas: M u equals the per-call head-tail solve up
+        # to the roundoff of the alpha-scaled transforms both make (up to
+        # 2.0e-13 relative, wave at alpha = 1e-4)
+        if model == "heat":
+            sys, cfg = c14_heat(alpha)
+        else:
+            sys = build_wave(32, 1.0 / 32, 1.0, "periodic")
+            sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
+            cfg = experiments._parareal_cfg(2.0, 24, 10, fine="trapezoidal",
+                                            coarse="trapezoidal", max_iter=10, tol=0.0,
+                                            alpha=alpha)
+        cfg = dataclasses.replace(cfg, max_iter=0)
+        target = first_order_form(sys)
+        seen = record_sweep(monkeypatch)
+        parareal_diag_coarse_solve(cfg, sys, oracle=np.zeros((cfg.grid.n_windows + 1, target.n)))
+        reference = head_tail_reference(cfg, target)
+        rng = np.random.default_rng(3)
+        for n in range(8):
+            u = rng.standard_normal(target.n)
+            ref = reference(n, u)
+            assert np.linalg.norm(seen["coarse"](n, u) - ref) <= 5e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-3])
+    def test_c14_heat_rate_matches_per_call_solve(self, alpha):
+        # C14's heat `rate` cells are ratios of errors down to ~1e-13, so the
+        # roundoff of the coarse matrix moves them (2.6e-3 relative at
+        # alpha = 1e-3); they stay within 1% of the per-call solve's
+        sys, cfg = c14_heat(alpha)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        _, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
+        _, trace_ref = parareal_module._iterate(cfg, sys, head_tail_reference(cfg, sys), oracle,
+                                                "reference")
+
+        def rate(tr):
+            return experiments._geo_mean(tr.contraction_factors(skip=1))
+
+        assert rate(trace) == pytest.approx(rate(trace_ref), rel=0.01)
+
+    @pytest.mark.parametrize("model", ["heat", "wave"])
+    def test_source_rejected_before_any_solve(self, monkeypatch, model):
+        # a source would make the coarse map affine and different on every
+        # window, not one matrix: it is named and refused up front
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the source was rejected")
+
+        for name in ("fine_sequential", "propagate", "propagate_block", "alpha_circulant_factor"):
+            monkeypatch.setattr(parareal_module, name, no_solve)
+        build = build_heat if model == "heat" else build_wave
+        sys = build(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0))
+        cfg = make_cfg(1.0, 4, 2, fine_method=trapezoidal(), alpha=0.1)
+        with pytest.raises(ValueError, match="systems without a source term"):
+            parareal_diag_coarse_solve(cfg, sys)
+
     def test_alpha_zero_limit_one_iteration(self):
         # alpha -> 0: the head-tail coarse solver IS the fine solver
         sys = heat_system(nx=24)
@@ -407,28 +500,36 @@ class TestCoarseCache:
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_diag_coarse_n_w_coarse_star_calls_per_iteration(self, monkeypatch, guess):
-        # every linear coarse_star call makes one batched shifted solve (a
-        # plan solve over the J eigenvalue shifts), and nothing else in the
-        # solver does
+        # the coarse matrix is formed first, by one batched shifted solve (a
+        # plan solve over the J eigenvalue shifts) per identity column; every
+        # coarse call after that is a matvec and solves nothing
         sys = heat_system(nx=12)
         n_w = 6
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
                        coarse_method=trapezoidal(), alpha=0.05, max_iter=3, tol=0.0,
                        initial_guess=guess)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
-        real = ShiftPlan.solve
-        calls = []
+        real, real_iterate = ShiftPlan.solve, parareal_module._iterate
+        events = []
 
         def counting(self, rhs):
             if not self.single:
-                calls.append(1)
+                events.append("solve")
             return real(self, rhs)
 
+        def counting_iterate(cfg, target, coarse, oracle, method):
+            def counted(n, u):
+                events.append("coarse")
+                return coarse(n, u)
+
+            return real_iterate(cfg, target, counted, oracle, method)
+
         monkeypatch.setattr(ShiftPlan, "solve", counting)
+        monkeypatch.setattr(parareal_module, "_iterate", counting_iterate)
         seen = record_sweep(monkeypatch)
         U, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
-        assert len(calls) == n_w + (n_w - 1) + (n_w - 2) + (n_w - 3)
+        assert events == ["solve"] * sys.n + ["coarse"] * (n_w + (n_w - 1) + (n_w - 2) + (n_w - 3))
         ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
         assert U.tobytes() == ref.tobytes()
 
