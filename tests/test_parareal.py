@@ -348,9 +348,8 @@ class TestDiagCoarse:
         else:
             sys = build_wave(32, 1.0 / 32, 1.0, "periodic")
             sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
-            cfg = experiments._parareal_cfg(2.0, 24, 10, fine="trapezoidal",
-                                            coarse="trapezoidal", max_iter=10, tol=0.0,
-                                            alpha=alpha)
+            cfg = make_cfg(2.0, 24, 10, fine_method=trapezoidal(),
+                           coarse_method=trapezoidal(), alpha=alpha)
         cfg = dataclasses.replace(cfg, max_iter=0)
         target = first_order_form(sys)
         seen = record_sweep(monkeypatch)
@@ -365,7 +364,7 @@ class TestDiagCoarse:
     @pytest.mark.parametrize("alpha", [1e-2, 1e-3])
     def test_c14_heat_rate_matches_per_call_solve(self, alpha):
         # C14's heat `rate` cells are ratios of errors down to ~1e-13, so the
-        # roundoff of the coarse matrix moves them (2.6e-3 relative at
+        # roundoff of the coarse matrix moves them (2.7e-3 relative at
         # alpha = 1e-3); they stay within 1% of the per-call solve's
         sys, cfg = c14_heat(alpha)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
