@@ -8,6 +8,6 @@ family is known for.
 
 import os
 
-# set before numpy loads OpenBLAS, so its idle threads sleep instead of spinning
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# set before numpy loads OpenBLAS: the solvers are serial, so BLAS keeps to one thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ is the theta system that space-time multigrid and ParaDiag II both solve;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .kernels import ConvergenceError, expm_action, solve_poly_in_matrix, solve_shifted_banded
+from .kernels import (EXPM_DENSE_MAX, ConvergenceError, expm_action, solve_poly_in_matrix,
+                      solve_shifted_banded)
 from .models import CompanionSystem, SemiDiscreteSystem
 
 SQRT2 = np.sqrt(2.0)
@@ -112,6 +113,11 @@ class TimeGrid:
 
     def window_length(self, i: int = 0) -> float:
         return float(self.boundaries[i + 1] - self.boundaries[i])
+
+    def spanned_by(self, prop: Propagator) -> bool:
+        """Whether ``prop`` steps across every window (to 1e-12 relative)."""
+        spans = np.diff(self.boundaries)
+        return bool(np.all(np.abs(spans - prop.span()) <= 1e-12 * np.maximum(1.0, spans)))
 
 
 @dataclass(frozen=True)
@@ -241,11 +247,11 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
     Linear systems advance all columns through shared factored solves;
     nonlinear ones step all columns together, one batched Newton solve
-    (:func:`_newton`) per stage.  Except
-    for the exact exponential (one dense product for the whole block), a
+    (:func:`_newton`) per stage.  Except for the exact exponential, a
     column's result does not depend on the other columns, bit for bit, as
     long as the block is at least two columns wide: a single column of a
     periodic linear system rounds differently in the Woodbury step.
+    Parareal multiplies by the :func:`window_matrix` instead where it can.
     """
     linear = getattr(sys, "linear", True)
     plan = _step_plan(prop.method, sys, prop.dt) if linear else None
@@ -257,6 +263,16 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
         if not np.isfinite(W).all():
             raise ConvergenceError("propagation produced non-finite values")
     return W
+
+
+def window_matrix(prop: Propagator, sys) -> Optional[np.ndarray]:
+    """The n x n matrix of ``prop`` over one window of a linear system without
+    a source and n <= EXPM_DENSE_MAX (None for any other): one checked step
+    of :func:`propagate_block` on the identity, raised to ``prop.steps``."""
+    if not getattr(sys, "linear", True) or sys.source is not None or sys.n > EXPM_DENSE_MAX:
+        return None
+    step = propagate_block(replace(prop, steps=1), sys, np.zeros(sys.n), np.eye(sys.n))
+    return np.linalg.matrix_power(step, prop.steps)
 
 
 def finite_u0(sys) -> np.ndarray:

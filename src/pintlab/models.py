@@ -307,10 +307,6 @@ class CompanionSystem:
         """Prepared solves with (a*I - b*[[0,I],[A,0]]), or with J shifts."""
         return CompanionShiftPlan(self, a, b)
 
-    def solve_shift(self, a, b, rhs: np.ndarray) -> np.ndarray:
-        """Solve (a*I - b*[[0,I],[A,0]]) w = rhs once, via Schur reduction."""
-        return CompanionShiftPlan(self, a, b).solve(rhs)
-
     def to_dense(self) -> np.ndarray:
         m = self.base.n
         big = np.zeros((2 * m, 2 * m))

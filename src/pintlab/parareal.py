@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrators import (Propagator, TimeGrid, finite_u0, propagate, propagate_block,
-                          stability)
+                          stability, window_matrix)
 from .kernels import ConvergenceError
 from .models import first_order_form
 from .paradiag import alpha_circulant_factor
@@ -36,32 +36,36 @@ class PararealConfig:
     newton_tol: float = 1e-12
 
     def __post_init__(self):
-        dT = self.grid.window_length(0)
         for prop, name in ((self.fine, "fine"), (self.coarse, "coarse")):
-            if abs(prop.span() - dT) > 1e-12 * max(1.0, dT):
-                raise ValueError(f"{name} propagator does not span one window")
+            if not self.grid.spanned_by(prop):
+                raise ValueError(f"{name} propagator does not span every window")
 
 
-def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float) -> np.ndarray:
+def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float,
+                    F: Optional[np.ndarray] = None) -> np.ndarray:
     """Sequential sweep of ``fine`` across the windows of ``grid``: the
-    oracle trajectory at window boundaries, shape (n_windows + 1, n)."""
+    oracle trajectory at window boundaries, shape (n_windows + 1, n), one
+    matvec per window with the window matrix ``F`` (formed if not given)."""
+    if not grid.spanned_by(fine):
+        raise ValueError("fine propagator does not span every window")
     target = first_order_form(sys)
+    F = window_matrix(fine, target) if F is None else F
     u = finite_u0(target).copy()
     out = [u.copy()]
     for n in range(grid.n_windows):
         t0, t1 = grid.window(n)
-        u = propagate(fine, target, t0, t1, u, newton_tol=newton_tol)
+        u = F @ u if F is not None else propagate(fine, target, t0, t1, u, newton_tol=newton_tol)
         out.append(u.copy())
     return np.stack(out)
 
 
 def _coarse_propagator(cfg, target):
-    """G(n, u): the coarse propagator across window n."""
-    def coarse(n, u):
-        t0, t1 = cfg.grid.window(n)
-        return propagate(cfg.coarse, target, t0, t1, u, newton_tol=cfg.newton_tol)
-
-    return coarse
+    """G(n, u): the coarse propagator across window n (a window matrix if any)."""
+    G = window_matrix(cfg.coarse, target)
+    if G is not None:
+        return lambda n, u: G @ u
+    return lambda n, u: propagate(cfg.coarse, target, *cfg.grid.window(n), u,
+                                  newton_tol=cfg.newton_tol)
 
 
 def _initial_iterate(cfg, target, coarse):
@@ -88,29 +92,28 @@ def _coarse_of_initial(cfg, U, coarse):
 
 class _FineMap:
     """The fine solves of windows ``first``, ``first + 1``, ... as one map
-    over their start values (rows), remembering the last start value and
-    result of every window.
-
-    A window whose start value equals the last one bit for bit reuses the
+    over their start values (rows).  With a fine window matrix ``F`` a call
+    is one product over all windows, always at the same width.  Otherwise a
+    window whose start value equals the last one bit for bit reuses the
     result instead of solving again: a column's result does not depend on
-    the other columns of a block at least two wide, bit for bit.  A block
-    of one takes another rounding path in the periodic Woodbury step
+    the other columns of a block at least two wide, bit for bit (bar
+    expm_multiply, the exact exponential above EXPM_DENSE_MAX).  A block of
+    one takes another rounding path in the periodic Woodbury step
     (np.linalg.solve and matmul with a single right-hand side), so a lone
     changed window is solved beside its unchanged successor (or
-    predecessor, for the last window).  The dense exponential multiplies
-    the whole block at once and BLAS may round a column differently in a
-    narrower block, so with it every call solves every window.  The
-    returned rows stay valid until the next call.
+    predecessor, for the last window).  The returned rows stay valid until
+    the next call.
     """
 
-    def __init__(self, cfg, target, first=0):
-        self.cfg, self.target = cfg, target
+    def __init__(self, cfg, target, F, first=0):
+        self.cfg, self.target, self.F = cfg, target, F
         self.t0s = cfg.grid.boundaries[first:-1]
         self.starts = self.results = None
-        self.by_column = cfg.fine.method.name != "exact"
 
     def __call__(self, starts):
-        if self.results is None or not self.by_column:
+        if self.F is not None:
+            return starts @ self.F.T
+        if self.results is None:
             todo = np.arange(starts.shape[0])
             self.results = np.empty_like(starts)
         else:
@@ -136,17 +139,17 @@ class _CorrectionSweep:
     instead of solving again (fine solves through :class:`_FineMap`).  After
     k iterations the first k window values no longer change (Gander &
     Vandewalle 2007), and since the same operands recur they stay fixed bit
-    for bit, so iteration k skips k coarse and k - 1 fine solves (k - 2
-    when a single window is left) and returns exactly the iterate of the
-    full sweep.  The coarse cache starts from G(U^0) (see
+    for bit, so iteration k skips k coarse and k - 1 stepped fine solves
+    (k - 2 when a single window is left) and returns exactly the iterate of
+    the full sweep.  The coarse cache starts from G(U^0) (see
     :func:`_coarse_of_initial`).
     """
 
-    def __init__(self, cfg, target, coarse, U):
+    def __init__(self, cfg, target, coarse, U, F):
         self.cfg, self.coarse = cfg, coarse
         self.G_in = U[:-1].copy()
         self.G_out = _coarse_of_initial(cfg, U, coarse)
-        self.fine = _FineMap(cfg, target)
+        self.fine = _FineMap(cfg, target, F)
 
     def __call__(self, U):
         F = self.fine(U[:-1])
@@ -161,12 +164,21 @@ class _CorrectionSweep:
         return U_new
 
 
+def _fine_and_oracle(cfg, target, oracle):
+    """The fine window matrix (or None) and the oracle, made with it unless given."""
+    F = window_matrix(cfg.fine, target)
+    if oracle is None:
+        oracle = fine_sequential(cfg.grid, cfg.fine, target, cfg.newton_tol, F)
+    return F, oracle
+
+
 def _iterate(cfg, target, coarse, oracle, method):
     """Parareal iterations with the coarse map ``coarse`` from its initial
-    iterate until ``cfg.tol`` or ``cfg.max_iter``; the trace is labelled
-    ``method``."""
+    iterate until ``cfg.tol`` or ``cfg.max_iter``, measured against
+    ``oracle`` (made if None); the trace is labelled ``method``."""
+    F, oracle = _fine_and_oracle(cfg, target, oracle)
     U = _initial_iterate(cfg, target, coarse)
-    sweep = _CorrectionSweep(cfg, target, coarse, U)
+    sweep = _CorrectionSweep(cfg, target, coarse, U, F)
     trace = IterationTrace(method=method)
     trace.record(error=np.abs(U - oracle).max())
     for k in range(cfg.max_iter):
@@ -182,25 +194,22 @@ def _iterate(cfg, target, coarse, oracle, method):
 def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Classic Parareal: coarse correction sweep plus parallel fine solves."""
     target = first_order_form(sys)
-    if oracle is None:
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     return _iterate(cfg, target, _coarse_propagator(cfg, target), oracle, "parareal")
 
 
 def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Two-level MGRiT with FCF relaxation (overlapping Parareal, two fine
-    solves per window per iteration).  Both fine passes reuse the solve of a
-    window whose start value did not change (:class:`_FineMap`): window 0
-    always starts from u0, so its relaxation is solved once."""
+    solves per window per iteration).  Both fine passes share one window
+    matrix, or reuse the solve of a window whose start value did not change
+    (:class:`_FineMap`): window 0 then starts from u0 and is solved once."""
     target = first_order_form(sys)
-    if oracle is None:
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+    F, oracle = _fine_and_oracle(cfg, target, oracle)
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
     trace = IterationTrace(method="mgrit_fcf")
     trace.record(error=np.abs(U - oracle).max())
     n_w = cfg.grid.n_windows
-    relax, second = _FineMap(cfg, target), _FineMap(cfg, target, first=1)
+    relax, second = _FineMap(cfg, target, F), _FineMap(cfg, target, F, first=1)
     for k in range(cfg.max_iter):
         # F relaxation: s_n = F(T_{n-1}, T_n, u_{n-1}^k) for n = 1..n_w
         S = relax(U[:-1])
@@ -274,21 +283,20 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     and is solved across all windows at once by circulant diagonalization.
 
     Coarse solver is one backward-Euler step per window, and the system must
-    be linear.  The fine solve of window 0 always starts from u0 and is made
-    once (:class:`_FineMap`).
+    be linear.  A stepped fine solve of window 0, which always starts from
+    u0, is made once (:class:`_FineMap`).
     """
     if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
         raise ValueError("diag CGC uses one backward-Euler step per window")
     _check_alpha(cfg.alpha)
     target = _linear_target(sys, "diag CGC")
-    if oracle is None:
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+    F, oracle = _fine_and_oracle(cfg, target, oracle)
     dT = cfg.grid.window_length(0)
     alpha = cfg.alpha
     n_w = cfg.grid.n_windows
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
-    fine = _FineMap(cfg, target)
+    fine = _FineMap(cfg, target, F)
     trace = IterationTrace(method="parareal_diag_cgc")
     trace.record(error=np.abs(U - oracle).max())
 
@@ -358,8 +366,6 @@ def parareal_diag_coarse_solve(cfg: PararealConfig, sys,
     if target.source is not None:
         raise ValueError("diag coarse solver takes systems without a source term: "
                          "its coarse map is one matrix for every window")
-    if oracle is None:
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
     theta = cfg.fine.method.theta
     J = cfg.fine.steps
     dt = cfg.fine.dt

@@ -143,7 +143,6 @@ UNREACHED_ALLOWED = {
     "models.SemiDiscreteSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.CompanionSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.CompanionSystem.g": "a wave source, read by the fine steps; no experiment's wave has one",
-    "models.CompanionSystem.solve_shift": "one-shot companion solve; perfbench reports its calls",
     "stmg.SpaceTimeGrid.nx": "time-only coarsening; every C13 grid also coarsens in space",
 }
 

@@ -164,28 +164,28 @@ class TestImportCost:
         assert proc.stdout.strip() == "[]"
 
 
-class TestOpenblasThreadTimeout:
-    # importing pintlab sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so
-    # idle OpenBLAS threads sleep; a value the user set is kept
+class TestOpenblasNumThreads:
+    # importing pintlab sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+    # BLAS runs on the solvers' one thread; a value the user set is kept
     @staticmethod
-    def fresh_import(timeout):
+    def fresh_import(threads):
         import pintlab
 
         src = str(Path(pintlab.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        if timeout is not None:
-            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         code = ("import pintlab, os, sys; "
-                "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)")
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         return proc.stdout.split()
 
     def test_set_when_unset_before_numpy_loads(self):
-        assert self.fresh_import(None) == ["4", "False"]
+        assert self.fresh_import(None) == ["1", "False"]
 
     def test_user_value_kept(self):
-        assert self.fresh_import("28") == ["28", "False"]
+        assert self.fresh_import("2") == ["2", "False"]
 
 
 class TestModuleImports:
@@ -221,8 +221,9 @@ class TestBenchmarkNames:
     name that no longer resolves silently reads 0: every pintlab function
     it names must still be defined where it says."""
 
-    # rows that read 0 by design: the solver thread pool and GMRES were deleted
-    GONE = {"pool.make_pmap", "kernels.gmres"}
+    # rows that read 0 by design: the solver thread pool, GMRES and the
+    # one-shot companion solve were deleted
+    GONE = {"pool.make_pmap", "kernels.gmres", "models.CompanionSystem.solve_shift"}
 
     @staticmethod
     def reported_functions():

@@ -16,11 +16,12 @@ from pintlab.integrators import (
     sdirk22,
     stability,
     trapezoidal,
+    window_matrix,
 )
-from pintlab.kernels import (BandedMatrix, ConvergenceError, SingularSystemError,
-                             solve_shifted_banded)
-from pintlab.models import (SemiDiscreteSystem, SourcePulse, build_burgers, build_heat,
-                            build_wave)
+from pintlab.kernels import (EXPM_DENSE_MAX, BandedMatrix, ConvergenceError,
+                             SingularSystemError, solve_shifted_banded)
+from pintlab.models import (CompanionSystem, SemiDiscreteSystem, SourcePulse,
+                            build_advection_diffusion, build_burgers, build_heat, build_wave)
 
 ALL_ONE_STEP = [backward_euler(), trapezoidal(), sdirk22()]
 ORDER = {"backward_euler": 1, "trapezoidal": 2, "sdirk22": 2}
@@ -152,6 +153,50 @@ class TestPropagate:
         perm = np.array([5, 2, 0, 4, 1, 3])
         out_p = propagate_block(prop, sys, t0s[perm], U[:, perm])
         np.testing.assert_array_equal(out_p[:, np.argsort(perm)], out)
+
+
+WINDOW_SYSTEMS = {
+    "heat_dirichlet": lambda: build_heat(24, 1.0 / 25, 0.1, "dirichlet"),
+    "heat_periodic": lambda: build_heat(24, 1.0 / 24, 0.1, "periodic"),
+    "advection_diffusion_periodic": lambda: build_advection_diffusion(24, 1.0 / 24, 0.05,
+                                                                      "periodic"),
+    "wave_companion": lambda: CompanionSystem(build_wave(12, 1.0 / 13, 1.0, "dirichlet")),
+}
+
+
+class TestWindowMatrix:
+    @pytest.mark.parametrize("model", sorted(WINDOW_SYSTEMS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_matvec_matches_per_column_propagate(self, model, method):
+        # F is one step on the identity raised to the J-th power by repeated
+        # squaring; F u equals stepping u within 1e-13 |u| (the worst case
+        # measured, the companion wave, is 1.4e-14 |u|)
+        sys = WINDOW_SYSTEMS[model]()
+        prop = Propagator(METHODS[method](), dt=0.02, steps=10)
+        F = window_matrix(prop, sys)
+        assert F.shape == (sys.n, sys.n)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            u = rng.standard_normal(sys.n)
+            ref = propagate(prop, sys, 0.3, 0.5, u)
+            assert np.linalg.norm(F @ u - ref) <= 1e-13 * np.linalg.norm(u)
+
+    @pytest.mark.parametrize("model", ["heat_source", "wave_source", "burgers", "large_heat"])
+    def test_no_matrix_for_a_source_nonlinear_or_large_system(self, model):
+        # a source makes the window map affine and time-dependent, Burgers
+        # makes it nonlinear, and above EXPM_DENSE_MAX unknowns the dense
+        # n x n matrix is not formed: these systems keep stepping
+        sys = {
+            "heat_source": lambda: build_heat(12, 1.0 / 13, 0.2, "dirichlet",
+                                              source=SourcePulse(50.0)),
+            "wave_source": lambda: CompanionSystem(build_wave(12, 1.0 / 13, 1.0, "dirichlet",
+                                                              source=SourcePulse(50.0))),
+            "burgers": lambda: build_burgers(16, 1.0 / 16, 0.5, "periodic"),
+            "large_heat": lambda: build_heat(EXPM_DENSE_MAX + 1, 1.0 / (EXPM_DENSE_MAX + 2),
+                                             0.1, "dirichlet"),
+        }[model]()
+        for method in METHODS.values():
+            assert window_matrix(Propagator(method(), dt=0.02, steps=10), sys) is None
 
 
 def newton_reference(sys, c, rhs, t, guess, tol=1e-12, max_iter=50):

@@ -166,7 +166,8 @@ class TestWave:
             u = solve_shifted_banded(sys.A, (aj, bj * bj / aj), ru + (bj / aj) * rv)
             v = (rv + bj * sys.A.matvec(u)) / aj
             assert np.array_equal(W[j], np.concatenate([u, v]))
-            assert np.array_equal(W[j], comp.solve_shift(aj, bj, R[j]))
+            # and like a one-shot plan for that shift alone
+            assert np.array_equal(W[j], comp.shift_plan(aj, bj).solve(R[j]))
 
 
 class TestSourcePulse:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pintlab.integrators import (
     Propagator,
@@ -11,10 +12,11 @@ from pintlab.integrators import (
     propagate_block,
     sdirk22,
     trapezoidal,
+    window_matrix,
 )
 import pintlab.parareal as parareal_module
 from pintlab import experiments
-from pintlab.kernels import ShiftPlan
+from pintlab.kernels import EXPM_DENSE_MAX, ShiftPlan
 from pintlab.models import (
     SourcePulse,
     build_advection_diffusion,
@@ -24,6 +26,7 @@ from pintlab.models import (
     first_order_form,
 )
 from pintlab.paradiag import alpha_circulant_factor
+from pintlab.paraexp import ParaExpPlan
 from pintlab.parareal import (
     PararealConfig,
     fine_sequential,
@@ -120,6 +123,22 @@ class TestClassicParareal:
             z = z[np.abs(1 - np.abs(Rg(z))) > 1e-14]
             maxima.append(float(np.max(rho_linear(Rg, Rf, J, z))))
         assert maxima[0] <= maxima[1] <= maxima[2]
+
+
+class TestWindowSpan:
+    def test_window_the_propagator_does_not_span_rejected(self):
+        # one window matrix serves every window, so every window must be the
+        # propagator's span: the oracle and the configurations refuse a
+        # non-uniform grid and a uniform one of another window length
+        sys = heat_system(nx=8)
+        prop = Propagator(backward_euler(), dt=0.125, steps=2)
+        for grid in (TimeGrid(np.array([0.0, 0.25, 0.6])), TimeGrid.uniform(1.0, 3)):
+            with pytest.raises(ValueError, match="fine propagator does not span every window"):
+                fine_sequential(grid, prop, sys, 1e-12)
+            with pytest.raises(ValueError, match="fine propagator does not span every window"):
+                PararealConfig(grid=grid, fine=prop, coarse=prop)
+            with pytest.raises(ValueError, match="red propagator does not span every window"):
+                ParaExpPlan(grid=grid, red=prop)
 
 
 class TestRhoPredictors:
@@ -433,12 +452,16 @@ class TestDiagCoarse:
 
 def full_sweeps(cfg, target, coarse, U, iterations):
     """Parareal iterates with every fine and coarse window solved again in
-    every iteration: the reference the window reuse must match bit for bit."""
+    every iteration: the reference the window reuse must match bit for bit.
+    A system with a fine window matrix multiplies all windows by it, one
+    without steps them all."""
     n_w = cfg.grid.n_windows
     G_old = np.stack([coarse(n, U[n]) for n in range(n_w)])
+    F_matrix = window_matrix(cfg.fine, target)
     for _ in range(iterations):
-        F = propagate_block(cfg.fine, target, cfg.grid.boundaries[:-1], U[:-1].T.copy(),
-                            newton_tol=cfg.newton_tol).T
+        F = (U[:-1] @ F_matrix.T if F_matrix is not None else
+             propagate_block(cfg.fine, target, cfg.grid.boundaries[:-1], U[:-1].T.copy(),
+                             newton_tol=cfg.newton_tol).T)
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         for n in range(n_w):
@@ -454,25 +477,34 @@ def record_sweep(monkeypatch):
     seen = {}
 
     class Recording(parareal_module._CorrectionSweep):
-        def __init__(self, cfg, target, coarse, U):
-            seen.update(target=target, coarse=coarse, U0=U.copy())
-            super().__init__(cfg, target, coarse, U)
+        def __init__(self, cfg, target, coarse, U, F):
+            seen.update(target=target, coarse=coarse, U0=U.copy(), F=F)
+            super().__init__(cfg, target, coarse, U, F)
 
     monkeypatch.setattr(parareal_module, "_CorrectionSweep", Recording)
     return seen
 
 
+def sourced_heat(nx=12, bc="dirichlet"):
+    """A heat system with a source: it has no window matrix and steps."""
+    dx = 1.0 / (nx + 1) if bc == "dirichlet" else 1.0 / nx
+    sys = build_heat(nx, dx, 0.2, bc, source=SourcePulse(50.0))
+    sys.u0[:] = np.sin(2 * np.pi * sys.x) + 0.3 * np.cos(6 * np.pi * sys.x)
+    return sys
+
+
 class TestCoarseCache:
     """A correction sweep reuses G(U^k[n]) from the sweep before and solves
     a window again only when its start value changed.  Iteration k leaves
-    the first k windows alone: it makes n_w - k coarse solves and fine
-    solves on n_w - k + 1 windows.  The initial coarse sweep (or, for a
-    random guess, one pass over U^0) seeds the coarse cache.  The iterates
-    are bit for bit those of sweeps that solve every window."""
+    the first k windows alone: for a system that steps (no window matrix)
+    it makes n_w - k coarse solves and fine solves on n_w - k + 1 windows.
+    The initial coarse sweep (or, for a random guess, one pass over U^0)
+    seeds the coarse cache.  The iterates are bit for bit those of sweeps
+    that solve every window."""
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_classic_n_w_coarse_propagations_per_iteration(self, monkeypatch, guess):
-        sys = heat_system(nx=12)
+        sys = sourced_heat()
         n_w = 6
         cfg = make_cfg(1.0, n_w, 4, max_iter=3, tol=0.0, initial_guess=guess)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
@@ -535,12 +567,13 @@ class TestCoarseCache:
     @pytest.mark.parametrize("solver", [mgrit_fcf_solve, parareal_diag_cgc_solve])
     @pytest.mark.parametrize("fine", ["trapezoidal", "exact"])
     def test_window_zero_fine_solve_made_once(self, monkeypatch, solver, fine):
-        # window 0 always starts from u0: MGRiT's F-relaxation and the
-        # diag-CGC fine map solve it in the first iteration only, and skip
-        # any other window whose start value did not change; the iterates
-        # equal those of fine maps that solve every window every time.  The
-        # exact exponential (one dense product per block) solves them all.
-        sys = heat_system(nx=12, bc="periodic")
+        # window 0 always starts from u0: on a system too large for a window
+        # matrix, MGRiT's F-relaxation and the diag-CGC fine map solve it in
+        # the first iteration only, and skip any other window whose start
+        # value did not change; the iterates equal those of fine maps that
+        # solve every window every time.  The exact exponential on a small
+        # system multiplies by its window matrix and steps nothing.
+        sys = heat_system(nx=12 if fine == "exact" else EXPM_DENSE_MAX + 8, bc="periodic")
         n_w, iterations = 6, 4
         method = trapezoidal() if fine == "trapezoidal" else exact_exponential()
         cfg = make_cfg(1.0, n_w, 4 if fine == "trapezoidal" else 1, fine_method=method,
@@ -559,37 +592,38 @@ class TestCoarseCache:
         per_iteration = (2 * n_w - 1) if solver is mgrit_fcf_solve else n_w
         assert trace.fine_solves == (2 * n_w if solver is mgrit_fcf_solve else n_w) * iterations
         if fine == "exact":
-            assert len(solved) == per_iteration * iterations
+            assert solved == []
         else:
             assert solved.count(0.0) == 1
             assert len(solved) < per_iteration * iterations
 
         class SolveAll(parareal_module._FineMap):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.by_column = False
+            def __call__(self, starts):
+                self.results = None  # forget every window: solve them all
+                return super().__call__(starts)
 
         monkeypatch.setattr(parareal_module, "_FineMap", SolveAll)
         starts.clear()
         U_ref, trace_ref = solver(cfg, sys, oracle=oracle)
-        assert len([t0 for call in starts for t0 in call]) == per_iteration * iterations
+        assert len([t0 for call in starts for t0 in call]) == (
+            0 if fine == "exact" else per_iteration * iterations)
         assert U.tobytes() == U_ref.tobytes()
         assert trace.errors == trace_ref.errors
 
     @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
                                        "heat_exact", "heat_periodic_one_left"])
     def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
-        # nonlinear Newton columns, the companion Schur step, SDIRK stages
-        # and a time-dependent source: the fine solves of a subset of
-        # windows equal the columns of the full block, and reused coarse
-        # values the fresh ones; an exact-exponential fine solver (one dense
-        # product per block) always solves the whole block; the last
-        # iterations of a short periodic run change a single window
+        # stepped: nonlinear Newton columns and a time-dependent source, where
+        # the fine solves of a subset of windows equal the columns of the
+        # full block, and the last iterations of a short periodic run with
+        # a source change a single window (SDIRK stages); window matrices:
+        # the companion wave, SDIRK on advection-diffusion and the exact
+        # exponential multiply every window at the same width.  Reused
+        # coarse values equal the fresh ones.
         n_w = 8
         if model == "heat_periodic_one_left":
             n_w = 3
-            sys = build_heat(16, 1.0 / 16, 0.1, "periodic")
-            sys.u0[:] = np.sin(2 * np.pi * sys.x) + 0.3 * np.cos(6 * np.pi * sys.x)
+            sys = sourced_heat(16, "periodic")
             cfg = make_cfg(1.0, n_w, 4, fine_method=sdirk22(), max_iter=n_w, tol=0.0)
         elif model == "heat_exact":
             sys = heat_system(nx=40)
@@ -616,3 +650,42 @@ class TestCoarseCache:
         U, trace = parareal_solve(cfg, sys)
         ref = full_sweeps(cfg, seen["target"], seen["coarse"], seen["U0"], trace.iterations - 1)
         assert U.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("solver", [parareal_solve, mgrit_fcf_solve, parareal_diag_cgc_solve,
+                                        parareal_diag_coarse_solve])
+    def test_one_window_matrix_per_propagator_per_run(self, monkeypatch, solver):
+        # the oracle and the iterations share the fine matrix, and the
+        # coarse map (for all but the head-tail coarse solver) is formed once
+        real = parareal_module.window_matrix
+        formed = []
+
+        def counting(prop, sys):
+            F = real(prop, sys)
+            formed.append("fine" if prop is cfg.fine else "coarse")
+            return F
+
+        monkeypatch.setattr(parareal_module, "window_matrix", counting)
+        cfg = make_cfg(1.0, 6, 4, fine_method=trapezoidal(), coarse_method=trapezoidal()
+                       if solver is parareal_diag_coarse_solve else backward_euler(),
+                       max_iter=3, tol=0.0, alpha=0.1)
+        _, trace = solver(cfg, heat_system(nx=12))
+        assert trace.iterations == 4
+        expected = ["fine"] if solver is parareal_diag_coarse_solve else ["coarse", "fine"]
+        assert sorted(formed) == expected
+
+    def test_exact_fine_runs_on_the_window_matrix(self, monkeypatch):
+        # the exact exponential is a window matrix like the other methods:
+        # no window is stepped, and the oracle is exp(T_n A) u0 to roundoff
+        def no_step(*args, **kwargs):
+            raise AssertionError("a window was stepped")
+
+        for name in ("propagate", "propagate_block"):
+            monkeypatch.setattr(parareal_module, name, no_step)
+        sys = heat_system(nx=12, bc="periodic")
+        cfg = make_cfg(1.0, 6, 2, fine_method=exact_exponential(), max_iter=6, tol=0.0)
+        _, trace = parareal_solve(cfg, sys)
+        assert trace.errors[6] <= 1e-13
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        for n, t in enumerate(cfg.grid.boundaries):
+            ref = scipy.linalg.expm(t * sys.A.to_dense()) @ sys.u0
+            assert np.abs(oracle[n] - ref).max() <= 1e-13
