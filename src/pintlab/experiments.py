@@ -271,8 +271,10 @@ def run_paraexp_exactness(seed=0):
                                 red=Propagator(backward_euler(), dt=dTb / 10, steps=10))
     planb.max_iter = n_w
     planb.tol = 0.0
-    U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb)
-    U2, tr2 = paraexp.linear_g_parareal(planb, sysb)
+    # both iterations share the system, grid and fine propagator: one oracle
+    oracle = parareal.fine_sequential(gridb, planb.red, sysb, planb.newton_tol)
+    U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb, oracle=oracle)
+    U2, tr2 = paraexp.linear_g_parareal(planb, sysb, oracle=oracle)
     bitwise = bool(np.array_equal(U1, U2))
     for k, e in enumerate(tr1.errors):
         rows.append({"check": "nonlinear_error", "iter": k, "max_error": e})

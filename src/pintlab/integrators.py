@@ -172,37 +172,60 @@ def _newton(sys, c, rhs, ts, guess, tol=1e-12, max_iter=50):
     raise ConvergenceError("Newton did not converge")
 
 
-def _step_linear_block(method, sys, plan, dt, t0s, U):
+def _step_linear_block(method, sys, plan, dt, U, g):
     """One step of ``method`` on the linear system for a block of states.
 
-    ``U`` is (n, k); column j starts at time t0s[j].  ``plan`` is the
-    system's shift plan for the step's implicit solves (see
-    :func:`_step_plan`), so one factorization serves every column and
-    every step, and the step is a pure map over columns.
+    ``U`` is (n, k).  ``plan`` is the system's shift plan for the step's
+    implicit solves (see :func:`_step_plan`), so one factorization serves
+    every column and every step, and the step is a pure map over columns.
+    ``g`` holds the source values of the step, (n, 2, k), at the times
+    :func:`_source_times` gives: ``g[:, i, j]`` is stage time i of column j.
+    It is None for a system without a source.
     """
-    has_g = sys.source is not None
     if method.name == "exact":
-        if has_g:
+        if sys.source is not None:
             raise ValueError("exact exponential propagator needs a homogeneous system")
         return expm_action(sys, dt, U)
     if method.theta is not None:
         th = method.theta
         # backward Euler (theta = 1) has no explicit term: skip its 0*A U
         rhs = U if th == 1.0 else U + (1.0 - th) * dt * sys.matvec(U)
-        if has_g:
-            rhs = rhs + dt * ((1.0 - th) * sys.g(t0s) + th * sys.g(t0s + dt))
+        if g is not None:
+            rhs = rhs + dt * ((1.0 - th) * g[:, 0] + th * g[:, 1])
         return plan.solve(rhs)
-    g, a21, (b1, b2) = method.gamma, method.a21, method.b
+    b1, b2 = method.b
     rhs1 = sys.matvec(U)
-    if has_g:
-        rhs1 = rhs1 + sys.g(t0s + g * dt)
+    if g is not None:
+        rhs1 = rhs1 + g[:, 0]
     k1 = plan.solve(rhs1)
-    y2 = U + dt * a21 * k1
+    y2 = U + dt * method.a21 * k1
     rhs2 = sys.matvec(y2)
-    if has_g:
-        rhs2 = rhs2 + sys.g(t0s + (a21 + g) * dt)
+    if g is not None:
+        rhs2 = rhs2 + g[:, 1]
     k2 = plan.solve(rhs2)
     return U + dt * (b1 * k1 + b2 * k2)
+
+
+def _source_times(method, ts, dt):
+    """The two times at which one linear step of ``method`` from ``ts``
+    reads the source, on a new axis after the first: (ts, ts + dt) for a
+    theta method, the stage times ts + gamma dt and ts + (a21 + gamma) dt
+    for SDIRK.  ``ts`` is (steps, k), one row per step."""
+    if method.theta is not None:
+        return np.stack([ts, ts + dt], axis=1)
+    g = method.gamma
+    return np.stack([ts + g * dt, ts + (method.a21 + g) * dt], axis=1)
+
+
+def _source_values(sys, t):
+    """``sys.g(t)``, or a ValueError naming the source if its values for
+    the times ``t`` do not have shape (n,) + t.shape."""
+    g = sys.g(t)
+    want = (sys.n,) + t.shape
+    if np.shape(g) != want:
+        raise ValueError(f"source {sys.source!r} gave values of shape {np.shape(g)} "
+                         f"for times of shape {t.shape}; expected {want}")
+    return g
 
 
 def _step_plan(method, sys, dt):
@@ -240,28 +263,40 @@ def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray,
     return out[:, 0]
 
 
+SOURCE_CHUNK = 16  # steps whose source values one call evaluates
+
+
 def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
                     newton_tol: float = 1e-12) -> np.ndarray:
     """Propagate a block of window states over one window each.
 
-    Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt.
-    Linear systems advance all columns through shared factored solves;
-    nonlinear ones step all columns together, one batched Newton solve
-    (:func:`_newton`) per stage.  Except for the exact exponential, a
-    column's result does not depend on the other columns, bit for bit, as
+    Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt,
+    and step s of column j starts at t0s[j] + s*prop.dt.  Linear systems
+    advance all columns through shared factored solves, and a source is
+    evaluated by one call for every :data:`SOURCE_CHUNK` steps, at the
+    times of :func:`_source_times`; its values for an array of times must
+    have shape (n,) + t.shape (a ValueError otherwise).  Nonlinear systems
+    step all columns together, one batched Newton solve (:func:`_newton`)
+    per stage.  Except for the exact exponential, a column's result does
+    not depend on the other columns or on the chunking, bit for bit, as
     long as the block is at least two columns wide: a single column of a
     periodic linear system rounds differently in the Woodbury step.
     Parareal multiplies by the :func:`window_matrix` instead where it can.
     """
     linear = getattr(sys, "linear", True)
     plan = _step_plan(prop.method, sys, prop.dt) if linear else None
+    sourced = linear and sys.source is not None and prop.method.name != "exact"
     W = U
-    for s in range(prop.steps):
-        ts = t0s + s * prop.dt
-        W = (_step_linear_block(prop.method, sys, plan, prop.dt, ts, W) if linear
-             else _step_nonlinear(prop.method, sys, prop.dt, ts, W, newton_tol))
-        if not np.isfinite(W).all():
-            raise ConvergenceError("propagation produced non-finite values")
+    for s0 in range(0, prop.steps, SOURCE_CHUNK):
+        steps = np.arange(s0, min(s0 + SOURCE_CHUNK, prop.steps))
+        ts = t0s + (steps * prop.dt)[:, None]  # row i: t0s + s*dt for step s = s0 + i
+        g = _source_values(sys, _source_times(prop.method, ts, prop.dt)) if sourced else None
+        for i in range(steps.size):
+            W = (_step_linear_block(prop.method, sys, plan, prop.dt, W,
+                                    None if g is None else g[:, i]) if linear
+                 else _step_nonlinear(prop.method, sys, prop.dt, ts[i], W, newton_tol))
+            if not np.isfinite(W).all():
+                raise ConvergenceError("propagation produced non-finite values")
     return W
 
 

@@ -10,12 +10,12 @@ endpoints it reproduces Parareal with an exact-exponential coarse solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .integrators import Propagator, TimeGrid, finite_u0, propagate, propagate_block
+from .integrators import Propagator, TimeGrid, finite_u0, propagate_block
 from .kernels import expm_action
 from .models import first_order_form
 from .parareal import fine_sequential
@@ -38,14 +38,15 @@ class ParaExpPlan:
 def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
     """Superposition solve of a linear system over the window grid.
 
-    Red subproblems (zero initial data, with source) run independently per
-    window with ``plan.red``; each homogeneous contribution is the
-    exponential of the growing elapsed time applied to the previous red
-    endpoint.  Returns the trajectory at window endpoints, shape
-    (n_windows + 1, n); with ``dense_output`` instead returns
-    ``(endpoints, times, values)`` where ``values`` holds the superposed
-    solution at every red step (blue contributions evaluated at the
-    interior times as well).
+    Red subproblems (zero initial data, with source) are independent, and
+    all windows run as the columns of one :func:`propagate_block` march
+    with ``plan.red``; each homogeneous contribution is the exponential of
+    the growing elapsed time applied to the previous red endpoint.  Returns
+    the trajectory at window endpoints, shape (n_windows + 1, n); with
+    ``dense_output`` instead returns ``(endpoints, times, values)`` where
+    ``values`` holds the superposed solution at every red step (blue
+    contributions evaluated at the interior times as well), the red block
+    then marched one step per :func:`propagate_block` call.
     """
     target = first_order_form(sys)
     if not getattr(target, "linear", True):
@@ -54,24 +55,19 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
     n_w = grid.n_windows
     n = finite_u0(target).shape[0]
 
-    # red: v_n' = A v_n + g on (T_{n-1}, T_n], v_n(T_{n-1}) = 0
-    red_ends = np.zeros((n_w, n))
-    red_paths = [np.zeros((plan.red.steps + 1, n))] * n_w
+    # red: v_n' = A v_n + g on (T_{n-1}, T_n], v_n(T_{n-1}) = 0, column n-1
+    # of the block; red_paths[s] holds every window's state after s steps
+    t0s = grid.boundaries[:-1]
+    red_paths = np.zeros((plan.red.steps + 1 if dense_output else 1, n, n_w))
     if target.source is not None:
-        for i in range(n_w):
-            t0, t1 = grid.window(i)
-            if dense_output:
-                u = np.zeros(n)
-                path = [u.copy()]
-                step = Propagator(plan.red.method, dt=plan.red.dt, steps=1)
-                for s in range(plan.red.steps):
-                    u = propagate(step, target, t0 + s * plan.red.dt,
-                                  t0 + (s + 1) * plan.red.dt, u)
-                    path.append(u.copy())
-                red_paths[i] = np.stack(path)
-            else:
-                red_paths[i] = propagate(plan.red, target, t0, t1, np.zeros(n))[None, :]
-            red_ends[i] = red_paths[i][-1]
+        if dense_output:
+            step = replace(plan.red, steps=1)
+            for s in range(plan.red.steps):
+                red_paths[s + 1] = propagate_block(step, target, t0s + s * plan.red.dt,
+                                                   red_paths[s])
+        else:
+            red_paths[-1] = propagate_block(plan.red, target, t0s, red_paths[-1])
+    red_ends = red_paths[-1].T
 
     # blue: w_j(t) = exp((t - T_{j-1}) A) v_{j-1}(T_{j-1}); at the window
     # endpoints the blue sums telescope, Sum_j w_j(T_n) = exp(dT A) u(T_{n-1})
@@ -92,7 +88,7 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
             tau = s * plan.red.dt
             blue = expm_action(target, tau, out[j])
             times.append(np.array([t0 + tau]))
-            values.append((red_paths[j][s] + blue)[None, :])
+            values.append((red_paths[s, :, j] + blue)[None, :])
     return out, np.concatenate(times), np.concatenate(values, axis=0)
 
 

@@ -283,13 +283,18 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     and is solved across all windows at once by circulant diagonalization.
 
     Coarse solver is one backward-Euler step per window, and the system must
-    be linear.  A stepped fine solve of window 0, which always starts from
-    u0, is made once (:class:`_FineMap`).
+    be linear and have no source term: the all-at-once correction carries
+    no source, so with one it would converge to a wrong fixed point.  A
+    stepped fine solve of window 0, which always starts from u0, is made
+    once (:class:`_FineMap`).
     """
     if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
         raise ValueError("diag CGC uses one backward-Euler step per window")
     _check_alpha(cfg.alpha)
     target = _linear_target(sys, "diag CGC")
+    if target.source is not None:
+        raise ValueError("diag CGC takes systems without a source term: "
+                         "its all-at-once correction carries no source")
     F, oracle = _fine_and_oracle(cfg, target, oracle)
     dT = cfg.grid.window_length(0)
     alpha = cfg.alpha

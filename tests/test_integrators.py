@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pintlab.integrators import (
     METHODS,
+    SOURCE_CHUNK,
     Propagator,
     TimeGrid,
     _newton,
@@ -197,6 +200,58 @@ class TestWindowMatrix:
         }[model]()
         for method in METHODS.values():
             assert window_matrix(Propagator(method(), dt=0.02, steps=10), sys) is None
+
+
+SOURCED_SYSTEMS = {
+    "heat_dirichlet": lambda: build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0)),
+    "wave_companion": lambda: CompanionSystem(build_wave(12, 1.0 / 13, 1.0, "dirichlet",
+                                                        source=SourcePulse(50.0))),
+}
+CHUNKED_STEPS = 2 * SOURCE_CHUNK + 5  # a last chunk shorter than the others
+
+
+class TestSourceChunks:
+    """A linear march evaluates its source once per SOURCE_CHUNK steps."""
+
+    def march(self, sys, method):
+        U = np.random.default_rng(3).standard_normal((sys.n, 3))
+        return Propagator(method, dt=0.01, steps=CHUNKED_STEPS), np.array([0.0, 0.37, 1.3]), U
+
+    @pytest.mark.parametrize("model", sorted(SOURCED_SYSTEMS))
+    @pytest.mark.parametrize("method", ALL_ONE_STEP, ids=str)
+    def test_chunked_march_matches_one_step_calls_bitwise(self, model, method):
+        sys = SOURCED_SYSTEMS[model]()
+        prop, t0s, U = self.march(sys, method)
+        W = U
+        for s in range(prop.steps):
+            W = propagate_block(replace(prop, steps=1), sys, t0s + s * prop.dt, W)
+        assert propagate_block(prop, sys, t0s, U).tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize("method", ALL_ONE_STEP, ids=str)
+    def test_one_source_call_per_chunk(self, method):
+        # per-step evaluation made two source calls per step, 2 * 37 here
+        sys = SOURCED_SYSTEMS["heat_dirichlet"]()
+        calls, real = [], sys.source
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        sys.source = counting
+        prop, t0s, U = self.march(sys, method)
+        propagate_block(prop, sys, t0s, U)
+        assert len(calls) == -(-prop.steps // SOURCE_CHUNK)
+
+    @pytest.mark.parametrize("source", [lambda x, t: np.ones_like(x),
+                                        lambda x, t: np.zeros(x.size)],
+                             ids=["constant_in_time", "one_time_only"])
+    def test_source_of_wrong_shape_rejected(self, source):
+        # (n,) + t.shape is the contract; a constant-in-time source would
+        # otherwise broadcast silently against the block
+        sys = build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=source)
+        prop, t0s, U = self.march(sys, trapezoidal())
+        with pytest.raises(ValueError, match=r"source .* gave values of shape"):
+            propagate_block(prop, sys, t0s, U)
 
 
 def newton_reference(sys, c, rhs, t, guess, tol=1e-12, max_iter=50):
