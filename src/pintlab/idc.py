@@ -131,6 +131,12 @@ def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
 
     Returns (window node times, per-window per-sweep node values,
     endpoint array indexed [sweep, boundary])."""
+    for name, value, least in (("n_windows", n_windows, 1), ("M", M, 1),
+                               ("k_corrections", k_corrections, 0)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+    if not T > 0:
+        raise ValueError(f"need T > 0, got {T}")
     finite_u0(sys)
     k_sweeps = k_corrections + 1
     boundaries = np.linspace(0.0, T, n_windows + 1)

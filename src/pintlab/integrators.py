@@ -102,6 +102,8 @@ class TimeGrid:
         for name, value in (("T", T), ("n_windows", n_windows)):
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not isinstance(n_windows, (int, np.integer)):
+            raise ValueError(f"n_windows must be an integer, got {n_windows!r}")
         return cls(np.linspace(0.0, T, n_windows + 1))
 
     @property
@@ -131,6 +133,8 @@ class Propagator:
     def __post_init__(self):
         if self.dt <= 0 or self.steps < 1:
             raise ValueError("need dt > 0 and steps >= 1")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
 
     def span(self) -> float:
         return self.dt * self.steps
@@ -281,7 +285,8 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
     not depend on the other columns or on the chunking, bit for bit, as
     long as the block is at least two columns wide: a single column of a
     periodic linear system rounds differently in the Woodbury step.
-    Parareal multiplies by the :func:`window_matrix` instead where it can.
+    Parareal's fine map marches all windows as one block in every
+    iteration, or multiplies by the :func:`window_matrix` where it can.
     """
     linear = getattr(sys, "linear", True)
     plan = _step_plan(prop.method, sys, prop.dt) if linear else None

@@ -46,6 +46,9 @@ class GeometricTimeMesh:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("geometric mesh needs rho > 0 (distinct steps)")
+        if not self.T > 0:
+            raise ValueError(f"geometric mesh needs T > 0, got T={self.T}")
+        _check_n_t(self.n_t, 1)
 
     @property
     def mu(self) -> float:
@@ -59,6 +62,11 @@ class GeometricTimeMesh:
     @property
     def times(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.dts)])
+
+
+def _check_n_t(n_t, least):
+    if not isinstance(n_t, (int, np.integer)) or n_t < least:
+        raise ValueError(f"need an integer n_t >= {least}, got n_t={n_t!r}")
 
 
 def be_time_matrix(mesh: GeometricTimeMesh) -> np.ndarray:
@@ -170,6 +178,7 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
     through the squared time matrix, avoiding the companion doubling.
     Returns the trajectory including the initial row.
     """
+    _check_n_t(n_t, 2)
     finite_u0(sys)
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
@@ -300,6 +309,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     """
     if max_iter < 0:
         raise ValueError(f"need max_iter >= 0, got {max_iter}")
+    _check_n_t(n_t, 1)
     op, b, solve = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
 
     trace = IterationTrace(method="paradiag2_stationary")

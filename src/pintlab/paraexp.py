@@ -10,7 +10,7 @@ endpoints it reproduces Parareal with an exact-exponential coarse solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,18 +35,14 @@ class ParaExpPlan:
             raise ValueError("red propagator does not span every window")
 
 
-def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
+def paraexp_linear_solve(plan: ParaExpPlan, sys):
     """Superposition solve of a linear system over the window grid.
 
     Red subproblems (zero initial data, with source) are independent, and
     all windows run as the columns of one :func:`propagate_block` march
     with ``plan.red``; each homogeneous contribution is the exponential of
     the growing elapsed time applied to the previous red endpoint.  Returns
-    the trajectory at window endpoints, shape (n_windows + 1, n); with
-    ``dense_output`` instead returns ``(endpoints, times, values)`` where
-    ``values`` holds the superposed solution at every red step (blue
-    contributions evaluated at the interior times as well), the red block
-    then marched one step per :func:`propagate_block` call.
+    the trajectory at window endpoints, shape (n_windows + 1, n).
     """
     target = first_order_form(sys)
     if not getattr(target, "linear", True):
@@ -56,40 +52,18 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys, dense_output: bool = False):
     n = finite_u0(target).shape[0]
 
     # red: v_n' = A v_n + g on (T_{n-1}, T_n], v_n(T_{n-1}) = 0, column n-1
-    # of the block; red_paths[s] holds every window's state after s steps
-    t0s = grid.boundaries[:-1]
-    red_paths = np.zeros((plan.red.steps + 1 if dense_output else 1, n, n_w))
+    red_ends = np.zeros((n, n_w))
     if target.source is not None:
-        if dense_output:
-            step = replace(plan.red, steps=1)
-            for s in range(plan.red.steps):
-                red_paths[s + 1] = propagate_block(step, target, t0s + s * plan.red.dt,
-                                                   red_paths[s])
-        else:
-            red_paths[-1] = propagate_block(plan.red, target, t0s, red_paths[-1])
-    red_ends = red_paths[-1].T
+        red_ends = propagate_block(plan.red, target, grid.boundaries[:-1], red_ends)
 
     # blue: w_j(t) = exp((t - T_{j-1}) A) v_{j-1}(T_{j-1}); at the window
     # endpoints the blue sums telescope, Sum_j w_j(T_n) = exp(dT A) u(T_{n-1})
     out = np.empty((n_w + 1, n))
     out[0] = target.u0
     for j in range(n_w):
-        dT = grid.window_length(j)
-        blue = expm_action(target, dT, out[j])
-        out[j + 1] = red_ends[j] + blue
-    if not dense_output:
-        return out
-    # interior times of window j: u(t) = v_j(t) + exp((t - T_j) A) u(T_j)
-    times = [np.array([grid.boundaries[0]])]
-    values = [out[0][None, :]]
-    for j in range(n_w):
-        t0, _ = grid.window(j)
-        for s in range(1, plan.red.steps + 1):
-            tau = s * plan.red.dt
-            blue = expm_action(target, tau, out[j])
-            times.append(np.array([t0 + tau]))
-            values.append((red_paths[s, :, j] + blue)[None, :])
-    return out, np.concatenate(times), np.concatenate(values, axis=0)
+        blue = expm_action(target, grid.window_length(j), out[j])
+        out[j + 1] = red_ends[:, j] + blue
+    return out
 
 
 def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):

@@ -36,6 +36,9 @@ class PararealConfig:
     newton_tol: float = 1e-12
 
     def __post_init__(self):
+        if self.initial_guess not in ("coarse", "random"):
+            raise ValueError("initial_guess must be 'coarse' or 'random', "
+                             f"got {self.initial_guess!r}")
         for prop, name in ((self.fine, "fine"), (self.coarse, "coarse")):
             if not self.grid.spanned_by(prop):
                 raise ValueError(f"{name} propagator does not span every window")
@@ -82,86 +85,14 @@ def _initial_iterate(cfg, target, coarse):
     return U
 
 
-def _coarse_of_initial(cfg, U, coarse):
-    """G(U^0[n]) on every window n: the cache the correction sweeps start
-    from.  A coarse initial sweep already holds it, G(U^0[n]) = U^0[n+1]."""
-    if cfg.initial_guess == "random":
-        return np.stack([coarse(n, U[n]) for n in range(cfg.grid.n_windows)])
-    return U[1:].copy()
-
-
-class _FineMap:
-    """The fine solves of windows ``first``, ``first + 1``, ... as one map
-    over their start values (rows).  With a fine window matrix ``F`` a call
-    is one product over all windows, always at the same width.  Otherwise a
-    window whose start value equals the last one bit for bit reuses the
-    result instead of solving again: a column's result does not depend on
-    the other columns of a block at least two wide, bit for bit (bar
-    expm_multiply, the exact exponential above EXPM_DENSE_MAX).  A block of
-    one takes another rounding path in the periodic Woodbury step
-    (np.linalg.solve and matmul with a single right-hand side), so a lone
-    changed window is solved beside its unchanged successor (or
-    predecessor, for the last window).  The returned rows stay valid until
-    the next call.
-    """
-
-    def __init__(self, cfg, target, F, first=0):
-        self.cfg, self.target, self.F = cfg, target, F
-        self.t0s = cfg.grid.boundaries[first:-1]
-        self.starts = self.results = None
-
-    def __call__(self, starts):
-        if self.F is not None:
-            return starts @ self.F.T
-        if self.results is None:
-            todo = np.arange(starts.shape[0])
-            self.results = np.empty_like(starts)
-        else:
-            todo = np.flatnonzero([new.tobytes() != old.tobytes()
-                                   for new, old in zip(starts, self.starts)])
-            if todo.size == 1 and starts.shape[0] > 1:
-                n = todo[0]
-                todo = np.sort([n, n + 1 if n + 1 < starts.shape[0] else n - 1])
-        if todo.size:
-            self.results[todo] = propagate_block(
-                self.cfg.fine, self.target, self.t0s[todo], starts[todo].T.copy(),
-                newton_tol=self.cfg.newton_tol).T
-        self.starts = starts.copy()
-        return self.results
-
-
-class _CorrectionSweep:
-    """One Parareal iteration U^{k+1}[n+1] = F(U^k[n]) + G(U^{k+1}[n]) - G(U^k[n])
-    as a callable, remembering the last fine and coarse solve on every window
-    together with the start value it was made from.
-
-    A window whose start value equals that one bit for bit reuses the result
-    instead of solving again (fine solves through :class:`_FineMap`).  After
-    k iterations the first k window values no longer change (Gander &
-    Vandewalle 2007), and since the same operands recur they stay fixed bit
-    for bit, so iteration k skips k coarse and k - 1 stepped fine solves
-    (k - 2 when a single window is left) and returns exactly the iterate of
-    the full sweep.  The coarse cache starts from G(U^0) (see
-    :func:`_coarse_of_initial`).
-    """
-
-    def __init__(self, cfg, target, coarse, U, F):
-        self.cfg, self.coarse = cfg, coarse
-        self.G_in = U[:-1].copy()
-        self.G_out = _coarse_of_initial(cfg, U, coarse)
-        self.fine = _FineMap(cfg, target, F)
-
-    def __call__(self, U):
-        F = self.fine(U[:-1])
-        U_new = np.empty_like(U)
-        U_new[0] = U[0]
-        for n in range(F.shape[0]):
-            g_old = self.G_out[n]
-            same = U_new[n].tobytes() == self.G_in[n].tobytes()
-            g_new = g_old if same else self.coarse(n, U_new[n])
-            U_new[n + 1] = F[n] + g_new - g_old
-            self.G_out[n], self.G_in[n] = g_new, U_new[n]
-        return U_new
+def _fine_map(cfg, target, F, starts, first=0):
+    """The fine solves of windows ``first``, ``first + 1``, ... from their
+    start values (rows): one product with the fine window matrix ``F``, or
+    without one a :func:`propagate_block` march over every window."""
+    if F is not None:
+        return starts @ F.T
+    return propagate_block(cfg.fine, target, cfg.grid.boundaries[first:-1], starts.T.copy(),
+                           newton_tol=cfg.newton_tol).T
 
 
 def _fine_and_oracle(cfg, target, oracle):
@@ -173,19 +104,30 @@ def _fine_and_oracle(cfg, target, oracle):
 
 
 def _iterate(cfg, target, coarse, oracle, method):
-    """Parareal iterations with the coarse map ``coarse`` from its initial
-    iterate until ``cfg.tol`` or ``cfg.max_iter``, measured against
-    ``oracle`` (made if None); the trace is labelled ``method``."""
+    """Parareal iterations U^{k+1}[n+1] = F(U^k[n]) + G(U^{k+1}[n]) - G(U^k[n])
+    with the coarse map ``coarse`` from its initial iterate until ``cfg.tol``
+    or ``cfg.max_iter``, measured against ``oracle`` (made if None); the
+    trace is labelled ``method``."""
     F, oracle = _fine_and_oracle(cfg, target, oracle)
     U = _initial_iterate(cfg, target, coarse)
-    sweep = _CorrectionSweep(cfg, target, coarse, U, F)
+    n_w = cfg.grid.n_windows
+    # G(U^0[n]), updated in place; a coarse initial sweep already holds it
+    G_old = (U[1:].copy() if cfg.initial_guess == "coarse"
+             else np.stack([coarse(n, U[n]) for n in range(n_w)]))
     trace = IterationTrace(method=method)
     trace.record(error=np.abs(U - oracle).max())
     for k in range(cfg.max_iter):
-        U = sweep(U)
+        fine = _fine_map(cfg, target, F, U[:-1])
+        U_new = np.empty_like(U)
+        U_new[0] = U[0]
+        for n in range(n_w):
+            g_new = coarse(n, U_new[n])
+            U_new[n + 1] = fine[n] + g_new - G_old[n]
+            G_old[n] = g_new
+        U = U_new
         if not np.all(np.isfinite(U)):
             raise ConvergenceError(f"{method} iterate became non-finite")
-        trace.record(error=np.abs(U - oracle).max(), fine_solves=cfg.grid.n_windows)
+        trace.record(error=np.abs(U - oracle).max(), fine_solves=n_w)
         if trace.errors[-1] <= cfg.tol:
             break
     return U, trace
@@ -199,9 +141,7 @@ def parareal_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None
 
 def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = None):
     """Two-level MGRiT with FCF relaxation (overlapping Parareal, two fine
-    solves per window per iteration).  Both fine passes share one window
-    matrix, or reuse the solve of a window whose start value did not change
-    (:class:`_FineMap`): window 0 then starts from u0 and is solved once."""
+    solves per window per iteration, both by :func:`_fine_map`)."""
     target = first_order_form(sys)
     F, oracle = _fine_and_oracle(cfg, target, oracle)
     coarse = _coarse_propagator(cfg, target)
@@ -209,16 +149,15 @@ def mgrit_fcf_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarray] = Non
     trace = IterationTrace(method="mgrit_fcf")
     trace.record(error=np.abs(U - oracle).max())
     n_w = cfg.grid.n_windows
-    relax, second = _FineMap(cfg, target, F), _FineMap(cfg, target, F, first=1)
     for k in range(cfg.max_iter):
         # F relaxation: s_n = F(T_{n-1}, T_n, u_{n-1}^k) for n = 1..n_w
-        S = relax(U[:-1])
+        S = _fine_map(cfg, target, F, U[:-1])
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         U_new[1] = S[0]
         # second fine pass from the relaxed states
         if n_w >= 2:
-            FF = second(S[:-1])
+            FF = _fine_map(cfg, target, F, S[:-1], first=1)
         for n in range(1, n_w):
             g_new = coarse(n, U_new[n])
             g_old = coarse(n, S[n - 1])  # G of the F-relaxed state, not of U^k: no cache
@@ -284,9 +223,8 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
 
     Coarse solver is one backward-Euler step per window, and the system must
     be linear and have no source term: the all-at-once correction carries
-    no source, so with one it would converge to a wrong fixed point.  A
-    stepped fine solve of window 0, which always starts from u0, is made
-    once (:class:`_FineMap`).
+    no source, so with one it would converge to a wrong fixed point.  The
+    fine solves are one :func:`_fine_map` per iteration.
     """
     if cfg.coarse.steps != 1 or cfg.coarse.method.theta != 1.0:
         raise ValueError("diag CGC uses one backward-Euler step per window")
@@ -301,7 +239,6 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
     n_w = cfg.grid.n_windows
     coarse = _coarse_propagator(cfg, target)
     U = _initial_iterate(cfg, target, coarse)
-    fine = _FineMap(cfg, target, F)
     trace = IterationTrace(method="parareal_diag_cgc")
     trace.record(error=np.abs(U - oracle).max())
 
@@ -317,8 +254,8 @@ def parareal_diag_cgc_solve(cfg: PararealConfig, sys, oracle: Optional[np.ndarra
         # head value pinned to the true initial condition in the F term
         U_tilde = U[:-1].copy()
         U_tilde[0] = target.u0
-        F = fine(U_tilde)
-        B = np.stack([F[n] - coarse(n, U[n]) for n in range(n_w)])
+        fine = _fine_map(cfg, target, F, U_tilde)
+        B = np.stack([fine[n] - coarse(n, U[n]) for n in range(n_w)])
 
         G = B - dT * target.matvec(B.T).T  # rows (I - dT A) b_n
         G[0] += target.u0

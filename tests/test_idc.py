@@ -147,6 +147,19 @@ class TestIdcSweep:
         out = idc_sweep(state, sys, 1.0, idc_weights(t))
         assert np.abs(out.values - vals).max() < 1e-12
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(k_corrections=-1), "k_corrections"),
+        (dict(M=0), "M"),
+        (dict(M=2.5), "M"),
+        (dict(n_windows=0), "n_windows"),
+        (dict(T=-1.0), "T"),
+    ])
+    def test_idc_run_rejects_bad_parameters(self, kwargs, name):
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        args = dict(T=0.5, n_windows=2, M=3, k_corrections=1) | kwargs
+        with pytest.raises(ValueError, match=f" {name} "):
+            idc_run(sys, **args)
+
 
 class TestPfasst:
     def test_radau_data_matches_reference_values(self):

@@ -655,11 +655,26 @@ class TestEntryValidation:
 
     @pytest.mark.parametrize("kwargs, name", [
         pytest.param(dict(max_iter=-3), "max_iter", id="kwargs3-max_iter"),
+        pytest.param(dict(n_t=0), "n_t", id="n_t"),
     ])
     def test_bad_solver_parameters_rejected_first(self, monkeypatch, kwargs, name):
         def no_operator(*args, **kw):
             raise AssertionError("operator built before the parameters were checked")
 
         monkeypatch.setattr(paradiag_module, "make_all_at_once", no_operator)
+        args = dict(alpha=0.1, dt=0.02, n_t=8) | kwargs
         with pytest.raises(ValueError, match=name):
-            paradiag2_solve(heat_sine(nx=8), "backward_euler", 0.1, 0.02, 8, **kwargs)
+            paradiag2_solve(heat_sine(nx=8), "backward_euler", **args)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_t=0), "n_t"), (dict(n_t=2.5), "n_t"), (dict(T=-1.0), "T"), (dict(T=0.0), "T"),
+    ])
+    def test_bad_geometric_mesh_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} "):
+            GeometricTimeMesh(**(dict(T=1.0, n_t=4, rho=0.3) | kwargs))
+
+    @pytest.mark.parametrize("n_t", [1, 0])
+    def test_bvm_needs_two_time_steps(self, monkeypatch, n_t):
+        monkeypatch.setattr(paradiag_module, "bvm_time_matrix", None)
+        with pytest.raises(ValueError, match="n_t >= 2"):
+            paradiag1_bvm_solve(heat_sine(nx=8), 0.02, n_t)

@@ -97,46 +97,19 @@ class TestLinearParaExp:
                 # differences are pure red-discretization rearrangement
                 assert diff <= 2e-4
 
-    def test_dense_output_matches_sequential_fine(self):
-        # dense values deviate from the fully-discrete sequential solve by
-        # the red integrator's interior discretization error: same order,
-        # shrinking at the integrator's rate as the red step refines
-        from pintlab.integrators import propagate
-
-        sys = heat_with_pulse(nx=16)
-
-        def worst_gap(J):
-            plan = make_plan(2.0, 4, J)
-            ends, times, values = paraexp_linear_solve(plan, sys, dense_output=True)
-            assert times.shape[0] == values.shape[0] == 4 * J + 1
-            bidx = [0] + [J * (j + 1) for j in range(4)]
-            np.testing.assert_allclose(values[bidx], ends, atol=1e-12)
-            u = sys.u0.copy()
-            step = Propagator(trapezoidal(), dt=plan.red.dt, steps=1)
-            worst = 0.0
-            for i in range(1, times.shape[0]):
-                u = propagate(step, sys, times[i - 1], times[i], u)
-                worst = max(worst, float(np.abs(values[i] - u).max()))
-            return worst
-
-        w32, w64 = worst_gap(32), worst_gap(64)
-        assert w64 <= w32 / 2.0
-        assert w32 <= 1e-2
-
-    @pytest.mark.parametrize("dense_output", [False, True])
-    def test_endpoints_match_per_window_propagate_bitwise(self, dense_output):
+    def test_endpoints_match_per_window_propagate_bitwise(self):
         # the red windows run as the columns of one block march; on
         # Dirichlet heat each column equals its own window's run bit for bit
         sys = heat_with_pulse(nx=16)
         plan = make_plan(2.0, 4, 2 * SOURCE_CHUNK + 5)
-        out = paraexp_linear_solve(plan, sys, dense_output=dense_output)
+        out = paraexp_linear_solve(plan, sys)
         ref = np.empty((plan.grid.n_windows + 1, sys.n))
         ref[0] = sys.u0
         for j in range(plan.grid.n_windows):
             t0, t1 = plan.grid.window(j)
             red = propagate(plan.red, sys, t0, t1, np.zeros(sys.n))
             ref[j + 1] = red + expm_action(sys, plan.grid.window_length(j), ref[j])
-        assert (out[0] if dense_output else out).tobytes() == ref.tobytes()
+        assert out.tobytes() == ref.tobytes()
 
     def test_wave_companion_supported(self):
         sys = build_wave(16, 1.0 / 17, 1.0, "dirichlet")

@@ -141,6 +141,17 @@ class TestWindowSpan:
                 ParaExpPlan(grid=grid, red=prop)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: make_cfg(1.0, 4, 2, initial_guess="rand"), "initial_guess"),
+        (lambda: TimeGrid.uniform(1.0, 2.5), "n_windows"),
+        (lambda: Propagator(backward_euler(), dt=0.1, steps=2.5), "steps"),
+    ], ids=["initial_guess", "n_windows", "steps"])
+    def test_bad_input_names_its_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+
 class TestRhoPredictors:
     def test_identical_solvers_give_zero(self):
         # identical propagators means R_g(z) = R_f^J(z/J), i.e., J = 1
@@ -464,10 +475,10 @@ class TestDiagCoarse:
 
 
 def full_sweeps(cfg, target, coarse, U, iterations):
-    """Parareal iterates with every fine and coarse window solved again in
-    every iteration: the reference the window reuse must match bit for bit.
-    A system with a fine window matrix multiplies all windows by it, one
-    without steps them all."""
+    """Parareal iterates with every fine and coarse window solved in every
+    iteration, written out apart from the solver: the reference its sweep
+    must match bit for bit.  A system with a fine window matrix multiplies
+    all windows by it, one without steps them all."""
     n_w = cfg.grid.n_windows
     G_old = np.stack([coarse(n, U[n]) for n in range(n_w)])
     F_matrix = window_matrix(cfg.fine, target)
@@ -486,15 +497,16 @@ def full_sweeps(cfg, target, coarse, U, iterations):
 
 
 def record_sweep(monkeypatch):
-    """Capture the coarse map and U^0 a solver hands to its correction sweep."""
+    """Capture the target, the coarse map and U^0 a solver starts its sweeps from."""
     seen = {}
+    real = parareal_module._initial_iterate
 
-    class Recording(parareal_module._CorrectionSweep):
-        def __init__(self, cfg, target, coarse, U, F):
-            seen.update(target=target, coarse=coarse, U0=U.copy(), F=F)
-            super().__init__(cfg, target, coarse, U, F)
+    def recording(cfg, target, coarse):
+        U = real(cfg, target, coarse)
+        seen.update(target=target, coarse=coarse, U0=U.copy())
+        return U
 
-    monkeypatch.setattr(parareal_module, "_CorrectionSweep", Recording)
+    monkeypatch.setattr(parareal_module, "_initial_iterate", recording)
     return seen
 
 
@@ -507,13 +519,11 @@ def sourced_heat(nx=12, bc="dirichlet"):
 
 
 class TestCoarseCache:
-    """A correction sweep reuses G(U^k[n]) from the sweep before and solves
-    a window again only when its start value changed.  Iteration k leaves
-    the first k windows alone: for a system that steps (no window matrix)
-    it makes n_w - k coarse solves and fine solves on n_w - k + 1 windows.
-    The initial coarse sweep (or, for a random guess, one pass over U^0)
-    seeds the coarse cache.  The iterates are bit for bit those of sweeps
-    that solve every window."""
+    """A correction sweep solves every window, fine and coarse, in every
+    iteration, and keeps G(U^k[n]) from the sweep before: a coarse initial
+    sweep already holds G(U^0[n]) as U^0[n+1], and a random guess makes one
+    coarse pass over U^0.  The iterates are bit for bit those of
+    :func:`full_sweeps`."""
 
     @pytest.mark.parametrize("guess", ["coarse", "random"])
     def test_classic_n_w_coarse_propagations_per_iteration(self, monkeypatch, guess):
@@ -537,8 +547,8 @@ class TestCoarseCache:
         seen = record_sweep(monkeypatch)
         U, trace = parareal_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
-        assert sum(calls) == n_w + (n_w - 1) + (n_w - 2) + (n_w - 3)
-        assert fine_cols == [n_w, n_w - 1, n_w - 2]
+        assert sum(calls) == n_w * trace.iterations
+        assert fine_cols == [n_w] * 3
         ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
         assert U.tobytes() == ref.tobytes()
 
@@ -573,68 +583,23 @@ class TestCoarseCache:
         seen = record_sweep(monkeypatch)
         U, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
         assert trace.iterations == 4
-        assert events == ["solve"] * sys.n + ["coarse"] * (n_w + (n_w - 1) + (n_w - 2) + (n_w - 3))
+        assert events == ["solve"] * sys.n + ["coarse"] * (n_w * trace.iterations)
         ref = full_sweeps(cfg, sys, seen["coarse"], seen["U0"], 3)
         assert U.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("solver", [mgrit_fcf_solve, parareal_diag_cgc_solve])
-    @pytest.mark.parametrize("fine", ["trapezoidal", "exact"])
-    def test_window_zero_fine_solve_made_once(self, monkeypatch, solver, fine):
-        # window 0 always starts from u0: on a system too large for a window
-        # matrix, MGRiT's F-relaxation and the diag-CGC fine map solve it in
-        # the first iteration only, and skip any other window whose start
-        # value did not change; the iterates equal those of fine maps that
-        # solve every window every time.  The exact exponential on a small
-        # system multiplies by its window matrix and steps nothing.
-        sys = heat_system(nx=12 if fine == "exact" else EXPM_DENSE_MAX + 8, bc="periodic")
-        n_w, iterations = 6, 4
-        method = trapezoidal() if fine == "trapezoidal" else exact_exponential()
-        cfg = make_cfg(1.0, n_w, 4 if fine == "trapezoidal" else 1, fine_method=method,
-                       max_iter=iterations, tol=0.0, alpha=0.1)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
-        real_block = parareal_module.propagate_block
-        starts = []
-
-        def counting_block(prop, sys, t0s, U, **kwargs):
-            starts.append(list(t0s))
-            return real_block(prop, sys, t0s, U, **kwargs)
-
-        monkeypatch.setattr(parareal_module, "propagate_block", counting_block)
-        U, trace = solver(cfg, sys, oracle=oracle)
-        solved = [t0 for call in starts for t0 in call]
-        per_iteration = (2 * n_w - 1) if solver is mgrit_fcf_solve else n_w
-        assert trace.fine_solves == (2 * n_w if solver is mgrit_fcf_solve else n_w) * iterations
-        if fine == "exact":
-            assert solved == []
-        else:
-            assert solved.count(0.0) == 1
-            assert len(solved) < per_iteration * iterations
-
-        class SolveAll(parareal_module._FineMap):
-            def __call__(self, starts):
-                self.results = None  # forget every window: solve them all
-                return super().__call__(starts)
-
-        monkeypatch.setattr(parareal_module, "_FineMap", SolveAll)
-        starts.clear()
-        U_ref, trace_ref = solver(cfg, sys, oracle=oracle)
-        assert len([t0 for call in starts for t0 in call]) == (
-            0 if fine == "exact" else per_iteration * iterations)
-        assert U.tobytes() == U_ref.tobytes()
-        assert trace.errors == trace_ref.errors
-
     @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
-                                       "heat_exact", "heat_periodic_one_left"])
+                                       "heat_exact", "heat_periodic_one_left", "heat_large"])
     def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
-        # stepped: nonlinear Newton columns and a time-dependent source, where
-        # the fine solves of a subset of windows equal the columns of the
-        # full block, and the last iterations of a short periodic run with
-        # a source change a single window (SDIRK stages); window matrices:
-        # the companion wave, SDIRK on advection-diffusion and the exact
-        # exponential multiply every window at the same width.  Reused
-        # coarse values equal the fresh ones.
+        # stepped: nonlinear Newton columns, a time-dependent source (SDIRK
+        # stages on a periodic run too) and a system too large for a window
+        # matrix; window matrices: the companion wave, SDIRK on
+        # advection-diffusion and the exact exponential.  The coarse values
+        # kept from the sweep before equal fresh ones.
         n_w = 8
-        if model == "heat_periodic_one_left":
+        if model == "heat_large":
+            sys = heat_system(nx=EXPM_DENSE_MAX + 8, bc="periodic")
+            cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=4, tol=0.0)
+        elif model == "heat_periodic_one_left":
             n_w = 3
             sys = sourced_heat(16, "periodic")
             cfg = make_cfg(1.0, n_w, 4, fine_method=sdirk22(), max_iter=n_w, tol=0.0)
@@ -664,6 +629,43 @@ class TestCoarseCache:
         ref = full_sweeps(cfg, seen["target"], seen["coarse"], seen["U0"], trace.iterations - 1)
         assert U.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("solver, model", [
+        (mgrit_fcf_solve, "burgers"), (mgrit_fcf_solve, "heat_source"),
+        (mgrit_fcf_solve, "heat_large"), (parareal_diag_cgc_solve, "heat_large")])
+    def test_stepped_fine_map_solves_every_window(self, monkeypatch, solver, model):
+        # with no fine window matrix, every fine pass is one block march over
+        # all its windows; MGRiT still terminates after n_w / 2 iterations,
+        # and diag-CGC (linear, sourceless systems only) contracts
+        n_w = 4
+        if model == "burgers":
+            sys = build_burgers(16, 1.0 / 16, 0.05, "periodic")
+            sys.u0[:] = np.sin(2 * np.pi * sys.x)
+            cfg = make_cfg(0.4, n_w, 3, max_iter=2, tol=0.0)
+        elif model == "heat_source":
+            sys = sourced_heat()
+            cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=2, tol=0.0)
+        else:
+            sys = heat_system(nx=EXPM_DENSE_MAX + 8, bc="periodic")
+            cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=2, tol=0.0,
+                           alpha=0.01)
+        real_block = parareal_module.propagate_block
+        widths = []
+
+        def counting_block(prop, sys, t0s, U, **kwargs):
+            widths.append(U.shape[1])
+            return real_block(prop, sys, t0s, U, **kwargs)
+
+        monkeypatch.setattr(parareal_module, "propagate_block", counting_block)
+        _, trace = solver(cfg, sys)
+        if solver is mgrit_fcf_solve:
+            assert widths == [n_w, n_w - 1] * 2
+            assert trace.fine_solves == 2 * n_w * 2
+            assert trace.errors[2] <= 1e-12 * max(1.0, trace.errors[0])
+        else:
+            assert widths == [n_w] * 2
+            assert trace.fine_solves == n_w * 2
+            assert trace.errors[2] < trace.errors[1] < trace.errors[0]
+
     @pytest.mark.parametrize("solver", [parareal_solve, mgrit_fcf_solve, parareal_diag_cgc_solve,
                                         parareal_diag_coarse_solve])
     def test_one_window_matrix_per_propagator_per_run(self, monkeypatch, solver):
@@ -688,7 +690,8 @@ class TestCoarseCache:
 
     def test_exact_fine_runs_on_the_window_matrix(self, monkeypatch):
         # the exact exponential is a window matrix like the other methods:
-        # no window is stepped, and the oracle is exp(T_n A) u0 to roundoff
+        # no window is stepped, in MGRiT and diag-CGC either, and the oracle
+        # is exp(T_n A) u0 to roundoff
         def no_step(*args, **kwargs):
             raise AssertionError("a window was stepped")
 
@@ -698,6 +701,9 @@ class TestCoarseCache:
         cfg = make_cfg(1.0, 6, 2, fine_method=exact_exponential(), max_iter=6, tol=0.0)
         _, trace = parareal_solve(cfg, sys)
         assert trace.errors[6] <= 1e-13
+        _, trace = mgrit_fcf_solve(cfg, sys)
+        assert trace.errors[3] <= 1e-13
+        parareal_diag_cgc_solve(cfg, sys)
         oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
         for n, t in enumerate(cfg.grid.boundaries):
             ref = scipy.linalg.expm(t * sys.A.to_dense()) @ sys.u0
