@@ -289,10 +289,9 @@ def run_swr_ad_iterations(seed=0):
     L, T, dt, dx, nu = 8.2, 5.0, 0.01, 0.02, 0.1
     n_nodes = int(round(L / dx)) + 1
     dec_d = swr.Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
-    _, tr_d = swr.oswr_solve_ad(nu, L, T, dx, dt, dec_d, tol=1e-8, seed=seed)
     p_star, rho = swr.robin_p_star(2 * dx, nu, T, dt)
     dec_r = swr.Decomposition1D.uniform(n_nodes, 4, 2, tc="robin", p=p_star)
-    _, tr_r = swr.oswr_solve_ad(nu, L, T, dx, dt, dec_r, tol=1e-8, seed=seed)
+    tr_d, tr_r = swr.oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r], tol=1e-8, seed=seed)
     rows = [{"tc": "dirichlet", "iterations": tr_d.iterations},
             {"tc": "robin", "iterations": tr_r.iterations,
              "p_star": p_star, "rho_bound": rho}]

@@ -69,6 +69,11 @@ def _check_n_t(n_t, least):
         raise ValueError(f"need an integer n_t >= {least}, got n_t={n_t!r}")
 
 
+def _check_dt(dt):
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
 def be_time_matrix(mesh: GeometricTimeMesh) -> np.ndarray:
     dts = mesh.dts
     B = np.diag(1.0 / dts)
@@ -179,6 +184,7 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.nd
     Returns the trajectory including the initial row.
     """
     _check_n_t(n_t, 2)
+    _check_dt(dt)
     finite_u0(sys)
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
@@ -268,6 +274,7 @@ def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
     R -> P_alpha^-1 R, where P_alpha takes the alpha-circulant C_alpha(c)
     for each Toeplitz time matrix T(c) of K.  Fourier mode n of P_alpha is
     the block d1[n] r1 - d2[n] r2."""
+    _check_dt(dt)
     op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
     b = op.rhs()
     fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)

@@ -11,11 +11,11 @@ All subdomain solves within one sweep read only previous-iterate traces
 (:class:`_Stack`): the subdomains are laid end to end in one vector whose
 boundary rows take the interface data.  For advection-diffusion the stack
 is one tridiagonal system, factored once and marched with one banded solve
-per time step.  That system is linear and time-invariant, so one block
-march gives its free response and the impulse response of every interface
-input, and each sweep is a convolution of the interface data with them (by
-FFT).  For the wave equation each sweep, and each tent colour, is one
-leapfrog march of the stack.
+per time step.  That system is linear and time-invariant, so one march on
+3 columns gives its free response and the impulse response of every
+interface input, and each sweep is a convolution of the interface data
+with them (by FFT).  For the wave equation each sweep, and each tent
+colour, is one leapfrog march of the stack.
 """
 
 from __future__ import annotations
@@ -248,6 +248,34 @@ class _AdSolver(_Stack):
             out[m] = u[keep]
         return out
 
+    def responses(self, u0, n_steps, cols):
+        """The free response of the march from the stacked state u0 (zero
+        boundary data), shape (n_steps + 1, len(cols)), and each interface
+        input's response to a unit value at step 1, shape
+        (n_steps, len(cols), 2 n_sub - 2) over steps 1..n_steps; input j is
+        boundary-data row j + 1.  Both are kept only at the stacked columns
+        ``cols``.
+
+        One march on 3 columns gives them all: the free response, a unit
+        value on every left interface row at once, and on every right one.
+        No subdomain has two left or two right inputs, and each block of
+        the stack is marched as if alone (bit for bit), so an input's
+        response is its colour's column inside its own subdomain and zero
+        outside it.
+        """
+        n_sub = len(self.lo)
+        block = np.zeros((u0.shape[0], 3))
+        block[:, 0] = u0
+        unit = np.zeros((n_steps + 1, 2 * n_sub, 3))
+        unit[1, 1:n_sub, 1] = unit[1, n_sub:-1, 2] = 1.0
+        packed = self.solve(block, unit, cols)
+        # input j excites the left row of subdomain j + 1 for j < n_sub - 1,
+        # else the right row of subdomain j - (n_sub - 1)
+        own = np.arange(1, 2 * n_sub - 1) % n_sub
+        colour = np.repeat([1, 2], n_sub - 1)
+        inside = np.searchsorted(self.hi, cols)[:, None] == own
+        return packed[:, :, 0].copy(), np.where(inside, packed[1:, :, colour], 0.0)
+
 
 def _check_positive(**values):
     for name, value in values.items():
@@ -295,57 +323,53 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     return x, solver.solve(finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
 
 
-def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
-                  u0_fn=None, max_iter: int = 2000, seed: int = 0):
-    """Jacobi Schwarz waveform relaxation for advection-diffusion.
+def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8, u0_fn=None,
+                  max_iter: int = 2000, seed: int = 0):
+    """Jacobi Schwarz waveform relaxation for advection-diffusion, run once
+    for each decomposition in ``decs`` on one space-time grid.
 
-    Starts from random interface traces and stops when the maximum
-    interface error against the monodomain solution drops below ``tol``.
-    Every subdomain reads only its neighbours' previous-iterate traces.
-    One march of the stacked subdomain system on 1 + 2(n_sub - 1) columns
-    gives the free response and the response to a unit value at step 1 on
-    each interface row; a sweep's traces are the free response plus the
-    convolution of the interface data with those responses, computed with
-    spectra made once per solve.  After convergence one full march with the
-    last interface data builds the returned trajectory.
-    Returns (global trajectory, trace).
+    The monodomain solution, marched once, is the oracle of every run.  A
+    run starts from random interface traces (``seed``) and stops when the
+    maximum interface error against the oracle drops below ``tol``.  Every
+    subdomain reads only its neighbours' previous-iterate traces.  A sweep's
+    traces are the free response plus the convolution of the interface
+    data with each interface input's impulse response
+    (:meth:`_AdSolver.responses`, one march on 3 columns), computed with
+    spectra made once per run.  No trajectory is built.
+    Returns one IterationTrace per decomposition.
     """
-    _ad_grid(nu, L, T, dx, dt)
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     _, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
-    n_steps = mono.shape[0] - 1
+    return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed) for dec in decs)
+
+
+def _oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed):
+    """The sweeps of :func:`oswr_solve_ad` on one decomposition, against
+    the monodomain trajectory ``mono``."""
     subs = dec.subdomains
     n_sub = len(subs)
+    trace = IterationTrace(method="oswr_ad")
     if n_sub == 1:
-        trace = IterationTrace(method="oswr_ad")
         trace.record(error=0.0)
-        return mono, trace
+        return trace
 
+    n_steps = mono.shape[0] - 1
     rob = dec.tc == "robin"
     solver = _AdSolver(subs, nu, dx, dt, dec.p,
                        [(rob and i > 0, rob and i < n_sub - 1) for i in range(n_sub)])
-    u0 = mono[0, solver.index]
     data = solver.random_data(n_steps, seed)
     to_left, to_right = solver.to_left, solver.to_right
-    # Each sweep's outputs are the free response (u0, zero data) plus the
-    # causal convolution of the interface data with every input's response
-    # to a unit value at step 1.  One block march gives these responses, at
-    # only the columns the error and the exchange read (j, j+-1, j+-2 for
-    # the Robin one-sided difference, kept adjacent since ``cols`` is sorted).
+    # The responses are kept only at the columns the error and the exchange
+    # read (j, j+-1, j+-2 for the Robin one-sided difference, kept adjacent
+    # since ``cols`` is sorted).
     span = (0, 1, 2) if rob else (0,)
     cols = np.unique(np.concatenate([to_left + s for s in span] + [to_right - s for s in span]))
     at_left, at_right = np.searchsorted(cols, to_left), np.searchsorted(cols, to_right)
-    n_in, n_fft = 2 * n_sub - 2, 2 * n_steps  # inputs: the interface rows data[:, 1:-1]
-    block = np.zeros((u0.shape[0], 1 + n_in))
-    block[:, 0] = u0
-    unit = np.zeros((n_steps + 1, 2 * n_sub, 1 + n_in))
-    unit[1, 1:-1, 1:] = np.eye(n_in)
-    resp = solver.solve(block, unit, cols)
-    free = resp[:, :, 0].copy()
-    spectra = np.fft.rfft(resp[1:, :, 1:], n=n_fft, axis=0)  # (frequency, column, input)
+    n_fft = 2 * n_steps
+    free, resp = solver.responses(mono[0, solver.index], n_steps, cols)
+    spectra = np.fft.rfft(resp, n=n_fft, axis=0)  # (frequency, column, input)
     del resp
-    trace = IterationTrace(method="oswr_ad")
     for _ in range(max_iter):
         inputs = np.fft.rfft(data[1:, 1:-1], n=n_fft, axis=0)[:, :, None]
         sol = free.copy()
@@ -353,7 +377,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
         err = np.abs(sol[:, np.concatenate((at_left, at_right))] - mono[:, solver.nodes]).max()
         trace.record(error=err)
         if err < tol:
-            break
+            return trace
         # Jacobi exchange of interface traces
         if rob:
             data[:, 1:n_sub] = robin_trace(sol, at_left, dec.p, dx, "left")
@@ -361,13 +385,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, dec: Decomposition1D, tol: float = 1e-8,
         else:
             data[:, 1:n_sub] = sol[:, at_left]
             data[:, n_sub:-1] = sol[:, at_right]
-    else:
-        raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
-
-    del spectra
-    # the oracle, no longer read, takes the subdomain solution in place
-    solver.write(mono, solver.solve(u0, data))
-    return mono, trace
+    raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,7 @@ def _swr_entry(name):
     dec = swr.Decomposition1D.uniform(11, 2, 2)
     return {
         "monodomain_solve_ad": lambda: swr.monodomain_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, _nan_fn),
-        "oswr_solve_ad": lambda: swr.oswr_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, dec,
+        "oswr_solve_ad": lambda: swr.oswr_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, [dec],
                                                    u0_fn=_nan_fn),
         "monodomain_solve_wave": lambda: swr.monodomain_solve_wave(1.0, 1.0, 0.5, 0.1, _nan_fn),
         "swr_solve_wave": lambda: swr.swr_solve_wave(1.0, 1.0, 0.5, 0.1, dec, u0_fn=_nan_fn),

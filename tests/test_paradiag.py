@@ -656,6 +656,8 @@ class TestEntryValidation:
     @pytest.mark.parametrize("kwargs, name", [
         pytest.param(dict(max_iter=-3), "max_iter", id="kwargs3-max_iter"),
         pytest.param(dict(n_t=0), "n_t", id="n_t"),
+        pytest.param(dict(dt=0.0), "dt", id="dt-zero"),
+        pytest.param(dict(dt=-0.02), "dt", id="dt-negative"),
     ])
     def test_bad_solver_parameters_rejected_first(self, monkeypatch, kwargs, name):
         def no_operator(*args, **kw):
@@ -673,8 +675,14 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match=f"{name} "):
             GeometricTimeMesh(**(dict(T=1.0, n_t=4, rho=0.3) | kwargs))
 
-    @pytest.mark.parametrize("n_t", [1, 0])
-    def test_bvm_needs_two_time_steps(self, monkeypatch, n_t):
+    @pytest.mark.parametrize("n_t, dt, message", [
+        pytest.param(1, 0.02, "n_t >= 2", id="1"),
+        pytest.param(0, 0.02, "n_t >= 2", id="0"),
+        pytest.param(8, 0.0, "dt must be positive", id="dt-zero"),
+        pytest.param(8, -0.1, "dt must be positive", id="dt-negative"),
+    ])
+    def test_bvm_needs_two_time_steps(self, monkeypatch, n_t, dt, message):
+        # and a positive step: both are checked before the time matrix is built
         monkeypatch.setattr(paradiag_module, "bvm_time_matrix", None)
-        with pytest.raises(ValueError, match="n_t >= 2"):
-            paradiag1_bvm_solve(heat_sine(nx=8), 0.02, n_t)
+        with pytest.raises(ValueError, match=message):
+            paradiag1_bvm_solve(heat_sine(nx=8), dt, n_t)

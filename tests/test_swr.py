@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from pintlab import swr
-from pintlab.kernels import ConvergenceError, SingularSystemError
+from pintlab.experiments import run_swr_ad_iterations
+from pintlab.kernels import ConvergenceError, SingularSystemError, StackedTridiagonalLU
 from pintlab.swr import (
     Decomposition1D,
     Subdomain,
@@ -71,7 +72,7 @@ class TestRobinPStar:
 class TestOswrAd:
     def test_single_subdomain_converges_immediately(self):
         dec = Decomposition1D(subdomains=[type("S", (), {"lo": 0, "hi": 50})()])
-        _, trace = oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, dec, tol=1e-8)
+        trace, = oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, [dec], tol=1e-8)
         assert trace.iterations == 1 and trace.errors[0] == 0.0
 
     @pytest.mark.slow
@@ -81,15 +82,29 @@ class TestOswrAd:
         L, T, dt, dx, nu = 8.2, 5.0, 0.01, 0.02, 0.1
         n_nodes = int(round(L / dx)) + 1
         dec_d = Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
-        _, tr_d = oswr_solve_ad(nu, L, T, dx, dt, dec_d, tol=1e-8)
-        assert 92 * 0.8 <= tr_d.iterations <= 92 * 1.2
-        assert tr_d.iterations == 96  # pint-out/swr-ad-iterations.csv, seed 0
-
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec_r = Decomposition1D.uniform(n_nodes, 4, 2, tc="robin", p=p_star)
-        _, tr_r = oswr_solve_ad(nu, L, T, dx, dt, dec_r, tol=1e-8)
+        tr_d, tr_r = oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r], tol=1e-8)
+        assert 92 * 0.8 <= tr_d.iterations <= 92 * 1.2
+        assert tr_d.iterations == 96  # pint-out/swr-ad-iterations.csv, seed 0
         assert 28 * 0.8 <= tr_r.iterations <= 28 * 1.2
         assert tr_r.iterations == 32
+
+    def test_c9_marches_oracle_and_packed_responses_once(self, monkeypatch):
+        # C9's 500-step grid: one oracle march and, per decomposition, one
+        # response march on 3 columns; no march repeats the oracle, builds a
+        # trajectory or solves one column per interface input
+        widths = []
+        solve = StackedTridiagonalLU.solve
+
+        def counting(self, rhs, overwrite=False):
+            widths.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+            return solve(self, rhs, overwrite)
+
+        monkeypatch.setattr(StackedTridiagonalLU, "solve", counting)
+        result = run_swr_ad_iterations(seed=0)
+        assert [row["iterations"] for row in result.rows] == [96, 32]
+        assert len(widths) == 1500 and max(widths) == 3
 
     def test_iterations_nonincreasing_in_nu(self):
         # advection dominance accelerates SWR (Dirichlet TCs isolate the
@@ -99,7 +114,7 @@ class TestOswrAd:
         counts = []
         for nu in (1.0, 0.1, 0.01):
             dec = Decomposition1D.uniform(n_nodes, 2, 2, tc="dirichlet")
-            _, tr = oswr_solve_ad(nu, L, T, dx, dt, dec, tol=1e-8, max_iter=2000)
+            tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8, max_iter=2000)
             counts.append(tr.iterations)
         assert counts[0] >= counts[1] >= counts[2]
 
@@ -107,7 +122,7 @@ class TestOswrAd:
         L, T, dt, dx = 4.0, 2.0, 0.02, 0.04
         n_nodes = int(round(L / dx)) + 1
         dec = Decomposition1D.uniform(n_nodes, 2, 4, tc="dirichlet")
-        _, tr = oswr_solve_ad(0.1, L, T, dx, dt, dec, tol=1e-8, max_iter=500)
+        tr, = oswr_solve_ad(0.1, L, T, dx, dt, [dec], tol=1e-8, max_iter=500)
         e = tr.errors
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e[1:-1], e[2:]))
 
@@ -136,11 +151,10 @@ class TestOswrAd:
         n_nodes = int(round(L / dx)) + 1
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec = Decomposition1D.uniform(n_nodes, 3, 2, tc=tc, p=p_star)
-        glob, tr = oswr_solve_ad(nu, L, T, dx, dt, dec, tol=1e-8)
-        glob_ref, errors_ref = dense_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8)
+        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8)
+        errors_ref = dense_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8)
         assert tr.iterations == len(errors_ref)
         np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
-        np.testing.assert_allclose(glob, glob_ref, rtol=0, atol=1e-12)
 
     def test_no_subdomains_rejected(self):
         with pytest.raises(ValueError, match="no subdomains"):
@@ -164,7 +178,7 @@ class TestOswrAd:
         args[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be"):
             if solve == "oswr":
-                oswr_solve_ad(dec=Decomposition1D.uniform(11, 2, 2), **args)
+                oswr_solve_ad(decs=[Decomposition1D.uniform(11, 2, 2)], **args)
             else:
                 monodomain_solve_ad(u0_fn=np.sin, **args)
 
@@ -179,7 +193,7 @@ class TestOswrAd:
         args[name] = value
         with pytest.raises(ValueError, match=f"^{name} = {value} does not divide"):
             if solve == "oswr":
-                oswr_solve_ad(dec=Decomposition1D.uniform(11, 2, 2), **args)
+                oswr_solve_ad(decs=[Decomposition1D.uniform(11, 2, 2)], **args)
             else:
                 monodomain_solve_ad(u0_fn=np.sin, **args)
 
@@ -200,22 +214,31 @@ class TestOswrAd:
         L, T, dt, dx = 4.0, 1.0, 0.02, 0.04
         dec = Decomposition1D.uniform(int(round(L / dx)) + 1, 3, 2, tc="dirichlet")
         with pytest.raises(ConvergenceError, match="^OSWR did not reach tol=1e-08 in 3 sweeps"):
-            oswr_solve_ad(0.1, L, T, dx, dt, dec, tol=1e-8, max_iter=3)
+            oswr_solve_ad(0.1, L, T, dx, dt, [dec], tol=1e-8, max_iter=3)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("tc", ["dirichlet", "robin"])
-    @pytest.mark.parametrize("n_sub", [2, 3, 4])
+    @pytest.mark.parametrize("n_sub", [2, 3, 4, 5, 8])
     def test_convolution_sweeps_match_march(self, n_sub, tc, seed):
         # each sweep's traces come from the impulse responses by FFT
         # convolution; they must follow the sweep that re-marches the system
         L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec = Decomposition1D.uniform(int(round(L / dx)) + 1, n_sub, 2, tc=tc, p=p_star)
-        glob, tr = oswr_solve_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
-        glob_ref, errors_ref = march_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
+        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8, seed=seed)
+        errors_ref = march_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
         assert tr.iterations == len(errors_ref)
         np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
-        np.testing.assert_allclose(glob, glob_ref, rtol=0, atol=1e-12)
+        # the responses packed into 3 columns are bit for bit those of the
+        # march on one column per interface input, at every stacked column
+        rob = tc == "robin"
+        solver = _AdSolver(dec.subdomains, nu, dx, dt, dec.p,
+                           [(rob and i > 0, rob and i < n_sub - 1) for i in range(n_sub)])
+        n_steps, cols = int(round(T / dt)), np.arange(solver.hi[-1] + 1)
+        u0 = np.random.default_rng(seed).standard_normal(cols.size)
+        free, resp = solver.responses(u0, n_steps, cols)
+        free_ref, resp_ref = column_responses(solver, u0, n_steps, cols)
+        assert np.array_equal(free, free_ref) and np.array_equal(resp, resp_ref)
 
     @pytest.mark.parametrize("rob", [False, True])
     def test_block_solve_matches_column_solves(self, rob):
@@ -242,7 +265,7 @@ class TestOswrAd:
 def dense_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
     """Reference SWR iteration: each subdomain marched alone with a dense LU
     of its unreduced matrix (Robin rows keep their third entry).  Returns
-    the global trajectory and the interface-error history."""
+    the interface-error history."""
     n_nodes = int(round(L / dx)) + 1
     x = np.linspace(0.0, L, n_nodes)
     n_steps = int(round(T / dt))
@@ -292,17 +315,13 @@ def dense_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
                 right[i] = robin_trace(sb, a.hi - b.lo, p, dx, "right")
             else:
                 left[i + 1], right[i] = sa[:, b.lo - a.lo], sb[:, a.hi - b.lo]
-    glob = mono.copy()
-    for s, sol in zip(subs, sols):
-        glob[:, s.lo : s.hi + 1] = sol
-    return glob, errors
+    return errors
 
 
 def march_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
     """Reference SWR iteration that re-marches the stacked subdomain system
     over every time step in each sweep, with the initial guess, error and
-    exchange of ``oswr_solve_ad``.  Returns the global trajectory and the
-    interface-error history."""
+    exchange of ``oswr_solve_ad``.  Returns the interface-error history."""
     u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     x, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
     n_steps = mono.shape[0] - 1
@@ -332,10 +351,20 @@ def march_oswr_ad(nu, L, T, dx, dt, dec, tol, seed=0, max_iter=500):
         else:
             data[:, 1:n_sub] = sol[:, to_left]
             data[:, n_sub:-1] = sol[:, to_right]
-    glob = mono.copy()
-    for s, a, b in zip(subs, solver.lo, solver.hi):
-        glob[:, s.lo : s.hi + 1] = sol[:, a : b + 1]
-    return glob, errors
+    return errors
+
+
+def column_responses(solver, u0, n_steps, cols):
+    """The free and impulse responses of :meth:`_AdSolver.responses` from
+    one march on 1 + 2(n_sub - 1) columns: the free response, then a unit
+    value at step 1 on one interface row per column."""
+    n_in = len(solver.rows) - 2
+    block = np.zeros((u0.shape[0], 1 + n_in))
+    block[:, 0] = u0
+    unit = np.zeros((n_steps + 1, n_in + 2, 1 + n_in))
+    unit[1, 1:-1, 1:] = np.eye(n_in)
+    resp = solver.solve(block, unit, cols)
+    return resp[:, :, 0], resp[1:, :, 1:]
 
 
 def two_domain_overlap(n_nodes, overlap_frac):
