@@ -682,7 +682,7 @@ class TestEntryValidation:
         pytest.param(8, -0.1, "dt must be positive", id="dt-negative"),
     ])
     def test_bvm_needs_two_time_steps(self, monkeypatch, n_t, dt, message):
-        # and a positive step: both are checked before the time matrix is built
+        # n_t >= 2 and dt > 0 are both checked before the time matrix is built
         monkeypatch.setattr(paradiag_module, "bvm_time_matrix", None)
         with pytest.raises(ValueError, match=message):
             paradiag1_bvm_solve(heat_sine(nx=8), dt, n_t)
