@@ -175,7 +175,7 @@ def run_paradiag1_bvm_wave(seed=0):
     rows, errs, nts = [], [], [2**k for k in range(4, 9)]
     for n_t in nts:
         dt = T / n_t
-        traj = paradiag.paradiag1_bvm_solve(sys, dt, n_t, order="second")
+        traj = paradiag.paradiag1_bvm_solve(sys, dt, n_t)
         w, err = comp.u0.copy(), 0.0
         for n in range(1, n_t + 1):
             w = expm_action(comp, dt, w)
@@ -401,7 +401,7 @@ def run_stmg_suite(seed=0):
     rows, checks = [], []
     dx = 1.0 / 32
     for ratio in (1.0 / np.sqrt(2.0), 2.0, 50.0):
-        worst = stmg.lfa_max_high_frequency("heat", 0.5, ratio * dx**2, dx)
+        worst = stmg.lfa_max_high_frequency(0.5, ratio * dx**2, dx)
         rows.append({"check": "lfa_bound", "ratio": ratio, "max_symbol": worst})
         checks.append((f"lfa_bound_ratio_{ratio:.3f}",
                        worst <= 1.0 / np.sqrt(2.0) + 1e-10,
@@ -418,7 +418,7 @@ def run_stmg_suite(seed=0):
     m_idx = np.arange(nxp)[None, :]
     mode = np.exp(1j * omega * n_idx * dtp) * np.exp(1j * xi * m_idx * dxp)
     smoothed = mode + 0.5 * op.solve_r1(-op.apply(mode))
-    rho_sym = stmg.lfa_rho("heat", omega, xi, 0.5, dtp, dxp)
+    rho_sym = stmg.lfa_rho(omega, xi, 0.5, dtp, dxp)
     gap = float(np.abs(smoothed[1:] / mode[1:] - rho_sym).max())
     rows.append({"check": "mode_injection", "gap": gap})
     checks.append(("mode_injection_matches_symbol", gap <= 1e-8, f"gap {gap:.1e}"))

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import _newton, finite_u0
+from .integrators import finite_u0
 from .kernels import apply_blocks, dense_of
 from .trace import IterationTrace
 
@@ -52,15 +52,13 @@ def idc_weights(window_nodes: np.ndarray) -> np.ndarray:
 
 
 def radau_iia_nodes(M: int) -> np.ndarray:
-    """Right Radau nodes on (0, 1] for M = 1, 2, 3."""
-    if M == 1:
-        return np.array([1.0])
+    """Right Radau nodes on (0, 1] for M = 2, 3."""
     if M == 2:
         return np.array([1.0 / 3.0, 1.0])
     if M == 3:
         s = np.sqrt(6.0)
         return np.array([(4.0 - s) / 10.0, (4.0 + s) / 10.0, 1.0])
-    raise ValueError("Radau IIA nodes tabulated for M <= 3")
+    raise ValueError(f"Radau IIA nodes tabulated for M = 2 and 3, got M={M!r}")
 
 
 def collocation_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -81,25 +79,23 @@ class SweepState:
 
 class _ThetaNodes:
     """The implicit node solves y - theta*dtm*f(y, t_next) = rhs of one
-    system.  For a linear system it keeps the shift plan of each step size
-    dtm; the factorizations stay on the operator, so every sweep of a run
-    shares one per step size."""
+    linear system (a nonlinear one is a ValueError).  It keeps the shift
+    plan of each step size dtm; the factorizations stay on the operator, so
+    every sweep of a run shares one per step size."""
 
     def __init__(self, sys, theta: float):
+        if not sys.linear:
+            raise ValueError("IDC sweeps only linear systems")
         self.sys, self.theta = sys, theta
         self.plans = {}
 
-    def __call__(self, dtm, t_next, rhs, guess):
+    def __call__(self, dtm, t_next, rhs):
         sys, theta = self.sys, self.theta
-        if theta == 0.0:
-            return rhs
-        if sys.linear:
-            plan = self.plans.get(dtm)
-            if plan is None:
-                plan = self.plans[dtm] = sys.A.shift_plan(1.0, theta * dtm)
-            extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
-            return plan.solve(rhs + extra)
-        return _newton(sys, theta * dtm, rhs, t_next, guess)
+        plan = self.plans.get(dtm)
+        if plan is None:
+            plan = self.plans[dtm] = sys.A.shift_plan(1.0, theta * dtm)
+        extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
+        return plan.solve(rhs + extra)
 
 
 def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> SweepState:
@@ -119,12 +115,13 @@ def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> Swee
             - dtm * theta * f_old[m + 1]
             + weights[m] @ f_old[1:]
         )
-        new[m + 1] = nodes(dtm, t[m + 1], rhs, old[m + 1])
+        new[m + 1] = nodes(dtm, t[m + 1], rhs)
     return SweepState(n=state.n, t_nodes=t, values=new, k=state.k + 1)
 
 
 def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
-    """Windowed IDC: a theta predictor plus k_corrections sweeps per window.
+    """Windowed IDC of a linear system: a theta predictor plus
+    k_corrections sweeps per window.
     Each window starts from the constant guess at its predecessor's final
     endpoint value (u0 for the first), so the predictor sweep reduces to
     the plain theta method.

@@ -182,13 +182,11 @@ def _step_linear_block(method, sys, plan, dt, U, g):
     ``U`` is (n, k).  ``plan`` is the system's shift plan for the step's
     implicit solves (see :func:`_step_plan`), so one factorization serves
     every column and every step, and the step is a pure map over columns.
-    ``g`` holds the source values of the step, (n, 2, k), at the times
-    :func:`_source_times` gives: ``g[:, i, j]`` is stage time i of column j.
-    It is None for a system without a source.
+    ``g`` holds the source values of a theta step, (n, 2, k), at the times
+    :func:`_source_times` gives: ``g[:, i, j]`` is time i of column j.  It
+    is None for a system without a source.
     """
     if method.name == "exact":
-        if sys.source is not None:
-            raise ValueError("exact exponential propagator needs a homogeneous system")
         return expm_action(sys, dt, U)
     if method.theta is not None:
         th = method.theta
@@ -199,26 +197,18 @@ def _step_linear_block(method, sys, plan, dt, U, g):
         return plan.solve(rhs)
     b1, b2 = method.b
     rhs1 = sys.matvec(U)
-    if g is not None:
-        rhs1 = rhs1 + g[:, 0]
     k1 = plan.solve(rhs1)
     y2 = U + dt * method.a21 * k1
     rhs2 = sys.matvec(y2)
-    if g is not None:
-        rhs2 = rhs2 + g[:, 1]
     k2 = plan.solve(rhs2)
     return U + dt * (b1 * k1 + b2 * k2)
 
 
-def _source_times(method, ts, dt):
-    """The two times at which one linear step of ``method`` from ``ts``
-    reads the source, on a new axis after the first: (ts, ts + dt) for a
-    theta method, the stage times ts + gamma dt and ts + (a21 + gamma) dt
-    for SDIRK.  ``ts`` is (steps, k), one row per step."""
-    if method.theta is not None:
-        return np.stack([ts, ts + dt], axis=1)
-    g = method.gamma
-    return np.stack([ts + g * dt, ts + (method.a21 + g) * dt], axis=1)
+def _source_times(ts, dt):
+    """The two times at which one linear theta step from ``ts`` reads the
+    source, (ts, ts + dt), on a new axis after the first.  ``ts`` is
+    (steps, k), one row per step."""
+    return np.stack([ts, ts + dt], axis=1)
 
 
 def _source_values(sys, t):
@@ -276,10 +266,12 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt,
     and step s of column j starts at t0s[j] + s*prop.dt.  Linear systems
-    advance all columns through shared factored solves, and a source is
-    evaluated by one call for every :data:`SOURCE_CHUNK` steps, at the
-    times of :func:`_source_times`; its values for an array of times must
-    have shape (n,) + t.shape (a ValueError otherwise).  Nonlinear systems
+    advance all columns through shared factored solves.  Only a theta
+    method steps a linear system with a source (a ValueError names any
+    other method); the source is evaluated by one call for every
+    :data:`SOURCE_CHUNK` steps, at the times of :func:`_source_times`, and
+    its values for an array of times must have shape (n,) + t.shape (a
+    ValueError otherwise).  Nonlinear systems
     step all columns together, one batched Newton solve (:func:`_newton`)
     per stage.  Except for the exact exponential, a column's result does
     not depend on the other columns or on the chunking, bit for bit, as
@@ -290,12 +282,15 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
     """
     linear = getattr(sys, "linear", True)
     plan = _step_plan(prop.method, sys, prop.dt) if linear else None
-    sourced = linear and sys.source is not None and prop.method.name != "exact"
+    sourced = linear and sys.source is not None
+    if sourced and prop.method.theta is None:
+        raise ValueError(f"the {prop.method.name} propagator takes no source term: "
+                         "step a system with a source by a theta method")
     W = U
     for s0 in range(0, prop.steps, SOURCE_CHUNK):
         steps = np.arange(s0, min(s0 + SOURCE_CHUNK, prop.steps))
         ts = t0s + (steps * prop.dt)[:, None]  # row i: t0s + s*dt for step s = s0 + i
-        g = _source_values(sys, _source_times(prop.method, ts, prop.dt)) if sourced else None
+        g = _source_values(sys, _source_times(ts, prop.dt)) if sourced else None
         for i in range(steps.size):
             W = (_step_linear_block(prop.method, sys, plan, prop.dt, W,
                                     None if g is None else g[:, i]) if linear
@@ -333,10 +328,13 @@ class AllAtOnce:
     """K = T(c1) (x) r1(tau A) - T(c2) (x) r2(tau A), T(c) the lower Toeplitz
     time matrix with first column c in ``time_columns`` and r1, r2 the
     coefficient tuples in tau A of ``polys``.  This class is the theta
-    method on u' = A u + g (c1 = e0, c2 = e1, tau = dt), the system that
-    space-time multigrid and ParaDiag II both solve."""
+    method on u' = A u (c1 = e0, c2 = e1, tau = dt), the system that
+    space-time multigrid and ParaDiag II both solve; a system with a source
+    term is a ValueError."""
 
     def __init__(self, sys: SemiDiscreteSystem, theta: float, dt: float, nt: int):
+        if sys.source is not None:
+            raise ValueError("the all-at-once operator takes systems without a source term")
         self.sys, self.theta, self.dt, self.nt, self.tau = sys, theta, dt, nt, dt
         self.time_columns = (_unit_column(nt, 0), _unit_column(nt, 1))
         self.polys = ((1.0, -theta), (1.0, 1.0 - theta))
@@ -374,9 +372,6 @@ class AllAtOnce:
     def rhs(self):
         b = np.zeros((self.nt, self.sys.n))
         b[0] = self.r2(finite_u0(self.sys))
-        if self.sys.source is not None:
-            th, t = self.theta, np.arange(self.nt + 1) * self.dt
-            b += self.dt * ((1 - th) * self.sys.source(t[:-1]) + th * self.sys.source(t[1:])).T
         return b
 
     def solve_r1(self, rhs):
@@ -413,22 +408,12 @@ def apply_poly(A, coeffs, u):
     return out
 
 
-def numerov_source(sys, dt, t_curr):
-    if sys.source is None:
-        return None
-    gm, g0, gp = sys.source(t_curr - dt), sys.source(t_curr), sys.source(t_curr + dt)
-    return (dt**2 / 12.0) * (gp + 10.0 * g0 + gm)
-
-
 def numerov_step(sys: SemiDiscreteSystem, gamma: float, dt: float,
-                 u_prev: np.ndarray, u_curr: np.ndarray, t_curr: float = 0.0) -> np.ndarray:
+                 u_prev: np.ndarray, u_curr: np.ndarray) -> np.ndarray:
     """One step of the parametrized Numerov-type method:
-    r1 u_{n+1} = r2 u_n - r1 u_{n-1} + g_n."""
+    r1 u_{n+1} = r2 u_n - r1 u_{n-1}."""
     r1, r2 = numerov_matrices(sys, gamma, dt)
     rhs = apply_poly(sys.A, r2, u_curr) - apply_poly(sys.A, r1, u_prev)
-    gsrc = numerov_source(sys, dt, t_curr)
-    if gsrc is not None:
-        rhs = rhs + gsrc
     return solve_poly_in_matrix(sys.A, r1, rhs)
 
 
@@ -450,12 +435,12 @@ def numerov_solve(sys: SemiDiscreteSystem, gamma: float, dt: float, n_steps: int
         return out
     out[1] = numerov_bootstrap(sys, dt) if u1 is None else u1
     for n in range(1, n_steps):
-        out[n + 1] = numerov_step(sys, gamma, dt, out[n - 1], out[n], t_curr=n * dt)
+        out[n + 1] = numerov_step(sys, gamma, dt, out[n - 1], out[n])
     return out
 
 
 class NumerovAllAtOnce(AllAtOnce):
-    """The Numerov pair on u'' = A u + g: K = T(e0 + e2) (x) r1 - T(e1) (x) r2,
+    """The Numerov pair on u'' = A u: K = T(e0 + e2) (x) r1 - T(e1) (x) r2,
     tau = 1 as :func:`numerov_matrices` carries the powers of dt.  Only its
     right-hand side and sequential solve differ from the theta operator's."""
 
@@ -470,10 +455,6 @@ class NumerovAllAtOnce(AllAtOnce):
         b[0] = self.r1(self.u1)
         if self.nt > 1:
             b[1] = -self.r1(finite_u0(self.sys))
-        for j in range(1, self.nt):
-            g = numerov_source(self.sys, self.dt, j * self.dt)
-            if g is not None:
-                b[j] += g
         return b
 
     def sequential_solve(self):

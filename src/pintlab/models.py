@@ -104,7 +104,7 @@ class SourcePulse:
 @dataclass
 class SemiDiscreteSystem:
     """Semi-discretized model problem u' = A u + B u^2 + g (order='first')
-    or u'' = A u + g (order='second')."""
+    or u'' = A u (order='second', which takes no source term)."""
 
     A: BandedMatrix
     u0: np.ndarray
@@ -124,6 +124,8 @@ class SemiDiscreteSystem:
             raise ValueError("operator and initial data sizes differ")
         if self.order == "second" and self.u0_deriv is None:
             raise ValueError("second-order system needs u0_deriv")
+        if self.order == "second" and self.source is not None:
+            raise ValueError("a second-order system takes no source term")
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
 
@@ -224,15 +226,15 @@ def build_burgers(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
     )
 
 
-def build_wave(nx, dx, c, bc, source=None) -> SemiDiscreteSystem:
-    """Second-order wave u_tt = c^2 u_xx + g: A = (c^2/dx^2) A_xx,
-    zero initial velocity by default."""
+def build_wave(nx, dx, c, bc) -> SemiDiscreteSystem:
+    """Second-order wave u_tt = c^2 u_xx: A = (c^2/dx^2) A_xx, zero initial
+    velocity by default."""
     _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
     A = second_difference_stencil(nx, bc).scaled(c**2 / dx**2)
     return SemiDiscreteSystem(
         A=A, u0=np.zeros(nx), dx=dx, bc=bc, kind="wave", order="second",
-        source=_with_source(source, None, x), u0_deriv=np.zeros(nx), c=c, x=x,
+        u0_deriv=np.zeros(nx), c=c, x=x,
     )
 
 
@@ -259,7 +261,7 @@ def first_order_form(sys):
 
 @dataclass
 class CompanionSystem:
-    """First-order embedding w' = [[0, I], [A, 0]] w + (0, g) of u'' = A u + g.
+    """First-order embedding w' = [[0, I], [A, 0]] w of u'' = A u.
 
     Shifted solves (a*I - b*bigA) reduce by one Schur complement step to a
     single banded solve with (a*I - (b^2/a)*A).
@@ -278,12 +280,6 @@ class CompanionSystem:
     @property
     def u0(self) -> np.ndarray:
         return np.concatenate([self.base.u0, self.base.u0_deriv])
-
-    def g(self, t):
-        if self.base.source is None:
-            return None
-        gv = self.base.source(t)
-        return np.concatenate([np.zeros_like(gv), gv])
 
     @property
     def source(self):

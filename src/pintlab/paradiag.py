@@ -74,6 +74,11 @@ def _check_dt(dt):
         raise ValueError(f"dt must be positive, got {dt}")
 
 
+def _check_unsourced(sys):
+    if sys.source is not None:
+        raise ValueError("ParaDiag I takes systems without a source term")
+
+
 def be_time_matrix(mesh: GeometricTimeMesh) -> np.ndarray:
     dts = mesh.dts
     B = np.diag(1.0 / dts)
@@ -94,26 +99,22 @@ def paradiag1_direct_solve(sys, mesh: GeometricTimeMesh) -> np.ndarray:
     time matrix.  Returns the trajectory including the initial row, shape
     (n_t + 1, n).
     """
+    _check_unsourced(sys)
     u0 = finite_u0(sys)
     rhs = np.zeros((mesh.n_t, sys.n))
     rhs[0] = u0 / mesh.dts[0]
-    if sys.source is not None:
-        rhs += sys.source(mesh.times[1:]).T
     lam, V = np.linalg.eig(be_time_matrix(mesh))
     return np.vstack([u0, _eig_solve(sys, V, lam, np.ones(mesh.n_t), rhs)])
 
 
 def sequential_variable_step_solve(sys, mesh: GeometricTimeMesh) -> np.ndarray:
     """Sequential oracle for the direct solver (same discretization)."""
-    times = mesh.times
-    u = finite_u0(sys).copy()
+    _check_unsourced(sys)
+    u = finite_u0(sys)
     out = np.empty((mesh.n_t + 1, sys.n))
     out[0] = u
     for n, dt in enumerate(mesh.dts):
-        r = u.copy()
-        if sys.source is not None:
-            r = r + dt * sys.source(times[n + 1])
-        u = solve_shifted_banded(sys.A, (1.0, dt), r)
+        u = solve_shifted_banded(sys.A, (1.0, dt), u)
         out[n + 1] = u
     return out
 
@@ -176,38 +177,25 @@ def bvm_time_matrix(n_t: int, dt: float) -> np.ndarray:
     return B / dt
 
 
-def paradiag1_bvm_solve(sys, dt: float, n_t: int, order: str = "first") -> np.ndarray:
-    """All-at-once BVM solve by numerically diagonalizing the time matrix.
-
-    order='first' solves u' = A u + g; order='second' solves u'' = A u
-    through the squared time matrix, avoiding the companion doubling.
-    Returns the trajectory including the initial row.
+def paradiag1_bvm_solve(sys, dt: float, n_t: int) -> np.ndarray:
+    """All-at-once BVM solve of a second-order system u'' = A u through the
+    squared time matrix, avoiding the companion doubling, by numerically
+    diagonalizing the time matrix.  Returns the trajectory including the
+    initial row.
     """
+    if sys.order != "second":
+        raise ValueError(f"the BVM solve expects a second-order system, got order={sys.order!r}")
     _check_n_t(n_t, 2)
     _check_dt(dt)
     finite_u0(sys)
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
-    times = dt * np.arange(1, n_t + 1)
     rhs = np.zeros((n_t, sys.n))
-    if order == "first":
-        rhs[0] = sys.u0 / (2.0 * dt)
-        if sys.source is not None:
-            rhs += sys.source(times).T
-        shifts = lam
-    elif order == "second":
-        if sys.order != "second":
-            raise ValueError("order='second' expects a second-order system")
-        rhs[0] = sys.u0_deriv / (2.0 * dt)
-        rhs[1] = -sys.u0 / (4.0 * dt**2)
-        if sys.source is not None:
-            # b = b2 + (B (x) I) b1 with the source entering the velocity rows
-            rhs += sys.source(times).T
-        # squared one shift at a time: numpy's vectorized complex product
-        # may round differently from the scalar one
-        shifts = np.array([l**2 for l in lam])
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    rhs[0] = sys.u0_deriv / (2.0 * dt)
+    rhs[1] = -sys.u0 / (4.0 * dt**2)
+    # squared one shift at a time: numpy's vectorized complex product
+    # may round differently from the scalar one
+    shifts = np.array([l**2 for l in lam])
     return np.vstack([sys.u0, _eig_solve(sys, V, shifts, np.ones(n_t), rhs)])
 
 

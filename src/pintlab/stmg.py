@@ -3,12 +3,11 @@
 The smoother is damped block Jacobi in time (one shifted solve per time
 block, a pure parallel map); transfers are full weighting / linear
 interpolation in both directions; the coarse operator is re-discretized at
-doubled steps.  One recursive cycle serves every level count; its coarsest
-level is solved exactly by forward substitution, and the two-level cycle is
-its ``levels=2`` case.  When dt/dx^2 < 1/sqrt(2), or when the coarse
-spatial grid would have fewer than 3 points, a level coarsens in time only
-(recorded in the trace).  The nonlinear variant runs the two-level
-cycle in full-approximation form with a nonlinear block smoother, which
+doubled steps.  The cycle has two levels; its coarse level is solved
+exactly by forward substitution.  When dt/dx^2 < 1/sqrt(2), or when the
+coarse spatial grid would have fewer than 3 points, the coarse level
+coarsens in time only (recorded in the trace).  The nonlinear variant runs
+the cycle in full-approximation form with a nonlinear block smoother, which
 solves all its independent time rows in one batched Newton call.
 """
 
@@ -58,35 +57,21 @@ class SmootherConfig:
             raise ValueError("damping must be positive")
 
 
-def lfa_rho(equation: str, omega: float, xi: float, eta: float, dt: float,
-            dx: float, nu: float = 1.0) -> complex:
-    """Fourier symbol of the damped block-Jacobi smoother.
-
-    heat:  1 - eta (1 - e^{-i w dt} / (1 + 2 dt/dx^2 (1 - cos xi dx)))
-    ad:    denominator gains the advection term i dt/dx sin(xi dx).
-    """
+def lfa_rho(omega: float, xi: float, eta: float, dt: float, dx: float) -> complex:
+    """Fourier symbol of the damped block-Jacobi smoother for the heat
+    equation: 1 - eta (1 - e^{-i w dt} / (1 + 2 dt/dx^2 (1 - cos xi dx)))."""
     phase = np.exp(-1j * omega * dt)
-    if equation == "heat":
-        den = 1.0 + 2.0 * dt / dx**2 * (1.0 - np.cos(xi * dx))
-    elif equation == "ad":
-        den = (
-            1.0
-            + 2.0 * nu * dt / dx**2 * (1.0 - np.cos(xi * dx))
-            + 1j * dt / dx * np.sin(xi * dx)
-        )
-    else:
-        raise ValueError(f"unknown equation {equation!r}")
+    den = 1.0 + 2.0 * dt / dx**2 * (1.0 - np.cos(xi * dx))
     return 1.0 - eta * (1.0 - phase / den)
 
 
-def lfa_max_high_frequency(equation: str, eta: float, dt: float, dx: float,
-                           nu: float = 1.0, samples: int = 96) -> float:
+def lfa_max_high_frequency(eta: float, dt: float, dx: float, samples: int = 96) -> float:
     """Max |symbol| over modes with |w dt| or |xi dx| in (pi/2, pi), from
     one evaluation of :func:`lfa_rho` on the grid of sampled modes."""
     thetas = np.linspace(-np.pi, np.pi, 2 * samples + 1)
     wt, xd = np.meshgrid(thetas, thetas, indexing="ij")
     high = (np.abs(wt) > np.pi / 2) | (np.abs(xd) > np.pi / 2)
-    rho = lfa_rho(equation, wt[high] / dt, xd[high] / dx, eta, dt, dx, nu)
+    rho = lfa_rho(wt[high] / dt, xd[high] / dx, eta, dt, dx)
     # np.hypot rounds as abs() of one complex number does; np.abs may not
     return np.hypot(rho.real, rho.imag).max()
 
@@ -123,6 +108,7 @@ def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperat
     """Fine and re-discretized coarse ``op_cls`` operators with the transfers;
     space is coarsened too when dt/dx^2 >= SPACE_COARSENING_LIMIT, unless the
     coarse spatial grid would have fewer than 3 points."""
+    op_f = op_cls(sys, theta, grid.dt, grid.nt)  # before rebuild: it names what it refuses
     nx_c = 2 ** (grid.lx - 1) - 1
     coarsen_space = nx_c >= 3 and grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
     nt_c = 2 ** (grid.lt - 1) - 1
@@ -133,13 +119,8 @@ def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperat
     else:
         sys_c = rebuild(sys, grid.nx, grid.dx)
         Px = None
-    return TwoLevelOperators(op_f=op_cls(sys, theta, grid.dt, grid.nt),
-                             op_c=op_cls(sys_c, theta, 2 * grid.dt, nt_c),
+    return TwoLevelOperators(op_f=op_f, op_c=op_cls(sys_c, theta, 2 * grid.dt, nt_c),
                              Px=Px, Pt=Pt, coarsen_space=coarsen_space)
-
-
-def build_two_level(sys, grid: SpaceTimeGrid, theta: float) -> TwoLevelOperators:
-    return _two_level(sys, grid, theta, AllAtOnce)
 
 
 def _restrict(ops: TwoLevelOperators, R):
@@ -158,83 +139,37 @@ def _prolong(ops: TwoLevelOperators, E):
     return out
 
 
-def build_hierarchy(sys, grid: SpaceTimeGrid, theta: float, levels: int):
-    """Chain of two-level operator pairs for the recursive cycle: pair k
-    couples level k and k+1, and only levels 0 .. levels-2 need a grid."""
-    if levels < 2:
-        raise ValueError("need at least two levels")
-    chain = [build_two_level(sys, grid, theta)]
-    for _ in range(levels - 2):
-        ops = chain[-1]
-        lx = grid.lx - 1 if ops.coarsen_space else grid.lx
-        if min(lx, grid.lt - 1) < 2:
-            raise ValueError("grid too small for the requested level count")
-        dx = 2 * grid.dx if ops.coarsen_space else grid.dx
-        grid = SpaceTimeGrid(lx=lx, lt=grid.lt - 1, dx=dx, dt=2 * grid.dt)
-        chain.append(build_two_level(ops.op_c.sys, grid, theta))
-    return chain
-
-
-def _cycle_recursive(chain, level, smoother, b, U, gamma_cycle):
-    ops = chain[level]
-    U = block_jacobi_smooth(ops.op_f, b, U, smoother.eta, smoother.s1)
-    r_c = _restrict(ops, b - ops.op_f.apply(U))
-    if level == len(chain) - 1:
-        e_c = ops.op_c.forward_substitution(r_c)
-    else:
-        e_c = np.zeros_like(r_c)
-        for _ in range(gamma_cycle):
-            e_c = _cycle_recursive(chain, level + 1, smoother, r_c, e_c, gamma_cycle)
-    U = U + _prolong(ops, e_c)
-    return block_jacobi_smooth(ops.op_f, b, U, smoother.eta, smoother.s2)
-
-
 def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                    integrator: str = "backward_euler", cycles: int = 10,
                    U0: Optional[np.ndarray] = None,
                    reference: Optional[np.ndarray] = None):
-    """Two-level V-cycles on the linear all-at-once system: the
-    ``levels=2`` case of :func:`stmg_multilevel`."""
-    return stmg_multilevel(sys, grid, smoother, integrator=integrator, cycles=cycles,
-                           levels=2, U0=U0, reference=reference)
+    """Two-level V-cycles on the linear all-at-once system.
 
-
-def stmg_multilevel(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
-                    integrator: str = "backward_euler", cycles: int = 10,
-                    levels: int = 2, gamma_cycle: int = 1,
-                    U0: Optional[np.ndarray] = None,
-                    reference: Optional[np.ndarray] = None):
-    """Recursive multilevel cycles (V for gamma_cycle=1, W for 2).
-
-    The coarse problem is itself treated by ``gamma_cycle`` recursive
-    cycles until the last level, which is solved exactly by forward
-    substitution.  Returns (trajectory including the initial row, trace);
-    the trace records errors against ``reference`` (default: the exact
-    forward substitution) and residual norms.
+    Returns (trajectory including the initial row, trace); the trace
+    records errors against ``reference`` (default: the exact forward
+    substitution) and residual norms.
     """
-    return _linear_cycles(sys, grid, smoother, named_theta(integrator), cycles,
-                          levels, gamma_cycle, U0, reference)
+    return _linear_cycles(sys, grid, smoother, named_theta(integrator), cycles, U0, reference)
 
 
-def _linear_cycles(sys, grid, smoother, theta, cycles, levels, gamma_cycle, U0, reference):
-    """The one linear cycle driver; it takes theta itself, so linear FAS
-    (any theta) runs it too.  Two levels keep the two-level trace label."""
-    chain = build_hierarchy(sys, grid, theta, levels)
-    op_f = chain[0].op_f
+def _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference):
+    """The one linear cycle driver: smooth, restrict the residual, solve the
+    coarse level by forward substitution, prolong its correction, smooth.
+    It takes theta itself, so linear FAS (any theta) runs it too."""
+    ops = _two_level(sys, grid, theta, AllAtOnce)
+    op_f = ops.op_f
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b) if reference is None else reference
     U = np.zeros_like(b) if U0 is None else U0.copy()
-    if levels == 2:
-        trace = IterationTrace(method="stmg_two_level")
-        trace.meta["coarsen_space"] = chain[0].coarsen_space
-    else:
-        trace = IterationTrace(method=f"stmg_{levels}level")
-        trace.meta["coarsen_space"] = [ops.coarsen_space for ops in chain]
+    trace = IterationTrace(method="stmg_two_level")
+    trace.meta["coarsen_space"] = ops.coarsen_space
     bnorm = max(np.abs(b).max(), 1e-300)
     trace.record(error=np.abs(U - U_star).max(),
                  residual=np.abs(b - op_f.apply(U)).max() / bnorm)
     for _ in range(cycles):
-        U = _cycle_recursive(chain, 0, smoother, b, U, gamma_cycle)
+        U = block_jacobi_smooth(op_f, b, U, smoother.eta, smoother.s1)
+        U = U + _prolong(ops, ops.op_c.forward_substitution(_restrict(ops, b - op_f.apply(U))))
+        U = block_jacobi_smooth(op_f, b, U, smoother.eta, smoother.s2)
         if not np.all(np.isfinite(U)):
             raise ConvergenceError("STMG cycle produced non-finite values")
         trace.record(error=np.abs(U - U_star).max(),
@@ -310,8 +245,7 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     if sys.linear:
         # FAS is the plain correction scheme for linear operators; run the
         # identical cycle kernel so the iterates agree bit for bit
-        return _linear_cycles(sys, grid, smoother, theta, cycles, levels=2, gamma_cycle=1,
-                              U0=U0, reference=reference)
+        return _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference)
     ops = _two_level(sys, grid, theta, NonlinearAllAtOnce)
     op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()

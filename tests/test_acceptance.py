@@ -4,15 +4,19 @@ one pass/fail line.
 Criteria C1-C14 are the registered experiments (each bundles the bound
 checks of one criterion); C15 re-runs the cross-cutting property checks
 (kernel round trips, quadrature exactness, fixed points, order slopes,
-parallel-order determinism) in compact form.  A reachability guard checks
-that the 14 experiments enter every public function of the package.
+parallel-order determinism) in compact form.  Two reachability guards
+check that the 14 experiments enter every public function of the package
+and run every line of its function bodies, but for allow-listed ones.
 """
 
+import ast
+import collections
 import importlib
 import inspect
 import pkgutil
 import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -61,17 +65,26 @@ def registry():
 
 
 @pytest.fixture(scope="module")
-def entered():
-    """The code objects entered while ``results`` runs the experiments."""
-    return set()
+def ran():
+    """{(file, qualname, first line): line numbers run} of the package code
+    objects that ran while ``results`` runs the experiments."""
+    return collections.defaultdict(set)
 
 
 @pytest.fixture(scope="module")
-def results(registry, entered):
+def results(registry, ran):
     cache = {}
+    package_dir = str(Path(pintlab.__file__).parent)
+
+    def record_line(frame, event, arg):
+        if event == "line":
+            code = frame.f_code
+            ran[code.co_filename, code.co_qualname, code.co_firstlineno].add(frame.f_lineno)
+        return record_line
 
     def record_call(frame, event, arg):
-        entered.add(frame.f_code)  # returns None: call events only, no line tracing
+        # line events only in package frames: None leaves the others untraced
+        return record_line if frame.f_code.co_filename.startswith(package_dir) else None
 
     def get(exp_id):
         if exp_id not in cache:
@@ -142,19 +155,140 @@ UNREACHED_ALLOWED = {
     "kernels.BandedMatrix.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.SemiDiscreteSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "models.CompanionSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
-    "models.CompanionSystem.g": "a wave source, read by the fine steps; no experiment's wave has one",
     "stmg.SpaceTimeGrid.nx": "time-only coarsening; every C13 grid also coarsens in space",
 }
+
+# Lines of function bodies no experiment runs, keyed by (module, function
+# qualname, stripped source line), each with the reason it stays.  Lines
+# that only report an error (see error_lines) and the lines of a function
+# in UNREACHED_ALLOWED need no entry.
+GATED_BY_C15 = "gated by C15: test_criterion_c15_property_suites runs it"
+C15_PADDING = "gated by C15: the n < 3 tridiagonal padding, on its random 2-11-unknown systems"
+SDIRK_REFERENCE = "SDIRK22's stability function: tests check SDIRK22 steps against it"
+EXACT_METHOD = "the exact-exponential propagator, a method the caller chooses"
+POLY_SOLVE = "ROADMAP item 2 deletes this function"
+SPARSE_EXPM = "expm_action above EXPM_DENSE_MAX = 512 unknowns"
+STEPPED = "stepped propagation: Burgers, sourced systems and n > 512 have no window matrix"
+TOL_BREAK = "convergence break on tol: every experiment runs a fixed iteration count"
+OWN_ORACLE = "no oracle given: the solver makes its own, as the paraexp tests call it"
+LINES_ALLOWED = {
+    ("integrators", "stability", "g, a21, (b1, b2) = method.gamma, method.a21, method.b"):
+        SDIRK_REFERENCE,
+    ("integrators", "stability", "den = 1.0 - g * z"): SDIRK_REFERENCE,
+    ("integrators", "stability", "if np.any(den == 0):"): SDIRK_REFERENCE,
+    ("integrators", "stability", "k1 = z / den"): SDIRK_REFERENCE,
+    ("integrators", "stability", "k2 = z * (1.0 + a21 * k1) / den"): SDIRK_REFERENCE,
+    ("integrators", "stability", "return 1.0 + b1 * k1 + b2 * k2"): SDIRK_REFERENCE,
+    ("integrators", "_step_linear_block", "return expm_action(sys, dt, U)"): EXACT_METHOD,
+    ("integrators", "_step_plan", "return None"): EXACT_METHOD,
+    ("integrators", "_step_nonlinear", "g, a21, (b1, b2) = method.gamma, method.a21, method.b"):
+        GATED_BY_C15,
+    ("integrators", "_step_nonlinear", "t1, t2 = t0s + g * dt, t0s + (a21 + g) * dt"): GATED_BY_C15,
+    ("integrators", "_step_nonlinear", "y1 = _newton(sys, g * dt, U, t1, U, tol=newton_tol)"):
+        GATED_BY_C15,
+    ("integrators", "_step_nonlinear", "k1 = sys.f(y1, t1)"): GATED_BY_C15,
+    ("integrators", "_step_nonlinear",
+     "y2 = _newton(sys, g * dt, U + dt * a21 * k1, t2, y1, tol=newton_tol)"): GATED_BY_C15,
+    ("integrators", "_step_nonlinear", "k2 = sys.f(y2, t2)"): GATED_BY_C15,
+    ("integrators", "_step_nonlinear", "return U + dt * (b1 * k1 + b2 * k2)"): GATED_BY_C15,
+    ("integrators", "OneStepMethod.__str__", "return self.name"): "test ids name a method by it",
+    ("integrators", "numerov_solve", "return out"): "n_steps = 0: the trajectory is u0 alone",
+    ("kernels", "BandedMatrix.__matmul__", "return self.matvec(v)"): "A @ v, which tests write",
+    ("kernels", "BandedMatrix.add",
+     "ct, cb = (self.corner_top, self.corner_bottom) if self.periodic else (ct, cb)"):
+        "the sum of a periodic and a non-periodic band",
+    ("kernels", "StackedTridiagonalLU._factor", "pad = np.zeros(3 - self._n)"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU._factor",
+     "lower, diag, upper = (np.concatenate((v, pad + z)) for v, z in"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU._factor", "((lower, 0.0), (diag, 1.0), (upper, 0.0)))"):
+        C15_PADDING,
+    ("kernels", "StackedTridiagonalLU.block_rcond", "zero = np.zeros(1, dtype=d.dtype)"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU.block_rcond",
+     "block = (np.append(dl[r], zero), np.append(d[r:r + 2], norm),"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU.block_rcond",
+     "np.append(du[r], zero), zero, np.append(ipiv[r:r + 2] - r, np.int32(3)))"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU.solve",
+     "rhs = np.concatenate((rhs, np.zeros((3 - self._n,) + rhs.shape[1:])))"): C15_PADDING,
+    ("kernels", "StackedTridiagonalLU.solve", "return self._gttrs(*self._factors, rhs)[0][: self._n]"):
+        C15_PADDING,
+    ("kernels", "solve_poly_in_matrix", "coeffs.pop()"): POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix", "return solve_shifted_banded(A, (coeffs[0], 0.0), rhs)"):
+        POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix", "return solve_shifted_banded(A, (coeffs[0], -coeffs[1]), rhs)"):
+        POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix", "dense = sum("): POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix",
+     "c * np.linalg.matrix_power(A.to_dense(), k) for k, c in enumerate(coeffs)"): POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix.<locals>.<genexpr>",
+     "c * np.linalg.matrix_power(A.to_dense(), k) for k, c in enumerate(coeffs)"): POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix", "try:"): POLY_SOLVE,
+    ("kernels", "solve_poly_in_matrix", "return np.linalg.solve(dense, rhs)"): POLY_SOLVE,
+    ("kernels", "expm_action", "return _finite(scipy.sparse.linalg.expm_multiply(t * M, v))"):
+        SPARSE_EXPM,
+    ("kernels", "expm_action",
+     "return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))"): SPARSE_EXPM,
+    ("models", "second_difference_stencil", "diag[0] = diag[-1] = -1.0"):
+        "the Neumann boundary condition, which the caller chooses",
+    ("models", "SemiDiscreteSystem.f", "gval = self.source(t)"):
+        "a source in f: Burgers keeps its tested source",
+    ("models", "SemiDiscreteSystem.f", "out = out + (gval[:, None] if gval.ndim < u.ndim else gval)"):
+        "a source in f: Burgers keeps its tested source",
+    ("models", "SemiDiscreteSystem.jacobian", "return self.A"):
+        "the Jacobian of a linear system; the experiments run Newton on nonlinear ones",
+    ("paradiag", "_phi_log", "return 2.0 * math.lgamma((n_t - 1) / 2 + 1)"):
+        "odd n_t, which the caller chooses; C4 takes even ones",
+    ("paraexp", "paraexp_nonlinear_iterate",
+     "oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)"): OWN_ORACLE,
+    ("paraexp", "paraexp_nonlinear_iterate", "break"): TOL_BREAK,
+    ("paraexp", "linear_g_parareal",
+     "oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)"): OWN_ORACLE,
+    ("paraexp", "linear_g_parareal", "break"): TOL_BREAK,
+    ("parareal", "_coarse_propagator",
+     "return lambda n, u: propagate(cfg.coarse, target, *cfg.grid.window(n), u,"): STEPPED,
+    ("parareal", "_coarse_propagator.<locals>.<lambda>", "newton_tol=cfg.newton_tol)"): STEPPED,
+    ("parareal", "_fine_map",
+     "return propagate_block(cfg.fine, target, cfg.grid.boundaries[first:-1], starts.T.copy(),"):
+        STEPPED,
+    ("parareal", "_fine_map", "newton_tol=cfg.newton_tol).T"): STEPPED,
+    ("parareal", "mgrit_fcf_solve", "break"): TOL_BREAK,
+    ("parareal", "parareal_diag_cgc_solve", "break"): TOL_BREAK,
+    ("stmg", "_two_level", "sys_c = rebuild(sys, grid.nx, grid.dx)"):
+        "time-only coarsening, which STMG takes whenever dt/dx^2 < 1/sqrt(2)",
+    ("stmg", "_two_level", "Px = None"):
+        "time-only coarsening, which STMG takes whenever dt/dx^2 < 1/sqrt(2)",
+    ("stmg", "stmg_fas_nonlinear",
+     "return _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference)"):
+        "FAS on a linear system is the two-level cycle, bit for bit",
+    ("swr", "robin_p_star", "fn = lambda p: y0 - p * np.sqrt(p / (4.0 + p))"):
+        "the Y_CRITICAL branch of the Robin parameter, for l/nu above it",
+    ("swr", "_bisect", "return lo"): "a bracket end that is a root",
+    ("swr", "_bisect", "return hi"): "a bracket end that is a root",
+    ("swr", "_bisect", "return 0.5 * (lo + hi)"): "bisection that reaches max_iter",
+    ("swr", "_oswr_sweeps", "trace.record(error=0.0)"): "one subdomain: the monodomain solve itself",
+    ("swr", "_oswr_sweeps", "return trace"): "one subdomain: the monodomain solve itself",
+    ("swr", "swr_solve_wave", "break"): TOL_BREAK,
+    ("swr", "utp_advance", "U = np.zeros((n_steps + 1, n))"):
+        "seed=None: a zero first iterate, which the tent-pitching tests start from",
+    ("trace", "IterationTrace.converged_at", "return -1"): "a run whose error never falls below tol",
+}
+
+
+def package_modules():
+    """(name, module) of every pintlab module but ``cli``."""
+    return [(info.name, importlib.import_module(f"pintlab.{info.name}"))
+            for info in pkgutil.iter_modules(pintlab.__path__) if info.name != "cli"]
+
+
+def code_key(code):
+    """The key of ``code`` in the ``ran`` record."""
+    return code.co_filename, code.co_qualname, code.co_firstlineno
 
 
 def public_functions():
     """{name: code object} of the public functions of every pintlab module
     but ``cli``, and of the public methods and properties of its classes."""
     found = {}
-    for info in pkgutil.iter_modules(pintlab.__path__):
-        if info.name == "cli":
-            continue
-        module = importlib.import_module(f"pintlab.{info.name}")
+    for module_name, module in package_modules():
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
@@ -162,18 +296,71 @@ def public_functions():
             for attr, member in members:
                 fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
                 if not attr.startswith("_") and inspect.isfunction(fn):
-                    found[f"{info.name}.{name}" + (f".{attr}" if attr else "")] = fn.__code__
+                    found[f"{module_name}.{name}" + (f".{attr}" if attr else "")] = fn.__code__
     return found
 
 
-def test_experiments_reach_every_public_function(results, entered):
+def test_experiments_reach_every_public_function(results, ran):
     for exp_id, _ in CRITERIA.values():
         results(exp_id)
-    unreached = {name for name, code in public_functions().items() if code not in entered}
+    unreached = {name for name, code in public_functions().items() if code_key(code) not in ran}
     extra = sorted(unreached - UNREACHED_ALLOWED.keys())
     assert not extra, f"no experiment reaches {extra}: delete them, or allow-list them with a reason"
     stale = sorted(UNREACHED_ALLOWED.keys() - unreached)
     assert not stale, f"allow-listed, but reached or gone: {stale}"
+
+
+def error_lines(tree):
+    """Line numbers that only report or clean up an error: those of a
+    ``raise`` statement, those of an ``if`` or ``else`` body whose last
+    statement is a ``raise``, and those of an ``except`` clause whose body
+    ends in one."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, ast.If):
+            for body in (node.body, node.orelse):
+                if body and isinstance(body[-1], ast.Raise):
+                    lines.update(range(body[0].lineno, body[-1].end_lineno + 1))
+        elif isinstance(node, ast.ExceptHandler) and isinstance(node.body[-1], ast.Raise):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def unreached_lines(ran):
+    """(module, qualname, stripped source) of each line of a function body
+    that did not run, from ``co_lines()`` of every code object flagged
+    CO_OPTIMIZED, leaving out its ``def`` line, the :func:`error_lines` and
+    the functions in UNREACHED_ALLOWED, nested ones included."""
+    found = []
+    for module_name, module in package_modules():
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        text, exempt = source.splitlines(), error_lines(ast.parse(source))
+        stack = [compile(source, module.__file__, "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            outer = f"{module_name}.{code.co_qualname}".split(".<locals>.")[0]
+            if not code.co_flags & inspect.CO_OPTIMIZED or outer in UNREACHED_ALLOWED:
+                continue
+            lines = {line for *_, line in code.co_lines() if line is not None}
+            missed = lines - ran.get(code_key(code), set()) - exempt - {code.co_firstlineno}
+            found.extend((module_name, line, code.co_qualname, text[line - 1].strip())
+                         for line in missed)
+    return [(module_name, qualname, source) for module_name, _, qualname, source in sorted(found)]
+
+
+def test_experiments_run_every_line(results, ran):
+    for exp_id, _ in CRITERIA.values():
+        results(exp_id)
+    unreached = unreached_lines(ran)
+    extra = [f"{module}:{qualname}: {source}" for module, qualname, source in unreached
+             if (module, qualname, source) not in LINES_ALLOWED]
+    assert not extra, ("no experiment runs these lines: delete them, or allow-list them "
+                       "with a reason\n" + "\n".join(extra))
+    stale = sorted(LINES_ALLOWED.keys() - set(unreached))
+    assert not stale, f"allow-listed, but run or gone: {stale}"
 
 
 def test_criterion_c15_property_suites(capsys):

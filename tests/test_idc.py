@@ -153,12 +153,13 @@ class TestIdcSweep:
         (dict(M=2.5), "M"),
         (dict(n_windows=0), "n_windows"),
         (dict(T=-1.0), "T"),
+        (dict(sys=build_burgers(8, 1.0 / 8, 0.1, "periodic")), "linear"),
     ])
     def test_idc_run_rejects_bad_parameters(self, kwargs, name):
-        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
-        args = dict(T=0.5, n_windows=2, M=3, k_corrections=1) | kwargs
+        args = dict(sys=build_heat(8, 1.0 / 9, 1.0, "dirichlet"), T=0.5, n_windows=2, M=3,
+                    k_corrections=1) | kwargs
         with pytest.raises(ValueError, match=f" {name} "):
-            idc_run(sys, **args)
+            idc_run(**args)
 
 
 class TestPfasst:

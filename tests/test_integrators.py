@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pintlab import paradiag, stmg
 from pintlab.integrators import (
     METHODS,
     SOURCE_CHUNK,
@@ -184,7 +185,7 @@ class TestWindowMatrix:
             ref = propagate(prop, sys, 0.3, 0.5, u)
             assert np.linalg.norm(F @ u - ref) <= 1e-13 * np.linalg.norm(u)
 
-    @pytest.mark.parametrize("model", ["heat_source", "wave_source", "burgers", "large_heat"])
+    @pytest.mark.parametrize("model", ["heat_source", "burgers", "large_heat"])
     def test_no_matrix_for_a_source_nonlinear_or_large_system(self, model):
         # a source makes the window map affine and time-dependent, Burgers
         # makes it nonlinear, and above EXPM_DENSE_MAX unknowns the dense
@@ -192,8 +193,6 @@ class TestWindowMatrix:
         sys = {
             "heat_source": lambda: build_heat(12, 1.0 / 13, 0.2, "dirichlet",
                                               source=SourcePulse(50.0)),
-            "wave_source": lambda: CompanionSystem(build_wave(12, 1.0 / 13, 1.0, "dirichlet",
-                                                              source=SourcePulse(50.0))),
             "burgers": lambda: build_burgers(16, 1.0 / 16, 0.5, "periodic"),
             "large_heat": lambda: build_heat(EXPM_DENSE_MAX + 1, 1.0 / (EXPM_DENSE_MAX + 2),
                                              0.1, "dirichlet"),
@@ -204,9 +203,10 @@ class TestWindowMatrix:
 
 SOURCED_SYSTEMS = {
     "heat_dirichlet": lambda: build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0)),
-    "wave_companion": lambda: CompanionSystem(build_wave(12, 1.0 / 13, 1.0, "dirichlet",
-                                                        source=SourcePulse(50.0))),
+    "advection_diffusion_periodic": lambda: build_advection_diffusion(
+        12, 1.0 / 12, 0.05, "periodic", source=SourcePulse(50.0)),
 }
+THETA_METHODS = [backward_euler(), trapezoidal()]  # the methods that step a source
 CHUNKED_STEPS = 2 * SOURCE_CHUNK + 5  # a last chunk shorter than the others
 
 
@@ -218,7 +218,7 @@ class TestSourceChunks:
         return Propagator(method, dt=0.01, steps=CHUNKED_STEPS), np.array([0.0, 0.37, 1.3]), U
 
     @pytest.mark.parametrize("model", sorted(SOURCED_SYSTEMS))
-    @pytest.mark.parametrize("method", ALL_ONE_STEP, ids=str)
+    @pytest.mark.parametrize("method", THETA_METHODS, ids=str)
     def test_chunked_march_matches_one_step_calls_bitwise(self, model, method):
         sys = SOURCED_SYSTEMS[model]()
         prop, t0s, U = self.march(sys, method)
@@ -227,7 +227,7 @@ class TestSourceChunks:
             W = propagate_block(replace(prop, steps=1), sys, t0s + s * prop.dt, W)
         assert propagate_block(prop, sys, t0s, U).tobytes() == W.tobytes()
 
-    @pytest.mark.parametrize("method", ALL_ONE_STEP, ids=str)
+    @pytest.mark.parametrize("method", THETA_METHODS, ids=str)
     def test_one_source_call_per_chunk(self, method):
         # per-step evaluation made two source calls per step, 2 * 37 here
         sys = SOURCED_SYSTEMS["heat_dirichlet"]()
@@ -241,17 +241,6 @@ class TestSourceChunks:
         prop, t0s, U = self.march(sys, method)
         propagate_block(prop, sys, t0s, U)
         assert len(calls) == -(-prop.steps // SOURCE_CHUNK)
-
-    @pytest.mark.parametrize("source", [lambda x, t: np.ones_like(x),
-                                        lambda x, t: np.zeros(x.size)],
-                             ids=["constant_in_time", "one_time_only"])
-    def test_source_of_wrong_shape_rejected(self, source):
-        # (n,) + t.shape is the contract; a constant-in-time source would
-        # otherwise broadcast silently against the block
-        sys = build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=source)
-        prop, t0s, U = self.march(sys, trapezoidal())
-        with pytest.raises(ValueError, match=r"source .* gave values of shape"):
-            propagate_block(prop, sys, t0s, U)
 
 
 def newton_reference(sys, c, rhs, t, guess, tol=1e-12, max_iter=50):
@@ -558,9 +547,7 @@ def _paradiag1_entry(name):
         "paradiag1_direct_solve": lambda: paradiag.paradiag1_direct_solve(_nan_heat(), mesh),
         "sequential_variable_step_solve": lambda: paradiag.sequential_variable_step_solve(
             _nan_heat(), mesh),
-        "paradiag1_bvm_solve": lambda: paradiag.paradiag1_bvm_solve(_nan_heat(), 0.05, 6),
-        "paradiag1_bvm_solve_second_order": lambda: paradiag.paradiag1_bvm_solve(
-            _nan_wave(), 0.05, 6, order="second"),
+        "paradiag1_bvm_solve": lambda: paradiag.paradiag1_bvm_solve(_nan_wave(), 0.05, 6),
     }[name]
 
 
@@ -573,7 +560,7 @@ NON_FINITE_U0_ENTRIES = (
                             "swr_solve_wave", "utp_advance")]
     + [("idc", n) for n in ("idc_run", "pfasst_two_level")]
     + [("paradiag1", n) for n in ("paradiag1_direct_solve", "sequential_variable_step_solve",
-                                  "paradiag1_bvm_solve", "paradiag1_bvm_solve_second_order")]
+                                  "paradiag1_bvm_solve")]
 )
 
 
@@ -584,4 +571,52 @@ def test_non_finite_u0_rejected_at_entry(family, name):
     entry = {"parareal": _parareal_entry, "paraexp": _paraexp_entry, "swr": _swr_entry,
              "idc": _idc_entry, "paradiag1": _paradiag1_entry}[family](name)
     with pytest.raises(ValueError, match="initial value u0 has non-finite entries"):
+        entry()
+
+
+def _pulse_heat(nx=15, source=SourcePulse(50.0)):
+    sys = build_heat(nx, 1.0 / (nx + 1), 0.2, "dirichlet", source=source)
+    sys.u0[:] = np.sin(np.pi * sys.x)
+    return sys
+
+
+def _march(method, source):
+    sys = _pulse_heat(12, source)
+    prop = Propagator(method, dt=0.01, steps=CHUNKED_STEPS)
+    return lambda: propagate_block(prop, sys, np.array([0.0, 0.37, 1.3]), np.ones((sys.n, 3)))
+
+
+def _source_entry(name):
+    mesh = paradiag.GeometricTimeMesh(T=0.5, n_t=6, rho=0.1)
+    grid = stmg.SpaceTimeGrid(lx=4, lt=3, dx=1.0 / 16, dt=8.0 / 16**2)
+    return {
+        # (n,) + t.shape is the contract; a constant-in-time source would
+        # otherwise broadcast silently against the block
+        "constant_in_time": (_march(trapezoidal(), lambda x, t: np.ones_like(x)),
+                             r"source .* gave values of shape"),
+        "one_time_only": (_march(trapezoidal(), lambda x, t: np.zeros(x.size)),
+                          r"source .* gave values of shape"),
+        "sdirk22": (_march(sdirk22(), SourcePulse(50.0)), "the sdirk22 propagator takes no source"),
+        "stmg_two_level": (lambda: stmg.stmg_two_level(_pulse_heat(), grid,
+                                                       stmg.SmootherConfig(eta=0.5)),
+                           "all-at-once operator takes systems without a source"),
+        "paradiag2_solve": (lambda: paradiag.paradiag2_solve(_pulse_heat(), "backward_euler",
+                                                             0.1, 0.02, 8),
+                            "all-at-once operator takes systems without a source"),
+        "paradiag1_direct_solve": (lambda: paradiag.paradiag1_direct_solve(_pulse_heat(), mesh),
+                                   "ParaDiag I takes systems without a source"),
+        "sequential_variable_step_solve": (
+            lambda: paradiag.sequential_variable_step_solve(_pulse_heat(), mesh),
+            "ParaDiag I takes systems without a source"),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["constant_in_time", "one_time_only", "sdirk22",
+                                  "stmg_two_level", "paradiag2_solve", "paradiag1_direct_solve",
+                                  "sequential_variable_step_solve"])
+def test_unsupported_source_rejected(name):
+    # a source is stepped only by a theta method, and neither the
+    # all-at-once operator nor ParaDiag I takes one
+    entry, message = _source_entry(name)
+    with pytest.raises(ValueError, match=message):
         entry()

@@ -262,17 +262,6 @@ class TestRhoOpt:
 
 
 class TestBVM:
-    def test_first_order_matches_dense_lu(self):
-        nx, n_t, dt = 8, 8, 0.05
-        sys = heat_sine(nx=nx)
-        B = bvm_time_matrix(n_t, dt)
-        K = np.kron(B, np.eye(nx)) - np.kron(np.eye(n_t), sys.A.to_dense())
-        b = np.zeros(n_t * nx)
-        b[:nx] = sys.u0 / (2 * dt)
-        expected = np.linalg.solve(K, b).reshape(n_t, nx)
-        got = paradiag1_bvm_solve(sys, dt, n_t)[1:]
-        assert np.abs(got - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1.0)
-
     def test_second_order_matches_dense_lu(self):
         nx, n_t, dt = 8, 8, 0.05
         sys = wave_sine(nx=nx)
@@ -282,7 +271,7 @@ class TestBVM:
         b[:nx] = sys.u0_deriv / (2 * dt)
         b[nx : 2 * nx] = -sys.u0 / (4 * dt**2)
         expected = np.linalg.solve(K, b).reshape(n_t, nx)
-        got = paradiag1_bvm_solve(sys, dt, n_t, order="second")[1:]
+        got = paradiag1_bvm_solve(sys, dt, n_t)[1:]
         assert np.abs(got - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1.0)
 
     def test_wave_second_order_slope_no_blowup(self):
@@ -293,7 +282,7 @@ class TestBVM:
         errs, nts = [], [2**k for k in range(4, 8)]
         for n_t in nts:
             dt = T / n_t
-            traj = paradiag1_bvm_solve(sys, dt, n_t, order="second")
+            traj = paradiag1_bvm_solve(sys, dt, n_t)
             w = comp.u0.copy()
             err = 0.0
             for n in range(1, n_t + 1):
@@ -444,19 +433,6 @@ class TestParaDiag2:
             paradiag2_solve(sys, "backward_euler", 1.0, 0.05, 8)
 
 
-class TestParaDiag1Source:
-    def test_direct_solve_with_pulse_source(self):
-        from pintlab.models import SourcePulse, build_heat
-
-        nx = 16
-        sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet",
-                         source=SourcePulse(50.0))
-        mesh = GeometricTimeMesh(T=0.5, n_t=8, rho=0.3)
-        direct = paradiag1_direct_solve(sys, mesh)
-        seq = sequential_variable_step_solve(sys, mesh)
-        assert np.abs(direct - seq).max() <= 1e-8 * max(np.abs(seq).max(), 1.0)
-
-
 def per_eigenvalue_eig_solve(op, V, a, b, R):
     """Reference for the diagonalized solve: one single-shift banded solve
     per eigenvalue, as the solvers did before the batched call."""
@@ -484,12 +460,11 @@ def use_per_eigenvalue_solve(monkeypatch):
 class TestBatchedSolveBitwise:
     """The batched eigenbasis solves equal the per-eigenvalue loops bit for bit."""
 
-    @pytest.mark.parametrize("order", ["first", "second"])
-    def test_bvm_solve(self, monkeypatch, order):
-        sys = heat_sine(nx=12) if order == "first" else wave_sine(nx=12)
-        batched = paradiag1_bvm_solve(sys, 0.01, 64, order=order)
+    def test_bvm_solve(self, monkeypatch):
+        sys = wave_sine(nx=12)
+        batched = paradiag1_bvm_solve(sys, 0.01, 64)
         calls = use_per_eigenvalue_solve(monkeypatch)
-        ref = paradiag1_bvm_solve(sys, 0.01, 64, order=order)
+        ref = paradiag1_bvm_solve(sys, 0.01, 64)
         assert calls == [1]
         assert batched.tobytes() == ref.tobytes()
 
@@ -501,7 +476,7 @@ class TestBatchedSolveBitwise:
         monkeypatch.setattr(paradiag_module, "_eig_solve",
                             lambda op, V, a, b, R: shifts.append(a)
                             or per_eigenvalue_eig_solve(op, V, a, b, R))
-        paradiag1_bvm_solve(wave_sine(nx=12), 0.01, 64, order="second")
+        paradiag1_bvm_solve(wave_sine(nx=12), 0.01, 64)
         assert shifts[0].tobytes() == np.array([l**2 for l in lam]).tobytes()
 
     @pytest.mark.parametrize("integrator", ["backward_euler", "trapezoidal"])
@@ -546,13 +521,8 @@ class _RowByRowAllAtOnce(AllAtOnce):
         return out
 
     def rhs(self):
-        th, dt = self.theta, self.dt
         b = np.zeros((self.nt, self.sys.n))
         b[0] = self.r2(self.sys.u0)
-        if self.sys.source is not None:
-            for n in range(self.nt):
-                t0, t1 = n * dt, (n + 1) * dt
-                b[n] += dt * ((1 - th) * self.sys.source(t0) + th * self.sys.source(t1))
         return b
 
     def sequential_solve(self):
@@ -566,11 +536,10 @@ class _RowByRowAllAtOnce(AllAtOnce):
         return U
 
 
-def theta_system(bc, source=True):
+def theta_system(bc):
     nx = 12
     dx = 1.0 / (nx + 1) if bc == "dirichlet" else 1.0 / nx
-    src = (lambda x, t: np.cos(3.0 * t) * x) if source else None
-    sys = build_advection_diffusion(nx, dx, 0.05, bc, source=src)
+    sys = build_advection_diffusion(nx, dx, 0.05, bc)
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     return sys
 
@@ -581,9 +550,8 @@ class TestSharedThetaOperator:
     """ParaDiag II's theta operator is integrators.AllAtOnce, bit for bit
     equal to the per-row operator it replaced."""
 
-    @pytest.mark.parametrize("source", [False, True])
-    def test_matches_per_row_operator(self, bc, integrator, source):
-        sys = theta_system(bc, source)
+    def test_matches_per_row_operator(self, bc, integrator):
+        sys = theta_system(bc)
         op = make_all_at_once(sys, integrator, 0.02, 10)
         ref = _RowByRowAllAtOnce(sys, op.theta, 0.02, 10)
         rng = np.random.default_rng(5)
@@ -675,14 +643,17 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match=f"{name} "):
             GeometricTimeMesh(**(dict(T=1.0, n_t=4, rho=0.3) | kwargs))
 
-    @pytest.mark.parametrize("n_t, dt, message", [
-        pytest.param(1, 0.02, "n_t >= 2", id="1"),
-        pytest.param(0, 0.02, "n_t >= 2", id="0"),
-        pytest.param(8, 0.0, "dt must be positive", id="dt-zero"),
-        pytest.param(8, -0.1, "dt must be positive", id="dt-negative"),
+    @pytest.mark.parametrize("system, n_t, dt, message", [
+        pytest.param(wave_sine, 1, 0.02, "n_t >= 2", id="1"),
+        pytest.param(wave_sine, 0, 0.02, "n_t >= 2", id="0"),
+        pytest.param(wave_sine, 8, 0.0, "dt must be positive", id="dt-zero"),
+        pytest.param(wave_sine, 8, -0.1, "dt must be positive", id="dt-negative"),
+        pytest.param(heat_sine, 8, 0.02, "expects a second-order system, got order='first'",
+                     id="first-order"),
     ])
-    def test_bvm_needs_two_time_steps(self, monkeypatch, n_t, dt, message):
-        # n_t >= 2 and dt > 0 are both checked before the time matrix is built
+    def test_bvm_needs_two_time_steps(self, monkeypatch, system, n_t, dt, message):
+        # a second-order system, n_t >= 2 and dt > 0 are all checked before
+        # the time matrix is built
         monkeypatch.setattr(paradiag_module, "bvm_time_matrix", None)
         with pytest.raises(ValueError, match=message):
-            paradiag1_bvm_solve(heat_sine(nx=8), dt, n_t)
+            paradiag1_bvm_solve(system(nx=8), dt, n_t)

@@ -420,20 +420,26 @@ class TestDiagCoarse:
 
         assert rate(trace) == pytest.approx(rate(trace_ref), rel=0.01)
 
-    @pytest.mark.parametrize("model", ["heat", "wave"])
-    def test_source_rejected_before_any_solve(self, monkeypatch, model):
+    @pytest.mark.parametrize("model, message", [
+        ("heat", "systems without a source term"),
+        ("wave", "second-order system takes no source term"),
+    ], ids=["heat", "wave"])
+    def test_source_rejected_before_any_solve(self, monkeypatch, model, message):
         # a source would make the coarse map affine and different on every
-        # window, not one matrix: it is named and refused up front
+        # window, not one matrix: it is named and refused up front, and a
+        # second-order system refuses one when it is made
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the source was rejected")
 
         for name in ("fine_sequential", "propagate", "propagate_block", "alpha_circulant_factor"):
             monkeypatch.setattr(parareal_module, name, no_solve)
-        build = build_heat if model == "heat" else build_wave
-        sys = build(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0))
+        heat = build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0))
+        make = {"heat": lambda: heat,
+                "wave": lambda: dataclasses.replace(build_wave(12, 1.0 / 13, 0.2, "dirichlet"),
+                                                    source=heat.source)}[model]
         cfg = make_cfg(1.0, 4, 2, fine_method=trapezoidal(), alpha=0.1)
-        with pytest.raises(ValueError, match="systems without a source term"):
-            parareal_diag_coarse_solve(cfg, sys)
+        with pytest.raises(ValueError, match=message):
+            parareal_diag_coarse_solve(cfg, make())
 
     def test_alpha_zero_limit_one_iteration(self):
         # alpha -> 0: the head-tail coarse solver IS the fine solver
@@ -590,8 +596,8 @@ class TestCoarseCache:
     @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
                                        "heat_exact", "heat_periodic_one_left", "heat_large"])
     def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
-        # stepped: nonlinear Newton columns, a time-dependent source (SDIRK
-        # stages on a periodic run too) and a system too large for a window
+        # stepped: nonlinear Newton columns, a time-dependent source (on a
+        # periodic run too) and a system too large for a window
         # matrix; window matrices: the companion wave, SDIRK on
         # advection-diffusion and the exact exponential.  The coarse values
         # kept from the sweep before equal fresh ones.
@@ -602,7 +608,7 @@ class TestCoarseCache:
         elif model == "heat_periodic_one_left":
             n_w = 3
             sys = sourced_heat(16, "periodic")
-            cfg = make_cfg(1.0, n_w, 4, fine_method=sdirk22(), max_iter=n_w, tol=0.0)
+            cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=n_w, tol=0.0)
         elif model == "heat_exact":
             sys = heat_system(nx=40)
             cfg = make_cfg(1.0, n_w, 1, fine_method=exact_exponential(), max_iter=6, tol=0.0,

@@ -8,8 +8,8 @@ from pintlab.stmg import (
     NonlinearAllAtOnce,
     SmootherConfig,
     SpaceTimeGrid,
+    _two_level,
     block_jacobi_smooth,
-    build_two_level,
     lfa_max_high_frequency,
     lfa_rho,
     prolongation_matrix,
@@ -29,22 +29,21 @@ def heat_grid(lx=4, lt=5, ratio=8.0, nu=1.0):
 
 class TestLfa:
     def test_eta_zero_no_smoothing(self):
-        assert lfa_rho("heat", 3.0, 5.0, 0.0, 0.1, 0.1) == pytest.approx(1.0)
+        assert lfa_rho(3.0, 5.0, 0.0, 0.1, 0.1) == pytest.approx(1.0)
 
     def test_smooth_mode_untouched(self):
         # omega = xi = 0: the symbol equals one (coarse grid's job)
-        assert lfa_rho("heat", 0.0, 0.0, 0.5, 0.1, 0.1) == pytest.approx(1.0)
+        assert lfa_rho(0.0, 0.0, 0.5, 0.1, 0.1) == pytest.approx(1.0)
 
     def test_high_frequency_bound_heat(self):
         dx = 1.0 / 32
         for ratio in (1.0 / np.sqrt(2.0), 2.0, 50.0):
             dt = ratio * dx**2
-            worst = lfa_max_high_frequency("heat", 0.5, dt, dx)
+            worst = lfa_max_high_frequency(0.5, dt, dx)
             assert worst <= 1.0 / np.sqrt(2.0) + 1e-10
 
-    @pytest.mark.parametrize("equation, nu", [("heat", 1.0), ("ad", 0.3)])
     @pytest.mark.parametrize("ratio", [1.0 / np.sqrt(2.0), 2.0, 50.0])
-    def test_high_frequency_max_equals_scalar_loop(self, equation, nu, ratio):
+    def test_high_frequency_max_equals_scalar_loop(self, ratio):
         # the one grid evaluation returns the maximum of the scalar loop
         # over the same modes, bit for bit
         dx = 1.0 / 32
@@ -54,8 +53,8 @@ class TestLfa:
         for wt in thetas:
             for xd in thetas:
                 if abs(wt) > np.pi / 2 or abs(xd) > np.pi / 2:
-                    worst = max(worst, abs(lfa_rho(equation, wt / dt, xd / dx, 0.5, dt, dx, nu)))
-        got = lfa_max_high_frequency(equation, 0.5, dt, dx, nu)
+                    worst = max(worst, abs(lfa_rho(wt / dt, xd / dx, 0.5, dt, dx)))
+        got = lfa_max_high_frequency(0.5, dt, dx)
         assert np.float64(got).tobytes() == np.float64(worst).tobytes()
 
     def test_mode_injection_matches_symbol(self):
@@ -74,40 +73,12 @@ class TestLfa:
         m_idx = np.arange(nx)[None, :]
         mode = np.exp(1j * omega * n_idx * dt) * np.exp(1j * xi * m_idx * dx)
         smoothed = mode + eta * op.solve_r1(0.0 - op.apply(mode))
-        rho = lfa_rho("heat", omega, xi, eta, dt, dx)
+        rho = lfa_rho(omega, xi, eta, dt, dx)
         interior = smoothed[1:] / mode[1:]  # first row misses the u_{n-1} term
         np.testing.assert_allclose(interior, rho, atol=1e-8)
 
 
 class TestLfaAdvection:
-    def test_ad_symbol_printed_form(self):
-        # spot-check against a direct evaluation of the symbol
-        nu, dt, dx, eta = 0.3, 0.01, 0.1, 0.5
-        omega, xi = 7.0, 11.0
-        den = (1.0 + 2.0 * nu * dt / dx**2 * (1 - np.cos(xi * dx))
-               + 1j * dt / dx * np.sin(xi * dx))
-        want = 1.0 - eta * (1.0 - np.exp(-1j * omega * dt) / den)
-        got = lfa_rho("ad", omega, xi, eta, dt, dx, nu=nu)
-        assert got == pytest.approx(want, abs=1e-14)
-
-    def test_ad_mode_injection_matches_symbol(self):
-        from pintlab.models import build_advection_diffusion
-
-        nx, nt = 32, 64
-        dx = 1.0 / nx
-        dt = 2.0 * dx**2
-        nu = 0.4
-        sys = build_advection_diffusion(nx, dx, nu, "periodic")
-        op = AllAtOnce(sys, 1.0, dt, nt)
-        omega = 2 * np.pi * 6 / (nt * dt)
-        xi = 2 * np.pi * 4
-        n_idx = np.arange(1, nt + 1)[:, None]
-        m_idx = np.arange(nx)[None, :]
-        mode = np.exp(1j * omega * n_idx * dt) * np.exp(1j * xi * m_idx * dx)
-        smoothed = mode + 0.5 * op.solve_r1(-op.apply(mode))
-        rho = lfa_rho("ad", omega, xi, 0.5, dt, dx, nu=nu)
-        np.testing.assert_allclose(smoothed[1:] / mode[1:], rho, atol=1e-8)
-
     def test_ad_cycle_converges_with_more_smoothing(self):
         from pintlab.models import build_advection_diffusion
 
@@ -174,10 +145,10 @@ class TestTransfers:
 
     def test_time_only_coarsening_flag(self):
         sys, grid = heat_grid(ratio=0.5)  # dt/dx^2 < 1/sqrt(2)
-        ops = build_two_level(sys, grid, 1.0)
+        ops = _two_level(sys, grid, 1.0, AllAtOnce)
         assert not ops.coarsen_space and ops.Px is None
         sys2, grid2 = heat_grid(ratio=8.0)
-        ops2 = build_two_level(sys2, grid2, 1.0)
+        ops2 = _two_level(sys2, grid2, 1.0, AllAtOnce)
         assert ops2.coarsen_space and ops2.Px is not None
 
     @pytest.mark.parametrize("lx, coarsen", [(2, False), (3, True)])
@@ -185,7 +156,7 @@ class TestTransfers:
         # dt = 8 dx^2 asks for space coarsening, but lx = 2 would leave one
         # coarse point: that level coarsens in time only
         sys, grid = heat_grid(lx=lx, lt=4, ratio=8.0)
-        assert build_two_level(sys, grid, 1.0).coarsen_space == coarsen
+        assert _two_level(sys, grid, 1.0, AllAtOnce).coarsen_space == coarsen
         out, tr = stmg_two_level(sys, grid, SmootherConfig(eta=0.5), cycles=4)
         assert tr.meta["coarsen_space"] == coarsen
         assert np.isfinite(out).all() and tr.errors[-1] < tr.errors[0]
@@ -236,36 +207,6 @@ class TestTwoLevelCycle:
                     assert rate >= 0.9  # stalled
                 except Exception:
                     pass  # divergence guards also count as failure to converge
-
-
-class TestMultilevel:
-    def test_two_level_special_case_matches(self):
-        from pintlab.stmg import stmg_multilevel
-
-        sys, grid = heat_grid()
-        sm = SmootherConfig(eta=0.5, s1=2, s2=2)
-        out2, _ = stmg_two_level(sys, grid, sm, cycles=5)
-        outm, _ = stmg_multilevel(sys, grid, sm, cycles=5, levels=2)
-        np.testing.assert_array_equal(out2, outm)
-
-    def test_three_level_w_cycle_converges(self):
-        from pintlab.stmg import stmg_multilevel
-
-        sys, grid = heat_grid(lx=5, lt=6, ratio=8.0)
-        sm = SmootherConfig(eta=0.5, s1=2, s2=2)
-        out, tr = stmg_multilevel(sys, grid, sm, cycles=30, levels=3, gamma_cycle=2)
-        assert tr.errors[-1] <= 1e-8 * tr.errors[0]
-
-    def test_level_count_validation(self):
-        from pintlab.stmg import build_hierarchy
-
-        # space stops coarsening at 3 points (lx = 2) and time at lt = 2:
-        # five levels fit, six do not
-        sys, grid = heat_grid(lx=4, lt=5)
-        chain = build_hierarchy(sys, grid, 1.0, levels=5)
-        assert [ops.coarsen_space for ops in chain] == [True, True, False, False]
-        with pytest.raises(ValueError):
-            build_hierarchy(sys, grid, 1.0, levels=6)
 
 
 class TestFas:
@@ -335,37 +276,18 @@ class TestFas:
 
 class TestOneCyclePath:
     @pytest.mark.parametrize("lx,lt", [(4, 2), (2, 4)])
-    def test_small_grids_two_level_equals_multilevel(self, lx, lt):
-        from pintlab.stmg import stmg_multilevel
-
+    def test_small_grids_two_level_converges(self, lx, lt):
+        # a coarse level of one time step, or of one spatial point
         sys, grid = heat_grid(lx=lx, lt=lt, ratio=0.5)
-        sm = SmootherConfig(eta=0.5, s1=2, s2=2)
-        out2, tr2 = stmg_two_level(sys, grid, sm, cycles=4)
-        outm, trm = stmg_multilevel(sys, grid, sm, cycles=4, levels=2)
-        assert out2.tobytes() == outm.tobytes()
-        assert (tr2.errors, tr2.residuals) == (trm.errors, trm.residuals)
-        assert tr2.errors[-1] < tr2.errors[0]
+        _, tr = stmg_two_level(sys, grid, SmootherConfig(eta=0.5, s1=2, s2=2), cycles=4)
+        assert tr.errors[-1] < tr.errors[0]
 
-    def test_multilevel_records_residuals(self):
-        from pintlab.stmg import stmg_multilevel
-
+    def test_two_level_records_residuals(self):
         sys, grid = heat_grid(lx=5, lt=6, ratio=8.0)
         sm = SmootherConfig(eta=0.5, s1=2, s2=2)
-        _, tr = stmg_multilevel(sys, grid, sm, cycles=6, levels=3, gamma_cycle=2)
+        _, tr = stmg_two_level(sys, grid, sm, cycles=6)
         assert len(tr.residuals) == len(tr.errors) == 7
         assert tr.residuals[-1] < 1e-2 * tr.residuals[0]
-
-    def test_level_count_limited_by_coarsest_built_grid(self):
-        from pintlab.stmg import build_hierarchy
-
-        # four levels need grids only on levels 0-2 (lt = 4, 3, 2); the
-        # first pair coarsens in time only, so lx stays 5 there
-        sys, grid = heat_grid(lx=5, lt=4, ratio=0.5)
-        chain = build_hierarchy(sys, grid, 1.0, levels=4)
-        assert [ops.coarsen_space for ops in chain] == [False, True, False]
-        assert chain[-1].op_c.nt == 1
-        with pytest.raises(ValueError, match="grid too small"):
-            build_hierarchy(sys, grid, 1.0, levels=5)
 
     def test_linear_fas_trapezoidal_equals_two_level(self):
         sys, grid = heat_grid()
