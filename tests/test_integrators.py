@@ -547,7 +547,10 @@ def _paradiag1_entry(name):
         "paradiag1_direct_solve": lambda: paradiag.paradiag1_direct_solve(_nan_heat(), mesh),
         "sequential_variable_step_solve": lambda: paradiag.sequential_variable_step_solve(
             _nan_heat(), mesh),
-        "paradiag1_bvm_solve": lambda: paradiag.paradiag1_bvm_solve(_nan_wave(), 0.05, 6),
+        # the smallest mesh the BVM accepts
+        "paradiag1_bvm_solve": lambda: paradiag.paradiag1_bvm_solve(_nan_wave(), 0.05, 2),
+        "paradiag1_bvm_solve_second_order": lambda: paradiag.paradiag1_bvm_solve(
+            _nan_wave(), 0.05, 6),
     }[name]
 
 
@@ -560,7 +563,7 @@ NON_FINITE_U0_ENTRIES = (
                             "swr_solve_wave", "utp_advance")]
     + [("idc", n) for n in ("idc_run", "pfasst_two_level")]
     + [("paradiag1", n) for n in ("paradiag1_direct_solve", "sequential_variable_step_solve",
-                                  "paradiag1_bvm_solve")]
+                                  "paradiag1_bvm_solve", "paradiag1_bvm_solve_second_order")]
 )
 
 
