@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (EXPM_DENSE_MAX, ConvergenceError, expm_action, solve_poly_in_matrix,
+from .kernels import (EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, expm_action,
                       solve_shifted_banded)
 from .models import CompanionSystem, SemiDiscreteSystem
 
@@ -408,15 +408,6 @@ def apply_poly(A, coeffs, u):
     return out
 
 
-def numerov_step(sys: SemiDiscreteSystem, gamma: float, dt: float,
-                 u_prev: np.ndarray, u_curr: np.ndarray) -> np.ndarray:
-    """One step of the parametrized Numerov-type method:
-    r1 u_{n+1} = r2 u_n - r1 u_{n-1}."""
-    r1, r2 = numerov_matrices(sys, gamma, dt)
-    rhs = apply_poly(sys.A, r2, u_curr) - apply_poly(sys.A, r1, u_prev)
-    return solve_poly_in_matrix(sys.A, r1, rhs)
-
-
 def numerov_bootstrap(sys: SemiDiscreteSystem, dt: float) -> np.ndarray:
     """Second starting value from one trapezoidal step on the companion form."""
     finite_u0(sys)
@@ -428,14 +419,18 @@ def numerov_bootstrap(sys: SemiDiscreteSystem, dt: float) -> np.ndarray:
 
 def numerov_solve(sys: SemiDiscreteSystem, gamma: float, dt: float, n_steps: int,
                   u1: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sequential Numerov trajectory (n_steps+1 rows, starting at u0)."""
+    """Sequential Numerov trajectory (n_steps+1 rows, starting at u0): every
+    step solves r1 u_{n+1} = r2 u_n - r1 u_{n-1} with one QuadraticPlan."""
+    if n_steps < 1:
+        raise ValueError(f"numerov_solve needs n_steps >= 1, got {n_steps}")
     out = np.empty((n_steps + 1, sys.n))
     out[0] = sys.u0
-    if n_steps == 0:
-        return out
     out[1] = numerov_bootstrap(sys, dt) if u1 is None else u1
+    r1, r2 = numerov_matrices(sys, gamma, dt)
+    plan = QuadraticPlan(sys.A, r1)
     for n in range(1, n_steps):
-        out[n + 1] = numerov_step(sys, gamma, dt, out[n - 1], out[n])
+        rhs = apply_poly(sys.A, r2, out[n]) - apply_poly(sys.A, r1, out[n - 1])
+        out[n + 1] = plan.solve(rhs)
     return out
 
 

@@ -16,7 +16,8 @@ solution.  Each :class:`BandedMatrix` keeps the data derived
 from it (shifted factorizations, exponentials) on itself, so a plan made
 again for the same operator and shifts finds the factorization there, and
 the data goes when the matrix does.  :func:`solve_shifted_banded` is a
-one-shot plan that keeps nothing.
+one-shot plan that keeps nothing.  Quadratics in A (the Numerov pair) are
+solved by a :class:`QuadraticPlan`, factored once when it is made.
 """
 
 from __future__ import annotations
@@ -150,15 +151,15 @@ class BandedMatrix:
 
     def add(self, other: "BandedMatrix", u=None) -> "BandedMatrix":
         """self + other, or self + other @ diag(u); a block ``u`` of shape
-        (n, k) gives the stack of the k matrices self + other @ diag(u[:, j])."""
+        (n, k) gives the stack of the k matrices self + other @ diag(u[:, j]).
+        Both bands must be periodic or neither."""
         d, lo, up, ct, cb = other.diag, other.lower, other.upper, other.corner_top, other.corner_bottom
         if u is not None:
             d, lo, up = d * u.T, lo * u[:-1].T, up * u[1:].T
             ct, cb = (None, None) if ct is None else (ct * u[-1], cb * u[0])
         if self.periodic != other.periodic:
-            # mixed case: keep the corners that exist
-            ct, cb = (self.corner_top, self.corner_bottom) if self.periodic else (ct, cb)
-        elif self.periodic:
+            raise ValueError("cannot add a periodic and a non-periodic band")
+        if self.periodic:
             ct, cb = self.corner_top + ct, self.corner_bottom + cb
         return BandedMatrix(self.diag + d, self.lower + lo, self.upper + up, ct, cb)
 
@@ -420,56 +421,63 @@ def _factor_shifted(A, a, b, dtype, periodic):
     return lu, z, cap, gesv
 
 
-def solve_poly_in_matrix(A: BandedMatrix, coeffs, rhs: np.ndarray) -> np.ndarray:
-    """Solve (c0*I + c1*A + c2*A^2 + ...) x = rhs.
-
-    Degree <= 1 dispatches to the shifted tridiagonal solver.  Degree 2
-    without periodic corners is solved as one pentadiagonal system; the
-    periodic quadratic case falls back to a dense solve (desk scale only).
+class QuadraticPlan:
+    """The systems (c0[j]*I + c1[j]*A + c2[j]*A^2) x[j] = r[j] of one banded
+    ``A``, factored once.  Scalar ``coeffs`` = (c0, c1, c2) make a plan for
+    one system, whose ``solve`` takes ``(n,)`` or ``(n, k)``; arrays of J
+    make one for J systems, ``(J, n)`` or ``(J, n, k)``.  As in
+    :class:`ShiftPlan`, the J (here pentadiagonal) systems are stacked into
+    one band with zero coupling and factored by LAPACK gbtrf; a zero pivot
+    raises SingularSystemError.  gbsv is gbtrf then gbtrs, and gbtrf runs
+    unblocked at kl = 2, so each solve, one gbtrs, gives every x[j] bit for
+    bit as ``scipy.linalg.solve_banded((2, 2), ...)`` on its system alone.
+    Periodic ``A`` keeps J dense matrices for a batched ``np.linalg.solve``
+    (desk scale only).  A non-finite solution raises SingularSystemError.
     """
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) == 1:
-        return solve_shifted_banded(A, (coeffs[0], 0.0), rhs)
-    if len(coeffs) == 2:
-        return solve_shifted_banded(A, (coeffs[0], -coeffs[1]), rhs)
-    if len(coeffs) > 3 or A.periodic:
-        dense = sum(
-            c * np.linalg.matrix_power(A.to_dense(), k) for k, c in enumerate(coeffs)
-        )
-        try:
-            return np.linalg.solve(dense, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-    c0, c1, c2 = coeffs
-    n = A.n
-    dtype = np.result_type(A.diag, np.asarray(c0), np.asarray(c1), np.asarray(c2), rhs)
-    dl1 = A.lower.astype(dtype)
-    d = A.diag.astype(dtype)
-    du1 = A.upper.astype(dtype)
-    # bands of A^2 for a plain tridiagonal A
-    sq_d = np.zeros(n, dtype=dtype)
-    sq_d[:] = d * d
-    sq_d[:-1] += du1 * dl1
-    sq_d[1:] += dl1 * du1
-    sq_l1 = dl1 * (d[:-1] + d[1:])
-    sq_u1 = du1 * (d[:-1] + d[1:])
-    sq_l2 = dl1[1:] * dl1[:-1]
-    sq_u2 = du1[:-1] * du1[1:]
-    ab = np.zeros((5, n), dtype=dtype)
-    ab[0, 2:] = c2 * sq_u2
-    ab[1, 1:] = c1 * du1 + c2 * sq_u1
-    ab[2, :] = c0 + c1 * d + c2 * sq_d
-    ab[3, :-1] = c1 * dl1 + c2 * sq_l1
-    ab[4, :-2] = c2 * sq_l2
-    try:
-        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("non-finite solution from pentadiagonal solve")
-    return x
+
+    _dense = None  # the dense matrices of a periodic A
+
+    def __init__(self, A: BandedMatrix, coeffs):
+        c0, c1, c2 = (np.asarray(c).reshape(-1, 1) for c in coeffs)
+        self._shape = J, n = c0.shape[0], A.n
+        dtype = np.result_type(A.diag, c0, c1, c2)
+        if A.periodic:
+            D = A.to_dense()
+            self._dense = c0[:, :, None] * np.eye(n) + c1[:, :, None] * D + c2[:, :, None] * (D @ D)
+            return
+        dl1, d, du1 = (v.astype(dtype) for v in (A.lower, A.diag, A.upper))
+        # bands of A^2 for a plain tridiagonal A
+        sq_d = d * d
+        sq_d[:-1] += du1 * dl1
+        sq_d[1:] += dl1 * du1
+        # LAPACK band layout per system, rows 0-1 left for gbtrf's fill-in
+        ab = np.zeros((7, J, n), dtype=dtype)
+        ab[2, :, 2:] = c2 * (du1[:-1] * du1[1:])
+        ab[3, :, 1:] = c1 * du1 + c2 * (du1 * (d[:-1] + d[1:]))
+        ab[4] = c0 + c1 * d + c2 * sq_d
+        ab[5, :, :-1] = c1 * dl1 + c2 * (dl1 * (d[:-1] + d[1:]))
+        ab[6, :, :-2] = c2 * (dl1[1:] * dl1[:-1])
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._lu, self._piv, info = gbtrf(ab.reshape(7, -1), 2, 2, overwrite_ab=True)
+        if info > 0:
+            j, row = divmod(info - 1, n)
+            raise SingularSystemError(f"singular quadratic system {j} (zero pivot in its row {row})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (c0[j]*I + c1[j]*A + c2[j]*A^2) x[j] = rhs[j]."""
+        J, n = self._shape
+        if self._dense is not None:
+            try:
+                x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(str(exc)) from exc
+        elif not np.can_cast(rhs.dtype, self._lu.dtype):
+            raise TypeError(f"{rhs.dtype} right-hand side for a {self._lu.dtype} quadratic plan")
+        else:
+            x = self._gbtrs(self._lu, 2, 2, rhs.reshape(J * n, -1), self._piv)[0]
+        if not np.isfinite(x).all():
+            raise SingularSystemError("non-finite solution from quadratic solve")
+        return x.reshape(rhs.shape)
 
 
 def dft(v: np.ndarray) -> np.ndarray:

@@ -153,10 +153,10 @@ class SemiDiscreteSystem:
         return out
 
     def jacobian(self, u: np.ndarray) -> BandedMatrix:
-        """d f / d u as a banded matrix (A + 2 B diag(u)); for a block u of
-        shape (n, k), the stack of the k column Jacobians."""
+        """d f / d u of a nonlinear system as a banded matrix (A + 2 B diag(u));
+        for a block u of shape (n, k), the stack of the k column Jacobians."""
         if self.B is None:
-            return self.A
+            raise ValueError("jacobian takes a nonlinear system; a linear system's Jacobian is A")
         return self.A.add(self.B, 2.0 * u)
 
     # Linear part A, in the operator interface CompanionSystem shares.

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (SingularSystemError, dense_of, dft, idft, solve_poly_in_matrix,
+from .kernels import (QuadraticPlan, SingularSystemError, dense_of, dft, idft,
                       solve_shifted_banded)
 from .integrators import AllAtOnce, NumerovAllAtOnce, finite_u0, named_theta
 from .trace import IterationTrace
@@ -269,17 +269,14 @@ def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
     d1, d2 = fac.eigenvalues, fac2.eigenvalues
     # block coefficients of A^j: (d1 r1_j - d2 r2_j) tau^j
     coeffs = [(d1 * p - d2 * q) * op.tau**j for j, (p, q) in enumerate(zip(*op.polys))]
-    if len(coeffs) == 2:  # linear: one batched shift plan, else a solve per mode
-        block_solve = sys.shift_plan(coeffs[0], -coeffs[1]).solve
-    else:
-        def block_solve(Ra):
-            return np.stack([solve_poly_in_matrix(sys.A, tuple(c[n] for c in coeffs), Ra[n])
-                             for n in range(n_t)])
 
     def solve(R):
-        return fac.from_eigenbasis(block_solve(fac.to_eigenbasis(R.astype(complex))))
+        return fac.from_eigenbasis(plan.solve(fac.to_eigenbasis(R.astype(complex))))
 
     try:
+        # theta: one batched shift plan; Numerov: one stacked quadratic plan
+        plan = (sys.shift_plan(coeffs[0], -coeffs[1]) if len(coeffs) == 2
+                else QuadraticPlan(sys.A, coeffs))
         solve(b)  # fail fast on singular blocks
     except SingularSystemError as exc:
         raise SingularSystemError(

@@ -166,8 +166,8 @@ GATED_BY_C15 = "gated by C15: test_criterion_c15_property_suites runs it"
 C15_PADDING = "gated by C15: the n < 3 tridiagonal padding, on its random 2-11-unknown systems"
 SDIRK_REFERENCE = "SDIRK22's stability function: tests check SDIRK22 steps against it"
 EXACT_METHOD = "the exact-exponential propagator, a method the caller chooses"
-POLY_SOLVE = "ROADMAP item 2 deletes this function"
 SPARSE_EXPM = "expm_action above EXPM_DENSE_MAX = 512 unknowns"
+PERIODIC_QUADRATIC = "the dense quadratic solve of a periodic A: every Numerov run is Dirichlet"
 STEPPED = "stepped propagation: Burgers, sourced systems and n > 512 have no window matrix"
 TOL_BREAK = "convergence break on tol: every experiment runs a fixed iteration count"
 OWN_ORACLE = "no oracle given: the solver makes its own, as the paraexp tests call it"
@@ -192,11 +192,7 @@ LINES_ALLOWED = {
     ("integrators", "_step_nonlinear", "k2 = sys.f(y2, t2)"): GATED_BY_C15,
     ("integrators", "_step_nonlinear", "return U + dt * (b1 * k1 + b2 * k2)"): GATED_BY_C15,
     ("integrators", "OneStepMethod.__str__", "return self.name"): "test ids name a method by it",
-    ("integrators", "numerov_solve", "return out"): "n_steps = 0: the trajectory is u0 alone",
     ("kernels", "BandedMatrix.__matmul__", "return self.matvec(v)"): "A @ v, which tests write",
-    ("kernels", "BandedMatrix.add",
-     "ct, cb = (self.corner_top, self.corner_bottom) if self.periodic else (ct, cb)"):
-        "the sum of a periodic and a non-periodic band",
     ("kernels", "StackedTridiagonalLU._factor", "pad = np.zeros(3 - self._n)"): C15_PADDING,
     ("kernels", "StackedTridiagonalLU._factor",
      "lower, diag, upper = (np.concatenate((v, pad + z)) for v, z in"): C15_PADDING,
@@ -211,18 +207,14 @@ LINES_ALLOWED = {
      "rhs = np.concatenate((rhs, np.zeros((3 - self._n,) + rhs.shape[1:])))"): C15_PADDING,
     ("kernels", "StackedTridiagonalLU.solve", "return self._gttrs(*self._factors, rhs)[0][: self._n]"):
         C15_PADDING,
-    ("kernels", "solve_poly_in_matrix", "coeffs.pop()"): POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix", "return solve_shifted_banded(A, (coeffs[0], 0.0), rhs)"):
-        POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix", "return solve_shifted_banded(A, (coeffs[0], -coeffs[1]), rhs)"):
-        POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix", "dense = sum("): POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix",
-     "c * np.linalg.matrix_power(A.to_dense(), k) for k, c in enumerate(coeffs)"): POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix.<locals>.<genexpr>",
-     "c * np.linalg.matrix_power(A.to_dense(), k) for k, c in enumerate(coeffs)"): POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix", "try:"): POLY_SOLVE,
-    ("kernels", "solve_poly_in_matrix", "return np.linalg.solve(dense, rhs)"): POLY_SOLVE,
+    ("kernels", "QuadraticPlan.__init__", "D = A.to_dense()"): PERIODIC_QUADRATIC,
+    ("kernels", "QuadraticPlan.__init__",
+     "self._dense = c0[:, :, None] * np.eye(n) + c1[:, :, None] * D + c2[:, :, None] * (D @ D)"):
+        PERIODIC_QUADRATIC,
+    ("kernels", "QuadraticPlan.__init__", "return"): PERIODIC_QUADRATIC,
+    ("kernels", "QuadraticPlan.solve", "try:"): PERIODIC_QUADRATIC,
+    ("kernels", "QuadraticPlan.solve",
+     "x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))"): PERIODIC_QUADRATIC,
     ("kernels", "expm_action", "return _finite(scipy.sparse.linalg.expm_multiply(t * M, v))"):
         SPARSE_EXPM,
     ("kernels", "expm_action",
@@ -233,8 +225,6 @@ LINES_ALLOWED = {
         "a source in f: Burgers keeps its tested source",
     ("models", "SemiDiscreteSystem.f", "out = out + (gval[:, None] if gval.ndim < u.ndim else gval)"):
         "a source in f: Burgers keeps its tested source",
-    ("models", "SemiDiscreteSystem.jacobian", "return self.A"):
-        "the Jacobian of a linear system; the experiments run Newton on nonlinear ones",
     ("paradiag", "_phi_log", "return 2.0 * math.lgamma((n_t - 1) / 2 + 1)"):
         "odd n_t, which the caller chooses; C4 takes even ones",
     ("paraexp", "paraexp_nonlinear_iterate",

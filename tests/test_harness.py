@@ -221,9 +221,11 @@ class TestBenchmarkNames:
     name that no longer resolves silently reads 0: every pintlab function
     it names must still be defined where it says."""
 
-    # rows that read 0 by design: the solver thread pool, GMRES and the
-    # one-shot companion solve were deleted
-    GONE = {"pool.make_pmap", "kernels.gmres", "models.CompanionSystem.solve_shift"}
+    # rows that read 0 by design: the solver thread pool, GMRES, the
+    # one-shot companion solve and the per-system quadratic solve (now
+    # kernels.QuadraticPlan) were deleted
+    GONE = {"pool.make_pmap", "kernels.gmres", "models.CompanionSystem.solve_shift",
+            "kernels.solve_poly_in_matrix"}
 
     @staticmethod
     def reported_functions():

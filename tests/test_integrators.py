@@ -14,7 +14,6 @@ from pintlab.integrators import (
     exact_exponential,
     named_theta,
     numerov_solve,
-    numerov_step,
     propagate,
     propagate_block,
     sdirk22,
@@ -408,9 +407,22 @@ class TestNumerov:
         nx = 5
         sys = build_wave(nx, 0.2, 0.0, "dirichlet")
         rng = np.random.default_rng(8)
-        up, uc = rng.standard_normal(nx), rng.standard_normal(nx)
-        nxt = numerov_step(sys, 1.0 / 120.0, 0.1, up, uc)
-        np.testing.assert_allclose(nxt, 2 * uc - up, atol=1e-14)
+        sys.u0[:], uc = rng.standard_normal(nx), rng.standard_normal(nx)
+        nxt = numerov_solve(sys, 1.0 / 120.0, 0.1, 2, u1=uc)[2]
+        np.testing.assert_allclose(nxt, 2 * uc - sys.u0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError, match=f"n_steps >= 1, got {n_steps}"):
+            numerov_solve(build_wave(5, 0.2, 1.0, "dirichlet"), 1.0 / 120.0, 0.1, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [2, 30])
+    def test_factors_once_per_solve(self, n_steps, gbtrf_calls):
+        sys = build_wave(6, 1.0 / 7, 1.0, "dirichlet")
+        sys.u0[:] = np.sin(np.pi * sys.x)
+        for solves in (1, 2):
+            numerov_solve(sys, 1.0 / 120.0, 0.05, n_steps)
+            assert len(gbtrf_calls) == solves
 
     def test_unconditional_stability_threshold(self):
         # scalar A = -omega^2: |r1^{-1} r2| <= 2 for all dt^2*omega^2 iff gamma >= 1/120

@@ -9,6 +9,7 @@ from pintlab import kernels
 from pintlab.kernels import (
     EXPM_DENSE_MAX,
     BandedMatrix,
+    QuadraticPlan,
     ShiftPlan,
     SingularSystemError,
     StackedTridiagonalLU,
@@ -17,7 +18,6 @@ from pintlab.kernels import (
     dft,
     expm_action,
     idft,
-    solve_poly_in_matrix,
     solve_shifted_banded,
 )
 from pintlab.models import CompanionSystem, build_heat, build_wave
@@ -230,9 +230,8 @@ class TestShiftedFactorCache:
         for _ in range(2):
             assert solve_shifted_banded(A, (1.5, 0.4), r).tobytes() == expected.tobytes()
             assert ShiftPlan(A, 1.5, 0.4).solve(r).tobytes() == expected.tobytes()
-            assert solve_poly_in_matrix(A, (1.5, -0.4), r).tobytes() == expected.tobytes()
             assert not A._factors
-        assert len(built) == 7  # every one-shot solve factors afresh
+        assert len(built) == 5  # every one-shot solve factors afresh
 
     def test_store_freed_with_its_operator(self):
         # nothing stored refers back to the operator: dropping the last
@@ -629,6 +628,15 @@ class TestMatvec:
             assert (A @ data).tobytes() == matvec_loop(A, data).tobytes()
 
 
+@pytest.mark.parametrize("periodic_first", [True, False])
+def test_add_of_periodic_and_plain_band_rejected(periodic_first):
+    rng = np.random.default_rng(9)
+    bands = [random_banded(rng, 6, periodic=True), random_banded(rng, 6)]
+    first, second = bands if periodic_first else bands[::-1]
+    with pytest.raises(ValueError, match="periodic and a non-periodic band"):
+        first.add(second, np.ones(6))
+
+
 class TestSolveShiftedBanded:
     def test_identity_solve(self):
         rng = np.random.default_rng(0)
@@ -744,30 +752,82 @@ class TestStackedTridiagonalLU:
             StackedTridiagonalLU(blocks, "block")
 
 
-class TestPolySolve:
-    def test_quadratic_matches_dense(self):
-        rng = np.random.default_rng(5)
-        A = random_banded(rng, 10)
-        rhs = rng.standard_normal(10)
-        coeffs = (1.0, -0.2, 0.05)
-        dense = np.eye(10) - 0.2 * A.to_dense() + 0.05 * np.linalg.matrix_power(A.to_dense(), 2)
-        np.testing.assert_allclose(
-            solve_poly_in_matrix(A, coeffs, rhs), np.linalg.solve(dense, rhs), atol=1e-10
-        )
+def quadratic_band(A, c0, c1, c2):
+    """Reference: the (5, n) band of c0 I + c1 A + c2 A^2 for
+    ``scipy.linalg.solve_banded((2, 2), ...)``, built from scalar
+    coefficients as the one-system pentadiagonal solve built it."""
+    dtype = np.result_type(A.diag, c0, c1, c2)
+    dl, d, du = (v.astype(dtype) for v in (A.lower, A.diag, A.upper))
+    sq_d = d * d
+    sq_d[:-1] += du * dl
+    sq_d[1:] += dl * du
+    ab = np.zeros((5, A.n), dtype=dtype)
+    ab[0, 2:] = c2 * (du[:-1] * du[1:])
+    ab[1, 1:] = c1 * du + c2 * (du * (d[:-1] + d[1:]))
+    ab[2] = c0 + c1 * d + c2 * sq_d
+    ab[3, :-1] = c1 * dl + c2 * (dl * (d[:-1] + d[1:]))
+    ab[4, :-2] = c2 * (dl[1:] * dl[:-1])
+    return ab
 
-    def test_quadratic_complex_periodic_dense_fallback(self):
-        A = periodic_laplacian_stencil(6)
+
+def dense_quadratic(A, c0, c1, c2):
+    D = A.to_dense()
+    return c0 * np.eye(A.n) + c1 * D + c2 * np.linalg.matrix_power(D, 2)
+
+
+class TestQuadraticPlan:
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [None, 3], ids=["vectors", "blocks"])
+    def test_stacked_solves_equal_each_system_alone(self, complex_data, k):
+        rng = np.random.default_rng(5)
+        J, n = 6, 10
+        A = random_banded(rng, n)
+        coeffs = [1.0 + rng.random(J), -0.2 * rng.random(J), 0.05 * rng.random(J)]
+        shape = (J, n) if k is None else (J, n, k)
+        rhs = rng.standard_normal(shape)
+        if complex_data:
+            coeffs = [c + 0.3j * rng.standard_normal(J) for c in coeffs]
+            rhs = rhs + 1j * rng.standard_normal(shape)
+        x = QuadraticPlan(A, coeffs).solve(rhs)
+        assert x.shape == shape
+        for j in range(J):
+            c = [c[j] for c in coeffs]
+            alone = scipy.linalg.solve_banded((2, 2), quadratic_band(A, *c), rhs[j])
+            assert x[j].tobytes() == alone.tobytes()
+            np.testing.assert_allclose(x[j], np.linalg.solve(dense_quadratic(A, *c), rhs[j]),
+                                       atol=1e-10)
+
+    def test_scalar_coefficients_solve_one_system(self):
         rng = np.random.default_rng(6)
-        rhs = rng.standard_normal(6)
-        coeffs = (1.0 + 0.3j, -0.1, 0.02j)
-        dense = (
-            coeffs[0] * np.eye(6)
-            + coeffs[1] * A.to_dense()
-            + coeffs[2] * np.linalg.matrix_power(A.to_dense(), 2)
-        )
-        np.testing.assert_allclose(
-            solve_poly_in_matrix(A, coeffs, rhs), np.linalg.solve(dense, rhs), atol=1e-11
-        )
+        A = random_banded(rng, 7)
+        coeffs = (1.0, -0.2, 0.05)
+        plan = QuadraticPlan(A, coeffs)
+        for rhs in (rng.standard_normal(7), rng.standard_normal((7, 2))):
+            expected = scipy.linalg.solve_banded((2, 2), quadratic_band(A, *coeffs), rhs)
+            assert plan.solve(rhs).tobytes() == expected.tobytes()
+
+    def test_singular_quadratic_raises_when_made(self):
+        # (I - A)^2 with A = I is the zero matrix
+        n = 5
+        A = BandedMatrix(np.ones(n), np.zeros(n - 1), np.zeros(n - 1))
+        with pytest.raises(SingularSystemError, match="singular quadratic system 1 .*row 0"):
+            QuadraticPlan(A, (np.array([2.0, 1.0]), np.array([0.1, -2.0]), np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("k", [None, 2], ids=["vectors", "blocks"])
+    def test_periodic_matches_dense_solve(self, k):
+        A = periodic_laplacian_stencil(6)
+        rng = np.random.default_rng(7)
+        coeffs = [np.array([1.0 + 0.3j, 2.0]), np.array([-0.1, 0.2j]), np.array([0.02j, 0.01])]
+        rhs = rng.standard_normal((2, 6) if k is None else (2, 6, k))
+        x = QuadraticPlan(A, coeffs).solve(rhs)
+        for j in range(2):
+            dense = dense_quadratic(A, *(c[j] for c in coeffs))
+            np.testing.assert_allclose(x[j], np.linalg.solve(dense, rhs[j]), atol=1e-11)
+
+    def test_complex_data_for_a_real_plan_rejected(self):
+        A = random_banded(np.random.default_rng(8), 5)
+        with pytest.raises(TypeError, match="complex128 right-hand side for a float64"):
+            QuadraticPlan(A, (1.0, -0.2, 0.05)).solve(np.ones(5) + 1j)
 
 
 class TestDft:

@@ -98,6 +98,11 @@ class TestBurgers:
             J_fd[:, j] = (sys.f(u + e, 0.0) - sys.f(u - e, 0.0)) / (2 * eps)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6)
 
+    def test_jacobian_of_a_linear_system_rejected(self):
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        with pytest.raises(ValueError, match="nonlinear system; a linear system's Jacobian is A"):
+            sys.jacobian(np.ones(8))
+
     def test_conservation_of_discrete_integral(self):
         nx = 12
         sys = build_burgers(nx, 1.0 / nx, 0.1, "periodic")

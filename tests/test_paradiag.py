@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from test_kernels import quadratic_band
 
 import pintlab.paradiag as paradiag_module
 from pintlab.integrators import AllAtOnce, apply_poly, named_theta, numerov_matrices
@@ -500,6 +502,39 @@ class TestBatchedSolveBitwise:
         ref = fac_I.from_eigenbasis(Rb)
         assert got.dtype == np.complex128
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_numerov_precond_solve(self, alpha):
+        # C6's wave system: one solve_banded per Fourier mode, each band
+        # built from that mode's scalar coefficients, is the reference
+        wave = build_wave(8, 1.0 / 9, 1.0, "dirichlet")
+        wave.u0[:] = np.sin(2 * np.pi * wave.x)
+        n_t = 16
+        op, b, precond_solve = paradiag_module._preconditioned(
+            wave, "numerov", alpha, 0.05, n_t, 1.0 / 120.0)
+        fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)
+        d1, d2 = fac.eigenvalues, fac2.eigenvalues
+        coeffs = [(d1 * p - d2 * q) * op.tau**j for j, (p, q) in enumerate(zip(*op.polys))]
+
+        def per_mode(R):
+            Ra = fac.to_eigenbasis(R.astype(complex))
+            return fac.from_eigenbasis(np.stack([
+                scipy.linalg.solve_banded((2, 2), quadratic_band(wave.A, *(c[n] for c in coeffs)),
+                                          Ra[n]) for n in range(n_t)]))
+
+        N = n_t * wave.n
+        residual = b - op.apply(np.random.default_rng(4).standard_normal(b.shape))
+        for R in (b, residual, op.apply(np.eye(N).reshape(n_t, wave.n, N))):
+            assert precond_solve(R).tobytes() == per_mode(R).tobytes()
+
+    @pytest.mark.parametrize("max_iter", [1, 12])
+    def test_numerov_precond_factors_once(self, max_iter, gbtrf_calls):
+        _, trace = paradiag2_solve(wave_sine(nx=8), "numerov", 0.1, 0.05, 16, tol=0.0,
+                                   max_iter=max_iter)
+        assert trace.iterations == max_iter and len(gbtrf_calls) == 1
+        dense_preconditioned_operator(wave_sine(nx=8), "numerov", 0.1, 0.05, 16)
+        assert len(gbtrf_calls) == 2
+
 
 class _RowByRowAllAtOnce(AllAtOnce):
     """Reference: ParaDiag II's own per-row theta operator (r1, r2, apply,
