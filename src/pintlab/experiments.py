@@ -61,6 +61,34 @@ def _parareal_cfg(T, n_w, J, fine="backward_euler", coarse="backward_euler", **k
     )
 
 
+def _modes(A):
+    """(lam, Q) with A = Q diag(lam) Q^T, for a symmetric spatial matrix A
+    (a non-symmetric one is a ValueError).  ``np.linalg.eig``, which the
+    suite already loads, where ``eigh`` would add to its peak memory."""
+    D = A.to_dense()
+    if not np.array_equal(D, D.T):
+        raise ValueError("the mode split needs a symmetric spatial matrix A")
+    return np.linalg.eig(D)
+
+
+def _spectral_radius_by_mode(M, A):
+    """Spectral radius of an (n_t n) x (n_t n) matrix M over (time, space)
+    whose time matrices act on each eigenmode of the symmetric A alone:
+    (I (x) Q^T) M (I (x) Q) is then n diagonal n_t x n_t blocks, whose
+    eigenvalues one batched ``eigvals`` gives.  Off-diagonal blocks above
+    1e-12 max|M| (a coupling between modes) raise ValueError."""
+    _, Q = _modes(A)
+    n = len(Q)
+    n_t = len(M) // n
+    # B[s, t] = Q^T M_st Q for the (s, t) space block M_st
+    B = Q.T @ (M.reshape(n_t, n, n_t, n) @ Q).transpose(0, 2, 1, 3)
+    coupling = float(np.abs(B[:, :, ~np.eye(n, dtype=bool)]).max())
+    if coupling > 1e-12 * np.abs(M).max():
+        raise ValueError(f"M couples the eigenmodes of A: off-diagonal blocks reach {coupling:.1e}")
+    blocks = np.moveaxis(B.diagonal(axis1=2, axis2=3), -1, 0)
+    return float(np.abs(np.linalg.eigvals(blocks)).max())
+
+
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
@@ -146,19 +174,17 @@ def run_paradiag1_geometric(seed=0):
         rows.append({"check": "oracle_equivalence", "n_t": n_t, "rel_error": rel})
         checks.append((f"oracle_match_nt{n_t}", rel <= 1e-8,
                        f"relative gap to sequential solve: {rel:.2e}"))
-    # a dense array keeps none of the 288 one-off exponentials below
-    A_dense = sys.A.to_dense()
-    lam_max = float(np.abs(np.linalg.eigvals(A_dense)).max())
+    lam, Q = _modes(sys.A)
+    lam_max = float(np.abs(lam).max())
+    u0_modes = Q.T @ sys.u0
     errs = {}
     for n_t in (32, 256):
         rho = paradiag.rho_opt_first_order(n_t, 0.5, lam_max)
         mesh = paradiag.GeometricTimeMesh(T=0.5, n_t=n_t, rho=rho)
         direct = paradiag.paradiag1_direct_solve(sys, mesh)
-        w, err, tprev = sys.u0.copy(), 0.0, 0.0
-        for n, t in enumerate(mesh.times[1:], start=1):
-            w = expm_action(A_dense, t - tprev, w)
-            tprev = t
-            err = max(err, float(np.abs(direct[n] - w).max()))
+        # the exact solution at every mesh time, each mode decaying alone
+        exact = (np.exp(np.outer(mesh.times[1:], lam)) * u0_modes) @ Q.T
+        err = float(np.abs(direct[1:] - exact).max())
         errs[n_t] = err
         rows.append({"check": "roundoff_blowup", "n_t": n_t, "err_vs_exact": err})
     checks.append(("roundoff_blowup_10x", errs[256] >= 10 * errs[32],
@@ -221,8 +247,7 @@ def run_paradiag2_contraction(seed=0):
         for sysname, s, integ, dt in (("heat", heat, "trapezoidal", 0.02),
                                       ("wave", wave, "numerov", 0.05)):
             PK = paradiag.dense_preconditioned_operator(s, integ, alpha, dt, 16)
-            M = np.eye(PK.shape[0]) - PK
-            rho = float(np.abs(np.linalg.eigvals(M)).max())
+            rho = _spectral_radius_by_mode(np.eye(PK.shape[0]) - PK, s.A)
             rows.append({"alpha": alpha, "model": sysname, "spectral_radius": rho})
             checks.append((f"rho_{sysname}_alpha_{alpha}", rho <= bound + 1e-8,
                            f"rho(I - P^-1 K) = {rho:.4f} <= {bound:.4f}"))

@@ -500,22 +500,19 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     """exp(t*A) @ v for a vector ``(n,)`` or block of columns ``(n, k)``.
 
     ``A`` is an operator with ``n``, ``expm_key``, ``to_dense()`` and
-    ``to_sparse()`` (BandedMatrix, SemiDiscreteSystem, CompanionSystem) or a
-    dense array.
+    ``to_sparse()`` (BandedMatrix, SemiDiscreteSystem, CompanionSystem); any
+    other ``A``, a plain array included, raises TypeError.
     Up to n = EXPM_DENSE_MAX the dense exponential ``scipy.linalg.expm(t*A)``
-    is applied.  For operators it is kept on the banded matrix that
-    ``expm_key`` names, under the key's tag and the exact ``t``, so every
-    call with the same operator and step does the same product, and the
-    exponentials are freed with that matrix.  Dense arrays keep nothing.
-    Larger operators use ``expm_multiply`` (Al-Mohy & Higham 2011) on a
-    sparse copy.  A non-finite result raises FloatingPointError and keeps
-    nothing.
+    is applied and kept on the banded matrix that ``expm_key`` names, under
+    the key's tag and the exact ``t``, so every call with the same operator
+    and step does the same product, and the exponentials are freed with
+    that matrix.  Larger operators use ``expm_multiply`` (Al-Mohy & Higham
+    2011) on a sparse copy.  A non-finite result raises FloatingPointError
+    and keeps nothing.
     """
     if not hasattr(A, "expm_key"):
-        M = np.atleast_2d(np.asarray(A))
-        if M.shape[0] > EXPM_DENSE_MAX:
-            return _finite(scipy.sparse.linalg.expm_multiply(t * M, v))
-        return _finite(scipy.linalg.expm(t * M)) @ v
+        raise TypeError("expm_action takes an operator with expm_key (BandedMatrix, "
+                        f"SemiDiscreteSystem, CompanionSystem), got {type(A).__name__}")
     if A.n > EXPM_DENSE_MAX:
         return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))
     band, tag = A.expm_key

@@ -215,8 +215,6 @@ LINES_ALLOWED = {
     ("kernels", "QuadraticPlan.solve", "try:"): PERIODIC_QUADRATIC,
     ("kernels", "QuadraticPlan.solve",
      "x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))"): PERIODIC_QUADRATIC,
-    ("kernels", "expm_action", "return _finite(scipy.sparse.linalg.expm_multiply(t * M, v))"):
-        SPARSE_EXPM,
     ("kernels", "expm_action",
      "return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))"): SPARSE_EXPM,
     ("models", "second_difference_stencil", "diag[0] = diag[-1] = -1.0"):

@@ -869,21 +869,24 @@ class TestExpmAction:
         np.testing.assert_array_equal(expm_action(A, 0.0, v), v)
 
     def test_scalar(self):
-        A = np.array([[-2.0]])
+        A = BandedMatrix(np.array([-2.0]), np.zeros(0), np.zeros(0))
         np.testing.assert_allclose(
             expm_action(A, 1.0, np.array([1.0])), [np.exp(-2.0)], rtol=1e-12
         )
 
     def test_dense_symmetric_against_scipy(self):
-        import scipy.linalg
-
+        # a symmetric negative definite band against scipy's dense expm
         rng = np.random.default_rng(11)
-        M = rng.standard_normal((6, 6))
-        A = -(M @ M.T) - np.eye(6)
+        off = rng.standard_normal(5)
+        A = BandedMatrix(-(np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])) - 1.0, off, off)
         v = rng.standard_normal(6)
-        expected = scipy.linalg.expm(0.5 * A) @ v
+        expected = scipy.linalg.expm(0.5 * A.to_dense()) @ v
         got = expm_action(A, 0.5, v)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-13)
+
+    def test_plain_array_raises(self):
+        with pytest.raises(TypeError, match="operator with expm_key.*got ndarray"):
+            expm_action(np.diag([-2.0, -1.0]), 1.0, np.ones(2))
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(12)
@@ -905,12 +908,11 @@ class TestExpmAction:
                                        rtol=1e-10, atol=1e-12)
 
     def test_non_finite_exponential_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            expm_action(np.diag([1e4, -1.0]), 1.0, np.ones(2))
-        A = BandedMatrix(np.array([1e4, -1.0]), np.zeros(1), np.zeros(1))
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            expm_action(A, 1.0, np.ones(2))
-        assert not A._expms
+        for A in (BandedMatrix(np.array([1e4, -1.0]), np.ones(1), np.ones(1)),
+                  BandedMatrix(np.array([1e4, -1.0]), np.zeros(1), np.zeros(1))):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+                expm_action(A, 1.0, np.ones(2))
+            assert not A._expms
 
     def test_exponential_kept_on_its_operator(self, monkeypatch):
         made = []
@@ -927,8 +929,10 @@ class TestExpmAction:
         assert len(made) == 3
         assert sorted(sys.A._expms, key=str) == sorted(
             [(None, 0.3), ("companion", 0.3), (None, 0.1 + 0.2)], key=str)
-        expm_action(sys.A.to_dense(), 0.3, v)  # dense arrays keep nothing
-        assert len(made) == 4
+        copy = BandedMatrix(sys.A.diag, sys.A.lower, sys.A.upper,
+                            sys.A.corner_top, sys.A.corner_bottom)
+        expm_action(copy, 0.3, v)  # equal entries, but its own store
+        assert len(made) == 4 and list(copy._expms) == [(None, 0.3)] and len(sys.A._expms) == 3
 
     def test_exponentials_freed_with_their_operator(self):
         enabled = gc.isenabled()

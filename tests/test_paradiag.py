@@ -4,8 +4,10 @@ import scipy.linalg
 from test_kernels import quadratic_band
 
 import pintlab.paradiag as paradiag_module
+from pintlab import experiments
 from pintlab.integrators import AllAtOnce, apply_poly, named_theta, numerov_matrices
-from pintlab.kernels import SingularSystemError, dense_of, expm_action, solve_shifted_banded
+from pintlab.kernels import (BandedMatrix, SingularSystemError, dense_of, expm_action,
+                             solve_shifted_banded)
 from pintlab.models import CompanionSystem, build_advection_diffusion, build_heat, build_wave
 from pintlab.paradiag import (
     GeometricTimeMesh,
@@ -692,3 +694,67 @@ class TestEntryValidation:
         monkeypatch.setattr(paradiag_module, "bvm_time_matrix", None)
         with pytest.raises(ValueError, match=message):
             paradiag1_bvm_solve(system(nx=8), dt, n_t)
+
+
+def c6_operators():
+    """C6's six iteration matrices M = I - P_alpha^-1 K with their systems."""
+    heat = build_heat(12, 1.0 / 13, 1.0, "dirichlet")
+    wave = build_wave(8, 1.0 / 9, 1.0, "dirichlet")
+    for alpha in (0.05, 0.1, 0.2):
+        for sys, integ, dt in ((heat, "trapezoidal", 0.02), (wave, "numerov", 0.05)):
+            PK = dense_preconditioned_operator(sys, integ, alpha, dt, 16)
+            yield sys, np.eye(PK.shape[0]) - PK
+
+
+class TestModeSplit:
+    """C4's exact reference and C6's spectral radii, computed per eigenmode
+    of the symmetric spatial matrix A (``experiments._modes``)."""
+
+    def test_spectral_radius_by_mode_matches_dense_eigvals(self):
+        for sys, M in c6_operators():
+            dense = np.abs(np.linalg.eigvals(M)).max()
+            assert experiments._spectral_radius_by_mode(M, sys.A) == pytest.approx(dense, rel=1e-12)
+
+    def test_coupled_or_non_symmetric_modes_raise(self):
+        sys, M = next(c6_operators())
+        A = sys.A
+        # symmetric, but its eigenmodes are not those M was built from
+        coupled = BandedMatrix(A.diag, A.lower * (1 + 1e-6 * (np.arange(A.n - 1) == 3)),
+                               A.upper * (1 + 1e-6 * (np.arange(A.n - 1) == 3)))
+        with pytest.raises(ValueError, match="couples the eigenmodes"):
+            experiments._spectral_radius_by_mode(M, coupled)
+        skew = BandedMatrix(A.diag, A.lower, A.upper * (1 + 1e-6 * (np.arange(A.n - 1) == 3)))
+        with pytest.raises(ValueError, match="symmetric"):
+            experiments._spectral_radius_by_mode(M, skew)
+
+    def test_c4_modal_reference_matches_expm_chain(self):
+        # C4's err_vs_exact at N_t = 32 moves by at most the distance between
+        # its modal reference and the step-by-step expm chain
+        sys = build_heat(49, 1.0 / 50, 1.0, "dirichlet")
+        sys.u0[:] = np.sin(2 * np.pi * sys.x)
+        A = sys.A.to_dense()
+        lam_max = float(np.abs(np.linalg.eigvals(A)).max())
+        mesh = GeometricTimeMesh(T=0.5, n_t=32, rho=rho_opt_first_order(32, 0.5, lam_max))
+        direct = paradiag1_direct_solve(sys, mesh)
+        chain = [sys.u0]
+        for dt in np.diff(mesh.times):
+            chain.append(scipy.linalg.expm(dt * A) @ chain[-1])
+        chain = np.array(chain[1:])
+        err_chain = np.abs(direct[1:] - chain).max()
+        row = experiments.run_paradiag1_geometric().rows[2]
+        assert row["n_t"] == 32
+        assert abs(row["err_vs_exact"] - err_chain) <= 1e-12 * np.abs(chain).max()
+
+    def test_c4_and_c6_make_no_large_dense_decomposition(self, monkeypatch):
+        # C4 makes no dense expm (the expm_action chain made 288); C6 hands
+        # eig/eigvals nothing larger than one mode's 16 x 16 time block
+        expms, orders = [], []
+        real_expm, real_eig, real_eigvals = scipy.linalg.expm, np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: expms.append(1) or real_expm(M))
+        experiments.run_paradiag1_geometric()
+        assert not expms
+        monkeypatch.setattr(np.linalg, "eig", lambda M: orders.append(M.shape[-1]) or real_eig(M))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: orders.append(M.shape[-1]) or real_eigvals(M))
+        result = experiments.run_paradiag2_contraction()
+        assert result.passed and orders and max(orders) <= 16
