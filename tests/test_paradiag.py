@@ -718,12 +718,12 @@ class TestModeSplit:
     def test_coupled_or_non_symmetric_modes_raise(self):
         sys, M = next(c6_operators())
         A = sys.A
+        bump = 1 + 1e-6 * (np.arange(A.n - 1) == 3)
         # symmetric, but its eigenmodes are not those M was built from
-        coupled = BandedMatrix(A.diag, A.lower * (1 + 1e-6 * (np.arange(A.n - 1) == 3)),
-                               A.upper * (1 + 1e-6 * (np.arange(A.n - 1) == 3)))
+        coupled = BandedMatrix(A.diag, A.lower * bump, A.upper * bump)
         with pytest.raises(ValueError, match="couples the eigenmodes"):
             experiments._spectral_radius_by_mode(M, coupled)
-        skew = BandedMatrix(A.diag, A.lower, A.upper * (1 + 1e-6 * (np.arange(A.n - 1) == 3)))
+        skew = BandedMatrix(A.diag, A.lower, A.upper * bump)
         with pytest.raises(ValueError, match="symmetric"):
             experiments._spectral_radius_by_mode(M, skew)
 
