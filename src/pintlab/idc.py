@@ -79,9 +79,9 @@ class SweepState:
 
 class _ThetaNodes:
     """The implicit node solves y - theta*dtm*f(y, t_next) = rhs of one
-    linear system (a nonlinear one is a ValueError).  It keeps the shift
-    plan of each step size dtm; the factorizations stay on the operator, so
-    every sweep of a run shares one per step size."""
+    linear system ``sys`` (a nonlinear one is a ValueError).  It keeps the
+    shift plan of each step size dtm, so one instance made per run shares
+    each factorization among all the run's sweeps."""
 
     def __init__(self, sys, theta: float):
         if not sys.linear:
@@ -98,9 +98,10 @@ class _ThetaNodes:
         return plan.solve(rhs + extra)
 
 
-def idc_sweep(state: SweepState, sys, theta: float, weights: np.ndarray) -> SweepState:
-    """One left-to-right correction sweep over the window."""
-    nodes = _ThetaNodes(sys, theta)
+def idc_sweep(state: SweepState, nodes: _ThetaNodes, weights: np.ndarray) -> SweepState:
+    """One left-to-right correction sweep over the window, with the node
+    solves of ``nodes`` (which carries the system and theta)."""
+    sys, theta = nodes.sys, nodes.theta
     t = state.t_nodes
     M = t.shape[0] - 1
     old = state.values
@@ -135,6 +136,7 @@ def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
     finite_u0(sys)
+    nodes = _ThetaNodes(sys, theta)
     k_sweeps = k_corrections + 1
     boundaries = np.linspace(0.0, T, n_windows + 1)
     windows = []  # windows[n][k] = node values of window n after sweep k+1
@@ -149,7 +151,7 @@ def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
         state = SweepState(n=n, t_nodes=window_nodes[n], values=np.tile(ic, (M + 1, 1)))
         sweeps_here = []
         for k in range(1, k_sweeps + 1):
-            state = idc_sweep(state, sys, theta, weights)
+            state = idc_sweep(state, nodes, weights)
             sweeps_here.append(state.values)
             endpoints[k, n + 1] = state.values[-1]
         windows.append(sweeps_here)

@@ -8,16 +8,14 @@ k systems in one call.
 Shifted tridiagonal systems (a I - b A) x = r have one solve path: a
 :class:`ShiftPlan` from :meth:`BandedMatrix.shift_plan`.  A caller that
 repeats the same shifts (every step of a propagator, every iteration of a
-diagonalized solver) makes the plan once; the plan fetches the
-factorization on its first solve and keeps it.  The conditioning of each
-shifted system is checked once, when it is factored, so each later solve is
-one gttrs (and the periodic Woodbury step) plus a finiteness test on the
-solution.  Each :class:`BandedMatrix` keeps the data derived
-from it (shifted factorizations, exponentials) on itself, so a plan made
-again for the same operator and shifts finds the factorization there, and
-the data goes when the matrix does.  :func:`solve_shifted_banded` is a
-one-shot plan that keeps nothing.  Quadratics in A (the Numerov pair) are
-solved by a :class:`QuadraticPlan`, factored once when it is made.
+diagonalized solver) makes the plan once; the plan factors on its first
+solve and keeps the factorization.  The conditioning of each shifted
+system is checked once, when it is factored, so each later solve is one
+gttrs (and the periodic Woodbury step) plus a finiteness test on the
+solution.  :func:`solve_shifted_banded` is a one-shot plan.  Quadratics in
+A (the Numerov pair) are solved by a :class:`QuadraticPlan`, factored once
+when it is made.  Each :class:`BandedMatrix` keeps its exponentials on
+itself (see :func:`expm_action`), so they go when the matrix does.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 
 class SingularSystemError(RuntimeError):
@@ -64,10 +60,8 @@ class BandedMatrix:
     # (diag, lower, upper, corners or None) shaped to broadcast against data
     # of each ndim, made by the first matvec of that ndim
     _bands: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # factorizations of shifted systems, filled by the plans of shift_plan,
-    # and exponentials, filled by expm_action; no value refers back to the
+    # exponentials, filled by expm_action; no value refers back to the
     # matrix, so they are freed with it
-    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _expms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -112,9 +106,6 @@ class BandedMatrix:
             corners = np.array([self.corner_top, self.corner_bottom]).reshape((2,) + shape[1:])
         return diag, (lower if self.n >= 2 else None), upper, corners
 
-    def __matmul__(self, v):
-        return self.matvec(v)
-
     def to_dense(self) -> np.ndarray:
         dtype = np.result_type(self.diag, self.lower, self.upper)
         a = np.zeros((self.n, self.n), dtype=dtype)
@@ -126,13 +117,6 @@ class BandedMatrix:
             a[0, -1] += self.corner_top
             a[-1, 0] += self.corner_bottom
         return a
-
-    def to_sparse(self):
-        bands, offsets = [self.lower, self.diag, self.upper], [-1, 0, 1]
-        if self.periodic and self.n >= 3:
-            bands += [[self.corner_top], [self.corner_bottom]]
-            offsets += [self.n - 1, 1 - self.n]
-        return scipy.sparse.diags_array(bands, offsets=offsets, shape=(self.n, self.n))
 
     @property
     def expm_key(self):
@@ -165,9 +149,8 @@ class BandedMatrix:
 
     def shift_plan(self, a, b) -> "ShiftPlan":
         """Prepared solves with (a*I - b*A), or with (a[j]*I - b[j]*A) for
-        arrays of J shifts; see :class:`ShiftPlan`.  Its factorizations are
-        kept on this matrix, so every plan for the same shifts shares them."""
-        return ShiftPlan(self, a, b, self._factors)
+        arrays of J shifts; see :class:`ShiftPlan`."""
+        return ShiftPlan(self, a, b)
 
 
 class StackedTridiagonalLU:
@@ -264,7 +247,7 @@ def solve_shifted_banded(A: BandedMatrix, shift, rhs: np.ndarray) -> np.ndarray:
 
     ``rhs`` may be ``(n,)`` or ``(n, k)``; ``a``, ``b`` may be complex.
     A one-shot :class:`ShiftPlan`: the factorization is made for this
-    solve and kept nowhere.
+    solve alone.
     """
     a, b = shift
     return ShiftPlan(A, a, b).solve(rhs)
@@ -284,30 +267,24 @@ class ShiftPlan:
     Sherman-Morrison-Woodbury correction, with the J 2x2 capacitance
     systems solved in one batched call (one LAPACK gesv for J = 1): O(J n).
 
-    The factorization, with the Woodbury columns and capacitance matrices,
-    is kept in ``store`` under its data type and the exact shifts: the
-    operator's own store for a plan from :meth:`BandedMatrix.shift_plan`,
-    a store of the plan's own otherwise (a one-shot plan).  The first
-    solve for a data type fetches it from there (or makes it) and the plan
-    keeps it.  The checks on each shift's system run once, when it is
-    factored (:func:`_factor_shifted`): zero pivot, the gtcon condition
-    estimate, the capacitance determinant and the periodic condition bound,
-    each on that shift's own scale; a failure stores nothing.  Every solve
-    is then one gttrs, the Woodbury step for periodic ``A`` and one
-    finiteness test on the solution, whose failure drops the factorization
-    from the store and the plan.  ``product=True`` adds one matvec.  Two
-    threads that miss together both factor and keep one result.
+    The plan factors on the first solve of each data type and keeps that
+    factorization, with the Woodbury columns and capacitance matrices, for
+    every later solve of the type: a real plan may also solve complex data.
+    The checks on each shift's system run once, when it is factored
+    (:func:`_factor_shifted`): zero pivot, the gtcon condition estimate,
+    the capacitance determinant and the periodic condition bound, each on
+    that shift's own scale; a failure keeps nothing.  Every solve is then
+    one gttrs, the Woodbury step for periodic ``A`` and one finiteness
+    test on the solution.  ``product=True`` adds one matvec.
     """
 
-    def __init__(self, A: BandedMatrix, a, b, store: Optional[dict] = None):
+    def __init__(self, A: BandedMatrix, a, b):
         a, b = np.asarray(a), np.asarray(b)
         self.single = a.ndim == 0 and b.ndim == 0
         a, b = a.reshape(-1), b.reshape(-1)
         self.A, self.a, self.b = A, a, b
         self._dtype = np.result_type(A.diag, a, b)
-        self._key = (a.dtype.char, b.dtype.char, a.tobytes(), b.tobytes())
-        self._store = {} if store is None else store
-        self._kept = None  # (data type, factorization), read and replaced whole
+        self._kept = {}  # data type -> factorization
         # corners count from n = 3 (as in matvec) and vanish with b = 0; a
         # shift with b = 0 in a periodic batch gets z = 0 and cap = I
         self._periodic = A.periodic and A.n > 2 and b.any()
@@ -317,41 +294,28 @@ class ShiftPlan:
         (x, A @ x)."""
         R = rhs[None] if self.single else rhs
         dtype = np.result_type(self._dtype, R)
-        kept = self._kept
-        if kept is None or kept[0] != dtype:
-            kept = self._kept = (dtype, self._fetch(dtype))
-        try:
-            x = self._solve(kept[1], R.reshape(R.shape[0], R.shape[1], -1))
-        except SingularSystemError:
-            self._kept = None
-            self._store.pop((dtype.char,) + self._key, None)
-            raise
-        x = x.reshape(R.shape)
+        factor = self._kept.get(dtype)
+        if factor is None:
+            factor = self._kept[dtype] = self._factor(dtype)
+        x = self._solve(factor, R.reshape(R.shape[0], R.shape[1], -1)).reshape(R.shape)
         if not product:
             return x[0] if self.single else x
         Ax = apply_blocks(self.A, x)
         return (x[0], Ax[0]) if self.single else (x, Ax)
 
-    def _fetch(self, dtype):
-        """The factorization for data of ``dtype`` from the store, made and
-        stored on a miss: a 1x1 system is its own pivot, otherwise the
-        :func:`_factor_shifted` tuple.  A failed check stores nothing."""
-        key = (dtype.char,) + self._key
-        factor = self._store.get(key)
-        if factor is not None:
-            return factor
+    def _factor(self, dtype):
+        """The factorization for data of ``dtype``: a 1x1 system is its own
+        pivot, otherwise the :func:`_factor_shifted` tuple."""
         A, a, b = self.A, self.a, self.b
         if A.n > 1:
-            factor = _factor_shifted(A, a, b, dtype, self._periodic)
-        else:
-            d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
-            if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
-                raise SingularSystemError("1x1 pivot underflow")
-            factor = d[:, :, None]
-        return self._store.setdefault(key, factor)
+            return _factor_shifted(A, a, b, dtype, self._periodic)
+        d = a[:, None] - b[:, None] * A.diag.astype(dtype, copy=False)
+        if (np.abs(d) <= PIVOT_RTOL * np.maximum(np.abs(d), 1.0)).any():
+            raise SingularSystemError("1x1 pivot underflow")
+        return d[:, :, None]
 
     def _solve(self, factor, R):
-        """x for R of shape (J, n, k) with ``factor`` from :meth:`_fetch`."""
+        """x for R of shape (J, n, k) with ``factor`` from :meth:`_factor`."""
         if R.shape[1] == 1:
             return R / factor
         lu, z, cap, gesv = factor
@@ -492,29 +456,29 @@ def idft(v: np.ndarray) -> np.ndarray:
 
 
 # Operators of size n <= EXPM_DENSE_MAX get a dense exp(t*A), kept on their
-# banded matrix; larger ones go through expm_multiply on a sparse copy.
+# banded matrix; larger ones are rejected.
 EXPM_DENSE_MAX = 512
 
 
 def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     """exp(t*A) @ v for a vector ``(n,)`` or block of columns ``(n, k)``.
 
-    ``A`` is an operator with ``n``, ``expm_key``, ``to_dense()`` and
-    ``to_sparse()`` (BandedMatrix, SemiDiscreteSystem, CompanionSystem); any
-    other ``A``, a plain array included, raises TypeError.
-    Up to n = EXPM_DENSE_MAX the dense exponential ``scipy.linalg.expm(t*A)``
-    is applied and kept on the banded matrix that ``expm_key`` names, under
-    the key's tag and the exact ``t``, so every call with the same operator
-    and step does the same product, and the exponentials are freed with
-    that matrix.  Larger operators use ``expm_multiply`` (Al-Mohy & Higham
-    2011) on a sparse copy.  A non-finite result raises FloatingPointError
-    and keeps nothing.
+    ``A`` is an operator with ``n``, ``expm_key`` and ``to_dense()``
+    (BandedMatrix, SemiDiscreteSystem, CompanionSystem); any other ``A``, a
+    plain array included, raises TypeError, and one with n above
+    EXPM_DENSE_MAX raises ValueError.  The dense exponential
+    ``scipy.linalg.expm(t*A)`` is applied and kept on the banded matrix
+    that ``expm_key`` names, under the key's tag and the exact ``t``, so
+    every call with the same operator and step does the same product, and
+    the exponentials are freed with that matrix.  A non-finite result
+    raises FloatingPointError and keeps nothing.
     """
     if not hasattr(A, "expm_key"):
         raise TypeError("expm_action takes an operator with expm_key (BandedMatrix, "
                         f"SemiDiscreteSystem, CompanionSystem), got {type(A).__name__}")
     if A.n > EXPM_DENSE_MAX:
-        return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))
+        raise ValueError(f"expm_action forms a dense exponential: n = {A.n} exceeds "
+                         f"EXPM_DENSE_MAX = {EXPM_DENSE_MAX}")
     band, tag = A.expm_key
     E = band._expms.get((tag, t))
     if E is None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse
 
 from .kernels import BandedMatrix, ShiftPlan, SingularSystemError
 
@@ -164,9 +163,6 @@ class SemiDiscreteSystem:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.A.matvec(u)
 
-    def to_sparse(self):
-        return self.A.to_sparse()
-
     def to_dense(self):
         return self.A.to_dense()
 
@@ -284,10 +280,6 @@ class CompanionSystem:
     @property
     def source(self):
         return self.base.source
-
-    def to_sparse(self):
-        eye = scipy.sparse.eye_array(self.base.n)
-        return scipy.sparse.block_array([[None, eye], [self.base.A.to_sparse(), None]])
 
     @property
     def expm_key(self):

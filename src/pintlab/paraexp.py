@@ -11,14 +11,12 @@ endpoints it reproduces Parareal with an exact-exponential coarse solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .integrators import Propagator, TimeGrid, finite_u0, propagate_block
 from .kernels import expm_action
 from .models import first_order_form
-from .parareal import fine_sequential
 from .trace import IterationTrace
 
 
@@ -66,20 +64,20 @@ def paraexp_linear_solve(plan: ParaExpPlan, sys):
     return out
 
 
-def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):
+def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: np.ndarray):
     """Iterative ParaExp for f(u) = A u + B(u) + g.
 
     Per iteration: one sequential pass of exponential stitching assembles
     window initial values, then the full nonlinear subproblems run as a
     parallel map over windows.  Window-endpoint iterates coincide with
-    Parareal driven by the exact linear coarse propagator.
+    Parareal driven by the exact linear coarse propagator.  The trace
+    records the error against ``oracle``, the sequential fine solution at
+    the window endpoints (:func:`parareal.fine_sequential`).
     """
     target = first_order_form(sys)
     finite_u0(target)
     grid = plan.grid
     n_w = grid.n_windows
-    if oracle is None:
-        oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)
 
     trace = IterationTrace(method="paraexp_nonlinear")
     # initial stitching: pure exponential sweep of the linear part
@@ -117,19 +115,18 @@ def _window_solves(plan, target, IC):
     return U
 
 
-def linear_g_parareal(plan: ParaExpPlan, sys, oracle: Optional[np.ndarray] = None):
+def linear_g_parareal(plan: ParaExpPlan, sys, oracle: np.ndarray):
     """Parareal with the exact exponential of the linear part as coarse
     solver and the full nonlinear integrator as fine solver.
 
     The arithmetic mirrors :func:`paraexp_nonlinear_iterate` term for term,
-    so iterates agree bitwise under identical propagators.
+    so iterates agree bitwise under identical propagators.  The trace
+    records the error against ``oracle``, as there.
     """
     target = first_order_form(sys)
     finite_u0(target)
     grid = plan.grid
     n_w = grid.n_windows
-    if oracle is None:
-        oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)
 
     def G(j, u):
         return expm_action(target, grid.window_length(j), u)

@@ -143,20 +143,15 @@ def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                    integrator: str = "backward_euler", cycles: int = 10,
                    U0: Optional[np.ndarray] = None,
                    reference: Optional[np.ndarray] = None):
-    """Two-level V-cycles on the linear all-at-once system.
+    """Two-level V-cycles on the linear all-at-once system: smooth,
+    restrict the residual, solve the coarse level by forward substitution,
+    prolong its correction, smooth.
 
     Returns (trajectory including the initial row, trace); the trace
     records errors against ``reference`` (default: the exact forward
     substitution) and residual norms.
     """
-    return _linear_cycles(sys, grid, smoother, named_theta(integrator), cycles, U0, reference)
-
-
-def _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference):
-    """The one linear cycle driver: smooth, restrict the residual, solve the
-    coarse level by forward substitution, prolong its correction, smooth.
-    It takes theta itself, so linear FAS (any theta) runs it too."""
-    ops = _two_level(sys, grid, theta, AllAtOnce)
+    ops = _two_level(sys, grid, named_theta(integrator), AllAtOnce)
     op_f = ops.op_f
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b) if reference is None else reference
@@ -237,15 +232,13 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                        cycles: int = 10, theta: float = 1.0,
                        reference: Optional[np.ndarray] = None,
                        U0: Optional[np.ndarray] = None):
-    """Two-level full approximation scheme for the nonlinear system.
-
-    Linear systems short-circuit the coarse step to the plain correction
-    form, making the cycle bit-identical to :func:`stmg_two_level`.
+    """Two-level full approximation scheme for the nonlinear system.  A
+    linear system is a ValueError: FAS is then the plain correction scheme
+    of :func:`stmg_two_level`.
     """
     if sys.linear:
-        # FAS is the plain correction scheme for linear operators; run the
-        # identical cycle kernel so the iterates agree bit for bit
-        return _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference)
+        raise ValueError("stmg_fas_nonlinear takes a nonlinear system; "
+                         "run a linear one with stmg_two_level")
     ops = _two_level(sys, grid, theta, NonlinearAllAtOnce)
     op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()

@@ -335,9 +335,14 @@ def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8, u0_fn=None,
     traces are the free response plus the convolution of the interface
     data with each interface input's impulse response
     (:meth:`_AdSolver.responses`, one march on 3 columns), computed with
-    spectra made once per run.  No trajectory is built.
+    spectra made once per run.  No trajectory is built.  A decomposition
+    needs at least two subdomains (one has no interface: a ValueError).
     Returns one IterationTrace per decomposition.
     """
+    for dec in decs:
+        if len(dec.subdomains) < 2:
+            raise ValueError(f"Schwarz waveform relaxation needs at least 2 subdomains, "
+                             f"got {len(dec.subdomains)}")
     if u0_fn is None:
         u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
     _, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
@@ -350,10 +355,6 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed):
     subs = dec.subdomains
     n_sub = len(subs)
     trace = IterationTrace(method="oswr_ad")
-    if n_sub == 1:
-        trace.record(error=0.0)
-        return trace
-
     n_steps = mono.shape[0] - 1
     rob = dec.tc == "robin"
     solver = _AdSolver(subs, nu, dx, dt, dec.p,
@@ -476,10 +477,13 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
                 u0_fn=None, seed=0):
     """Red-black SWR on the wave equation with growing time slabs.
 
-    Returns (global space-time iterate, trace, residual rows) where the
-    residual rows, shape (k, 3), are (x, t, |residual|) samples of the
-    leapfrog stencil on the final iterate.
+    The first iterate is random, from the integer ``seed``.  Returns
+    (global space-time iterate, trace, residual rows) where the residual
+    rows, shape (k, 3), are (x, t, |residual|) samples of the leapfrog
+    stencil on the final iterate.
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"tent pitching needs an integer seed, got {seed!r}")
     if schedule.n_red < 1 or sweeps < 0:
         raise ValueError(f"tent pitching needs n_red >= 1 and sweeps >= 0, "
                          f"got n_red={schedule.n_red}, sweeps={sweeps}")
@@ -495,10 +499,7 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     overlap_width = x[bounds[2]] - x[bounds[1]]
     slab = overlap_width / (2.0 * c)
 
-    if seed is None:
-        U = np.zeros((n_steps + 1, n))
-    else:
-        U = np.random.default_rng(seed).standard_normal((n_steps + 1, n))
+    U = np.random.default_rng(seed).standard_normal((n_steps + 1, n))
     U[0] = finite_u0(u0_fn(x))
     U[:, 0] = 0.0
     U[:, -1] = 0.0

@@ -152,9 +152,6 @@ UNREACHED_ALLOWED = {
     "experiments.load_registry": "harness: the registry fixture calls it before the runs",
     "experiments.result_to_csv": "harness: test_csv_matches_golden formats the results",
     "experiments.ExperimentResult.passed": "harness: read by the CLI and perfbench",
-    "kernels.BandedMatrix.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
-    "models.SemiDiscreteSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
-    "models.CompanionSystem.to_sparse": "expm_action above EXPM_DENSE_MAX = 512 unknowns",
     "stmg.SpaceTimeGrid.nx": "time-only coarsening; every C13 grid also coarsens in space",
 }
 
@@ -166,11 +163,9 @@ GATED_BY_C15 = "gated by C15: test_criterion_c15_property_suites runs it"
 C15_PADDING = "gated by C15: the n < 3 tridiagonal padding, on its random 2-11-unknown systems"
 SDIRK_REFERENCE = "SDIRK22's stability function: tests check SDIRK22 steps against it"
 EXACT_METHOD = "the exact-exponential propagator, a method the caller chooses"
-SPARSE_EXPM = "expm_action above EXPM_DENSE_MAX = 512 unknowns"
 PERIODIC_QUADRATIC = "the dense quadratic solve of a periodic A: every Numerov run is Dirichlet"
 STEPPED = "stepped propagation: Burgers, sourced systems and n > 512 have no window matrix"
 TOL_BREAK = "convergence break on tol: every experiment runs a fixed iteration count"
-OWN_ORACLE = "no oracle given: the solver makes its own, as the paraexp tests call it"
 LINES_ALLOWED = {
     ("integrators", "stability", "g, a21, (b1, b2) = method.gamma, method.a21, method.b"):
         SDIRK_REFERENCE,
@@ -192,7 +187,6 @@ LINES_ALLOWED = {
     ("integrators", "_step_nonlinear", "k2 = sys.f(y2, t2)"): GATED_BY_C15,
     ("integrators", "_step_nonlinear", "return U + dt * (b1 * k1 + b2 * k2)"): GATED_BY_C15,
     ("integrators", "OneStepMethod.__str__", "return self.name"): "test ids name a method by it",
-    ("kernels", "BandedMatrix.__matmul__", "return self.matvec(v)"): "A @ v, which tests write",
     ("kernels", "StackedTridiagonalLU._factor", "pad = np.zeros(3 - self._n)"): C15_PADDING,
     ("kernels", "StackedTridiagonalLU._factor",
      "lower, diag, upper = (np.concatenate((v, pad + z)) for v, z in"): C15_PADDING,
@@ -215,8 +209,6 @@ LINES_ALLOWED = {
     ("kernels", "QuadraticPlan.solve", "try:"): PERIODIC_QUADRATIC,
     ("kernels", "QuadraticPlan.solve",
      "x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))"): PERIODIC_QUADRATIC,
-    ("kernels", "expm_action",
-     "return _finite(scipy.sparse.linalg.expm_multiply(t * A.to_sparse(), v))"): SPARSE_EXPM,
     ("models", "second_difference_stencil", "diag[0] = diag[-1] = -1.0"):
         "the Neumann boundary condition, which the caller chooses",
     ("models", "SemiDiscreteSystem.f", "gval = self.source(t)"):
@@ -225,11 +217,7 @@ LINES_ALLOWED = {
         "a source in f: Burgers keeps its tested source",
     ("paradiag", "_phi_log", "return 2.0 * math.lgamma((n_t - 1) / 2 + 1)"):
         "odd n_t, which the caller chooses; C4 takes even ones",
-    ("paraexp", "paraexp_nonlinear_iterate",
-     "oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)"): OWN_ORACLE,
     ("paraexp", "paraexp_nonlinear_iterate", "break"): TOL_BREAK,
-    ("paraexp", "linear_g_parareal",
-     "oracle = fine_sequential(grid, plan.red, target, plan.newton_tol)"): OWN_ORACLE,
     ("paraexp", "linear_g_parareal", "break"): TOL_BREAK,
     ("parareal", "_coarse_propagator",
      "return lambda n, u: propagate(cfg.coarse, target, *cfg.grid.window(n), u,"): STEPPED,
@@ -244,19 +232,12 @@ LINES_ALLOWED = {
         "time-only coarsening, which STMG takes whenever dt/dx^2 < 1/sqrt(2)",
     ("stmg", "_two_level", "Px = None"):
         "time-only coarsening, which STMG takes whenever dt/dx^2 < 1/sqrt(2)",
-    ("stmg", "stmg_fas_nonlinear",
-     "return _linear_cycles(sys, grid, smoother, theta, cycles, U0, reference)"):
-        "FAS on a linear system is the two-level cycle, bit for bit",
     ("swr", "robin_p_star", "fn = lambda p: y0 - p * np.sqrt(p / (4.0 + p))"):
         "the Y_CRITICAL branch of the Robin parameter, for l/nu above it",
     ("swr", "_bisect", "return lo"): "a bracket end that is a root",
     ("swr", "_bisect", "return hi"): "a bracket end that is a root",
     ("swr", "_bisect", "return 0.5 * (lo + hi)"): "bisection that reaches max_iter",
-    ("swr", "_oswr_sweeps", "trace.record(error=0.0)"): "one subdomain: the monodomain solve itself",
-    ("swr", "_oswr_sweeps", "return trace"): "one subdomain: the monodomain solve itself",
     ("swr", "swr_solve_wave", "break"): TOL_BREAK,
-    ("swr", "utp_advance", "U = np.zeros((n_steps + 1, n))"):
-        "seed=None: a zero first iterate, which the tent-pitching tests start from",
     ("trace", "IterationTrace.converged_at", "return -1"): "a run whose error never falls below tol",
 }
 

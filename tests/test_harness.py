@@ -152,16 +152,27 @@ class TestCsvFormat:
 
 
 class TestImportCost:
-    def test_experiments_import_leaves_out_scipy_optimize(self):
-        # no experiment needs scipy.optimize or yaml; importing scipy.optimize
-        # costs about a quarter of pintlab's set-up time
+    @staticmethod
+    def loaded_by_import(prefixes):
+        """The modules starting with ``prefixes`` that a fresh
+        ``import pintlab.experiments`` loads, as printed by the subprocess."""
         import pintlab
 
         src = str(Path(pintlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'yaml'))))"
+        code = f"import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_experiments_import_leaves_out_scipy_optimize(self):
+        # no experiment needs scipy.optimize or yaml; importing scipy.optimize
+        # costs about a quarter of pintlab's set-up time
+        assert self.loaded_by_import(("scipy.optimize", "yaml")) == "[]"
+
+    def test_experiments_import_leaves_out_scipy_sparse(self):
+        # the exponential is dense only (n <= EXPM_DENSE_MAX), so no module
+        # needs scipy.sparse, and importing it would only add set-up time
+        assert self.loaded_by_import(("scipy.sparse",)) == "[]"
 
 
 class TestOpenblasNumThreads:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pintlab import kernels
 from pintlab.idc import (
     SweepState,
+    _ThetaNodes,
     collocation_matrix,
     collocation_solve,
     dense_pfasst_b10,
@@ -102,7 +104,7 @@ class TestIdcSweep:
                                  kind="heat", x=np.zeros(1))
         t = np.linspace(0.0, 1.0, 5)
         state = SweepState(n=0, t_nodes=t, values=np.full((5, 1), 2.5))
-        out = idc_sweep(state, sys, 1.0, idc_weights(t))
+        out = idc_sweep(state, _ThetaNodes(sys, 1.0), idc_weights(t))
         np.testing.assert_allclose(out.values, 2.5, atol=1e-14)
 
     @pytest.mark.parametrize("k,expected_order", [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -144,7 +146,7 @@ class TestIdcSweep:
         U = np.linalg.solve(np.eye(M) - lam * Qmat, np.ones(M))
         vals = np.concatenate([[1.0], U])[:, None]
         state = SweepState(n=0, t_nodes=t, values=vals.copy())
-        out = idc_sweep(state, sys, 1.0, idc_weights(t))
+        out = idc_sweep(state, _ThetaNodes(sys, 1.0), idc_weights(t))
         assert np.abs(out.values - vals).max() < 1e-12
 
     @pytest.mark.parametrize("kwargs, name", [
@@ -160,6 +162,21 @@ class TestIdcSweep:
                     k_corrections=1) | kwargs
         with pytest.raises(ValueError, match=f" {name} "):
             idc_run(**args)
+
+    def test_run_factors_once_per_step_size(self, monkeypatch):
+        # one set of node solves per run: every sweep of every window reuses
+        # the factorization of its step size
+        built = []
+        real = kernels._factor_shifted
+        monkeypatch.setattr(kernels, "_factor_shifted",
+                            lambda *args: built.append(args[2]) or real(*args))
+        sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
+        n_windows, M = 4, 3
+        idc_run(sys, 1.0, n_windows, M, k_corrections=2)
+        bounds = np.linspace(0.0, 1.0, n_windows + 1)
+        steps = {dtm for n in range(n_windows)
+                 for dtm in np.diff(np.linspace(bounds[n], bounds[n + 1], M + 1))}
+        assert len(built) == len(steps) < n_windows * M
 
 
 class TestPfasst:

@@ -154,9 +154,9 @@ def pivots(A, a, b):
 
 
 class TestShiftedFactorCache:
-    """Plans from shift_plan factor each (operator, shifts) pair once and
-    keep it on the operator; one-shot solves keep nothing.  Every solve,
-    first or repeated, is bit for bit the gtsv solve and runs every check."""
+    """A plan factors once per data type and keeps the factorization; a new
+    plan factors afresh.  Every solve, first or repeated, is bit for bit
+    the gtsv solve and runs every check."""
 
     @pytest.mark.parametrize("n, periodic", [(1, False), (2, False), (2, True), (3, False),
                                              (3, True), (11, False), (11, True)])
@@ -195,7 +195,7 @@ class TestShiftedFactorCache:
         x = solve_shifted_banded(A, (1.0, 0.5), np.array([1.0, 2.0]))
         np.testing.assert_allclose((np.eye(2) - 0.5 * A.to_dense()) @ x, [1.0, 2.0], rtol=1e-14)
 
-    def test_factors_once_per_operator_and_shifts(self, monkeypatch):
+    def test_factors_once_per_plan_and_data_type(self, monkeypatch):
         built = []
         real = kernels._factor_shifted
         monkeypatch.setattr(kernels, "_factor_shifted",
@@ -203,18 +203,17 @@ class TestShiftedFactorCache:
         rng = np.random.default_rng(101)
         A = random_banded(rng, 9, periodic=True)
         a, b = 1.0 + rng.random(4), 0.2 * rng.standard_normal(4)
+        plan, single = A.shift_plan(a, b), A.shift_plan(a[0], b[0])
         for _ in range(5):
-            A.shift_plan(a, b).solve(rng.standard_normal((4, 9)))
-            A.shift_plan(a[0], b[0]).solve(rng.standard_normal(9))
+            plan.solve(rng.standard_normal((4, 9)))
+            single.solve(rng.standard_normal(9))
         assert len(built) == 2
-        A.shift_plan(a, b.copy()).solve(rng.standard_normal((4, 9)))
-        assert len(built) == 2  # the key is the shifts' values, not the array
-        A.shift_plan(a, b).solve(rng.standard_normal((4, 9)) + 0j)
-        assert len(built) == 3  # complex data: a complex factorization
-        assert len(A._factors) == 3
-        other = random_banded(rng, 9, periodic=True)
-        other.shift_plan(a, b).solve(rng.standard_normal((4, 9)))
-        assert len(built) == 4 and len(other._factors) == 1  # stores are per operator
+        for _ in range(2):  # complex data: one complex factorization, kept beside the real one
+            plan.solve(rng.standard_normal((4, 9)) + 0j)
+            plan.solve(rng.standard_normal((4, 9)))
+        assert len(built) == 3
+        A.shift_plan(a, b).solve(rng.standard_normal((4, 9)))
+        assert len(built) == 4  # a new plan for the same shifts factors afresh
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_one_shot_solves_keep_nothing(self, periodic, monkeypatch):
@@ -226,32 +225,10 @@ class TestShiftedFactorCache:
         A = random_banded(rng, 9, periodic=periodic)
         r = rng.standard_normal(9)
         expected = A.shift_plan(1.5, 0.4).solve(r)
-        A._factors.clear()
         for _ in range(2):
             assert solve_shifted_banded(A, (1.5, 0.4), r).tobytes() == expected.tobytes()
             assert ShiftPlan(A, 1.5, 0.4).solve(r).tobytes() == expected.tobytes()
-            assert not A._factors
         assert len(built) == 5  # every one-shot solve factors afresh
-
-    def test_store_freed_with_its_operator(self):
-        # nothing stored refers back to the operator: dropping the last
-        # reference frees its factorizations by reference counting alone
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for n in (6, 1):
-                A = random_banded(np.random.default_rng(105), n, periodic=n > 2)
-                plan = A.shift_plan(np.array([1.5, 2.0]), np.array([0.4, 0.1]))
-                plan.solve(np.ones((2, A.n)))
-                (factor,) = A._factors.values()
-                kept = weakref.ref(factor[0] if isinstance(factor, tuple) else factor)
-                del plan, factor
-                assert kept() is not None
-                del A
-                assert kept() is None
-        finally:
-            if enabled:
-                gc.enable()
 
     def test_failed_factorization_or_solve_leaves_no_entry(self):
         n = 8
@@ -266,10 +243,11 @@ class TestShiftedFactorCache:
             (periodic_laplacian_stencil(6), (0.0, 1.0), "capacitance"),
         ]
         for A, shift, message in cases:
+            plan = A.shift_plan(*shift)
             for _ in range(3):
                 with pytest.raises(SingularSystemError, match=message):
-                    A.shift_plan(*shift).solve(np.ones(A.n))
-                assert not A._factors
+                    plan.solve(np.ones(A.n))
+                assert not plan._kept
 
     @pytest.mark.parametrize("J, k", [(1, None), (1, 1), (3, None), (3, 2)])
     @pytest.mark.parametrize("n, periodic", [(2, False), (7, False), (7, True)])
@@ -288,8 +266,8 @@ class TestShiftedFactorCache:
                 assert data.tobytes() == before.tobytes()
 
     def test_cache_shared_by_threads(self):
-        # more threads than cores, switching often, each making plans that
-        # fetch from (or fill) the operators' stores: every result stays exact
+        # more threads than cores, switching often, each making plans on
+        # operators the threads share: every result stays exact
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -382,23 +360,6 @@ class TestShiftPlan:
                     assert info == 0
                     assert x.tobytes() == np.linalg.solve(a[None], b[None])[0].tobytes()
 
-    def test_plans_with_equal_shifts_share_one_factorization(self):
-        # a later plan for the same operator and shift values finds the
-        # first plan's factorization on the operator; other operators'
-        # solves and one-shot solves leave it in place
-        rng = np.random.default_rng(210)
-        A = random_banded(rng, 9, periodic=True)
-        r = rng.standard_normal(9)
-        plan = A.shift_plan(1.5, 0.4)
-        first = plan.solve(r)
-        for i in range(20):
-            random_banded(rng, 9, periodic=True).shift_plan(1.0, 0.1 * i).solve(r)
-            solve_shifted_banded(A, (1.0, 0.1 * i), r)
-        again = A.shift_plan(np.float64(1.5), np.float64(0.4))
-        assert again.solve(r).tobytes() == first.tobytes()
-        (stored,) = A._factors.values()
-        assert again._kept[1] is plan._kept[1] is stored
-
     @pytest.mark.parametrize("J", [1, 10])
     @pytest.mark.parametrize("k", [None, 1, 7])
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
@@ -449,16 +410,18 @@ class TestShiftPlan:
         x1, Ax1 = A.shift_plan(1.5, 0.3).solve(R[0], product=True)
         assert Ax1.tobytes() == A.matvec(x1).tobytes()
 
-    def test_non_finite_rhs_raises_and_evicts(self):
+    def test_non_finite_rhs_raises_and_keeps_the_factorization(self):
         rng = np.random.default_rng(250)
         A = random_banded(rng, 9)
         plan = A.shift_plan(1.5, 0.3)
         plan.solve(np.ones(9))
+        (factor,) = plan._kept.values()
         r = np.ones(9)
         r[4] = np.nan
         with pytest.raises(SingularSystemError, match="non-finite solution"):
             plan.solve(r)
-        assert not A._factors
+        (kept,) = plan._kept.values()  # the data was at fault, not the factorization
+        assert kept is factor
         assert plan.solve(np.ones(9)).tobytes() == gtsv_reference(
             A, [1.5], [0.3], np.ones((1, 9)))[0].tobytes()
 
@@ -472,7 +435,7 @@ class TestShiftPlan:
         for _ in range(2):
             with pytest.raises(SingularSystemError, match="near-singular"):
                 plan.solve(np.ones((J, n)))
-            assert not A._factors
+            assert not plan._kept
 
     def test_singular_capacitance_raises(self):
         A = periodic_laplacian_stencil(6)
@@ -480,9 +443,9 @@ class TestShiftPlan:
         for _ in range(2):
             with pytest.raises(SingularSystemError, match="capacitance"):
                 plan.solve(np.ones((2, 6)))
-            assert not A._factors
+            assert not plan._kept
 
-    def test_ill_conditioned_periodic_raises_and_evicts(self):
+    def test_ill_conditioned_periodic_raises(self):
         # periodic Laplacian shifted by a tiny a: the capacitance determinant
         # passes, but |M| |M^-1| ~ 4e13 exceeds the Woodbury condition bound
         A = periodic_laplacian_stencil(9)
@@ -490,7 +453,7 @@ class TestShiftPlan:
         for _ in range(2):
             with pytest.raises(SingularSystemError, match="^periodic"):
                 plan.solve(np.ones(9))
-            assert not A._factors
+            assert not plan._kept
         assert A.shift_plan(1.0, 1.0).solve(np.ones(9)).tobytes() == gtsv_reference(
             A, [1.0], [1.0], np.ones((1, 9)))[0].tobytes()
 
@@ -514,12 +477,12 @@ class TestShiftPlan:
         for a in (np.array([1e-10, 4.0, 1e10]), np.array([3.0])):
             X = A.shift_plan(a, 0.1 * a).solve(np.ones((len(a), 2)))
             assert np.isfinite(X).all()
-        A._factors.clear()
         near = 2.0 + 2.0 ** -50  # A's eigenvalue 2, missed by one ulp
         for a, b in ((near, 1.0), (np.array([3.0, near]), np.array([1.0, 1.0]))):
+            plan = A.shift_plan(a, b)
             with pytest.raises(SingularSystemError, match="near-singular"):
-                A.shift_plan(a, b).solve(np.ones(np.shape(a) + (2,)))
-            assert not A._factors
+                plan.solve(np.ones(np.shape(a) + (2,)))
+            assert not plan._kept
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("J, k", [(1, None), (4, None), (4, 3)])
@@ -556,15 +519,14 @@ class TestShiftPlan:
         assert calls == {"apply_blocks": 0, "gttrf": 1, "gttrs": 1 + periodic, "gtcon": J}
         for _ in range(3):
             plan.solve(R)
-            A.shift_plan(a, b).solve(R)  # a new plan for kept shifts factors nothing
-        assert calls == {"apply_blocks": 0, "gttrf": 1, "gttrs": 7 + periodic, "gtcon": J}
+        assert calls == {"apply_blocks": 0, "gttrf": 1, "gttrs": 4 + periodic, "gtcon": J}
         plan.solve(R, product=True)
         assert calls["apply_blocks"] == 1 and calls["gttrf"] == 1 and calls["gtcon"] == J
-        A.shift_plan(a + 1.0, b).solve(R)
+        A.shift_plan(a, b).solve(R)  # a new plan factors afresh
         assert calls["gttrf"] == 2 and calls["gtcon"] == 2 * J
 
     def test_plan_shared_by_threads(self):
-        # one plan, real and complex data in turn (a refetch each switch),
+        # one plan, real and complex data in turn (each type factored once),
         # more threads than cores switching often: every result stays exact
         import sys
         from concurrent.futures import ThreadPoolExecutor
@@ -625,7 +587,6 @@ class TestMatvec:
             data.flat[0] = -0.0
             for _ in range(2):  # the broadcast bands are made once per ndim
                 assert A.matvec(data).tobytes() == matvec_loop(A, data).tobytes()
-            assert (A @ data).tobytes() == matvec_loop(A, data).tobytes()
 
 
 @pytest.mark.parametrize("periodic_first", [True, False])
@@ -896,16 +857,13 @@ class TestExpmAction:
         split = expm_action(A, 0.3, expm_action(A, 0.4, v))
         np.testing.assert_allclose(both, split, rtol=1e-9, atol=1e-9)
 
-    def test_large_operator_matches_dense_expm(self):
-        # above EXPM_DENSE_MAX the action runs expm_multiply on a sparse copy
-        n = EXPM_DENSE_MAX + 88
-        dx = 1.0 / (n + 1)
-        for bc in ("dirichlet", "periodic"):
-            A = build_heat(n, dx, 1.0, bc).A
-            v = np.sin(3 * np.pi * dx * np.arange(1, n + 1)) + 0.1
-            expected = scipy.linalg.expm(2e-5 * A.to_dense()) @ v
-            np.testing.assert_allclose(expm_action(A, 2e-5, v), expected,
-                                       rtol=1e-10, atol=1e-12)
+    def test_large_operator_raises(self):
+        n = EXPM_DENSE_MAX + 1
+        sys = build_heat(n, 1.0 / (n + 1), 1.0, "dirichlet")
+        for op in (sys.A, sys):
+            with pytest.raises(ValueError, match=f"n = {n} exceeds EXPM_DENSE_MAX = 512"):
+                expm_action(op, 1e-3, np.ones(n))
+            assert not sys.A._expms
 
     def test_non_finite_exponential_raises(self):
         for A in (BandedMatrix(np.array([1e4, -1.0]), np.ones(1), np.ones(1)),
@@ -978,13 +936,6 @@ class TestExpmAction:
                 assert all(f.result(timeout=60) for f in futures)
         finally:
             sys.setswitchinterval(old)
-
-    def test_to_sparse_matches_to_dense(self):
-        rng = np.random.default_rng(17)
-        sys = build_wave(5, 1.0 / 6, 1.0, "periodic")
-        for op in (random_banded(rng, 1), random_banded(rng, 2), random_banded(rng, 6),
-                   random_banded(rng, 6, periodic=True), sys, CompanionSystem(sys)):
-            np.testing.assert_array_equal(op.to_sparse().toarray(), op.to_dense())
 
 
 @pytest.mark.parametrize("periodic", [False, True])

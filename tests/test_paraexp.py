@@ -12,6 +12,7 @@ from pintlab.paraexp import (
     paraexp_linear_solve,
     paraexp_nonlinear_iterate,
 )
+from pintlab.parareal import fine_sequential
 
 
 def heat_with_pulse(nx=32, nu=1.0, sigma=200.0):
@@ -24,6 +25,11 @@ def make_plan(T, n_w, J, method=None):
     dT = grid.window_length()
     red = Propagator(method or trapezoidal(), dt=dT / J, steps=J)
     return ParaExpPlan(grid=grid, red=red)
+
+
+def oracle(plan, sys):
+    """The sequential fine solution the iterative solvers measure against."""
+    return fine_sequential(plan.grid, plan.red, sys, plan.newton_tol)
 
 
 class TestLinearParaExp:
@@ -139,13 +145,13 @@ class TestNonlinearParaExp:
         sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
         plan = make_plan(0.5, 4, 8, method=exact_exponential())
-        U, trace = paraexp_nonlinear_iterate(plan, sys)
+        U, trace = paraexp_nonlinear_iterate(plan, sys, oracle(plan, sys))
         assert trace.errors[0] <= 1e-10
         lin = paraexp_linear_solve(plan, sys)
         np.testing.assert_allclose(U, lin, atol=1e-9)
 
         plan_be = make_plan(0.5, 4, 8, method=backward_euler())
-        _, tr_be = paraexp_nonlinear_iterate(plan_be, sys)
+        _, tr_be = paraexp_nonlinear_iterate(plan_be, sys, oracle(plan_be, sys))
         assert tr_be.errors[0] > 1e-10  # exact stitching vs BE windows
         assert tr_be.errors[3] <= 1e-10  # but convergence is rapid
 
@@ -155,7 +161,7 @@ class TestNonlinearParaExp:
         plan = make_plan(1.0, n_w, 10, method=backward_euler())
         plan.tol = 0.0
         plan.max_iter = n_w
-        U, trace = paraexp_nonlinear_iterate(plan, sys)
+        U, trace = paraexp_nonlinear_iterate(plan, sys, oracle(plan, sys))
         assert trace.errors[n_w - 1] <= 1e-10
 
     def test_bitwise_equality_with_linear_g_parareal(self):
@@ -163,8 +169,8 @@ class TestNonlinearParaExp:
         plan = make_plan(1.0, 5, 10, method=backward_euler())
         plan.max_iter = 4
         plan.tol = 0.0
-        U1, tr1 = paraexp_nonlinear_iterate(plan, sys)
-        U2, tr2 = linear_g_parareal(plan, sys)
+        U1, tr1 = paraexp_nonlinear_iterate(plan, sys, oracle(plan, sys))
+        U2, tr2 = linear_g_parareal(plan, sys, oracle(plan, sys))
         np.testing.assert_array_equal(U1, U2)
         assert tr1.errors == tr2.errors
 
@@ -174,8 +180,8 @@ class TestNonlinearParaExp:
         sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
         plan = make_plan(0.5, 4, 8, method=exact_exponential())
-        _, tr1 = paraexp_nonlinear_iterate(plan, sys)
-        _, tr2 = linear_g_parareal(plan, sys)
+        _, tr1 = paraexp_nonlinear_iterate(plan, sys, oracle(plan, sys))
+        _, tr2 = linear_g_parareal(plan, sys, oracle(plan, sys))
         assert tr1.errors[0] <= 1e-10 and tr2.errors[0] <= 1e-10
 
 
@@ -198,6 +204,6 @@ class TestCoarseCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(paraexp_module, "expm_action", counting)
-        _, trace = solver(plan, sys)
+        _, trace = solver(plan, sys, oracle(plan, sys))
         assert trace.iterations == 3
         assert len(calls) == n_w * trace.iterations

@@ -218,13 +218,10 @@ class TestFas:
         sys.u0[:] = np.sin(2 * np.pi * sys.x) ** 2
         return sys, SpaceTimeGrid(lx=lx, lt=lt, dx=dx, dt=dt)
 
-    def test_linear_bitwise_equals_two_level(self):
+    def test_linear_system_rejected(self):
         sys, grid = heat_grid()
-        sm = SmootherConfig(eta=0.5, s1=1, s2=1)
-        out_lin, tr_lin = stmg_two_level(sys, grid, sm, cycles=4)
-        out_fas, tr_fas = stmg_fas_nonlinear(sys, grid, sm, cycles=4, theta=1.0,
-                                             U0=np.zeros((grid.nt, sys.n)))
-        np.testing.assert_array_equal(out_lin, out_fas)
+        with pytest.raises(ValueError, match="nonlinear system.*stmg_two_level"):
+            stmg_fas_nonlinear(sys, grid, SmootherConfig(eta=0.5, s1=1, s2=1), cycles=4)
 
     def test_fas_fixed_point(self):
         sys, grid = self.burgers_grid()
@@ -288,14 +285,6 @@ class TestOneCyclePath:
         _, tr = stmg_two_level(sys, grid, sm, cycles=6)
         assert len(tr.residuals) == len(tr.errors) == 7
         assert tr.residuals[-1] < 1e-2 * tr.residuals[0]
-
-    def test_linear_fas_trapezoidal_equals_two_level(self):
-        sys, grid = heat_grid()
-        sm = SmootherConfig(eta=0.5, s1=1, s2=1)
-        out_lin, tr_lin = stmg_two_level(sys, grid, sm, integrator="trapezoidal", cycles=3)
-        out_fas, tr_fas = stmg_fas_nonlinear(sys, grid, sm, cycles=3, theta=0.5)
-        assert out_lin.tobytes() == out_fas.tobytes()
-        assert tr_lin.errors == tr_fas.errors
 
 
 class TestEntryValidation:

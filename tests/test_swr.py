@@ -70,10 +70,10 @@ class TestRobinPStar:
 
 
 class TestOswrAd:
-    def test_single_subdomain_converges_immediately(self):
-        dec = Decomposition1D(subdomains=[type("S", (), {"lo": 0, "hi": 50})()])
-        trace, = oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, [dec], tol=1e-8)
-        assert trace.iterations == 1 and trace.errors[0] == 0.0
+    def test_single_subdomain_rejected(self):
+        decs = [Decomposition1D.uniform(51, 2, 2), Decomposition1D.uniform(51, 1, 2)]
+        with pytest.raises(ValueError, match="at least 2 subdomains, got 1"):
+            oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, decs, tol=1e-8)
 
     @pytest.mark.slow
     def test_reference_iteration_counts(self):
@@ -508,11 +508,10 @@ class TestWaveGrid:
 class TestUtp:
     C = np.sqrt(0.2)
 
-    def test_zero_data_zero_guess_zero_residual(self):
-        sched = TentSchedule(n_red=3)
-        U, tr, rows = utp_advance(self.C, 1.0, 0.5, 1.0 / 60, sched, sweeps=1,
-                                  u0_fn=lambda x: np.zeros_like(x), seed=None)
-        assert tr.residuals[0] == 0.0
+    def test_non_integer_seed_rejected(self):
+        for seed in (None, 1.5):
+            with pytest.raises(ValueError, match="integer seed, got " + repr(seed)):
+                utp_advance(self.C, 1.0, 0.5, 1.0 / 60, TentSchedule(n_red=3), sweeps=1, seed=seed)
 
     def test_first_sweep_exact_inside_tents(self):
         L, dx = 1.0, 1.0 / 120
