@@ -11,6 +11,7 @@ description.  A runner takes only ``seed`` and returns an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -125,7 +126,7 @@ def run_parareal_finite_termination(seed=0):
     rows, checks = [], []
     for model, sys in (("heat", heat), ("advection_diffusion", ad), ("wave", wave)):
         cfg = _parareal_cfg(1.0, n_w, 4, fine="trapezoidal", max_iter=n_w, tol=0.0)
-        oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sys)
         scale = max(np.abs(oracle).max(), 1.0)
         _, tr = parareal.parareal_solve(cfg, sys, oracle=oracle)
         for k, e in enumerate(tr.errors):
@@ -275,7 +276,7 @@ def run_paraexp_exactness(seed=0):
     dT = grid.window_length()
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=dT / 64, steps=64))
     out = paraexp.paraexp_linear_solve(plan, sys)
-    seq = parareal.fine_sequential(grid, plan.red, sys, plan.newton_tol)
+    seq = parareal.fine_sequential(grid, plan.red, sys)
     plan_fine = paraexp.ParaExpPlan(
         grid=grid, red=Propagator(trapezoidal(), dt=dT / 256, steps=256))
     ref = paraexp.paraexp_linear_solve(plan_fine, sys)
@@ -297,7 +298,7 @@ def run_paraexp_exactness(seed=0):
     planb.max_iter = n_w
     planb.tol = 0.0
     # both iterations share the system, grid and fine propagator: one oracle
-    oracle = parareal.fine_sequential(gridb, planb.red, sysb, planb.newton_tol)
+    oracle = parareal.fine_sequential(gridb, planb.red, sysb)
     U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb, oracle=oracle)
     U2, tr2 = paraexp.linear_g_parareal(planb, sysb, oracle=oracle)
     bitwise = bool(np.array_equal(U1, U2))
@@ -345,8 +346,7 @@ def run_swr_wave_utp(seed=0):
     # tents: certified region grows by one slab per sweep
     L, dxu = 1.0, 1.0 / 120
     sched = swr.TentSchedule(n_red=3)
-    x, dtu, mono = swr.monodomain_solve_wave(c, L, 1.0, dxu,
-                                             lambda xx: np.sin(2 * np.pi * xx / L) ** 2)
+    x, dtu, mono = swr.monodomain_solve_wave(c, L, 1.0, dxu, partial(swr.wave_initial_data, L=L))
     bounds = np.linspace(0, x.shape[0] - 1, 7).round().astype(int)
     overlap = x[bounds[2]] - x[bounds[1]]
     slab = overlap / (2 * c)
@@ -486,7 +486,7 @@ def run_parareal_diag_variants(seed=0):
     sys.u0[:] = np.sin(2 * np.pi * sys.x)
     cfg_c = _parareal_cfg(4.0, 40, 10, fine="sdirk22", max_iter=10, tol=1e-12)
     # both solvers share the system, grid and fine propagator: one oracle
-    oracle = parareal.fine_sequential(cfg_c.grid, cfg_c.fine, sys, cfg_c.newton_tol)
+    oracle = parareal.fine_sequential(cfg_c.grid, cfg_c.fine, sys)
     _, tr_c = parareal.parareal_solve(cfg_c, sys, oracle=oracle)
     rho = _geo_mean(tr_c.contraction_factors(floor=1e-10))
     alpha = rho / (1 + rho)
@@ -505,7 +505,7 @@ def run_parareal_diag_variants(seed=0):
         cfg = _parareal_cfg(8.0, 96, 10, fine="trapezoidal", coarse="trapezoidal",
                             max_iter=7, tol=1e-13, alpha=alpha)
         if oracle is None:
-            oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sysh, cfg.newton_tol)
+            oracle = parareal.fine_sequential(cfg.grid, cfg.fine, sysh)
         _, tr = parareal.parareal_diag_coarse_solve(cfg, sysh, oracle=oracle)
         factors = tr.contraction_factors(skip=1)
         mean = _geo_mean(factors)

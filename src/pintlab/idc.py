@@ -1,6 +1,6 @@
 """Integral deferred correction and its time-parallel relatives.
 
-IDC sweeps raise the order of a theta-method by integrating the residual
+IDC sweeps raise the order of backward Euler by integrating the residual
 with quadrature built on the window's nodes (the M nodes excluding the
 left endpoint, giving exactness degree M-1 and an order ceiling of M).
 The two-level PFASST block iteration couples a backward-Euler sweep on fine
@@ -77,31 +77,31 @@ class SweepState:
     k: int = 0
 
 
-class _ThetaNodes:
-    """The implicit node solves y - theta*dtm*f(y, t_next) = rhs of one
+class _EulerNodes:
+    """The backward-Euler node solves y - dtm*f(y, t_next) = rhs of one
     linear system ``sys`` (a nonlinear one is a ValueError).  It keeps the
     shift plan of each step size dtm, so one instance made per run shares
     each factorization among all the run's sweeps."""
 
-    def __init__(self, sys, theta: float):
+    def __init__(self, sys):
         if not sys.linear:
             raise ValueError("IDC sweeps only linear systems")
-        self.sys, self.theta = sys, theta
+        self.sys = sys
         self.plans = {}
 
     def __call__(self, dtm, t_next, rhs):
-        sys, theta = self.sys, self.theta
+        sys = self.sys
         plan = self.plans.get(dtm)
         if plan is None:
-            plan = self.plans[dtm] = sys.A.shift_plan(1.0, theta * dtm)
-        extra = dtm * theta * (sys.source(t_next) if sys.source is not None else 0.0)
+            plan = self.plans[dtm] = sys.A.shift_plan(1.0, dtm)
+        extra = dtm * (sys.source(t_next) if sys.source is not None else 0.0)
         return plan.solve(rhs + extra)
 
 
-def idc_sweep(state: SweepState, nodes: _ThetaNodes, weights: np.ndarray) -> SweepState:
-    """One left-to-right correction sweep over the window, with the node
-    solves of ``nodes`` (which carries the system and theta)."""
-    sys, theta = nodes.sys, nodes.theta
+def idc_sweep(state: SweepState, nodes: _EulerNodes, weights: np.ndarray) -> SweepState:
+    """One left-to-right backward-Euler correction sweep over the window,
+    with the node solves of ``nodes`` (which carries the system)."""
+    sys = nodes.sys
     t = state.t_nodes
     M = t.shape[0] - 1
     old = state.values
@@ -110,22 +110,17 @@ def idc_sweep(state: SweepState, nodes: _ThetaNodes, weights: np.ndarray) -> Swe
     new[0] = old[0]
     for m in range(M):
         dtm = t[m + 1] - t[m]
-        rhs = (
-            new[m]
-            + dtm * (1.0 - theta) * (sys.f(new[m], t[m]) - f_old[m])
-            - dtm * theta * f_old[m + 1]
-            + weights[m] @ f_old[1:]
-        )
+        rhs = new[m] - dtm * f_old[m + 1] + weights[m] @ f_old[1:]
         new[m + 1] = nodes(dtm, t[m + 1], rhs)
     return SweepState(n=state.n, t_nodes=t, values=new, k=state.k + 1)
 
 
-def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
-    """Windowed IDC of a linear system: a theta predictor plus
+def idc_run(sys, T, n_windows, M, k_corrections):
+    """Windowed IDC of a linear system: a backward-Euler predictor plus
     k_corrections sweeps per window.
     Each window starts from the constant guess at its predecessor's final
     endpoint value (u0 for the first), so the predictor sweep reduces to
-    the plain theta method.
+    plain backward Euler.
 
     Returns (window node times, per-window per-sweep node values,
     endpoint array indexed [sweep, boundary])."""
@@ -136,7 +131,7 @@ def idc_run(sys, T, n_windows, M, k_corrections, theta: float = 1.0):
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
     finite_u0(sys)
-    nodes = _ThetaNodes(sys, theta)
+    nodes = _EulerNodes(sys)
     k_sweeps = k_corrections + 1
     boundaries = np.linspace(0.0, T, n_windows + 1)
     windows = []  # windows[n][k] = node values of window n after sweep k+1

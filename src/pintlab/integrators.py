@@ -1,8 +1,8 @@
 """Time integrators and the coarse/fine propagator abstraction.
 
 One-step methods (backward Euler, trapezoidal, SDIRK22 and the exact
-exponential) step first-order systems; the parametrized
-Numerov-type method steps second-order systems directly.  ``Propagator``
+exponential) step first-order systems; the Numerov-type method, with
+gamma = :data:`NUMEROV_GAMMA`, steps second-order systems directly.  ``Propagator``
 bundles a method with a step size and step count and is the building block
 every shooting-type method composes.  ``AllAtOnce``, the all-at-once
 operator K = T(c1) (x) r1(tau A) - T(c2) (x) r2(tau A) given by its data,
@@ -22,6 +22,8 @@ from .kernels import (EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, expm_acti
 from .models import CompanionSystem, SemiDiscreteSystem
 
 SQRT2 = np.sqrt(2.0)
+NUMEROV_GAMMA = 1.0 / 120.0  # the Numerov-type method's dt^4 A^2 coefficient
+NEWTON_TOL = 1e-12  # residual tolerance of every Newton solve, relative to max|y|
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class Propagator:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1:
+        if not self.dt > 0 or self.steps < 1:
             raise ValueError("need dt > 0 and steps >= 1")
         if not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
@@ -140,7 +142,7 @@ class Propagator:
         return self.dt * self.steps
 
 
-def _newton(sys, c, rhs, ts, guess, tol=1e-12, max_iter=50):
+def _newton(sys, c, rhs, ts, guess, max_iter=50):
     """Solve y_j - c*f(y_j, ts[j]) = rhs_j by Newton for every column j of
     an (n, k) block, all columns in step; ``ts`` may be one time for all.
     An (n,) vector is one column, and a block of one is solved as one.
@@ -155,7 +157,7 @@ def _newton(sys, c, rhs, ts, guess, tol=1e-12, max_iter=50):
     ConvergenceError.
     """
     if guess.ndim == 2 and guess.shape[1] == 1:
-        return _newton(sys, c, rhs[:, 0], np.ravel(ts)[0], guess[:, 0], tol, max_iter)[:, None]
+        return _newton(sys, c, rhs[:, 0], np.ravel(ts)[0], guess[:, 0], max_iter)[:, None]
     Y = y = guess.copy()
     width = Y.shape[1:]  # (k,) for a block, () for a vector
     # the active columns, with their right-hand sides, times and shifts (a, b) = (1, c)
@@ -163,7 +165,7 @@ def _newton(sys, c, rhs, ts, guess, tol=1e-12, max_iter=50):
                          np.full(width, c)) if width else (slice(None), rhs, ts, 1.0, c))
     for _ in range(max_iter):
         res = y - c * sys.f(y, t) - r
-        done = np.abs(res).max(axis=0) <= tol * np.abs(y).max(axis=0, initial=1.0)
+        done = np.abs(res).max(axis=0) <= NEWTON_TOL * np.abs(y).max(axis=0, initial=1.0)
         n_done = np.count_nonzero(done)
         if n_done:
             Y.T[cols] = y.T  # the converged columns keep these values
@@ -230,38 +232,36 @@ def _step_plan(method, sys, dt):
     return sys.shift_plan(1.0, (method.theta if method.theta is not None else method.gamma) * dt)
 
 
-def _step_nonlinear(method, sys, dt, t0s, U, newton_tol):
+def _step_nonlinear(method, sys, dt, t0s, U):
     """One step of ``method`` on the nonlinear system for a block of states
     ``U`` (n, k), column j from time t0s[j]; each Newton solve takes the
     whole block."""
     if method.theta is not None:
         th = method.theta
         rhs = U + (1.0 - th) * dt * sys.f(U, t0s)
-        return _newton(sys, th * dt, rhs, t0s + dt, U, tol=newton_tol)
+        return _newton(sys, th * dt, rhs, t0s + dt, U)
     g, a21, (b1, b2) = method.gamma, method.a21, method.b
     t1, t2 = t0s + g * dt, t0s + (a21 + g) * dt
-    y1 = _newton(sys, g * dt, U, t1, U, tol=newton_tol)
+    y1 = _newton(sys, g * dt, U, t1, U)
     k1 = sys.f(y1, t1)
-    y2 = _newton(sys, g * dt, U + dt * a21 * k1, t2, y1, tol=newton_tol)
+    y2 = _newton(sys, g * dt, U + dt * a21 * k1, t2, y1)
     k2 = sys.f(y2, t2)
     return U + dt * (b1 * k1 + b2 * k2)
 
 
-def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray,
-              newton_tol: float = 1e-12) -> np.ndarray:
+def propagate(prop: Propagator, sys, t0: float, t1: float, u: np.ndarray) -> np.ndarray:
     """Advance ``u`` from t0 to t1 with ``prop.steps`` steps of ``prop.method``."""
     span = t1 - t0
     if abs(span - prop.span()) > 1e-12 * max(1.0, abs(span)):
         raise ValueError("propagator steps*dt does not cover the window")
-    out = propagate_block(prop, sys, np.array([t0]), u[:, None], newton_tol=newton_tol)
+    out = propagate_block(prop, sys, np.array([t0]), u[:, None])
     return out[:, 0]
 
 
 SOURCE_CHUNK = 16  # steps whose source values one call evaluates
 
 
-def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
-                    newton_tol: float = 1e-12) -> np.ndarray:
+def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Propagate a block of window states over one window each.
 
     Column j of ``U`` starts at t0s[j]; all windows span prop.steps*prop.dt,
@@ -294,7 +294,7 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray,
         for i in range(steps.size):
             W = (_step_linear_block(prop.method, sys, plan, prop.dt, W,
                                     None if g is None else g[:, i]) if linear
-                 else _step_nonlinear(prop.method, sys, prop.dt, ts[i], W, newton_tol))
+                 else _step_nonlinear(prop.method, sys, prop.dt, ts[i], W))
             if not np.isfinite(W).all():
                 raise ConvergenceError("propagation produced non-finite values")
     return W
@@ -390,12 +390,13 @@ class AllAtOnce:
         return self.forward_substitution(self.rhs())
 
 
-def numerov_matrices(sys: SemiDiscreteSystem, gamma: float, dt: float):
-    """Polynomial coefficients (in A) of the Numerov pair r1, r2."""
+def numerov_matrices(sys: SemiDiscreteSystem, dt: float):
+    """Polynomial coefficients (in A) of the Numerov pair r1, r2, with
+    gamma = :data:`NUMEROV_GAMMA`."""
     if sys.order != "second":
         raise ValueError("Numerov applies to second-order systems")
-    r1 = (1.0, -dt**2 / 12.0, 10.0 * gamma * dt**4 / 12.0)
-    r2 = (2.0, 10.0 * dt**2 / 12.0, 20.0 * gamma * dt**4 / 12.0)
+    r1 = (1.0, -dt**2 / 12.0, 10.0 * NUMEROV_GAMMA * dt**4 / 12.0)
+    r2 = (2.0, 10.0 * dt**2 / 12.0, 20.0 * NUMEROV_GAMMA * dt**4 / 12.0)
     return r1, r2
 
 
@@ -417,7 +418,7 @@ def numerov_bootstrap(sys: SemiDiscreteSystem, dt: float) -> np.ndarray:
     return w1[: sys.n]
 
 
-def numerov_solve(sys: SemiDiscreteSystem, gamma: float, dt: float, n_steps: int,
+def numerov_solve(sys: SemiDiscreteSystem, dt: float, n_steps: int,
                   u1: Optional[np.ndarray] = None) -> np.ndarray:
     """Sequential Numerov trajectory (n_steps+1 rows, starting at u0): every
     step solves r1 u_{n+1} = r2 u_n - r1 u_{n-1} with one QuadraticPlan."""
@@ -426,7 +427,7 @@ def numerov_solve(sys: SemiDiscreteSystem, gamma: float, dt: float, n_steps: int
     out = np.empty((n_steps + 1, sys.n))
     out[0] = sys.u0
     out[1] = numerov_bootstrap(sys, dt) if u1 is None else u1
-    r1, r2 = numerov_matrices(sys, gamma, dt)
+    r1, r2 = numerov_matrices(sys, dt)
     plan = QuadraticPlan(sys.A, r1)
     for n in range(1, n_steps):
         rhs = apply_poly(sys.A, r2, out[n]) - apply_poly(sys.A, r1, out[n - 1])
@@ -439,10 +440,10 @@ class NumerovAllAtOnce(AllAtOnce):
     tau = 1 as :func:`numerov_matrices` carries the powers of dt.  Only its
     right-hand side and sequential solve differ from the theta operator's."""
 
-    def __init__(self, sys: SemiDiscreteSystem, gamma: float, dt: float, nt: int):
-        self.sys, self.gamma, self.dt, self.nt, self.tau = sys, gamma, dt, nt, 1.0
+    def __init__(self, sys: SemiDiscreteSystem, dt: float, nt: int):
+        self.sys, self.dt, self.nt, self.tau = sys, dt, nt, 1.0
         self.time_columns = (_unit_column(nt, 0, 2), _unit_column(nt, 1))
-        self.polys = numerov_matrices(sys, gamma, dt)
+        self.polys = numerov_matrices(sys, dt)
         self.u1 = numerov_bootstrap(sys, dt)
 
     def rhs(self):
@@ -453,4 +454,4 @@ class NumerovAllAtOnce(AllAtOnce):
         return b
 
     def sequential_solve(self):
-        return numerov_solve(self.sys, self.gamma, self.dt, self.nt, self.u1)[1:]
+        return numerov_solve(self.sys, self.dt, self.nt, self.u1)[1:]

@@ -6,9 +6,6 @@ the second-order wave equation.  Boundary handling:
 
 * dirichlet  - boundary unknowns eliminated, vectors hold interior values,
                dx = 1/(Nx+1)
-* neumann    - mirror ghost points with half-weight boundary rows (the
-               finite-volume closure, so all column sums vanish and the
-               discrete mean is conserved), dx = 1/(Nx-1)
 * periodic   - wrap-around corners on the stencils, dx = 1/Nx
 """
 
@@ -30,9 +27,9 @@ class InvalidBoundaryError(ValueError):
     pass
 
 
-def _check_bc(bc, allowed=("dirichlet", "neumann", "periodic")):
-    if bc not in allowed:
-        raise InvalidBoundaryError(f"boundary condition {bc!r} not in {allowed}")
+def _check_bc(bc):
+    if bc not in ("dirichlet", "periodic"):
+        raise InvalidBoundaryError(f"boundary condition {bc!r} is not 'dirichlet' or 'periodic'")
 
 
 def grid_coordinates(nx: int, dx: float, bc: str) -> np.ndarray:
@@ -54,15 +51,12 @@ def second_difference_stencil(nx: int, bc: str) -> BandedMatrix:
     upper = np.ones(nx - 1)
     if bc == "periodic":
         return BandedMatrix(diag, lower, upper, corner_top=1.0, corner_bottom=1.0)
-    if bc == "neumann":
-        # half-weight flux rows: (-1, 1) and (1, -1)
-        diag[0] = diag[-1] = -1.0
     return BandedMatrix(diag, lower, upper)
 
 
 def first_difference_stencil(nx: int, bc: str) -> BandedMatrix:
     """Integer-weight centered first-difference stencil (rows -1, 0, 1)."""
-    _check_bc(bc, allowed=("dirichlet", "periodic"))
+    _check_bc(bc)
     if nx < 3:
         raise ValueError("need nx >= 3")
     diag = np.zeros(nx)
@@ -89,7 +83,7 @@ class SourcePulse:
     x_center: float = PULSE_CENTER_X
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
@@ -198,7 +192,7 @@ def build_heat(nx: int, dx: float, nu: float, bc: str, source=None) -> SemiDiscr
 def build_advection_diffusion(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
     """Advection-diffusion u_t + u_x - nu*u_xx = g:
     A = (nu/dx^2) A_xx - (1/(2 dx)) A_x."""
-    _check_bc(bc, allowed=("dirichlet", "periodic"))
+    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
     A = second_difference_stencil(nx, bc).scaled(nu / dx**2).add(
         first_difference_stencil(nx, bc).scaled(-1.0 / (2.0 * dx))
@@ -212,7 +206,7 @@ def build_advection_diffusion(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem
 def build_burgers(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
     """Burgers' u_t - nu*u_xx + (1/2)(u^2)_x = g in conservative form:
     f(u) = (nu/dx^2) A_xx u - (1/(4 dx)) A_x (u^2) + g."""
-    _check_bc(bc, allowed=("dirichlet", "periodic"))
+    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
     A = second_difference_stencil(nx, bc).scaled(nu / dx**2)
     B = first_difference_stencil(nx, bc).scaled(-1.0 / (4.0 * dx))

@@ -44,7 +44,7 @@ class GeometricTimeMesh:
     rho: float
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("geometric mesh needs rho > 0 (distinct steps)")
         if not self.T > 0:
             raise ValueError(f"geometric mesh needs T > 0, got T={self.T}")
@@ -140,8 +140,7 @@ def optimal_curvature_point(n_t: int) -> float:
     return 2.0 / n_t
 
 
-def rho_opt_first_order(n_t: int, T: float, lam_max: float,
-                        eps: float = MACHINE_EPS) -> float:
+def rho_opt_first_order(n_t: int, T: float, lam_max: float) -> float:
     """Step-ratio parameter balancing the two first-order error bounds
     (evaluated in the log domain to survive the factorials)."""
     if n_t < 2:
@@ -149,7 +148,7 @@ def rho_opt_first_order(n_t: int, T: float, lam_max: float,
     x_star = optimal_curvature_point(n_t)
     log_C = math.log(n_t * (n_t**2 - 1) / 24.0) + _log_r(x_star, n_t)
     log_num = (
-        math.log(eps)
+        math.log(MACHINE_EPS)
         + 2.0 * math.log(n_t)
         + math.log(2.0 * n_t + 1.0)
         + math.log(n_t + lam_max * T)
@@ -250,20 +249,20 @@ def alpha_circulant_factor(first_column: np.ndarray, alpha: float) -> AlphaCircu
 # ---------------------------------------------------------------------------
 
 
-def make_all_at_once(sys, integrator, dt, n_t, gamma: float = 1.0 / 120.0):
+def make_all_at_once(sys, integrator, dt, n_t):
     """Assemble the all-at-once operator for paradiag2_solve and tests."""
     if getattr(sys, "order", "first") == "second":
-        return NumerovAllAtOnce(sys, gamma, dt, n_t)
+        return NumerovAllAtOnce(sys, dt, n_t)
     return AllAtOnce(sys, named_theta(integrator), dt, n_t)
 
 
-def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
+def _preconditioned(sys, integrator, alpha, dt, n_t):
     """(op, b, solve): the operator K, its right-hand side and
     R -> P_alpha^-1 R, where P_alpha takes the alpha-circulant C_alpha(c)
     for each Toeplitz time matrix T(c) of K.  Fourier mode n of P_alpha is
     the block d1[n] r1 - d2[n] r2."""
     _check_dt(dt)
-    op = make_all_at_once(sys, integrator, dt, n_t, gamma=gamma)
+    op = make_all_at_once(sys, integrator, dt, n_t)
     b = op.rhs()
     fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)
     d1, d2 = fac.eigenvalues, fac2.eigenvalues
@@ -284,16 +283,16 @@ def _preconditioned(sys, integrator, alpha, dt, n_t, gamma):
     return op, b, solve
 
 
-def dense_preconditioned_operator(sys, integrator: str, alpha: float, dt: float, n_t: int,
-                                  gamma: float = 1.0 / 120.0) -> np.ndarray:
+def dense_preconditioned_operator(sys, integrator: str, alpha: float, dt: float,
+                                  n_t: int) -> np.ndarray:
     """Dense P_alpha^-1 K from the operator's own ``apply`` and the
     preconditioner solve (:func:`kernels.dense_of`), for spectral checks."""
-    op, _, solve = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
+    op, _, solve = _preconditioned(sys, integrator, alpha, dt, n_t)
     return dense_of(lambda X: solve(op.apply(X)).real, (n_t, sys.n))
 
 
 def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
-                    gamma: float = 1.0 / 120.0, tol: float = 1e-10, max_iter: int = 100,
+                    tol: float = 1e-10, max_iter: int = 100,
                     reference: Optional[np.ndarray] = None, u_init=None):
     """All-at-once solve with the alpha-circulant preconditioner: the
     stationary iteration U += P_alpha^-1 (b - K U), in increment form.
@@ -302,7 +301,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     if max_iter < 0:
         raise ValueError(f"need max_iter >= 0, got {max_iter}")
     _check_n_t(n_t, 1)
-    op, b, solve = _preconditioned(sys, integrator, alpha, dt, n_t, gamma)
+    op, b, solve = _preconditioned(sys, integrator, alpha, dt, n_t)
 
     trace = IterationTrace(method="paradiag2_stationary")
     U = np.zeros_like(b) if u_init is None else u_init.copy()

@@ -26,7 +26,6 @@ class ParaExpPlan:
     red: Propagator  # integrator for the zero-IC inhomogeneous subproblems
     max_iter: int = 50
     tol: float = 1e-12
-    newton_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.grid.spanned_by(self.red):
@@ -107,8 +106,7 @@ def paraexp_nonlinear_iterate(plan: ParaExpPlan, sys, oracle: np.ndarray):
 def _window_solves(plan, target, IC):
     """Parallel nonlinear window solves from the stitched initial values."""
     t0s = plan.grid.boundaries[:-1]
-    ends = propagate_block(plan.red, target, t0s, IC[:-1].T.copy(),
-                           newton_tol=plan.newton_tol).T
+    ends = propagate_block(plan.red, target, t0s, IC[:-1].T.copy()).T
     U = np.empty_like(IC)
     U[0] = IC[0]
     U[1:] = ends

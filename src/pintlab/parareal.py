@@ -33,7 +33,6 @@ class PararealConfig:
     alpha: float = 0.1
     initial_guess: str = "coarse"  # coarse | random
     seed: int = 0
-    newton_tol: float = 1e-12
 
     def __post_init__(self):
         if self.initial_guess not in ("coarse", "random"):
@@ -44,7 +43,7 @@ class PararealConfig:
                 raise ValueError(f"{name} propagator does not span every window")
 
 
-def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float,
+def fine_sequential(grid: TimeGrid, fine: Propagator, sys,
                     F: Optional[np.ndarray] = None) -> np.ndarray:
     """Sequential sweep of ``fine`` across the windows of ``grid``: the
     oracle trajectory at window boundaries, shape (n_windows + 1, n), one
@@ -57,7 +56,7 @@ def fine_sequential(grid: TimeGrid, fine: Propagator, sys, newton_tol: float,
     out = [u.copy()]
     for n in range(grid.n_windows):
         t0, t1 = grid.window(n)
-        u = F @ u if F is not None else propagate(fine, target, t0, t1, u, newton_tol=newton_tol)
+        u = F @ u if F is not None else propagate(fine, target, t0, t1, u)
         out.append(u.copy())
     return np.stack(out)
 
@@ -67,8 +66,7 @@ def _coarse_propagator(cfg, target):
     G = window_matrix(cfg.coarse, target)
     if G is not None:
         return lambda n, u: G @ u
-    return lambda n, u: propagate(cfg.coarse, target, *cfg.grid.window(n), u,
-                                  newton_tol=cfg.newton_tol)
+    return lambda n, u: propagate(cfg.coarse, target, *cfg.grid.window(n), u)
 
 
 def _initial_iterate(cfg, target, coarse):
@@ -91,15 +89,14 @@ def _fine_map(cfg, target, F, starts, first=0):
     without one a :func:`propagate_block` march over every window."""
     if F is not None:
         return starts @ F.T
-    return propagate_block(cfg.fine, target, cfg.grid.boundaries[first:-1], starts.T.copy(),
-                           newton_tol=cfg.newton_tol).T
+    return propagate_block(cfg.fine, target, cfg.grid.boundaries[first:-1], starts.T.copy()).T
 
 
 def _fine_and_oracle(cfg, target, oracle):
     """The fine window matrix (or None) and the oracle, made with it unless given."""
     F = window_matrix(cfg.fine, target)
     if oracle is None:
-        oracle = fine_sequential(cfg.grid, cfg.fine, target, cfg.newton_tol, F)
+        oracle = fine_sequential(cfg.grid, cfg.fine, target, F)
     return F, oracle
 
 
@@ -192,19 +189,18 @@ def mgrit_rho_linear(Rg: Callable, Rf: Callable, J: int, z) -> float:
     return np.abs(Rf(z / J) ** J) * rho_linear(Rg, Rf, J, z)
 
 
-def max_rho_negative_axis(rho: Callable, z_lo: float = -1e6, n_coarse: int = 4000,
-                          n_refine: int = 4000) -> float:
-    """Maximize a convergence-factor function over z in [z_lo, 0).
+def max_rho_negative_axis(rho: Callable) -> float:
+    """Maximize a convergence-factor function over z in [-1e6, 0).
 
-    Dense log-spaced sampling followed by a linear refinement around the
-    coarse argmax.
+    Dense log-spaced sampling (4000 points) followed by a 4000-point linear
+    refinement around the coarse argmax.
     """
-    z = -np.geomspace(1e-8, -z_lo, n_coarse)
+    z = -np.geomspace(1e-8, 1e6, 4000)
     vals = rho(z)
     i = int(np.argmax(vals))
     lo = z[min(i + 1, len(z) - 1)]
     hi = z[max(i - 1, 0)]
-    zr = np.linspace(lo, hi, n_refine)
+    zr = np.linspace(lo, hi, 4000)
     return float(max(vals[i], np.max(rho(zr))))
 
 

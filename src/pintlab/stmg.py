@@ -53,7 +53,7 @@ class SmootherConfig:
     s2: int = 1
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("damping must be positive")
 
 
@@ -65,10 +65,10 @@ def lfa_rho(omega: float, xi: float, eta: float, dt: float, dx: float) -> comple
     return 1.0 - eta * (1.0 - phase / den)
 
 
-def lfa_max_high_frequency(eta: float, dt: float, dx: float, samples: int = 96) -> float:
+def lfa_max_high_frequency(eta: float, dt: float, dx: float) -> float:
     """Max |symbol| over modes with |w dt| or |xi dx| in (pi/2, pi), from
-    one evaluation of :func:`lfa_rho` on the grid of sampled modes."""
-    thetas = np.linspace(-np.pi, np.pi, 2 * samples + 1)
+    one evaluation of :func:`lfa_rho` on a grid of 193 x 193 sampled modes."""
+    thetas = np.linspace(-np.pi, np.pi, 193)
     wt, xd = np.meshgrid(thetas, thetas, indexing="ij")
     high = (np.abs(wt) > np.pi / 2) | (np.abs(xd) > np.pi / 2)
     rho = lfa_rho(wt[high] / dt, xd[high] / dx, eta, dt, dx)
@@ -141,20 +141,19 @@ def _prolong(ops: TwoLevelOperators, E):
 
 def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                    integrator: str = "backward_euler", cycles: int = 10,
-                   U0: Optional[np.ndarray] = None,
-                   reference: Optional[np.ndarray] = None):
+                   U0: Optional[np.ndarray] = None):
     """Two-level V-cycles on the linear all-at-once system: smooth,
     restrict the residual, solve the coarse level by forward substitution,
     prolong its correction, smooth.
 
     Returns (trajectory including the initial row, trace); the trace
-    records errors against ``reference`` (default: the exact forward
-    substitution) and residual norms.
+    records errors against the exact forward substitution and residual
+    norms.
     """
     ops = _two_level(sys, grid, named_theta(integrator), AllAtOnce)
     op_f = ops.op_f
     b = op_f.rhs()
-    U_star = op_f.forward_substitution(b) if reference is None else reference
+    U_star = op_f.forward_substitution(b)
     U = np.zeros_like(b) if U0 is None else U0.copy()
     trace = IterationTrace(method="stmg_two_level")
     trace.meta["coarsen_space"] = ops.coarsen_space
@@ -205,15 +204,15 @@ class NonlinearAllAtOnce:
         b[0] = u0 + self.dt * (1 - self.theta) * self.sys.f(u0, 0.0)
         return b
 
-    def smooth(self, b, U, eta, s, newton_tol=1e-12):
+    def smooth(self, b, U, eta, s):
         """Nonlinear block Jacobi: solve dU_n - dt*theta*f(dU_n) = eta*res_n
         for the independent time rows n, all in one batched Newton solve."""
         for _ in range(s):
             res = (eta * (b - self.apply(U))).T
-            U = U + _newton(self.sys, self.theta * self.dt, res, 0.0, res, tol=newton_tol).T
+            U = U + _newton(self.sys, self.theta * self.dt, res, 0.0, res).T
         return U
 
-    def forward_substitution(self, b, newton_tol=1e-12):
+    def forward_substitution(self, b):
         """Sequential exact solve of K(U) = b (Newton per time block)."""
         th, dt = self.theta, self.dt
         U = np.empty((self.nt, self.sys.n))
@@ -223,14 +222,13 @@ class NonlinearAllAtOnce:
             if prev is not None:
                 r += prev + dt * (1 - th) * self.sys.f(prev, n * self.dt)
             guess = prev if prev is not None else self.sys.u0
-            U[n] = _newton(self.sys, th * dt, r, (n + 1) * dt, guess, tol=newton_tol)
+            U[n] = _newton(self.sys, th * dt, r, (n + 1) * dt, guess)
             prev = U[n]
         return U
 
 
 def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
                        cycles: int = 10, theta: float = 1.0,
-                       reference: Optional[np.ndarray] = None,
                        U0: Optional[np.ndarray] = None):
     """Two-level full approximation scheme for the nonlinear system.  A
     linear system is a ValueError: FAS is then the plain correction scheme
@@ -242,7 +240,7 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     ops = _two_level(sys, grid, theta, NonlinearAllAtOnce)
     op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()
-    U_star = op_f.forward_substitution(b) if reference is None else reference
+    U_star = op_f.forward_substitution(b)
     U = np.tile(sys.u0, (grid.nt, 1)) if U0 is None else U0.copy()
     trace = IterationTrace(method="stmg_fas")
     trace.meta["coarsen_space"] = ops.coarsen_space

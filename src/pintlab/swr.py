@@ -21,6 +21,7 @@ colour, is one leapfrog march of the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,8 @@ class Decomposition1D:
     """Uniform multi-subdomain overlapping decomposition of a 1D grid.
 
     ``overlap_cells`` is the number of grid cells two neighbours share;
-    transmission condition is 'dirichlet' or 'robin' (with parameter p).
+    transmission condition is 'dirichlet' or 'robin' (with a finite
+    parameter p > 0).
     """
 
     subdomains: list
@@ -55,6 +57,11 @@ class Decomposition1D:
             raise ValueError("decomposition has no subdomains")
         if any(sub.hi <= sub.lo for sub in subs):
             raise ValueError("every subdomain needs at least 2 nodes")
+        if self.tc not in ("dirichlet", "robin"):
+            raise ValueError(f"transmission condition must be 'dirichlet' or 'robin', "
+                             f"got {self.tc!r}")
+        if self.tc == "robin" and not 0 < self.p < np.inf:
+            raise ValueError(f"Robin parameter must be finite and positive, got p={self.p}")
         if self.tc == "robin" and any(a.hi - b.lo < 2 for a, b in zip(subs[:-1], subs[1:])):
             # the one-sided Robin difference reads 3 nodes of each neighbour
             raise ValueError("Robin transmission needs an overlap of at least 2 cells")
@@ -64,8 +71,6 @@ class Decomposition1D:
                 tc: str = "dirichlet", p: float = np.inf) -> "Decomposition1D":
         if overlap_cells < 1:
             raise ValueError("overlap must be positive")
-        if tc == "robin" and not p > 0:
-            raise ValueError("Robin parameter must be positive")
         cuts = np.linspace(0, n_nodes - 1, n_sub + 1).round().astype(int)
         half = overlap_cells / 2.0
         subs = []
@@ -315,6 +320,16 @@ def _wave_grid(c, L, T, dx):
     return dt, n, n_steps
 
 
+def ad_initial_data(x, L):
+    """Advection-diffusion initial data on [0, L]: a Gaussian at the centre."""
+    return np.exp(-10.0 * (x - L / 2.0) ** 2)
+
+
+def wave_initial_data(x, L):
+    """Wave initial displacement on [0, L]: sin^2(2 pi x / L)."""
+    return np.sin(2 * np.pi * x / L) ** 2
+
+
 def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     """Single-domain discrete solution (the converged-solution oracle)."""
     n, n_steps = _ad_grid(nu, L, T, dx, dt)
@@ -323,10 +338,11 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     return x, solver.solve(finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
 
 
-def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8, u0_fn=None,
+def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8,
                   max_iter: int = 2000, seed: int = 0):
     """Jacobi Schwarz waveform relaxation for advection-diffusion, run once
-    for each decomposition in ``decs`` on one space-time grid.
+    for each decomposition in ``decs`` on one space-time grid, from
+    :func:`ad_initial_data`.
 
     The monodomain solution, marched once, is the oracle of every run.  A
     run starts from random interface traces (``seed``) and stops when the
@@ -343,9 +359,7 @@ def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8, u0_fn=None,
         if len(dec.subdomains) < 2:
             raise ValueError(f"Schwarz waveform relaxation needs at least 2 subdomains, "
                              f"got {len(dec.subdomains)}")
-    if u0_fn is None:
-        u0_fn = lambda x: np.exp(-10.0 * (x - L / 2.0) ** 2)
-    _, mono = monodomain_solve_ad(nu, L, T, dx, dt, u0_fn)
+    _, mono = monodomain_solve_ad(nu, L, T, dx, dt, partial(ad_initial_data, L=L))
     return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed) for dec in decs)
 
 
@@ -426,8 +440,9 @@ def monodomain_solve_wave(c, L, T, dx, u0_fn):
 
 
 def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
-                   u0_fn=None, max_iter: int = 200, seed: int = 0):
-    """Dirichlet-trace SWR for the wave equation at unit CFL, from rest.
+                   max_iter: int = 200, seed: int = 0):
+    """Dirichlet-trace SWR for the wave equation at unit CFL, from rest at
+    :func:`wave_initial_data`.
 
     Interface errors vanish exactly once the iteration count exceeds
     T*c/overlap-width (finite speed of propagation).  Each sweep is one
@@ -437,9 +452,7 @@ def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
         raise ValueError(f"wave SWR exchanges Dirichlet traces only, got tc={dec.tc!r}")
     if max_iter < 1:
         raise ValueError(f"wave SWR needs max_iter >= 1, got {max_iter}")
-    if u0_fn is None:
-        u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
-    _, dt, mono = monodomain_solve_wave(c, L, T, dx, u0_fn)
+    _, dt, mono = monodomain_solve_wave(c, L, T, dx, partial(wave_initial_data, L=L))
     stack = _Stack(dec.subdomains)
     n_sub = len(stack.lo)
     u0 = mono[0, stack.index]
@@ -473,9 +486,9 @@ class TentSchedule:
     n_red: int
 
 
-def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
-                u0_fn=None, seed=0):
-    """Red-black SWR on the wave equation with growing time slabs.
+def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int, seed=0):
+    """Red-black SWR on the wave equation with growing time slabs, from
+    :func:`wave_initial_data`.
 
     The first iterate is random, from the integer ``seed``.  Returns
     (global space-time iterate, trace, residual rows) where the residual
@@ -487,8 +500,6 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     if schedule.n_red < 1 or sweeps < 0:
         raise ValueError(f"tent pitching needs n_red >= 1 and sweeps >= 0, "
                          f"got n_red={schedule.n_red}, sweeps={sweeps}")
-    if u0_fn is None:
-        u0_fn = lambda x: np.sin(2 * np.pi * x / L) ** 2
     dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
 
@@ -500,7 +511,7 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int,
     slab = overlap_width / (2.0 * c)
 
     U = np.random.default_rng(seed).standard_normal((n_steps + 1, n))
-    U[0] = finite_u0(u0_fn(x))
+    U[0] = wave_initial_data(x, L)
     U[:, 0] = 0.0
     U[:, -1] = 0.0
 

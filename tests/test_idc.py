@@ -4,7 +4,7 @@ import pytest
 from pintlab import kernels
 from pintlab.idc import (
     SweepState,
-    _ThetaNodes,
+    _EulerNodes,
     collocation_matrix,
     collocation_solve,
     dense_pfasst_b10,
@@ -104,7 +104,7 @@ class TestIdcSweep:
                                  kind="heat", x=np.zeros(1))
         t = np.linspace(0.0, 1.0, 5)
         state = SweepState(n=0, t_nodes=t, values=np.full((5, 1), 2.5))
-        out = idc_sweep(state, _ThetaNodes(sys, 1.0), idc_weights(t))
+        out = idc_sweep(state, _EulerNodes(sys), idc_weights(t))
         np.testing.assert_allclose(out.values, 2.5, atol=1e-14)
 
     @pytest.mark.parametrize("k,expected_order", [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -146,7 +146,7 @@ class TestIdcSweep:
         U = np.linalg.solve(np.eye(M) - lam * Qmat, np.ones(M))
         vals = np.concatenate([[1.0], U])[:, None]
         state = SweepState(n=0, t_nodes=t, values=vals.copy())
-        out = idc_sweep(state, _ThetaNodes(sys, 1.0), idc_weights(t))
+        out = idc_sweep(state, _EulerNodes(sys), idc_weights(t))
         assert np.abs(out.values - vals).max() < 1e-12
 
     @pytest.mark.parametrize("kwargs, name", [

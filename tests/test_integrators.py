@@ -408,20 +408,20 @@ class TestNumerov:
         sys = build_wave(nx, 0.2, 0.0, "dirichlet")
         rng = np.random.default_rng(8)
         sys.u0[:], uc = rng.standard_normal(nx), rng.standard_normal(nx)
-        nxt = numerov_solve(sys, 1.0 / 120.0, 0.1, 2, u1=uc)[2]
+        nxt = numerov_solve(sys, 0.1, 2, u1=uc)[2]
         np.testing.assert_allclose(nxt, 2 * uc - sys.u0, atol=1e-14)
 
     @pytest.mark.parametrize("n_steps", [0, -1])
     def test_no_steps_rejected(self, n_steps):
         with pytest.raises(ValueError, match=f"n_steps >= 1, got {n_steps}"):
-            numerov_solve(build_wave(5, 0.2, 1.0, "dirichlet"), 1.0 / 120.0, 0.1, n_steps)
+            numerov_solve(build_wave(5, 0.2, 1.0, "dirichlet"), 0.1, n_steps)
 
     @pytest.mark.parametrize("n_steps", [2, 30])
     def test_factors_once_per_solve(self, n_steps, gbtrf_calls):
         sys = build_wave(6, 1.0 / 7, 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
         for solves in (1, 2):
-            numerov_solve(sys, 1.0 / 120.0, 0.05, n_steps)
+            numerov_solve(sys, 0.05, n_steps)
             assert len(gbtrf_calls) == solves
 
     def test_unconditional_stability_threshold(self):
@@ -447,7 +447,7 @@ class TestNumerov:
                 order="second", u0_deriv=np.array([0.0]), x=np.zeros(1),
             )
             n = int(round(1.0 / dt))
-            traj = numerov_solve(sys, 1.0 / 120.0, dt, n, u1=np.array([np.cos(dt)]))
+            traj = numerov_solve(sys, dt, n, u1=np.array([np.cos(dt)]))
             errs.append(abs(traj[-1, 0] - np.cos(1.0)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
@@ -512,7 +512,7 @@ def _parareal_entry(name):
                                   coarse=Propagator(backward_euler(), dt=dT, steps=1),
                                   max_iter=2)
     if name == "fine_sequential":
-        return lambda: parareal.fine_sequential(cfg.grid, cfg.fine, _nan_heat(), cfg.newton_tol)
+        return lambda: parareal.fine_sequential(cfg.grid, cfg.fine, _nan_heat())
     # with the oracle given, the solver's own entry check is the one that fires
     return lambda: getattr(parareal, name)(cfg, _nan_heat(), oracle=np.zeros((5, 8)))
 
@@ -530,15 +530,9 @@ def _paraexp_entry(name):
 def _swr_entry(name):
     from pintlab import swr
 
-    dec = swr.Decomposition1D.uniform(11, 2, 2)
     return {
         "monodomain_solve_ad": lambda: swr.monodomain_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, _nan_fn),
-        "oswr_solve_ad": lambda: swr.oswr_solve_ad(0.1, 1.0, 0.05, 0.1, 0.01, [dec],
-                                                   u0_fn=_nan_fn),
         "monodomain_solve_wave": lambda: swr.monodomain_solve_wave(1.0, 1.0, 0.5, 0.1, _nan_fn),
-        "swr_solve_wave": lambda: swr.swr_solve_wave(1.0, 1.0, 0.5, 0.1, dec, u0_fn=_nan_fn),
-        "utp_advance": lambda: swr.utp_advance(1.0, 1.0, 0.5, 0.1, swr.TentSchedule(n_red=2), 1,
-                                               u0_fn=_nan_fn),
     }[name]
 
 
@@ -571,8 +565,7 @@ NON_FINITE_U0_ENTRIES = (
                                "parareal_diag_cgc_solve", "parareal_diag_coarse_solve")]
     + [("paraexp", n) for n in ("paraexp_linear_solve", "paraexp_nonlinear_iterate",
                                 "linear_g_parareal")]
-    + [("swr", n) for n in ("monodomain_solve_ad", "oswr_solve_ad", "monodomain_solve_wave",
-                            "swr_solve_wave", "utp_advance")]
+    + [("swr", n) for n in ("monodomain_solve_ad", "monodomain_solve_wave")]
     + [("idc", n) for n in ("idc_run", "pfasst_two_level")]
     + [("paradiag1", n) for n in ("paradiag1_direct_solve", "sequential_variable_step_solve",
                                   "paradiag1_bvm_solve", "paradiag1_bvm_solve_second_order")]
@@ -587,6 +580,19 @@ def test_non_finite_u0_rejected_at_entry(family, name):
              "idc": _idc_entry, "paradiag1": _paradiag1_entry}[family](name)
     with pytest.raises(ValueError, match="initial value u0 has non-finite entries"):
         entry()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: paradiag.GeometricTimeMesh(T=0.5, n_t=6, rho=np.nan), "needs rho > 0"),
+    (lambda: Propagator(backward_euler(), dt=np.nan, steps=1), "need dt > 0"),
+    (lambda: stmg.SmootherConfig(eta=np.nan), "damping must be positive"),
+    (lambda: SourcePulse(np.nan), "sigma must be positive"),
+], ids=["mesh_rho", "propagator_dt", "smoother_eta", "pulse_sigma"])
+def test_nan_positive_parameter_rejected(make, match):
+    # NaN <= 0 is False, so each check reads "not x > 0"; a NaN-rho mesh
+    # used to fail later, inside an eigendecomposition
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def _pulse_heat(nx=15, source=SourcePulse(50.0)):

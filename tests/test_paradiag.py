@@ -490,7 +490,7 @@ class TestBatchedSolveBitwise:
         sys = build_advection_diffusion(16, dx, 0.05, bc)
         n_t, dt = 12, 0.01
         op, _, precond_solve = paradiag_module._preconditioned(
-            sys, integrator, 0.05, dt, n_t, 1.0 / 120.0)
+            sys, integrator, 0.05, dt, n_t)
         fac_I, fac_B = (alpha_circulant_factor(c, 0.05) for c in op.time_columns)
         R = np.random.default_rng(3).standard_normal((n_t, sys.n))
         got = precond_solve(R)
@@ -513,7 +513,7 @@ class TestBatchedSolveBitwise:
         wave.u0[:] = np.sin(2 * np.pi * wave.x)
         n_t = 16
         op, b, precond_solve = paradiag_module._preconditioned(
-            wave, "numerov", alpha, 0.05, n_t, 1.0 / 120.0)
+            wave, "numerov", alpha, 0.05, n_t)
         fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)
         d1, d2 = fac.eigenvalues, fac2.eigenvalues
         coeffs = [(d1 * p - d2 * q) * op.tau**j for j, (p, q) in enumerate(zip(*op.polys))]
@@ -608,7 +608,7 @@ class TestSharedThetaOperator:
         traj, tr = paradiag2_solve(*args, **kw)
         monkeypatch.setattr(
             paradiag_module, "make_all_at_once",
-            lambda sys, integrator, dt, n_t, gamma: _RowByRowAllAtOnce(
+            lambda sys, integrator, dt, n_t: _RowByRowAllAtOnce(
                 sys, named_theta(integrator), dt, n_t),
         )
         traj_ref, tr_ref = paradiag2_solve(*args, **kw)
@@ -620,7 +620,7 @@ class TestSharedThetaOperator:
 def second_order_apply_by_row(op, U):
     """Reference: the Numerov all-at-once K U one row at a time,
     r1 U[n] - r2 U[n-1] + r1 U[n-2], each term applied to its own row."""
-    r1, r2 = numerov_matrices(op.sys, op.gamma, op.dt)
+    r1, r2 = numerov_matrices(op.sys, op.dt)
     out = np.empty_like(U)
     for n in range(op.nt):
         out[n] = apply_poly(op.sys.A, r1, U[n])

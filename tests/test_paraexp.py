@@ -29,7 +29,7 @@ def make_plan(T, n_w, J, method=None):
 
 def oracle(plan, sys):
     """The sequential fine solution the iterative solvers measure against."""
-    return fine_sequential(plan.grid, plan.red, sys, plan.newton_tol)
+    return fine_sequential(plan.grid, plan.red, sys)
 
 
 class TestLinearParaExp:
@@ -59,7 +59,7 @@ class TestLinearParaExp:
         # sequential oracle with the same red integrator
         from pintlab.parareal import fine_sequential
 
-        seq = fine_sequential(plan.grid, plan.red, sys, plan.newton_tol)
+        seq = fine_sequential(plan.grid, plan.red, sys)
         disc_err_scale = np.abs(seq).max()
         # superposition residual: compare against a 4x finer红 reference
         plan_fine = make_plan(T, n_w, 4 * J)

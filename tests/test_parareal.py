@@ -81,7 +81,7 @@ class TestClassicParareal:
             sys.u0[:] = np.sin(np.pi * sys.x)
         cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=n_w, tol=0.0)
         U, trace = parareal_solve(cfg, sys)
-        scale = max(np.abs(fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)).max(), 1.0)
+        scale = max(np.abs(fine_sequential(cfg.grid, cfg.fine, sys)).max(), 1.0)
         assert trace.errors[n_w] <= 1e-10 * scale
 
     def test_heat_contraction_factor(self):
@@ -134,7 +134,7 @@ class TestWindowSpan:
         prop = Propagator(backward_euler(), dt=0.125, steps=2)
         for grid in (TimeGrid(np.array([0.0, 0.25, 0.6])), TimeGrid.uniform(1.0, 3)):
             with pytest.raises(ValueError, match="fine propagator does not span every window"):
-                fine_sequential(grid, prop, sys, 1e-12)
+                fine_sequential(grid, prop, sys)
             with pytest.raises(ValueError, match="fine propagator does not span every window"):
                 PararealConfig(grid=grid, fine=prop, coarse=prop)
             with pytest.raises(ValueError, match="red propagator does not span every window"):
@@ -410,7 +410,7 @@ class TestDiagCoarse:
         # roundoff of the coarse matrix moves them (2.7e-3 relative at
         # alpha = 1e-3); they stay within 1% of the per-call solve's
         sys, cfg = c14_heat(alpha)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys)
         _, trace = parareal_diag_coarse_solve(cfg, sys, oracle=oracle)
         _, trace_ref = parareal_module._iterate(cfg, sys, head_tail_reference(cfg, sys), oracle,
                                                 "reference")
@@ -490,8 +490,7 @@ def full_sweeps(cfg, target, coarse, U, iterations):
     F_matrix = window_matrix(cfg.fine, target)
     for _ in range(iterations):
         F = (U[:-1] @ F_matrix.T if F_matrix is not None else
-             propagate_block(cfg.fine, target, cfg.grid.boundaries[:-1], U[:-1].T.copy(),
-                             newton_tol=cfg.newton_tol).T)
+             propagate_block(cfg.fine, target, cfg.grid.boundaries[:-1], U[:-1].T.copy()).T)
         U_new = np.empty_like(U)
         U_new[0] = U[0]
         for n in range(n_w):
@@ -536,7 +535,7 @@ class TestCoarseCache:
         sys = sourced_heat()
         n_w = 6
         cfg = make_cfg(1.0, n_w, 4, max_iter=3, tol=0.0, initial_guess=guess)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys)
         real, real_block = parareal_module.propagate, parareal_module.propagate_block
         calls, fine_cols = [], []
 
@@ -568,7 +567,7 @@ class TestCoarseCache:
         cfg = make_cfg(0.5, n_w, 4, fine_method=trapezoidal(),
                        coarse_method=trapezoidal(), alpha=0.05, max_iter=3, tol=0.0,
                        initial_guess=guess)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys)
         real, real_iterate = ShiftPlan.solve, parareal_module._iterate
         events = []
 
@@ -710,7 +709,7 @@ class TestCoarseCache:
         _, trace = mgrit_fcf_solve(cfg, sys)
         assert trace.errors[3] <= 1e-13
         parareal_diag_cgc_solve(cfg, sys)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys, cfg.newton_tol)
+        oracle = fine_sequential(cfg.grid, cfg.fine, sys)
         for n, t in enumerate(cfg.grid.boundaries):
             ref = scipy.linalg.expm(t * sys.A.to_dense()) @ sys.u0
             assert np.abs(oracle[n] - ref).max() <= 1e-13

@@ -164,6 +164,16 @@ class TestOswrAd:
         with pytest.raises(ValueError, match="Robin .* overlap of at least 2"):
             Decomposition1D.uniform(6, 5, 1, tc="robin", p=1.0)
 
+    def test_unknown_transmission_condition_rejected(self):
+        # any tc but "robin" used to run as Dirichlet
+        with pytest.raises(ValueError, match="transmission condition must be 'dirichlet' or"):
+            Decomposition1D.uniform(41, 2, 4, tc="Robin", p=2.0)
+
+    @pytest.mark.parametrize("p", [np.inf, 0.0, -1.0, np.nan])
+    def test_robin_parameter_must_be_finite_and_positive(self, p):
+        with pytest.raises(ValueError, match="Robin parameter must be finite and positive"):
+            Decomposition1D.uniform(41, 2, 4, tc="robin", p=p)
+
     def test_robin_at_cell_peclet_two_rejected(self):
         # adv = dif zeroes the interior coupling a Robin row is reduced with
         with pytest.raises(ValueError, match="cell Peclet number 2"):
