@@ -22,7 +22,6 @@ from .integrators import (
     Propagator,
     TimeGrid,
     backward_euler,
-    exact_exponential,
     trapezoidal,
 )
 from .kernels import BandedMatrix, expm_action
@@ -97,7 +96,7 @@ def _spectral_radius_by_mode(M, A):
 
 def run_parareal_rho_ceiling(seed=0):
     Rg = parareal.stability_function(backward_euler())
-    Rf = parareal.stability_function(exact_exponential())
+    Rf = np.exp
     rho_p = parareal.max_rho_negative_axis(lambda z: parareal.rho_linear(Rg, Rf, 1, z))
     rho_m = parareal.max_rho_negative_axis(
         lambda z: parareal.mgrit_rho_linear(Rg, Rf, 1, z)
@@ -294,9 +293,8 @@ def run_paraexp_exactness(seed=0):
     gridb = TimeGrid.uniform(1.0, n_w)
     dTb = gridb.window_length()
     planb = paraexp.ParaExpPlan(grid=gridb,
-                                red=Propagator(backward_euler(), dt=dTb / 10, steps=10))
-    planb.max_iter = n_w
-    planb.tol = 0.0
+                                red=Propagator(backward_euler(), dt=dTb / 10, steps=10),
+                                max_iter=n_w, tol=0.0)
     # both iterations share the system, grid and fine propagator: one oracle
     oracle = parareal.fine_sequential(gridb, planb.red, sysb)
     U1, tr1 = paraexp.paraexp_nonlinear_iterate(planb, sysb, oracle=oracle)

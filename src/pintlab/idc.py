@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import finite_u0
+from .integrators import check_counts, finite_u0
 from .kernels import apply_blocks, dense_of
 from .trace import IterationTrace
 
@@ -295,8 +295,7 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     iteration's fixed point).
     """
     _check_windows(dt, n_windows)
-    if k_max < 0:
-        raise ValueError(f"need k_max >= 0, got {k_max}")
+    check_counts(k_max=k_max)
     phi_f, sweep, correct = _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact)
     u0 = finite_u0(sys)
     nodes_f = radau_iia_nodes(Mf)

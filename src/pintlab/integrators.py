@@ -1,7 +1,7 @@
 """Time integrators and the coarse/fine propagator abstraction.
 
-One-step methods (backward Euler, trapezoidal, SDIRK22 and the exact
-exponential) step first-order systems; the Numerov-type method, with
+One-step methods (backward Euler, trapezoidal and SDIRK22) step
+first-order systems; the Numerov-type method, with
 gamma = :data:`NUMEROV_GAMMA`, steps second-order systems directly.  ``Propagator``
 bundles a method with a step size and step count and is the building block
 every shooting-type method composes.  ``AllAtOnce``, the all-at-once
@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, expm_action,
-                      solve_shifted_banded)
+from .kernels import EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, solve_shifted_banded
 from .models import CompanionSystem, SemiDiscreteSystem
 
 SQRT2 = np.sqrt(2.0)
@@ -52,16 +51,10 @@ def sdirk22() -> OneStepMethod:
     return OneStepMethod("sdirk22", gamma=g, a21=1.0 - g, b=(1.0 - g, g))
 
 
-def exact_exponential() -> OneStepMethod:
-    """Propagates linear homogeneous systems with the matrix exponential."""
-    return OneStepMethod("exact")
-
-
 METHODS = {
     "backward_euler": backward_euler,
     "trapezoidal": trapezoidal,
     "sdirk22": sdirk22,
-    "exact": exact_exponential,
 }
 
 
@@ -76,8 +69,6 @@ def named_theta(name: str) -> float:
 def stability(method: OneStepMethod, z):
     """Stability function R(z); accepts scalars or arrays."""
     z = np.asarray(z)
-    if method.name == "exact":
-        return np.exp(z)
     if method.theta is not None:
         th = method.theta
         den = 1.0 - th * z
@@ -182,14 +173,13 @@ def _step_linear_block(method, sys, plan, dt, U, g):
     """One step of ``method`` on the linear system for a block of states.
 
     ``U`` is (n, k).  ``plan`` is the system's shift plan for the step's
-    implicit solves (see :func:`_step_plan`), so one factorization serves
-    every column and every step, and the step is a pure map over columns.
+    implicit solves (see :func:`propagate_block`), so one factorization
+    serves every column and every step, and the step is a pure map over
+    columns.
     ``g`` holds the source values of a theta step, (n, 2, k), at the times
     :func:`_source_times` gives: ``g[:, i, j]`` is time i of column j.  It
     is None for a system without a source.
     """
-    if method.name == "exact":
-        return expm_action(sys, dt, U)
     if method.theta is not None:
         th = method.theta
         # backward Euler (theta = 1) has no explicit term: skip its 0*A U
@@ -222,14 +212,6 @@ def _source_values(sys, t):
         raise ValueError(f"source {sys.source!r} gave values of shape {np.shape(g)} "
                          f"for times of shape {t.shape}; expected {want}")
     return g
-
-
-def _step_plan(method, sys, dt):
-    """The shift plan of one linear step's implicit solves, (I - theta dt A)
-    or (I - gamma dt A); None for the exact exponential."""
-    if method.name == "exact":
-        return None
-    return sys.shift_plan(1.0, (method.theta if method.theta is not None else method.gamma) * dt)
 
 
 def _step_nonlinear(method, sys, dt, t0s, U):
@@ -273,19 +255,21 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray) -> np
     its values for an array of times must have shape (n,) + t.shape (a
     ValueError otherwise).  Nonlinear systems
     step all columns together, one batched Newton solve (:func:`_newton`)
-    per stage.  Except for the exact exponential, a column's result does
-    not depend on the other columns or on the chunking, bit for bit, as
-    long as the block is at least two columns wide: a single column of a
-    periodic linear system rounds differently in the Woodbury step.
+    per stage.  A column's result does not depend on the other columns or
+    on the chunking, bit for bit, as long as the block is at least two
+    columns wide: a single column of a periodic linear system rounds
+    differently in the Woodbury step.
     Parareal's fine map marches all windows as one block in every
     iteration, or multiplies by the :func:`window_matrix` where it can.
     """
     linear = getattr(sys, "linear", True)
-    plan = _step_plan(prop.method, sys, prop.dt) if linear else None
     sourced = linear and sys.source is not None
     if sourced and prop.method.theta is None:
         raise ValueError(f"the {prop.method.name} propagator takes no source term: "
                          "step a system with a source by a theta method")
+    # one shift plan, (I - theta dt A) or (I - gamma dt A), for every implicit solve
+    c = prop.method.theta if prop.method.theta is not None else prop.method.gamma
+    plan = sys.shift_plan(1.0, c * prop.dt) if linear else None
     W = U
     for s0 in range(0, prop.steps, SOURCE_CHUNK):
         steps = np.arange(s0, min(s0 + SOURCE_CHUNK, prop.steps))
@@ -308,6 +292,14 @@ def window_matrix(prop: Propagator, sys) -> Optional[np.ndarray]:
         return None
     step = propagate_block(replace(prop, steps=1), sys, np.zeros(sys.n), np.eye(sys.n))
     return np.linalg.matrix_power(step, prop.steps)
+
+
+def check_counts(**counts):
+    """A ValueError naming the first of the iteration, cycle or sweep
+    ``counts`` that is negative."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {value}")
 
 
 def finite_u0(sys) -> np.ndarray:

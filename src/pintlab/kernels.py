@@ -395,20 +395,17 @@ class QuadraticPlan:
     raises SingularSystemError.  gbsv is gbtrf then gbtrs, and gbtrf runs
     unblocked at kl = 2, so each solve, one gbtrs, gives every x[j] bit for
     bit as ``scipy.linalg.solve_banded((2, 2), ...)`` on its system alone.
-    Periodic ``A`` keeps J dense matrices for a batched ``np.linalg.solve``
-    (desk scale only).  A non-finite solution raises SingularSystemError.
+    A periodic ``A``, whose square is not pentadiagonal, is a ValueError.  A
+    non-finite solution raises SingularSystemError.
     """
 
-    _dense = None  # the dense matrices of a periodic A
-
     def __init__(self, A: BandedMatrix, coeffs):
+        if A.periodic:
+            raise ValueError("QuadraticPlan takes a non-periodic A "
+                             "(the square of a periodic A is not pentadiagonal)")
         c0, c1, c2 = (np.asarray(c).reshape(-1, 1) for c in coeffs)
         self._shape = J, n = c0.shape[0], A.n
         dtype = np.result_type(A.diag, c0, c1, c2)
-        if A.periodic:
-            D = A.to_dense()
-            self._dense = c0[:, :, None] * np.eye(n) + c1[:, :, None] * D + c2[:, :, None] * (D @ D)
-            return
         dl1, d, du1 = (v.astype(dtype) for v in (A.lower, A.diag, A.upper))
         # bands of A^2 for a plain tridiagonal A
         sq_d = d * d
@@ -430,15 +427,9 @@ class QuadraticPlan:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (c0[j]*I + c1[j]*A + c2[j]*A^2) x[j] = rhs[j]."""
         J, n = self._shape
-        if self._dense is not None:
-            try:
-                x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(str(exc)) from exc
-        elif not np.can_cast(rhs.dtype, self._lu.dtype):
+        if not np.can_cast(rhs.dtype, self._lu.dtype):
             raise TypeError(f"{rhs.dtype} right-hand side for a {self._lu.dtype} quadratic plan")
-        else:
-            x = self._gbtrs(self._lu, 2, 2, rhs.reshape(J * n, -1), self._piv)[0]
+        x = self._gbtrs(self._lu, 2, 2, rhs.reshape(J * n, -1), self._piv)[0]
         if not np.isfinite(x).all():
             raise SingularSystemError("non-finite solution from quadratic solve")
         return x.reshape(rhs.shape)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .kernels import (QuadraticPlan, SingularSystemError, dense_of, dft, idft,
                       solve_shifted_banded)
-from .integrators import AllAtOnce, NumerovAllAtOnce, finite_u0, named_theta
+from .integrators import AllAtOnce, NumerovAllAtOnce, check_counts, finite_u0, named_theta
 from .trace import IterationTrace
 
 MACHINE_EPS = 2.22e-16
@@ -298,8 +298,7 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     stationary iteration U += P_alpha^-1 (b - K U), in increment form.
     Returns (trajectory including initial row, trace).
     """
-    if max_iter < 0:
-        raise ValueError(f"need max_iter >= 0, got {max_iter}")
+    check_counts(max_iter=max_iter)
     _check_n_t(n_t, 1)
     op, b, solve = _preconditioned(sys, integrator, alpha, dt, n_t)
 

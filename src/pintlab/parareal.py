@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import (Propagator, TimeGrid, finite_u0, propagate, propagate_block,
-                          stability, window_matrix)
+from .integrators import (Propagator, TimeGrid, check_counts, finite_u0, propagate,
+                          propagate_block, stability, window_matrix)
 from .kernels import ConvergenceError
 from .models import first_order_form
 from .paradiag import alpha_circulant_factor
@@ -35,6 +35,7 @@ class PararealConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_counts(max_iter=self.max_iter)
         if self.initial_guess not in ("coarse", "random"):
             raise ValueError("initial_guess must be 'coarse' or 'random', "
                              f"got {self.initial_guess!r}")

@@ -7,18 +7,20 @@ doubled steps.  The cycle has two levels; its coarse level is solved
 exactly by forward substitution.  When dt/dx^2 < 1/sqrt(2), or when the
 coarse spatial grid would have fewer than 3 points, the coarse level
 coarsens in time only (recorded in the trace).  The nonlinear variant runs
-the cycle in full-approximation form with a nonlinear block smoother, which
-solves all its independent time rows in one batched Newton call.
+the cycle in full-approximation form on backward Euler, with a nonlinear
+block smoother that solves all its independent time rows in one batched
+Newton call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .integrators import AllAtOnce, _newton, finite_u0, named_theta
+from .integrators import AllAtOnce, _newton, check_counts, finite_u0, named_theta
 from .kernels import ConvergenceError
 from .models import rebuild
 from .trace import IterationTrace
@@ -55,6 +57,7 @@ class SmootherConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError("damping must be positive")
+        check_counts(s1=self.s1, s2=self.s2)
 
 
 def lfa_rho(omega: float, xi: float, eta: float, dt: float, dx: float) -> complex:
@@ -104,11 +107,12 @@ class TwoLevelOperators:
     coarsen_space: bool
 
 
-def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperators:
-    """Fine and re-discretized coarse ``op_cls`` operators with the transfers;
-    space is coarsened too when dt/dx^2 >= SPACE_COARSENING_LIMIT, unless the
-    coarse spatial grid would have fewer than 3 points."""
-    op_f = op_cls(sys, theta, grid.dt, grid.nt)  # before rebuild: it names what it refuses
+def _two_level(sys, grid: SpaceTimeGrid, make_op) -> TwoLevelOperators:
+    """Fine and re-discretized coarse operators ``make_op(sys, dt=, nt=)``
+    with the transfers; space is coarsened too when dt/dx^2 >=
+    SPACE_COARSENING_LIMIT, unless the coarse spatial grid would have fewer
+    than 3 points."""
+    op_f = make_op(sys, dt=grid.dt, nt=grid.nt)  # before rebuild: it names what it refuses
     nx_c = 2 ** (grid.lx - 1) - 1
     coarsen_space = nx_c >= 3 and grid.dt / grid.dx**2 >= SPACE_COARSENING_LIMIT
     nt_c = 2 ** (grid.lt - 1) - 1
@@ -119,7 +123,7 @@ def _two_level(sys, grid: SpaceTimeGrid, theta: float, op_cls) -> TwoLevelOperat
     else:
         sys_c = rebuild(sys, grid.nx, grid.dx)
         Px = None
-    return TwoLevelOperators(op_f=op_f, op_c=op_cls(sys_c, theta, 2 * grid.dt, nt_c),
+    return TwoLevelOperators(op_f=op_f, op_c=make_op(sys_c, dt=2 * grid.dt, nt=nt_c),
                              Px=Px, Pt=Pt, coarsen_space=coarsen_space)
 
 
@@ -150,7 +154,8 @@ def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     records errors against the exact forward substitution and residual
     norms.
     """
-    ops = _two_level(sys, grid, named_theta(integrator), AllAtOnce)
+    check_counts(cycles=cycles)
+    ops = _two_level(sys, grid, partial(AllAtOnce, theta=named_theta(integrator)))
     op_f = ops.op_f
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b)
@@ -177,11 +182,11 @@ def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
 
 
 class NonlinearAllAtOnce:
-    """K(U) = (B (x) I) U - dt (Btilde (x) I) f(U) for the theta method."""
+    """K(U) = (B (x) I) U - dt f(U) for backward Euler: time row n of K(U)
+    is U[n] - U[n-1] - dt f(U[n], (n + 1) dt)."""
 
-    def __init__(self, sys, theta: float, dt: float, nt: int):
+    def __init__(self, sys, dt: float, nt: int):
         self.sys = sys
-        self.theta = theta
         self.dt = dt
         self.nt = nt
 
@@ -190,46 +195,36 @@ class NonlinearAllAtOnce:
         return self.sys.f(U.T, np.arange(1, self.nt + 1) * self.dt).T
 
     def apply(self, U):
-        th, dt = self.theta, self.dt
-        F = self.f_rows(U)
         out = U.copy()
         out[1:] -= U[:-1]
-        out -= dt * th * F
-        out[1:] -= dt * (1 - th) * F[:-1]
+        out -= self.dt * self.f_rows(U)
         return out
 
     def rhs(self):
         b = np.zeros((self.nt, self.sys.n))
-        u0 = finite_u0(self.sys)
-        b[0] = u0 + self.dt * (1 - self.theta) * self.sys.f(u0, 0.0)
+        b[0] = finite_u0(self.sys)
         return b
 
     def smooth(self, b, U, eta, s):
-        """Nonlinear block Jacobi: solve dU_n - dt*theta*f(dU_n) = eta*res_n
-        for the independent time rows n, all in one batched Newton solve."""
+        """Nonlinear block Jacobi: solve dU_n - dt*f(dU_n) = eta*res_n for
+        the independent time rows n, all in one batched Newton solve."""
         for _ in range(s):
             res = (eta * (b - self.apply(U))).T
-            U = U + _newton(self.sys, self.theta * self.dt, res, 0.0, res).T
+            U = U + _newton(self.sys, self.dt, res, 0.0, res).T
         return U
 
     def forward_substitution(self, b):
         """Sequential exact solve of K(U) = b (Newton per time block)."""
-        th, dt = self.theta, self.dt
         U = np.empty((self.nt, self.sys.n))
-        prev = None
+        prev = self.sys.u0  # the first block's Newton guess
         for n in range(self.nt):
-            r = b[n].copy()
-            if prev is not None:
-                r += prev + dt * (1 - th) * self.sys.f(prev, n * self.dt)
-            guess = prev if prev is not None else self.sys.u0
-            U[n] = _newton(self.sys, th * dt, r, (n + 1) * dt, guess)
-            prev = U[n]
+            r = b[n] + prev if n else b[n]
+            U[n] = prev = _newton(self.sys, self.dt, r, (n + 1) * self.dt, prev)
         return U
 
 
 def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
-                       cycles: int = 10, theta: float = 1.0,
-                       U0: Optional[np.ndarray] = None):
+                       cycles: int = 10, U0: Optional[np.ndarray] = None):
     """Two-level full approximation scheme for the nonlinear system.  A
     linear system is a ValueError: FAS is then the plain correction scheme
     of :func:`stmg_two_level`.
@@ -237,7 +232,8 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     if sys.linear:
         raise ValueError("stmg_fas_nonlinear takes a nonlinear system; "
                          "run a linear one with stmg_two_level")
-    ops = _two_level(sys, grid, theta, NonlinearAllAtOnce)
+    check_counts(cycles=cycles)
+    ops = _two_level(sys, grid, NonlinearAllAtOnce)
     op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b)

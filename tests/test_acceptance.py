@@ -6,7 +6,9 @@ checks of one criterion); C15 re-runs the cross-cutting property checks
 (kernel round trips, quadrature exactness, fixed points, order slopes,
 parallel-order determinism) in compact form.  Two reachability guards
 check that the 14 experiments enter every public function of the package
-and run every line of its function bodies, but for allow-listed ones.
+and run every line of its function bodies, and an option guard that they
+set every defaulted parameter to a value other than its default, but for
+allow-listed ones.
 """
 
 import ast
@@ -72,9 +74,18 @@ def ran():
 
 
 @pytest.fixture(scope="module")
-def results(registry, ran):
+def options_set():
+    """{"module.function(parameter)"} of the defaulted parameters that were
+    given a value other than their default while ``results`` runs the
+    experiments."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def results(registry, ran, options_set):
     cache = {}
     package_dir = str(Path(pintlab.__file__).parent)
+    options = option_defaults()
 
     def record_line(frame, event, arg):
         if event == "line":
@@ -83,8 +94,15 @@ def results(registry, ran):
         return record_line
 
     def record_call(frame, event, arg):
+        code = frame.f_code
+        # before the package check: a dataclass __init__ is generated outside it
+        if id(code) in options:
+            name, defaults = options[id(code)]
+            args = frame.f_locals
+            options_set.update(f"{name}({param})" for param, default in defaults.items()
+                               if differs(args[param], default))
         # line events only in package frames: None leaves the others untraced
-        return record_line if frame.f_code.co_filename.startswith(package_dir) else None
+        return record_line if code.co_filename.startswith(package_dir) else None
 
     def get(exp_id):
         if exp_id not in cache:
@@ -162,8 +180,6 @@ UNREACHED_ALLOWED = {
 GATED_BY_C15 = "gated by C15: test_criterion_c15_property_suites runs it"
 C15_PADDING = "gated by C15: the n < 3 tridiagonal padding, on its random 2-11-unknown systems"
 SDIRK_REFERENCE = "SDIRK22's stability function: tests check SDIRK22 steps against it"
-EXACT_METHOD = "the exact-exponential propagator, a method the caller chooses"
-PERIODIC_QUADRATIC = "the dense quadratic solve of a periodic A: every Numerov run is Dirichlet"
 STEPPED = "stepped propagation: Burgers, sourced systems and n > 512 have no window matrix"
 TOL_BREAK = "convergence break on tol: every experiment runs a fixed iteration count"
 LINES_ALLOWED = {
@@ -174,8 +190,6 @@ LINES_ALLOWED = {
     ("integrators", "stability", "k1 = z / den"): SDIRK_REFERENCE,
     ("integrators", "stability", "k2 = z * (1.0 + a21 * k1) / den"): SDIRK_REFERENCE,
     ("integrators", "stability", "return 1.0 + b1 * k1 + b2 * k2"): SDIRK_REFERENCE,
-    ("integrators", "_step_linear_block", "return expm_action(sys, dt, U)"): EXACT_METHOD,
-    ("integrators", "_step_plan", "return None"): EXACT_METHOD,
     ("integrators", "_step_nonlinear", "g, a21, (b1, b2) = method.gamma, method.a21, method.b"):
         GATED_BY_C15,
     ("integrators", "_step_nonlinear", "t1, t2 = t0s + g * dt, t0s + (a21 + g) * dt"): GATED_BY_C15,
@@ -200,14 +214,6 @@ LINES_ALLOWED = {
      "rhs = np.concatenate((rhs, np.zeros((3 - self._n,) + rhs.shape[1:])))"): C15_PADDING,
     ("kernels", "StackedTridiagonalLU.solve", "return self._gttrs(*self._factors, rhs)[0][: self._n]"):
         C15_PADDING,
-    ("kernels", "QuadraticPlan.__init__", "D = A.to_dense()"): PERIODIC_QUADRATIC,
-    ("kernels", "QuadraticPlan.__init__",
-     "self._dense = c0[:, :, None] * np.eye(n) + c1[:, :, None] * D + c2[:, :, None] * (D @ D)"):
-        PERIODIC_QUADRATIC,
-    ("kernels", "QuadraticPlan.__init__", "return"): PERIODIC_QUADRATIC,
-    ("kernels", "QuadraticPlan.solve", "try:"): PERIODIC_QUADRATIC,
-    ("kernels", "QuadraticPlan.solve",
-     "x = np.linalg.solve(self._dense, rhs.reshape(J, n, -1))"): PERIODIC_QUADRATIC,
     ("models", "SemiDiscreteSystem.f", "gval = self.source(t)"):
         "a source in f: Burgers keeps its tested source",
     ("models", "SemiDiscreteSystem.f", "out = out + (gval[:, None] if gval.ndim < u.ndim else gval)"):
@@ -248,9 +254,10 @@ def code_key(code):
     return code.co_filename, code.co_qualname, code.co_firstlineno
 
 
-def public_functions():
-    """{name: code object} of the public functions of every pintlab module
-    but ``cli``, and of the public methods and properties of its classes."""
+def public_functions(inits=False):
+    """{name: function} of the public functions of every pintlab module but
+    ``cli``, and of the public methods and properties of its classes; with
+    ``inits``, also each class's own ``__init__``, named by its class."""
     found = {}
     for module_name, module in package_modules():
         for name, obj in vars(module).items():
@@ -259,15 +266,19 @@ def public_functions():
             members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
             for attr, member in members:
                 fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
-                if not attr.startswith("_") and inspect.isfunction(fn):
-                    found[f"{module_name}.{name}" + (f".{attr}" if attr else "")] = fn.__code__
+                if attr == "__init__" and inits:
+                    attr = ""
+                elif attr.startswith("_"):
+                    continue
+                if inspect.isfunction(fn):
+                    found[f"{module_name}.{name}" + (f".{attr}" if attr else "")] = fn
     return found
 
 
 def test_experiments_reach_every_public_function(results, ran):
     for exp_id, _ in CRITERIA.values():
         results(exp_id)
-    unreached = {name for name, code in public_functions().items() if code_key(code) not in ran}
+    unreached = {name for name, fn in public_functions().items() if code_key(fn.__code__) not in ran}
     extra = sorted(unreached - UNREACHED_ALLOWED.keys())
     assert not extra, f"no experiment reaches {extra}: delete them, or allow-list them with a reason"
     stale = sorted(UNREACHED_ALLOWED.keys() - unreached)
@@ -325,6 +336,77 @@ def test_experiments_run_every_line(results, ran):
                        "with a reason\n" + "\n".join(extra))
     stale = sorted(LINES_ALLOWED.keys() - set(unreached))
     assert not stale, f"allow-listed, but run or gone: {stale}"
+
+
+def option_defaults():
+    """{id(code): (name, {parameter: default})} of every function in
+    ``public_functions(inits=True)`` that has defaulted parameters."""
+    found = {}
+    for name, fn in public_functions(inits=True).items():
+        defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                    if p.default is not p.empty}
+        if defaults:  # by id: two generated __init__ code objects can compare equal
+            found[id(fn.__code__)] = (name, defaults)
+    return found
+
+
+def differs(value, default):
+    """Whether an argument ``value`` is not its parameter's ``default``."""
+    if value is default:
+        return False
+    try:
+        return not bool(value == default)
+    except ValueError:  # an array compares elementwise
+        return True
+
+
+# Defaulted parameters, as "module.function(parameter)" (a class's __init__
+# named by its class), that no experiment sets to a value other than their
+# default, each with the reason it stays.
+SEED = "the random seed, which `pint --seed` sets and every experiment passes on"
+C15_FIXED_POINT = "gated by C15: its fixed-point checks start from the solution"
+TRACE_STATE = "trace state that the solvers record, not an option"
+NO_SETTER = "no caller sets it, tests included: a candidate constant (ROADMAP item 5)"
+TESTS_ONLY = "only tests set it: a candidate constant (ROADMAP item 5)"
+OPTIONS_ALLOWED = {
+    "experiments.run_experiment(seed)": SEED,
+    **{f"experiments.{spec.runner.__name__}(seed)": SEED for spec in load_registry().values()},
+    "parareal.PararealConfig(seed)": SEED,
+    "swr.oswr_solve_ad(seed)": SEED,
+    "swr.swr_solve_wave(seed)": SEED,
+    "swr.utp_advance(seed)": SEED,
+    "experiments.run_experiment(jobs)": "perfbench passes jobs=1; ROADMAP item 3 drops it",
+    "paradiag.paradiag2_solve(u_init)": C15_FIXED_POINT,
+    "stmg.stmg_fas_nonlinear(U0)": C15_FIXED_POINT,
+    "trace.IterationTrace(errors)": TRACE_STATE,
+    "trace.IterationTrace(residuals)": TRACE_STATE,
+    "trace.IterationTrace(fine_solves)": TRACE_STATE,
+    "trace.IterationTrace(meta)": TRACE_STATE,
+    "idc.collocation_solve(Mf)": NO_SETTER,
+    "idc.dense_pfasst_b10(Mf)": NO_SETTER,
+    "idc.pfasst_two_level(Mf)": NO_SETTER,
+    "models.SourcePulse(amplitude)": NO_SETTER,
+    "models.SourcePulse(x_center)": NO_SETTER,
+    "stmg.stmg_two_level(U0)": NO_SETTER,
+    "swr.oswr_solve_ad(tol)": NO_SETTER,
+    "models.SourcePulse(centers)": TESTS_ONLY,
+    "models.build_burgers(source)": TESTS_ONLY,
+    "stmg.stmg_two_level(cycles)": TESTS_ONLY,
+    "stmg.stmg_two_level(integrator)": TESTS_ONLY,
+    "swr.oswr_solve_ad(max_iter)": TESTS_ONLY,
+}
+
+
+def test_experiments_set_every_option(results, options_set):
+    for exp_id, _ in CRITERIA.values():
+        results(exp_id)
+    unset = {f"{name}({param})" for name, defaults in option_defaults().values()
+             for param in defaults} - options_set
+    extra = sorted(unset - OPTIONS_ALLOWED.keys())
+    assert not extra, ("no experiment sets these options: make each a constant, or "
+                       "allow-list it with a reason\n" + "\n".join(extra))
+    stale = sorted(OPTIONS_ALLOWED.keys() - unset)
+    assert not stale, f"allow-listed, but set or gone: {stale}"
 
 
 def test_criterion_c15_property_suites(capsys):
@@ -400,7 +482,7 @@ def test_criterion_c15_property_suites(capsys):
     sysb = build_burgers(nxb, 1.0 / (nxb + 1), 0.1, "dirichlet")
     sysb.u0[:] = np.sin(2 * np.pi * sysb.x) ** 2
     grid = stmg.SpaceTimeGrid(lx=4, lt=4, dx=1.0 / (nxb + 1), dt=8.0 / (nxb + 1) ** 2)
-    opb = stmg.NonlinearAllAtOnce(sysb, 1.0, grid.dt, grid.nt)
+    opb = stmg.NonlinearAllAtOnce(sysb, grid.dt, grid.nt)
     Ub = opb.forward_substitution(opb.rhs())
     outb, _ = stmg.stmg_fas_nonlinear(sysb, grid, stmg.SmootherConfig(eta=0.25),
                                       cycles=1, U0=Ub)

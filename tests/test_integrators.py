@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pintlab import paradiag, stmg
+from pintlab import paradiag, paraexp, parareal, stmg
 from pintlab.integrators import (
     METHODS,
     SOURCE_CHUNK,
@@ -11,7 +11,6 @@ from pintlab.integrators import (
     TimeGrid,
     _newton,
     backward_euler,
-    exact_exponential,
     named_theta,
     numerov_solve,
     propagate,
@@ -117,16 +116,6 @@ class TestPropagate:
             errs.append(abs(u[0] - np.exp(lam)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope == pytest.approx(ORDER[method.name], abs=0.25)
-
-    def test_exact_exponential_propagator(self):
-        sys = build_heat(10, 1.0 / 11, 1.0, "dirichlet")
-        sys.u0[:] = np.sin(np.pi * sys.x)
-        prop = Propagator(exact_exponential(), dt=0.05, steps=2)
-        u = propagate(prop, sys, 0.0, 0.1, sys.u0)
-        import scipy.linalg
-
-        expected = scipy.linalg.expm(0.1 * sys.A.to_dense()) @ sys.u0
-        np.testing.assert_allclose(u, expected, atol=1e-11)
 
     def test_nonlinear_burgers_theta_step(self):
         nx = 24
@@ -504,8 +493,6 @@ def _nan_fn(x):
 
 
 def _parareal_entry(name):
-    from pintlab import parareal
-
     grid = TimeGrid.uniform(0.4, 4)
     dT = grid.window_length()
     cfg = parareal.PararealConfig(grid=grid, fine=Propagator(trapezoidal(), dt=dT / 2, steps=2),
@@ -518,7 +505,6 @@ def _parareal_entry(name):
 
 
 def _paraexp_entry(name):
-    from pintlab import paraexp
 
     grid = TimeGrid.uniform(0.4, 4)
     plan = paraexp.ParaExpPlan(grid=grid, red=Propagator(trapezoidal(), dt=0.05, steps=2))
@@ -592,6 +578,26 @@ def test_nan_positive_parameter_rejected(make, match):
     # NaN <= 0 is False, so each check reads "not x > 0"; a NaN-rho mesh
     # used to fail later, inside an eigendecomposition
     with pytest.raises(ValueError, match=match):
+        make()
+
+
+WINDOW_STEP = Propagator(backward_euler(), dt=0.25, steps=1)  # spans each of 4 unit windows
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: parareal.PararealConfig(grid=TimeGrid.uniform(1.0, 4), fine=WINDOW_STEP,
+                                     coarse=WINDOW_STEP, max_iter=-2), "max_iter"),
+    (lambda: paraexp.ParaExpPlan(grid=TimeGrid.uniform(1.0, 4), red=WINDOW_STEP, max_iter=-2),
+     "max_iter"),
+    (lambda: stmg.stmg_two_level(build_heat(15, 1.0 / 16, 1.0, "dirichlet"),
+                                 stmg.SpaceTimeGrid(lx=4, lt=3, dx=1.0 / 16, dt=8.0 / 16**2),
+                                 stmg.SmootherConfig(eta=0.5), cycles=-3), "cycles"),
+    (lambda: stmg.SmootherConfig(eta=0.5, s1=-1, s2=-1), "s1"),
+], ids=["parareal_max_iter", "paraexp_max_iter", "stmg_cycles", "smoother_sweeps"])
+def test_negative_count_rejected(make, name):
+    # range() of a negative count is empty, so each of these used to return
+    # at once; the smoother ran V-cycles with no smoothing
+    with pytest.raises(ValueError, match=f"need {name} >= 0"):
         make()
 
 

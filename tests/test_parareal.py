@@ -2,13 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from pintlab.integrators import (
     Propagator,
     TimeGrid,
     backward_euler,
-    exact_exponential,
     propagate_block,
     sdirk22,
     trapezoidal,
@@ -160,14 +158,12 @@ class TestRhoPredictors:
 
     def test_be_exact_parareal_ceiling(self):
         Rg = stability_function(backward_euler())
-        Rf = stability_function(exact_exponential())
-        got = max_rho_negative_axis(lambda z: rho_linear(Rg, Rf, 1, z))
+        got = max_rho_negative_axis(lambda z: rho_linear(Rg, np.exp, 1, z))
         assert got == pytest.approx(0.2984, abs=0.002)
 
     def test_be_exact_mgrit_ceiling(self):
         Rg = stability_function(backward_euler())
-        Rf = stability_function(exact_exponential())
-        got = max_rho_negative_axis(lambda z: mgrit_rho_linear(Rg, Rf, 1, z))
+        got = max_rho_negative_axis(lambda z: mgrit_rho_linear(Rg, np.exp, 1, z))
         assert got == pytest.approx(0.1115, abs=0.002)
 
     def test_be_sdirk22_heat_spectrum_near_03(self):
@@ -593,13 +589,13 @@ class TestCoarseCache:
         assert U.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("model", ["burgers", "wave", "advection_diffusion", "heat_source",
-                                       "heat_exact", "heat_periodic_one_left", "heat_large"])
+                                       "heat_periodic_one_left", "heat_large"])
     def test_reuse_matches_full_sweeps_bitwise(self, monkeypatch, model):
         # stepped: nonlinear Newton columns, a time-dependent source (on a
         # periodic run too) and a system too large for a window
-        # matrix; window matrices: the companion wave, SDIRK on
-        # advection-diffusion and the exact exponential.  The coarse values
-        # kept from the sweep before equal fresh ones.
+        # matrix; window matrices: the companion wave and SDIRK on
+        # advection-diffusion.  The coarse values kept from the sweep before
+        # equal fresh ones.
         n_w = 8
         if model == "heat_large":
             sys = heat_system(nx=EXPM_DENSE_MAX + 8, bc="periodic")
@@ -608,10 +604,6 @@ class TestCoarseCache:
             n_w = 3
             sys = sourced_heat(16, "periodic")
             cfg = make_cfg(1.0, n_w, 4, fine_method=trapezoidal(), max_iter=n_w, tol=0.0)
-        elif model == "heat_exact":
-            sys = heat_system(nx=40)
-            cfg = make_cfg(1.0, n_w, 1, fine_method=exact_exponential(), max_iter=6, tol=0.0,
-                           initial_guess="random")
         elif model == "heat_source":
             sys = build_heat(12, 1.0 / 13, 0.2, "dirichlet", source=SourcePulse(50.0))
             cfg = make_cfg(2.0, n_w, 4, fine_method=trapezoidal(), max_iter=6, tol=0.0)
@@ -692,24 +684,3 @@ class TestCoarseCache:
         assert trace.iterations == 4
         expected = ["fine"] if solver is parareal_diag_coarse_solve else ["coarse", "fine"]
         assert sorted(formed) == expected
-
-    def test_exact_fine_runs_on_the_window_matrix(self, monkeypatch):
-        # the exact exponential is a window matrix like the other methods:
-        # no window is stepped, in MGRiT and diag-CGC either, and the oracle
-        # is exp(T_n A) u0 to roundoff
-        def no_step(*args, **kwargs):
-            raise AssertionError("a window was stepped")
-
-        for name in ("propagate", "propagate_block"):
-            monkeypatch.setattr(parareal_module, name, no_step)
-        sys = heat_system(nx=12, bc="periodic")
-        cfg = make_cfg(1.0, 6, 2, fine_method=exact_exponential(), max_iter=6, tol=0.0)
-        _, trace = parareal_solve(cfg, sys)
-        assert trace.errors[6] <= 1e-13
-        _, trace = mgrit_fcf_solve(cfg, sys)
-        assert trace.errors[3] <= 1e-13
-        parareal_diag_cgc_solve(cfg, sys)
-        oracle = fine_sequential(cfg.grid, cfg.fine, sys)
-        for n, t in enumerate(cfg.grid.boundaries):
-            ref = scipy.linalg.expm(t * sys.A.to_dense()) @ sys.u0
-            assert np.abs(oracle[n] - ref).max() <= 1e-13

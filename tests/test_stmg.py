@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -145,10 +147,10 @@ class TestTransfers:
 
     def test_time_only_coarsening_flag(self):
         sys, grid = heat_grid(ratio=0.5)  # dt/dx^2 < 1/sqrt(2)
-        ops = _two_level(sys, grid, 1.0, AllAtOnce)
+        ops = _two_level(sys, grid, partial(AllAtOnce, theta=1.0))
         assert not ops.coarsen_space and ops.Px is None
         sys2, grid2 = heat_grid(ratio=8.0)
-        ops2 = _two_level(sys2, grid2, 1.0, AllAtOnce)
+        ops2 = _two_level(sys2, grid2, partial(AllAtOnce, theta=1.0))
         assert ops2.coarsen_space and ops2.Px is not None
 
     @pytest.mark.parametrize("lx, coarsen", [(2, False), (3, True)])
@@ -156,7 +158,7 @@ class TestTransfers:
         # dt = 8 dx^2 asks for space coarsening, but lx = 2 would leave one
         # coarse point: that level coarsens in time only
         sys, grid = heat_grid(lx=lx, lt=4, ratio=8.0)
-        assert _two_level(sys, grid, 1.0, AllAtOnce).coarsen_space == coarsen
+        assert _two_level(sys, grid, partial(AllAtOnce, theta=1.0)).coarsen_space == coarsen
         out, tr = stmg_two_level(sys, grid, SmootherConfig(eta=0.5), cycles=4)
         assert tr.meta["coarsen_space"] == coarsen
         assert np.isfinite(out).all() and tr.errors[-1] < tr.errors[0]
@@ -227,7 +229,7 @@ class TestFas:
         sys, grid = self.burgers_grid()
         from pintlab.stmg import NonlinearAllAtOnce
 
-        op = NonlinearAllAtOnce(sys, 1.0, grid.dt, grid.nt)
+        op = NonlinearAllAtOnce(sys, grid.dt, grid.nt)
         U_star = op.forward_substitution(op.rhs())
         out, tr = stmg_fas_nonlinear(sys, grid, SmootherConfig(eta=0.25, s1=2, s2=2),
                                      cycles=1, U0=U_star)
@@ -248,13 +250,13 @@ class TestFas:
         nx, nt = 31, 15
         dx = 1.0 / (nx + 1 if bc == "dirichlet" else nx)
         sys = build_burgers(nx, dx, 0.05, bc, source=SourcePulse(50.0))
-        op = NonlinearAllAtOnce(sys, 0.5, 8 * dx**2, nt)
+        op = NonlinearAllAtOnce(sys, 8 * dx**2, nt)
         U = np.random.default_rng(5).standard_normal((nt, nx))
         F = np.stack([sys.f(U[n], (n + 1) * op.dt) for n in range(nt)])
         np.testing.assert_array_equal(op.f_rows(U), F)
         b = op.rhs()
         res = 0.25 * (b - op.apply(U))
-        dU = np.stack([_newton(sys, 0.5 * op.dt, res[n], 0.0, res[n]) for n in range(nt)])
+        dU = np.stack([_newton(sys, op.dt, res[n], 0.0, res[n]) for n in range(nt)])
         np.testing.assert_array_equal(op.smooth(b, U, 0.25, 1), U + dU)
 
     def test_small_nu_degrades(self):
