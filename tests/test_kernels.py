@@ -774,10 +774,13 @@ class TestQuadraticPlan:
         with pytest.raises(SingularSystemError, match="singular quadratic system 1 .*row 0"):
             QuadraticPlan(A, (np.array([2.0, 1.0]), np.array([0.1, -2.0]), np.array([0.0, 1.0])))
 
-    def test_periodic_a_rejected(self):
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, -0.2, 0.05),
+        [np.array([1.0 + 0.3j, 2.0]), np.array([-0.1, 0.2j]), np.array([0.02j, 0.01])],
+    ], ids=["one", "stacked"])
+    def test_periodic_a_rejected(self, coeffs):
         # the square of a periodic A has corner bands, so the banded factors
         # would solve a different system
-        coeffs = [np.array([1.0 + 0.3j, 2.0]), np.array([-0.1, 0.2j]), np.array([0.02j, 0.01])]
         with pytest.raises(ValueError, match="QuadraticPlan takes a non-periodic A"):
             QuadraticPlan(periodic_laplacian_stencil(6), coeffs)
 
