@@ -176,16 +176,18 @@ def _step_linear_block(method, sys, plan, dt, U, g):
     implicit solves (see :func:`propagate_block`), so one factorization
     serves every column and every step, and the step is a pure map over
     columns.
-    ``g`` holds the source values of a theta step, (n, 2, k), at the times
-    :func:`_source_times` gives: ``g[:, i, j]`` is time i of column j.  It
-    is None for a system without a source.
+    ``g`` holds the source values of a theta step, (n, 2, k), or (n, 1, k)
+    for backward Euler, at the times :func:`_source_times` gives:
+    ``g[:, i, j]`` is time i of column j.  It is None for a system without a
+    source.
     """
     if method.theta is not None:
         th = method.theta
-        # backward Euler (theta = 1) has no explicit term: skip its 0*A U
+        # backward Euler (theta = 1) has no explicit term: skip its 0*A U and
+        # its 0*g at the step start
         rhs = U if th == 1.0 else U + (1.0 - th) * dt * sys.matvec(U)
         if g is not None:
-            rhs = rhs + dt * ((1.0 - th) * g[:, 0] + th * g[:, 1])
+            rhs = rhs + dt * (g[:, 0] if th == 1.0 else (1.0 - th) * g[:, 0] + th * g[:, 1])
         return plan.solve(rhs)
     b1, b2 = method.b
     rhs1 = sys.matvec(U)
@@ -196,11 +198,13 @@ def _step_linear_block(method, sys, plan, dt, U, g):
     return U + dt * (b1 * k1 + b2 * k2)
 
 
-def _source_times(ts, dt):
-    """The two times at which one linear theta step from ``ts`` reads the
-    source, (ts, ts + dt), on a new axis after the first.  ``ts`` is
+def _source_times(ts, dt, theta):
+    """The times at which one linear theta step from ``ts`` reads the
+    source, on a new axis after the first: (ts, ts + dt), or ts + dt alone
+    for backward Euler (theta = 1), whose step-start weight is 0.  ``ts`` is
     (steps, k), one row per step."""
-    return np.stack([ts, ts + dt], axis=1)
+    end = ts + dt
+    return end[:, None] if theta == 1.0 else np.stack([ts, end], axis=1)
 
 
 def _source_values(sys, t):
@@ -274,7 +278,8 @@ def propagate_block(prop: Propagator, sys, t0s: np.ndarray, U: np.ndarray) -> np
     for s0 in range(0, prop.steps, SOURCE_CHUNK):
         steps = np.arange(s0, min(s0 + SOURCE_CHUNK, prop.steps))
         ts = t0s + (steps * prop.dt)[:, None]  # row i: t0s + s*dt for step s = s0 + i
-        g = _source_values(sys, _source_times(ts, prop.dt)) if sourced else None
+        g = (_source_values(sys, _source_times(ts, prop.dt, prop.method.theta))
+             if sourced else None)
         for i in range(steps.size):
             W = (_step_linear_block(prop.method, sys, plan, prop.dt, W,
                                     None if g is None else g[:, i]) if linear

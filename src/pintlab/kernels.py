@@ -1,6 +1,13 @@
 """Shared numerical primitives: banded/cyclic solves, DFT and matrix
 exponential action.
 
+This is the one module that uses scipy: it binds the six LAPACK routines
+pintlab calls directly (gttrf, gttrs, gtcon, gesv, gbtrf, gbtrs) from
+scipy's compiled LAPACK library, loaded once by its file path, so importing
+pintlab imports no ``scipy.linalg``; :func:`_lapack` picks the real or
+complex routine by data type.  The matrix exponential is formed in numpy
+(:func:`_expm`).
+
 All solvers accept real or complex data.  Vectors live on axis 0, so every
 routine also accepts an ``(n, k)`` block of right-hand sides and solves the
 k systems in one call.
@@ -20,11 +27,42 @@ itself (see :func:`expm_action`), so they go when the matrix does.
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+
+# LAPACK comes from scipy's compiled library, loaded once by its file path:
+# that runs neither scipy/__init__ nor scipy.linalg/__init__, whose imports
+# (numpy.f2py and numpy.testing among them) cost more than all the rest of
+# pintlab's import.  Loaded under its own name, it is the module that a
+# later ``import scipy.linalg`` uses.
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ModuleNotFoundError("pintlab needs scipy, for its LAPACK library", name="scipy")
+_FLAPACK_PATH = os.path.join(os.path.dirname(_SCIPY.origin), "linalg", "_flapack")
+for _suffix in EXTENSION_SUFFIXES:
+    if os.path.isfile(_FLAPACK_PATH + _suffix):
+        break
+else:
+    raise ImportError(f"scipy's LAPACK library not found: no "
+                      f"{_FLAPACK_PATH}{{{','.join(EXTENSION_SUFFIXES)}}}")
+_SPEC = importlib.util.spec_from_file_location("scipy.linalg._flapack", _FLAPACK_PATH + _suffix)
+_FLAPACK = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_FLAPACK)
+
+
+def _lapack(dtype, *names):
+    """The LAPACK routines ``names`` (e.g. "gttrf") for data of ``dtype``:
+    the double complex (z) ones for complex data, the double real (d) ones
+    otherwise, as scipy's ``get_lapack_funcs`` picks for float64 and
+    complex128 data."""
+    prefix = "z" if np.dtype(dtype).kind == "c" else "d"
+    return [getattr(_FLAPACK, prefix + name) for name in names]
 
 
 class SingularSystemError(RuntimeError):
@@ -188,7 +226,7 @@ class StackedTridiagonalLU:
             pad = np.zeros(3 - self._n)
             lower, diag, upper = (np.concatenate((v, pad + z)) for v, z in
                                   ((lower, 0.0), (diag, 1.0), (upper, 0.0)))
-        gttrf, self._gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        gttrf, self._gttrs = _lapack(diag.dtype, "gttrf", "gttrs")
         *self._factors, info = gttrf(lower, diag, upper)
         if info > 0:
             ends = np.cumsum(sizes)
@@ -202,7 +240,7 @@ class StackedTridiagonalLU:
         block, on the block's rows of the factors (no pivot crosses a block
         boundary)."""
         dl, d, du, du2, ipiv = self._factors
-        gtcon, = scipy.linalg.get_lapack_funcs(("gtcon",), (d,))
+        gtcon, = _lapack(d.dtype, "gtcon")
         out = np.empty(len(norms))
         for j, norm in enumerate(norms):
             r = j * n
@@ -381,7 +419,7 @@ def _factor_shifted(A, a, b, dtype, periodic):
     if (col_norms.max(axis=1) * inv_bound * (10.0 * PIVOT_RTOL) > 1.0).any():
         raise SingularSystemError("periodic shifted banded system near-singular "
                                   "(Woodbury condition bound)")
-    gesv = scipy.linalg.get_lapack_funcs(("gesv",), (cap,))[0] if J == 1 else None
+    gesv = _lapack(cap.dtype, "gesv")[0] if J == 1 else None
     return lu, z, cap, gesv
 
 
@@ -418,7 +456,7 @@ class QuadraticPlan:
         ab[4] = c0 + c1 * d + c2 * sq_d
         ab[5, :, :-1] = c1 * dl1 + c2 * (dl1 * (d[:-1] + d[1:]))
         ab[6, :, :-2] = c2 * (dl1[1:] * dl1[:-1])
-        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        gbtrf, self._gbtrs = _lapack(ab.dtype, "gbtrf", "gbtrs")
         self._lu, self._piv, info = gbtrf(ab.reshape(7, -1), 2, 2, overwrite_ab=True)
         if info > 0:
             j, row = divmod(info - 1, n)
@@ -457,11 +495,11 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     ``A`` is an operator with ``n``, ``expm_key`` and ``to_dense()``
     (BandedMatrix, SemiDiscreteSystem, CompanionSystem); any other ``A``, a
     plain array included, raises TypeError, and one with n above
-    EXPM_DENSE_MAX raises ValueError.  The dense exponential
-    ``scipy.linalg.expm(t*A)`` is applied and kept on the banded matrix
-    that ``expm_key`` names, under the key's tag and the exact ``t``, so
-    every call with the same operator and step does the same product, and
-    the exponentials are freed with that matrix.  A non-finite result
+    EXPM_DENSE_MAX raises ValueError.  The dense exponential of t*A (see
+    :func:`_expm`) is applied and kept on the banded matrix that
+    ``expm_key`` names, under the key's tag and the exact ``t``, so every
+    call with the same operator and step does the same product, and the
+    exponentials are freed with that matrix.  A non-finite t*A or result
     raises FloatingPointError and keeps nothing.
     """
     if not hasattr(A, "expm_key"):
@@ -473,8 +511,79 @@ def expm_action(A, t: float, v: np.ndarray) -> np.ndarray:
     band, tag = A.expm_key
     E = band._expms.get((tag, t))
     if E is None:
-        E = band._expms.setdefault((tag, t), _finite(scipy.linalg.expm(t * A.to_dense())))
+        E = band._expms.setdefault((tag, t), _finite(_expm(_finite(t * A.to_dense()))))
     return E @ v
+
+
+# theta_m: the Pade degree m serves a matrix whose power norms d_k stay
+# below it (Al-Mohy & Higham 2009); theta_13 = 4.25 is also the value of
+# scipy.linalg.expm, so the two scale the experiments' operators alike
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+
+
+def _expm(M):
+    """exp(M) of a finite square array, by the scaling and squaring
+    algorithm of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31, 2009),
+    which ``scipy.linalg.expm`` also follows.
+
+    The degree m of the Pade approximant r_m is the lowest of 3, 5, 7 and 9
+    whose theta_m bounds the power norms d_k = |M^k|_1^(1/k) and whose
+    backward error needs no extra squaring (:func:`_ell`); otherwise m = 13
+    on M / 2^s, squared s times.  The norms are exact, since n is small.
+    r_m = I + 2 (V - U)^-1 U, with U and V the odd and even parts of the
+    numerator p_m, so a zero M gives I exactly.  The solve is LAPACK gesv.
+    """
+    eye = np.eye(M.shape[0], dtype=M.dtype)
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M2 @ M4
+    M8 = M4 @ M4
+    # d_k = |M^k|_1^(1/k) for k = 4, 6, 8, 10
+    norms = np.abs([M4, M6, M8, M4 @ M6]).sum(axis=1).max(axis=1)
+    d4, d6, d8, d10 = norms ** (1.0 / np.array([4, 6, 8, 10]))
+    eta = {3: max(d4, d6), 5: max(d4, d6), 7: max(d6, d8), 9: max(d6, d8)}
+    abs_m, norm = np.abs(M), np.linalg.norm(M, 1)
+    m = next((m for m in eta if eta[m] <= _PADE_THETA[m] and _ell(abs_m, norm, m) == 0), 13)
+    # the coefficients of p_m(x), the numerator of r_m = p_m(x) / p_m(-x),
+    # scaled to integers: b_k = (2m - k)! / (k! (m - k)!)
+    b = [float(math.comb(m, k) * math.perm(2 * m - k, m - k)) for k in range(m + 1)]
+    s = 0
+    if m < 13:
+        powers = (eye, M2, M4, M6, M8)[:(m + 1) // 2]
+        U = M @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    else:
+        eta5 = min(eta[7], max(d8, d10))
+        s = max(math.ceil(math.log2(eta5 / _PADE_THETA[13])), 0) if eta5 else 0
+        s += _ell(abs_m / 2.0 ** s, norm / 2.0 ** s, 13)
+        M, M2, M4, M6 = (P / 2.0 ** (k * s) for k, P in ((1, M), (2, M2), (4, M4), (6, M6)))
+        U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+                 + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+        V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    gesv, = _lapack(M.dtype, "gesv")
+    *_, X, info = gesv(V - U, U)
+    if info:
+        raise SingularSystemError("singular Pade denominator in the matrix exponential")
+    E = eye + 2.0 * X
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _ell(abs_m, norm, m):
+    """ell(M, m) of Al-Mohy & Higham (2009), from |M| and |M|_1: the
+    squarings to add so that the leading term of r_m's backward error,
+    |c_2m+1| |(|M|^(2m+1))|_1 / |M|_1 with |c_2m+1| = (m!)^2 / ((2m)!
+    (2m+1)!), is at most the unit roundoff 2^-53."""
+    col_sums = np.ones(abs_m.shape[0])
+    for _ in range(2 * m + 1):
+        col_sums = col_sums @ abs_m  # of |M|^k, whose 1-norm is their largest
+    p = col_sums.max()
+    bound = 2.0 ** -53 * norm * (math.factorial(2 * m) * math.factorial(2 * m + 1)
+                                 / math.factorial(m) ** 2)
+    return 0 if p <= bound else math.ceil(math.log2(p / bound) / (2 * m))
 
 
 def _finite(x):

@@ -2,7 +2,8 @@
 # `import pintlab` makes for the CLI and the benchmark
 import pintlab  # noqa: F401
 import pytest
-import scipy.linalg
+
+from pintlab import kernels
 
 
 def pytest_configure(config):
@@ -12,16 +13,17 @@ def pytest_configure(config):
 @pytest.fixture
 def gbtrf_calls(monkeypatch):
     """A list that gains one entry per LAPACK gbtrf call made through
-    ``scipy.linalg.get_lapack_funcs`` while the test runs."""
+    ``kernels._lapack``, the one binding of the LAPACK routines, while the
+    test runs."""
     calls = []
-    real = scipy.linalg.get_lapack_funcs
+    real = kernels._lapack
 
     def counted(f):
         return lambda *args, **kw: calls.append(1) or f(*args, **kw)
 
-    def get_lapack_funcs(names, arrays=(), **kw):
-        funcs = real(names, arrays, **kw)
+    def lapack(dtype, *names):
+        funcs = real(dtype, *names)
         return [counted(f) if name == "gbtrf" else f for name, f in zip(names, funcs)]
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(kernels, "_lapack", lapack)
     return calls

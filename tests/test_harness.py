@@ -153,15 +153,24 @@ class TestCsvFormat:
 
 class TestImportCost:
     @staticmethod
-    def loaded_by_import(prefixes):
-        """The modules starting with ``prefixes`` that a fresh
-        ``import pintlab.experiments`` loads, as printed by the subprocess."""
+    def fresh_python(code, *first):
+        """``python -c code`` in a fresh process that imports pintlab from
+        this checkout, with the directories ``first`` ahead of it on the
+        path."""
         import pintlab
 
         src = str(Path(pintlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        path = os.pathsep.join(filter(None, (*first, src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+
+    @classmethod
+    def loaded_by_import(cls, prefixes):
+        """The modules starting with ``prefixes`` that a fresh
+        ``import pintlab.experiments`` loads, as printed by the subprocess."""
         code = f"import sys, pintlab.experiments; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        proc = cls.fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
     def test_experiments_import_leaves_out_scipy_optimize(self):
@@ -173,6 +182,23 @@ class TestImportCost:
         # the exponential is dense only (n <= EXPM_DENSE_MAX), so no module
         # needs scipy.sparse, and importing it would only add set-up time
         assert self.loaded_by_import(("scipy.sparse",)) == "[]"
+
+    def test_experiments_import_leaves_out_scipy_linalg(self):
+        # the kernels load scipy's LAPACK library alone, by its path: the
+        # scipy.linalg package, and numpy.f2py and numpy.testing, which it
+        # loads, cost more than half of pintlab's set-up time
+        loaded = self.loaded_by_import(("scipy", "numpy.f2py", "numpy.testing"))
+        assert loaded == "['scipy.linalg._flapack']"
+
+    def test_missing_lapack_library_named(self, tmp_path):
+        # a scipy package with no linalg/_flapack library: importing the
+        # kernels fails at once, with an ImportError naming the path searched
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("", encoding="utf-8")
+        proc = self.fresh_python("import pintlab.kernels", str(tmp_path))
+        assert proc.returncode == 1
+        missing = tmp_path / "scipy" / "linalg" / "_flapack"
+        assert f"ImportError: scipy's LAPACK library not found: no {missing}{{" in proc.stderr
 
 
 class TestOpenblasNumThreads:

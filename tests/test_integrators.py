@@ -230,6 +230,23 @@ class TestSourceChunks:
         propagate_block(prop, sys, t0s, U)
         assert len(calls) == -(-prop.steps // SOURCE_CHUNK)
 
+    @pytest.mark.parametrize("method", THETA_METHODS, ids=str)
+    def test_source_times_per_step(self, method):
+        # backward Euler reads the source at each step's end alone, half the
+        # evaluations of the trapezoidal rule, which also reads its start
+        sys = SOURCED_SYSTEMS["heat_dirichlet"]()
+        evaluations, real = [], sys.source
+
+        def counting(t):
+            evaluations.append(np.size(t))
+            return real(t)
+
+        sys.source = counting
+        prop, t0s, U = self.march(sys, method)
+        propagate_block(prop, sys, t0s, U)
+        times_per_step = {"backward_euler": 1, "trapezoidal": 2}[method.name]
+        assert sum(evaluations) == times_per_step * prop.steps * t0s.size
+
 
 def newton_reference(sys, c, rhs, t, guess, tol=1e-12, max_iter=50):
     """The per-column Newton that the batched one replaced: y - c*f(y, t) =

@@ -20,7 +20,7 @@ from pintlab.kernels import (
     idft,
     solve_shifted_banded,
 )
-from pintlab.models import CompanionSystem, build_heat, build_wave
+from pintlab.models import CompanionSystem, build_burgers, build_heat, build_wave
 
 
 def periodic_laplacian_stencil(n):
@@ -490,7 +490,7 @@ class TestShiftPlan:
         # conditioning is checked once, at factor time, with one gtcon call
         # per shift block; a kept plan's solve is one gttrs and no matvec
         calls = {"apply_blocks": 0, "gttrf": 0, "gttrs": 0, "gtcon": 0}
-        real_apply, real_get = kernels.apply_blocks, scipy.linalg.get_lapack_funcs
+        real_apply, real_lapack = kernels.apply_blocks, kernels._lapack
 
         def apply_blocks(*args):
             calls["apply_blocks"] += 1
@@ -502,12 +502,12 @@ class TestShiftPlan:
                 return f(*args, **kwargs)
             return call
 
-        def get_lapack_funcs(names, arrays=(), **kwargs):
-            funcs = real_get(names, arrays, **kwargs)
+        def lapack(dtype, *names):
+            funcs = real_lapack(dtype, *names)
             return [counted(name, f) if name in calls else f for name, f in zip(names, funcs)]
 
         monkeypatch.setattr(kernels, "apply_blocks", apply_blocks)
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        monkeypatch.setattr(kernels, "_lapack", lapack)
         rng = np.random.default_rng(266)
         A = random_banded(rng, 10, periodic=periodic)
         a, b = 1.0 + rng.random(J), 0.3 * rng.standard_normal(J)
@@ -844,6 +844,28 @@ class TestExpmAction:
         got = expm_action(A, 0.5, v)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-13)
 
+    @pytest.mark.parametrize("M", [
+        # C5: the wave companion operator at each of its five steps, whose
+        # power norms choose Pade degrees 13, 9, 7, 7 and 5, unscaled
+        *(0.5 / n_t * CompanionSystem(build_wave(39, 1.0 / 40, 1.0, "dirichlet")).to_dense()
+          for n_t in (16, 32, 64, 128, 256)),
+        # C8: the heat operator over a window (degree 13, scaled by 2^-10)
+        # and Burgers' diffusion over a window (2^-9)
+        0.5 * build_heat(32, 1.0 / 33, 1.0, "dirichlet").A.to_dense(),
+        0.2 * build_burgers(50, 1.0 / 50, 1.0, "periodic").A.to_dense(),
+    ], ids=["c5-16", "c5-32", "c5-64", "c5-128", "c5-256", "c8-heat", "c8-burgers"])
+    def test_exponential_against_scipy(self, M):
+        # the kernel's scaling and squaring agrees with scipy's on the
+        # operators the experiments exponentiate, to a normwise relative 1e-12
+        expected = scipy.linalg.expm(M)
+        assert np.abs(kernels._expm(M) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_non_finite_operator_raises(self):
+        A = BandedMatrix(np.array([np.inf, -1.0]), np.ones(1), np.ones(1))
+        with pytest.raises(FloatingPointError):
+            expm_action(A, 1.0, np.ones(2))
+        assert not A._expms
+
     def test_plain_array_raises(self):
         with pytest.raises(TypeError, match="operator with expm_key.*got ndarray"):
             expm_action(np.diag([-2.0, -1.0]), 1.0, np.ones(2))
@@ -873,8 +895,8 @@ class TestExpmAction:
 
     def test_exponential_kept_on_its_operator(self, monkeypatch):
         made = []
-        real = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda M: made.append(1) or real(M))
+        real = kernels._expm
+        monkeypatch.setattr(kernels, "_expm", lambda M: made.append(1) or real(M))
         sys = build_wave(5, 1.0 / 6, 1.0, "periodic")
         comp = CompanionSystem(sys)
         v, w = np.arange(1.0, 6.0), np.arange(1.0, 11.0)
@@ -916,7 +938,7 @@ class TestExpmAction:
         ops = [random_banded(rng, 6, periodic=k % 2 == 1) for k in range(4)]
         ts = [0.1, 0.2, 0.3]
         v = rng.standard_normal(6)
-        expected = {(i, t): scipy.linalg.expm(t * A.to_dense()) @ v
+        expected = {(i, t): kernels._expm(t * A.to_dense()) @ v
                     for i, A in enumerate(ops) for t in ts}
         keys = sorted(expected)
 

@@ -4,7 +4,7 @@ import scipy.linalg
 from test_kernels import quadratic_band
 
 import pintlab.paradiag as paradiag_module
-from pintlab import experiments
+from pintlab import experiments, kernels
 from pintlab.integrators import AllAtOnce, apply_poly, named_theta, numerov_matrices
 from pintlab.kernels import (BandedMatrix, SingularSystemError, dense_of, expm_action,
                              solve_shifted_banded)
@@ -754,8 +754,8 @@ class TestModeSplit:
         # C4 makes no dense expm (the expm_action chain made 288); C6 hands
         # eig/eigvals nothing larger than one mode's 16 x 16 time block
         expms, orders = [], []
-        real_expm, real_eig, real_eigvals = scipy.linalg.expm, np.linalg.eig, np.linalg.eigvals
-        monkeypatch.setattr(scipy.linalg, "expm", lambda M: expms.append(1) or real_expm(M))
+        real_expm, real_eig, real_eigvals = kernels._expm, np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(kernels, "_expm", lambda M: expms.append(1) or real_expm(M))
         experiments.run_paradiag1_geometric()
         assert not expms
         monkeypatch.setattr(np.linalg, "eig", lambda M: orders.append(M.shape[-1]) or real_eig(M))
