@@ -315,7 +315,7 @@ def run_swr_ad_iterations(seed=0):
     dec_d = swr.Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
     p_star, rho = swr.robin_p_star(2 * dx, nu, T, dt)
     dec_r = swr.Decomposition1D.uniform(n_nodes, 4, 2, tc="robin", p=p_star)
-    tr_d, tr_r = swr.oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r], tol=1e-8, seed=seed)
+    tr_d, tr_r = swr.oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r], seed=seed)
     rows = [{"tc": "dirichlet", "iterations": tr_d.iterations},
             {"tc": "robin", "iterations": tr_r.iterations,
              "p_star": p_star, "rho_bound": rho}]
@@ -386,10 +386,10 @@ def run_pfasst_radau(seed=0):
     rows, checks = [], []
     sys0 = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
     sys0.u0[:] = np.sin(np.pi * sys0.x)
-    B10 = idc.dense_pfasst_b10(sys0, 0.05, Mf=3, Mc=3,
+    B10 = idc.dense_pfasst_b10(sys0, 0.05, Mc=3,
                                identity_transfers=True, sweeper_exact=True)
     b10 = float(np.abs(B10).max())
-    _, tr_id = idc.pfasst_two_level(sys0, 6, 0.05, k_max=1, Mf=3, Mc=3,
+    _, tr_id = idc.pfasst_two_level(sys0, 6, 0.05, k_max=1, Mc=3,
                                     identity_transfers=True, sweeper_exact=True)
     rows.append({"check": "identity_case", "B10_max": b10, "error_after_1": tr_id.errors[1]})
     checks.append(("identity_B10_vanishes", b10 <= 1e-10, f"|B10| = {b10:.1e}"))

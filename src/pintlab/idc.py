@@ -18,6 +18,8 @@ from .integrators import check_counts, finite_u0
 from .kernels import apply_blocks, dense_of
 from .trace import IterationTrace
 
+MF = 3  # Radau IIA nodes of the collocation solve and the fine level of the block iteration
+
 
 def quad_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
     """Weights integrating the Lagrange interpolant on ``nodes`` over [a, b].
@@ -218,9 +220,9 @@ def _euler_sweeper(sys, nodes, dt):
     return sweep
 
 
-def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray:
-    """Sequential Radau-IIA collocation with Mf nodes per window of length
-    dt, the fixed point of the PFASST block iteration.
+def collocation_solve(sys, dt: float, n_windows: int) -> np.ndarray:
+    """Sequential Radau-IIA collocation with :data:`MF` nodes per window of
+    length dt, the fixed point of the PFASST block iteration.
 
     Each window solves (I - dt Q (x) A) U = (u_start, ..., u_start) + dt b
     for its node values (by :func:`_node_solver`).  Linear systems only;
@@ -230,7 +232,7 @@ def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray
     if not sys.linear:
         raise ValueError("the collocation solve is assembled for linear systems")
     u0 = finite_u0(sys)
-    nodes = radau_iia_nodes(Mf)
+    nodes = radau_iia_nodes(MF)
     Q = collocation_matrix(nodes)
     solve = _node_solver(sys, Q, dt)
     b = dt * _collocation_sources(sys, dt, n_windows, nodes, Q)
@@ -241,15 +243,15 @@ def collocation_solve(sys, dt: float, n_windows: int, Mf: int = 3) -> np.ndarray
     return out
 
 
-def _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact):
-    """The block iteration's maps of node blocks (Mf, n) or (Mf, n, k) on
+def _two_level(sys, dt, Mc, identity_transfers, sweeper_exact):
+    """The block iteration's maps of node blocks (MF, n) or (MF, n, k) on
     Radau IIA nodes: phi_f, the sweeper's phi~^-1 and the coarse correction
-    Tcf phi_c^-1 Tfc (the identity transfers are Mf == Mc)."""
+    Tcf phi_c^-1 Tfc (the identity transfers are Mc == MF)."""
     if not sys.linear:
         raise ValueError("the block iteration is assembled for linear systems")
-    if identity_transfers and Mf != Mc:
-        raise ValueError("identity transfers need Mf == Mc")
-    nodes_f, nodes_c = radau_iia_nodes(Mf), radau_iia_nodes(Mc)
+    if identity_transfers and Mc != MF:
+        raise ValueError(f"identity transfers need Mf == Mc, and Mf = {MF}")
+    nodes_f, nodes_c = radau_iia_nodes(MF), radau_iia_nodes(Mc)
     Qf = collocation_matrix(nodes_f)
     Tcf, Tfc = lagrange_transfer(nodes_c, nodes_f), lagrange_transfer(nodes_f, nodes_c)
     coarse = _node_solver(sys, collocation_matrix(nodes_c), dt)
@@ -264,22 +266,22 @@ def _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact):
     return phi_f, sweep, correct
 
 
-def dense_pfasst_b10(sys, dt: float, Mf: int = 3, Mc: int = 2, identity_transfers: bool = False,
+def dense_pfasst_b10(sys, dt: float, Mc: int = 2, identity_transfers: bool = False,
                      sweeper_exact: bool = False) -> np.ndarray:
     """Dense B10: one block iteration on one window with zero right-hand
-    sides, by :func:`kernels.dense_of`.  ``identity_transfers`` with Mf ==
-    Mc and ``sweeper_exact`` is the exact-solve case, B10 = 0."""
-    phi_f, sweep, correct = _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact)
+    sides, by :func:`kernels.dense_of`.  ``identity_transfers`` with Mc ==
+    :data:`MF` and ``sweeper_exact`` is the exact-solve case, B10 = 0."""
+    phi_f, sweep, correct = _two_level(sys, dt, Mc, identity_transfers, sweeper_exact)
 
     def iteration(U):
         S = U - sweep(phi_f(U))
         return S - correct(phi_f(S))
 
-    return dense_of(iteration, (Mf, sys.n))
+    return dense_of(iteration, (MF, sys.n))
 
 
 def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
-                     Mf: int = 3, Mc: int = 2, identity_transfers: bool = False,
+                     Mc: int = 2, identity_transfers: bool = False,
                      sweeper_exact: bool = False,
                      reference: Optional[np.ndarray] = None):
     """Two-level PFASST block iteration over pipelined windows.
@@ -296,18 +298,18 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     """
     _check_windows(dt, n_windows)
     check_counts(k_max=k_max)
-    phi_f, sweep, correct = _two_level(sys, dt, Mf, Mc, identity_transfers, sweeper_exact)
+    phi_f, sweep, correct = _two_level(sys, dt, Mc, identity_transfers, sweeper_exact)
     u0 = finite_u0(sys)
-    nodes_f = radau_iia_nodes(Mf)
+    nodes_f = radau_iia_nodes(MF)
     b = dt * _collocation_sources(sys, dt, n_windows, nodes_f, collocation_matrix(nodes_f))
     if reference is None:
-        reference = collocation_solve(sys, dt, n_windows, Mf)
+        reference = collocation_solve(sys, dt, n_windows)
 
     def ends(U):
         return np.vstack([u0, U[-1].T])
 
-    # node blocks (Mf, n, n_windows): U[m, :, w] is node m of window w
-    U = np.broadcast_to(u0[:, None], (Mf, sys.n, n_windows))
+    # node blocks (MF, n, n_windows): U[m, :, w] is node m of window w
+    U = np.broadcast_to(u0[:, None], (MF, sys.n, n_windows))
     trace = IterationTrace(method="pfasst_two_level")
     trace.record(error=np.abs(ends(U) - reference).max())
     for _ in range(k_max):

@@ -78,20 +78,18 @@ class SourcePulse:
     shape of ``t``, bit for bit."""
 
     sigma: float
-    amplitude: float = PULSE_AMPLITUDE
     centers: tuple = PULSE_TIMES
-    x_center: float = PULSE_CENTER_X
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
-        space, out = (x - self.x_center) ** 2, 0.0
+        space, out = (x - PULSE_CENTER_X) ** 2, 0.0
         time = np.float_power(np.subtract.outer(t, self.centers), 2)  # t.shape + (centers,)
         for j in range(len(self.centers)):
             out = out + np.exp(-self.sigma * (time[..., j] + space))
-        return self.amplitude * out
+        return PULSE_AMPLITUDE * out
 
 
 @dataclass

@@ -144,8 +144,7 @@ def _prolong(ops: TwoLevelOperators, E):
 
 
 def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
-                   integrator: str = "backward_euler", cycles: int = 10,
-                   U0: Optional[np.ndarray] = None):
+                   integrator: str = "backward_euler", cycles: int = 10):
     """Two-level V-cycles on the linear all-at-once system: smooth,
     restrict the residual, solve the coarse level by forward substitution,
     prolong its correction, smooth.
@@ -159,7 +158,7 @@ def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     op_f = ops.op_f
     b = op_f.rhs()
     U_star = op_f.forward_substitution(b)
-    U = np.zeros_like(b) if U0 is None else U0.copy()
+    U = np.zeros_like(b)
     trace = IterationTrace(method="stmg_two_level")
     trace.meta["coarsen_space"] = ops.coarsen_space
     bnorm = max(np.abs(b).max(), 1e-300)

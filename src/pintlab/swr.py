@@ -30,6 +30,7 @@ from .kernels import ConvergenceError, StackedTridiagonalLU
 from .trace import IterationTrace
 
 Y_CRITICAL = 1.618386576
+OSWR_TOL = 1e-8  # interface error against the oracle at which oswr_solve_ad stops
 
 
 @dataclass(frozen=True)
@@ -338,21 +339,21 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     return x, solver.solve(finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
 
 
-def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8,
-                  max_iter: int = 2000, seed: int = 0):
+def oswr_solve_ad(nu, L, T, dx, dt, decs, max_iter: int = 2000, seed: int = 0):
     """Jacobi Schwarz waveform relaxation for advection-diffusion, run once
     for each decomposition in ``decs`` on one space-time grid, from
     :func:`ad_initial_data`.
 
     The monodomain solution, marched once, is the oracle of every run.  A
     run starts from random interface traces (``seed``) and stops when the
-    maximum interface error against the oracle drops below ``tol``.  Every
-    subdomain reads only its neighbours' previous-iterate traces.  A sweep's
-    traces are the free response plus the convolution of the interface
-    data with each interface input's impulse response
-    (:meth:`_AdSolver.responses`, one march on 3 columns), computed with
-    spectra made once per run.  No trajectory is built.  A decomposition
-    needs at least two subdomains (one has no interface: a ValueError).
+    maximum interface error against the oracle drops below
+    :data:`OSWR_TOL`.  Every subdomain reads only its neighbours'
+    previous-iterate traces.  A sweep's traces are the free response plus
+    the convolution of the interface data with each interface input's
+    impulse response (:meth:`_AdSolver.responses`, one march on 3 columns),
+    computed with spectra made once per run.  No trajectory is built.  A
+    decomposition needs at least two subdomains (one has no interface: a
+    ValueError).
     Returns one IterationTrace per decomposition.
     """
     for dec in decs:
@@ -360,10 +361,10 @@ def oswr_solve_ad(nu, L, T, dx, dt, decs, tol: float = 1e-8,
             raise ValueError(f"Schwarz waveform relaxation needs at least 2 subdomains, "
                              f"got {len(dec.subdomains)}")
     _, mono = monodomain_solve_ad(nu, L, T, dx, dt, partial(ad_initial_data, L=L))
-    return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed) for dec in decs)
+    return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed) for dec in decs)
 
 
-def _oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed):
+def _oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed):
     """The sweeps of :func:`oswr_solve_ad` on one decomposition, against
     the monodomain trajectory ``mono``."""
     subs = dec.subdomains
@@ -391,7 +392,7 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed):
         sol[1:] += np.fft.irfft(spectra @ inputs, n=n_fft, axis=0)[:n_steps, :, 0]
         err = np.abs(sol[:, np.concatenate((at_left, at_right))] - mono[:, solver.nodes]).max()
         trace.record(error=err)
-        if err < tol:
+        if err < OSWR_TOL:
             return trace
         # Jacobi exchange of interface traces
         if rob:
@@ -400,7 +401,7 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, tol, max_iter, seed):
         else:
             data[:, 1:n_sub] = sol[:, at_left]
             data[:, n_sub:-1] = sol[:, at_right]
-    raise ConvergenceError(f"OSWR did not reach tol={tol} in {max_iter} sweeps")
+    raise ConvergenceError(f"OSWR did not reach tol={OSWR_TOL} in {max_iter} sweeps")
 
 
 # ---------------------------------------------------------------------------

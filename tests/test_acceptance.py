@@ -366,7 +366,6 @@ def differs(value, default):
 SEED = "the random seed, which `pint --seed` sets and every experiment passes on"
 C15_FIXED_POINT = "gated by C15: its fixed-point checks start from the solution"
 TRACE_STATE = "trace state that the solvers record, not an option"
-NO_SETTER = "no caller sets it, tests included: a candidate constant (ROADMAP item 5)"
 TESTS_ONLY = "only tests set it: a candidate constant (ROADMAP item 5)"
 OPTIONS_ALLOWED = {
     "experiments.run_experiment(seed)": SEED,
@@ -382,13 +381,6 @@ OPTIONS_ALLOWED = {
     "trace.IterationTrace(residuals)": TRACE_STATE,
     "trace.IterationTrace(fine_solves)": TRACE_STATE,
     "trace.IterationTrace(meta)": TRACE_STATE,
-    "idc.collocation_solve(Mf)": NO_SETTER,
-    "idc.dense_pfasst_b10(Mf)": NO_SETTER,
-    "idc.pfasst_two_level(Mf)": NO_SETTER,
-    "models.SourcePulse(amplitude)": NO_SETTER,
-    "models.SourcePulse(x_center)": NO_SETTER,
-    "stmg.stmg_two_level(U0)": NO_SETTER,
-    "swr.oswr_solve_ad(tol)": NO_SETTER,
     "models.SourcePulse(centers)": TESTS_ONLY,
     "models.build_burgers(source)": TESTS_ONLY,
     "stmg.stmg_two_level(cycles)": TESTS_ONLY,

@@ -210,10 +210,10 @@ class TestPfasst:
         nx = 16
         sys = build_heat(nx, 1.0 / (nx + 1), 1.0, "dirichlet")
         sys.u0[:] = np.sin(np.pi * sys.x)
-        B10 = dense_pfasst_b10(sys, 0.05, Mf=3, Mc=3,
+        B10 = dense_pfasst_b10(sys, 0.05, Mc=3,
                                identity_transfers=True, sweeper_exact=True)
         assert np.abs(B10).max() <= 1e-10
-        ends, trace = pfasst_two_level(sys, 6, 0.05, k_max=1, Mf=3, Mc=3,
+        ends, trace = pfasst_two_level(sys, 6, 0.05, k_max=1, Mc=3,
                                        identity_transfers=True, sweeper_exact=True)
         assert trace.errors[1] <= 1e-10
 
@@ -328,7 +328,7 @@ class TestPfasst:
     def test_identity_transfers_need_equal_node_counts(self):
         sys = build_heat(8, 1.0 / 9, 1.0, "dirichlet")
         with pytest.raises(ValueError, match="Mf == Mc"):
-            pfasst_two_level(sys, 3, 0.05, k_max=1, Mf=3, Mc=2, identity_transfers=True)
+            pfasst_two_level(sys, 3, 0.05, k_max=1, Mc=2, identity_transfers=True)
 
     def test_matrix_free(self, monkeypatch):
         # neither the iteration, its reference nor B10 forms a dense operator

@@ -3,7 +3,7 @@ import pytest
 
 import pintlab.paraexp as paraexp_module
 from pintlab.integrators import (SOURCE_CHUNK, Propagator, TimeGrid, backward_euler, propagate,
-                                 trapezoidal)
+                                 propagate_block, trapezoidal)
 from pintlab.kernels import expm_action
 from pintlab.models import SourcePulse, build_burgers, build_heat, build_wave
 from pintlab.paraexp import (
@@ -189,3 +189,96 @@ class TestCoarseCache:
         _, trace = solver(plan, sys, oracle(plan, sys))
         assert trace.iterations == 3
         assert len(calls) == n_w * trace.iterations
+
+
+def resolve_every_window(plan, target, IC, IC_old=None, U_old=None):
+    """The window solves without reuse: every window in every iteration."""
+    t0s = plan.grid.boundaries[:-1]
+    ends = propagate_block(plan.red, target, t0s, IC[:-1].T.copy()).T
+    U = np.empty_like(IC)
+    U[0] = IC[0]
+    U[1:] = ends
+    return U, plan.grid.n_windows
+
+
+def c8_burgers():
+    """C8's nonlinear case: periodic Burgers, n = 50, 5 windows of 10
+    backward-Euler steps, run for n_w iterations with tol = 0."""
+    sys = TestNonlinearParaExp().burgers(nu=1.0, nx=50)
+    plan = make_plan(1.0, 5, 10, method=backward_euler())
+    plan.max_iter = plan.grid.n_windows
+    plan.tol = 0.0
+    return sys, plan
+
+
+def dirichlet_heat(method):
+    """The linear case of ``test_linear_problem_converges_quickly``."""
+    sys = build_heat(16, 1.0 / 17, 1.0, "dirichlet")
+    sys.u0[:] = np.sin(np.pi * sys.x)
+    return sys, make_plan(0.5, 4, 8, method=method)
+
+
+class TestWindowReuse:
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The width of every block the solvers march, in call order."""
+        real = paraexp_module.propagate_block
+        widths = []
+
+        def counting_block(prop, sys, t0s, U):
+            widths.append(U.shape[1])
+            return real(prop, sys, t0s, U)
+
+        monkeypatch.setattr(paraexp_module, "propagate_block", counting_block)
+        return widths
+
+    @pytest.mark.parametrize("solver", [paraexp_nonlinear_iterate, linear_g_parareal])
+    def test_solves_only_windows_whose_start_changed(self, widths, solver):
+        # iteration k fixes the start of window k, so it solves n_w - k windows
+        sys, plan = c8_burgers()
+        _, trace = solver(plan, sys, oracle(plan, sys))
+        assert widths == [5, 4, 3, 2, 1]
+        assert trace.fine_solves == 15
+
+    def test_iteration_with_no_changed_window_solves_none(self, widths):
+        # after n_w iterations every start is fixed: no block is marched and
+        # the endpoints stay as they were
+        sys, plan = c8_burgers()
+        plan.max_iter = plan.grid.n_windows + 2
+        _, trace = paraexp_nonlinear_iterate(plan, sys, oracle(plan, sys))
+        assert widths == [5, 4, 3, 2, 1]
+        assert trace.fine_solves == 15
+        assert trace.iterations == 7
+        assert trace.errors[5] == trace.errors[6] == trace.errors[4]
+
+    @pytest.mark.parametrize("solver", [paraexp_nonlinear_iterate, linear_g_parareal])
+    @pytest.mark.parametrize("case", ["burgers", "heat_backward_euler", "heat_trapezoidal"])
+    def test_matches_resolving_every_window_bitwise(self, monkeypatch, solver, case):
+        sys, plan = (c8_burgers() if case == "burgers"
+                     else dirichlet_heat(backward_euler() if case == "heat_backward_euler"
+                                         else trapezoidal()))
+        ref_oracle = oracle(plan, sys)
+        U, trace = solver(plan, sys, ref_oracle)
+        monkeypatch.setattr(paraexp_module, "_window_solves", resolve_every_window)
+        U_ref, trace_ref = solver(plan, sys, ref_oracle)
+        assert U.tobytes() == U_ref.tobytes()
+        assert trace.errors == trace_ref.errors
+        assert trace.fine_solves < trace_ref.fine_solves
+
+    def test_nan_start_counts_as_changed(self, monkeypatch):
+        # NaN != NaN: a window whose start holds a NaN is solved again
+        sys, plan = c8_burgers()
+        widths = []
+
+        def recording_block(prop, sys, t0s, U):
+            widths.append(U.shape[1])
+            return np.zeros_like(U)
+
+        monkeypatch.setattr(paraexp_module, "propagate_block", recording_block)
+        IC = np.ones((plan.grid.n_windows + 1, sys.n))
+        IC[2, 3] = np.nan
+        U_old = np.full_like(IC, 7.0)
+        U, solved = paraexp_module._window_solves(plan, sys, IC, IC.copy(), U_old)
+        assert widths == [1] and solved == 1
+        assert (U[3] == 0).all()
+        assert (np.delete(U, [0, 3], axis=0) == 7.0).all()

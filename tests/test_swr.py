@@ -73,7 +73,7 @@ class TestOswrAd:
     def test_single_subdomain_rejected(self):
         decs = [Decomposition1D.uniform(51, 2, 2), Decomposition1D.uniform(51, 1, 2)]
         with pytest.raises(ValueError, match="at least 2 subdomains, got 1"):
-            oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, decs, tol=1e-8)
+            oswr_solve_ad(0.1, 1.0, 0.5, 0.02, 0.01, decs)
 
     @pytest.mark.slow
     def test_reference_iteration_counts(self):
@@ -84,7 +84,7 @@ class TestOswrAd:
         dec_d = Decomposition1D.uniform(n_nodes, 4, 2, tc="dirichlet")
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec_r = Decomposition1D.uniform(n_nodes, 4, 2, tc="robin", p=p_star)
-        tr_d, tr_r = oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r], tol=1e-8)
+        tr_d, tr_r = oswr_solve_ad(nu, L, T, dx, dt, [dec_d, dec_r])
         assert 92 * 0.8 <= tr_d.iterations <= 92 * 1.2
         assert tr_d.iterations == 96  # pint-out/swr-ad-iterations.csv, seed 0
         assert 28 * 0.8 <= tr_r.iterations <= 28 * 1.2
@@ -114,7 +114,7 @@ class TestOswrAd:
         counts = []
         for nu in (1.0, 0.1, 0.01):
             dec = Decomposition1D.uniform(n_nodes, 2, 2, tc="dirichlet")
-            tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8, max_iter=2000)
+            tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], max_iter=2000)
             counts.append(tr.iterations)
         assert counts[0] >= counts[1] >= counts[2]
 
@@ -122,7 +122,7 @@ class TestOswrAd:
         L, T, dt, dx = 4.0, 2.0, 0.02, 0.04
         n_nodes = int(round(L / dx)) + 1
         dec = Decomposition1D.uniform(n_nodes, 2, 4, tc="dirichlet")
-        tr, = oswr_solve_ad(0.1, L, T, dx, dt, [dec], tol=1e-8, max_iter=500)
+        tr, = oswr_solve_ad(0.1, L, T, dx, dt, [dec], max_iter=500)
         e = tr.errors
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e[1:-1], e[2:]))
 
@@ -151,7 +151,7 @@ class TestOswrAd:
         n_nodes = int(round(L / dx)) + 1
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec = Decomposition1D.uniform(n_nodes, 3, 2, tc=tc, p=p_star)
-        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8)
+        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec])
         errors_ref = dense_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8)
         assert tr.iterations == len(errors_ref)
         np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
@@ -224,7 +224,7 @@ class TestOswrAd:
         L, T, dt, dx = 4.0, 1.0, 0.02, 0.04
         dec = Decomposition1D.uniform(int(round(L / dx)) + 1, 3, 2, tc="dirichlet")
         with pytest.raises(ConvergenceError, match="^OSWR did not reach tol=1e-08 in 3 sweeps"):
-            oswr_solve_ad(0.1, L, T, dx, dt, [dec], tol=1e-8, max_iter=3)
+            oswr_solve_ad(0.1, L, T, dx, dt, [dec], max_iter=3)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("tc", ["dirichlet", "robin"])
@@ -235,7 +235,7 @@ class TestOswrAd:
         L, T, dt, dx, nu = 4.0, 1.0, 0.02, 0.04, 0.1
         p_star, _ = robin_p_star(2 * dx, nu, T, dt)
         dec = Decomposition1D.uniform(int(round(L / dx)) + 1, n_sub, 2, tc=tc, p=p_star)
-        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], tol=1e-8, seed=seed)
+        tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], seed=seed)
         errors_ref = march_oswr_ad(nu, L, T, dx, dt, dec, tol=1e-8, seed=seed)
         assert tr.iterations == len(errors_ref)
         np.testing.assert_allclose(tr.errors, errors_ref, rtol=1e-6, atol=0)
