@@ -21,36 +21,44 @@ from .trace import IterationTrace
 MF = 3  # Radau IIA nodes of the collocation solve and the fine level of the block iteration
 
 
-def quad_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
+def quad_weights(nodes: np.ndarray, a, b) -> np.ndarray:
     """Weights integrating the Lagrange interpolant on ``nodes`` over [a, b].
 
-    Exact for polynomials of degree < len(nodes); computed from a scaled
-    Vandermonde system for conditioning at small node counts.
+    Exact for polynomials of degree < m, the node count; computed from a
+    Vandermonde system on the nodes scaled to [0, 1], for conditioning at
+    small m.  Broadcasts over leading axes: ``nodes`` (..., m) with ``a``
+    and ``b`` (...) gives weights (..., m), one system with one right-hand
+    side per integral, all in one batched solve.
     """
     nodes = np.asarray(nodes, dtype=float)
-    m = nodes.shape[0]
-    if np.unique(nodes).shape[0] != m:
+    m = nodes.shape[-1]
+    ordered = np.sort(nodes, axis=-1)  # not np.unique, which imports numpy.ma
+    if not (np.isfinite(ordered).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("quadrature nodes and bounds must be finite")
+    if (ordered[..., 1:] == ordered[..., :-1]).any():
         raise ValueError("quadrature nodes must be distinct")
-    span = nodes.max() - nodes.min() if m > 1 else 1.0
-    shift = nodes.min()
-    s = (nodes - shift) / span
+    shift = ordered[..., 0]
+    span = ordered[..., -1] - shift if m > 1 else np.ones_like(shift)
+    s = (nodes - shift[..., None]) / span[..., None]
     sa, sb = (a - shift) / span, (b - shift) / span
-    powers = np.arange(m)
-    moments = (sb ** (powers + 1) - sa ** (powers + 1)) / (powers + 1)
-    V = np.vander(s, m, increasing=True)
-    return np.linalg.solve(V.T, moments) * span
+    p = np.arange(1, m + 1)
+    moments = (sb[..., None] ** p - sa[..., None] ** p) / p
+    V = np.empty(s.shape + (m,))  # rows 1, s, s^2, ... as np.vander builds them
+    V[..., 0] = 1.0
+    V[..., 1:] = s[..., None]
+    np.multiply.accumulate(V[..., 1:], out=V[..., 1:], axis=-1)
+    return np.linalg.solve(V.swapaxes(-1, -2), moments[..., None])[..., 0] * span[..., None]
 
 
 def idc_weights(window_nodes: np.ndarray) -> np.ndarray:
-    """Panel-by-panel correction weights for one IDC window.
+    """Panel-by-panel correction weights of IDC windows.
 
-    ``window_nodes`` holds the M+1 node times t_0..t_M; the quadrature
-    interpolates through t_1..t_M, and row m integrates over
-    [t_m, t_{m+1}].  Shape (M, M).
+    ``window_nodes`` holds each window's M+1 node times t_0..t_M, shape
+    (..., M+1); the quadrature interpolates through t_1..t_M, and row m
+    integrates over [t_m, t_{m+1}].  Shape (..., M, M).
     """
     t = np.asarray(window_nodes, dtype=float)
-    M = t.shape[0] - 1
-    return np.stack([quad_weights(t[1:], t[m], t[m + 1]) for m in range(M)])
+    return quad_weights(t[..., None, 1:], t[..., :-1], t[..., 1:])
 
 
 def radau_iia_nodes(M: int) -> np.ndarray:
@@ -66,7 +74,7 @@ def radau_iia_nodes(M: int) -> np.ndarray:
 def collocation_matrix(nodes: np.ndarray) -> np.ndarray:
     """Q with q_{m,j} = integral_0^{tau_m} L_j(s) ds on the given nodes."""
     nodes = np.asarray(nodes, dtype=float)
-    return np.stack([quad_weights(nodes, 0.0, t) for t in nodes])
+    return quad_weights(nodes, 0.0, nodes)
 
 
 @dataclass
@@ -107,13 +115,13 @@ def idc_sweep(state: SweepState, nodes: _EulerNodes, weights: np.ndarray) -> Swe
     t = state.t_nodes
     M = t.shape[0] - 1
     old = state.values
-    f_old = np.stack([sys.f(old[m], t[m]) for m in range(M + 1)])
+    f_old = sys.f(old.T, t).T
+    dts = t[1:] - t[:-1]
     new = np.empty_like(old)
     new[0] = old[0]
     for m in range(M):
-        dtm = t[m + 1] - t[m]
-        rhs = new[m] - dtm * f_old[m + 1] + weights[m] @ f_old[1:]
-        new[m + 1] = nodes(dtm, t[m + 1], rhs)
+        rhs = new[m] - dts[m] * f_old[m + 1] + weights[m] @ f_old[1:]
+        new[m + 1] = nodes(dts[m], t[m + 1], rhs)
     return SweepState(n=state.n, t_nodes=t, values=new, k=state.k + 1)
 
 
@@ -130,8 +138,8 @@ def idc_run(sys, T, n_windows, M, k_corrections):
                                ("k_corrections", k_corrections, 0)):
         if not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
-    if not T > 0:
-        raise ValueError(f"need T > 0, got {T}")
+    if not (T > 0 and np.isfinite(T)):
+        raise ValueError(f"need a finite T > 0, got T={T}")
     finite_u0(sys)
     nodes = _EulerNodes(sys)
     k_sweeps = k_corrections + 1
@@ -142,13 +150,13 @@ def idc_run(sys, T, n_windows, M, k_corrections):
     window_nodes = [
         np.linspace(boundaries[n], boundaries[n + 1], M + 1) for n in range(n_windows)
     ]
+    weights = idc_weights(np.stack(window_nodes))
     ic = sys.u0
     for n in range(n_windows):
-        weights = idc_weights(window_nodes[n])
         state = SweepState(n=n, t_nodes=window_nodes[n], values=np.tile(ic, (M + 1, 1)))
         sweeps_here = []
         for k in range(1, k_sweeps + 1):
-            state = idc_sweep(state, nodes, weights)
+            state = idc_sweep(state, nodes, weights[n])
             sweeps_here.append(state.values)
             endpoints[k, n + 1] = state.values[-1]
         windows.append(sweeps_here)

@@ -378,9 +378,11 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed):
     to_left, to_right = solver.to_left, solver.to_right
     # The responses are kept only at the columns the error and the exchange
     # read (j, j+-1, j+-2 for the Robin one-sided difference, kept adjacent
-    # since ``cols`` is sorted).
+    # since ``cols`` is sorted).  Sorted and deduplicated by hand, since
+    # np.unique imports numpy.ma on its first call.
     span = (0, 1, 2) if rob else (0,)
-    cols = np.unique(np.concatenate([to_left + s for s in span] + [to_right - s for s in span]))
+    cols = np.sort(np.concatenate([to_left + s for s in span] + [to_right - s for s in span]))
+    cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
     at_left, at_right = np.searchsorted(cols, to_left), np.searchsorted(cols, to_right)
     n_fft = 2 * n_steps
     free, resp = solver.responses(mono[0, solver.index], n_steps, cols)

@@ -190,6 +190,17 @@ class TestImportCost:
         loaded = self.loaded_by_import(("scipy", "numpy.f2py", "numpy.testing"))
         assert loaded == "['scipy.linalg._flapack']"
 
+    def test_runs_leave_out_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; the IDC quadrature
+        # and the SWR column set sort instead, so no run pays for it
+        code = ("import sys; from pintlab.experiments import load_registry, run_experiment; "
+                "reg = load_registry(); "
+                "[run_experiment(reg[e]) for e in ('swr-ad-iterations', 'idc-order-lift', 'pfasst-radau')]; "
+                "print('numpy.ma' in sys.modules)")
+        proc = self.fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_lapack_library_named(self, tmp_path):
         # a scipy package with no linalg/_flapack library: importing the
         # kernels fails at once, with an ImportError naming the path searched

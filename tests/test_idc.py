@@ -84,6 +84,68 @@ class TestQuadWeights:
         with pytest.raises(ValueError):
             quad_weights(np.array([0.1, 0.1, 0.5]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("nodes, a, b", [
+        ([0.1, np.nan, 0.5], 0.0, 1.0),
+        ([0.1, 0.3, 0.5], -np.inf, 1.0),
+        ([0.1, 0.3, 0.5], 0.0, [1.0, np.nan]),
+    ])
+    def test_non_finite_nodes_or_bounds_raise(self, nodes, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            quad_weights(np.array(nodes), a, np.array(b))
+
+
+def reference_quad_weights(nodes, a, b):
+    """One integral's weights as :func:`quad_weights` computed them before it
+    broadcast: one Vandermonde solve per call."""
+    m = nodes.shape[0]
+    span = nodes.max() - nodes.min() if m > 1 else 1.0
+    shift = nodes.min()
+    s = (nodes - shift) / span
+    sa, sb = (a - shift) / span, (b - shift) / span
+    powers = np.arange(m)
+    moments = (sb ** (powers + 1) - sa ** (powers + 1)) / (powers + 1)
+    V = np.vander(s, m, increasing=True)
+    return np.linalg.solve(V.T, moments) * span
+
+
+def reference_idc_weights(t):
+    return np.stack([reference_quad_weights(t[1:], t[m], t[m + 1]) for m in range(t.shape[0] - 1)])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBatchedWeights:
+    # the batched weights equal the per-window, per-integral solves bit for bit
+
+    @pytest.mark.parametrize("n_w", [8, 16, 32])
+    def test_c11_windows(self, n_w):
+        bounds = np.linspace(0.0, 1.0, n_w + 1)
+        windows = np.stack([np.linspace(bounds[n], bounds[n + 1], 6) for n in range(n_w)])
+        assert_same_bits(idc_weights(windows), np.stack([reference_idc_weights(t) for t in windows]))
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6])
+    def test_random_non_uniform_windows(self, M):
+        rng = np.random.default_rng(M)
+        windows = rng.uniform(-2.0, 3.0) + 5.0 * np.sort(rng.random((30, M + 1)), axis=1)
+        assert_same_bits(idc_weights(windows), np.stack([reference_idc_weights(t) for t in windows]))
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_radau_collocation_matrix(self, M):
+        nodes = radau_iia_nodes(M)
+        want = np.stack([reference_quad_weights(nodes, 0.0, t) for t in nodes])
+        assert_same_bits(collocation_matrix(nodes), want)
+
+    @pytest.mark.parametrize("n_windows", [1, 4, 32])
+    def test_idc_run_makes_one_solve(self, monkeypatch, n_windows):
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or real(*args))
+        idc_run(scalar_decay(), 1.0, n_windows, 5, 2)
+        assert len(calls) == 1
+
 
 class TestQuadratureRule:
     def test_uniform_rule_row_sums(self):
@@ -156,6 +218,7 @@ class TestIdcSweep:
         (dict(n_windows=0), "n_windows"),
         (dict(T=-1.0), "T"),
         (dict(sys=build_burgers(8, 1.0 / 8, 0.1, "periodic")), "linear"),
+        (dict(T=np.inf), "T"),
     ])
     def test_idc_run_rejects_bad_parameters(self, kwargs, name):
         args = dict(sys=build_heat(8, 1.0 / 9, 1.0, "dirichlet"), T=0.5, n_windows=2, M=3,
