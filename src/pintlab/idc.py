@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import check_counts, finite_u0
-from .kernels import apply_blocks, dense_of
+from .integrators import finite_u0
+from .kernels import apply_blocks, check_counts, check_positive, dense_of
 from .trace import IterationTrace
 
 MF = 3  # Radau IIA nodes of the collocation solve and the fine level of the block iteration
@@ -134,12 +134,9 @@ def idc_run(sys, T, n_windows, M, k_corrections):
 
     Returns (window node times, per-window per-sweep node values,
     endpoint array indexed [sweep, boundary])."""
-    for name, value, least in (("n_windows", n_windows, 1), ("M", M, 1),
-                               ("k_corrections", k_corrections, 0)):
-        if not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
-    if not (T > 0 and np.isfinite(T)):
-        raise ValueError(f"need a finite T > 0, got T={T}")
+    check_counts(1, n_windows=n_windows, M=M)
+    check_counts(0, k_corrections=k_corrections)
+    check_positive(T=T)
     finite_u0(sys)
     nodes = _EulerNodes(sys)
     k_sweeps = k_corrections + 1
@@ -179,13 +176,6 @@ def lagrange_transfer(from_nodes: np.ndarray, to_nodes: np.ndarray) -> np.ndarra
         for i, t in enumerate(to_nodes):
             out[i, j] = np.prod(t - others) / denom
     return out
-
-
-def _check_windows(dt, n_windows):
-    if not dt > 0:  # also rejects NaN
-        raise ValueError(f"need dt > 0, got {dt}")
-    if n_windows < 1:
-        raise ValueError(f"need n_windows >= 1, got {n_windows}")
 
 
 def _collocation_sources(sys, dt, n_windows, nodes, Q):
@@ -236,7 +226,8 @@ def collocation_solve(sys, dt: float, n_windows: int) -> np.ndarray:
     for its node values (by :func:`_node_solver`).  Linear systems only;
     returns the window endpoints, shape (n_windows + 1, n).
     """
-    _check_windows(dt, n_windows)
+    check_positive(dt=dt)
+    check_counts(1, n_windows=n_windows)
     if not sys.linear:
         raise ValueError("the collocation solve is assembled for linear systems")
     u0 = finite_u0(sys)
@@ -304,8 +295,9 @@ def pfasst_two_level(sys, n_windows: int, dt: float, k_max: int,
     ``reference`` (falling back to :func:`collocation_solve`, the
     iteration's fixed point).
     """
-    _check_windows(dt, n_windows)
-    check_counts(k_max=k_max)
+    check_positive(dt=dt)
+    check_counts(1, n_windows=n_windows)
+    check_counts(0, k_max=k_max)
     phi_f, sweep, correct = _two_level(sys, dt, Mc, identity_transfers, sweeper_exact)
     u0 = finite_u0(sys)
     nodes_f = radau_iia_nodes(MF)

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, solve_shifted_banded
+from .kernels import (EXPM_DENSE_MAX, ConvergenceError, QuadraticPlan, check_counts,
+                      check_positive, solve_shifted_banded)
 from .models import CompanionSystem, SemiDiscreteSystem
 
 SQRT2 = np.sqrt(2.0)
@@ -92,11 +93,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, n_windows: int) -> "TimeGrid":
-        for name, value in (("T", T), ("n_windows", n_windows)):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not isinstance(n_windows, (int, np.integer)):
-            raise ValueError(f"n_windows must be an integer, got {n_windows!r}")
+        check_positive(T=T)
+        check_counts(1, n_windows=n_windows)
         return cls(np.linspace(0.0, T, n_windows + 1))
 
     @property
@@ -124,10 +122,8 @@ class Propagator:
     steps: int
 
     def __post_init__(self):
-        if not self.dt > 0 or self.steps < 1:
-            raise ValueError("need dt > 0 and steps >= 1")
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        check_positive(dt=self.dt)
+        check_counts(1, steps=self.steps)
 
     def span(self) -> float:
         return self.dt * self.steps
@@ -299,14 +295,6 @@ def window_matrix(prop: Propagator, sys) -> Optional[np.ndarray]:
     return np.linalg.matrix_power(step, prop.steps)
 
 
-def check_counts(**counts):
-    """A ValueError naming the first of the iteration, cycle or sweep
-    ``counts`` that is negative."""
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"need {name} >= 0, got {value}")
-
-
 def finite_u0(sys) -> np.ndarray:
     """``sys.u0`` (or ``sys`` itself, given the initial values), or a
     ValueError if it holds NaN or inf."""
@@ -419,8 +407,7 @@ def numerov_solve(sys: SemiDiscreteSystem, dt: float, n_steps: int,
                   u1: Optional[np.ndarray] = None) -> np.ndarray:
     """Sequential Numerov trajectory (n_steps+1 rows, starting at u0): every
     step solves r1 u_{n+1} = r2 u_n - r1 u_{n-1} with one QuadraticPlan."""
-    if n_steps < 1:
-        raise ValueError(f"numerov_solve needs n_steps >= 1, got {n_steps}")
+    check_counts(1, n_steps=n_steps)
     out = np.empty((n_steps + 1, sys.n))
     out[0] = sys.u0
     out[1] = numerov_bootstrap(sys, dt) if u1 is None else u1

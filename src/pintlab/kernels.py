@@ -1,5 +1,6 @@
 """Shared numerical primitives: banded/cyclic solves, DFT and matrix
-exponential action.
+exponential action, and the two argument checks every module runs on its
+inputs (:func:`check_positive`, :func:`check_counts`).
 
 This is the one module that uses scipy: it binds the six LAPACK routines
 pintlab calls directly (gttrf, gttrs, gtcon, gesv, gbtrf, gbtrs) from
@@ -71,6 +72,22 @@ class SingularSystemError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
+
+
+def check_positive(**values):
+    """A ValueError naming the first of the step sizes, spans or other
+    ``values`` that is not a finite number > 0 (NaN and inf included)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_counts(least, **counts):
+    """A ValueError naming the first of the iteration, step or window
+    ``counts`` that is not an integer >= ``least``."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
 
 
 # Pivots (or capacitance determinants) below PIVOT_RTOL times the matrix

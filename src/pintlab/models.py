@@ -16,11 +16,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import BandedMatrix, ShiftPlan, SingularSystemError
+from .kernels import BandedMatrix, ShiftPlan, SingularSystemError, check_counts, check_positive
 
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
 PULSE_AMPLITUDE = 10.0
 PULSE_CENTER_X = 0.5
+SECOND_DIFFERENCE = (1.0, -2.0, 1.0)  # stencil weights (lower, diag, upper)
+FIRST_DIFFERENCE = (-1.0, 0.0, 1.0)  # centered, before its 1/(2 dx)
 
 
 class InvalidBoundaryError(ValueError):
@@ -34,42 +36,27 @@ def _check_bc(bc):
 
 def grid_coordinates(nx: int, dx: float, bc: str) -> np.ndarray:
     _check_bc(bc)
-    if not dx > 0:
-        raise ValueError(f"dx must be positive, got {dx}")
+    check_positive(dx=dx)
     if bc == "dirichlet":
         return dx * np.arange(1, nx + 1)
     return dx * np.arange(nx)
 
 
-def second_difference_stencil(nx: int, bc: str) -> BandedMatrix:
-    """Integer-weight second-difference stencil (interior rows 1, -2, 1)."""
+def stencil(nx: int, bc: str, weights) -> BandedMatrix:
+    """Tridiagonal stencil with interior rows ``weights`` = (lower, diag,
+    upper); a periodic one wraps the lower weight into the top corner and
+    the upper weight into the bottom one."""
     _check_bc(bc)
-    if nx < 3:
-        raise ValueError("need nx >= 3")
-    diag = -2.0 * np.ones(nx)
-    lower = np.ones(nx - 1)
-    upper = np.ones(nx - 1)
-    if bc == "periodic":
-        return BandedMatrix(diag, lower, upper, corner_top=1.0, corner_bottom=1.0)
-    return BandedMatrix(diag, lower, upper)
-
-
-def first_difference_stencil(nx: int, bc: str) -> BandedMatrix:
-    """Integer-weight centered first-difference stencil (rows -1, 0, 1)."""
-    _check_bc(bc)
-    if nx < 3:
-        raise ValueError("need nx >= 3")
-    diag = np.zeros(nx)
-    lower = -np.ones(nx - 1)
-    upper = np.ones(nx - 1)
-    if bc == "periodic":
-        return BandedMatrix(diag, lower, upper, corner_top=-1.0, corner_bottom=1.0)
-    return BandedMatrix(diag, lower, upper)
+    check_counts(3, nx=nx)
+    lower, diag, upper = weights
+    corners = dict(corner_top=lower, corner_bottom=upper) if bc == "periodic" else {}
+    return BandedMatrix(np.full(nx, diag), np.full(nx - 1, lower), np.full(nx - 1, upper),
+                        **corners)
 
 
 @dataclass
 class SourcePulse:
-    """Gaussian source firing at four instants at the domain center:
+    """Gaussian source firing at the four :data:`PULSE_TIMES` at the domain center:
     g(x,t) = 10 * sum_j exp(-sigma * [(t - t_j)^2 + (x - 0.5)^2]).
 
     ``t`` is a time or an array of times broadcast against ``x``.  The time
@@ -78,16 +65,14 @@ class SourcePulse:
     shape of ``t``, bit for bit."""
 
     sigma: float
-    centers: tuple = PULSE_TIMES
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        check_positive(sigma=self.sigma)
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         space, out = (x - PULSE_CENTER_X) ** 2, 0.0
-        time = np.float_power(np.subtract.outer(t, self.centers), 2)  # t.shape + (centers,)
-        for j in range(len(self.centers)):
+        time = np.float_power(np.subtract.outer(t, PULSE_TIMES), 2)  # t.shape + (pulses,)
+        for j in range(len(PULSE_TIMES)):
             out = out + np.exp(-self.sigma * (time[..., j] + space))
         return PULSE_AMPLITUDE * out
 
@@ -117,7 +102,7 @@ class SemiDiscreteSystem:
             raise ValueError("second-order system needs u0_deriv")
         if self.order == "second" and self.source is not None:
             raise ValueError("a second-order system takes no source term")
-        if self.nu < 0:
+        if not self.nu >= 0:  # also rejects NaN
             raise ValueError("nu must be nonnegative")
 
     @property
@@ -178,9 +163,8 @@ def _with_source(source, sigma, x):
 
 def build_heat(nx: int, dx: float, nu: float, bc: str, source=None) -> SemiDiscreteSystem:
     """Heat equation u_t = nu*u_xx + g: A = (nu/dx^2) * A_xx."""
-    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
-    A = second_difference_stencil(nx, bc).scaled(nu / dx**2)
+    A = stencil(nx, bc, SECOND_DIFFERENCE).scaled(nu / dx**2)
     return SemiDiscreteSystem(
         A=A, u0=np.zeros(nx), dx=dx, bc=bc, kind="heat",
         source=_with_source(source, None, x), nu=nu, x=x,
@@ -190,10 +174,9 @@ def build_heat(nx: int, dx: float, nu: float, bc: str, source=None) -> SemiDiscr
 def build_advection_diffusion(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
     """Advection-diffusion u_t + u_x - nu*u_xx = g:
     A = (nu/dx^2) A_xx - (1/(2 dx)) A_x."""
-    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
-    A = second_difference_stencil(nx, bc).scaled(nu / dx**2).add(
-        first_difference_stencil(nx, bc).scaled(-1.0 / (2.0 * dx))
+    A = stencil(nx, bc, SECOND_DIFFERENCE).scaled(nu / dx**2).add(
+        stencil(nx, bc, FIRST_DIFFERENCE).scaled(-1.0 / (2.0 * dx))
     )
     return SemiDiscreteSystem(
         A=A, u0=np.zeros(nx), dx=dx, bc=bc, kind="advection_diffusion",
@@ -204,10 +187,9 @@ def build_advection_diffusion(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem
 def build_burgers(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
     """Burgers' u_t - nu*u_xx + (1/2)(u^2)_x = g in conservative form:
     f(u) = (nu/dx^2) A_xx u - (1/(4 dx)) A_x (u^2) + g."""
-    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
-    A = second_difference_stencil(nx, bc).scaled(nu / dx**2)
-    B = first_difference_stencil(nx, bc).scaled(-1.0 / (4.0 * dx))
+    A = stencil(nx, bc, SECOND_DIFFERENCE).scaled(nu / dx**2)
+    B = stencil(nx, bc, FIRST_DIFFERENCE).scaled(-1.0 / (4.0 * dx))
     return SemiDiscreteSystem(
         A=A, u0=np.zeros(nx), dx=dx, bc=bc, kind="burgers",
         B=B, source=_with_source(source, None, x), nu=nu, x=x,
@@ -217,9 +199,8 @@ def build_burgers(nx, dx, nu, bc, source=None) -> SemiDiscreteSystem:
 def build_wave(nx, dx, c, bc) -> SemiDiscreteSystem:
     """Second-order wave u_tt = c^2 u_xx: A = (c^2/dx^2) A_xx, zero initial
     velocity by default."""
-    _check_bc(bc)
     x = grid_coordinates(nx, dx, bc)
-    A = second_difference_stencil(nx, bc).scaled(c**2 / dx**2)
+    A = stencil(nx, bc, SECOND_DIFFERENCE).scaled(c**2 / dx**2)
     return SemiDiscreteSystem(
         A=A, u0=np.zeros(nx), dx=dx, bc=bc, kind="wave", order="second",
         u0_deriv=np.zeros(nx), c=c, x=x,

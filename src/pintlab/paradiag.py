@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .kernels import (QuadraticPlan, SingularSystemError, dense_of, dft, idft,
-                      solve_shifted_banded)
-from .integrators import AllAtOnce, NumerovAllAtOnce, check_counts, finite_u0, named_theta
+from .kernels import (QuadraticPlan, SingularSystemError, check_counts, check_positive, dense_of,
+                      dft, idft, solve_shifted_banded)
+from .integrators import AllAtOnce, NumerovAllAtOnce, finite_u0, named_theta
 from .trace import IterationTrace
 
 MACHINE_EPS = 2.22e-16
@@ -44,11 +45,8 @@ class GeometricTimeMesh:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("geometric mesh needs rho > 0 (distinct steps)")
-        if not self.T > 0:
-            raise ValueError(f"geometric mesh needs T > 0, got T={self.T}")
-        _check_n_t(self.n_t, 1)
+        check_positive(rho=self.rho, T=self.T)  # rho > 0: distinct steps
+        check_counts(1, n_t=self.n_t)
 
     @property
     def mu(self) -> float:
@@ -62,16 +60,6 @@ class GeometricTimeMesh:
     @property
     def times(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.dts)])
-
-
-def _check_n_t(n_t, least):
-    if not isinstance(n_t, (int, np.integer)) or n_t < least:
-        raise ValueError(f"need an integer n_t >= {least}, got n_t={n_t!r}")
-
-
-def _check_dt(dt):
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
 
 
 def _check_unsourced(sys):
@@ -143,8 +131,7 @@ def optimal_curvature_point(n_t: int) -> float:
 def rho_opt_first_order(n_t: int, T: float, lam_max: float) -> float:
     """Step-ratio parameter balancing the two first-order error bounds
     (evaluated in the log domain to survive the factorials)."""
-    if n_t < 2:
-        raise ValueError("need n_t >= 2")
+    check_counts(2, n_t=n_t)
     x_star = optimal_curvature_point(n_t)
     log_C = math.log(n_t * (n_t**2 - 1) / 24.0) + _log_r(x_star, n_t)
     log_num = (
@@ -184,8 +171,8 @@ def paradiag1_bvm_solve(sys, dt: float, n_t: int) -> np.ndarray:
     """
     if sys.order != "second":
         raise ValueError(f"the BVM solve expects a second-order system, got order={sys.order!r}")
-    _check_n_t(n_t, 2)
-    _check_dt(dt)
+    check_counts(2, n_t=n_t)
+    check_positive(dt=dt)
     finite_u0(sys)
     B = bvm_time_matrix(n_t, dt)
     lam, V = np.linalg.eig(B)
@@ -261,7 +248,7 @@ def _preconditioned(sys, integrator, alpha, dt, n_t):
     R -> P_alpha^-1 R, where P_alpha takes the alpha-circulant C_alpha(c)
     for each Toeplitz time matrix T(c) of K.  Fourier mode n of P_alpha is
     the block d1[n] r1 - d2[n] r2."""
-    _check_dt(dt)
+    check_positive(dt=dt)
     op = make_all_at_once(sys, integrator, dt, n_t)
     b = op.rhs()
     fac, fac2 = (alpha_circulant_factor(c, alpha) for c in op.time_columns)
@@ -269,18 +256,15 @@ def _preconditioned(sys, integrator, alpha, dt, n_t):
     # block coefficients of A^j: (d1 r1_j - d2 r2_j) tau^j
     coeffs = [(d1 * p - d2 * q) * op.tau**j for j, (p, q) in enumerate(zip(*op.polys))]
 
-    def solve(R):
-        return fac.from_eigenbasis(plan.solve(fac.to_eigenbasis(R.astype(complex))))
-
     try:
         # theta: one batched shift plan; Numerov: one stacked quadratic plan
         plan = (sys.shift_plan(coeffs[0], -coeffs[1]) if len(coeffs) == 2
                 else QuadraticPlan(sys.A, coeffs))
-        solve(b)  # fail fast on singular blocks
+        fac.solve(plan, b)  # fail fast on singular blocks
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"alpha={alpha} preconditioner is singular for this operator") from exc
-    return op, b, solve
+    return op, b, partial(fac.solve, plan)
 
 
 def dense_preconditioned_operator(sys, integrator: str, alpha: float, dt: float,
@@ -298,8 +282,8 @@ def paradiag2_solve(sys, integrator: str, alpha: float, dt: float, n_t: int,
     stationary iteration U += P_alpha^-1 (b - K U), in increment form.
     Returns (trajectory including initial row, trace).
     """
-    check_counts(max_iter=max_iter)
-    _check_n_t(n_t, 1)
+    check_counts(0, max_iter=max_iter)
+    check_counts(1, n_t=n_t)
     op, b, solve = _preconditioned(sys, integrator, alpha, dt, n_t)
 
     trace = IterationTrace(method="paradiag2_stationary")

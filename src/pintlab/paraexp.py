@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import Propagator, TimeGrid, check_counts, finite_u0, propagate_block
-from .kernels import expm_action
+from .integrators import Propagator, TimeGrid, finite_u0, propagate_block
+from .kernels import check_counts, expm_action
 from .models import first_order_form
 from .trace import IterationTrace
 
@@ -30,7 +30,7 @@ class ParaExpPlan:
     tol: float = 1e-12
 
     def __post_init__(self):
-        check_counts(max_iter=self.max_iter)
+        check_counts(0, max_iter=self.max_iter)
         if not self.grid.spanned_by(self.red):
             raise ValueError("red propagator does not span every window")
 

@@ -15,9 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import (Propagator, TimeGrid, check_counts, finite_u0, propagate,
-                          propagate_block, stability, window_matrix)
-from .kernels import ConvergenceError
+from .integrators import (Propagator, TimeGrid, finite_u0, propagate, propagate_block,
+                          stability, window_matrix)
+from .kernels import ConvergenceError, check_counts
 from .models import first_order_form
 from .paradiag import alpha_circulant_factor
 from .trace import IterationTrace
@@ -35,7 +35,7 @@ class PararealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_counts(max_iter=self.max_iter)
+        check_counts(0, max_iter=self.max_iter)
         if self.initial_guess not in ("coarse", "random"):
             raise ValueError("initial_guess must be 'coarse' or 'random', "
                              f"got {self.initial_guess!r}")

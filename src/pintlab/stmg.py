@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import AllAtOnce, _newton, check_counts, finite_u0, named_theta
-from .kernels import ConvergenceError
+from .integrators import AllAtOnce, _newton, finite_u0, named_theta
+from .kernels import ConvergenceError, check_counts, check_positive
 from .models import rebuild
 from .trace import IterationTrace
 
@@ -36,8 +36,8 @@ class SpaceTimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.lx < 2 or self.lt < 2:
-            raise ValueError("need lx, lt >= 2")
+        check_counts(2, lx=self.lx, lt=self.lt)
+        check_positive(dx=self.dx, dt=self.dt)
 
     @property
     def nx(self) -> int:
@@ -55,9 +55,8 @@ class SmootherConfig:
     s2: int = 1
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("damping must be positive")
-        check_counts(s1=self.s1, s2=self.s2)
+        check_positive(eta=self.eta)
+        check_counts(0, s1=self.s1, s2=self.s2)
 
 
 def lfa_rho(omega: float, xi: float, eta: float, dt: float, dx: float) -> complex:
@@ -153,7 +152,7 @@ def stmg_two_level(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     records errors against the exact forward substitution and residual
     norms.
     """
-    check_counts(cycles=cycles)
+    check_counts(0, cycles=cycles)
     ops = _two_level(sys, grid, partial(AllAtOnce, theta=named_theta(integrator)))
     op_f = ops.op_f
     b = op_f.rhs()
@@ -231,7 +230,7 @@ def stmg_fas_nonlinear(sys, grid: SpaceTimeGrid, smoother: SmootherConfig,
     if sys.linear:
         raise ValueError("stmg_fas_nonlinear takes a nonlinear system; "
                          "run a linear one with stmg_two_level")
-    check_counts(cycles=cycles)
+    check_counts(0, cycles=cycles)
     ops = _two_level(sys, grid, NonlinearAllAtOnce)
     op_f, op_c = ops.op_f, ops.op_c
     b = op_f.rhs()

@@ -26,11 +26,12 @@ from functools import partial
 import numpy as np
 
 from .integrators import finite_u0
-from .kernels import ConvergenceError, StackedTridiagonalLU
+from .kernels import ConvergenceError, StackedTridiagonalLU, check_counts, check_positive
 from .trace import IterationTrace
 
 Y_CRITICAL = 1.618386576
 OSWR_TOL = 1e-8  # interface error against the oracle at which oswr_solve_ad stops
+OSWR_MAX_SWEEPS = 2000  # sweeps after which oswr_solve_ad gives up short of OSWR_TOL
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class Decomposition1D:
         if self.tc not in ("dirichlet", "robin"):
             raise ValueError(f"transmission condition must be 'dirichlet' or 'robin', "
                              f"got {self.tc!r}")
-        if self.tc == "robin" and not 0 < self.p < np.inf:
-            raise ValueError(f"Robin parameter must be finite and positive, got p={self.p}")
+        if self.tc == "robin":
+            check_positive(p=self.p)
         if self.tc == "robin" and any(a.hi - b.lo < 2 for a, b in zip(subs[:-1], subs[1:])):
             # the one-sided Robin difference reads 3 nodes of each neighbour
             raise ValueError("Robin transmission needs an overlap of at least 2 cells")
@@ -70,8 +71,7 @@ class Decomposition1D:
     @classmethod
     def uniform(cls, n_nodes: int, n_sub: int, overlap_cells: int,
                 tc: str = "dirichlet", p: float = np.inf) -> "Decomposition1D":
-        if overlap_cells < 1:
-            raise ValueError("overlap must be positive")
+        check_counts(1, overlap_cells=overlap_cells)
         cuts = np.linspace(0, n_nodes - 1, n_sub + 1).round().astype(int)
         half = overlap_cells / 2.0
         subs = []
@@ -92,8 +92,7 @@ def robin_p_star(l: float, nu: float, T: float, dt: float):
     convergence-factor bound at the estimated worst frequency.  The scalar
     nonlinear equations are solved by safeguarded bisection to 1e-12.
     """
-    if min(l, nu, T, dt) <= 0:
-        raise ValueError("l, nu, T, dt must be positive")
+    check_positive(l=l, nu=nu, T=T, dt=dt)
     y0 = l / nu
 
     def R0(y, p):
@@ -283,12 +282,6 @@ class _AdSolver(_Stack):
         return packed[:, :, 0].copy(), np.where(inside, packed[1:, :, colour], 0.0)
 
 
-def _check_positive(**values):
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 def _whole_steps(name, h, span_name, span):
     """span / h, which must be a whole number (to a relative 1e-9)."""
     ratio = span / h
@@ -304,7 +297,7 @@ def _ad_grid(nu, L, T, dx, dt):
     ``dt`` divide T into whole numbers of steps."""
     if not nu >= 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    _check_positive(L=L, T=T, dx=dx, dt=dt)
+    check_positive(L=L, T=T, dx=dx, dt=dt)
     return _whole_steps("dx", dx, "L", L) + 1, _whole_steps("dt", dt, "T", T)
 
 
@@ -312,7 +305,7 @@ def _wave_grid(c, L, T, dx):
     """(dt, nodes, time steps) of the unit-CFL leapfrog grid, dt = dx/c.
     ``dx`` must divide L; the run ends at the whole step nearest T, which
     must be at least the first one."""
-    _check_positive(c=c, L=L, T=T, dx=dx)
+    check_positive(c=c, L=L, T=T, dx=dx)
     n = _whole_steps("dx", dx, "L", L) + 1
     dt = dx / c
     n_steps = int(round(T / dt))
@@ -339,7 +332,7 @@ def monodomain_solve_ad(nu, L, T, dx, dt, u0_fn):
     return x, solver.solve(finite_u0(u0_fn(x)), np.zeros((n_steps + 1, 2)))
 
 
-def oswr_solve_ad(nu, L, T, dx, dt, decs, max_iter: int = 2000, seed: int = 0):
+def oswr_solve_ad(nu, L, T, dx, dt, decs, seed: int = 0):
     """Jacobi Schwarz waveform relaxation for advection-diffusion, run once
     for each decomposition in ``decs`` on one space-time grid, from
     :func:`ad_initial_data`.
@@ -347,7 +340,8 @@ def oswr_solve_ad(nu, L, T, dx, dt, decs, max_iter: int = 2000, seed: int = 0):
     The monodomain solution, marched once, is the oracle of every run.  A
     run starts from random interface traces (``seed``) and stops when the
     maximum interface error against the oracle drops below
-    :data:`OSWR_TOL`.  Every subdomain reads only its neighbours'
+    :data:`OSWR_TOL`, or raises ConvergenceError after
+    :data:`OSWR_MAX_SWEEPS` sweeps.  Every subdomain reads only its neighbours'
     previous-iterate traces.  A sweep's traces are the free response plus
     the convolution of the interface data with each interface input's
     impulse response (:meth:`_AdSolver.responses`, one march on 3 columns),
@@ -361,10 +355,10 @@ def oswr_solve_ad(nu, L, T, dx, dt, decs, max_iter: int = 2000, seed: int = 0):
             raise ValueError(f"Schwarz waveform relaxation needs at least 2 subdomains, "
                              f"got {len(dec.subdomains)}")
     _, mono = monodomain_solve_ad(nu, L, T, dx, dt, partial(ad_initial_data, L=L))
-    return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed) for dec in decs)
+    return tuple(_oswr_sweeps(mono, nu, dx, dt, dec, seed) for dec in decs)
 
 
-def _oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed):
+def _oswr_sweeps(mono, nu, dx, dt, dec, seed):
     """The sweeps of :func:`oswr_solve_ad` on one decomposition, against
     the monodomain trajectory ``mono``."""
     subs = dec.subdomains
@@ -388,7 +382,7 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed):
     free, resp = solver.responses(mono[0, solver.index], n_steps, cols)
     spectra = np.fft.rfft(resp, n=n_fft, axis=0)  # (frequency, column, input)
     del resp
-    for _ in range(max_iter):
+    for _ in range(OSWR_MAX_SWEEPS):
         inputs = np.fft.rfft(data[1:, 1:-1], n=n_fft, axis=0)[:, :, None]
         sol = free.copy()
         sol[1:] += np.fft.irfft(spectra @ inputs, n=n_fft, axis=0)[:n_steps, :, 0]
@@ -403,7 +397,7 @@ def _oswr_sweeps(mono, nu, dx, dt, dec, max_iter, seed):
         else:
             data[:, 1:n_sub] = sol[:, at_left]
             data[:, n_sub:-1] = sol[:, at_right]
-    raise ConvergenceError(f"OSWR did not reach tol={OSWR_TOL} in {max_iter} sweeps")
+    raise ConvergenceError(f"OSWR did not reach tol={OSWR_TOL} in {OSWR_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +447,7 @@ def swr_solve_wave(c, L, T, dx, dec: Decomposition1D, tol: float = 1e-10,
     """
     if dec.tc != "dirichlet":
         raise ValueError(f"wave SWR exchanges Dirichlet traces only, got tc={dec.tc!r}")
-    if max_iter < 1:
-        raise ValueError(f"wave SWR needs max_iter >= 1, got {max_iter}")
+    check_counts(1, max_iter=max_iter)
     _, dt, mono = monodomain_solve_wave(c, L, T, dx, partial(wave_initial_data, L=L))
     stack = _Stack(dec.subdomains)
     n_sub = len(stack.lo)
@@ -498,11 +491,8 @@ def utp_advance(c, L, T, dx, schedule: TentSchedule, sweeps: int, seed=0):
     rows, shape (k, 3), are (x, t, |residual|) samples of the leapfrog
     stencil on the final iterate.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"tent pitching needs an integer seed, got {seed!r}")
-    if schedule.n_red < 1 or sweeps < 0:
-        raise ValueError(f"tent pitching needs n_red >= 1 and sweeps >= 0, "
-                         f"got n_red={schedule.n_red}, sweeps={sweeps}")
+    check_counts(0, seed=seed, sweeps=sweeps)
+    check_counts(1, n_red=schedule.n_red)
     dt, n, n_steps = _wave_grid(c, L, T, dx)
     x = np.linspace(0.0, L, n)
 

@@ -381,11 +381,9 @@ OPTIONS_ALLOWED = {
     "trace.IterationTrace(residuals)": TRACE_STATE,
     "trace.IterationTrace(fine_solves)": TRACE_STATE,
     "trace.IterationTrace(meta)": TRACE_STATE,
-    "models.SourcePulse(centers)": TESTS_ONLY,
     "models.build_burgers(source)": TESTS_ONLY,
     "stmg.stmg_two_level(cycles)": TESTS_ONLY,
     "stmg.stmg_two_level(integrator)": TESTS_ONLY,
-    "swr.oswr_solve_ad(max_iter)": TESTS_ONLY,
 }
 
 

@@ -461,9 +461,10 @@ class TestNumerov:
 
 class TestTimeGrid:
     @pytest.mark.parametrize("name, T, n_windows", [("n_windows", 1.0, 0), ("T", 0.0, 4),
-                                                    ("T", -1.0, 4)])
+                                                    ("T", -1.0, 4), ("T", np.inf, 4)])
     def test_uniform_rejects_invalid(self, name, T, n_windows):
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        match = f"^{name} must be positive and finite|^need an integer {name} >= 1"
+        with pytest.raises(ValueError, match=match):
             TimeGrid.uniform(T, n_windows)
 
 
@@ -586,13 +587,20 @@ def test_non_finite_u0_rejected_at_entry(family, name):
 
 
 @pytest.mark.parametrize("make, match", [
-    (lambda: paradiag.GeometricTimeMesh(T=0.5, n_t=6, rho=np.nan), "needs rho > 0"),
-    (lambda: Propagator(backward_euler(), dt=np.nan, steps=1), "need dt > 0"),
-    (lambda: stmg.SmootherConfig(eta=np.nan), "damping must be positive"),
+    (lambda: paradiag.GeometricTimeMesh(T=0.5, n_t=6, rho=np.nan), "^rho must be positive"),
+    (lambda: Propagator(backward_euler(), dt=np.nan, steps=1), "^dt must be positive"),
+    (lambda: stmg.SmootherConfig(eta=np.nan), "^eta must be positive"),
     (lambda: SourcePulse(np.nan), "sigma must be positive"),
-], ids=["mesh_rho", "propagator_dt", "smoother_eta", "pulse_sigma"])
+    (lambda: Propagator(backward_euler(), dt=np.inf, steps=1), "^dt must be positive and finite"),
+    (lambda: paradiag.GeometricTimeMesh(T=np.inf, n_t=6, rho=0.1),
+     "^T must be positive and finite"),
+    (lambda: stmg.SmootherConfig(eta=np.inf), "^eta must be positive and finite"),
+    (lambda: build_heat(8, 1.0 / 9, np.nan, "dirichlet"), "^nu must be nonnegative"),
+], ids=["mesh_rho", "propagator_dt", "smoother_eta", "pulse_sigma", "propagator_dt_inf",
+        "mesh_T_inf", "smoother_eta_inf", "heat_nu"])
 def test_nan_positive_parameter_rejected(make, match):
-    # NaN <= 0 is False, so each check reads "not x > 0"; a NaN-rho mesh
+    # NaN <= 0 is False, and inf > 0 is True, so each check is
+    # kernels.check_positive (nu >= 0 reads "not nu >= 0"); a NaN-rho mesh
     # used to fail later, inside an eigendecomposition
     with pytest.raises(ValueError, match=match):
         make()
@@ -610,11 +618,18 @@ WINDOW_STEP = Propagator(backward_euler(), dt=0.25, steps=1)  # spans each of 4 
                                  stmg.SpaceTimeGrid(lx=4, lt=3, dx=1.0 / 16, dt=8.0 / 16**2),
                                  stmg.SmootherConfig(eta=0.5), cycles=-3), "cycles"),
     (lambda: stmg.SmootherConfig(eta=0.5, s1=-1, s2=-1), "s1"),
-], ids=["parareal_max_iter", "paraexp_max_iter", "stmg_cycles", "smoother_sweeps"])
+    (lambda: parareal.PararealConfig(grid=TimeGrid.uniform(1.0, 4), fine=WINDOW_STEP,
+                                     coarse=WINDOW_STEP, max_iter=2.5), "max_iter"),
+    (lambda: paraexp.ParaExpPlan(grid=TimeGrid.uniform(1.0, 4), red=WINDOW_STEP,
+                                 max_iter=np.nan), "max_iter"),
+    (lambda: numerov_solve(build_wave(8, 1.0 / 9, 1.0, "dirichlet"), 0.01, 2.5), "n_steps"),
+], ids=["parareal_max_iter", "paraexp_max_iter", "stmg_cycles", "smoother_sweeps",
+        "parareal_max_iter_fraction", "paraexp_max_iter_nan", "numerov_n_steps_fraction"])
 def test_negative_count_rejected(make, name):
     # range() of a negative count is empty, so each of these used to return
-    # at once; the smoother ran V-cycles with no smoothing
-    with pytest.raises(ValueError, match=f"need {name} >= 0"):
+    # at once; the smoother ran V-cycles with no smoothing.  A fractional or
+    # NaN count is no count either.
+    with pytest.raises(ValueError, match=f"need an integer {name} >= "):
         make()
 
 

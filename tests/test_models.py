@@ -5,6 +5,7 @@ from pintlab.integrators import Propagator, TimeGrid, backward_euler
 from pintlab.kernels import expm_action, solve_shifted_banded
 from pintlab.models import (
     CompanionSystem,
+    PULSE_TIMES,
     InvalidBoundaryError,
     SourcePulse,
     build_advection_diffusion,
@@ -175,7 +176,7 @@ class TestSourcePulse:
             val = pulse(x, tj)[0]
             # the firing term contributes exactly 10; the rest decay fast
             others = sum(
-                10 * np.exp(-sigma * (tj - tk) ** 2) for tk in pulse.centers if tk != tj
+                10 * np.exp(-sigma * (tj - tk) ** 2) for tk in PULSE_TIMES if tk != tj
             )
             assert val == pytest.approx(10.0 + others)
             assert others <= 3 * 10 * np.exp(-sigma * 0.0625)

@@ -70,8 +70,11 @@ class TestLinearParaExp:
     def test_source_superposition_linearity(self):
         nx = 24
         dx = 1.0 / (nx + 1)
-        p1 = SourcePulse(100.0, centers=(0.1, 0.6))
-        p2 = SourcePulse(100.0, centers=(1.35, 1.85))
+        def pulses(*times):
+            return lambda x, t: sum(np.exp(-100.0 * ((t - tj) ** 2 + (x - 0.5) ** 2))
+                                    for tj in times)
+
+        p1, p2 = pulses(0.1, 0.6), pulses(1.35, 1.85)
         both = lambda x, t: p1(x, t) + p2(x, t)
         sys12 = build_heat(nx, dx, 1.0, "dirichlet", source=both)
         sys1 = build_heat(nx, dx, 1.0, "dirichlet", source=p1)

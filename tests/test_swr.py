@@ -65,8 +65,9 @@ class TestRobinPStar:
         assert abs(p_lo - p_hi) / p_lo < 1e-5
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            robin_p_star(-1.0, 0.1, 1.0, 0.01)
+        for args, name in (((-1.0, 0.1, 1.0, 0.01), "l"), ((0.04, np.nan, 5.0, 0.01), "nu")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                robin_p_star(*args)
 
 
 class TestOswrAd:
@@ -114,7 +115,7 @@ class TestOswrAd:
         counts = []
         for nu in (1.0, 0.1, 0.01):
             dec = Decomposition1D.uniform(n_nodes, 2, 2, tc="dirichlet")
-            tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec], max_iter=2000)
+            tr, = oswr_solve_ad(nu, L, T, dx, dt, [dec])
             counts.append(tr.iterations)
         assert counts[0] >= counts[1] >= counts[2]
 
@@ -122,7 +123,7 @@ class TestOswrAd:
         L, T, dt, dx = 4.0, 2.0, 0.02, 0.04
         n_nodes = int(round(L / dx)) + 1
         dec = Decomposition1D.uniform(n_nodes, 2, 4, tc="dirichlet")
-        tr, = oswr_solve_ad(0.1, L, T, dx, dt, [dec], max_iter=500)
+        tr, = oswr_solve_ad(0.1, L, T, dx, dt, [dec])
         e = tr.errors
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e[1:-1], e[2:]))
 
@@ -171,7 +172,7 @@ class TestOswrAd:
 
     @pytest.mark.parametrize("p", [np.inf, 0.0, -1.0, np.nan])
     def test_robin_parameter_must_be_finite_and_positive(self, p):
-        with pytest.raises(ValueError, match="Robin parameter must be finite and positive"):
+        with pytest.raises(ValueError, match="^p must be positive and finite"):
             Decomposition1D.uniform(41, 2, 4, tc="robin", p=p)
 
     def test_robin_at_cell_peclet_two_rejected(self):
@@ -181,7 +182,7 @@ class TestOswrAd:
 
     @pytest.mark.parametrize("solve", ["oswr", "monodomain"])
     @pytest.mark.parametrize("name, value", [("nu", -0.05), ("T", 0.0), ("dx", 0.0),
-                                             ("dt", -0.01), ("L", -1.0)])
+                                             ("dt", -0.01), ("L", -1.0), ("T", np.inf)])
     def test_invalid_parameter_named(self, solve, name, value):
         # nu = -dx/2 used to surface as "singular SWR subdomain system 0"
         args = dict(nu=0.05, L=1.0, T=0.1, dx=0.1, dt=0.01)
@@ -220,11 +221,12 @@ class TestOswrAd:
         with pytest.raises(SingularSystemError, match="subdomain system 1 .*row 1"):
             _AdSolver(subs, -dx / 2, dx, dx)
 
-    def test_too_few_sweeps_raise(self):
+    def test_too_few_sweeps_raise(self, monkeypatch):
         L, T, dt, dx = 4.0, 1.0, 0.02, 0.04
         dec = Decomposition1D.uniform(int(round(L / dx)) + 1, 3, 2, tc="dirichlet")
+        monkeypatch.setattr(swr, "OSWR_MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceError, match="^OSWR did not reach tol=1e-08 in 3 sweeps"):
-            oswr_solve_ad(0.1, L, T, dx, dt, [dec], max_iter=3)
+            oswr_solve_ad(0.1, L, T, dx, dt, [dec])
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("tc", ["dirichlet", "robin"])
@@ -492,7 +494,8 @@ class TestWaveGrid:
         with pytest.raises(ValueError, match=r"^T = 0\.1 is shorter than half a time step"):
             monodomain_solve_wave(1.0, 1.0, 0.1, 0.25, np.sin)
 
-    @pytest.mark.parametrize("name, value", [("c", 0.0), ("L", -1.0), ("T", 0.0), ("dx", -0.1)])
+    @pytest.mark.parametrize("name, value", [("c", 0.0), ("L", -1.0), ("T", 0.0), ("dx", -0.1),
+                                             ("c", np.inf)])
     @pytest.mark.parametrize("solve", ["monodomain", "swr", "utp"])
     def test_invalid_parameter_named(self, solve, name, value):
         args = dict(c=1.0, L=1.0, T=0.5, dx=0.1)
@@ -520,7 +523,7 @@ class TestUtp:
 
     def test_non_integer_seed_rejected(self):
         for seed in (None, 1.5):
-            with pytest.raises(ValueError, match="integer seed, got " + repr(seed)):
+            with pytest.raises(ValueError, match="^need an integer seed >= 0, got " + repr(seed)):
                 utp_advance(self.C, 1.0, 0.5, 1.0 / 60, TentSchedule(n_red=3), sweeps=1, seed=seed)
 
     def test_first_sweep_exact_inside_tents(self):
@@ -589,7 +592,8 @@ class TestUtp:
         # n_red=0 used to raise IndexError from the subdomain bounds, and
         # negative sweeps returned the random start unswept
         monkeypatch.setattr(swr, "_leapfrog", lambda *args: pytest.fail("marched"))
-        with pytest.raises(ValueError, match=f"n_red={n_red}, sweeps={sweeps}"):
+        with pytest.raises(ValueError, match=f"^need an integer (n_red >= 1, got {n_red}"
+                                             f"|sweeps >= 0, got {sweeps})$"):
             utp_advance(self.C, 1.0, 0.5, 1.0 / 60, TentSchedule(n_red=n_red), sweeps=sweeps)
 
     def test_heatmap_rows_format(self):
